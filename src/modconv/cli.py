@@ -22,7 +22,7 @@ import sys
 import time
 from dataclasses import dataclass
 
-from .convolve import ENGINES, ConvRequest, poly_mul
+from .convolve import ENGINES, ConvRequest, _next_pow2, poly_mul
 from .field import FieldMismatchError, FourierPrime, UnsupportedSizeError, find_fourier_prime
 from .planner import PlanFormatError, PlanKey, PlanSession, PlanStore, plan_mirror, store_load, store_save
 from .poly import DensePoly, PolyTextError, poly_from_text, poly_to_text
@@ -198,7 +198,7 @@ def run_sweep(cfg: SweepConfig) -> list[str]:
         z2 = n + 1 - z1
         a = DensePoly(fp, tuple(rng.randrange(fp.p) for _ in range(z1)))
         b = DensePoly(fp, tuple(rng.randrange(fp.p) for _ in range(z2)))
-        needed = (1 << (n - 1).bit_length()).bit_length() - 1 if n > 1 else 0
+        needed = _next_pow2(n).bit_length() - 1
         for engine in cfg.engines:
             if engine in ("fft_pad", "tft") and needed > fp.two_adicity:
                 rows.append(f"{n},{engine},{cfg.threads},{SENTINEL_ROW}")

@@ -6,15 +6,14 @@ the circular/negacyclic CRT split, and truncated-transform multiplication.
 All engines are exact, so every applicable engine produces bit-identical
 output; they differ only in operation counts.
 
-Threading: a request's `threads` bounds per-invocation workers. The two
-forward transforms of an engine may run concurrently and the pointwise stage
-may be chunked; exact integer arithmetic keeps results independent of the
-schedule.
+Execution is serial. CPython holds the GIL through these pure-Python integer
+loops, so worker threads cannot make them faster. `ConvRequest.threads` is
+validated and kept only because the plan-store, CLI and sweep CSV formats
+carry it.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field as dc_field
 from typing import TYPE_CHECKING
 
@@ -27,12 +26,10 @@ if TYPE_CHECKING:
 
 ENGINES = ("definition", "fft_pad", "tft", "split", "auto")
 
-_POINTWISE_CHUNK_MIN = 8192
-
 
 @dataclass
 class ConvRequest:
-    """How to run a convolution: field, engine, worker budget, instrumentation."""
+    """How to run a convolution: field, engine, thread setting, instrumentation."""
 
     field: FourierPrime
     engine: str = "auto"
@@ -87,57 +84,11 @@ def lin_conv_def(u: list[int], v: list[int], fp: FourierPrime) -> list[int]:
     return out
 
 
-def _run_pair(task_a, task_b, threads: int):
-    """Run the two forward transforms, on two workers when allowed."""
-    if threads < 2:
-        return task_a(), task_b()
-    box = [None]
-
-    def side():
-        box[0] = task_b()
-
-    t = threading.Thread(target=side)
-    t.start()
-    ra = task_a()
-    t.join()
-    return ra, box[0]
-
-
-def _transform_pair(u, v, table, req: ConvRequest, fwd):
-    """Apply `fwd` to u and v with per-task counters, then merge deterministically."""
-    if req.counters is None:
-        return _run_pair(lambda: fwd(u, None), lambda: fwd(v, None), req.threads)
-    ca, cb = OpCounters(), OpCounters()
-    ra, rb = _run_pair(lambda: fwd(u, ca), lambda: fwd(v, cb), req.threads)
-    req.counters.merge(ca)
-    req.counters.merge(cb)
-    return ra, rb
-
-
 def _pointwise(a: list[int], b: list[int], p: int, req: ConvRequest) -> list[int]:
-    """Elementwise spectral product; counted, optionally chunked across workers."""
-    n = len(a)
+    """Elementwise spectral product, counted."""
     if req.counters is not None:
-        req.counters.pointwise_muls += n
-    if req.threads < 2 or n < _POINTWISE_CHUNK_MIN:
-        return [x * y % p for x, y in zip(a, b)]
-    workers = min(req.threads, 4)
-    out: list[int] = [0] * n
-    step = -(-n // workers)
-
-    def fill(lo: int, hi: int) -> None:
-        out[lo:hi] = [a[i] * b[i] % p for i in range(lo, hi)]
-
-    tasks = [
-        threading.Thread(target=fill, args=(lo, min(lo + step, n)))
-        for lo in range(step, n, step)
-    ]
-    for t in tasks:
-        t.start()
-    fill(0, min(step, n))
-    for t in tasks:
-        t.join()
-    return out
+        req.counters.pointwise_muls += len(a)
+    return [x * y % p for x, y in zip(a, b)]
 
 
 def circ_conv_fft(u: list[int], v: list[int], req: ConvRequest) -> list[int]:
@@ -148,11 +99,8 @@ def circ_conv_fft(u: list[int], v: list[int], req: ConvRequest) -> list[int]:
     if n & (n - 1):
         raise ValueError(f"length must be a power of two: {n}")
     table = get_table(req.field, n)
-
-    def fwd(x, counters):
-        return moddft(x, table, "fwd", counters)
-
-    uf, vf = _transform_pair(u, v, table, req, fwd)
+    uf = moddft(u, table, "fwd", req.counters)
+    vf = moddft(v, table, "fwd", req.counters)
     prod = _pointwise(uf, vf, req.field.p, req)
     return moddft(prod, table, "inv", req.counters)
 
@@ -242,11 +190,8 @@ def conv_tft(g: list[int], h: list[int], req: ConvRequest) -> list[int]:
     size = _next_pow2(n)
     table = get_table(req.field, size)
     p = req.field.p
-
-    def fwd(x, counters):
-        return tft(table, x, n, counters)
-
-    gf, hf = _transform_pair(g, h, table, req, fwd)
+    gf = tft(table, g, n, req.counters)
+    hf = tft(table, h, n, req.counters)
     prod = _pointwise(gf, hf, p, req)
     scaled = itft(table, prod, req.counters)
     inv_size = table.inv_size

@@ -27,6 +27,7 @@ import time
 from dataclasses import dataclass, replace
 
 from . import __version__
+from .convolve import _next_pow2
 from .field import FourierPrime, UnsupportedSizeError
 from .transform import get_table, itft, moddft, moddft_plan, tft
 
@@ -259,14 +260,12 @@ class PlanSession:
         threads: int = 1,
         timer=time.perf_counter_ns,
         reps: int = DEFAULT_SEARCH_REPS,
-        radix_menu: tuple[int, ...] = RADIX_MENU,
         search_cap: int = DEFAULT_SEARCH_CAP,
     ):
         self.store = store if store is not None else PlanStore()
         self.signature = signature if signature is not None else make_exec_signature(threads)
         self.timer = timer
         self.reps = max(1, reps)
-        self.radix_menu = tuple(radix_menu)
         self.search_cap = search_cap
         self.search_count = 0
         self.last_candidates: list[tuple[tuple[int, ...], int, int]] = []
@@ -338,9 +337,9 @@ class PlanSession:
         x = [rng.randrange(key.p) for _ in range(size)]
         reference = moddft(x, table)
         candidates: list[tuple[tuple[int, ...], int]] = []
-        if size in self.radix_menu:
+        if size in RADIX_MENU:
             candidates.append(((), size))
-        for radix in self.radix_menu:
+        for radix in RADIX_MENU:
             if radix < size and size % radix == 0 and size // radix >= 2:
                 sub = self.lookup(PlanKey("dft", key.p, size // radix, 0, size // radix, key.threads))
                 candidates.append(((radix,) + sub.splits, sub.base_case))
@@ -415,7 +414,7 @@ class PlanSession:
         micro-measured per-product cost. No fixed size thresholds.
         """
         n = z1 + z2 - 1
-        size = 1 << (n - 1).bit_length() if n > 1 else 1
+        size = _next_pow2(n)
         if n == 1 or size.bit_length() - 1 > field.two_adicity:
             return "definition"
         p = field.p

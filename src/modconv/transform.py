@@ -23,8 +23,7 @@ from .field import FourierPrime, UnsupportedSizeError, root_of_unity
 class OpCounters:
     """Monotone tally of butterflies and pointwise spectral products.
 
-    Attach one per call; transforms only ever add to it. Not thread-shared:
-    concurrent sub-tasks use private counters merged afterwards.
+    Attach one per call; transforms only ever add to it.
     """
 
     __slots__ = ("butterflies", "pointwise_muls")
@@ -32,10 +31,6 @@ class OpCounters:
     def __init__(self, butterflies: int = 0, pointwise_muls: int = 0):
         self.butterflies = butterflies
         self.pointwise_muls = pointwise_muls
-
-    def merge(self, other: "OpCounters") -> None:
-        self.butterflies += other.butterflies
-        self.pointwise_muls += other.pointwise_muls
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, OpCounters):

@@ -1,4 +1,5 @@
 import random
+import threading
 
 import pytest
 
@@ -307,7 +308,6 @@ class TestPolyMul:
             assert serial == threaded
 
     def test_chunked_pointwise_schedule_independent(self, fp998, rng):
-        # Large enough that the pointwise stage is split across workers.
         u = random_vec(rng, fp998, 4100)
         v = random_vec(rng, fp998, 4100)
         serial = conv_tft(u, v, ConvRequest(fp998, engine="tft", threads=1))
@@ -322,6 +322,26 @@ class TestPolyMul:
         c4 = OpCounters()
         poly_mul(a, b, ConvRequest(fp998, engine="tft", threads=4, counters=c4))
         assert c1 == c4
+
+    def test_threads_setting_runs_serially(self, fp998, rng, monkeypatch):
+        # Large enough (n = 8199, L = 16384) that a size-gated parallel stage
+        # would engage; no engine may start a thread at any setting.
+        a = DensePoly(fp998, tuple(random_vec(rng, fp998, 4100)))
+        b = DensePoly(fp998, tuple(random_vec(rng, fp998, 4100)))
+        serial = {}
+        for engine in ("tft", "fft_pad", "split"):
+            counters = OpCounters()
+            req = ConvRequest(fp998, engine=engine, threads=1, counters=counters)
+            serial[engine] = (poly_mul(a, b, req), counters)
+
+        def no_threads(*args, **kwargs):
+            raise AssertionError("engines must not start threads")
+
+        monkeypatch.setattr(threading, "Thread", no_threads)
+        for engine, expected in serial.items():
+            counters = OpCounters()
+            req = ConvRequest(fp998, engine=engine, threads=4, counters=counters)
+            assert (poly_mul(a, b, req), counters) == expected, engine
 
     def test_auto_requires_planner(self, fp998):
         a = DensePoly.one(fp998)
