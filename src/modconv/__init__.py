@@ -3,7 +3,8 @@
 Transforms are number-theoretic (modular) FFTs plus truncated variants that
 compute only the spectral prefix a product actually needs, smoothing away the
 power-of-two staircase of padded FFT multiplication. An empirical planner
-times candidate decompositions and persists the winners.
+times the transform kernels the engines run, persists those timings, and
+scales them by exact butterfly counts to pick an engine.
 """
 
 __version__ = "0.1.0"
@@ -30,13 +31,13 @@ from .transform import (
     OpCounters,
     TwiddleTable,
     bit_reverse_permute,
-    dft_basecase,
     get_table,
     itft,
+    itft_butterflies,
     moddft,
     moddft_naive,
-    moddft_plan,
     tft,
+    tft_butterflies,
 )
 from .convolve import (
     ENGINES,
@@ -83,13 +84,13 @@ __all__ = [
     "OpCounters",
     "TwiddleTable",
     "bit_reverse_permute",
-    "dft_basecase",
     "get_table",
     "itft",
+    "itft_butterflies",
     "moddft",
     "moddft_naive",
-    "moddft_plan",
     "tft",
+    "tft_butterflies",
     "ENGINES",
     "ConvRequest",
     "circ_conv_def",

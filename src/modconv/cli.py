@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .convolve import ENGINES, ConvRequest, _next_pow2, poly_mul
 from .field import FieldMismatchError, FourierPrime, UnsupportedSizeError, find_fourier_prime
-from .planner import PlanFormatError, PlanKey, PlanSession, PlanStore, plan_mirror, store_load, store_save
+from .planner import PlanFormatError, PlanKey, PlanSession, PlanStore, store_load, store_save
 from .poly import DensePoly, PolyTextError, poly_from_text, poly_to_text
 from .transform import OpCounters
 from .verify import run_verification
@@ -95,6 +95,11 @@ def cmd_mul(args) -> int:
                 polys.append(poly_from_text(fh.read()))
         except OSError as exc:
             return _fail(EXIT_IO, f"cannot read {path}: {exc}")
+        except UnicodeDecodeError as exc:
+            line = exc.object.count(b"\n", 0, exc.start) + 1
+            return _fail(
+                EXIT_FILE_FORMAT, f"{path}: line {line}: non-ASCII byte {exc.object[exc.start]:#04x}"
+            )
         except PolyTextError as exc:
             return _fail(EXIT_FILE_FORMAT, f"{path}: {exc}")
     a, b = polys
@@ -149,16 +154,8 @@ def cmd_plan(args) -> int:
     size = 2
     while size <= args.max_l:
         session.lookup(PlanKey("dft", fp.p, size, 0, size, args.threads))
-        fwd_key = PlanKey("tft", fp.p, size, size, size, args.threads)
-        fwd = session.lookup(fwd_key)
-        inv_key = PlanKey("itft", fp.p, size, size, size, args.threads)
-        # The inverse follows the forward plan mirrored instead of searching.
-        if session.store.get(inv_key, session.signature) is None:
-            by_key = session.store.entries_for_key(inv_key)
-            if by_key:
-                session.lookup(inv_key)
-            else:
-                session.store.add(plan_mirror(fwd))
+        session.lookup(PlanKey("tft", fp.p, size, size, size, args.threads))
+        session.lookup(PlanKey("itft", fp.p, size, size, size, args.threads))
         planned += 3
         size <<= 1
     try:

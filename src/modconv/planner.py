@@ -1,21 +1,21 @@
-"""Empirical plan search over transform decompositions, with persistence.
+"""Empirical timing of the transform kernels the engines run, with persistence.
 
-A plan records which radix decomposition a transform size should use, chosen
-bottom-up by dynamic programming: best sub-plans for smaller sizes are fixed
-first, then each size times every single split composed with the stored best
-sub-plan, plus the direct base case when small enough. Winners are the
-minimal median over a few warm runs; ties go to the lexicographically
-smallest split sequence for run-to-run determinism.
+A plan entry records the measured median time of one transform kernel on one
+shape: `dft` keys time the iterative moddft that the padded engine runs,
+`tft` and `itft` keys time the truncated transforms on the key's own
+(z, n). Every entry records the radix-2 decomposition those kernels execute;
+the store format keeps a split sequence and base case so that files written
+with radix-4/8 decompositions still load.
 
 Entries are keyed by function signature (kind, p, L, z, n, threads) and by an
 execution signature describing the host, so a store file can travel between
 machines without silently reusing stale timings: a key match under a foreign
 signature is cloned under the current one rather than trusted as-is.
 
-Truncated transforms use the fixed half-split recursion, so their searches
-have a single candidate; their value in the store is the measured timing,
-which also feeds the automatic engine choice. Inverse truncated plans mirror
-the forward ones (reversed split sequence) rather than being searched.
+The automatic engine choice reads only the keys `modconv plan` writes, one
+timing per (kind, p, L) at z = n = L, and scales the truncated timings to the
+product's shape by exact butterfly counts, so it never searches for a new
+shape.
 """
 
 from __future__ import annotations
@@ -29,13 +29,14 @@ from dataclasses import dataclass, replace
 from . import __version__
 from .convolve import _next_pow2
 from .field import FourierPrime, UnsupportedSizeError
-from .transform import get_table, itft, moddft, moddft_plan, tft
+from .transform import get_table, itft, itft_butterflies, moddft, tft, tft_butterflies
 
 KINDS = ("dft", "tft", "itft", "conv")
 RADIX_MENU = (2, 4, 8)
 STORE_VERSION = "modconv-plan v1"
 DEFAULT_SEARCH_REPS = 5
-DEFAULT_SEARCH_CAP = 1 << 20
+# Largest dft that is timed; bigger sizes scale this timing by butterfly count.
+SEARCH_CAP = 1 << 20
 
 _ENGINE_PREFERENCE = ("definition", "fft_pad", "tft")
 
@@ -72,7 +73,7 @@ class PlanKey:
 
 @dataclass(frozen=True, slots=True)
 class PlanEntry:
-    """A measured decomposition choice for one key under one host signature."""
+    """A measured kernel timing for one key under one host signature."""
 
     key: PlanKey
     splits: tuple[int, ...]
@@ -200,7 +201,11 @@ def store_save(store: PlanStore, path: str) -> None:
 def store_load(path: str) -> PlanStore:
     """Parse a plan file; refuses other versions, reports bad lines by number."""
     with open(path, "r", encoding="ascii") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            line = exc.object.count(b"\n", 0, exc.start) + 1
+            raise PlanFormatError(f"non-ASCII byte {exc.object[exc.start]:#04x}", line) from None
     lines = text.splitlines()
     if not lines or lines[0] != STORE_VERSION:
         found = lines[0] if lines else "<empty file>"
@@ -260,15 +265,12 @@ class PlanSession:
         threads: int = 1,
         timer=time.perf_counter_ns,
         reps: int = DEFAULT_SEARCH_REPS,
-        search_cap: int = DEFAULT_SEARCH_CAP,
     ):
         self.store = store if store is not None else PlanStore()
         self.signature = signature if signature is not None else make_exec_signature(threads)
         self.timer = timer
         self.reps = max(1, reps)
-        self.search_cap = search_cap
         self.search_count = 0
-        self.last_candidates: list[tuple[tuple[int, ...], int, int]] = []
         self._fields: dict[int, FourierPrime] = {}
         self._mult_nanos: dict[int, int] = {}
 
@@ -289,18 +291,25 @@ class PlanSession:
     # -- search --------------------------------------------------------------
 
     def search(self, key: PlanKey) -> PlanEntry:
-        """Time candidate decompositions for one key and store the winner."""
-        if key.kind == "dft":
-            entry = self._search_dft(key)
-        elif key.kind == "tft":
-            entry = self._search_truncated(key, inverse=False)
-        elif key.kind == "itft":
-            entry = self._search_truncated(key, inverse=True)
-        else:
+        """Time the kernel an engine runs for this key and store the timing.
+
+        `dft` times moddft, `tft` times tft on z inputs and n outputs, `itft`
+        times itft on n values; every entry records the radix-2 decomposition
+        those kernels execute.
+        """
+        if key.kind not in ("dft", "tft", "itft"):
             raise ValueError(
                 f"kind {key.kind!r} is not searchable; engine choice is derived "
                 "from transform timings"
             )
+        size = key.L
+        if size < 2:
+            raise UnsupportedSizeError(f"no plannable transform of size {size}")
+        if key.kind == "dft" and size > SEARCH_CAP:
+            nanos = self._extrapolate_dft(key)
+        else:
+            nanos = self._time_median(self._kernel(key))
+        entry = PlanEntry(key, (2,) * (size.bit_length() - 2), 2, nanos, self.signature)
         self.store.add(entry, replace_existing=True)
         self.search_count += 1
         return entry
@@ -325,71 +334,33 @@ class PlanSession:
         fn()
         return self.timer() - t0
 
-    def _search_dft(self, key: PlanKey) -> PlanEntry:
+    def _kernel(self, key: PlanKey):
+        """A zero-argument call of the kernel that `key` times, on seeded random input."""
         size = key.L
-        if size < 2:
-            raise UnsupportedSizeError(f"no plannable transform of size {size}")
-        fp = self._field(key.p)
-        if size > self.search_cap:
-            return self._extrapolate_dft(key, fp)
-        table = get_table(fp, size)
+        table = get_table(self._field(key.p), size)
         rng = self._rng_for(key)
-        x = [rng.randrange(key.p) for _ in range(size)]
-        reference = moddft(x, table)
-        candidates: list[tuple[tuple[int, ...], int]] = []
-        if size in RADIX_MENU:
-            candidates.append(((), size))
-        for radix in RADIX_MENU:
-            if radix < size and size % radix == 0 and size // radix >= 2:
-                sub = self.lookup(PlanKey("dft", key.p, size // radix, 0, size // radix, key.threads))
-                candidates.append(((radix,) + sub.splits, sub.base_case))
-        timed: list[tuple[int, tuple[int, ...], int]] = []
-        for splits, base in candidates:
-            if moddft_plan(x, table, splits, base) != reference:
-                raise ArithmeticError(f"decomposition {splits} x {base} is not equivalent")
-            nanos = self._time_median(lambda: moddft_plan(x, table, splits, base))
-            timed.append((nanos, splits, base))
-        timed.sort(key=lambda t: (t[0], t[1]))
-        self.last_candidates = [(s, b, ns) for ns, s, b in timed]
-        nanos, splits, base = timed[0]
-        return PlanEntry(key, splits, base, nanos, self.signature)
-
-    def _extrapolate_dft(self, key: PlanKey, fp: FourierPrime) -> PlanEntry:
-        # Beyond the timed range, reuse the largest planned shape under extra
-        # radix-2 levels and scale the timing by the butterfly-count ratio.
-        cap = self.search_cap
-        sub = self.lookup(PlanKey("dft", key.p, cap, 0, cap, key.threads))
-        extra = key.L.bit_length() - cap.bit_length()
-        lg_l = key.L.bit_length() - 1
-        lg_c = cap.bit_length() - 1
-        scale = (key.L * lg_l) / (cap * lg_c)
-        nanos = int(sub.measured_nanos * scale)
-        self.last_candidates = [((2,) * extra + sub.splits, sub.base_case, nanos)]
-        return PlanEntry(key, (2,) * extra + sub.splits, sub.base_case, nanos, self.signature)
-
-    def _search_truncated(self, key: PlanKey, *, inverse: bool) -> PlanEntry:
-        size = key.L
-        if size < 2:
-            raise UnsupportedSizeError(f"no plannable transform of size {size}")
-        fp = self._field(key.p)
-        table = get_table(fp, size)
+        if key.kind == "dft":
+            x = [rng.randrange(key.p) for _ in range(size)]
+            return lambda: moddft(x, table)
         n = key.n
         if not 1 <= n <= size:
             raise ValueError(f"output count {n} invalid for L={size}")
-        rng = self._rng_for(key)
-        splits = (2,) * (size.bit_length() - 2)
-        if inverse:
+        if key.kind == "itft":
             xhat = [rng.randrange(key.p) for _ in range(n)]
-            fn = lambda: itft(table, xhat)
-        else:
-            z = key.z
-            if not 1 <= z <= n:
-                raise ValueError(f"input length {z} invalid for n={n}")
-            x = [rng.randrange(key.p) for _ in range(z)]
-            fn = lambda: tft(table, x, n)
-        nanos = self._time_median(fn)
-        self.last_candidates = [(splits, 2, nanos)]
-        return PlanEntry(key, splits, 2, nanos, self.signature)
+            return lambda: itft(table, xhat)
+        z = key.z
+        if not 1 <= z <= n:
+            raise ValueError(f"input length {z} invalid for n={n}")
+        x = [rng.randrange(key.p) for _ in range(z)]
+        return lambda: tft(table, x, n)
+
+    def _extrapolate_dft(self, key: PlanKey) -> int:
+        # Beyond the timed range, scale the largest timed dft by the
+        # butterfly-count ratio (L/2)*log2(L) / ((cap/2)*log2(cap)).
+        cap = SEARCH_CAP
+        sub = self.lookup(PlanKey("dft", key.p, cap, 0, cap, key.threads))
+        scale = (key.L * (key.L.bit_length() - 1)) / (cap * (cap.bit_length() - 1))
+        return int(sub.measured_nanos * scale)
 
     # -- automatic engine choice ----------------------------------------------
 
@@ -409,9 +380,12 @@ class PlanSession:
     def resolve_engine(self, field: FourierPrime, z1: int, z2: int, threads: int) -> str:
         """Pick the cheapest engine for a z1 x z2 product from measured timings.
 
-        Transform costs come from stored (or freshly searched) plan entries;
-        the by-definition cost is modeled as z1*z2 scalar products at a
-        micro-measured per-product cost. No fixed size thresholds.
+        Only the keys `modconv plan` writes are read: one dft, tft and itft
+        timing at the padded size L with z = n = L. The truncated timings are
+        scaled to this product by exact butterfly counts, so a new shape never
+        triggers a search. The by-definition cost is modeled as z1*z2 scalar
+        products at a micro-measured per-product cost. No fixed size
+        thresholds.
         """
         n = z1 + z2 - 1
         size = _next_pow2(n)
@@ -419,17 +393,18 @@ class PlanSession:
             return "definition"
         p = field.p
         mult = self._mult_nanos_for(p)
+        t_dft = self.lookup(PlanKey("dft", p, size, 0, size, threads)).measured_nanos
+        t_tft = self.lookup(PlanKey("tft", p, size, size, size, threads)).measured_nanos
+        t_itft = self.lookup(PlanKey("itft", p, size, size, size, threads)).measured_nanos
         cost_def = z1 * z2 * mult
         cost_tft = (
-            self.lookup(PlanKey("tft", p, size, z1, n, threads)).measured_nanos
-            + self.lookup(PlanKey("tft", p, size, z2, n, threads)).measured_nanos
-            + self.lookup(PlanKey("itft", p, size, n, n, threads)).measured_nanos
+            t_tft
+            * (tft_butterflies(size, z1, n) + tft_butterflies(size, z2, n))
+            / tft_butterflies(size, size, size)
+            + t_itft * itft_butterflies(size, n) / itft_butterflies(size, size)
             + n * mult
         )
-        cost_fft = (
-            3 * self.lookup(PlanKey("dft", p, size, 0, size, threads)).measured_nanos
-            + size * mult
-        )
+        cost_fft = 3 * t_dft + size * mult
         ranked = sorted(
             zip((cost_def, cost_fft, cost_tft), _ENGINE_PREFERENCE),
             key=lambda t: (t[0], _ENGINE_PREFERENCE.index(t[1])),
@@ -443,7 +418,7 @@ class PlanSession:
         fp = self._field(entry.key.p)
         table = get_table(fp, entry.key.L)
         if entry.key.kind == "dft":
-            return moddft_plan(x, table, entry.splits, entry.base_case)
+            return moddft(x, table)
         if entry.key.kind == "tft":
             return tft(table, x, entry.key.n)
         if entry.key.kind == "itft":

@@ -186,15 +186,24 @@ def poly_to_text(a: DensePoly) -> str:
     return "{}\n{}\n{}\n".format(a.field.p, len(a.coeffs), " ".join(map(str, a.coeffs)))
 
 
+def _is_decimal(token: str) -> bool:
+    # Only [0-9]+: int() would also take signs, '_' separators, surrounding
+    # whitespace and non-ASCII digits.
+    return token.isascii() and token.isdigit()
+
+
 def poly_from_text(text: str, field: FourierPrime | None = None) -> DensePoly:
-    """Parse the three-line format; reuses `field` when the modulus matches."""
+    """Parse the three-line format; reuses `field` when the modulus matches.
+
+    The modulus, the count and every coefficient must be ASCII decimal
+    ([0-9]+); anything else raises PolyTextError.
+    """
     lines = text.splitlines()
     if len(lines) < 3:
         raise PolyTextError("expected 3 lines: modulus, count, coefficients", len(lines) + 1)
-    try:
-        p = int(lines[0])
-    except ValueError:
-        raise PolyTextError(f"bad modulus {lines[0]!r}", 1) from None
+    if not _is_decimal(lines[0]):
+        raise PolyTextError(f"bad modulus {lines[0]!r}", 1)
+    p = int(lines[0])
     if field is not None and field.p == p:
         fp = field
     else:
@@ -202,22 +211,18 @@ def poly_from_text(text: str, field: FourierPrime | None = None) -> DensePoly:
             fp = FourierPrime.from_modulus(p)
         except ValueError as exc:
             raise PolyTextError(str(exc), 1) from None
-    try:
-        n = int(lines[1])
-    except ValueError:
-        raise PolyTextError(f"bad coefficient count {lines[1]!r}", 2) from None
-    if n < 0:
-        raise PolyTextError(f"negative coefficient count {n}", 2)
+    if not _is_decimal(lines[1]):
+        raise PolyTextError(f"bad coefficient count {lines[1]!r}", 2)
+    n = int(lines[1])
     tokens = lines[2].split()
     if len(tokens) != n:
         raise PolyTextError(f"expected {n} coefficients, found {len(tokens)}", 3)
     coeffs = []
     for t in tokens:
-        try:
-            v = int(t)
-        except ValueError:
-            raise PolyTextError(f"bad coefficient {t!r}", 3) from None
-        if not 0 <= v < p:
+        if not _is_decimal(t):
+            raise PolyTextError(f"bad coefficient {t!r}", 3)
+        v = int(t)
+        if v >= p:
             raise PolyTextError(f"coefficient {v} not a canonical residue mod {p}", 3)
         coeffs.append(v)
     return DensePoly(fp, tuple(coeffs))

@@ -9,8 +9,9 @@ opaque tokens that only need to align positionally for pointwise products.
 Butterfly accounting: one butterfly is one two-point kernel evaluation,
 including degenerate forms where a known-zero or unneeded half collapses the
 kernel to a single add or multiply. A full N-point transform costs exactly
-(N/2)*log2(N) butterflies on every decomposition path; truncated transforms
-cost at most n*log2(L)/2 + L for n of L outputs.
+(N/2)*log2(N) butterflies; truncated transforms cost at most n*log2(L)/2 + L
+for n of L outputs, and tft_butterflies/itft_butterflies predict their exact
+counts without running them.
 """
 
 from __future__ import annotations
@@ -212,162 +213,6 @@ def moddft_naive(x: list[int], table: TwiddleTable, direction: str = "fwd") -> l
     return out
 
 
-# --- Straight-line base cases ---------------------------------------------
-
-BASE_CASE_SIZES = (2, 4, 8)
-
-# Butterfly cost of each codelet: (m/2) * log2(m).
-_CODELET_COST = {2: 1, 4: 4, 8: 12}
-
-
-def _codelet2(v, powers, stride, p):
-    a, b = v
-    return [(a + b) % p, (a - b) % p]
-
-
-def _codelet4(v, powers, stride, p):
-    x0, x1, x2, x3 = v
-    w4 = powers[stride]
-    a0 = x0 + x2
-    a1 = x0 - x2
-    a2 = x1 + x3
-    a3 = (x1 - x3) * w4 % p
-    return [(a0 + a2) % p, (a1 + a3) % p, (a0 - a2) % p, (a1 - a3) % p]
-
-
-def _codelet8(v, powers, stride, p):
-    x0, x1, x2, x3, x4, x5, x6, x7 = v
-    w1 = powers[stride]
-    w2 = powers[2 * stride]
-    w3 = powers[3 * stride]
-    a0 = x0 + x4
-    a1 = x0 - x4
-    a2 = x2 + x6
-    a3 = (x2 - x6) * w2 % p
-    a4 = x1 + x5
-    a5 = x1 - x5
-    a6 = x3 + x7
-    a7 = (x3 - x7) * w2 % p
-    b0 = a0 + a2
-    b1 = a1 + a3
-    b2 = a0 - a2
-    b3 = a1 - a3
-    b4 = a4 + a6
-    b5 = (a5 + a7) * w1 % p
-    b6 = (a4 - a6) * w2 % p
-    b7 = (a5 - a7) * w3 % p
-    return [
-        (b0 + b4) % p,
-        (b1 + b5) % p,
-        (b2 + b6) % p,
-        (b3 + b7) % p,
-        (b0 - b4) % p,
-        (b1 - b5) % p,
-        (b2 - b6) % p,
-        (b3 - b7) % p,
-    ]
-
-
-_CODELETS = {2: _codelet2, 4: _codelet4, 8: _codelet8}
-
-
-def dft_basecase(
-    x: list[int],
-    table: TwiddleTable,
-    direction: str = "fwd",
-    counters: OpCounters | None = None,
-) -> list[int]:
-    """Loop-free DFT for sizes 2, 4, 8; identical output to moddft."""
-    m = len(x)
-    if m not in BASE_CASE_SIZES:
-        raise ValueError(f"base case size must be one of {BASE_CASE_SIZES}: {m}")
-    if table.size != m:
-        raise ValueError(f"table size {table.size} != input length {m}")
-    if direction == "fwd":
-        powers = table.powers
-    elif direction == "inv":
-        powers = table.inv_powers
-    else:
-        raise ValueError(f"direction must be 'fwd' or 'inv': {direction!r}")
-    p = table.field.p
-    out = _CODELETS[m](x, powers, 1, p)
-    if direction == "inv":
-        inv_m = table.inv_size
-        out = [v * inv_m % p for v in out]
-    if counters is not None:
-        counters.butterflies += _CODELET_COST[m]
-    return out
-
-
-# --- General-radix Cooley-Tukey, driven by a decomposition plan ------------
-
-
-def _ct_recurse(vec, powers, stride, splits, depth, base, p, mask):
-    m = len(vec)
-    if depth == len(splits):
-        return _CODELETS[base](vec, powers, stride, p)
-    n1 = splits[depth]
-    n2 = m // n1
-    inner = [
-        _ct_recurse(vec[k::n1], powers, stride * n1, splits, depth + 1, base, p, mask)
-        for k in range(n1)
-    ]
-    out = [0] * m
-    codelet = _CODELETS[n1]
-    inner_stride = stride * n2
-    for k2 in range(n2):
-        tw = k2 * stride
-        col = [inner[0][k2]]
-        col += [inner[j][k2] * powers[j * tw & mask] % p for j in range(1, n1)]
-        z = codelet(col, powers, inner_stride, p)
-        for k1 in range(n1):
-            out[n2 * k1 + k2] = z[k1]
-    return out
-
-
-def moddft_plan(
-    x: list[int],
-    table: TwiddleTable,
-    splits: tuple[int, ...],
-    base_case: int,
-    direction: str = "fwd",
-    counters: OpCounters | None = None,
-) -> list[int]:
-    """Execute the DFT along an explicit decomposition.
-
-    `splits` gives the successive first factors n1 of m = n1 * n2 from the
-    root down; `base_case` terminates the recursion. Every valid plan yields
-    output bit-identical to moddft and costs the same (N/2)*log2(N)
-    butterflies (inter-stage twiddle scalings are not butterflies).
-    """
-    n = table.size
-    if len(x) != n:
-        raise ValueError(f"input length {len(x)} != table size {n}")
-    if base_case not in BASE_CASE_SIZES:
-        raise ValueError(f"base case must be one of {BASE_CASE_SIZES}: {base_case}")
-    prod = base_case
-    for s in splits:
-        if s not in BASE_CASE_SIZES:
-            raise ValueError(f"split radix must be one of {BASE_CASE_SIZES}: {s}")
-        prod *= s
-    if prod != n:
-        raise ValueError(f"decomposition {splits} x base {base_case} != size {n}")
-    if direction == "fwd":
-        powers = table.powers
-    elif direction == "inv":
-        powers = table.inv_powers
-    else:
-        raise ValueError(f"direction must be 'fwd' or 'inv': {direction!r}")
-    p = table.field.p
-    out = _ct_recurse(list(x), powers, 1, splits, 0, base_case, p, n - 1)
-    if direction == "inv":
-        inv_n = table.inv_size
-        out = [v * inv_n % p for v in out]
-    if counters is not None:
-        counters.butterflies += (n >> 1) * table.log2_size
-    return out
-
-
 # --- Truncated transforms ---------------------------------------------------
 
 
@@ -441,6 +286,38 @@ def tft(
         counters.butterflies += used
     del c[n:]
     return c
+
+
+def _full_tft_butterflies(m: int, z: int) -> int:
+    # A subtree that keeps all m outputs: each node spends z while z <= m/2
+    # (both halves are needed, the high half is only twiddled), and every
+    # node below that level is a full (m/2)*log2(m) transform.
+    count = 0
+    nodes = 1
+    while m > 1 and z <= m >> 1:
+        count += nodes * z
+        nodes <<= 1
+        m >>= 1
+    return count + nodes * (m >> 1) * (m.bit_length() - 1)
+
+
+def tft_butterflies(L: int, z: int, n: int) -> int:
+    """Butterflies tft spends on z inputs and n outputs at size L, without running it.
+
+    Walks the one partially needed path of the recursion; O(log^2 L).
+    """
+    count = 0
+    m = L
+    while n and m > 1:
+        h = m >> 1
+        zz = min(z, h)
+        if n > h:
+            count += zz + _full_tft_butterflies(h, zz)
+            n -= h
+        else:
+            count += z - zz
+        m, z = h, zz
+    return count
 
 
 def _itft_recurse(c, off, m, n, stride, fwd, inv, p, pow2, inv_pow2, mlog):
@@ -522,3 +399,21 @@ def itft(
         counters.butterflies += used
     del c[n:]
     return c
+
+
+def itft_butterflies(L: int, n: int) -> int:
+    """Butterflies itft spends recovering n values at size L, without running it.
+
+    Each level of the partial path costs h = m/2, plus a full inverse of the
+    low half when more than h values are kept; O(log L).
+    """
+    count = 0
+    m = L
+    while n and m > 1:
+        h = m >> 1
+        count += h
+        if n > h:
+            count += (h >> 1) * (h.bit_length() - 1)
+            n -= h
+        m = h
+    return count

@@ -32,10 +32,11 @@ from .transform import (
     bit_reverse_permute,
     get_table,
     itft,
+    itft_butterflies,
     moddft,
     moddft_naive,
-    moddft_plan,
     tft,
+    tft_butterflies,
 )
 
 SMALL_PRIME = 257
@@ -142,27 +143,24 @@ def _suite_transform_naive(rng, cap, fields):
     return True, "all sizes <= 128 against the quadratic oracle"
 
 
-def _all_plans(n, menu=(2, 4, 8)):
-    if n in menu:
-        yield (), n
-    for radix in menu:
-        if radix < n and n % radix == 0 and n // radix >= 2:
-            for splits, base in _all_plans(n // radix, menu):
-                yield (radix,) + splits, base
-
-
-def _suite_plan_paths(rng, cap, fields):
+def _suite_butterfly_counts(rng, cap, fields):
     fp = fields[-1]
-    total = 0
-    for n in _pow2_range(min(cap, 32, 1 << fp.two_adicity), lo=4):
-        table = get_table(fp, n)
-        x = [rng.randrange(fp.p) for _ in range(n)]
-        want = moddft(x, table)
-        for splits, base in _all_plans(n):
-            if moddft_plan(x, table, splits, base) != want:
-                return False, f"plan {splits}x{base} diverged at n={n}"
-            total += 1
-    return True, f"{total} decomposition paths"
+    top = min(cap, 1 << fp.two_adicity)
+    checked = 0
+    for size in _pow2_range(top, lo=1):
+        table = get_table(fp, size)
+        for n in range(1, size + 1):
+            for z in sorted({1, n // 2 or 1, n}):
+                counters = OpCounters()
+                tft(table, [rng.randrange(fp.p) for _ in range(z)], n, counters)
+                if counters.butterflies != tft_butterflies(size, z, n):
+                    return False, f"tft_butterflies != tft's count at L={size}, z={z}, n={n}"
+                checked += 1
+            counters = OpCounters()
+            itft(table, [rng.randrange(fp.p) for _ in range(n)], counters)
+            if counters.butterflies != itft_butterflies(size, n):
+                return False, f"itft_butterflies != itft's count at L={size}, n={n}"
+    return True, f"{checked} (L, z, n) counts predicted exactly up to L={top}"
 
 
 def _suite_truncated(rng, cap, fields):
@@ -338,7 +336,7 @@ _SUITES = (
     ("eval-homomorphism", _suite_eval_homomorphism),
     ("transform-roundtrip", _suite_transform_roundtrip),
     ("transform-vs-naive", _suite_transform_naive),
-    ("plan-paths", _suite_plan_paths),
+    ("butterfly-counts", _suite_butterfly_counts),
     ("truncated-transforms", _suite_truncated),
     ("convolution-theorem", _suite_convolution_theorem),
     ("linear-convolutions", _suite_linear_defs),

@@ -71,6 +71,21 @@ class TestMul:
         write_poly(fb, 17, [3, 4])
         assert main(["mul", str(fa), str(fb), "--engine", "definition", "-o", str(out)]) == EXIT_FILE_FORMAT
 
+    def test_non_decimal_coefficient_exit_code(self, tmp_path):
+        fa, fb, out = tmp_path / "a", tmp_path / "b", tmp_path / "out"
+        fa.write_text("17\n2\n1_0 3\n")
+        write_poly(fb, 17, [3, 4])
+        assert main(["mul", str(fa), str(fb), "--engine", "definition", "-o", str(out)]) == EXIT_FILE_FORMAT
+        assert not out.exists()
+
+    def test_non_ascii_poly_file_exit_code(self, tmp_path, capsys):
+        fa, fb, out = tmp_path / "a", tmp_path / "b", tmp_path / "out"
+        fa.write_bytes(b"17\n2\n1\xc3\xa9 3\n")
+        write_poly(fb, 17, [3, 4])
+        assert main(["mul", str(fa), str(fb), "--engine", "definition", "-o", str(out)]) == EXIT_FILE_FORMAT
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "line 3" in err[0]
+
     def test_unsupported_size_exit_code(self, tmp_path):
         fa, fb, out = tmp_path / "a", tmp_path / "b", tmp_path / "out"
         write_poly(fa, 7, [1, 2])
@@ -95,6 +110,8 @@ class TestPlan:
         assert kinds["dft"] == sizes
         assert kinds["tft"] == sizes
         assert kinds["itft"] == sizes
+        # Each kind is timed on its own kernel: three searches per size.
+        assert "search invocations: 18" in capsys.readouterr().out
 
     def test_rerun_performs_zero_searches(self, tmp_path, capsys):
         store_path = tmp_path / "plans.txt"
@@ -125,6 +142,29 @@ class TestPlan:
         err = capsys.readouterr().err
         assert "line 2" in err
         assert store_path.read_text() == corrupt
+
+    def test_non_ascii_store_is_not_overwritten(self, tmp_path, capsys):
+        store_path = tmp_path / "plans.txt"
+        corrupt = b"modconv-plan v1\ndft|17|2|0|2|1|splits=|base=2|nanos=5|sig=h\xff\n"
+        store_path.write_bytes(corrupt)
+        assert main(["plan", "--store", str(store_path), "--max-l", "8"]) == EXIT_FILE_FORMAT
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "line 2" in err[0]
+        assert store_path.read_bytes() == corrupt
+
+    def test_auto_after_plan_never_searches(self, tmp_path):
+        store_path = tmp_path / "plans.txt"
+        assert main(["plan", "--store", str(store_path), "--max-l", "1024"]) == EXIT_OK
+        planned = store_load(str(store_path))
+        fa, fb, out = tmp_path / "a", tmp_path / "b", tmp_path / "out"
+        for za, zb in ((300, 200), (700, 20), (100, 90)):
+            write_poly(fa, 998244353, [(7 * i + 1) % 1000 for i in range(za)])
+            write_poly(fb, 998244353, [(3 * i + 2) % 1000 for i in range(zb)])
+            argv = ["mul", str(fa), str(fb), "--engine", "auto", "--store", str(store_path), "-o", str(out)]
+            assert main(argv) == EXIT_OK
+            want = mul_schoolbook(poly_from_text(fa.read_text()), poly_from_text(fb.read_text()))
+            assert poly_from_text(out.read_text()) == want.normalize(), (za, zb)
+            assert store_load(str(store_path)) == planned, (za, zb)
 
     def test_max_l_beyond_prime_adicity(self, tmp_path):
         store_path = tmp_path / "plans.txt"

@@ -9,13 +9,17 @@ from modconv import (
     PlanKey,
     PlanSession,
     PlanStore,
+    bit_reverse_permute,
     make_exec_signature,
     moddft,
     get_table,
+    itft_butterflies,
     plan_mirror,
     store_load,
     store_save,
+    tft_butterflies,
 )
+from modconv import planner
 from modconv.planner import STORE_VERSION
 
 from conftest import LARGE_PRIME, random_vec
@@ -193,33 +197,49 @@ class TestLookupPolicy:
 
 
 class TestDftSearch:
-    def test_candidates_cover_menu_and_winner_is_minimal(self):
-        session = make_session()
-        key = PlanKey("dft", LARGE_PRIME, 8, 0, 8, 1)
-        entry = session.search(key)
-        shapes = {(s, b) for s, b, _ in session.last_candidates}
-        # Composed candidates use the stored best sub-plans, so the direct
-        # codelet plus one composition per menu radix must appear.
-        assert ((), 8) in shapes
-        assert len(shapes) == 3
-        best = min(ns for _, _, ns in session.last_candidates)
-        assert entry.measured_nanos == best
+    def test_dft_search_times_moddft(self, monkeypatch):
+        calls = []
 
-    def test_bottom_up_fills_smaller_sizes(self):
-        session = make_session()
-        session.search(PlanKey("dft", LARGE_PRIME, 64, 0, 64, 1))
-        for size in (2, 4, 8, 16, 32, 64):
-            assert session.store.entries_for_key(
-                PlanKey("dft", LARGE_PRIME, size, 0, size, 1)
-            ), size
+        def counting_moddft(*args, **kwargs):
+            calls.append(len(args[0]))
+            return moddft(*args, **kwargs)
+
+        monkeypatch.setattr(planner, "moddft", counting_moddft)
+        session = make_session(reps=3)
+        entry = session.search(PlanKey("dft", LARGE_PRIME, 64, 0, 64, 1))
+        # One warm-up call plus one per timed repetition, all on the key's size.
+        assert calls == [64] * 4
+        assert (entry.splits, entry.base_case) == ((2,) * 5, 2)
+        assert session.search_count == 1 and len(session.store) == 1
 
     def test_stored_plans_replay_bit_correct(self, fp998, rng):
         session = make_session()
-        session.search(PlanKey("dft", fp998.p, 64, 0, 64, 1))
+        for size in (2, 4, 8, 16, 32, 64):
+            session.search(PlanKey("dft", fp998.p, size, 0, size, 1))
         for entry in session.store:
             table = get_table(fp998, entry.key.L)
             x = random_vec(rng, fp998, entry.key.L)
             assert session.replay(entry, x) == moddft(x, table)
+
+    def test_radix_4_8_entries_load_and_replay(self, fp998, rng, tmp_path):
+        # Stores written with general-radix decompositions stay readable.
+        path = tmp_path / "plans.txt"
+        path.write_text(
+            f"{STORE_VERSION}\n"
+            f"dft|{fp998.p}|64|0|64|1|splits=4,2|base=8|nanos=900|sig=old\n"
+            f"tft|{fp998.p}|32|20|20|1|splits=8|base=4|nanos=500|sig=old\n"
+        )
+        store = store_load(str(path))
+        session = make_session(store)
+        dft_entry = session.lookup(PlanKey("dft", fp998.p, 64, 0, 64, 1))
+        tft_entry = session.lookup(PlanKey("tft", fp998.p, 32, 20, 20, 1))
+        assert session.search_count == 0
+        assert (dft_entry.splits, dft_entry.base_case) == ((4, 2), 8)
+        x = random_vec(rng, fp998, 64)
+        assert session.replay(dft_entry, x) == moddft(x, get_table(fp998, 64))
+        x = random_vec(rng, fp998, 20)
+        want = bit_reverse_permute(moddft(x + [0] * 12, get_table(fp998, 32)))[:20]
+        assert session.replay(tft_entry, x) == want
 
     def test_truncated_replay_roundtrip(self, fp998, rng):
         session = make_session()
@@ -231,15 +251,13 @@ class TestDftSearch:
         scaled = session.replay(inv, spectral)
         assert scaled == [v * 32 % fp998.p for v in x]
 
-    def test_extrapolation_beyond_cap(self):
-        session = PlanSession(
-            PlanStore(), signature="sig", timer=fake_timer(), reps=2, search_cap=16
-        )
+    def test_extrapolation_beyond_cap(self, monkeypatch):
+        monkeypatch.setattr(planner, "SEARCH_CAP", 16)
+        session = make_session(reps=2)
         entry = session.search(PlanKey("dft", LARGE_PRIME, 128, 0, 128, 1))
         capped = session.store.entries_for_key(PlanKey("dft", LARGE_PRIME, 16, 0, 16, 1))[0]
-        assert entry.splits[:3] == (2, 2, 2)
-        assert entry.splits[3:] == capped.splits
-        assert entry.base_case == capped.base_case
+        assert (entry.splits, entry.base_case) == ((2,) * 6, 2)
+        assert entry.measured_nanos == int(capped.measured_nanos * (128 * 7) / (16 * 4))
 
     def test_search_rejects_infeasible_key(self, fp17):
         session = make_session()
@@ -251,18 +269,14 @@ class TestDftSearch:
 
 class TestResolveEngine:
     def _stocked_session(self, tft_nanos, dft_nanos, mult_ns=50):
+        # Exactly the keys `modconv plan` writes at L=16.
         session = make_session()
         p = LARGE_PRIME
-        for z in (8, 9, 15, 16):
+        for kind, z in (("tft", 16), ("itft", 16), ("dft", 0)):
+            nanos = dft_nanos if kind == "dft" else tft_nanos
             session.store.add(
-                PlanEntry(PlanKey("tft", p, 16, z, 15, 1), (2, 2, 2), 2, tft_nanos, session.signature)
+                PlanEntry(PlanKey(kind, p, 16, z, 16, 1), (2, 2, 2), 2, nanos, session.signature)
             )
-        session.store.add(
-            PlanEntry(PlanKey("itft", p, 16, 15, 15, 1), (2, 2, 2), 2, tft_nanos, session.signature)
-        )
-        session.store.add(
-            PlanEntry(PlanKey("dft", p, 16, 0, 16, 1), (2, 2), 4, dft_nanos, session.signature)
-        )
         session._mult_nanos[p] = mult_ns
         return session
 
@@ -277,6 +291,23 @@ class TestResolveEngine:
     def test_prefers_definition_for_tiny_products(self, fp998):
         session = self._stocked_session(tft_nanos=10**6, dft_nanos=10**6)
         assert session.resolve_engine(fp998, 8, 8, 1) == "definition"
+
+    def test_new_shapes_read_only_planned_keys(self, fp998):
+        session = self._stocked_session(tft_nanos=10, dft_nanos=1000)
+        for z1, z2 in ((8, 8), (2, 14), (9, 7), (16, 1), (5, 5)):
+            session.resolve_engine(fp998, z1, z2, 1)
+        assert session.search_count == 0
+        assert len(session.store) == 3
+
+    def test_truncated_timings_scale_by_butterfly_counts(self, fp998):
+        # 2 x 8 -> n = 9 at L = 16, where a full tft or itft spends 32 butterflies.
+        # With fft_pad priced out, definition costs 16*mult and tft scaled + 9*mult.
+        scaled = 1000 * (
+            tft_butterflies(16, 2, 9) + tft_butterflies(16, 8, 9) + itft_butterflies(16, 9)
+        ) / 32
+        for mult, pick in ((int(scaled / 7) - 1, "definition"), (int(scaled / 7) + 1, "tft")):
+            session = self._stocked_session(tft_nanos=1000, dft_nanos=10**9, mult_ns=mult)
+            assert session.resolve_engine(fp998, 2, 8, 1) == pick, mult
 
     def test_scalar_product_short_circuits(self, fp998):
         session = make_session()

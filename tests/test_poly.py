@@ -165,3 +165,22 @@ class TestTextFormat:
             poly_from_text("17\n")
         with pytest.raises(PolyTextError):
             poly_from_text("15\n1\n1\n")  # composite modulus
+
+    def test_only_ascii_decimal_fields(self):
+        # int() accepts all of these; the format is [0-9]+ per field.
+        bad = {
+            "17\n2\n1_0 3\n": 3,
+            "17\n2\n+5 3\n": 3,
+            "17\n1\n٣\n": 3,  # ARABIC-INDIC DIGIT THREE
+            "17\n+1\n5\n": 2,
+            "17\n-1\n\n": 2,
+            "17\n 1\n5\n": 2,
+            "1_7\n1\n5\n": 1,
+            "１７\n1\n5\n": 1,  # FULLWIDTH 17
+            "17 \n1\n5\n": 1,
+        }
+        for text, line in bad.items():
+            with pytest.raises(PolyTextError) as err:
+                poly_from_text(text)
+            assert err.value.line == line, text
+        assert poly_from_text("17\n2\n010 3\n").coeffs == (10, 3)

@@ -7,26 +7,17 @@ from modconv import (
     OpCounters,
     UnsupportedSizeError,
     bit_reverse_permute,
-    dft_basecase,
     get_table,
     itft,
+    itft_butterflies,
     moddft,
     moddft_naive,
-    moddft_plan,
     tft,
+    tft_butterflies,
 )
 from modconv.transform import TwiddleTable
 
 from conftest import random_vec
-
-
-def all_plans(n, menu=(2, 4, 8)):
-    if n in menu:
-        yield (), n
-    for radix in menu:
-        if radix < n and n % radix == 0 and n // radix >= 2:
-            for splits, base in all_plans(n // radix, menu):
-                yield (radix,) + splits, base
 
 
 class TestTwiddleTable:
@@ -132,64 +123,6 @@ class TestModDft:
             moddft(random_vec(rng, fp257, 8), t, "sideways")
 
 
-class TestBaseCases:
-    def test_size2(self, fp17):
-        t = get_table(fp17, 2)
-        assert dft_basecase([3, 5], t) == [(3 + 5) % 17, (3 - 5) % 17]
-
-    def test_size4_delta(self):
-        fp5 = FourierPrime.from_modulus(5)
-        t = get_table(fp5, 4)
-        assert dft_basecase([1, 0, 0, 0], t) == [1, 1, 1, 1]
-
-    def test_all_sizes_match_naive(self, fp257, rng):
-        for size in (2, 4, 8):
-            t = get_table(fp257, size)
-            for _ in range(25):
-                x = random_vec(rng, fp257, size)
-                counters = OpCounters()
-                assert dft_basecase(x, t, "fwd", counters) == moddft_naive(x, t)
-                assert counters.butterflies == (size // 2) * (size.bit_length() - 1)
-                assert dft_basecase(dft_basecase(x, t), t, "inv") == x
-
-    def test_rejects_unsupported_size(self, fp257):
-        with pytest.raises(ValueError):
-            dft_basecase([1] * 16, get_table(fp257, 16))
-        with pytest.raises(ValueError):
-            dft_basecase([1, 2], get_table(fp257, 8))
-
-
-class TestPlannedDecompositions:
-    def test_every_path_bit_identical(self, fp998, rng):
-        for size in (4, 8, 16, 32, 64):
-            t = get_table(fp998, size)
-            x = random_vec(rng, fp998, size)
-            want_fwd = moddft(x, t)
-            want_inv = moddft(x, t, "inv")
-            for splits, base in all_plans(size):
-                counters = OpCounters()
-                assert moddft_plan(x, t, splits, base, "fwd", counters) == want_fwd
-                assert counters.butterflies == (size // 2) * (size.bit_length() - 1)
-                assert moddft_plan(x, t, splits, base, "inv") == want_inv
-
-    def test_specific_factorizations_of_16(self, fp998, rng):
-        t = get_table(fp998, 16)
-        x = random_vec(rng, fp998, 16)
-        want = moddft_naive(x, t)
-        for splits, base in (((4,), 4), ((2,), 8), ((8,), 2), ((2, 2), 4)):
-            assert moddft_plan(x, t, splits, base) == want
-
-    def test_rejects_invalid_plans(self, fp998, rng):
-        t = get_table(fp998, 16)
-        x = random_vec(rng, fp998, 16)
-        with pytest.raises(ValueError):
-            moddft_plan(x, t, (2,), 4)  # product 8 != 16
-        with pytest.raises(ValueError):
-            moddft_plan(x, t, (3,), 4)  # 3 not in the radix menu
-        with pytest.raises(ValueError):
-            moddft_plan(x, t, (), 16)
-
-
 class TestTft:
     def test_full_size_is_reordered_dft(self, fp998, rng):
         for size in (2, 16, 128):
@@ -281,3 +214,24 @@ class TestButterflyBounds:
             tft(t, random_vec(rng, fp998, n), n, counters)
             trail.append(counters.butterflies)
         assert trail == sorted(trail)
+
+    def test_count_functions_match_kernels(self, fp998, rng):
+        # Every 1 <= n <= L <= 1024, with z in {1, n//2 or 1, n}.
+        size = 1
+        while size <= 1024:
+            t = get_table(fp998, size)
+            for n in range(1, size + 1):
+                for z in {1, n // 2 or 1, n}:
+                    fc = OpCounters()
+                    tft(t, random_vec(rng, fp998, z), n, fc)
+                    assert tft_butterflies(size, z, n) == fc.butterflies, (size, z, n)
+                ic = OpCounters()
+                itft(t, random_vec(rng, fp998, n), ic)
+                assert itft_butterflies(size, n) == ic.butterflies, (size, n)
+            size <<= 1
+
+    def test_count_functions_full_size(self):
+        for size in (2, 64, 1 << 20):
+            full = (size // 2) * (size.bit_length() - 1)
+            assert tft_butterflies(size, size, size) == full
+            assert itft_butterflies(size, size) == full
