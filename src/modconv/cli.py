@@ -91,7 +91,7 @@ def cmd_mul(args) -> int:
     polys = []
     for path in (args.poly_a, args.poly_b):
         try:
-            with open(path, "r", encoding="ascii") as fh:
+            with open(path, "r", encoding="ascii", newline="") as fh:
                 polys.append(poly_from_text(fh.read()))
         except OSError as exc:
             return _fail(EXIT_IO, f"cannot read {path}: {exc}")
@@ -141,7 +141,10 @@ def cmd_plan(args) -> int:
     session = _session_for(args.store, args.threads)
     if isinstance(session, int):
         return session
-    fp = FourierPrime.from_modulus(args.prime)
+    try:
+        fp = FourierPrime.from_modulus(args.prime)
+    except ValueError as exc:
+        return _fail(EXIT_USAGE, f"--prime: {exc}")
     if args.max_l < 2 or args.max_l & (args.max_l - 1):
         return _fail(EXIT_USAGE, f"--max-l must be a power of two >= 2: {args.max_l}")
     if args.max_l.bit_length() - 1 > fp.two_adicity:
@@ -244,6 +247,14 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def positive_int(text: str) -> int:
+    """argparse type for counts that must be >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1: {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="modconv",
@@ -254,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the self-verification suites")
     p_verify.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    p_verify.add_argument("--cap", type=int, default=256, help="size ceiling for the suites (default 256)")
+    p_verify.add_argument("--cap", type=positive_int, default=256, help="size ceiling for the suites (default 256)")
     p_verify.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     p_verify.set_defaults(func=cmd_verify)
 
@@ -263,14 +274,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_mul.add_argument("poly_b")
     p_mul.add_argument("--engine", default="auto", choices=ENGINES)
     p_mul.add_argument("-o", "--output", required=True)
-    p_mul.add_argument("--threads", type=int, default=1)
+    p_mul.add_argument("--threads", type=positive_int, default=1)
     p_mul.add_argument("--store", default=None, help="plan store path for --engine auto")
     p_mul.set_defaults(func=cmd_mul)
 
     p_plan = sub.add_parser("plan", help="populate a transform plan store")
     p_plan.add_argument("--store", required=True)
     p_plan.add_argument("--max-l", type=int, default=1024)
-    p_plan.add_argument("--threads", type=int, default=1)
+    p_plan.add_argument("--threads", type=positive_int, default=1)
     p_plan.add_argument("--prime", type=int, default=DEFAULT_SWEEP_PRIME, help=argparse.SUPPRESS)
     p_plan.set_defaults(func=cmd_plan)
 
@@ -281,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--engines", default="fft_pad,tft")
     p_sweep.add_argument("--prime", type=int, default=DEFAULT_SWEEP_PRIME)
     p_sweep.add_argument("--prime-bits", type=int, default=None)
-    p_sweep.add_argument("--threads", type=int, default=1)
+    p_sweep.add_argument("--threads", type=positive_int, default=1)
     p_sweep.add_argument("--reps", type=int, default=1000)
     p_sweep.add_argument("--seed", type=int, default=0, help=argparse.SUPPRESS)
     p_sweep.add_argument("-o", "--output", required=True)

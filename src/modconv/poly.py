@@ -196,9 +196,12 @@ def poly_from_text(text: str, field: FourierPrime | None = None) -> DensePoly:
     """Parse the three-line format; reuses `field` when the modulus matches.
 
     The modulus, the count and every coefficient must be ASCII decimal
-    ([0-9]+); anything else raises PolyTextError.
+    ([0-9]+), lines end at a newline only and coefficients are separated by
+    single spaces; anything else raises PolyTextError.
     """
-    lines = text.splitlines()
+    lines = text.split("\n")
+    if text.endswith("\n"):
+        lines.pop()
     if len(lines) < 3:
         raise PolyTextError("expected 3 lines: modulus, count, coefficients", len(lines) + 1)
     if not _is_decimal(lines[0]):
@@ -214,7 +217,7 @@ def poly_from_text(text: str, field: FourierPrime | None = None) -> DensePoly:
     if not _is_decimal(lines[1]):
         raise PolyTextError(f"bad coefficient count {lines[1]!r}", 2)
     n = int(lines[1])
-    tokens = lines[2].split()
+    tokens = lines[2].split(" ") if lines[2] else []
     if len(tokens) != n:
         raise PolyTextError(f"expected {n} coefficients, found {len(tokens)}", 3)
     coeffs = []

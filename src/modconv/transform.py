@@ -6,6 +6,9 @@ transforms expose spectral values in bit-reversed order (the order a
 decimation-style butterfly network produces them in), so truncated spectra are
 opaque tokens that only need to align positionally for pointwise products.
 
+Every transform runs iterative stage loops over the table's per-stage twiddle
+lists. itft inverts each fully known half with the loop moddft runs.
+
 Butterfly accounting: one butterfly is one two-point kernel evaluation,
 including degenerate forms where a known-zero or unneeded half collapses the
 kernel to a single add or multiply. A full N-point transform costs exactly
@@ -60,8 +63,6 @@ class TwiddleTable:
         "powers",
         "inv_powers",
         "inv_size",
-        "pow2",
-        "inv_pow2",
         "fwd_stages",
         "inv_stages",
     )
@@ -92,9 +93,6 @@ class TwiddleTable:
         self.powers = powers
         self.inv_powers = inv_powers
         self.inv_size = pow(size, p - 2, p)
-        self.pow2 = [pow(2, k, p) for k in range(log2 + 1)]
-        inv2 = (p + 1) >> 1
-        self.inv_pow2 = [pow(inv2, k, p) for k in range(log2 + 1)]
         if size > 1 and powers[size >> 1] != p - 1:
             raise ArithmeticError(f"root {w} is not principal for size {size}")
         # Stage-major twiddles for the iterative paths: stage with half-size h
@@ -216,48 +214,6 @@ def moddft_naive(x: list[int], table: TwiddleTable, direction: str = "fwd") -> l
 # --- Truncated transforms ---------------------------------------------------
 
 
-def _tft_recurse(c, off, m, z, n, stride, powers, p):
-    # In-place truncated decimation: c[off:off+m] holds x_0..x_{z-1} then
-    # zeros; on exit the first n cells hold spectral values (bit-rev order).
-    if n == 0 or m == 1:
-        return 0
-    h = m >> 1
-    if n > h:
-        if z > h:
-            for i in range(z - h):
-                lo = off + i
-                hi = lo + h
-                a = c[lo]
-                b = c[hi]
-                c[lo] = (a + b) % p
-                c[hi] = (a - b) * powers[i * stride] % p
-            for i in range(z - h, h):
-                lo = off + i
-                c[lo + h] = c[lo] * powers[i * stride] % p
-            count = h
-            zz = h
-        else:
-            for i in range(z):
-                lo = off + i
-                c[lo + h] = c[lo] * powers[i * stride] % p
-            count = z
-            zz = z
-        s2 = stride << 1
-        count += _tft_recurse(c, off, h, zz, h, s2, powers, p)
-        count += _tft_recurse(c, off + h, h, zz, n - h, s2, powers, p)
-        return count
-    if z > h:
-        for i in range(z - h):
-            lo = off + i
-            c[lo] = (c[lo] + c[lo + h]) % p
-        count = z - h
-        zz = h
-    else:
-        count = 0
-        zz = z
-    return count + _tft_recurse(c, off, h, zz, n, stride << 1, powers, p)
-
-
 def tft(
     table: TwiddleTable,
     x: list[int],
@@ -281,7 +237,35 @@ def tft(
     c = list(x)
     if z < size:
         c.extend([0] * (size - z))
-    used = _tft_recurse(c, 0, size, z, n, 1, table.powers, table.field.p)
+    p = table.field.p
+    used = 0
+    h = size
+    for tws in reversed(table.fwd_stages):
+        # Every block of size 2h holding a wanted output (base < n) starts
+        # with the same z live values, then zeros.
+        h >>= 1
+        zz = min(z, h)
+        both = z - zz
+        for base in range(0, n, h << 1):
+            if base + h < n:
+                for i in range(both):
+                    lo = base + i
+                    hi = lo + h
+                    a = c[lo]
+                    b = c[hi]
+                    c[lo] = (a + b) % p
+                    c[hi] = (a - b) * tws[i] % p
+                for i in range(both, zz):
+                    lo = base + i
+                    c[lo + h] = c[lo] * tws[i] % p
+                used += zz
+            else:
+                # Only the low half is wanted: fold the high half onto it.
+                for i in range(both):
+                    lo = base + i
+                    c[lo] = (c[lo] + c[lo + h]) % p
+                used += both
+        z = zz
     if counters is not None:
         counters.butterflies += used
     del c[n:]
@@ -304,7 +288,7 @@ def _full_tft_butterflies(m: int, z: int) -> int:
 def tft_butterflies(L: int, z: int, n: int) -> int:
     """Butterflies tft spends on z inputs and n outputs at size L, without running it.
 
-    Walks the one partially needed path of the recursion; O(log^2 L).
+    Walks the one partially needed path of the block tree; O(log^2 L).
     """
     count = 0
     m = L
@@ -318,47 +302,6 @@ def tft_butterflies(L: int, z: int, n: int) -> int:
             count += z - zz
         m, z = h, zz
     return count
-
-
-def _itft_recurse(c, off, m, n, stride, fwd, inv, p, pow2, inv_pow2, mlog):
-    # Entry: c[off+i] spectral (bit-rev order) for i < n, plain time values
-    # x_j for j >= n. Exit: c[off+i] == m * x_i for i < n.
-    if m == 1 or n == 0:
-        return 0
-    h = m >> 1
-    s2 = stride << 1
-    if n <= h:
-        for j in range(n, h):
-            lo = off + j
-            c[lo] = (c[lo] + c[lo + h]) % p
-        count = h - n
-        count += _itft_recurse(c, off, h, n, s2, fwd, inv, p, pow2, inv_pow2, mlog - 1)
-        m_mod = pow2[mlog]
-        for i in range(n):
-            lo = off + i
-            c[lo] = (2 * c[lo] - m_mod * c[lo + h]) % p
-        return count + n
-    count = _itft_recurse(c, off, h, h, s2, fwd, inv, p, pow2, inv_pow2, mlog - 1)
-    m_mod = pow2[mlog]
-    inv_h = inv_pow2[mlog - 1]
-    for i in range(n - h, h):
-        # Cross butterfly: from (h*u_i, x_{i+h}) produce (m*x_i, v_i).
-        lo = off + i
-        hi = lo + h
-        a = c[lo]
-        b = c[hi]
-        c[hi] = (a * inv_h - 2 * b) % p * fwd[i * stride] % p
-        c[lo] = (2 * a - m_mod * b) % p
-    count += h - (n - h)
-    count += _itft_recurse(c, off + h, h, n - h, s2, fwd, inv, p, pow2, inv_pow2, mlog - 1)
-    for i in range(n - h):
-        lo = off + i
-        hi = lo + h
-        t = c[hi] * inv[i * stride] % p
-        a = c[lo]
-        c[lo] = (a + t) % p
-        c[hi] = (a - t) % p
-    return count + n - h
 
 
 def itft(
@@ -382,19 +325,61 @@ def itft(
     c = list(xhat)
     if n < size:
         c.extend([0] * (size - n))
-    used = _itft_recurse(
-        c,
-        0,
-        size,
-        n,
-        1,
-        table.powers,
-        table.inv_powers,
-        table.field.p,
-        table.pow2,
-        table.inv_pow2,
-        table.log2_size,
-    )
+    p = table.field.p
+    inv = table.inv_stages
+    # Down the one partial path, c[off:off+m] holds spectral values for
+    # i < left and time values above; the way back up makes it m * u.
+    used = 0
+    levels = []
+    off = 0
+    m = size
+    left = n
+    log = table.log2_size
+    while m > 1:
+        h = m >> 1
+        log -= 1
+        levels.append((off, m, left, log))
+        if left > h:
+            # The low half is fully known: its inverse gives h * u_i.
+            low = c[off : off + h]
+            _dit_inplace(low, inv[:log], p)
+            c[off : off + h] = low
+            inv_h = pow(h, -1, p)
+            tws = table.fwd_stages[log]
+            for i in range(left - h, h):
+                # Cross butterfly: from (h*u_i, x_{i+h}) produce (m*x_i, v_i).
+                lo = off + i
+                hi = lo + h
+                a = c[lo]
+                b = c[hi]
+                c[hi] = (a * inv_h - 2 * b) % p * tws[i] % p
+                c[lo] = (2 * a - m * b) % p
+            used += (h >> 1) * log + h - (left - h)
+            off += h
+            left -= h
+        else:
+            for j in range(left, h):
+                lo = off + j
+                c[lo] = (c[lo] + c[lo + h]) % p
+            used += h - left
+        m = h
+    for off, m, left, log in reversed(levels):
+        h = m >> 1
+        if left > h:
+            tws = inv[log]
+            for i in range(left - h):
+                lo = off + i
+                hi = lo + h
+                t = c[hi] * tws[i] % p
+                a = c[lo]
+                c[lo] = (a + t) % p
+                c[hi] = (a - t) % p
+            used += left - h
+        else:
+            for i in range(left):
+                lo = off + i
+                c[lo] = (2 * c[lo] - m * c[lo + h]) % p
+            used += left
     if counters is not None:
         counters.butterflies += used
     del c[n:]

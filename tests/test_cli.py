@@ -7,6 +7,7 @@ from modconv.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_UNSUPPORTED,
+    EXIT_USAGE,
     EXIT_VERIFY_FAILED,
     SweepConfig,
     main,
@@ -31,6 +32,29 @@ def write_poly(path, p, coeffs):
     fp = FourierPrime.from_modulus(p)
     path.write_text(poly_to_text(DensePoly.from_ints(fp, coeffs)))
     return fp
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mul", "a", "b", "-o", "c", "--threads", "0"],
+        ["plan", "--store", "s", "--threads", "0"],
+        ["plan", "--store", "s", "--prime", "15"],
+        ["verify", "--cap", "0"],
+    ],
+)
+def test_invalid_flag_values_are_usage_errors(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    write_poly(tmp_path / "a", 17, [1, 2])
+    write_poly(tmp_path / "b", 17, [3, 4])
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert sum("error:" in line for line in err) == 1, err
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["a", "b"]
 
 
 class TestMul:
@@ -85,6 +109,13 @@ class TestMul:
         assert main(["mul", str(fa), str(fb), "--engine", "definition", "-o", str(out)]) == EXIT_FILE_FORMAT
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and "line 3" in err[0]
+
+    def test_crlf_poly_file_exit_code(self, tmp_path):
+        fa, fb, out = tmp_path / "a", tmp_path / "b", tmp_path / "out"
+        fa.write_bytes(b"17\r\n2\r\n5 3\r\n")
+        write_poly(fb, 17, [3, 4])
+        assert main(["mul", str(fa), str(fb), "--engine", "definition", "-o", str(out)]) == EXIT_FILE_FORMAT
+        assert not out.exists()
 
     def test_unsupported_size_exit_code(self, tmp_path):
         fa, fb, out = tmp_path / "a", tmp_path / "b", tmp_path / "out"

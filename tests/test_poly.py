@@ -178,9 +178,24 @@ class TestTextFormat:
             "1_7\n1\n5\n": 1,
             "１７\n1\n5\n": 1,  # FULLWIDTH 17
             "17 \n1\n5\n": 1,
+            # Lines end at '\n' only; coefficients take single spaces.
+            "17\x1c1\x1c5": 2,
+            "17\r1\r5\r": 2,
+            "17\r\n1\r\n5\r\n": 1,
+            "17\n1\n5\x1c\n": 3,
+            "17\n1\n5\x1d\n": 3,
+            "17\n1\n5\x1e\n": 3,
+            "17\n1\n5\v\n": 3,
+            "17\n1\n5\f\n": 3,
+            "17\n2\n5\x1f3\n": 3,
+            "17\n2\n5\t3\n": 3,
+            "17\n2\n5  3\n": 3,
+            "17\n2\n5 3 \n": 3,
         }
         for text, line in bad.items():
             with pytest.raises(PolyTextError) as err:
                 poly_from_text(text)
             assert err.value.line == line, text
         assert poly_from_text("17\n2\n010 3\n").coeffs == (10, 3)
+        assert poly_from_text("17\n2\n5 3").coeffs == (5, 3)
+        assert poly_from_text("17\n0\n\n").coeffs == ()

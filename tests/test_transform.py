@@ -1,6 +1,9 @@
+import random
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modconv import (
     FourierPrime,
@@ -235,3 +238,35 @@ class TestButterflyBounds:
             full = (size // 2) * (size.bit_length() - 1)
             assert tft_butterflies(size, size, size) == full
             assert itft_butterflies(size, size) == full
+
+
+# Primes of 5, 9, 30 and 62 bits with 2-adicity 4, 8, 23, 25 and 11.
+PROPERTY_FIELDS = [
+    FourierPrime.from_modulus(p)
+    for p in (17, 257, 998244353, 2305843009448574977, 2305843009213704193)
+]
+
+
+@st.composite
+def truncated_shapes(draw):
+    fp = draw(st.sampled_from(PROPERTY_FIELDS))
+    size = 1 << draw(st.integers(0, min(fp.two_adicity, 10)))
+    n = draw(st.integers(1, size))
+    z = draw(st.integers(1, n))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return fp, size, n, [rng.randrange(fp.p) for _ in range(z)]
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(truncated_shapes())
+def test_truncated_transforms_property(shape):
+    fp, size, n, x = shape
+    t = get_table(fp, size)
+    fc = OpCounters()
+    spectral = tft(t, x, n, fc)
+    assert spectral == bit_reverse_permute(moddft(x + [0] * (size - len(x)), t))[:n]
+    assert fc.butterflies == tft_butterflies(size, len(x), n)
+    ic = OpCounters()
+    scaled = itft(t, spectral, ic)
+    assert scaled == [v * size % fp.p for v in x + [0] * (n - len(x))]
+    assert ic.butterflies == itft_butterflies(size, n)
