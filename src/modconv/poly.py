@@ -196,14 +196,17 @@ def poly_from_text(text: str, field: FourierPrime | None = None) -> DensePoly:
     """Parse the three-line format; reuses `field` when the modulus matches.
 
     The modulus, the count and every coefficient must be ASCII decimal
-    ([0-9]+), lines end at a newline only and coefficients are separated by
-    single spaces; anything else raises PolyTextError.
+    ([0-9]+), lines end at a newline only, coefficients are separated by
+    single spaces and nothing but one final newline may follow line 3;
+    anything else raises PolyTextError.
     """
     lines = text.split("\n")
     if text.endswith("\n"):
         lines.pop()
     if len(lines) < 3:
         raise PolyTextError("expected 3 lines: modulus, count, coefficients", len(lines) + 1)
+    if len(lines) > 3:
+        raise PolyTextError("unexpected text after the coefficient line", 4)
     if not _is_decimal(lines[0]):
         raise PolyTextError(f"bad modulus {lines[0]!r}", 1)
     p = int(lines[0])

@@ -7,7 +7,14 @@ decimation-style butterfly network produces them in), so truncated spectra are
 opaque tokens that only need to align positionally for pointwise products.
 
 Every transform runs iterative stage loops over the table's per-stage twiddle
-lists. itft inverts each fully known half with the loop moddft runs.
+lists. itft inverts each fully known half with the loop moddft runs. The
+loops exist twice: in pure Python here, the reference and the path for any
+prime, and in numpy (`_ntt_numpy`) for transforms of at least
+_NUMPY_MIN_SIZE points over p < 2**32, where a residue product fits in
+uint64. moddft, tft and itft pick the numpy kernels for such a table when
+numpy can be imported; both paths return the same lists and count the same
+butterflies. numpy is imported on first use, never by this module or by
+building a table.
 
 Butterfly accounting: one butterfly is one two-point kernel evaluation,
 including degenerate forms where a known-zero or unneeded half collapses the
@@ -51,8 +58,10 @@ class OpCounters:
 class TwiddleTable:
     """Precomputed powers of a principal root of unity for one transform size.
 
-    Read-only after construction and safe to share across threads. Prefer
-    get_table(), which caches one instance per (p, size).
+    Read-only after construction, apart from numpy_arrays, which the numpy
+    kernels fill once with values derived from the stages; safe to share
+    across threads. Prefer get_table(), which caches one instance per
+    (p, size).
     """
 
     __slots__ = (
@@ -65,6 +74,7 @@ class TwiddleTable:
         "inv_size",
         "fwd_stages",
         "inv_stages",
+        "numpy_arrays",
     )
 
     def __init__(self, field: FourierPrime, size: int):
@@ -99,6 +109,9 @@ class TwiddleTable:
         # uses powers of the order-2h root, i.e. every (size/2h)-th entry.
         self.fwd_stages = [powers[: size >> 1 : size >> (s + 1)] for s in range(log2)]
         self.inv_stages = [inv_powers[: size >> 1 : size >> (s + 1)] for s in range(log2)]
+        # uint64 copies of the stages for the numpy kernels, made by their
+        # first call on this table so that building a table never imports numpy.
+        self.numpy_arrays = None
 
 
 _TABLE_CACHE: dict[tuple[int, int], TwiddleTable] = {}
@@ -116,6 +129,27 @@ def get_table(field: FourierPrime, size: int) -> TwiddleTable:
                 table = TwiddleTable(field, size)
                 _TABLE_CACHE[key] = table
     return table
+
+
+# Smallest transform size the numpy kernels take. Importing numpy costs about
+# as much as one pure-Python transform of 2**15 points, so a process whose
+# transforms all stay smaller never imports it.
+_NUMPY_MIN_SIZE = 1 << 15
+
+
+def _numpy_kernels(table: TwiddleTable):
+    """The numpy kernels module if they should run transforms on table, else None.
+
+    They should at sizes >= _NUMPY_MIN_SIZE over p < 2**32, where a product
+    of two residues fits in uint64, provided numpy can be imported.
+    """
+    if table.size < _NUMPY_MIN_SIZE or table.field.p >= 1 << 32:
+        return None
+    try:
+        from . import _ntt_numpy
+    except ImportError:
+        return None
+    return _ntt_numpy
 
 
 _REV_CACHE: dict[int, list[int]] = {}
@@ -173,20 +207,27 @@ def moddft(
     n = table.size
     if len(x) != n:
         raise ValueError(f"input length {len(x)} != table size {n}")
-    if direction == "fwd":
-        stages = table.fwd_stages
-    elif direction == "inv":
-        stages = table.inv_stages
-    else:
+    if direction not in ("fwd", "inv"):
         raise ValueError(f"direction must be 'fwd' or 'inv': {direction!r}")
+    kernels = _numpy_kernels(table)
+    if kernels is not None:
+        vec = kernels.moddft(x, table, direction)
+    else:
+        vec = _moddft_python(x, table, direction)
+    if counters is not None:
+        counters.butterflies += (n >> 1) * table.log2_size
+    return vec
+
+
+def _moddft_python(x: list[int], table: TwiddleTable, direction: str) -> list[int]:
+    # moddft's pure-Python loops, the reference for the numpy kernels.
     p = table.field.p
-    vec = [x[r] for r in _rev_indices(n)]
+    stages = table.fwd_stages if direction == "fwd" else table.inv_stages
+    vec = [x[r] for r in _rev_indices(table.size)]
     _dit_inplace(vec, stages, p)
     if direction == "inv":
         inv_n = table.inv_size
         vec = [v * inv_n % p for v in vec]
-    if counters is not None:
-        counters.butterflies += (n >> 1) * table.log2_size
     return vec
 
 
@@ -234,6 +275,21 @@ def tft(
         raise ValueError(f"input length {z} exceeds output count {n}")
     if n > size:
         raise ValueError(f"output count {n} exceeds transform size {size}")
+    kernels = _numpy_kernels(table)
+    if kernels is None:
+        return _tft_python(table, x, n, counters)
+    out = kernels.tft(table, x, n)
+    if counters is not None:
+        counters.butterflies += tft_butterflies(size, z, n)
+    return out
+
+
+def _tft_python(
+    table: TwiddleTable, x: list[int], n: int, counters: OpCounters | None
+) -> list[int]:
+    # tft's pure-Python loops, the reference for the numpy kernels.
+    size = table.size
+    z = len(x)
     c = list(x)
     if z < size:
         c.extend([0] * (size - z))
@@ -322,6 +378,21 @@ def itft(
         raise ValueError("spectral input must be nonempty")
     if n > size:
         raise ValueError(f"input length {n} exceeds transform size {size}")
+    kernels = _numpy_kernels(table)
+    if kernels is None:
+        return _itft_python(table, xhat, counters)
+    out = kernels.itft(table, xhat)
+    if counters is not None:
+        counters.butterflies += itft_butterflies(size, n)
+    return out
+
+
+def _itft_python(
+    table: TwiddleTable, xhat: list[int], counters: OpCounters | None
+) -> list[int]:
+    # itft's pure-Python loops, the reference for the numpy kernels.
+    size = table.size
+    n = len(xhat)
     c = list(xhat)
     if n < size:
         c.extend([0] * (size - n))

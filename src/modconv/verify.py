@@ -27,6 +27,9 @@ from .field import Felt, FourierPrime, root_of_unity
 from .planner import PlanEntry, PlanKey, PlanSession, PlanStore, plan_mirror, store_load, store_save
 from .poly import DensePoly, eval_poly, mul_karatsuba, mul_schoolbook, schoolbook_raw
 from .transform import (
+    _itft_python,
+    _moddft_python,
+    _tft_python,
     OpCounters,
     TwiddleTable,
     bit_reverse_permute,
@@ -192,6 +195,32 @@ def _suite_truncated(rng, cap, fields):
     return True, f"{checked} (L, n, z) cases up to L={top}"
 
 
+def _suite_numpy_backend(rng, cap, fields):
+    try:
+        from . import _ntt_numpy
+    except ImportError:
+        return True, "numpy not installed"
+    checked = top = 0
+    for fp in fields:
+        p = fp.p
+        for size in _pow2_range(min(cap, 1 << fp.two_adicity), lo=1):
+            top = max(top, size)
+            table = get_table(fp, size)
+            x = [rng.randrange(p) for _ in range(size)]
+            for direction in ("fwd", "inv"):
+                if _ntt_numpy.moddft(x, table, direction) != _moddft_python(x, table, direction):
+                    return False, f"numpy moddft {direction} != Python at p={p}, L={size}"
+            ns = {1, size // 2 or 1, size // 2 + 1, size - 1 or 1, size}
+            for n in sorted(ns | {rng.randint(1, size) for _ in range(4)}):
+                z = rng.randint(1, n)
+                if _ntt_numpy.tft(table, x[:z], n) != _tft_python(table, x[:z], n, None):
+                    return False, f"numpy tft != Python at p={p}, L={size}, z={z}, n={n}"
+                if _ntt_numpy.itft(table, x[:n]) != _itft_python(table, x[:n], None):
+                    return False, f"numpy itft != Python at p={p}, L={size}, n={n}"
+                checked += 1
+    return True, f"{checked} (p, L, n) cases match the Python kernels up to L={top}"
+
+
 def _suite_convolution_theorem(rng, cap, fields):
     fp = fields[-1]
     for n in _pow2_range(min(cap, 128, 1 << fp.two_adicity)):
@@ -338,6 +367,7 @@ _SUITES = (
     ("transform-vs-naive", _suite_transform_naive),
     ("butterfly-counts", _suite_butterfly_counts),
     ("truncated-transforms", _suite_truncated),
+    ("numpy-backend", _suite_numpy_backend),
     ("convolution-theorem", _suite_convolution_theorem),
     ("linear-convolutions", _suite_linear_defs),
     ("engine-agreement", _suite_engines),

@@ -8,6 +8,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 pass lines.
 """
 
+import functools
 import itertools
 import random
 import statistics
@@ -185,13 +186,17 @@ def test_criterion_5_pointwise_contrast(fp_large):
     _report(5, "tft pointwise == n and fft_pad pointwise == 2^(k+1) for k in 4..12")
 
 
-def _median_time(fn, reps=3):
-    samples = []
+def _interleaved_medians(calls, reps=5):
+    # One sample of every call per round, so that a burst of load from
+    # elsewhere on the host lands on all of them rather than on one call's
+    # back-to-back samples.
+    samples = {name: [] for name in calls}
     for _ in range(reps):
-        t0 = time.perf_counter()
-        fn()
-        samples.append(time.perf_counter() - t0)
-    return statistics.median(samples)
+        for name, fn in calls.items():
+            t0 = time.perf_counter()
+            fn()
+            samples[name].append(time.perf_counter() - t0)
+    return {name: statistics.median(s) for name, s in samples.items()}
 
 
 @pytest.mark.slow
@@ -213,12 +218,13 @@ def test_criterion_6_smoothness_timing(fp_large):
         for k in range(12, 17):
             at_pow = inputs(1 << k)
             past_pow = inputs((1 << k) + 1)
-            timings = {}
+            calls = {}
             for engine in ("tft", "fft_pad"):
                 req = ConvRequest(fp_large, engine=engine, threads=threads)
-                poly_mul(*past_pow, req)  # warm twiddle caches before timing
-                timings[engine, "past"] = _median_time(lambda: poly_mul(*past_pow, req))
-                timings[engine, "at"] = _median_time(lambda: poly_mul(*at_pow, req))
+                for shape, pair in (("past", past_pow), ("at", at_pow)):
+                    poly_mul(*pair, req)  # warm twiddle caches before timing
+                    calls[engine, shape] = functools.partial(poly_mul, *pair, req)
+            timings = _interleaved_medians(calls)
             tft_past = timings["tft", "past"]
             fft_past = timings["fft_pad", "past"]
             assert tft_past < fft_past, (

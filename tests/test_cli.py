@@ -117,6 +117,15 @@ class TestMul:
         assert main(["mul", str(fa), str(fb), "--engine", "definition", "-o", str(out)]) == EXIT_FILE_FORMAT
         assert not out.exists()
 
+    def test_text_after_line_3_exit_code(self, tmp_path, capsys):
+        fa, fb, out = tmp_path / "a", tmp_path / "b", tmp_path / "out"
+        fa.write_text("17\n1\n5\nxyz\n")
+        write_poly(fb, 17, [3, 4])
+        assert main(["mul", str(fa), str(fb), "--engine", "definition", "-o", str(out)]) == EXIT_FILE_FORMAT
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "line 4" in err[0]
+
     def test_unsupported_size_exit_code(self, tmp_path):
         fa, fb, out = tmp_path / "a", tmp_path / "b", tmp_path / "out"
         write_poly(fa, 7, [1, 2])
@@ -280,7 +289,7 @@ class TestVerify:
         assert main(["verify", "--cap", "32"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "FAIL" not in out
-        assert out.count("PASS") == 16
+        assert out.count("PASS") == 17
 
     def test_deterministic_report(self, capsys):
         main(["verify", "--cap", "32", "--seed", "5"])

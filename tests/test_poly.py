@@ -191,6 +191,11 @@ class TestTextFormat:
             "17\n2\n5\t3\n": 3,
             "17\n2\n5  3\n": 3,
             "17\n2\n5 3 \n": 3,
+            # Nothing but one final newline may follow line 3.
+            "17\n1\n5\ngarbage\n": 4,
+            "17\n1\n5\ngarbage\n\x00 x\n": 4,
+            "17\n1\n5\n\n": 4,
+            "17\n0\n\n\n": 4,
         }
         for text, line in bad.items():
             with pytest.raises(PolyTextError) as err:

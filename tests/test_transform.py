@@ -1,5 +1,11 @@
+import importlib.util
+import os
 import random
+import subprocess
+import sys
 import threading
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +24,7 @@ from modconv import (
     tft,
     tft_butterflies,
 )
+from modconv import transform
 from modconv.transform import TwiddleTable
 
 from conftest import random_vec
@@ -270,3 +277,115 @@ def test_truncated_transforms_property(shape):
     scaled = itft(t, spectral, ic)
     assert scaled == [v * size % fp.p for v in x + [0] * (n - len(x))]
     assert ic.butterflies == itft_butterflies(size, n)
+
+
+HAVE_NUMPY = importlib.util.find_spec("numpy") is not None
+needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
+
+# The primes below 2**32 the numpy kernels serve: 2-adicity 4, 8, 23 and 30.
+NUMPY_FIELDS = [FourierPrime.from_modulus(p) for p in (17, 257, 998244353, 3221225473)]
+
+
+@st.composite
+def numpy_shapes(draw, size):
+    fp = draw(st.sampled_from([fp for fp in NUMPY_FIELDS if size <= 1 << fp.two_adicity]))
+    n = draw(st.integers(1, size))
+    z = draw(st.integers(1, n))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return fp, n, z, [rng.randrange(fp.p) for _ in range(size)]
+
+
+@needs_numpy
+@pytest.mark.parametrize("size", [1 << k for k in range(11)])
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(data=st.data())
+def test_numpy_kernels_match_python(size, data):
+    from modconv import _ntt_numpy
+
+    fp, n, z, x = data.draw(numpy_shapes(size))
+    t = get_table(fp, size)
+
+    def run(call):
+        counters = OpCounters()
+        return call(counters), counters
+
+    for direction in ("fwd", "inv"):
+        assert _ntt_numpy.moddft(x, t, direction) == transform._moddft_python(x, t, direction)
+    assert _ntt_numpy.tft(t, x[:z], n) == transform._tft_python(t, x[:z], n, None)
+    assert _ntt_numpy.itft(t, x[:n]) == transform._itft_python(t, x[:n], None)
+    # Through the public dispatch, outputs and counters of both backends agree.
+    calls = [
+        (lambda c: moddft(x, t, "fwd", c)),
+        (lambda c: moddft(x, t, "inv", c)),
+        (lambda c: tft(t, x[:z], n, c)),
+        (lambda c: itft(t, x[:n], c)),
+    ]
+    python = [run(call) for call in calls]
+    with mock.patch.object(transform, "_NUMPY_MIN_SIZE", 1):
+        assert transform._numpy_kernels(t) is _ntt_numpy
+        assert [run(call) for call in calls] == python
+
+
+def test_large_prime_stays_on_python():
+    fp = FourierPrime.from_modulus(2305843009448574977)
+    t = get_table(fp, 1 << 15)
+    assert transform._numpy_kernels(t) is None
+    rng = random.Random(15)
+    x = [rng.randrange(fp.p) for _ in range(1 << 15)]
+    assert moddft(moddft(x, t), t, "inv") == x
+    assert t.numpy_arrays is None
+
+
+def _run_python(code):
+    src = Path(transform.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_small_transforms_never_import_numpy():
+    out = _run_python(
+        """
+import random, sys
+from dataclasses import replace
+from modconv import ConvRequest, DensePoly, FourierPrime, poly_mul
+fp = FourierPrime.from_modulus(998244353)
+rng = random.Random(14)
+a = DensePoly(fp, tuple(rng.randrange(1, fp.p) for _ in range(1 << 13)))
+b = DensePoly(fp, tuple(rng.randrange(1, fp.p) for _ in range((1 << 13) + 1)))
+req = ConvRequest(fp, engine="tft")
+products = {poly_mul(a, b, replace(req, engine=e)) for e in ("tft", "fft_pad", "split")}
+assert len(products) == 1 and len(products.pop()) == 1 << 14
+print("numpy" in sys.modules)
+"""
+    )
+    assert out.strip() == "False"
+
+
+def test_missing_numpy_falls_back_to_python():
+    out = _run_python(
+        """
+import random, sys
+sys.modules["numpy"] = None
+from dataclasses import replace
+from modconv import ConvRequest, DensePoly, Felt, FourierPrime, eval_poly, get_table, poly_mul
+from modconv import transform
+fp = FourierPrime.from_modulus(998244353)
+assert transform._numpy_kernels(get_table(fp, 1 << 16)) is None
+rng = random.Random(15)
+a = DensePoly(fp, tuple(rng.randrange(1, fp.p) for _ in range(1 << 14)))
+b = DensePoly(fp, tuple(rng.randrange(1, fp.p) for _ in range(1 << 14 | 2)))
+req = ConvRequest(fp, engine="tft")
+c = poly_mul(a, b, req)
+assert len(c) == (1 << 15) + 1
+assert poly_mul(a, b, replace(req, engine="fft_pad")) == c
+x = Felt(rng.randrange(fp.p), fp)
+assert eval_poly(c, x) == eval_poly(a, x) * eval_poly(b, x)
+print("ok")
+"""
+    )
+    assert out.strip() == "ok"
