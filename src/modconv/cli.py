@@ -121,7 +121,10 @@ def cmd_mul(args) -> int:
     except OSError as exc:
         return _fail(EXIT_IO, f"cannot write {args.output}: {exc}")
     if args.engine == "auto" and args.store:
-        store_save(req.planner.store, args.store)
+        try:
+            store_save(req.planner.store, args.store)
+        except OSError as exc:
+            return _fail(EXIT_IO, f"cannot write {args.store}: {exc}")
     return EXIT_OK
 
 

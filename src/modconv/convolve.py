@@ -129,12 +129,12 @@ def nega_conv(u: list[int], v: list[int], req: ConvRequest) -> list[int]:
     if n & (n - 1):
         raise ValueError(f"length must be a power of two: {n}")
     p = req.field.p
-    twist = get_table(req.field, 2 * n)  # twist.powers[j] == psi**j, psi**2 == w_n
-    psi = twist.powers
+    twist = get_table(req.field, 2 * n)
+    psi = twist.fwd_stages[-1]  # psi**j for j < n, psi**2 == w_n
     ut = [x * psi[j] % p for j, x in enumerate(u)]
     vt = [x * psi[j] % p for j, x in enumerate(v)]
     circ = circ_conv_fft(ut, vt, req)
-    inv_psi = twist.inv_powers
+    inv_psi = twist.inv_stages[-1]
     return [x * inv_psi[i] % p for i, x in enumerate(circ)]
 
 

@@ -131,10 +131,12 @@ class FourierPrime:
             raise ValueError(f"{g} is not a primitive root mod {p}")
 
     @classmethod
+    @lru_cache(maxsize=256)
     def from_modulus(cls, p: int) -> "FourierPrime":
-        """Build the field descriptor for a given prime modulus."""
-        if p < 3 or p % 2 == 0 or not is_probable_prime(p):
-            raise ValueError(f"modulus must be an odd prime: {p}")
+        """The field descriptor for a given prime modulus; cached per modulus."""
+        # The size cap comes first: factoring p - 1 of a much wider prime can take forever.
+        if p < 3 or p % 2 == 0 or p.bit_length() > MAX_MODULUS_BITS or not is_probable_prime(p):
+            raise ValueError(f"modulus must be an odd prime below 2**{MAX_MODULUS_BITS}: {p}")
         return cls(p, _two_adicity(p - 1), _smallest_primitive_root(p))
 
     def felt(self, value: int) -> "Felt":

@@ -39,6 +39,8 @@ DEFAULT_SEARCH_REPS = 5
 SEARCH_CAP = 1 << 20
 
 _ENGINE_PREFERENCE = ("definition", "fft_pad", "tft")
+# Characters an exec signature may hold: printable ASCII but the field separator.
+_SIGNATURE_CHARS = frozenset(map(chr, range(0x20, 0x7F))) - {"|"}
 
 
 class PlanFormatError(ValueError):
@@ -97,8 +99,8 @@ class PlanEntry:
             )
         if self.measured_nanos < 0:
             raise ValueError("measured_nanos must be >= 0")
-        if "|" in self.exec_signature or "\n" in self.exec_signature:
-            raise ValueError("exec signature must not contain '|' or newlines")
+        if not _SIGNATURE_CHARS.issuperset(self.exec_signature):
+            raise ValueError("exec signature must be printable ASCII without '|'")
 
 
 def plan_mirror(entry: PlanEntry) -> PlanEntry:
@@ -206,9 +208,9 @@ def store_load(path: str) -> PlanStore:
         except UnicodeDecodeError as exc:
             line = exc.object.count(b"\n", 0, exc.start) + 1
             raise PlanFormatError(f"non-ASCII byte {exc.object[exc.start]:#04x}", line) from None
-    lines = text.splitlines()
-    if not lines or lines[0] != STORE_VERSION:
-        found = lines[0] if lines else "<empty file>"
+    lines = text.split("\n")
+    if lines[0] != STORE_VERSION:
+        found = lines[0] if text else "<empty file>"
         raise PlanFormatError(f"expected header {STORE_VERSION!r}, got {found!r}", 1)
     store = PlanStore()
     for i, line in enumerate(lines[1:], start=2):
@@ -223,17 +225,17 @@ def store_load(path: str) -> PlanStore:
 
 
 def _cpu_model() -> str:
-    name = platform.processor()
-    if not name:
-        try:
-            with open("/proc/cpuinfo", "r", encoding="utf-8") as fh:
-                for line in fh:
-                    if line.lower().startswith("model name"):
-                        name = line.split(":", 1)[1].strip()
-                        break
-        except OSError:
-            name = ""
-    return name or platform.machine() or "unknown-cpu"
+    # /proc/cpuinfo first: on Linux platform.processor() runs `uname -p`.
+    name = ""
+    try:
+        with open("/proc/cpuinfo", "r", encoding="utf-8") as fh:
+            for line in fh:
+                if line.lower().startswith("model name"):
+                    name = line.split(":", 1)[1].strip()
+                    break
+    except OSError:
+        pass
+    return name or platform.processor() or platform.machine() or "unknown-cpu"
 
 
 def make_exec_signature(threads: int = 1) -> str:
@@ -246,7 +248,7 @@ def make_exec_signature(threads: int = 1) -> str:
             f"build=modconv-{__version__}",
         )
     )
-    return sig.replace("|", "/").replace("\n", " ")
+    return "".join(c if c in _SIGNATURE_CHARS else "?" for c in sig)
 
 
 class PlanSession:
@@ -271,7 +273,6 @@ class PlanSession:
         self.timer = timer
         self.reps = max(1, reps)
         self.search_count = 0
-        self._fields: dict[int, FourierPrime] = {}
         self._mult_nanos: dict[int, int] = {}
 
     # -- lookup policy -------------------------------------------------------
@@ -314,13 +315,6 @@ class PlanSession:
         self.search_count += 1
         return entry
 
-    def _field(self, p: int) -> FourierPrime:
-        fp = self._fields.get(p)
-        if fp is None:
-            fp = FourierPrime.from_modulus(p)
-            self._fields[p] = fp
-        return fp
-
     def _rng_for(self, key: PlanKey) -> random.Random:
         return random.Random((key.p * 0x9E3779B1 + key.L * 131 + key.n) & 0xFFFFFFFF)
 
@@ -337,7 +331,7 @@ class PlanSession:
     def _kernel(self, key: PlanKey):
         """A zero-argument call of the kernel that `key` times, on seeded random input."""
         size = key.L
-        table = get_table(self._field(key.p), size)
+        table = get_table(FourierPrime.from_modulus(key.p), size)
         rng = self._rng_for(key)
         if key.kind == "dft":
             x = [rng.randrange(key.p) for _ in range(size)]
@@ -415,8 +409,7 @@ class PlanSession:
 
     def replay(self, entry: PlanEntry, x: list[int]):
         """Execute a stored plan on concrete input (used for validity checks)."""
-        fp = self._field(entry.key.p)
-        table = get_table(fp, entry.key.L)
+        table = get_table(FourierPrime.from_modulus(entry.key.p), entry.key.L)
         if entry.key.kind == "dft":
             return moddft(x, table)
         if entry.key.kind == "tft":

@@ -186,19 +186,24 @@ def poly_to_text(a: DensePoly) -> str:
     return "{}\n{}\n{}\n".format(a.field.p, len(a.coeffs), " ".join(map(str, a.coeffs)))
 
 
-def _is_decimal(token: str) -> bool:
+def _decimal(token: str, what: str, line: int) -> int:
     # Only [0-9]+: int() would also take signs, '_' separators, surrounding
     # whitespace and non-ASCII digits.
-    return token.isascii() and token.isdigit()
+    if not (token.isascii() and token.isdigit()):
+        raise PolyTextError(f"bad {what} {token!r}", line)
+    try:
+        return int(token)
+    except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+        raise PolyTextError(f"{what} too long: {len(token)} digits", line) from None
 
 
-def poly_from_text(text: str, field: FourierPrime | None = None) -> DensePoly:
-    """Parse the three-line format; reuses `field` when the modulus matches.
+def poly_from_text(text: str) -> DensePoly:
+    """Parse the three-line format: modulus, coefficient count, coefficients.
 
     The modulus, the count and every coefficient must be ASCII decimal
-    ([0-9]+), lines end at a newline only, coefficients are separated by
-    single spaces and nothing but one final newline may follow line 3;
-    anything else raises PolyTextError.
+    ([0-9]+) and short enough for int(), lines end at a newline only,
+    coefficients are separated by single spaces and nothing but one final
+    newline may follow line 3; anything else raises PolyTextError.
     """
     lines = text.split("\n")
     if text.endswith("\n"):
@@ -207,27 +212,18 @@ def poly_from_text(text: str, field: FourierPrime | None = None) -> DensePoly:
         raise PolyTextError("expected 3 lines: modulus, count, coefficients", len(lines) + 1)
     if len(lines) > 3:
         raise PolyTextError("unexpected text after the coefficient line", 4)
-    if not _is_decimal(lines[0]):
-        raise PolyTextError(f"bad modulus {lines[0]!r}", 1)
-    p = int(lines[0])
-    if field is not None and field.p == p:
-        fp = field
-    else:
-        try:
-            fp = FourierPrime.from_modulus(p)
-        except ValueError as exc:
-            raise PolyTextError(str(exc), 1) from None
-    if not _is_decimal(lines[1]):
-        raise PolyTextError(f"bad coefficient count {lines[1]!r}", 2)
-    n = int(lines[1])
+    p = _decimal(lines[0], "modulus", 1)
+    try:
+        fp = FourierPrime.from_modulus(p)
+    except ValueError as exc:
+        raise PolyTextError(str(exc), 1) from None
+    n = _decimal(lines[1], "coefficient count", 2)
     tokens = lines[2].split(" ") if lines[2] else []
     if len(tokens) != n:
         raise PolyTextError(f"expected {n} coefficients, found {len(tokens)}", 3)
     coeffs = []
     for t in tokens:
-        if not _is_decimal(t):
-            raise PolyTextError(f"bad coefficient {t!r}", 3)
-        v = int(t)
+        v = _decimal(t, "coefficient", 3)
         if v >= p:
             raise PolyTextError(f"coefficient {v} not a canonical residue mod {p}", 3)
         coeffs.append(v)

@@ -26,6 +26,7 @@ counts without running them.
 
 from __future__ import annotations
 
+import functools
 import threading
 
 from .field import FourierPrime, UnsupportedSizeError, root_of_unity
@@ -56,12 +57,12 @@ class OpCounters:
 
 
 class TwiddleTable:
-    """Precomputed powers of a principal root of unity for one transform size.
+    """Per-stage powers of a principal root of unity w for one transform size.
 
-    Read-only after construction, apart from numpy_arrays, which the numpy
-    kernels fill once with values derived from the stages; safe to share
-    across threads. Prefer get_table(), which caches one instance per
-    (p, size).
+    The last stage holds w**j and w**-j for j < size/2. Read-only after
+    construction, apart from numpy_arrays, which the numpy kernels fill once
+    with values derived from the stages; safe to share across threads.
+    Prefer get_table(), which caches recently used tables.
     """
 
     __slots__ = (
@@ -69,8 +70,6 @@ class TwiddleTable:
         "size",
         "log2_size",
         "root",
-        "powers",
-        "inv_powers",
         "inv_size",
         "fwd_stages",
         "inv_stages",
@@ -89,46 +88,45 @@ class TwiddleTable:
             )
         p = field.p
         w = root_of_unity(field, size).value
-        powers = [1] * size
+        h = size >> 1
+        half = [1] * h
         acc = 1
-        for j in range(1, size):
+        for j in range(1, h):
             acc = acc * w % p
-            powers[j] = acc
-        # w**-j == w**(size-j), so the inverse table is the forward one reversed.
-        inv_powers = [1] + powers[:0:-1]
+            half[j] = acc
+        if h and acc * w % p != p - 1:
+            raise ArithmeticError(f"root {w} is not principal for size {size}")
+        # w**(size/2) == -1, so w**-j == w**(size-j) == p - w**(size/2-j).
+        inv_half = [1] + [p - half[h - j] for j in range(1, h)]
         self.field = field
         self.size = size
         self.log2_size = log2
         self.root = w
-        self.powers = powers
-        self.inv_powers = inv_powers
         self.inv_size = pow(size, p - 2, p)
-        if size > 1 and powers[size >> 1] != p - 1:
-            raise ArithmeticError(f"root {w} is not principal for size {size}")
         # Stage-major twiddles for the iterative paths: stage with half-size h
         # uses powers of the order-2h root, i.e. every (size/2h)-th entry.
-        self.fwd_stages = [powers[: size >> 1 : size >> (s + 1)] for s in range(log2)]
-        self.inv_stages = [inv_powers[: size >> 1 : size >> (s + 1)] for s in range(log2)]
+        self.fwd_stages = [half[:: size >> (s + 1)] for s in range(log2)]
+        self.inv_stages = [inv_half[:: size >> (s + 1)] for s in range(log2)]
         # uint64 copies of the stages for the numpy kernels, made by their
         # first call on this table so that building a table never imports numpy.
         self.numpy_arrays = None
 
 
-_TABLE_CACHE: dict[tuple[int, int], TwiddleTable] = {}
+# Most tables and bit-reversal lists kept at once; a 2**20 table is ~50 MB.
+_CACHE_SIZE = 32
 _TABLE_LOCK = threading.Lock()
 
 
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _build_table(field: FourierPrime, size: int) -> TwiddleTable:
+    # Calls TwiddleTable through the module global, so a wrapper on it sees every build.
+    return TwiddleTable(field, size)
+
+
 def get_table(field: FourierPrime, size: int) -> TwiddleTable:
-    """Shared read-only twiddle table for (p, size); built once, cached."""
-    key = (field.p, size)
-    table = _TABLE_CACHE.get(key)
-    if table is None:
-        with _TABLE_LOCK:
-            table = _TABLE_CACHE.get(key)
-            if table is None:
-                table = TwiddleTable(field, size)
-                _TABLE_CACHE[key] = table
-    return table
+    """Shared read-only twiddle table for (field, size); the most recent _CACHE_SIZE stay cached."""
+    with _TABLE_LOCK:
+        return _build_table(field, size)
 
 
 # Smallest transform size the numpy kernels take. Importing numpy costs about
@@ -152,17 +150,12 @@ def _numpy_kernels(table: TwiddleTable):
     return _ntt_numpy
 
 
-_REV_CACHE: dict[int, list[int]] = {}
-
-
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def _rev_indices(n: int) -> list[int]:
-    rev = _REV_CACHE.get(n)
-    if rev is None:
-        bits = n.bit_length() - 1
-        rev = [0] * n
-        for i in range(1, n):
-            rev[i] = (rev[i >> 1] >> 1) | ((i & 1) << (bits - 1))
-        _REV_CACHE[n] = rev
+    bits = n.bit_length() - 1
+    rev = [0] * n
+    for i in range(1, n):
+        rev[i] = (rev[i >> 1] >> 1) | ((i & 1) << (bits - 1))
     return rev
 
 
@@ -239,7 +232,8 @@ def moddft_naive(x: list[int], table: TwiddleTable, direction: str = "fwd") -> l
     if direction not in ("fwd", "inv"):
         raise ValueError(f"direction must be 'fwd' or 'inv': {direction!r}")
     p = table.field.p
-    powers = table.powers if direction == "fwd" else table.inv_powers
+    w = table.root if direction == "fwd" else pow(table.root, -1, p)
+    powers = [pow(w, j, p) for j in range(n)]
     out = []
     for k in range(n):
         acc = 0

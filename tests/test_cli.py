@@ -1,6 +1,14 @@
+import os
+import random
+import tempfile
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modconv import DensePoly, FourierPrime, mul_schoolbook, poly_from_text, poly_to_text, store_load
+from modconv import field, planner, verify
 from modconv.cli import (
     EXIT_FIELD_MISMATCH,
     EXIT_FILE_FORMAT,
@@ -126,6 +134,39 @@ class TestMul:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and "line 4" in err[0]
 
+    @pytest.mark.parametrize("line", [1, 2, 3])
+    def test_too_long_field_exit_code(self, tmp_path, capsys, line):
+        # Leading zeros keep each value valid; only its length exceeds int()'s digit limit.
+        fa, fb, out = tmp_path / "a", tmp_path / "b", tmp_path / "out"
+        fields = ["17", "1", "5"]
+        fields[line - 1] = "0" * 5000 + fields[line - 1]
+        fa.write_text("\n".join(fields) + "\n")
+        write_poly(fb, 17, [3, 4])
+        assert main(["mul", str(fa), str(fb), "--engine", "definition", "-o", str(out)]) == EXIT_FILE_FORMAT
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and f"line {line}" in err[0]
+
+    def test_wide_prime_modulus_exit_code(self, tmp_path, monkeypatch):
+        fa, fb, out = tmp_path / "a", tmp_path / "b", tmp_path / "out"
+        fa.write_text("535535684741329881136887273182147286623\n1\n5\n")  # 129-bit prime
+        write_poly(fb, 17, [3, 4])
+
+        def refuse(n):
+            raise AssertionError(f"factorize({n}) called")
+
+        monkeypatch.setattr(field, "factorize", refuse)
+        assert main(["mul", str(fa), str(fb), "--engine", "definition", "-o", str(out)]) == EXIT_FILE_FORMAT
+
+    def test_unwritable_store_exit_code(self, tmp_path, capsys):
+        fa, fb, out = tmp_path / "a", tmp_path / "b", tmp_path / "out"
+        write_poly(fa, 17, [1, 2])
+        write_poly(fb, 17, [3, 4])
+        store_path = tmp_path / "missing" / "plans.txt"
+        argv = ["mul", str(fa), str(fb), "--engine", "auto", "--store", str(store_path), "-o", str(out)]
+        assert main(argv) == EXIT_IO
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: cannot write")
+
     def test_unsupported_size_exit_code(self, tmp_path):
         fa, fb, out = tmp_path / "a", tmp_path / "b", tmp_path / "out"
         write_poly(fa, 7, [1, 2])
@@ -205,6 +246,13 @@ class TestPlan:
             want = mul_schoolbook(poly_from_text(fa.read_text()), poly_from_text(fb.read_text()))
             assert poly_from_text(out.read_text()) == want.normalize(), (za, zb)
             assert store_load(str(store_path)) == planned, (za, zb)
+
+    def test_signature_with_control_characters(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(planner, "_cpu_model", lambda: "cpu\x85\x1c\r|x")
+        store_path = tmp_path / "plans.txt"
+        assert main(["plan", "--store", str(store_path), "--max-l", "4"]) == EXIT_OK
+        sigs = {entry.exec_signature for entry in store_load(str(store_path))}
+        assert len(sigs) == 1 and sigs.pop().startswith("cpu????x;")
 
     def test_max_l_beyond_prime_adicity(self, tmp_path):
         store_path = tmp_path / "plans.txt"
@@ -297,7 +345,110 @@ class TestVerify:
         main(["verify", "--cap", "32", "--seed", "5"])
         assert capsys.readouterr().out == first
 
+    def test_butterfly_suite_is_linear_in_cap(self):
+        # Sum of L over the suite's transform calls: doubling cap about doubles it.
+        fields = [FourierPrime.from_modulus(257), FourierPrime.from_modulus(998244353)]
+        totals = []
+        for cap in (1024, 2048):
+            sizes = []
+
+            def counted(kernel):
+                def call(table, *args, **kwargs):
+                    sizes.append(table.size)
+                    return kernel(table, *args, **kwargs)
+
+                return call
+
+            with mock.patch.object(verify, "tft", counted(verify.tft)), \
+                    mock.patch.object(verify, "itft", counted(verify.itft)):
+                ok, detail = verify._suite_butterfly_counts(random.Random(0), cap, fields)
+            assert ok, detail
+            totals.append(sum(sizes))
+        assert totals[1] <= 2.5 * totals[0], totals
+
     def test_injected_fault_is_detected_and_named(self, capsys):
         assert main(["verify", "--cap", "32", "--inject-fault"]) == EXIT_VERIFY_FAILED
         out = capsys.readouterr().out
         assert "FAIL transform-roundtrip" in out
+
+
+# Exit-code fuzzing: malformed input files get a documented exit code, never a traceback.
+_NOISE = st.text("0123456789 \n|,=", max_size=60)
+_TOKEN = st.text("0123456789 |,=", max_size=12)
+
+
+@st.composite
+def _poly_text(draw):
+    # The three-line format, or one line of it replaced by noise, or a tail after it.
+    coeffs = draw(st.lists(st.integers(0, 4).map(str), max_size=9))
+    modulus = draw(st.sampled_from(("3", "7", "17", "998244353", "15", "0")))
+    lines = [modulus, str(len(coeffs)), " ".join(coeffs)]
+    flaw = draw(st.sampled_from(("none", "line", "tail")))
+    if flaw == "line":
+        lines[draw(st.integers(0, 2))] = draw(_TOKEN)
+    tail = draw(_NOISE) if flaw == "tail" else draw(st.sampled_from(("\n", "")))
+    return "\n".join(lines) + tail
+
+
+_NEAR_POLY_BYTES = _poly_text().map(str.encode)
+_POLY_BYTES = st.one_of(st.binary(max_size=60), _NOISE.map(str.encode), _NEAR_POLY_BYTES)
+
+_ENTRY_FIELDS = (
+    ("dft", "tft", "itft", "conv", "fft"),
+    ("17", "998244353", "15"),
+    # L|z|n|threads|splits=|base=, valid but for the last two.
+    ("2|0|2|1|splits=|base=2", "4|4|4|1|splits=2|base=2", "4|1|3|2|splits=|base=4",
+     "8|8|8|1|splits=2,2|base=2", "3|1|1|1|splits=|base=2", "4|4|4|0|splits=2|base=2"),
+    ("nanos=5", "nanos=0", "nanos=-1"),
+    ("sig=h", "sig=", "sig=a b", "sig=x=y"),
+)
+
+
+@st.composite
+def _store_line(draw):
+    # An entry line from plausible field values, one of them possibly replaced by noise.
+    fields = [draw(st.sampled_from(values)) for values in _ENTRY_FIELDS]
+    if draw(st.booleans()):
+        fields[draw(st.integers(0, len(fields) - 1))] = draw(_TOKEN)
+    return "|".join(fields)
+
+
+@st.composite
+def _store_text(draw):
+    # A header, entry and noise lines; the header is wrong about one time in four.
+    header = "modconv-plan v1" if draw(st.integers(0, 3)) else draw(st.sampled_from(("modconv-plan v2", "")))
+    lines = draw(st.lists(st.one_of(_store_line(), _NOISE), max_size=4))
+    return "\n".join((header, *lines)) + draw(st.sampled_from(("\n", "")))
+
+
+_STORE_BYTES = st.one_of(st.binary(max_size=80), _store_text().map(str.encode))
+
+
+def _write_files(tmp, contents):
+    paths = []
+    for name, data in contents:
+        paths.append(os.path.join(tmp, name))
+        with open(paths[-1], "wb") as fh:
+            fh.write(data)
+    return paths
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(a=_POLY_BYTES, b=_NEAR_POLY_BYTES)
+def test_fuzzed_poly_files_get_an_exit_code(a, b):
+    with tempfile.TemporaryDirectory() as tmp:
+        fa, fb = _write_files(tmp, (("a", a), ("b", b)))
+        rc = main(["mul", fa, fb, "--engine", "tft", "-o", os.path.join(tmp, "out")])
+    assert rc in (EXIT_OK, EXIT_FILE_FORMAT, EXIT_FIELD_MISMATCH, EXIT_UNSUPPORTED)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(store=_STORE_BYTES)
+def test_fuzzed_store_gets_an_exit_code(store):
+    with tempfile.TemporaryDirectory() as tmp:
+        fa, fb, fs = _write_files(tmp, (("a", b"17\n1\n5\n"), ("b", b"17\n1\n3\n"), ("store", store)))
+        rc = main(["mul", fa, fb, "--engine", "auto", "--store", fs, "-o", os.path.join(tmp, "out")])
+        assert rc in (EXIT_OK, EXIT_FILE_FORMAT)
+        if rc == EXIT_FILE_FORMAT:
+            with open(fs, "rb") as fh:
+                assert fh.read() == store

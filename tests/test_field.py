@@ -11,6 +11,7 @@ from modconv import (
     is_probable_prime,
     root_of_unity,
 )
+from modconv import field
 from modconv.field import factorize
 
 
@@ -46,6 +47,7 @@ class TestFourierPrime:
         assert (fp998.p, fp998.two_adicity, fp998.generator) == (998244353, 23, 3)
         assert (fp257.two_adicity, fp257.generator) == (8, 3)
         assert (fp17.two_adicity, fp17.generator) == (4, 3)
+        assert FourierPrime.from_modulus(998244353) is fp998  # cached per modulus
 
     def test_rejects_bad_moduli(self):
         with pytest.raises(ValueError):
@@ -54,6 +56,14 @@ class TestFourierPrime:
             FourierPrime.from_modulus(2**62 + 135)  # prime, but over the cap
         with pytest.raises(ValueError):
             FourierPrime.from_modulus(4)
+
+    def test_wide_modulus_rejected_before_factoring(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError(f"factorize({n}) called")
+
+        monkeypatch.setattr(field, "factorize", refuse)
+        with pytest.raises(ValueError):
+            FourierPrime.from_modulus(535535684741329881136887273182147286623)  # 129-bit prime
 
     def test_rejects_inconsistent_fields(self):
         with pytest.raises(ValueError):

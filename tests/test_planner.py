@@ -62,8 +62,10 @@ class TestPlanKeyEntry:
             PlanEntry(key, (2, 2), 5, 10, "sig")  # base outside menu
         with pytest.raises(ValueError):
             PlanEntry(key, (2, 2), 4, -1, "sig")
-        with pytest.raises(ValueError):
-            PlanEntry(key, (2, 2), 4, 10, "si|g")
+        # Only printable ASCII without '|' survives a store round trip.
+        for sig in ("si|g", "a\nb", "a\rb", "a\vb", "a\x1cb", "a\x85b", "a\tb", "a\x00b"):
+            with pytest.raises(ValueError):
+                PlanEntry(key, (2, 2), 4, 10, sig)
 
 
 class TestMirror:
@@ -115,6 +117,15 @@ class TestStoreFormat:
         with pytest.raises(PlanFormatError) as err:
             store_load(str(path))
         assert err.value.line == 3
+
+    def test_lines_end_at_newline_only(self, tmp_path):
+        path = tmp_path / "plans.txt"
+        good = "dft|17|8|0|8|1|splits=2|base=4|nanos=55|sig=sig"
+        for sep in ("\x1c", "\x1d", "\x1e", "\v", "\f"):
+            path.write_text(f"{STORE_VERSION}\n{good}{sep}\n")
+            with pytest.raises(PlanFormatError) as err:
+                store_load(str(path))
+            assert err.value.line == 2, repr(sep)
 
     def test_fuzzed_round_trips(self, tmp_path):
         rng = random.Random(4242)
@@ -321,6 +332,14 @@ class TestResolveEngine:
         assert session.resolve_engine(fp7, 5, 5, 1) == "definition"
 
 
+def _cpuinfo_has_model_name() -> bool:
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            return "model name" in fh.read().lower()
+    except OSError:
+        return False
+
+
 class TestSignature:
     def test_contains_the_advertised_parts(self):
         sig = make_exec_signature(threads=3)
@@ -331,3 +350,17 @@ class TestSignature:
 
     def test_stable_within_a_host(self):
         assert make_exec_signature(2) == make_exec_signature(2)
+
+    def test_other_characters_become_question_marks(self, monkeypatch):
+        monkeypatch.setattr(planner, "_cpu_model", lambda: "cpu\x85\x1c\r|\nx")
+        sig = make_exec_signature(1)
+        assert sig.startswith("cpu?????x;")
+        PlanEntry(PlanKey("dft", 17, 2, 0, 2, 1), (), 2, 1, sig)
+
+    @pytest.mark.skipif(not _cpuinfo_has_model_name(), reason="needs a /proc/cpuinfo model name")
+    def test_cpu_model_does_not_run_uname(self, monkeypatch):
+        def refuse():
+            raise AssertionError("platform.processor() called")
+
+        monkeypatch.setattr(planner.platform, "processor", refuse)
+        assert planner._cpu_model()

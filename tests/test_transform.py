@@ -35,13 +35,32 @@ class TestTwiddleTable:
         for size in (1, 2, 8, 64, 1024):
             t = get_table(fp998, size)
             p = fp998.p
-            assert all(a * b % p == 1 for a, b in zip(t.powers, t.inv_powers))
+            assert len(t.fwd_stages) == len(t.inv_stages) == size.bit_length() - 1
+            for s, (fwd, inv) in enumerate(zip(t.fwd_stages, t.inv_stages)):
+                w = pow(t.root, size >> (s + 1), p)  # root of order 2**(s+1)
+                assert fwd == [pow(w, j, p) for j in range(1 << s)]
+                assert all(a * b % p == 1 for a, b in zip(fwd, inv))
             if size > 1:
-                assert t.powers[size // 2] == p - 1
+                assert pow(t.root, size // 2, p) == p - 1
             assert t.inv_size * size % p == 1
 
     def test_cache_returns_shared_instance(self, fp998):
         assert get_table(fp998, 128) is get_table(fp998, 128)
+
+    def test_cache_is_bounded(self, fp17, fp257, fp998):
+        fp62 = FourierPrime.from_modulus(2305843009448574977)
+        fields = (fp17, fp257, fp998, fp62)
+        keys = [(fp, 1 << lg) for fp in fields for lg in range(min(fp.two_adicity, 10) + 1)]
+        assert len(keys) > transform._CACHE_SIZE
+        transform._build_table.cache_clear()
+        with mock.patch.object(transform, "TwiddleTable", wraps=TwiddleTable) as build:
+            tables = [get_table(fp, size) for fp, size in keys]
+            assert build.call_count == len(keys)
+            assert transform._build_table.cache_info().currsize <= transform._CACHE_SIZE
+            assert get_table(*keys[-1]) is tables[-1]
+            assert build.call_count == len(keys)
+            assert get_table(*keys[0]) is not tables[0]  # evicted, built again
+            assert build.call_count == len(keys) + 1
 
     def test_cache_thread_safety(self, fp257):
         seen = []
@@ -95,7 +114,7 @@ class TestModDft:
         poly = DensePoly(fp17, tuple(coeffs))
         spectrum = moddft(coeffs, t)
         for k in range(8):
-            point = Felt(t.powers[k], fp17)
+            point = Felt(t.root, fp17) ** k
             assert spectrum[k] == eval_poly(poly, point).value
 
     def test_matches_naive_and_roundtrip(self, fp257, fp998, rng):
