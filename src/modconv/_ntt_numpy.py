@@ -4,8 +4,9 @@ Only `transform` imports this module, on the first transform large enough to
 pay for importing numpy (see `transform._numpy_kernels`). Each function here
 runs the same loops as its pure-Python counterpart in `transform`, one numpy
 operation per stage (per level, on itft's partial path) instead of one Python
-statement per butterfly, and returns the same list. Argument checks and
-`OpCounters` stay with the callers in `transform`.
+statement per butterfly, and returns the same list. itft walks the levels
+that `transform._itft_path` returns, as the pure-Python itft does. Argument
+checks and `OpCounters` stay with the callers in `transform`.
 
 Residues are below p < 2**32, so every product of two residues fits in
 uint64 and is reduced with `% p`; a difference a - b is formed as a + (p - b)
@@ -16,6 +17,8 @@ so that it never wraps. Inputs must be canonical residues, as everywhere in
 from __future__ import annotations
 
 import numpy as np
+
+from .transform import _itft_path
 
 
 def _arrays(table):
@@ -113,15 +116,9 @@ def itft(table, xhat: list[int]) -> list[int]:
     n = len(xhat)
     c = np.zeros(table.size, dtype=np.uint64)
     c[:n] = np.fromiter(xhat, dtype=np.uint64, count=n)
-    levels = []
-    off = 0
-    m = table.size
-    left = n
-    log = table.log2_size
-    while m > 1:
+    levels = _itft_path(table.size, n)
+    for off, m, left, log in levels:
         h = m >> 1
-        log -= 1
-        levels.append((off, m, left, log))
         if left > h:
             # The low half is fully known: its inverse gives h * u_i.
             _dit(c[off : off + h], inv[:log], p)
@@ -144,13 +141,10 @@ def itft(table, xhat: list[int]) -> list[int]:
             a -= mb
             a %= p
             b[...] = new_hi
-            off += h
-            left -= h
         else:
             lo = c[off + left : off + h]
             lo += c[off + left + h : off + m]
             lo %= p
-        m = h
     for off, m, left, log in reversed(levels):
         h = m >> 1
         if left > h:

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import os
 import random
-import statistics
 import sys
 import time
 from dataclasses import dataclass
@@ -27,7 +26,6 @@ from .field import FieldMismatchError, FourierPrime, UnsupportedSizeError, find_
 from .planner import PlanFormatError, PlanKey, PlanSession, PlanStore, store_load, store_save
 from .poly import DensePoly, PolyTextError, poly_from_text, poly_to_text
 from .transform import OpCounters
-from .verify import run_verification
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -77,6 +75,9 @@ def _fail(code: int, message: str) -> int:
 
 
 def cmd_verify(args) -> int:
+    # Imported here, like statistics in _time_engine: `modconv mul` needs neither.
+    from .verify import run_verification
+
     results = run_verification(seed=args.seed, cap=args.cap, inject_fault=args.inject_fault)
     failed = 0
     for name, ok, detail in results:
@@ -182,6 +183,8 @@ def _sweep_field(cfg: SweepConfig) -> FourierPrime:
 
 
 def _time_engine(a: DensePoly, b: DensePoly, req: ConvRequest, reps: int) -> tuple[int, int]:
+    import statistics
+
     samples = []
     for _ in range(reps):
         t0 = time.perf_counter_ns()

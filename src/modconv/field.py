@@ -21,6 +21,14 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+def _clip(text: str, limit: int = 32) -> str:
+    # A token echoed in an error message, as repr() shows it; past `limit`
+    # characters only its start and its length, so one token cannot fill a screen.
+    if len(text) <= limit:
+        return repr(text)
+    return f"{text[:limit]!r}... ({len(text)} characters)"
+
+
 class FieldMismatchError(ValueError):
     """Operands belong to different prime fields."""
 
@@ -119,7 +127,7 @@ class FourierPrime:
     def __post_init__(self) -> None:
         p = self.p
         if p < 3 or p % 2 == 0 or p.bit_length() > MAX_MODULUS_BITS:
-            raise ValueError(f"modulus must be an odd prime below 2**{MAX_MODULUS_BITS}: {p}")
+            raise ValueError(f"modulus must be an odd prime below 2**{MAX_MODULUS_BITS}: {_clip(str(p))}")
         if not is_probable_prime(p):
             raise ValueError(f"modulus is not prime: {p}")
         if self.two_adicity != _two_adicity(p - 1):
@@ -136,7 +144,7 @@ class FourierPrime:
         """The field descriptor for a given prime modulus; cached per modulus."""
         # The size cap comes first: factoring p - 1 of a much wider prime can take forever.
         if p < 3 or p % 2 == 0 or p.bit_length() > MAX_MODULUS_BITS or not is_probable_prime(p):
-            raise ValueError(f"modulus must be an odd prime below 2**{MAX_MODULUS_BITS}: {p}")
+            raise ValueError(f"modulus must be an odd prime below 2**{MAX_MODULUS_BITS}: {_clip(str(p))}")
         return cls(p, _two_adicity(p - 1), _smallest_primitive_root(p))
 
     def felt(self, value: int) -> "Felt":

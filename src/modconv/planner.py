@@ -1,9 +1,10 @@
 """Empirical timing of the transform kernels the engines run, with persistence.
 
 A plan entry records the measured median time of one transform kernel on one
-shape: `dft` keys time the iterative moddft that the padded engine runs,
-`tft` and `itft` keys time the truncated transforms on the key's own
-(z, n). Every entry records the radix-2 decomposition those kernels execute;
+shape: `dft` keys time the iterative moddft that the padded engine runs at
+the key's own size L, `tft` and `itft` keys time the truncated transforms on
+the key's own (z, n). Every timing is measured; none is scaled from another
+size. Every entry records the radix-2 decomposition those kernels execute;
 the store format keeps a split sequence and base case so that files written
 with radix-4/8 decompositions still load.
 
@@ -28,15 +29,13 @@ from dataclasses import dataclass, replace
 
 from . import __version__
 from .convolve import _next_pow2
-from .field import FourierPrime, UnsupportedSizeError
+from .field import FourierPrime, UnsupportedSizeError, _clip
 from .transform import get_table, itft, itft_butterflies, moddft, tft, tft_butterflies
 
 KINDS = ("dft", "tft", "itft", "conv")
 RADIX_MENU = (2, 4, 8)
 STORE_VERSION = "modconv-plan v1"
 DEFAULT_SEARCH_REPS = 5
-# Largest dft that is timed; bigger sizes scale this timing by butterfly count.
-SEARCH_CAP = 1 << 20
 
 _ENGINE_PREFERENCE = ("definition", "fft_pad", "tft")
 # Characters an exec signature may hold: printable ASCII but the field separator.
@@ -64,9 +63,9 @@ class PlanKey:
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}: {self.kind!r}")
+            raise ValueError(f"kind must be one of {KINDS}: {_clip(self.kind)}")
         if self.L < 1 or self.L & (self.L - 1):
-            raise ValueError(f"L must be a power of two: {self.L}")
+            raise ValueError(f"L must be a power of two: {_clip(str(self.L))}")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
         if self.z < 0 or self.n < 0:
@@ -174,7 +173,7 @@ def _parse_entry(line: str, lineno: int) -> PlanEntry:
         raise PlanFormatError("non-integer key field", lineno) from None
     for prefix, part in (("splits=", parts[6]), ("base=", parts[7]), ("nanos=", parts[8]), ("sig=", parts[9])):
         if not part.startswith(prefix):
-            raise PlanFormatError(f"expected field {prefix!r}, got {part!r}", lineno)
+            raise PlanFormatError(f"expected field {prefix!r}, got {_clip(part)}", lineno)
     raw_splits = parts[6][len("splits="):]
     try:
         splits = tuple(int(s) for s in raw_splits.split(",")) if raw_splits else ()
@@ -201,7 +200,11 @@ def store_save(store: PlanStore, path: str) -> None:
 
 
 def store_load(path: str) -> PlanStore:
-    """Parse a plan file; refuses other versions, reports bad lines by number."""
+    """Parse a plan file; refuses other versions, reports bad lines by number.
+
+    Every line after the header must be an entry, blank ones included; only
+    the empty string after a final newline is not a line.
+    """
     with open(path, "r", encoding="ascii") as fh:
         try:
             text = fh.read()
@@ -209,13 +212,13 @@ def store_load(path: str) -> PlanStore:
             line = exc.object.count(b"\n", 0, exc.start) + 1
             raise PlanFormatError(f"non-ASCII byte {exc.object[exc.start]:#04x}", line) from None
     lines = text.split("\n")
+    if text.endswith("\n"):
+        lines.pop()
     if lines[0] != STORE_VERSION:
         found = lines[0] if text else "<empty file>"
-        raise PlanFormatError(f"expected header {STORE_VERSION!r}, got {found!r}", 1)
+        raise PlanFormatError(f"expected header {STORE_VERSION!r}, got {_clip(found)}", 1)
     store = PlanStore()
     for i, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
         entry = _parse_entry(line, i)
         try:
             store.add(entry)
@@ -294,9 +297,9 @@ class PlanSession:
     def search(self, key: PlanKey) -> PlanEntry:
         """Time the kernel an engine runs for this key and store the timing.
 
-        `dft` times moddft, `tft` times tft on z inputs and n outputs, `itft`
-        times itft on n values; every entry records the radix-2 decomposition
-        those kernels execute.
+        `dft` times moddft at size L, `tft` times tft on z inputs and n
+        outputs, `itft` times itft on n values; every entry records the
+        radix-2 decomposition those kernels execute.
         """
         if key.kind not in ("dft", "tft", "itft"):
             raise ValueError(
@@ -306,10 +309,7 @@ class PlanSession:
         size = key.L
         if size < 2:
             raise UnsupportedSizeError(f"no plannable transform of size {size}")
-        if key.kind == "dft" and size > SEARCH_CAP:
-            nanos = self._extrapolate_dft(key)
-        else:
-            nanos = self._time_median(self._kernel(key))
+        nanos = self._time_median(self._kernel(key))
         entry = PlanEntry(key, (2,) * (size.bit_length() - 2), 2, nanos, self.signature)
         self.store.add(entry, replace_existing=True)
         self.search_count += 1
@@ -347,14 +347,6 @@ class PlanSession:
             raise ValueError(f"input length {z} invalid for n={n}")
         x = [rng.randrange(key.p) for _ in range(z)]
         return lambda: tft(table, x, n)
-
-    def _extrapolate_dft(self, key: PlanKey) -> int:
-        # Beyond the timed range, scale the largest timed dft by the
-        # butterfly-count ratio (L/2)*log2(L) / ((cap/2)*log2(cap)).
-        cap = SEARCH_CAP
-        sub = self.lookup(PlanKey("dft", key.p, cap, 0, cap, key.threads))
-        scale = (key.L * (key.L.bit_length() - 1)) / (cap * (cap.bit_length() - 1))
-        return int(sub.measured_nanos * scale)
 
     # -- automatic engine choice ----------------------------------------------
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .field import Felt, FieldMismatchError, FourierPrime
+from .field import Felt, FieldMismatchError, FourierPrime, _clip
 
 KARATSUBA_THRESHOLD = 16
 
@@ -190,7 +190,7 @@ def _decimal(token: str, what: str, line: int) -> int:
     # Only [0-9]+: int() would also take signs, '_' separators, surrounding
     # whitespace and non-ASCII digits.
     if not (token.isascii() and token.isdigit()):
-        raise PolyTextError(f"bad {what} {token!r}", line)
+        raise PolyTextError(f"bad {what} {_clip(token)}", line)
     try:
         return int(token)
     except ValueError:  # more digits than sys.get_int_max_str_digits() allows
@@ -225,6 +225,6 @@ def poly_from_text(text: str) -> DensePoly:
     for t in tokens:
         v = _decimal(t, "coefficient", 3)
         if v >= p:
-            raise PolyTextError(f"coefficient {v} not a canonical residue mod {p}", 3)
+            raise PolyTextError(f"coefficient {_clip(t)} not a canonical residue mod {p}", 3)
         coeffs.append(v)
     return DensePoly(fp, tuple(coeffs))

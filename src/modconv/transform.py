@@ -7,7 +7,8 @@ decimation-style butterfly network produces them in), so truncated spectra are
 opaque tokens that only need to align positionally for pointwise products.
 
 Every transform runs iterative stage loops over the table's per-stage twiddle
-lists. itft inverts each fully known half with the loop moddft runs. The
+lists. itft inverts each fully known half with the loop moddft runs, on the
+one partial path that _itft_path lays out for both of its backends. The
 loops exist twice: in pure Python here, the reference and the path for any
 prime, and in numpy (`_ntt_numpy`) for transforms of at least
 _NUMPY_MIN_SIZE points over p < 2**32, where a residue product fits in
@@ -20,8 +21,8 @@ Butterfly accounting: one butterfly is one two-point kernel evaluation,
 including degenerate forms where a known-zero or unneeded half collapses the
 kernel to a single add or multiply. A full N-point transform costs exactly
 (N/2)*log2(N) butterflies; truncated transforms cost at most n*log2(L)/2 + L
-for n of L outputs, and tft_butterflies/itft_butterflies predict their exact
-counts without running them.
+for n of L outputs. tft_butterflies and itft_butterflies give their exact
+counts without running them, by walking the same stages and the same path.
 """
 
 from __future__ import annotations
@@ -322,35 +323,23 @@ def _tft_python(
     return c
 
 
-def _full_tft_butterflies(m: int, z: int) -> int:
-    # A subtree that keeps all m outputs: each node spends z while z <= m/2
-    # (both halves are needed, the high half is only twiddled), and every
-    # node below that level is a full (m/2)*log2(m) transform.
-    count = 0
-    nodes = 1
-    while m > 1 and z <= m >> 1:
-        count += nodes * z
-        nodes <<= 1
-        m >>= 1
-    return count + nodes * (m >> 1) * (m.bit_length() - 1)
-
-
 def tft_butterflies(L: int, z: int, n: int) -> int:
     """Butterflies tft spends on z inputs and n outputs at size L, without running it.
 
-    Walks the one partially needed path of the block tree; O(log^2 L).
+    Walks the same stages as the kernels: at half-size h, each of the blocks
+    of 2h with a wanted high half spends min(z, h), and a last block with only
+    its low half wanted spends the z - min(z, h) folds; O(log L).
     """
     count = 0
-    m = L
-    while n and m > 1:
-        h = m >> 1
+    h = L
+    while h > 1:
+        h >>= 1
         zz = min(z, h)
-        if n > h:
-            count += zz + _full_tft_butterflies(h, zz)
-            n -= h
-        else:
+        full = (n + h - 1) // (h << 1)
+        count += full * zz
+        if full * (h << 1) < n:
             count += z - zz
-        m, z = h, zz
+        z = zz
     return count
 
 
@@ -395,15 +384,9 @@ def _itft_python(
     # Down the one partial path, c[off:off+m] holds spectral values for
     # i < left and time values above; the way back up makes it m * u.
     used = 0
-    levels = []
-    off = 0
-    m = size
-    left = n
-    log = table.log2_size
-    while m > 1:
+    levels = _itft_path(size, n)
+    for off, m, left, log in levels:
         h = m >> 1
-        log -= 1
-        levels.append((off, m, left, log))
         if left > h:
             # The low half is fully known: its inverse gives h * u_i.
             low = c[off : off + h]
@@ -420,14 +403,11 @@ def _itft_python(
                 c[hi] = (a * inv_h - 2 * b) % p * tws[i] % p
                 c[lo] = (2 * a - m * b) % p
             used += (h >> 1) * log + h - (left - h)
-            off += h
-            left -= h
         else:
             for j in range(left, h):
                 lo = off + j
                 c[lo] = (c[lo] + c[lo + h]) % p
             used += h - left
-        m = h
     for off, m, left, log in reversed(levels):
         h = m >> 1
         if left > h:
@@ -451,19 +431,33 @@ def _itft_python(
     return c
 
 
+def _itft_path(size: int, n: int) -> list[tuple[int, int, int, int]]:
+    # itft's partial path, top down: per level the block c[off:off+m], the
+    # count `left` of its leading spectral values and log2(m/2). Where more
+    # than m/2 are known the path continues in the high half, else in the low.
+    levels = []
+    off = 0
+    left = n
+    h = size >> 1
+    while h:
+        levels.append((off, h << 1, left, h.bit_length() - 1))
+        if left > h:
+            off += h
+            left -= h
+        h >>= 1
+    return levels
+
+
 def itft_butterflies(L: int, n: int) -> int:
     """Butterflies itft spends recovering n values at size L, without running it.
 
-    Each level of the partial path costs h = m/2, plus a full inverse of the
-    low half when more than h values are kept; O(log L).
+    Each level of itft's partial path costs h = m/2, plus a full inverse of
+    the low half when more than h values are kept; O(log L).
     """
     count = 0
-    m = L
-    while n and m > 1:
+    for _, m, left, log in _itft_path(L, n):
         h = m >> 1
         count += h
-        if n > h:
-            count += (h >> 1) * (h.bit_length() - 1)
-            n -= h
-        m = h
+        if left > h:
+            count += (h >> 1) * log
     return count

@@ -1,5 +1,7 @@
 import os
 import random
+import subprocess
+import sys
 import tempfile
 from unittest import mock
 
@@ -157,6 +159,38 @@ class TestMul:
         monkeypatch.setattr(field, "factorize", refuse)
         assert main(["mul", str(fa), str(fb), "--engine", "definition", "-o", str(out)]) == EXIT_FILE_FORMAT
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "9" * 4000 + "\n1\n5\n",  # 4000-digit modulus
+            "17\n1\n" + "1" * 4999 + "x\n",  # 5000-character bad coefficient
+            "17\n1\n" + "9" * 4000 + "\n",  # 4000-digit residue
+        ],
+        ids=["modulus", "bad-coefficient", "residue"],
+    )
+    def test_long_token_error_line_is_short(self, tmp_path, capsys, text):
+        fa, fb, out = tmp_path / "a", tmp_path / "b", tmp_path / "out"
+        fa.write_text(text)
+        write_poly(fb, 17, [3, 4])
+        assert main(["mul", str(fa), str(fb), "--engine", "definition", "-o", str(out)]) == EXIT_FILE_FORMAT
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert len(err[0].encode()) < 200 + len(str(fa)), len(err[0])
+
+    def test_separator_only_store_lines_exit_code(self, tmp_path, capsys):
+        # str.strip() removes \x1c-\x1f; such a line is not blank, and no line may be.
+        fa, fb, out = tmp_path / "a", tmp_path / "b", tmp_path / "out"
+        write_poly(fa, 17, [5])
+        write_poly(fb, 17, [3])
+        store_path = tmp_path / "plans.txt"
+        for text in (b"modconv-plan v1\n\x1c\n\x1f\n", b"modconv-plan v1\n\n"):
+            store_path.write_bytes(text)
+            argv = ["mul", str(fa), str(fb), "--engine", "auto", "--store", str(store_path), "-o", str(out)]
+            assert main(argv) == EXIT_FILE_FORMAT, text
+            assert store_path.read_bytes() == text
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and "line 2" in err[0], err
+
     def test_unwritable_store_exit_code(self, tmp_path, capsys):
         fa, fb, out = tmp_path / "a", tmp_path / "b", tmp_path / "out"
         write_poly(fa, 17, [1, 2])
@@ -177,6 +211,19 @@ class TestMul:
         fb, out = tmp_path / "b", tmp_path / "out"
         write_poly(fb, 17, [3, 4])
         assert main(["mul", str(tmp_path / "nope"), str(fb), "--engine", "tft", "-o", str(out)]) == EXIT_IO
+
+
+def test_import_leaves_verify_and_statistics_unloaded():
+    # Every `modconv mul` process imports modconv.cli; only verify and sweep need these.
+    code = (
+        "import sys, modconv.cli\n"
+        "loaded = [m for m in ('modconv.verify', 'statistics') if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(verify.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 class TestPlan:

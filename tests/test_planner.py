@@ -127,6 +127,18 @@ class TestStoreFormat:
                 store_load(str(path))
             assert err.value.line == 2, repr(sep)
 
+    def test_blank_lines_are_rejected(self, tmp_path):
+        path = tmp_path / "plans.txt"
+        good = "dft|17|8|0|8|1|splits=2|base=4|nanos=55|sig=sig"
+        for text, line in ((f"{STORE_VERSION}\n\n{good}\n", 2), (f"{STORE_VERSION}\n{good}\n\n", 3),
+                           (f"{STORE_VERSION}\n \n", 2)):
+            path.write_text(text)
+            with pytest.raises(PlanFormatError) as err:
+                store_load(str(path))
+            assert err.value.line == line, repr(text)
+        path.write_text(f"{STORE_VERSION}\n{good}")  # no final newline
+        assert len(store_load(str(path))) == 1
+
     def test_fuzzed_round_trips(self, tmp_path):
         rng = random.Random(4242)
         for trial in range(100):
@@ -261,14 +273,6 @@ class TestDftSearch:
         spectral = session.replay(fwd, x)
         scaled = session.replay(inv, spectral)
         assert scaled == [v * 32 % fp998.p for v in x]
-
-    def test_extrapolation_beyond_cap(self, monkeypatch):
-        monkeypatch.setattr(planner, "SEARCH_CAP", 16)
-        session = make_session(reps=2)
-        entry = session.search(PlanKey("dft", LARGE_PRIME, 128, 0, 128, 1))
-        capped = session.store.entries_for_key(PlanKey("dft", LARGE_PRIME, 16, 0, 16, 1))[0]
-        assert (entry.splits, entry.base_case) == ((2,) * 6, 2)
-        assert entry.measured_nanos == int(capped.measured_nanos * (128 * 7) / (16 * 4))
 
     def test_search_rejects_infeasible_key(self, fp17):
         session = make_session()
