@@ -1,12 +1,15 @@
 """numpy stage loops for moddft, tft and itft over primes p < 2**32.
 
-Only `transform` imports this module, on the first transform large enough to
-pay for importing numpy (see `transform._numpy_kernels`). Each function here
-runs the same loops as its pure-Python counterpart in `transform`, one numpy
-operation per stage (per level, on itft's partial path) instead of one Python
-statement per butterfly, and returns the same list. itft walks the levels
-that `transform._itft_path` returns, as the pure-Python itft does. Argument
-checks and `OpCounters` stay with the callers in `transform`.
+`transform` imports this module on the first transform large enough to pay
+for importing numpy, and runs smaller transforms here too once numpy is loaded
+(see `transform._numpy_kernels`). Each transform here runs the same loops as
+its pure-Python counterpart in `transform`, one numpy operation per stage (per
+level, on itft's partial path) instead of one Python statement per butterfly.
+Given a list it returns the same list; given a uint64 ndarray it returns an
+ndarray and leaves its input unchanged, so that `convolve` can keep a whole
+product in arrays. itft walks the levels that `transform._itft_path` returns,
+as the pure-Python itft does. Argument checks and `OpCounters` stay with the
+callers in `transform`.
 
 Residues are below p < 2**32, so every product of two residues fits in
 uint64 and is reduced with `% p`; a difference a - b is formed as a + (p - b)
@@ -21,9 +24,12 @@ import numpy as np
 from .transform import _itft_path
 
 
-def _arrays(table):
-    # Filled on the first numpy call for this table, never at construction:
-    # building a table must not import numpy.
+def stage_arrays(table):
+    """uint64 copies of table's forward and inverse stages, and its bit-reversal.
+
+    Filled on the first numpy call for this table, never at construction:
+    building a table must not import numpy.
+    """
     arrays = table.numpy_arrays
     if arrays is None:
         fwd = [np.array(tws, dtype=np.uint64) for tws in table.fwd_stages]
@@ -53,27 +59,32 @@ def _dit(vec, stages, p: int) -> None:
         h <<= 1
 
 
-def moddft(x: list[int], table, direction: str) -> list[int]:
+def _out(vec, x):
+    # The kind of vector the caller passed in: an ndarray, or else a list.
+    return vec if isinstance(x, np.ndarray) else vec.tolist()
+
+
+def moddft(x, table, direction: str):
     """transform.moddft's loops; direction is "fwd" or "inv"."""
-    fwd, inv, rev = _arrays(table)
+    fwd, inv, rev = stage_arrays(table)
     p = table.field.p
-    vec = np.fromiter(x, dtype=np.uint64, count=table.size)[rev]
+    vec = np.asarray(x, dtype=np.uint64)[rev]
     if direction == "fwd":
         _dit(vec, fwd, p)
     else:
         _dit(vec, inv, p)
         vec *= table.inv_size
         vec %= p
-    return vec.tolist()
+    return _out(vec, x)
 
 
-def tft(table, x: list[int], n: int) -> list[int]:
+def tft(table, x, n: int):
     """transform.tft's loops: full blocks at once, then the one partial block."""
-    fwd = _arrays(table)[0]
+    fwd = stage_arrays(table)[0]
     p = table.field.p
     z = len(x)
     c = np.zeros(table.size, dtype=np.uint64)
-    c[:z] = np.fromiter(x, dtype=np.uint64, count=z)
+    c[:z] = x
     h = table.size
     for tws in reversed(fwd):
         h >>= 1
@@ -106,16 +117,16 @@ def tft(table, x: list[int], n: int) -> list[int]:
             lo += c[base + h : base + h + both]
             lo %= p
         z = zz
-    return c[:n].tolist()
+    return _out(c[:n], x)
 
 
-def itft(table, xhat: list[int]) -> list[int]:
+def itft(table, xhat):
     """transform.itft's loops: down the one partial path and back up."""
-    fwd, inv, _ = _arrays(table)
+    fwd, inv, _ = stage_arrays(table)
     p = table.field.p
     n = len(xhat)
     c = np.zeros(table.size, dtype=np.uint64)
-    c[:n] = np.fromiter(xhat, dtype=np.uint64, count=n)
+    c[:n] = xhat
     levels = _itft_path(table.size, n)
     for off, m, left, log in levels:
         h = m >> 1
@@ -165,4 +176,4 @@ def itft(table, xhat: list[int]) -> list[int]:
             a += p
             a -= mb
             a %= p
-    return c[:n].tolist()
+    return _out(c[:n], xhat)

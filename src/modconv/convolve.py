@@ -6,6 +6,13 @@ the circular/negacyclic CRT split, and truncated-transform multiplication.
 All engines are exact, so every applicable engine produces bit-identical
 output; they differ only in operation counts.
 
+Wherever the transforms run in numpy (see `transform._numpy_kernels`),
+`conv_tft`, `circ_conv_fft`, `nega_conv` and `circ_conv_split` convert each
+input list to a uint64 ndarray once, keep every step in arrays (transforms,
+pointwise product, 1/L scale, twist, residues) and convert the result to a
+list once. Given ndarrays, they stay on that path and return an ndarray.
+Both paths return the same values and count the same operations.
+
 Execution is serial. CPython holds the GIL through these pure-Python integer
 loops, so worker threads cannot make them faster. `ConvRequest.threads` is
 validated and kept only because the plan-store, CLI and sweep CSV formats
@@ -14,12 +21,22 @@ carry it.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field as dc_field
 from typing import TYPE_CHECKING
 
 from .field import FieldMismatchError, FourierPrime
 from .poly import DensePoly
-from .transform import OpCounters, get_table, itft, moddft, tft
+from .transform import (
+    OpCounters,
+    TwiddleTable,
+    _is_array,
+    _numpy_kernels,
+    get_table,
+    itft,
+    moddft,
+    tft,
+)
 
 if TYPE_CHECKING:
     from .planner import PlanSession
@@ -84,11 +101,33 @@ def lin_conv_def(u: list[int], v: list[int], fp: FourierPrime) -> list[int]:
     return out
 
 
-def _pointwise(a: list[int], b: list[int], p: int, req: ConvRequest) -> list[int]:
+def _numpy_inputs(table: TwiddleTable, *vecs):
+    """The lists vecs as uint64 arrays if table's transforms run in numpy, else None.
+
+    Arrays give None too: they are already on the numpy path. So does a
+    process that has not loaded numpy: the first transform large enough to
+    import it does so, and the products after it convert.
+    """
+    np = sys.modules.get("numpy")
+    if np is None or _is_array(vecs[0]) or _numpy_kernels(table) is None:
+        return None
+    return [np.array(v, dtype=np.uint64) for v in vecs]
+
+
+def _mulmod(a, b, p: int):
+    # Elementwise a * b mod p, for lists or for uint64 arrays with p < 2**32.
+    if _is_array(a):
+        out = a * b
+        out %= p
+        return out
+    return [x * y % p for x, y in zip(a, b)]
+
+
+def _pointwise(a, b, p: int, req: ConvRequest):
     """Elementwise spectral product, counted."""
     if req.counters is not None:
         req.counters.pointwise_muls += len(a)
-    return [x * y % p for x, y in zip(a, b)]
+    return _mulmod(a, b, p)
 
 
 def circ_conv_fft(u: list[int], v: list[int], req: ConvRequest) -> list[int]:
@@ -99,6 +138,9 @@ def circ_conv_fft(u: list[int], v: list[int], req: ConvRequest) -> list[int]:
     if n & (n - 1):
         raise ValueError(f"length must be a power of two: {n}")
     table = get_table(req.field, n)
+    arrays = _numpy_inputs(table, u, v)
+    if arrays is not None:
+        return circ_conv_fft(*arrays, req).tolist()
     uf = moddft(u, table, "fwd", req.counters)
     vf = moddft(v, table, "fwd", req.counters)
     prod = _pointwise(uf, vf, req.field.p, req)
@@ -128,14 +170,21 @@ def nega_conv(u: list[int], v: list[int], req: ConvRequest) -> list[int]:
         raise ValueError(f"need equal nonempty lengths, got {len(u)} and {len(v)}")
     if n & (n - 1):
         raise ValueError(f"length must be a power of two: {n}")
+    arrays = _numpy_inputs(get_table(req.field, n), u, v)
+    if arrays is not None:
+        return nega_conv(*arrays, req).tolist()
     p = req.field.p
     twist = get_table(req.field, 2 * n)
-    psi = twist.fwd_stages[-1]  # psi**j for j < n, psi**2 == w_n
-    ut = [x * psi[j] % p for j, x in enumerate(u)]
-    vt = [x * psi[j] % p for j, x in enumerate(v)]
-    circ = circ_conv_fft(ut, vt, req)
-    inv_psi = twist.inv_stages[-1]
-    return [x * inv_psi[i] % p for i, x in enumerate(circ)]
+    # psi**j and psi**-j for j < n, psi**2 == w_n.
+    if _is_array(u):
+        from ._ntt_numpy import stage_arrays
+
+        fwd, inv, _ = stage_arrays(twist)
+        psi, inv_psi = fwd[-1], inv[-1]
+    else:
+        psi, inv_psi = twist.fwd_stages[-1], twist.inv_stages[-1]
+    circ = circ_conv_fft(_mulmod(u, psi, p), _mulmod(v, psi, p), req)
+    return _mulmod(circ, inv_psi, p)
 
 
 def circ_conv_split(u: list[int], v: list[int], req: ConvRequest) -> list[int]:
@@ -151,6 +200,9 @@ def circ_conv_split(u: list[int], v: list[int], req: ConvRequest) -> list[int]:
     if size & (size - 1) or size < 2:
         raise ValueError(f"length must be a power of two >= 2: {size}")
     n = size >> 1
+    arrays = _numpy_inputs(get_table(req.field, n), u, v)
+    if arrays is not None:
+        return circ_conv_split(*arrays, req).tolist()
     p = req.field.p
     ua, ub = split_residues(u, p)
     va, vb = split_residues(v, p)
@@ -162,6 +214,14 @@ def circ_conv_split(u: list[int], v: list[int], req: ConvRequest) -> list[int]:
 def split_residues(u: list[int], p: int) -> tuple[list[int], list[int]]:
     """Residues of u mod (x**n - 1) and mod (x**n + 1), for n = len(u)/2."""
     n = len(u) >> 1
+    if _is_array(u):
+        lo, hi = u[:n], u[n:]
+        a = lo + hi
+        a %= p
+        b = p - hi
+        b += lo
+        b %= p
+        return a, b
     a = [(u[j] + u[j + n]) % p for j in range(n)]
     b = [(u[j] - u[j + n]) % p for j in range(n)]
     return a, b
@@ -170,6 +230,14 @@ def split_residues(u: list[int], p: int) -> tuple[list[int], list[int]]:
 def recombine_residues(a: list[int], b: list[int], p: int) -> list[int]:
     """Inverse of split_residues: lift the residue pair back to length 2n."""
     inv2 = (p + 1) >> 1
+    if _is_array(a):
+        import numpy as np
+
+        # Sums and differences stay below 2p, so their products with inv2 fit.
+        out = np.concatenate((a + b, a + (p - b)))
+        out *= inv2
+        out %= p
+        return out
     lo = [(x + y) * inv2 % p for x, y in zip(a, b)]
     hi = [(x - y) * inv2 % p for x, y in zip(a, b)]
     return lo + hi
@@ -189,12 +257,19 @@ def conv_tft(g: list[int], h: list[int], req: ConvRequest) -> list[int]:
     n = z1 + z2 - 1
     size = _next_pow2(n)
     table = get_table(req.field, size)
+    arrays = _numpy_inputs(table, g, h)
+    if arrays is not None:
+        return conv_tft(*arrays, req).tolist()
     p = req.field.p
     gf = tft(table, g, n, req.counters)
     hf = tft(table, h, n, req.counters)
     prod = _pointwise(gf, hf, p, req)
     scaled = itft(table, prod, req.counters)
     inv_size = table.inv_size
+    if _is_array(scaled):
+        scaled *= inv_size
+        scaled %= p
+        return scaled
     return [x * inv_size % p for x in scaled]
 
 

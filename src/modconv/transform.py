@@ -10,12 +10,14 @@ Every transform runs iterative stage loops over the table's per-stage twiddle
 lists. itft inverts each fully known half with the loop moddft runs, on the
 one partial path that _itft_path lays out for both of its backends. The
 loops exist twice: in pure Python here, the reference and the path for any
-prime, and in numpy (`_ntt_numpy`) for transforms of at least
-_NUMPY_MIN_SIZE points over p < 2**32, where a residue product fits in
-uint64. moddft, tft and itft pick the numpy kernels for such a table when
-numpy can be imported; both paths return the same lists and count the same
-butterflies. numpy is imported on first use, never by this module or by
-building a table.
+prime, and in numpy (`_ntt_numpy`) over p < 2**32, where a residue product
+fits in uint64. Two sizes pick the numpy kernels, provided numpy can be
+imported: _NUMPY_MIN_SIZE (2**15), from which a transform pays for importing
+numpy, and _NUMPY_CROSSOVER (2**9), from which the numpy kernels are faster
+once numpy is loaded anyway. Both paths return the same values and count the
+same butterflies. A uint64 ndarray input always runs the numpy kernels and
+gets an ndarray back, so callers can keep a whole product in arrays. numpy
+is imported on first use, never by this module or by building a table.
 
 Butterfly accounting: one butterfly is one two-point kernel evaluation,
 including degenerate forms where a known-zero or unneeded half collapses the
@@ -28,6 +30,7 @@ counts without running them, by walking the same stages and the same path.
 from __future__ import annotations
 
 import functools
+import sys
 import threading
 
 from .field import FourierPrime, UnsupportedSizeError, root_of_unity
@@ -130,24 +133,51 @@ def get_table(field: FourierPrime, size: int) -> TwiddleTable:
         return _build_table(field, size)
 
 
-# Smallest transform size the numpy kernels take. Importing numpy costs about
-# as much as one pure-Python transform of 2**15 points, so a process whose
-# transforms all stay smaller never imports it.
+# Smallest transform size that imports numpy. Importing it costs about as much
+# as one pure-Python transform of 2**15 points, so a process whose transforms
+# all stay smaller never imports it.
 _NUMPY_MIN_SIZE = 1 << 15
+# Smallest transform size the numpy kernels take once numpy is loaded anyway:
+# from 2**9 up they beat the Python loops on every transform, and from 2**10 to
+# 2**14 they run 5-15x faster (measured on a 2-core x86-64 host).
+_NUMPY_CROSSOVER = 1 << 9
 
 
 def _numpy_kernels(table: TwiddleTable):
     """The numpy kernels module if they should run transforms on table, else None.
 
-    They should at sizes >= _NUMPY_MIN_SIZE over p < 2**32, where a product
-    of two residues fits in uint64, provided numpy can be imported.
+    They should over p < 2**32, where a product of two residues fits in
+    uint64, at sizes >= _NUMPY_MIN_SIZE, which pay for importing numpy, and at
+    sizes >= _NUMPY_CROSSOVER once numpy is loaded, where they are faster than
+    the Python loops. Either way numpy must be importable.
     """
-    if table.size < _NUMPY_MIN_SIZE or table.field.p >= 1 << 32:
+    size = table.size
+    if table.field.p >= 1 << 32:
+        return None
+    if size < _NUMPY_MIN_SIZE and (size < _NUMPY_CROSSOVER or sys.modules.get("numpy") is None):
         return None
     try:
         from . import _ntt_numpy
     except ImportError:
         return None
+    return _ntt_numpy
+
+
+def _is_array(x) -> bool:
+    # True for a numpy ndarray; only a process that has loaded numpy holds one,
+    # so this never imports it.
+    np = sys.modules.get("numpy")
+    return np is not None and isinstance(x, np.ndarray)
+
+
+def _kernels_for(table: TwiddleTable, x):
+    # The numpy kernels for a uint64 ndarray x at any size, else _numpy_kernels' pick.
+    if not _is_array(x):
+        return _numpy_kernels(table)
+    if table.field.p >= 1 << 32:
+        raise ValueError(f"uint64 arrays need p < 2**32, got p={table.field.p}")
+    from . import _ntt_numpy
+
     return _ntt_numpy
 
 
@@ -196,14 +226,15 @@ def moddft(
 
     Forward: y_k = sum_j x_j * w**(j*k). Inverse applies the reversed twiddles
     and the 1/N scale, so moddft(moddft(x, t), t, "inv") == x exactly. Each
-    call performs exactly (N/2)*log2(N) butterflies.
+    call performs exactly (N/2)*log2(N) butterflies. A uint64 ndarray x (only
+    for p < 2**32) runs the numpy kernels and gives an ndarray back.
     """
     n = table.size
     if len(x) != n:
         raise ValueError(f"input length {len(x)} != table size {n}")
     if direction not in ("fwd", "inv"):
         raise ValueError(f"direction must be 'fwd' or 'inv': {direction!r}")
-    kernels = _numpy_kernels(table)
+    kernels = _kernels_for(table, x)
     if kernels is not None:
         vec = kernels.moddft(x, table, direction)
     else:
@@ -260,7 +291,7 @@ def tft(
 
     The input's z = len(x) coefficients are implicitly extended with zeros to
     the table size L. Requires 1 <= z <= n <= L. Butterflies spent are at
-    most n*log2(L)/2 + L.
+    most n*log2(L)/2 + L. A uint64 ndarray x gives an ndarray back, as in moddft.
     """
     size = table.size
     z = len(x)
@@ -270,7 +301,7 @@ def tft(
         raise ValueError(f"input length {z} exceeds output count {n}")
     if n > size:
         raise ValueError(f"output count {n} exceeds transform size {size}")
-    kernels = _numpy_kernels(table)
+    kernels = _kernels_for(table, x)
     if kernels is None:
         return _tft_python(table, x, n, counters)
     out = kernels.tft(table, x, n)
@@ -353,7 +384,8 @@ def itft(
     The caller promises that the underlying time-domain coefficients u_j
     vanish for j >= n; that promise is what lets the missing spectrum be
     reconstructed. Divide by L via table.inv_size to obtain u itself.
-    Butterflies spent are at most n*log2(L)/2 + L.
+    Butterflies spent are at most n*log2(L)/2 + L. A uint64 ndarray xhat gives
+    an ndarray back, as in moddft.
     """
     size = table.size
     n = len(xhat)
@@ -361,7 +393,7 @@ def itft(
         raise ValueError("spectral input must be nonempty")
     if n > size:
         raise ValueError(f"input length {n} exceeds transform size {size}")
-    kernels = _numpy_kernels(table)
+    kernels = _kernels_for(table, xhat)
     if kernels is None:
         return _itft_python(table, xhat, counters)
     out = kernels.itft(table, xhat)

@@ -14,6 +14,7 @@ from dataclasses import replace
 from .convolve import (
     ConvRequest,
     circ_conv_def,
+    circ_conv_fft,
     circ_conv_split,
     conv_tft,
     lin_conv_def,
@@ -153,18 +154,19 @@ def _suite_butterfly_counts(rng, cap, fields):
     for size in _pow2_range(top, lo=1):
         table = get_table(fp, size)
         # The edges of both halves and a few random n keep the suite linear in
-        # cap; tests/test_transform.py checks every n up to 1024.
+        # cap; tests/test_transform.py checks every n up to 1024. The Python
+        # kernels count inline, whichever backend the public calls would take.
         ns = {1, 2, size // 2, size // 2 + 1, size - 1, size}
         ns |= {rng.randint(1, size) for _ in range(4)}
         for n in sorted(k for k in ns if 1 <= k <= size):
             for z in sorted({1, n // 2 or 1, n}):
                 counters = OpCounters()
-                tft(table, [rng.randrange(fp.p) for _ in range(z)], n, counters)
+                _tft_python(table, [rng.randrange(fp.p) for _ in range(z)], n, counters)
                 if counters.butterflies != tft_butterflies(size, z, n):
                     return False, f"tft_butterflies != tft's count at L={size}, z={z}, n={n}"
                 checked += 1
             counters = OpCounters()
-            itft(table, [rng.randrange(fp.p) for _ in range(n)], counters)
+            _itft_python(table, [rng.randrange(fp.p) for _ in range(n)], counters)
             if counters.butterflies != itft_butterflies(size, n):
                 return False, f"itft_butterflies != itft's count at L={size}, n={n}"
     return True, f"{checked} (L, z, n) counts predicted exactly up to L={top}"
@@ -201,6 +203,8 @@ def _suite_truncated(rng, cap, fields):
 
 def _suite_numpy_backend(rng, cap, fields):
     try:
+        import numpy as np
+
         from . import _ntt_numpy
     except ImportError:
         return True, "numpy not installed"
@@ -222,7 +226,23 @@ def _suite_numpy_backend(rng, cap, fields):
                 if _ntt_numpy.itft(table, x[:n]) != _itft_python(table, x[:n], None):
                     return False, f"numpy itft != Python at p={p}, L={size}, n={n}"
                 checked += 1
-    return True, f"{checked} (p, L, n) cases match the Python kernels up to L={top}"
+        # convolve's array path against the quadratic oracles.
+        req = ConvRequest(fp)
+        for size in _pow2_range(min(cap, 64, 1 << (fp.two_adicity - 1))):
+            u = [rng.randrange(p) for _ in range(size)]
+            v = [rng.randrange(p) for _ in range(size)]
+            ua, va = (np.array(w, dtype=np.uint64) for w in (u, v))
+            full = schoolbook_raw(u, v, p) + [0]
+            want = {
+                conv_tft: full[:-1],
+                circ_conv_fft: circ_conv_def(u, v, fp),
+                circ_conv_split: circ_conv_def(u, v, fp),
+                nega_conv: [(full[i] - full[i + size]) % p for i in range(size)],
+            }
+            for engine, out in want.items():
+                if engine(ua, va, req).tolist() != out:
+                    return False, f"{engine.__name__} on uint64 arrays != oracle at p={p}, n={size}"
+    return True, f"{checked} (p, L, n) cases match the Python kernels up to L={top}; array convolutions match the oracles"
 
 
 def _suite_convolution_theorem(rng, cap, fields):

@@ -226,6 +226,37 @@ def test_import_leaves_verify_and_statistics_unloaded():
     assert done.returncode == 0, done.stderr
 
 
+def test_mul_below_numpy_cutoff_leaves_numpy_unloaded(tmp_path):
+    # Each `modconv mul --engine auto` process of a product of 2**14 runs its
+    # transforms in Python and never pays for importing numpy.
+    rng = random.Random(19)
+    p = 998244353
+    write_poly(tmp_path / "a", p, [rng.randrange(1, p) for _ in range(1 << 13)])
+    write_poly(tmp_path / "b", p, [rng.randrange(1, p) for _ in range((1 << 13) + 1)])
+    code = (
+        "import runpy, sys\n"
+        "sys.argv[0] = 'modconv'\n"
+        "try:\n"
+        "    runpy.run_module('modconv.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    assert not exc.code, exc.code\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(verify.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    products = set()
+    for engine in ("auto", "tft", "split"):
+        args = ["mul", "a", "b", "--engine", engine, "--store", "s", "-o", engine]
+        done = subprocess.run(
+            [sys.executable, "-c", code, *args], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False", engine
+        products.add((tmp_path / engine).read_text())
+    assert len(products) == 1
+    assert len(poly_from_text(products.pop()).coeffs) == 1 << 14
+
+
 class TestPlan:
     def test_fresh_store_covers_all_kinds(self, tmp_path, capsys):
         store_path = tmp_path / "plans.txt"

@@ -1,7 +1,11 @@
+import importlib.util
 import random
 import threading
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modconv import (
     ConvRequest,
@@ -24,6 +28,7 @@ from modconv import (
     recombine_residues,
     split_residues,
 )
+from modconv import transform
 from modconv.planner import PlanSession
 from modconv.poly import schoolbook_raw
 
@@ -358,3 +363,56 @@ class TestPolyMul:
     def test_rejects_unknown_engine(self, fp998):
         with pytest.raises(ValueError):
             ConvRequest(fp998, engine="fancy")
+
+
+# The primes below 2**32 the numpy path serves: 2-adicity 4, 8, 23 and 30.
+ARRAY_FIELDS = [FourierPrime.from_modulus(p) for p in (17, 257, 998244353, 3221225473)]
+
+
+@st.composite
+def array_cases(draw):
+    fp = draw(st.sampled_from(ARRAY_FIELDS))
+    # nega_conv needs a root of order 2 * size.
+    size = 1 << draw(st.integers(1, min(fp.two_adicity - 1, 10)))
+    z1 = draw(st.integers(1, size))
+    z2 = draw(st.integers(1, size + 1 - z1))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    vec = lambda k: [rng.randrange(fp.p) for _ in range(k)]
+    return fp, vec(size), vec(size), vec(z1), vec(z2)
+
+
+@pytest.mark.skipif(importlib.util.find_spec("numpy") is None, reason="numpy not installed")
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(array_cases())
+def test_array_path_matches_list_path(case):
+    import numpy as np
+
+    fp, u, v, g, h = case
+    calls = {
+        conv_tft: (g, h),
+        lin_conv_fft_pad: (g, h),
+        circ_conv_fft: (u, v),
+        nega_conv: (u, v),
+        circ_conv_split: (u, v),
+    }
+
+    def run(engine, args):
+        counters = OpCounters()
+        return engine(*args, ConvRequest(fp, counters=counters)), counters
+
+    for engine, args in calls.items():
+        with mock.patch.multiple(transform, _NUMPY_MIN_SIZE=1 << 62, _NUMPY_CROSSOVER=1 << 62):
+            listed = run(engine, args)
+        # numpy is loaded here, so the crossover alone moves every size to arrays.
+        with mock.patch.object(transform, "_NUMPY_CROSSOVER", 1):
+            assert run(engine, args) == listed, engine.__name__
+        if engine is lin_conv_fft_pad:
+            continue  # it pads lists and hands them to circ_conv_fft
+        arrays = [np.array(x, dtype=np.uint64) for x in args]
+        out, counters = run(engine, arrays)
+        assert isinstance(out, np.ndarray) and out.dtype == np.uint64, engine.__name__
+        assert (out.tolist(), counters) == listed, engine.__name__
+        assert [x.tolist() for x in arrays] == list(args)
+    a, b = split_residues(np.array(u, dtype=np.uint64), fp.p)
+    assert [a.tolist(), b.tolist()] == list(split_residues(u, fp.p))
+    assert recombine_residues(a, b, fp.p).tolist() == u

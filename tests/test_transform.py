@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import os
 import random
 import subprocess
@@ -245,17 +246,18 @@ class TestButterflyBounds:
         assert trail == sorted(trail)
 
     def test_count_functions_match_kernels(self, fp998, rng):
-        # Every 1 <= n <= L <= 1024, with z in {1, n//2 or 1, n}.
+        # Every 1 <= n <= L <= 1024, with z in {1, n//2 or 1, n}. The Python
+        # kernels count inline; the numpy ones report the formulas themselves.
         size = 1
         while size <= 1024:
             t = get_table(fp998, size)
             for n in range(1, size + 1):
                 for z in {1, n // 2 or 1, n}:
                     fc = OpCounters()
-                    tft(t, random_vec(rng, fp998, z), n, fc)
+                    transform._tft_python(t, random_vec(rng, fp998, z), n, fc)
                     assert tft_butterflies(size, z, n) == fc.butterflies, (size, z, n)
                 ic = OpCounters()
-                itft(t, random_vec(rng, fp998, n), ic)
+                transform._itft_python(t, random_vec(rng, fp998, n), ic)
                 assert itft_butterflies(size, n) == ic.butterflies, (size, n)
             size <<= 1
 
@@ -290,12 +292,16 @@ def test_truncated_transforms_property(shape):
     fp, size, n, x = shape
     t = get_table(fp, size)
     fc = OpCounters()
-    spectral = tft(t, x, n, fc)
+    spectral = tft(t, x, n)
     assert spectral == bit_reverse_permute(moddft(x + [0] * (size - len(x)), t))[:n]
+    # The counts come from the Python kernels, which count inline whichever
+    # backend the public call took.
+    assert transform._tft_python(t, x, n, fc) == spectral
     assert fc.butterflies == tft_butterflies(size, len(x), n)
     ic = OpCounters()
-    scaled = itft(t, spectral, ic)
+    scaled = itft(t, spectral)
     assert scaled == [v * size % fp.p for v in x + [0] * (n - len(x))]
+    assert transform._itft_python(t, spectral, ic) == scaled
     assert ic.butterflies == itft_butterflies(size, n)
 
 
@@ -340,8 +346,10 @@ def test_numpy_kernels_match_python(size, data):
         (lambda c: tft(t, x[:z], n, c)),
         (lambda c: itft(t, x[:n], c)),
     ]
-    python = [run(call) for call in calls]
-    with mock.patch.object(transform, "_NUMPY_MIN_SIZE", 1):
+    with mock.patch.multiple(transform, _NUMPY_MIN_SIZE=1 << 62, _NUMPY_CROSSOVER=1 << 62):
+        python = [run(call) for call in calls]
+    # numpy is loaded here, so the crossover alone sends every size to numpy.
+    with mock.patch.object(transform, "_NUMPY_CROSSOVER", 1):
         assert transform._numpy_kernels(t) is _ntt_numpy
         assert [run(call) for call in calls] == python
 
@@ -354,6 +362,54 @@ def test_large_prime_stays_on_python():
     x = [rng.randrange(fp.p) for _ in range(1 << 15)]
     assert moddft(moddft(x, t), t, "inv") == x
     assert t.numpy_arrays is None
+
+
+@needs_numpy
+def test_loaded_numpy_takes_transforms_from_the_crossover():
+    import numpy  # noqa: F401  loaded, as after any transform of 2**15 points
+    from modconv import _ntt_numpy
+
+    fp = FourierPrime.from_modulus(998244353)
+    assert transform._numpy_kernels(get_table(fp, transform._NUMPY_CROSSOVER)) is _ntt_numpy
+    # Fresh tables, so that no earlier call has filled numpy_arrays.
+    small = TwiddleTable(fp, transform._NUMPY_CROSSOVER >> 1)
+    wide = TwiddleTable(FourierPrime.from_modulus(2305843009448574977), 1 << 10)
+    rng = random.Random(16)
+    for t in (small, wide):
+        assert transform._numpy_kernels(t) is None
+        x = [rng.randrange(t.field.p) for _ in range(t.size)]
+        assert moddft(moddft(x, t), t, "inv") == x
+        assert itft(t, tft(t, x, t.size)) == [v * t.size % t.field.p for v in x]
+        assert t.numpy_arrays is None
+
+
+@needs_numpy
+@pytest.mark.parametrize("size", [1, 8, 1 << 10])
+def test_transforms_keep_uint64_arrays(size):
+    import numpy as np
+
+    fp = FourierPrime.from_modulus(3221225473)
+    t = get_table(fp, size)
+    rng = random.Random(size)
+    x = [rng.randrange(fp.p) for _ in range(size)]
+    n = size // 2 + 1
+    calls = [
+        (lambda v, c: moddft(v, t, "fwd", c)),
+        (lambda v, c: moddft(v, t, "inv", c)),
+        (lambda v, c: tft(t, v[: n // 2 or 1], n, c)),
+        (lambda v, c: itft(t, v[:n], c)),
+    ]
+    for call in calls:
+        listed, array_counts = OpCounters(), OpCounters()
+        a = np.array(x, dtype=np.uint64)
+        out = call(a, array_counts)
+        assert isinstance(out, np.ndarray) and out.dtype == np.uint64
+        assert out.tolist() == call(x, listed)
+        assert array_counts == listed
+        assert a.tolist() == x
+    wide = get_table(FourierPrime.from_modulus(2305843009448574977), 8)
+    with pytest.raises(ValueError, match="2\\*\\*32"):
+        moddft(np.zeros(8, dtype=np.uint64), wide)
 
 
 def _run_python(code):
@@ -409,3 +465,33 @@ print("ok")
 """
     )
     assert out.strip() == "ok"
+
+
+_PRODUCT_NEAR_2_10 = """
+import json, random, sys
+from modconv import ConvRequest, DensePoly, FourierPrime, OpCounters, get_table, poly_mul
+fp = FourierPrime.from_modulus(998244353)
+rng = random.Random(18)
+a = DensePoly(fp, tuple(rng.randrange(1, fp.p) for _ in range(600)))
+b = DensePoly(fp, tuple(rng.randrange(1, fp.p) for _ in range(424)))
+out = {}
+for engine in ("tft", "fft_pad", "split"):
+    ops = OpCounters()
+    c = poly_mul(a, b, ConvRequest(fp, engine=engine, counters=ops))
+    out[engine] = [list(c.coeffs), ops.butterflies, ops.pointwise_muls]
+# tft and fft_pad transform at 2**10, split at 2**9 with a 2**10 twist.
+out["numpy_arrays"] = [get_table(fp, s).numpy_arrays is not None for s in (512, 1024)]
+print(json.dumps(out))
+"""
+
+
+@needs_numpy
+def test_loaded_numpy_runs_small_products_in_numpy():
+    # The same product of length 1023 in a process that imported numpy first
+    # and in one that cannot import it.
+    with_numpy = json.loads(_run_python("import numpy\n" + _PRODUCT_NEAR_2_10))
+    without = json.loads(_run_python('import sys\nsys.modules["numpy"] = None\n' + _PRODUCT_NEAR_2_10))
+    assert with_numpy.pop("numpy_arrays") == [True, True]
+    assert without.pop("numpy_arrays") == [False, False]
+    assert with_numpy == without
+    assert len(without["tft"][0]) == 1023
