@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .convolve import ENGINES, ConvRequest, _next_pow2, poly_mul
 from .field import FieldMismatchError, FourierPrime, UnsupportedSizeError, find_fourier_prime
-from .planner import PlanFormatError, PlanKey, PlanSession, PlanStore, store_load, store_save
+from .planner import PlanFormatError, PlanSession, PlanStore, planned_keys, store_load, store_save
 from .poly import DensePoly, PolyTextError, poly_from_text, poly_to_text
 from .transform import OpCounters
 
@@ -108,14 +108,11 @@ def cmd_mul(args) -> int:
         return _fail(EXIT_FIELD_MISMATCH, f"moduli differ: {a.field.p} vs {b.field.p}")
     req = ConvRequest(a.field, engine=args.engine, threads=args.threads)
     if args.engine == "auto":
-        session = _session_for(args.store, args.threads)
+        session = _session_for(args.store)
         if isinstance(session, int):
             return session
         req.planner = session
-    try:
-        product = poly_mul(a, b, req)
-    except UnsupportedSizeError as exc:
-        return _fail(EXIT_UNSUPPORTED, str(exc))
+    product = poly_mul(a, b, req)
     try:
         with open(args.output, "w", encoding="ascii") as fh:
             fh.write(poly_to_text(product))
@@ -129,7 +126,7 @@ def cmd_mul(args) -> int:
     return EXIT_OK
 
 
-def _session_for(store_path: str | None, threads: int) -> PlanSession | int:
+def _session_for(store_path: str | None) -> PlanSession | int:
     store = PlanStore()
     if store_path and os.path.exists(store_path):
         try:
@@ -138,11 +135,11 @@ def _session_for(store_path: str | None, threads: int) -> PlanSession | int:
             return _fail(EXIT_IO, f"cannot read {store_path}: {exc}")
         except PlanFormatError as exc:
             return _fail(EXIT_FILE_FORMAT, f"{store_path}: {exc}")
-    return PlanSession(store, threads=threads)
+    return PlanSession(store)
 
 
 def cmd_plan(args) -> int:
-    session = _session_for(args.store, args.threads)
+    session = _session_for(args.store)
     if isinstance(session, int):
         return session
     try:
@@ -160,10 +157,9 @@ def cmd_plan(args) -> int:
     planned = 0
     size = 2
     while size <= args.max_l:
-        session.lookup(PlanKey("dft", fp.p, size, 0, size, args.threads))
-        session.lookup(PlanKey("tft", fp.p, size, size, size, args.threads))
-        session.lookup(PlanKey("itft", fp.p, size, size, size, args.threads))
-        planned += 3
+        for key in planned_keys(fp.p, size):
+            session.lookup(key)
+            planned += 1
         size <<= 1
     try:
         store_save(session.store, args.store)
@@ -196,7 +192,7 @@ def _time_engine(a: DensePoly, b: DensePoly, req: ConvRequest, reps: int) -> tup
 def run_sweep(cfg: SweepConfig) -> list[str]:
     """Produce the CSV rows (header included) for one sweep configuration."""
     fp = _sweep_field(cfg)
-    session = PlanSession(threads=cfg.threads)
+    session = PlanSession()
     rng = random.Random(cfg.seed)
     rows = ["n,engine,threads,nanos_median,nanos_mean,butterflies,pointwise_muls"]
     for n in cfg.sizes():

@@ -6,22 +6,23 @@ the circular/negacyclic CRT split, and truncated-transform multiplication.
 All engines are exact, so every applicable engine produces bit-identical
 output; they differ only in operation counts.
 
-Wherever the transforms run in numpy (see `transform._numpy_kernels`),
+Wherever the transforms run in numpy (see `transform._numpy_kernels`, which
+imports numpy from 2**15 on and takes sizes from 2**9 on once it is loaded),
 `conv_tft`, `circ_conv_fft`, `nega_conv` and `circ_conv_split` convert each
-input list to a uint64 ndarray once, keep every step in arrays (transforms,
-pointwise product, 1/L scale, twist, residues) and convert the result to a
-list once. Given ndarrays, they stay on that path and return an ndarray.
-Both paths return the same values and count the same operations.
+input list to a uint64 ndarray once, reducing ints outside [0, p), keep every
+step in arrays (transforms, pointwise product, 1/L scale, twist, residues)
+and convert the result to a list once. Given ndarrays, they stay on that path
+and return an ndarray. Both paths return the same values and count the same
+operations.
 
 Execution is serial. CPython holds the GIL through these pure-Python integer
 loops, so worker threads cannot make them faster. `ConvRequest.threads` is
 validated and kept only because the plan-store, CLI and sweep CSV formats
-carry it.
+carry it; neither execution nor planning reads it.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field as dc_field
 from typing import TYPE_CHECKING
 
@@ -104,14 +105,26 @@ def lin_conv_def(u: list[int], v: list[int], fp: FourierPrime) -> list[int]:
 def _numpy_inputs(table: TwiddleTable, *vecs):
     """The lists vecs as uint64 arrays if table's transforms run in numpy, else None.
 
-    Arrays give None too: they are already on the numpy path. So does a
-    process that has not loaded numpy: the first transform large enough to
-    import it does so, and the products after it convert.
+    Arrays give None too: they are already on the numpy path. Asking
+    `_numpy_kernels` imports numpy from 2**15 on, so the first product that
+    large converts like every later one. Ints outside [0, p) are reduced, as
+    the Python loops reduce them.
     """
-    np = sys.modules.get("numpy")
-    if np is None or _is_array(vecs[0]) or _numpy_kernels(table) is None:
+    if _is_array(vecs[0]) or _numpy_kernels(table) is None:
         return None
-    return [np.array(v, dtype=np.uint64) for v in vecs]
+    import numpy as np
+
+    p = table.field.p
+    arrays = []
+    for v in vecs:
+        try:
+            a = np.array(v, dtype=np.uint64)
+        except OverflowError:  # an int below 0 or from 2**64 up
+            a = np.array([x % p for x in v], dtype=np.uint64)
+        if a.max() >= p:
+            a %= p
+        arrays.append(a)
+    return arrays
 
 
 def _mulmod(a, b, p: int):
@@ -278,7 +291,7 @@ def _resolve_engine(a_len: int, b_len: int, req: ConvRequest) -> str:
         return req.engine
     if req.planner is None:
         raise ValueError("engine 'auto' requires a ConvRequest.planner plan session")
-    return req.planner.resolve_engine(req.field, a_len, b_len, req.threads)
+    return req.planner.resolve_engine(req.field, a_len, b_len)
 
 
 def poly_mul(a: DensePoly, b: DensePoly, req: ConvRequest) -> DensePoly:

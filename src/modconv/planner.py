@@ -12,11 +12,18 @@ Entries are keyed by function signature (kind, p, L, z, n, threads) and by an
 execution signature describing the host, so a store file can travel between
 machines without silently reusing stale timings: a key match under a foreign
 signature is cloned under the current one rather than trusted as-is.
+Execution is serial, so `threads` is 1 in every key this module makes and in
+every signature it writes; the field stays because the store format carries it.
 
-The automatic engine choice reads only the keys `modconv plan` writes, one
-timing per (kind, p, L) at z = n = L, and scales the truncated timings to the
-product's shape by exact butterfly counts, so it never searches for a new
-shape.
+The plan contract is stated once here: `planned_keys` gives the keys
+`modconv plan` writes and the automatic engine choice reads, one timing per
+(kind, p, L) at z = n = L, and `_run` gives the one kernel call each kind
+times, which `search` and `replay` share. Each timing is taken on the vectors
+an engine passes to that kernel: its seeded input goes through
+`convolve._numpy_inputs`, so it is a uint64 array wherever the engines run
+in arrays and a list elsewhere. The engine choice scales the truncated
+timings to the product's shape by exact butterfly counts, so it never
+searches for a new shape.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ import time
 from dataclasses import dataclass, replace
 
 from . import __version__
-from .convolve import _next_pow2
+from .convolve import _next_pow2, _numpy_inputs
 from .field import FourierPrime, UnsupportedSizeError, _clip
 from .transform import get_table, itft, itft_butterflies, moddft, tft, tft_butterflies
 
@@ -37,7 +44,6 @@ RADIX_MENU = (2, 4, 8)
 STORE_VERSION = "modconv-plan v1"
 DEFAULT_SEARCH_REPS = 5
 
-_ENGINE_PREFERENCE = ("definition", "fft_pad", "tft")
 # Characters an exec signature may hold: printable ASCII but the field separator.
 _SIGNATURE_CHARS = frozenset(map(chr, range(0x20, 0x7F))) - {"|"}
 
@@ -100,6 +106,26 @@ class PlanEntry:
             raise ValueError("measured_nanos must be >= 0")
         if not _SIGNATURE_CHARS.issuperset(self.exec_signature):
             raise ValueError("exec signature must be printable ASCII without '|'")
+
+
+def planned_keys(p: int, size: int) -> tuple[PlanKey, PlanKey, PlanKey]:
+    """The dft, tft and itft keys that `modconv plan` writes and `auto` reads at L = size."""
+    return (
+        PlanKey("dft", p, size, 0, size, 1),
+        PlanKey("tft", p, size, size, size, 1),
+        PlanKey("itft", p, size, size, size, 1),
+    )
+
+
+def _run(key: PlanKey, table, x):
+    """The kernel call that key times, on x: moddft at L, tft to n outputs, or itft."""
+    if key.kind == "dft":
+        return moddft(x, table)
+    if key.kind == "tft":
+        return tft(table, x, key.n)
+    if key.kind == "itft":
+        return itft(table, x)
+    raise ValueError(f"kind {key.kind!r} is not replayable")
 
 
 def plan_mirror(entry: PlanEntry) -> PlanEntry:
@@ -241,13 +267,13 @@ def _cpu_model() -> str:
     return name or platform.processor() or platform.machine() or "unknown-cpu"
 
 
-def make_exec_signature(threads: int = 1) -> str:
-    """Host descriptor: cpu model, logical cores, thread setting, build id."""
+def make_exec_signature() -> str:
+    """Host descriptor: cpu model, logical cores, thread setting (always 1), build id."""
     sig = ";".join(
         (
             _cpu_model(),
             f"cores={os.cpu_count() or 1}",
-            f"threads={threads}",
+            "threads=1",
             f"build=modconv-{__version__}",
         )
     )
@@ -267,12 +293,11 @@ class PlanSession:
         store: PlanStore | None = None,
         *,
         signature: str | None = None,
-        threads: int = 1,
         timer=time.perf_counter_ns,
         reps: int = DEFAULT_SEARCH_REPS,
     ):
         self.store = store if store is not None else PlanStore()
-        self.signature = signature if signature is not None else make_exec_signature(threads)
+        self.signature = signature if signature is not None else make_exec_signature()
         self.timer = timer
         self.reps = max(1, reps)
         self.search_count = 0
@@ -329,24 +354,22 @@ class PlanSession:
         return self.timer() - t0
 
     def _kernel(self, key: PlanKey):
-        """A zero-argument call of the kernel that `key` times, on seeded random input."""
-        size = key.L
+        """A zero-argument call of the kernel that `key` times, on seeded random input.
+
+        The input is what an engine would pass: a uint64 array where
+        `convolve._numpy_inputs` makes one, a list elsewhere.
+        """
+        size, n, z = key.L, key.n, key.z
         table = get_table(FourierPrime.from_modulus(key.p), size)
-        rng = self._rng_for(key)
-        if key.kind == "dft":
-            x = [rng.randrange(key.p) for _ in range(size)]
-            return lambda: moddft(x, table)
-        n = key.n
-        if not 1 <= n <= size:
+        if key.kind != "dft" and not 1 <= n <= size:
             raise ValueError(f"output count {n} invalid for L={size}")
-        if key.kind == "itft":
-            xhat = [rng.randrange(key.p) for _ in range(n)]
-            return lambda: itft(table, xhat)
-        z = key.z
-        if not 1 <= z <= n:
+        if key.kind == "tft" and not 1 <= z <= n:
             raise ValueError(f"input length {z} invalid for n={n}")
-        x = [rng.randrange(key.p) for _ in range(z)]
-        return lambda: tft(table, x, n)
+        length = {"dft": size, "tft": z, "itft": n}[key.kind]
+        rng = self._rng_for(key)
+        x = [rng.randrange(key.p) for _ in range(length)]
+        x = (_numpy_inputs(table, x) or [x])[0]
+        return lambda: _run(key, table, x)
 
     # -- automatic engine choice ----------------------------------------------
 
@@ -363,15 +386,14 @@ class PlanSession:
             self._mult_nanos[p] = cached
         return cached
 
-    def resolve_engine(self, field: FourierPrime, z1: int, z2: int, threads: int) -> str:
+    def resolve_engine(self, field: FourierPrime, z1: int, z2: int) -> str:
         """Pick the cheapest engine for a z1 x z2 product from measured timings.
 
-        Only the keys `modconv plan` writes are read: one dft, tft and itft
-        timing at the padded size L with z = n = L. The truncated timings are
-        scaled to this product by exact butterfly counts, so a new shape never
-        triggers a search. The by-definition cost is modeled as z1*z2 scalar
-        products at a micro-measured per-product cost. No fixed size
-        thresholds.
+        Only the `planned_keys` at the padded size L are read. The truncated
+        timings are scaled to this product by exact butterfly counts, so a new
+        shape never triggers a search. The by-definition cost is modeled as
+        z1*z2 scalar products at a micro-measured per-product cost. No fixed
+        size thresholds.
         """
         n = z1 + z2 - 1
         size = _next_pow2(n)
@@ -379,9 +401,7 @@ class PlanSession:
             return "definition"
         p = field.p
         mult = self._mult_nanos_for(p)
-        t_dft = self.lookup(PlanKey("dft", p, size, 0, size, threads)).measured_nanos
-        t_tft = self.lookup(PlanKey("tft", p, size, size, size, threads)).measured_nanos
-        t_itft = self.lookup(PlanKey("itft", p, size, size, size, threads)).measured_nanos
+        t_dft, t_tft, t_itft = (self.lookup(k).measured_nanos for k in planned_keys(p, size))
         cost_def = z1 * z2 * mult
         cost_tft = (
             t_tft
@@ -391,21 +411,11 @@ class PlanSession:
             + n * mult
         )
         cost_fft = 3 * t_dft + size * mult
-        ranked = sorted(
-            zip((cost_def, cost_fft, cost_tft), _ENGINE_PREFERENCE),
-            key=lambda t: (t[0], _ENGINE_PREFERENCE.index(t[1])),
-        )
-        return ranked[0][1]
+        # The names sort in order of preference: ties go to definition, then fft_pad.
+        return min((cost_def, "definition"), (cost_fft, "fft_pad"), (cost_tft, "tft"))[1]
 
     # -- replay ---------------------------------------------------------------
 
     def replay(self, entry: PlanEntry, x: list[int]):
         """Execute a stored plan on concrete input (used for validity checks)."""
-        table = get_table(FourierPrime.from_modulus(entry.key.p), entry.key.L)
-        if entry.key.kind == "dft":
-            return moddft(x, table)
-        if entry.key.kind == "tft":
-            return tft(table, x, entry.key.n)
-        if entry.key.kind == "itft":
-            return itft(table, x)
-        raise ValueError(f"kind {entry.key.kind!r} is not replayable")
+        return _run(entry.key, get_table(FourierPrime.from_modulus(entry.key.p), entry.key.L), x)

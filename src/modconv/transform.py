@@ -33,7 +33,7 @@ import functools
 import sys
 import threading
 
-from .field import FourierPrime, UnsupportedSizeError, root_of_unity
+from .field import FourierPrime, root_of_unity
 
 
 class OpCounters:
@@ -84,13 +84,8 @@ class TwiddleTable:
         if size < 1 or size & (size - 1):
             raise ValueError(f"transform size must be a power of two: {size}")
         log2 = size.bit_length() - 1
-        if log2 > field.two_adicity:
-            raise UnsupportedSizeError(
-                f"size {size} needs 2-adicity {log2}, field p={field.p} has "
-                f"{field.two_adicity}",
-                required_two_adicity=log2,
-            )
         p = field.p
+        # Raises UnsupportedSizeError beyond the field's 2-adicity.
         w = root_of_unity(field, size).value
         h = size >> 1
         half = [1] * h

@@ -316,11 +316,12 @@ class TestPlan:
         assert main(["plan", "--store", str(store_path), "--max-l", "1024"]) == EXIT_OK
         planned = store_load(str(store_path))
         fa, fb, out = tmp_path / "a", tmp_path / "b", tmp_path / "out"
-        for za, zb in ((300, 200), (700, 20), (100, 90)):
+        # --threads changes nothing that runs, so it reads the same planned keys.
+        for za, zb, threads in ((300, 200, "1"), (700, 20, "2"), (100, 90, "1")):
             write_poly(fa, 998244353, [(7 * i + 1) % 1000 for i in range(za)])
             write_poly(fb, 998244353, [(3 * i + 2) % 1000 for i in range(zb)])
             argv = ["mul", str(fa), str(fb), "--engine", "auto", "--store", str(store_path), "-o", str(out)]
-            assert main(argv) == EXIT_OK
+            assert main(argv + ["--threads", threads]) == EXIT_OK
             want = mul_schoolbook(poly_from_text(fa.read_text()), poly_from_text(fb.read_text()))
             assert poly_from_text(out.read_text()) == want.normalize(), (za, zb)
             assert store_load(str(store_path)) == planned, (za, zb)

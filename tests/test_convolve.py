@@ -377,17 +377,23 @@ def array_cases(draw):
     z1 = draw(st.integers(1, size))
     z2 = draw(st.integers(1, size + 1 - z1))
     rng = random.Random(draw(st.integers(0, 2**32)))
-    vec = lambda k: [rng.randrange(fp.p) for _ in range(k)]
+    if draw(st.booleans()):
+        vec = lambda k: [rng.randrange(fp.p) for _ in range(k)]
+    else:
+        # Ints outside [0, p): negative, in [p, 2**32), in [2**32, 2**64), from 2**64 up.
+        spans = ((-(1 << 70), 0), (fp.p, 1 << 32), (1 << 32, 1 << 64), (1 << 64, 1 << 70))
+        vec = lambda k: [rng.randrange(*rng.choice(spans)) for _ in range(k)]
     return fp, vec(size), vec(size), vec(z1), vec(z2)
 
 
 @pytest.mark.skipif(importlib.util.find_spec("numpy") is None, reason="numpy not installed")
-@settings(derandomize=True, max_examples=60, deadline=None)
+@settings(derandomize=True, max_examples=120, deadline=None)
 @given(array_cases())
 def test_array_path_matches_list_path(case):
     import numpy as np
 
     fp, u, v, g, h = case
+    residues = lambda x: [y % fp.p for y in x]
     calls = {
         conv_tft: (g, h),
         lin_conv_fft_pad: (g, h),
@@ -401,18 +407,20 @@ def test_array_path_matches_list_path(case):
         return engine(*args, ConvRequest(fp, counters=counters)), counters
 
     for engine, args in calls.items():
+        canonical = [residues(x) for x in args]
         with mock.patch.multiple(transform, _NUMPY_MIN_SIZE=1 << 62, _NUMPY_CROSSOVER=1 << 62):
             listed = run(engine, args)
+            assert run(engine, canonical) == listed, engine.__name__
         # numpy is loaded here, so the crossover alone moves every size to arrays.
         with mock.patch.object(transform, "_NUMPY_CROSSOVER", 1):
             assert run(engine, args) == listed, engine.__name__
         if engine is lin_conv_fft_pad:
             continue  # it pads lists and hands them to circ_conv_fft
-        arrays = [np.array(x, dtype=np.uint64) for x in args]
+        arrays = [np.array(x, dtype=np.uint64) for x in canonical]
         out, counters = run(engine, arrays)
         assert isinstance(out, np.ndarray) and out.dtype == np.uint64, engine.__name__
         assert (out.tolist(), counters) == listed, engine.__name__
-        assert [x.tolist() for x in arrays] == list(args)
-    a, b = split_residues(np.array(u, dtype=np.uint64), fp.p)
+        assert [x.tolist() for x in arrays] == canonical
+    a, b = split_residues(np.array(residues(u), dtype=np.uint64), fp.p)
     assert [a.tolist(), b.tolist()] == list(split_residues(u, fp.p))
-    assert recombine_residues(a, b, fp.p).tolist() == u
+    assert recombine_residues(a, b, fp.p).tolist() == residues(u)

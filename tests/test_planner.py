@@ -24,6 +24,9 @@ from modconv.planner import STORE_VERSION
 
 from conftest import LARGE_PRIME, random_vec
 
+# A 62-bit prime with 2-adicity 25; the numpy kernels never serve it.
+WIDE_PRIME = 2305843009448574977
+
 
 def fake_timer():
     ticks = itertools.count(step=7)
@@ -274,6 +277,29 @@ class TestDftSearch:
         scaled = session.replay(inv, spectral)
         assert scaled == [v * 32 % fp998.p for v in x]
 
+    @pytest.mark.parametrize("size", [1 << 15, 1 << 16])
+    @pytest.mark.parametrize("p", [LARGE_PRIME, WIDE_PRIME])
+    def test_search_times_what_the_engines_pass(self, monkeypatch, p, size):
+        # Over p < 2**32 the engines hand these kernels uint64 arrays from 2**15
+        # on, importing numpy if need be; over a 62-bit prime they hand them lists.
+        if p == LARGE_PRIME:
+            np = pytest.importorskip("numpy")
+            want = np.ndarray
+        else:
+            want = list
+        seen = []
+        for name in ("moddft", "tft", "itft"):
+            monkeypatch.setattr(planner, name, lambda *args: seen.append(args))
+        session = make_session(reps=1)
+        for key in planner.planned_keys(p, size):
+            session.search(key)
+        # dft passes the vector first, tft and itft the table.
+        inputs = [args[0] for args in seen[:2]] + [args[1] for args in seen[2:]]
+        assert len(inputs) == 6 and all(type(x) is want for x in inputs)
+        assert [len(x) for x in inputs] == [size] * 6
+        if want is not list:
+            assert all(x.dtype == np.uint64 for x in inputs)
+
     def test_search_rejects_infeasible_key(self, fp17):
         session = make_session()
         from modconv import UnsupportedSizeError
@@ -297,20 +323,20 @@ class TestResolveEngine:
 
     def test_prefers_cheap_transforms_over_definition(self, fp998):
         session = self._stocked_session(tft_nanos=10, dft_nanos=1000)
-        assert session.resolve_engine(fp998, 8, 8, 1) == "tft"
+        assert session.resolve_engine(fp998, 8, 8) == "tft"
 
     def test_prefers_fft_when_it_measures_faster(self, fp998):
         session = self._stocked_session(tft_nanos=10**6, dft_nanos=10)
-        assert session.resolve_engine(fp998, 8, 8, 1) == "fft_pad"
+        assert session.resolve_engine(fp998, 8, 8) == "fft_pad"
 
     def test_prefers_definition_for_tiny_products(self, fp998):
         session = self._stocked_session(tft_nanos=10**6, dft_nanos=10**6)
-        assert session.resolve_engine(fp998, 8, 8, 1) == "definition"
+        assert session.resolve_engine(fp998, 8, 8) == "definition"
 
     def test_new_shapes_read_only_planned_keys(self, fp998):
         session = self._stocked_session(tft_nanos=10, dft_nanos=1000)
         for z1, z2 in ((8, 8), (2, 14), (9, 7), (16, 1), (5, 5)):
-            session.resolve_engine(fp998, z1, z2, 1)
+            session.resolve_engine(fp998, z1, z2)
         assert session.search_count == 0
         assert len(session.store) == 3
 
@@ -322,18 +348,18 @@ class TestResolveEngine:
         ) / 32
         for mult, pick in ((int(scaled / 7) - 1, "definition"), (int(scaled / 7) + 1, "tft")):
             session = self._stocked_session(tft_nanos=1000, dft_nanos=10**9, mult_ns=mult)
-            assert session.resolve_engine(fp998, 2, 8, 1) == pick, mult
+            assert session.resolve_engine(fp998, 2, 8) == pick, mult
 
     def test_scalar_product_short_circuits(self, fp998):
         session = make_session()
-        assert session.resolve_engine(fp998, 1, 1, 1) == "definition"
+        assert session.resolve_engine(fp998, 1, 1) == "definition"
 
     def test_low_adicity_falls_back_to_definition(self, fp17):
         from modconv import FourierPrime
 
         fp7 = FourierPrime.from_modulus(7)
         session = make_session()
-        assert session.resolve_engine(fp7, 5, 5, 1) == "definition"
+        assert session.resolve_engine(fp7, 5, 5) == "definition"
 
 
 def _cpuinfo_has_model_name() -> bool:
@@ -346,18 +372,18 @@ def _cpuinfo_has_model_name() -> bool:
 
 class TestSignature:
     def test_contains_the_advertised_parts(self):
-        sig = make_exec_signature(threads=3)
-        assert "threads=3" in sig
+        sig = make_exec_signature()
+        assert "threads=1" in sig
         assert "cores=" in sig
         assert "build=modconv-" in sig
         assert "|" not in sig and "\n" not in sig
 
     def test_stable_within_a_host(self):
-        assert make_exec_signature(2) == make_exec_signature(2)
+        assert make_exec_signature() == make_exec_signature()
 
     def test_other_characters_become_question_marks(self, monkeypatch):
         monkeypatch.setattr(planner, "_cpu_model", lambda: "cpu\x85\x1c\r|\nx")
-        sig = make_exec_signature(1)
+        sig = make_exec_signature()
         assert sig.startswith("cpu?????x;")
         PlanEntry(PlanKey("dft", 17, 2, 0, 2, 1), (), 2, 1, sig)
 

@@ -495,3 +495,33 @@ def test_loaded_numpy_runs_small_products_in_numpy():
     assert without.pop("numpy_arrays") == [False, False]
     assert with_numpy == without
     assert len(without["tft"][0]) == 1023
+
+
+_FIRST_PRODUCT_PAST_2_15 = """
+import json, random
+from modconv import ConvRequest, DensePoly, FourierPrime, OpCounters, convolve, poly_mul
+fp = FourierPrime.from_modulus(998244353)
+rng = random.Random(19)
+a = DensePoly(fp, tuple(rng.randrange(1, fp.p) for _ in range(1 << 14)))
+b = DensePoly(fp, tuple(rng.randrange(1, fp.p) for _ in range((1 << 14) + 2)))
+pointwise, seen = convolve._pointwise, []
+def spy(x, y, p, req):
+    seen.append([type(x).__name__, type(y).__name__])
+    return pointwise(x, y, p, req)
+convolve._pointwise = spy
+ops = OpCounters()
+c = poly_mul(a, b, ConvRequest(fp, engine="tft", counters=ops))
+print(json.dumps({"c": list(c.coeffs), "ops": [ops.butterflies, ops.pointwise_muls], "seen": seen}))
+"""
+
+
+@needs_numpy
+def test_first_product_past_2_15_runs_in_arrays():
+    # n = 2**15 + 1: the process's first product that large imports numpy and
+    # already keeps its spectra in arrays, like every product after it.
+    with_numpy = json.loads(_run_python(_FIRST_PRODUCT_PAST_2_15))
+    without = json.loads(_run_python('import sys\nsys.modules["numpy"] = None\n' + _FIRST_PRODUCT_PAST_2_15))
+    assert with_numpy.pop("seen") == [["ndarray", "ndarray"]]
+    assert without.pop("seen") == [["list", "list"]]
+    assert with_numpy == without
+    assert len(without["c"]) == (1 << 15) + 1
