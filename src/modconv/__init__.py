@@ -2,9 +2,10 @@
 
 Transforms are number-theoretic (modular) FFTs plus truncated variants that
 compute only the spectral prefix a product actually needs, smoothing away the
-power-of-two staircase of padded FFT multiplication. An empirical planner
-times the transform kernels the engines run, persists those timings, and
-scales them by exact butterfly counts to pick an engine.
+power-of-two staircase of padded FFT multiplication; Kronecker substitution
+multiplies through one CPython big integer. An empirical planner times the
+kernels the engines run, persists those timings, and scales them to each
+product's shape to pick an engine.
 """
 
 __version__ = "0.1.0"
@@ -48,6 +49,7 @@ from .convolve import (
     conv_tft,
     lin_conv_def,
     lin_conv_fft_pad,
+    lin_conv_kronecker,
     nega_conv,
     poly_mul,
     recombine_residues,
@@ -99,6 +101,7 @@ __all__ = [
     "conv_tft",
     "lin_conv_def",
     "lin_conv_fft_pad",
+    "lin_conv_kronecker",
     "nega_conv",
     "poly_mul",
     "recombine_residues",

@@ -36,7 +36,7 @@ EXIT_UNSUPPORTED = 5
 EXIT_IO = 6
 
 DEFAULT_SWEEP_PRIME = 998244353
-SWEEP_ENGINE_CHOICES = ("fft_pad", "tft", "auto", "definition")
+SWEEP_ENGINE_CHOICES = ("fft_pad", "tft", "auto", "definition", "kronecker")
 SENTINEL_ROW = "-1,-1,-1,-1"
 
 
@@ -112,13 +112,15 @@ def cmd_mul(args) -> int:
         if isinstance(session, int):
             return session
         req.planner = session
+        stored = len(session.store)
     product = poly_mul(a, b, req)
     try:
         with open(args.output, "w", encoding="ascii") as fh:
             fh.write(poly_to_text(product))
     except OSError as exc:
         return _fail(EXIT_IO, f"cannot write {args.output}: {exc}")
-    if args.engine == "auto" and args.store:
+    # Only a clone or a search grows the store; a read-only product leaves the file alone.
+    if args.engine == "auto" and args.store and len(req.planner.store) != stored:
         try:
             store_save(req.planner.store, args.store)
         except OSError as exc:

@@ -2,9 +2,10 @@
 
 Engines: quadratic by-definition forms (the correctness oracles), FFT-backed
 circular convolution, zero-padded linear convolution, the negacyclic twist,
-the circular/negacyclic CRT split, and truncated-transform multiplication.
-All engines are exact, so every applicable engine produces bit-identical
-output; they differ only in operation counts.
+the circular/negacyclic CRT split, truncated-transform multiplication, and
+Kronecker substitution (one CPython big-integer multiply, for any prime and
+any length). All engines are exact, so every applicable engine produces
+bit-identical output; they differ only in operation counts.
 
 Wherever the transforms run in numpy (see `transform._numpy_kernels`, which
 imports numpy from 2**15 on and takes sizes from 2**9 on once it is loaded),
@@ -12,8 +13,9 @@ imports numpy from 2**15 on and takes sizes from 2**9 on once it is loaded),
 input list to a uint64 ndarray once, reducing ints outside [0, p), keep every
 step in arrays (transforms, pointwise product, 1/L scale, twist, residues)
 and convert the result to a list once. Given ndarrays, they stay on that path
-and return an ndarray. Both paths return the same values and count the same
-operations.
+and return an ndarray; such arrays must hold residues, and one holding a
+value >= p raises ValueError. Both paths return the same values and count
+the same operations.
 
 Execution is serial. CPython holds the GIL through these pure-Python integer
 loops, so worker threads cannot make them faster. `ConvRequest.threads` is
@@ -31,6 +33,7 @@ from .poly import DensePoly
 from .transform import (
     OpCounters,
     TwiddleTable,
+    _check_residues,
     _is_array,
     _numpy_kernels,
     get_table,
@@ -42,7 +45,7 @@ from .transform import (
 if TYPE_CHECKING:
     from .planner import PlanSession
 
-ENGINES = ("definition", "fft_pad", "tft", "split", "auto")
+ENGINES = ("definition", "fft_pad", "tft", "split", "kronecker", "auto")
 
 
 @dataclass
@@ -105,16 +108,20 @@ def lin_conv_def(u: list[int], v: list[int], fp: FourierPrime) -> list[int]:
 def _numpy_inputs(table: TwiddleTable, *vecs):
     """The lists vecs as uint64 arrays if table's transforms run in numpy, else None.
 
-    Arrays give None too: they are already on the numpy path. Asking
-    `_numpy_kernels` imports numpy from 2**15 on, so the first product that
-    large converts like every later one. Ints outside [0, p) are reduced, as
-    the Python loops reduce them.
+    Arrays give None too: they are already on the numpy path, once checked to
+    hold residues. Asking `_numpy_kernels` imports numpy from 2**15 on, so the
+    first product that large converts like every later one. Ints outside
+    [0, p) in a list are reduced, as the Python loops reduce them.
     """
-    if _is_array(vecs[0]) or _numpy_kernels(table) is None:
+    p = table.field.p
+    if _is_array(vecs[0]):
+        for a in vecs:
+            _check_residues(a, p)
+        return None
+    if _numpy_kernels(p, table.size) is None:
         return None
     import numpy as np
 
-    p = table.field.p
     arrays = []
     for v in vecs:
         try:
@@ -286,6 +293,36 @@ def conv_tft(g: list[int], h: list[int], req: ConvRequest) -> list[int]:
     return [x * inv_size % p for x in scaled]
 
 
+def _kronecker_slot(p: int, shorter: int) -> int:
+    """Bytes per packed coefficient: room for a sum of `shorter` products below p**2."""
+    return (2 * p.bit_length() + shorter.bit_length() + 7) // 8
+
+
+def lin_conv_kronecker(u: list[int], v: list[int], fp: FourierPrime) -> list[int]:
+    """Linear convolution by Kronecker substitution: one big-integer multiply.
+
+    Each input is packed into one int, a coefficient per slot of
+    `_kronecker_slot` bytes, so that every coefficient of the integer product
+    fits its slot without a carry. The two ints are multiplied once, and the
+    slots are read back and reduced mod p. Ints outside [0, p) are reduced
+    first. Exact for any p and any lengths; it needs no twiddle table and
+    counts no butterflies or pointwise products.
+    """
+    z1, z2 = len(u), len(v)
+    if z1 == 0 or z2 == 0:
+        raise ValueError("inputs must be nonempty")
+    p = fp.p
+    slot = _kronecker_slot(p, min(z1, z2))
+    packed = []
+    for w in (u, v):
+        if min(w) < 0 or max(w) >= p:
+            w = [x % p for x in w]
+        packed.append(int.from_bytes(b"".join([x.to_bytes(slot, "little") for x in w]), "little"))
+    size = (z1 + z2 - 1) * slot
+    data = (packed[0] * packed[1]).to_bytes(size, "little")
+    return [int.from_bytes(data[i : i + slot], "little") % p for i in range(0, size, slot)]
+
+
 def _resolve_engine(a_len: int, b_len: int, req: ConvRequest) -> str:
     if req.engine != "auto":
         return req.engine
@@ -324,6 +361,8 @@ def poly_mul(a: DensePoly, b: DensePoly, req: ConvRequest) -> DensePoly:
         up = u + [0] * (size - len(u))
         vp = v + [0] * (size - len(v))
         out = circ_conv_split(up, vp, req)[:out_len]
+    elif engine == "kronecker":
+        out = lin_conv_kronecker(u, v, req.field)
     else:
         raise ValueError(f"unknown engine {engine!r}")
     return DensePoly(a.field, tuple(out)).normalize()

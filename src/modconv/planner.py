@@ -1,12 +1,12 @@
-"""Empirical timing of the transform kernels the engines run, with persistence.
+"""Empirical timing of the kernels the engines run, with persistence.
 
-A plan entry records the measured median time of one transform kernel on one
-shape: `dft` keys time the iterative moddft that the padded engine runs at
-the key's own size L, `tft` and `itft` keys time the truncated transforms on
-the key's own (z, n). Every timing is measured; none is scaled from another
-size. Every entry records the radix-2 decomposition those kernels execute;
-the store format keeps a split sequence and base case so that files written
-with radix-4/8 decompositions still load.
+A plan entry records the measured median time of one kernel on one shape:
+`dft` keys time the iterative moddft that the padded engine runs at the
+key's own size L, `tft` and `itft` keys time the truncated transforms on the
+key's own (z, n), and `conv` keys time the Kronecker engine on a z x (n+1-z)
+product. Every entry records the radix-2 decomposition of its size; the
+store format keeps a split sequence and base case so that files written with
+radix-4/8 decompositions still load.
 
 Entries are keyed by function signature (kind, p, L, z, n, threads) and by an
 execution signature describing the host, so a store file can travel between
@@ -16,33 +16,49 @@ Execution is serial, so `threads` is 1 in every key this module makes and in
 every signature it writes; the field stays because the store format carries it.
 
 The plan contract is stated once here: `planned_keys` gives the keys
-`modconv plan` writes and the automatic engine choice reads, one timing per
-(kind, p, L) at z = n = L, and `_run` gives the one kernel call each kind
-times, which `search` and `replay` share. Each timing is taken on the vectors
-an engine passes to that kernel: its seeded input goes through
-`convolve._numpy_inputs`, so it is a uint64 array wherever the engines run
-in arrays and a list elsewhere. The engine choice scales the truncated
-timings to the product's shape by exact butterfly counts, so it never
-searches for a new shape.
+`modconv plan` writes and the automatic engine choice reads, four timings per
+(p, L), and `_run` gives the one kernel call each kind times, which `search`
+and `replay` share. The transform keys time the full size, z = n = L; the
+`conv` key times a balanced product at the bottom of L's range, z = L/4 + 1
+and n = L/2 + 1, which keeps planning cheap. Each timing is taken on the
+vectors an engine passes to that kernel: a transform's seeded input goes
+through `convolve._numpy_inputs`, so it is a uint64 array wherever the
+engines run in arrays and a list elsewhere; Kronecker's is a pair of lists.
+The engine choice scales these timings to the product's shape (the
+transforms by exact butterfly counts, `conv` by CPython's multiply cost on
+the packed lengths), so it never searches for a new shape.
 """
 
 from __future__ import annotations
 
 import os
-import platform
 import random
 import time
 from dataclasses import dataclass, replace
 
 from . import __version__
-from .convolve import _next_pow2, _numpy_inputs
+from .convolve import _kronecker_slot, _next_pow2, _numpy_inputs, lin_conv_kronecker
 from .field import FourierPrime, UnsupportedSizeError, _clip
-from .transform import get_table, itft, itft_butterflies, moddft, tft, tft_butterflies
+from .transform import (
+    _numpy_kernels,
+    get_table,
+    itft,
+    itft_butterflies,
+    moddft,
+    tft,
+    tft_butterflies,
+)
 
 KINDS = ("dft", "tft", "itft", "conv")
 RADIX_MENU = (2, 4, 8)
 STORE_VERSION = "modconv-plan v1"
 DEFAULT_SEARCH_REPS = 5
+# CPython multiplies a b-digit int by a c-digit one, c <= b, in about
+# b * c**0.585 steps: Karatsuba (exponent log2(3)) on b/c pieces of c digits.
+KARATSUBA_EXPONENT = 0.585
+# The size whose conv timing prices Kronecker's linear packing work: a 17 x 17
+# product, where packing and unpacking take nearly all of the time.
+LINEAR_WORK_L = 64
 
 # Characters an exec signature may hold: printable ASCII but the field separator.
 _SIGNATURE_CHARS = frozenset(map(chr, range(0x20, 0x7F))) - {"|"}
@@ -108,24 +124,26 @@ class PlanEntry:
             raise ValueError("exec signature must be printable ASCII without '|'")
 
 
-def planned_keys(p: int, size: int) -> tuple[PlanKey, PlanKey, PlanKey]:
-    """The dft, tft and itft keys that `modconv plan` writes and `auto` reads at L = size."""
+def planned_keys(p: int, size: int) -> tuple[PlanKey, PlanKey, PlanKey, PlanKey]:
+    """The dft, tft, itft and conv keys that `modconv plan` writes and `auto` reads at L = size."""
+    z = size // 4 + 1
     return (
         PlanKey("dft", p, size, 0, size, 1),
         PlanKey("tft", p, size, size, size, 1),
         PlanKey("itft", p, size, size, size, 1),
+        PlanKey("conv", p, size, z, 2 * z - 1, 1),
     )
 
 
 def _run(key: PlanKey, table, x):
-    """The kernel call that key times, on x: moddft at L, tft to n outputs, or itft."""
+    """The kernel call that key times, on x: moddft, tft to n outputs, itft, or Kronecker on the pair x."""
     if key.kind == "dft":
         return moddft(x, table)
     if key.kind == "tft":
         return tft(table, x, key.n)
     if key.kind == "itft":
         return itft(table, x)
-    raise ValueError(f"kind {key.kind!r} is not replayable")
+    return lin_conv_kronecker(*x, table.field)
 
 
 def plan_mirror(entry: PlanEntry) -> PlanEntry:
@@ -254,7 +272,8 @@ def store_load(path: str) -> PlanStore:
 
 
 def _cpu_model() -> str:
-    # /proc/cpuinfo first: on Linux platform.processor() runs `uname -p`.
+    # /proc/cpuinfo first: on Linux platform.processor() runs `uname -p`, and
+    # importing platform alone costs a process about 3 ms.
     name = ""
     try:
         with open("/proc/cpuinfo", "r", encoding="utf-8") as fh:
@@ -264,7 +283,11 @@ def _cpu_model() -> str:
                     break
     except OSError:
         pass
-    return name or platform.processor() or platform.machine() or "unknown-cpu"
+    if name:
+        return name
+    import platform
+
+    return platform.processor() or platform.machine() or "unknown-cpu"
 
 
 def make_exec_signature() -> str:
@@ -301,7 +324,6 @@ class PlanSession:
         self.timer = timer
         self.reps = max(1, reps)
         self.search_count = 0
-        self._mult_nanos: dict[int, int] = {}
 
     # -- lookup policy -------------------------------------------------------
 
@@ -323,14 +345,10 @@ class PlanSession:
         """Time the kernel an engine runs for this key and store the timing.
 
         `dft` times moddft at size L, `tft` times tft on z inputs and n
-        outputs, `itft` times itft on n values; every entry records the
-        radix-2 decomposition those kernels execute.
+        outputs, `itft` times itft on n values, `conv` times the Kronecker
+        engine on a z x (n+1-z) product; every entry records the radix-2
+        decomposition of L.
         """
-        if key.kind not in ("dft", "tft", "itft"):
-            raise ValueError(
-                f"kind {key.kind!r} is not searchable; engine choice is derived "
-                "from transform timings"
-            )
         size = key.L
         if size < 2:
             raise UnsupportedSizeError(f"no plannable transform of size {size}")
@@ -344,7 +362,8 @@ class PlanSession:
         return random.Random((key.p * 0x9E3779B1 + key.L * 131 + key.n) & 0xFFFFFFFF)
 
     def _time_median(self, fn) -> int:
-        fn()  # warm caches before timing
+        # No warm-up call: _kernel has built the table and the input, and the
+        # median drops the one cold sample of any lazily built state.
         samples = sorted(self._time_once(fn) for _ in range(self.reps))
         return samples[len(samples) // 2]
 
@@ -357,65 +376,84 @@ class PlanSession:
         """A zero-argument call of the kernel that `key` times, on seeded random input.
 
         The input is what an engine would pass: a uint64 array where
-        `convolve._numpy_inputs` makes one, a list elsewhere.
+        `convolve._numpy_inputs` makes one, a list elsewhere, and a pair of
+        lists for `conv`.
         """
         size, n, z = key.L, key.n, key.z
         table = get_table(FourierPrime.from_modulus(key.p), size)
         if key.kind != "dft" and not 1 <= n <= size:
             raise ValueError(f"output count {n} invalid for L={size}")
-        if key.kind == "tft" and not 1 <= z <= n:
+        if key.kind in ("tft", "conv") and not 1 <= z <= n:
             raise ValueError(f"input length {z} invalid for n={n}")
-        length = {"dft": size, "tft": z, "itft": n}[key.kind]
         rng = self._rng_for(key)
-        x = [rng.randrange(key.p) for _ in range(length)]
-        x = (_numpy_inputs(table, x) or [x])[0]
+        vec = lambda length: [rng.randrange(key.p) for _ in range(length)]
+        if key.kind == "conv":
+            x = (vec(z), vec(n + 1 - z))
+        else:
+            x = vec({"dft": size, "tft": z, "itft": n}[key.kind])
+            x = (_numpy_inputs(table, x) or [x])[0]
         return lambda: _run(key, table, x)
 
     # -- automatic engine choice ----------------------------------------------
 
-    def _mult_nanos_for(self, p: int) -> int:
-        cached = self._mult_nanos.get(p)
-        if cached is None:
-            rng = random.Random(p)
-            xs = [rng.randrange(1, p) for _ in range(2048)]
-            t0 = self.timer()
-            acc = 1
-            for v in xs:
-                acc = acc * v % p
-            cached = max(1, (self.timer() - t0) // len(xs))
-            self._mult_nanos[p] = cached
-        return cached
-
     def resolve_engine(self, field: FourierPrime, z1: int, z2: int) -> str:
         """Pick the cheapest engine for a z1 x z2 product from measured timings.
 
-        Only the `planned_keys` at the padded size L are read. The truncated
-        timings are scaled to this product by exact butterfly counts, so a new
-        shape never triggers a search. The by-definition cost is modeled as
-        z1*z2 scalar products at a micro-measured per-product cost. No fixed
-        size thresholds.
+        Only `planned_keys` are read, at the padded size L (and `conv` at
+        LINEAR_WORK_L), so a new shape never triggers a search. `fft_pad`
+        costs three `dft` timings, and `tft` the truncated timings scaled by
+        exact butterfly counts. `kronecker` is ranked only where the
+        transforms at (p, L) run the Python loops, because the stored
+        transform timings below 2**15 are of those loops; where it is ranked,
+        see `_kronecker_cost`. A scalar product, or one longer than the
+        field's 2-adicity allows a transform for, goes to `kronecker` without
+        reading a key. No fixed size thresholds.
         """
         n = z1 + z2 - 1
         size = _next_pow2(n)
         if n == 1 or size.bit_length() - 1 > field.two_adicity:
-            return "definition"
+            return "kronecker"
         p = field.p
-        mult = self._mult_nanos_for(p)
-        t_dft, t_tft, t_itft = (self.lookup(k).measured_nanos for k in planned_keys(p, size))
-        cost_def = z1 * z2 * mult
-        cost_tft = (
-            t_tft
-            * (tft_butterflies(size, z1, n) + tft_butterflies(size, z2, n))
-            / tft_butterflies(size, size, size)
-            + t_itft * itft_butterflies(size, n) / itft_butterflies(size, size)
-            + n * mult
-        )
-        cost_fft = 3 * t_dft + size * mult
-        # The names sort in order of preference: ties go to definition, then fft_pad.
-        return min((cost_def, "definition"), (cost_fft, "fft_pad"), (cost_tft, "tft"))[1]
+        keys = planned_keys(p, size)
+        t_dft, t_tft, t_itft = (self.lookup(k).measured_nanos for k in keys[:3])
+        costs = [
+            (3 * t_dft, "fft_pad"),
+            (
+                t_tft
+                * (tft_butterflies(size, z1, n) + tft_butterflies(size, z2, n))
+                / tft_butterflies(size, size, size)
+                + t_itft * itft_butterflies(size, n) / itft_butterflies(size, size),
+                "tft",
+            ),
+        ]
+        if _numpy_kernels(p, size) is None:
+            costs.append((self._kronecker_cost(keys[3], z1, z2), "kronecker"))
+        # The names sort in order of preference: ties go to fft_pad, then kronecker.
+        return min(costs)[1]
+
+    def _kronecker_cost(self, timed: PlanKey, z1: int, z2: int) -> float:
+        """The `timed` conv timing scaled to z1 x z2, floored by the linear work.
+
+        The scale is CPython's multiply cost, b * c**KARATSUBA_EXPONENT, on
+        the packed lengths of the product against those of the timed shape.
+        That ignores packing and unpacking, which are linear in the product
+        length n and dominate short or lopsided products, so the cost is at
+        least the `conv` timing at LINEAR_WORK_L scaled by n.
+        """
+        p = timed.p
+        base = planned_keys(p, min(timed.L, LINEAR_WORK_L))[3]
+
+        def mul_steps(a: int, b: int) -> float:
+            slot = _kronecker_slot(p, min(a, b))
+            return max(a, b) * slot * (min(a, b) * slot) ** KARATSUBA_EXPONENT
+
+        t_timed, t_base = self.lookup(timed).measured_nanos, self.lookup(base).measured_nanos
+        scaled = t_timed * mul_steps(z1, z2) / mul_steps(timed.z, timed.n + 1 - timed.z)
+        floor = t_base * (z1 + z2 - 1) / base.n
+        return max(scaled, floor)
 
     # -- replay ---------------------------------------------------------------
 
-    def replay(self, entry: PlanEntry, x: list[int]):
-        """Execute a stored plan on concrete input (used for validity checks)."""
+    def replay(self, entry: PlanEntry, x):
+        """Execute a stored plan on concrete input (used for validity checks); a pair for `conv`."""
         return _run(entry.key, get_table(FourierPrime.from_modulus(entry.key.p), entry.key.L), x)

@@ -16,8 +16,9 @@ imported: _NUMPY_MIN_SIZE (2**15), from which a transform pays for importing
 numpy, and _NUMPY_CROSSOVER (2**9), from which the numpy kernels are faster
 once numpy is loaded anyway. Both paths return the same values and count the
 same butterflies. A uint64 ndarray input always runs the numpy kernels and
-gets an ndarray back, so callers can keep a whole product in arrays. numpy
-is imported on first use, never by this module or by building a table.
+gets an ndarray back, so callers can keep a whole product in arrays; it must
+hold residues, and one holding a value >= p raises ValueError. numpy is
+imported on first use, never by this module or by building a table.
 
 Butterfly accounting: one butterfly is one two-point kernel evaluation,
 including degenerate forms where a known-zero or unneeded half collapses the
@@ -138,16 +139,16 @@ _NUMPY_MIN_SIZE = 1 << 15
 _NUMPY_CROSSOVER = 1 << 9
 
 
-def _numpy_kernels(table: TwiddleTable):
-    """The numpy kernels module if they should run transforms on table, else None.
+def _numpy_kernels(p: int, size: int):
+    """The numpy kernels module if they should run size-point transforms mod p, else None.
 
     They should over p < 2**32, where a product of two residues fits in
     uint64, at sizes >= _NUMPY_MIN_SIZE, which pay for importing numpy, and at
     sizes >= _NUMPY_CROSSOVER once numpy is loaded, where they are faster than
-    the Python loops. Either way numpy must be importable.
+    the Python loops. Either way numpy must be importable; it is imported
+    here only from _NUMPY_MIN_SIZE on.
     """
-    size = table.size
-    if table.field.p >= 1 << 32:
+    if p >= 1 << 32:
         return None
     if size < _NUMPY_MIN_SIZE and (size < _NUMPY_CROSSOVER or sys.modules.get("numpy") is None):
         return None
@@ -165,12 +166,19 @@ def _is_array(x) -> bool:
     return np is not None and isinstance(x, np.ndarray)
 
 
+def _check_residues(x, p: int) -> None:
+    # The numpy kernels never reduce their input, so a uint64 array must hold residues.
+    if x.max() >= p:
+        raise ValueError(f"uint64 array holds a value >= p={p}; arrays must hold residues")
+
+
 def _kernels_for(table: TwiddleTable, x):
     # The numpy kernels for a uint64 ndarray x at any size, else _numpy_kernels' pick.
     if not _is_array(x):
-        return _numpy_kernels(table)
+        return _numpy_kernels(table.field.p, table.size)
     if table.field.p >= 1 << 32:
         raise ValueError(f"uint64 arrays need p < 2**32, got p={table.field.p}")
+    _check_residues(x, table.field.p)
     from . import _ntt_numpy
 
     return _ntt_numpy

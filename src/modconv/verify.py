@@ -269,7 +269,7 @@ def _suite_engines(rng, cap, fields):
             b = DensePoly(fp, tuple(rng.randrange(fp.p) for _ in range(z2)))
             # poly_mul normalizes; schoolbook keeps padded length on padded input.
             want = mul_schoolbook(a, b).normalize()
-            for engine in ("definition", "fft_pad", "tft", "split"):
+            for engine in ("definition", "fft_pad", "tft", "split", "kronecker"):
                 got = poly_mul(a, b, replace(req, engine=engine))
                 if got != want:
                     return False, f"engine {engine} != schoolbook at p={fp.p}, {z1}x{z2}"

@@ -82,7 +82,7 @@ class TestMul:
         a = poly_from_text(fa.read_text())
         b = poly_from_text(fb.read_text())
         want = mul_schoolbook(a, b).normalize()
-        for engine in ("definition", "fft_pad", "tft", "split", "auto"):
+        for engine in ("definition", "fft_pad", "tft", "split", "kronecker", "auto"):
             assert main(["mul", str(fa), str(fb), "--engine", engine, "-o", str(out)]) == EXIT_OK
             assert poly_from_text(out.read_text()) == want, engine
 
@@ -214,10 +214,11 @@ class TestMul:
 
 
 def test_import_leaves_verify_and_statistics_unloaded():
-    # Every `modconv mul` process imports modconv.cli; only verify and sweep need these.
+    # Every `modconv mul` process imports modconv.cli; only verify and sweep need
+    # the first two, and platform only a host without a /proc/cpuinfo model name.
     code = (
         "import sys, modconv.cli\n"
-        "loaded = [m for m in ('modconv.verify', 'statistics') if m in sys.modules]\n"
+        "loaded = [m for m in ('modconv.verify', 'statistics', 'platform') if m in sys.modules]\n"
         "assert not loaded, loaded\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(verify.__file__)))
@@ -269,8 +270,9 @@ class TestPlan:
         assert kinds["dft"] == sizes
         assert kinds["tft"] == sizes
         assert kinds["itft"] == sizes
-        # Each kind is timed on its own kernel: three searches per size.
-        assert "search invocations: 18" in capsys.readouterr().out
+        assert kinds["conv"] == sizes
+        # Each kind is timed on its own kernel: four searches per size.
+        assert "search invocations: 24" in capsys.readouterr().out
 
     def test_rerun_performs_zero_searches(self, tmp_path, capsys):
         store_path = tmp_path / "plans.txt"
@@ -315,6 +317,8 @@ class TestPlan:
         store_path = tmp_path / "plans.txt"
         assert main(["plan", "--store", str(store_path), "--max-l", "1024"]) == EXIT_OK
         planned = store_load(str(store_path))
+        stamp = lambda st: (st.st_ino, st.st_mtime_ns)
+        planned_stamp = stamp(store_path.stat())
         fa, fb, out = tmp_path / "a", tmp_path / "b", tmp_path / "out"
         # --threads changes nothing that runs, so it reads the same planned keys.
         for za, zb, threads in ((300, 200, "1"), (700, 20, "2"), (100, 90, "1")):
@@ -325,6 +329,8 @@ class TestPlan:
             want = mul_schoolbook(poly_from_text(fa.read_text()), poly_from_text(fb.read_text()))
             assert poly_from_text(out.read_text()) == want.normalize(), (za, zb)
             assert store_load(str(store_path)) == planned, (za, zb)
+            # Nothing was cloned or searched, so the store was not rewritten.
+            assert stamp(store_path.stat()) == planned_stamp, (za, zb)
 
     def test_signature_with_control_characters(self, tmp_path, monkeypatch):
         monkeypatch.setattr(planner, "_cpu_model", lambda: "cpu\x85\x1c\r|x")
@@ -387,6 +393,21 @@ class TestSweep:
     def test_auto_engine_rows(self, tmp_path):
         rows = self.run_sweep(tmp_path, "--engines", "auto")
         assert len(rows) == 5
+
+    def test_kronecker_rows(self, tmp_path):
+        rows = self.run_sweep(tmp_path, "--engines", "kronecker,tft")
+        assert [(r[0], r[1]) for r in rows[:2]] == [("14", "kronecker"), ("14", "tft")]
+        for n, engine, threads, med, mean, butterflies, pointwise in rows:
+            assert int(med) > 0 and int(mean) > 0
+            if engine == "kronecker":
+                assert (butterflies, pointwise) == ("0", "0")
+        # Kronecker runs past the prime's 2-adicity, where tft gets sentinels.
+        out = tmp_path / "s.csv"
+        argv = ["sweep", "--min", "17", "--max", "17", "--reps", "1", "--engines", "tft,kronecker",
+                "--prime", "17", "-o", str(out)]
+        assert main(argv) == EXIT_OK
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert rows[0][3:] == ["-1"] * 4 and rows[1][3] != "-1"
 
     def test_prime_bits_selection(self, tmp_path):
         out = tmp_path / "s.csv"

@@ -20,6 +20,7 @@ from modconv import (
     conv_tft,
     lin_conv_def,
     lin_conv_fft_pad,
+    lin_conv_kronecker,
     moddft,
     mul_schoolbook,
     nega_conv,
@@ -273,7 +274,7 @@ class TestConvolutionTheorem:
 class TestPolyMul:
     @pytest.fixture()
     def engines(self):
-        return ("definition", "fft_pad", "tft", "split")
+        return ("definition", "fft_pad", "tft", "split", "kronecker")
 
     def test_engines_agree_on_length_100(self, fp998, rng, engines):
         a = DensePoly(fp998, tuple(random_vec(rng, fp998, 100)))
@@ -365,6 +366,54 @@ class TestPolyMul:
             ConvRequest(fp998, engine="fancy")
 
 
+# Kronecker substitution against the quadratic oracle: a small prime, a word
+# prime, and two 62-bit primes (2-adicity 25 and 11, whose products reach the
+# widest slots). Shapes run from 1 x 1 through lopsided 1:1000 products.
+KRONECKER_FIELDS = [
+    FourierPrime.from_modulus(p) for p in (17, 998244353, 2305843009448574977, 2305843009213704193)
+]
+
+
+@st.composite
+def kronecker_cases(draw):
+    fp = draw(st.sampled_from(KRONECKER_FIELDS))
+    short = draw(st.integers(1, 12))
+    long = draw(st.sampled_from((short, draw(st.integers(1, 60)), 1000 * short)))
+    z1, z2 = (short, long) if draw(st.booleans()) else (long, short)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    # p - 1 gives the largest products, so it is drawn often.
+    vec = lambda k: [rng.choice((0, fp.p - 1, rng.randrange(fp.p))) for _ in range(k)]
+    return fp, vec(z1), vec(z2)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(kronecker_cases())
+def test_kronecker_matches_definition(case):
+    fp, u, v = case
+    assert lin_conv_kronecker(u, v, fp) == lin_conv_def(u, v, fp)
+    counters = OpCounters()
+    a, b = DensePoly(fp, tuple(u)), DensePoly(fp, tuple(v))
+    got = poly_mul(a, b, ConvRequest(fp, engine="kronecker", counters=counters))
+    assert got == mul_schoolbook(a, b).normalize()
+    assert counters == OpCounters()
+
+
+def test_kronecker_reduces_ints_outside_the_field(fp17):
+    u, v = [-1, 17, 40, 2**70], [3, -20]
+    assert lin_conv_kronecker(u, v, fp17) == lin_conv_def(u, v, fp17)
+    with pytest.raises(ValueError):
+        lin_conv_kronecker([], [1], fp17)
+
+
+def test_kronecker_slots_hold_the_widest_sums():
+    # min(z1, z2) products of (p - 1)**2 each: the largest coefficient there is.
+    for p in (17, 2305843009213704193):
+        fp = FourierPrime.from_modulus(p)
+        for z in (1, 2, 3, 4, 255, 256):
+            u = [p - 1] * z
+            assert lin_conv_kronecker(u, u, fp) == lin_conv_def(u, u, fp), (p, z)
+
+
 # The primes below 2**32 the numpy path serves: 2-adicity 4, 8, 23 and 30.
 ARRAY_FIELDS = [FourierPrime.from_modulus(p) for p in (17, 257, 998244353, 3221225473)]
 
@@ -424,3 +473,32 @@ def test_array_path_matches_list_path(case):
     a, b = split_residues(np.array(residues(u), dtype=np.uint64), fp.p)
     assert [a.tolist(), b.tolist()] == list(split_residues(u, fp.p))
     assert recombine_residues(a, b, fp.p).tolist() == residues(u)
+
+
+@pytest.mark.skipif(importlib.util.find_spec("numpy") is None, reason="numpy not installed")
+def test_arrays_must_hold_residues(fp998):
+    # The numpy kernels never reduce their input, so an array holding a value
+    # >= p is refused rather than multiplied into wrong coefficients.
+    import numpy as np
+
+    big = np.array([2**40 + 1] * 256, dtype=np.uint64)
+    ones = np.ones(256, dtype=np.uint64)
+    req = ConvRequest(fp998)
+    for engine in (conv_tft, circ_conv_fft, nega_conv, circ_conv_split):
+        with pytest.raises(ValueError, match="residues"):
+            engine(big, ones, req)
+        with pytest.raises(ValueError, match="residues"):
+            engine(ones, big, req)
+    with pytest.raises(ValueError, match="residues"):
+        conv_tft(np.array([2**40 + 1] * 300, dtype=np.uint64), np.ones(300, dtype=np.uint64), req)
+    table = get_table(fp998, 256)
+    edge = np.full(256, fp998.p, dtype=np.uint64)
+    with pytest.raises(ValueError, match="residues"):
+        moddft(edge, table)
+    with pytest.raises(ValueError, match="residues"):
+        transform.tft(table, edge[:10], 20)
+    with pytest.raises(ValueError, match="residues"):
+        transform.itft(table, edge[:10])
+    # Residues up to p - 1 still run, and equal the list path.
+    top = np.full(256, fp998.p - 1, dtype=np.uint64)
+    assert conv_tft(top, top, req).tolist() == conv_tft([fp998.p - 1] * 256, [fp998.p - 1] * 256, req)

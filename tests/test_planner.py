@@ -14,6 +14,7 @@ from modconv import (
     moddft,
     get_table,
     itft_butterflies,
+    lin_conv_kronecker,
     plan_mirror,
     store_load,
     store_save,
@@ -216,8 +217,20 @@ class TestLookupPolicy:
         assert store.get(original.key, "other-host") == original
         assert len(store) == 2
 
-    def test_conv_kind_is_not_searchable(self):
-        session = make_session()
+    def test_conv_kind_times_kronecker(self, monkeypatch):
+        calls = []
+
+        def counting_kronecker(u, v, fp):
+            calls.append((len(u), len(v), fp.p))
+            return lin_conv_kronecker(u, v, fp)
+
+        monkeypatch.setattr(planner, "lin_conv_kronecker", counting_kronecker)
+        session = make_session(reps=3)
+        entry = session.search(PlanKey("conv", 17, 8, 3, 5, 1))
+        # A 3 x 3 product (n = 5) over 17, once per timed repetition.
+        assert calls == [(3, 3, 17)] * 3
+        assert (entry.splits, entry.base_case) == ((2, 2), 2)
+        assert session.replay(entry, ([1, 2, 3], [4, 5])) == [4, 13, 5, 15]
         with pytest.raises(ValueError):
             session.search(PlanKey("conv", 17, 8, 0, 8, 1))
 
@@ -233,8 +246,8 @@ class TestDftSearch:
         monkeypatch.setattr(planner, "moddft", counting_moddft)
         session = make_session(reps=3)
         entry = session.search(PlanKey("dft", LARGE_PRIME, 64, 0, 64, 1))
-        # One warm-up call plus one per timed repetition, all on the key's size.
-        assert calls == [64] * 4
+        # One call per timed repetition, all on the key's size.
+        assert calls == [64] * 3
         assert (entry.splits, entry.base_case) == ((2,) * 5, 2)
         assert session.search_count == 1 and len(session.store) == 1
 
@@ -288,17 +301,20 @@ class TestDftSearch:
         else:
             want = list
         seen = []
-        for name in ("moddft", "tft", "itft"):
+        for name in ("moddft", "tft", "itft", "lin_conv_kronecker"):
             monkeypatch.setattr(planner, name, lambda *args: seen.append(args))
         session = make_session(reps=1)
         for key in planner.planned_keys(p, size):
             session.search(key)
         # dft passes the vector first, tft and itft the table.
-        inputs = [args[0] for args in seen[:2]] + [args[1] for args in seen[2:]]
-        assert len(inputs) == 6 and all(type(x) is want for x in inputs)
-        assert [len(x) for x in inputs] == [size] * 6
+        (x_dft, _), (_, x_tft, _), (_, x_itft), (u, v, _) = seen
+        inputs = [x_dft, x_tft, x_itft]
+        assert all(type(x) is want for x in inputs)
+        assert [len(x) for x in inputs] == [size] * 3
         if want is not list:
             assert all(x.dtype == np.uint64 for x in inputs)
+        # Kronecker packs lists: a balanced product at the bottom of L's range.
+        assert type(u) is type(v) is list and len(u) == len(v) == size // 4 + 1
 
     def test_search_rejects_infeasible_key(self, fp17):
         session = make_session()
@@ -309,16 +325,12 @@ class TestDftSearch:
 
 
 class TestResolveEngine:
-    def _stocked_session(self, tft_nanos, dft_nanos, mult_ns=50):
-        # Exactly the keys `modconv plan` writes at L=16.
+    def _stocked_session(self, tft_nanos, dft_nanos, conv_nanos=10**9, size=16, p=LARGE_PRIME):
+        # Exactly the keys `modconv plan` writes at L = size.
         session = make_session()
-        p = LARGE_PRIME
-        for kind, z in (("tft", 16), ("itft", 16), ("dft", 0)):
-            nanos = dft_nanos if kind == "dft" else tft_nanos
-            session.store.add(
-                PlanEntry(PlanKey(kind, p, 16, z, 16, 1), (2, 2, 2), 2, nanos, session.signature)
-            )
-        session._mult_nanos[p] = mult_ns
+        nanos = {"dft": dft_nanos, "tft": tft_nanos, "itft": tft_nanos, "conv": conv_nanos}
+        for key in planner.planned_keys(p, size):
+            session.store.add(PlanEntry(key, (2,) * (size.bit_length() - 2), 2, nanos[key.kind], session.signature))
         return session
 
     def test_prefers_cheap_transforms_over_definition(self, fp998):
@@ -329,37 +341,87 @@ class TestResolveEngine:
         session = self._stocked_session(tft_nanos=10**6, dft_nanos=10)
         assert session.resolve_engine(fp998, 8, 8) == "fft_pad"
 
-    def test_prefers_definition_for_tiny_products(self, fp998):
-        session = self._stocked_session(tft_nanos=10**6, dft_nanos=10**6)
-        assert session.resolve_engine(fp998, 8, 8) == "definition"
+    def test_prefers_kronecker_when_it_measures_faster(self, fp998):
+        session = self._stocked_session(tft_nanos=10**6, dft_nanos=10**6, conv_nanos=10)
+        assert session.resolve_engine(fp998, 8, 8) == "kronecker"
 
     def test_new_shapes_read_only_planned_keys(self, fp998):
         session = self._stocked_session(tft_nanos=10, dft_nanos=1000)
         for z1, z2 in ((8, 8), (2, 14), (9, 7), (16, 1), (5, 5)):
             session.resolve_engine(fp998, z1, z2)
         assert session.search_count == 0
-        assert len(session.store) == 3
+        assert len(session.store) == 4
 
     def test_truncated_timings_scale_by_butterfly_counts(self, fp998):
         # 2 x 8 -> n = 9 at L = 16, where a full tft or itft spends 32 butterflies.
-        # With fft_pad priced out, definition costs 16*mult and tft scaled + 9*mult.
+        # With kronecker priced out, fft_pad costs 3 dft timings and tft its scaled ones.
         scaled = 1000 * (
             tft_butterflies(16, 2, 9) + tft_butterflies(16, 8, 9) + itft_butterflies(16, 9)
         ) / 32
-        for mult, pick in ((int(scaled / 7) - 1, "definition"), (int(scaled / 7) + 1, "tft")):
-            session = self._stocked_session(tft_nanos=1000, dft_nanos=10**9, mult_ns=mult)
-            assert session.resolve_engine(fp998, 2, 8) == pick, mult
+        for dft, pick in ((int(scaled / 3) - 1, "fft_pad"), (int(scaled / 3) + 1, "tft")):
+            session = self._stocked_session(tft_nanos=1000, dft_nanos=dft)
+            assert session.resolve_engine(fp998, 2, 8) == pick, dft
+
+    def test_kronecker_timing_scales_by_packed_multiply_cost(self, fp998):
+        # The conv key at L = 16 times 5 x 5; an 8 x 8 product packs both
+        # inputs at 8 bytes per coefficient too, so it costs (64/40)**1.585
+        # times as much, above the linear floor of n/9 = 15/9.
+        cost = 1000 * 1.6 ** (1 + planner.KARATSUBA_EXPONENT)
+        assert cost > 1000 * 15 / 9
+        for dft, pick in ((int(cost / 3) - 1, "fft_pad"), (int(cost / 3) + 1, "kronecker")):
+            session = self._stocked_session(tft_nanos=10**9, dft_nanos=dft, conv_nanos=1000)
+            assert session.resolve_engine(fp998, 8, 8) == pick, dft
+
+    def test_kronecker_cost_has_a_linear_floor(self, fp998):
+        # 1 x 127 at L = 128: scaled from the timed 33 x 33 by multiply cost
+        # alone it would cost about 0.41 * 100_000 ns. Packing and unpacking
+        # are priced from the conv timing at LINEAR_WORK_L = 64 (a 17 x 17
+        # product, n = 33) by n, which makes it 127 * 1000 ns.
+        base = planner.planned_keys(LARGE_PRIME, planner.LINEAR_WORK_L)[3]
+        assert (base.z, base.n) == (17, 33)
+        floor = 127_000
+        for dft, pick in ((floor // 3 - 1, "fft_pad"), (floor // 3 + 1, "kronecker")):
+            session = self._stocked_session(tft_nanos=10**9, dft_nanos=dft, conv_nanos=100_000, size=128)
+            session.store.add(PlanEntry(base, (2,) * 5, 2, 33_000, session.signature))
+            assert session.resolve_engine(fp998, 1, 127) == pick, dft
+            assert session.search_count == 0
 
     def test_scalar_product_short_circuits(self, fp998):
         session = make_session()
-        assert session.resolve_engine(fp998, 1, 1) == "definition"
+        assert session.resolve_engine(fp998, 1, 1) == "kronecker"
+        assert len(session.store) == 0
 
-    def test_low_adicity_falls_back_to_definition(self, fp17):
+    def test_low_adicity_falls_back_to_kronecker(self):
         from modconv import FourierPrime
 
         fp7 = FourierPrime.from_modulus(7)
         session = make_session()
-        assert session.resolve_engine(fp7, 5, 5) == "definition"
+        assert session.resolve_engine(fp7, 5, 5) == "kronecker"
+        # Past the 2-adicity (11) of this 62-bit prime no key is read.
+        fp_low = FourierPrime.from_modulus(2305843009213704193)
+        assert session.resolve_engine(fp_low, 1000, 1100) == "kronecker"
+        assert session.search_count == 0 and len(session.store) == 0
+
+    @pytest.mark.parametrize("size", [1 << 9, 1 << 12, 1 << 14])
+    def test_loaded_numpy_excludes_kronecker_over_word_primes(self, size):
+        # Once numpy is loaded, transforms over p < 2**32 run there from 2**9,
+        # faster than the Python-speed timings stored below 2**15 say, so
+        # kronecker is not ranked there; over a 62-bit prime it still is.
+        pytest.importorskip("numpy")
+        from modconv import FourierPrime
+
+        z = size // 2
+        for p, pick in ((LARGE_PRIME, "tft"), (WIDE_PRIME, "kronecker")):
+            session = self._stocked_session(tft_nanos=10**6, dft_nanos=10**9, conv_nanos=1, size=size, p=p)
+            session.store.add(PlanEntry(planner.planned_keys(p, 64)[3], (2,) * 5, 2, 1, session.signature))
+            assert session.resolve_engine(FourierPrime.from_modulus(p), z, z) == pick, p
+            assert session.search_count == 0
+
+    def test_below_numpy_crossover_kronecker_is_ranked_with_numpy_loaded(self, fp998):
+        pytest.importorskip("numpy")
+        session = self._stocked_session(tft_nanos=10**6, dft_nanos=10**6, conv_nanos=10, size=256)
+        session.store.add(PlanEntry(planner.planned_keys(LARGE_PRIME, 64)[3], (2,) * 5, 2, 10, session.signature))
+        assert session.resolve_engine(fp998, 100, 100) == "kronecker"
 
 
 def _cpuinfo_has_model_name() -> bool:
@@ -392,5 +454,18 @@ class TestSignature:
         def refuse():
             raise AssertionError("platform.processor() called")
 
-        monkeypatch.setattr(planner.platform, "processor", refuse)
+        import platform
+
+        monkeypatch.setattr(platform, "processor", refuse)
         assert planner._cpu_model()
+
+    def test_cpu_model_falls_back_to_platform(self, monkeypatch):
+        import platform
+
+        def no_cpuinfo(*args, **kwargs):
+            raise OSError("no /proc/cpuinfo")
+
+        monkeypatch.setattr(planner, "open", no_cpuinfo, raising=False)
+        monkeypatch.setattr(platform, "processor", lambda: "")
+        monkeypatch.setattr(platform, "machine", lambda: "test-machine")
+        assert planner._cpu_model() == "test-machine"

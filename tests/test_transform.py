@@ -350,14 +350,14 @@ def test_numpy_kernels_match_python(size, data):
         python = [run(call) for call in calls]
     # numpy is loaded here, so the crossover alone sends every size to numpy.
     with mock.patch.object(transform, "_NUMPY_CROSSOVER", 1):
-        assert transform._numpy_kernels(t) is _ntt_numpy
+        assert transform._numpy_kernels(t.field.p, t.size) is _ntt_numpy
         assert [run(call) for call in calls] == python
 
 
 def test_large_prime_stays_on_python():
     fp = FourierPrime.from_modulus(2305843009448574977)
     t = get_table(fp, 1 << 15)
-    assert transform._numpy_kernels(t) is None
+    assert transform._numpy_kernels(t.field.p, t.size) is None
     rng = random.Random(15)
     x = [rng.randrange(fp.p) for _ in range(1 << 15)]
     assert moddft(moddft(x, t), t, "inv") == x
@@ -370,13 +370,13 @@ def test_loaded_numpy_takes_transforms_from_the_crossover():
     from modconv import _ntt_numpy
 
     fp = FourierPrime.from_modulus(998244353)
-    assert transform._numpy_kernels(get_table(fp, transform._NUMPY_CROSSOVER)) is _ntt_numpy
+    assert transform._numpy_kernels(fp.p, transform._NUMPY_CROSSOVER) is _ntt_numpy
     # Fresh tables, so that no earlier call has filled numpy_arrays.
     small = TwiddleTable(fp, transform._NUMPY_CROSSOVER >> 1)
     wide = TwiddleTable(FourierPrime.from_modulus(2305843009448574977), 1 << 10)
     rng = random.Random(16)
     for t in (small, wide):
-        assert transform._numpy_kernels(t) is None
+        assert transform._numpy_kernels(t.field.p, t.size) is None
         x = [rng.randrange(t.field.p) for _ in range(t.size)]
         assert moddft(moddft(x, t), t, "inv") == x
         assert itft(t, tft(t, x, t.size)) == [v * t.size % t.field.p for v in x]
@@ -451,7 +451,7 @@ from dataclasses import replace
 from modconv import ConvRequest, DensePoly, Felt, FourierPrime, eval_poly, get_table, poly_mul
 from modconv import transform
 fp = FourierPrime.from_modulus(998244353)
-assert transform._numpy_kernels(get_table(fp, 1 << 16)) is None
+assert transform._numpy_kernels(fp.p, 1 << 16) is None
 rng = random.Random(15)
 a = DensePoly(fp, tuple(rng.randrange(1, fp.p) for _ in range(1 << 14)))
 b = DensePoly(fp, tuple(rng.randrange(1, fp.p) for _ in range(1 << 14 | 2)))
