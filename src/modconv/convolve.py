@@ -13,8 +13,8 @@ imports numpy from 2**15 on and takes sizes from 2**9 on once it is loaded),
 input list to a uint64 ndarray once, reducing ints outside [0, p), keep every
 step in arrays (transforms, pointwise product, 1/L scale, twist, residues)
 and convert the result to a list once. Given ndarrays, they stay on that path
-and return an ndarray; such arrays must hold residues, and one holding a
-value >= p raises ValueError. Both paths return the same values and count
+and return an ndarray; such arrays must be uint64 and hold residues, and any
+other array raises ValueError. Both paths return the same values and count
 the same operations.
 
 Execution is serial. CPython holds the GIL through these pure-Python integer
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import TYPE_CHECKING
 
 from .field import FieldMismatchError, FourierPrime
-from .poly import DensePoly
+from .poly import DensePoly, _check_fields
 from .transform import (
     OpCounters,
     TwiddleTable,
@@ -338,8 +338,7 @@ def poly_mul(a: DensePoly, b: DensePoly, req: ConvRequest) -> DensePoly:
     transform. Trailing zeros are trimmed first, so engine input lengths are
     degree+1.
     """
-    if a.field.p != b.field.p:
-        raise FieldMismatchError(f"mixed moduli {a.field.p} and {b.field.p}")
+    _check_fields(a, b)
     if a.field.p != req.field.p:
         raise FieldMismatchError(
             f"request field {req.field.p} does not match operands {a.field.p}"

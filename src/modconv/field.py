@@ -29,6 +29,49 @@ def _clip(text: str, limit: int = 32) -> str:
     return f"{text[:limit]!r}... ({len(text)} characters)"
 
 
+class LineError(ValueError):
+    """Malformed text in one of modconv's line formats; carries the 1-based line.
+
+    The polynomial text and the plan store share their rules through this
+    class and `_lines`: a file is ASCII (`read`), lines end at `\\n` only
+    (`_lines`) and an integer field is `[0-9]+` (`decimal`). Each format
+    raises its own subclass.
+    """
+
+    def __init__(self, message: str, line: int):
+        super().__init__(f"line {line}: {message}")
+        self.line = line
+
+    @classmethod
+    def read(cls, fh) -> str:
+        """All of fh, a text handle opened as ASCII; a non-ASCII byte raises cls at its line."""
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            line = exc.object.count(b"\n", 0, exc.start) + 1
+            raise cls(f"non-ASCII byte {exc.object[exc.start]:#04x}", line) from None
+
+    @classmethod
+    def decimal(cls, token: str, what: str, line: int) -> int:
+        """token as an int if it is [0-9]+ and short enough for int(), else raise cls."""
+        # int() would also take signs, '_' separators, surrounding whitespace
+        # and non-ASCII digits.
+        if not (token.isascii() and token.isdigit()):
+            raise cls(f"bad {what} {_clip(token)}", line)
+        try:
+            return int(token)
+        except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+            raise cls(f"{what} too long: {len(token)} digits", line) from None
+
+
+def _lines(text: str) -> list[str]:
+    # Lines end at '\n' only; the empty string after a final newline is not a line.
+    lines = text.split("\n")
+    if text.endswith("\n"):
+        lines.pop()
+    return lines
+
+
 class FieldMismatchError(ValueError):
     """Operands belong to different prime fields."""
 
@@ -107,6 +150,11 @@ def _two_adicity(n: int) -> int:
     return ((n & -n).bit_length()) - 1
 
 
+def _check_modulus(p: int) -> None:
+    if p < 3 or p % 2 == 0 or p.bit_length() > MAX_MODULUS_BITS or not is_probable_prime(p):
+        raise ValueError(f"modulus must be an odd prime below 2**{MAX_MODULUS_BITS}: {_clip(str(p))}")
+
+
 def _smallest_primitive_root(p: int) -> int:
     cofactors = [(p - 1) // q for q in factorize(p - 1)]
     g = 2
@@ -126,10 +174,7 @@ class FourierPrime:
 
     def __post_init__(self) -> None:
         p = self.p
-        if p < 3 or p % 2 == 0 or p.bit_length() > MAX_MODULUS_BITS:
-            raise ValueError(f"modulus must be an odd prime below 2**{MAX_MODULUS_BITS}: {_clip(str(p))}")
-        if not is_probable_prime(p):
-            raise ValueError(f"modulus is not prime: {p}")
+        _check_modulus(p)
         if self.two_adicity != _two_adicity(p - 1):
             raise ValueError(
                 f"two_adicity {self.two_adicity} does not match modulus {p}"
@@ -142,9 +187,8 @@ class FourierPrime:
     @lru_cache(maxsize=256)
     def from_modulus(cls, p: int) -> "FourierPrime":
         """The field descriptor for a given prime modulus; cached per modulus."""
-        # The size cap comes first: factoring p - 1 of a much wider prime can take forever.
-        if p < 3 or p % 2 == 0 or p.bit_length() > MAX_MODULUS_BITS or not is_probable_prime(p):
-            raise ValueError(f"modulus must be an odd prime below 2**{MAX_MODULUS_BITS}: {_clip(str(p))}")
+        # Checked before p - 1 is factored: that can take forever for a much wider p.
+        _check_modulus(p)
         return cls(p, _two_adicity(p - 1), _smallest_primitive_root(p))
 
     def felt(self, value: int) -> "Felt":

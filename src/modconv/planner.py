@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 
 from . import __version__
 from .convolve import _kronecker_slot, _next_pow2, _numpy_inputs, lin_conv_kronecker
-from .field import FourierPrime, UnsupportedSizeError, _clip
+from .field import FourierPrime, LineError, UnsupportedSizeError, _clip, _lines
 from .transform import (
     _numpy_kernels,
     get_table,
@@ -64,12 +64,8 @@ LINEAR_WORK_L = 64
 _SIGNATURE_CHARS = frozenset(map(chr, range(0x20, 0x7F))) - {"|"}
 
 
-class PlanFormatError(ValueError):
+class PlanFormatError(LineError):
     """Malformed plan store text; carries the offending 1-based line."""
-
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -210,24 +206,16 @@ def _parse_entry(line: str, lineno: int) -> PlanEntry:
     parts = line.split("|")
     if len(parts) != 10:
         raise PlanFormatError(f"expected 10 '|'-separated fields, got {len(parts)}", lineno)
-    kind = parts[0]
-    try:
-        p, size, z, n, threads = (int(v) for v in parts[1:6])
-    except ValueError:
-        raise PlanFormatError("non-integer key field", lineno) from None
-    for prefix, part in (("splits=", parts[6]), ("base=", parts[7]), ("nanos=", parts[8]), ("sig=", parts[9])):
+    number = lambda token, what: PlanFormatError.decimal(token, what, lineno)
+    p, size, z, n, threads = map(number, parts[1:6], ("p", "L", "z", "n", "threads"))
+    for prefix, part in zip(("splits=", "base=", "nanos=", "sig="), parts[6:]):
         if not part.startswith(prefix):
             raise PlanFormatError(f"expected field {prefix!r}, got {_clip(part)}", lineno)
-    raw_splits = parts[6][len("splits="):]
+    raw_splits, base, nanos, sig = (part.split("=", 1)[1] for part in parts[6:])
+    splits = tuple(number(s, "split") for s in raw_splits.split(",")) if raw_splits else ()
+    base, nanos = number(base, "base"), number(nanos, "nanos")
     try:
-        splits = tuple(int(s) for s in raw_splits.split(",")) if raw_splits else ()
-        base = int(parts[7][len("base="):])
-        nanos = int(parts[8][len("nanos="):])
-    except ValueError:
-        raise PlanFormatError("non-integer decomposition field", lineno) from None
-    sig = parts[9][len("sig="):]
-    try:
-        return PlanEntry(PlanKey(kind, p, size, z, n, threads), splits, base, nanos, sig)
+        return PlanEntry(PlanKey(parts[0], p, size, z, n, threads), splits, base, nanos, sig)
     except ValueError as exc:
         raise PlanFormatError(str(exc), lineno) from None
 
@@ -237,7 +225,7 @@ def store_save(store: PlanStore, path: str) -> None:
     lines = [STORE_VERSION]
     lines.extend(_format_entry(e) for e in store)
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="ascii") as fh:
+    with open(tmp, "w", encoding="ascii", newline="") as fh:
         fh.write("\n".join(lines))
         fh.write("\n")
     os.replace(tmp, path)
@@ -246,18 +234,15 @@ def store_save(store: PlanStore, path: str) -> None:
 def store_load(path: str) -> PlanStore:
     """Parse a plan file; refuses other versions, reports bad lines by number.
 
-    Every line after the header must be an entry, blank ones included; only
-    the empty string after a final newline is not a line.
+    The line rules are the polynomial text's, from `field.LineError` and
+    `field._lines`: the file is ASCII, lines end at a newline only and every
+    integer field is [0-9]+. Every line after the header must be an entry,
+    blank ones included; only the empty string after a final newline is not
+    a line.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            line = exc.object.count(b"\n", 0, exc.start) + 1
-            raise PlanFormatError(f"non-ASCII byte {exc.object[exc.start]:#04x}", line) from None
-    lines = text.split("\n")
-    if text.endswith("\n"):
-        lines.pop()
+    with open(path, "r", encoding="ascii", newline="") as fh:
+        text = PlanFormatError.read(fh)
+    lines = _lines(text)
     if lines[0] != STORE_VERSION:
         found = lines[0] if text else "<empty file>"
         raise PlanFormatError(f"expected header {STORE_VERSION!r}, got {_clip(found)}", 1)

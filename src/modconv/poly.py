@@ -10,17 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .field import Felt, FieldMismatchError, FourierPrime, _clip
+from .field import Felt, FieldMismatchError, FourierPrime, LineError, _clip, _lines
 
 KARATSUBA_THRESHOLD = 16
 
 
-class PolyTextError(ValueError):
+class PolyTextError(LineError):
     """Malformed polynomial text; carries the 1-based offending line."""
-
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
 
 
 @dataclass(frozen=True, slots=True)
@@ -186,44 +182,34 @@ def poly_to_text(a: DensePoly) -> str:
     return "{}\n{}\n{}\n".format(a.field.p, len(a.coeffs), " ".join(map(str, a.coeffs)))
 
 
-def _decimal(token: str, what: str, line: int) -> int:
-    # Only [0-9]+: int() would also take signs, '_' separators, surrounding
-    # whitespace and non-ASCII digits.
-    if not (token.isascii() and token.isdigit()):
-        raise PolyTextError(f"bad {what} {_clip(token)}", line)
-    try:
-        return int(token)
-    except ValueError:  # more digits than sys.get_int_max_str_digits() allows
-        raise PolyTextError(f"{what} too long: {len(token)} digits", line) from None
-
-
 def poly_from_text(text: str) -> DensePoly:
     """Parse the three-line format: modulus, coefficient count, coefficients.
 
-    The modulus, the count and every coefficient must be ASCII decimal
-    ([0-9]+) and short enough for int(), lines end at a newline only,
-    coefficients are separated by single spaces and nothing but one final
-    newline may follow line 3; anything else raises PolyTextError.
+    The line rules are the plan store's, from `field.LineError` and
+    `field._lines`: the modulus, the count and every coefficient must be
+    [0-9]+ and short enough for int(), and lines end at a newline only.
+    Coefficients are separated by single spaces and nothing but one final
+    newline may follow line 3; anything else raises PolyTextError. A file
+    read through `PolyTextError.read` gets the non-ASCII rule as well.
     """
-    lines = text.split("\n")
-    if text.endswith("\n"):
-        lines.pop()
+    lines = _lines(text)
     if len(lines) < 3:
         raise PolyTextError("expected 3 lines: modulus, count, coefficients", len(lines) + 1)
     if len(lines) > 3:
         raise PolyTextError("unexpected text after the coefficient line", 4)
-    p = _decimal(lines[0], "modulus", 1)
+    decimal = PolyTextError.decimal  # bound once, for the loop over the coefficients
+    p = decimal(lines[0], "modulus", 1)
     try:
         fp = FourierPrime.from_modulus(p)
     except ValueError as exc:
         raise PolyTextError(str(exc), 1) from None
-    n = _decimal(lines[1], "coefficient count", 2)
+    n = decimal(lines[1], "coefficient count", 2)
     tokens = lines[2].split(" ") if lines[2] else []
     if len(tokens) != n:
         raise PolyTextError(f"expected {n} coefficients, found {len(tokens)}", 3)
     coeffs = []
     for t in tokens:
-        v = _decimal(t, "coefficient", 3)
+        v = decimal(t, "coefficient", 3)
         if v >= p:
             raise PolyTextError(f"coefficient {_clip(t)} not a canonical residue mod {p}", 3)
         coeffs.append(v)

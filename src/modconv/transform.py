@@ -17,7 +17,8 @@ numpy, and _NUMPY_CROSSOVER (2**9), from which the numpy kernels are faster
 once numpy is loaded anyway. Both paths return the same values and count the
 same butterflies. A uint64 ndarray input always runs the numpy kernels and
 gets an ndarray back, so callers can keep a whole product in arrays; it must
-hold residues, and one holding a value >= p raises ValueError. numpy is
+hold residues, and one holding a value >= p, like any ndarray of another
+dtype, raises ValueError. numpy is
 imported on first use, never by this module or by building a table.
 
 Butterfly accounting: one butterfly is one two-point kernel evaluation,
@@ -167,9 +168,10 @@ def _is_array(x) -> bool:
 
 
 def _check_residues(x, p: int) -> None:
-    # The numpy kernels never reduce their input, so a uint64 array must hold residues.
-    if x.max() >= p:
-        raise ValueError(f"uint64 array holds a value >= p={p}; arrays must hold residues")
+    # The numpy kernels never reduce their input, so an array must be uint64
+    # and hold residues.
+    if x.dtype != "uint64" or x.max() >= p:
+        raise ValueError(f"arrays must be uint64 and hold residues mod p={p}")
 
 
 def _kernels_for(table: TwiddleTable, x):

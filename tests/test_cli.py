@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -9,7 +10,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modconv import DensePoly, FourierPrime, mul_schoolbook, poly_from_text, poly_to_text, store_load
+from modconv import (
+    DensePoly,
+    FourierPrime,
+    PlanFormatError,
+    PolyTextError,
+    mul_schoolbook,
+    poly_from_text,
+    poly_to_text,
+    store_load,
+    store_save,
+)
 from modconv import field, planner, verify
 from modconv.cli import (
     EXIT_FIELD_MISMATCH,
@@ -201,6 +212,20 @@ class TestMul:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: cannot write")
 
+    def test_mismatched_moduli_exit_code_under_auto(self, tmp_path, capsys):
+        # poly_mul states the moduli rule; the plan store is read before it runs.
+        fa, fb, out = tmp_path / "a", tmp_path / "b", tmp_path / "out"
+        write_poly(fa, 7, [1, 2])
+        write_poly(fb, 17, [3, 4])
+        store_path = tmp_path / "plans.txt"
+        argv = ["mul", str(fa), str(fb), "--engine", "auto", "--store", str(store_path), "-o", str(out)]
+        assert main(argv) == EXIT_FIELD_MISMATCH
+        assert capsys.readouterr().err.splitlines() == ["error: mixed moduli 7 and 17"]
+        assert not out.exists() and not store_path.exists()
+        store_path.write_text("garbage\n")
+        assert main(argv) == EXIT_FILE_FORMAT
+        assert store_path.read_text() == "garbage\n"
+
     def test_unsupported_size_exit_code(self, tmp_path):
         fa, fb, out = tmp_path / "a", tmp_path / "b", tmp_path / "out"
         write_poly(fa, 7, [1, 2])
@@ -339,10 +364,25 @@ class TestPlan:
         sigs = {entry.exec_signature for entry in store_load(str(store_path))}
         assert len(sigs) == 1 and sigs.pop().startswith("cpu????x;")
 
-    def test_max_l_beyond_prime_adicity(self, tmp_path):
+    def test_max_l_beyond_prime_adicity(self, tmp_path, capsys):
         store_path = tmp_path / "plans.txt"
         rc = main(["plan", "--store", str(store_path), "--max-l", "64", "--prime", "17"])
         assert rc == EXIT_UNSUPPORTED
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --max-l: "), err
+
+    @pytest.mark.parametrize(
+        "flags, code",
+        [(["--max-l", "3"], EXIT_USAGE), (["--prime", "15"], EXIT_USAGE),
+         (["--max-l", "64", "--prime", "17"], EXIT_UNSUPPORTED)],
+    )
+    def test_flags_are_checked_before_the_store(self, tmp_path, capsys, flags, code):
+        store_path = tmp_path / "plans.txt"
+        store_path.write_text("garbage\n")
+        assert main(["plan", "--store", str(store_path), *flags]) == code
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and flags[0] in err[0], err
+        assert store_path.read_text() == "garbage\n"
 
 
 class TestSweep:
@@ -389,6 +429,20 @@ class TestSweep:
         assert by_pair[("18", "tft")][3:] == ["-1", "-1", "-1", "-1"]
         # definition rows keep working at every size
         assert by_pair[("17", "definition")][3] != "-1"
+
+    def test_sentinel_rows_follow_the_transform_size_rule(self, tmp_path):
+        # p = 17 hosts transforms of up to 2**4 points: the padded and truncated
+        # engines get sentinels from n = 17 on, the others run at every size.
+        out = tmp_path / "s.csv"
+        assert main([
+            "sweep", "--min", "1", "--max", "40", "--reps", "1", "--prime", "17", "-o", str(out),
+            "--engines", "fft_pad,tft,auto,definition,kronecker",
+        ]) == EXIT_OK
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 40 * 5
+        for n, engine, threads, *measured in rows:
+            sentinel = engine in ("fft_pad", "tft") and int(n) > 16
+            assert (measured == ["-1"] * 4) == sentinel, (n, engine)
 
     def test_auto_engine_rows(self, tmp_path):
         rows = self.run_sweep(tmp_path, "--engines", "auto")
@@ -495,13 +549,18 @@ _POLY_BYTES = st.one_of(st.binary(max_size=60), _NOISE.map(str.encode), _NEAR_PO
 
 _ENTRY_FIELDS = (
     ("dft", "tft", "itft", "conv", "fft"),
-    ("17", "998244353", "15"),
-    # L|z|n|threads|splits=|base=, valid but for the last two.
+    ("17", "998244353", "15", "-17"),
+    # L|z|n|threads|splits=|base=, valid but for the last five.
     ("2|0|2|1|splits=|base=2", "4|4|4|1|splits=2|base=2", "4|1|3|2|splits=|base=4",
-     "8|8|8|1|splits=2,2|base=2", "3|1|1|1|splits=|base=2", "4|4|4|0|splits=2|base=2"),
-    ("nanos=5", "nanos=0", "nanos=-1"),
+     "8|8|8|1|splits=2,2|base=2", "16|16|16|1|splits=2,2,2|base=2", "3|1|1|1|splits=|base=2",
+     "4|4|4|0|splits=2|base=2", "+16|16|16|1|splits=2,2,2|base=2", " 16|16|16|1|splits=2,2,2|base=2",
+     "1_6|16|16|1|splits=2,2,2|base=2"),
+    ("nanos=5", "nanos=0", "nanos=-1", "nanos=+5"),
     ("sig=h", "sig=", "sig=a b", "sig=x=y"),
 )
+# What int() takes and the format does not: a sign, a space or '_' in an
+# integer field, or a line ending other than a bare newline.
+_NOT_DECIMAL = re.compile(rb"[|=][-+ ]|_|\r")
 
 
 @st.composite
@@ -518,7 +577,8 @@ def _store_text(draw):
     # A header, entry and noise lines; the header is wrong about one time in four.
     header = "modconv-plan v1" if draw(st.integers(0, 3)) else draw(st.sampled_from(("modconv-plan v2", "")))
     lines = draw(st.lists(st.one_of(_store_line(), _NOISE), max_size=4))
-    return "\n".join((header, *lines)) + draw(st.sampled_from(("\n", "")))
+    eol = draw(st.sampled_from(("\n", "\n", "\r\n", "\r")))
+    return eol.join((header, *lines)) + draw(st.sampled_from((eol, "")))
 
 
 _STORE_BYTES = st.one_of(st.binary(max_size=80), _store_text().map(str.encode))
@@ -549,6 +609,57 @@ def test_fuzzed_store_gets_an_exit_code(store):
         fa, fb, fs = _write_files(tmp, (("a", b"17\n1\n5\n"), ("b", b"17\n1\n3\n"), ("store", store)))
         rc = main(["mul", fa, fb, "--engine", "auto", "--store", fs, "-o", os.path.join(tmp, "out")])
         assert rc in (EXIT_OK, EXIT_FILE_FORMAT)
+        if _NOT_DECIMAL.search(store):
+            assert rc == EXIT_FILE_FORMAT
         if rc == EXIT_FILE_FORMAT:
             with open(fs, "rb") as fh:
                 assert fh.read() == store
+
+
+@pytest.mark.parametrize("token", ["+17", "-17", " 17", "17 ", "\t17", "1_7", "17\v"])
+def test_both_formats_reject_the_same_malformed_integer(tmp_path, token):
+    # int() takes every one of these; an integer field of either format is [0-9]+.
+    with pytest.raises(PolyTextError) as err:
+        poly_from_text(f"{token}\n1\n5\n")
+    assert err.value.line == 1
+    path = tmp_path / "plans.txt"
+    path.write_text(f"modconv-plan v1\ndft|{token}|8|0|8|1|splits=2|base=4|nanos=55|sig=h\n")
+    with pytest.raises(PlanFormatError) as err:
+        store_load(str(path))
+    assert err.value.line == 2
+
+
+# A store as `modconv plan --max-l 4` wrote it before integer fields were
+# held to [0-9]+ on reading; only the host signature is made up.
+_EARLIER_STORE = "".join(
+    f"{line}|sig=cpu;cores=2;threads=1;build=modconv-0.1.0\n" if "|" in line else f"{line}\n"
+    for line in (
+        "modconv-plan v1",
+        "conv|998244353|2|1|1|1|splits=|base=2|nanos=9412",
+        "conv|998244353|4|2|3|1|splits=2|base=2|nanos=8516",
+        "dft|998244353|2|0|2|1|splits=|base=2|nanos=6995",
+        "dft|998244353|4|0|4|1|splits=2|base=2|nanos=6694",
+        "itft|998244353|2|2|2|1|splits=|base=2|nanos=10522",
+        "itft|998244353|4|4|4|1|splits=2|base=2|nanos=10414",
+        "tft|998244353|2|2|2|1|splits=|base=2|nanos=8109",
+        "tft|998244353|4|4|4|1|splits=2|base=2|nanos=6478",
+    )
+)
+
+
+def test_what_modconv_writes_reads_back_byte_identical(tmp_path):
+    old, new = tmp_path / "old.txt", tmp_path / "new.txt"
+    old.write_bytes(_EARLIER_STORE.encode())
+    store_save(store_load(str(old)), str(new))
+    assert new.read_bytes() == old.read_bytes()
+    # A product under a foreign signature clones the keys it reads and saves the store.
+    fa, fb, out = tmp_path / "a", tmp_path / "b", tmp_path / "out"
+    write_poly(fa, 998244353, [3, 998244352])
+    write_poly(fb, 998244353, [5, 7])
+    assert main(["mul", str(fa), str(fb), "--engine", "auto", "--store", str(new), "-o", str(out)]) == EXIT_OK
+    written = out.read_bytes()
+    assert poly_to_text(poly_from_text(written.decode("ascii"))).encode() == written
+    grown = new.read_bytes()
+    assert len(store_load(str(new))) > 8
+    store_save(store_load(str(new)), str(new))
+    assert new.read_bytes() == grown

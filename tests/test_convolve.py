@@ -499,6 +499,19 @@ def test_arrays_must_hold_residues(fp998):
         transform.tft(table, edge[:10], 20)
     with pytest.raises(ValueError, match="residues"):
         transform.itft(table, edge[:10])
+    # Only uint64 arrays hold residues: int64 negatives and floats pass a max() < p test.
+    for other in (np.full(300, -1, dtype=np.int64), np.ones(300, dtype=np.float64)):
+        with pytest.raises(ValueError, match="residues"):
+            conv_tft(other, np.ones(300, dtype=np.uint64), req)
+        for engine in (circ_conv_fft, nega_conv, circ_conv_split):
+            with pytest.raises(ValueError, match="residues"):
+                engine(ones, other[:256], req)
+        with pytest.raises(ValueError, match="residues"):
+            moddft(other[:256], table)
+        with pytest.raises(ValueError, match="residues"):
+            transform.tft(table, other[:10], 20)
+        with pytest.raises(ValueError, match="residues"):
+            transform.itft(table, other[:10])
     # Residues up to p - 1 still run, and equal the list path.
     top = np.full(256, fp998.p - 1, dtype=np.uint64)
     assert conv_tft(top, top, req).tolist() == conv_tft([fp998.p - 1] * 256, [fp998.p - 1] * 256, req)
