@@ -5,23 +5,23 @@ for importing numpy, and runs smaller transforms here too once numpy is loaded
 (see `transform._numpy_kernels`). Each transform here runs the same loops as
 its pure-Python counterpart in `transform`, one numpy operation per stage (per
 level, on itft's partial path) instead of one Python statement per butterfly.
-Given a list it returns the same list; given a uint64 ndarray it returns an
-ndarray and leaves its input unchanged, so that `convolve` can keep a whole
-product in arrays. itft walks the levels that `transform._itft_path` returns,
-as the pure-Python itft does. Argument checks and `OpCounters` stay with the
-callers in `transform`.
+Each takes a uint64 ndarray of residues and returns a new uint64 ndarray,
+leaving its input unchanged; `transform._as_residues` makes and checks that
+input, and `transform` converts the result back to a list for a list caller.
+tft walks the stages that `transform._tft_path` returns and itft the levels
+that `transform._itft_path` returns, as the pure-Python loops do. Argument
+checks and `OpCounters` stay with the callers in `transform`.
 
 Residues are below p < 2**32, so every product of two residues fits in
 uint64 and is reduced with `% p`; a difference a - b is formed as a + (p - b)
-so that it never wraps. Inputs must be canonical residues, as everywhere in
-`transform`.
+so that it never wraps.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .transform import _itft_path
+from .transform import _itft_path, _tft_path
 
 
 def stage_arrays(table):
@@ -59,23 +59,18 @@ def _dit(vec, stages, p: int) -> None:
         h <<= 1
 
 
-def _out(vec, x):
-    # The kind of vector the caller passed in: an ndarray, or else a list.
-    return vec if isinstance(x, np.ndarray) else vec.tolist()
-
-
 def moddft(x, table, direction: str):
     """transform.moddft's loops; direction is "fwd" or "inv"."""
     fwd, inv, rev = stage_arrays(table)
     p = table.field.p
-    vec = np.asarray(x, dtype=np.uint64)[rev]
+    vec = x[rev]
     if direction == "fwd":
         _dit(vec, fwd, p)
     else:
         _dit(vec, inv, p)
         vec *= table.inv_size
         vec %= p
-    return _out(vec, x)
+    return vec
 
 
 def tft(table, x, n: int):
@@ -85,14 +80,7 @@ def tft(table, x, n: int):
     z = len(x)
     c = np.zeros(table.size, dtype=np.uint64)
     c[:z] = x
-    h = table.size
-    for tws in reversed(fwd):
-        h >>= 1
-        zz = min(z, h)
-        both = z - zz
-        # Blocks of 2h starting below n; all but possibly the last have a
-        # wanted high half.
-        full = (n + h - 1) // (h << 1)
+    for tws, (h, full, zz, both) in zip(reversed(fwd), _tft_path(table.size, z, n)):
         if full:
             v = c[: full * (h << 1)].reshape(full, 2, h)
             if both:
@@ -116,8 +104,7 @@ def tft(table, x, n: int):
             lo = c[base : base + both]
             lo += c[base + h : base + h + both]
             lo %= p
-        z = zz
-    return _out(c[:n], x)
+    return c[:n]
 
 
 def itft(table, xhat):
@@ -176,4 +163,4 @@ def itft(table, xhat):
             a += p
             a -= mb
             a %= p
-    return _out(c[:n], xhat)
+    return c[:n]

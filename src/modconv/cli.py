@@ -36,7 +36,6 @@ EXIT_UNSUPPORTED = 5
 EXIT_IO = 6
 
 DEFAULT_SWEEP_PRIME = 998244353
-SWEEP_ENGINE_CHOICES = ("fft_pad", "tft", "auto", "definition", "kronecker")
 SENTINEL_ROW = "-1,-1,-1,-1"
 
 
@@ -60,10 +59,8 @@ class SweepConfig:
         if self.reps < 1 or self.step < 1 or self.threads < 1:
             raise ValueError("reps, step and threads must be >= 1")
         for engine in self.engines:
-            if engine not in SWEEP_ENGINE_CHOICES:
-                raise ValueError(
-                    f"unknown engine {engine!r}; choose from {SWEEP_ENGINE_CHOICES}"
-                )
+            if engine not in ENGINES:
+                raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
 
     def sizes(self):
         return range(self.n_min, self.n_max + 1, self.step)

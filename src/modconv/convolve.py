@@ -9,13 +9,14 @@ bit-identical output; they differ only in operation counts.
 
 Wherever the transforms run in numpy (see `transform._numpy_kernels`, which
 imports numpy from 2**15 on and takes sizes from 2**9 on once it is loaded),
-`conv_tft`, `circ_conv_fft`, `nega_conv` and `circ_conv_split` convert each
-input list to a uint64 ndarray once, reducing ints outside [0, p), keep every
-step in arrays (transforms, pointwise product, 1/L scale, twist, residues)
-and convert the result to a list once. Given ndarrays, they stay on that path
-and return an ndarray; such arrays must be uint64 and hold residues, and any
-other array raises ValueError. Both paths return the same values and count
-the same operations.
+and whenever an input is an ndarray, `conv_tft`, `circ_conv_fft`, `nega_conv`
+and `circ_conv_split` pass each input through `transform._as_residues` once,
+keep every step in arrays (transforms, pointwise product, 1/L scale, twist,
+residues) and convert the result to a list once. So an input list has its
+ints outside [0, p) reduced, and an input ndarray, in any position, must be
+uint64 and hold residues, else ValueError. The result is an ndarray only
+when every input was one. Both paths return the same values and count the
+same operations.
 
 Execution is serial. CPython holds the GIL through these pure-Python integer
 loops, so worker threads cannot make them faster. `ConvRequest.threads` is
@@ -33,7 +34,7 @@ from .poly import DensePoly, _check_fields
 from .transform import (
     OpCounters,
     TwiddleTable,
-    _check_residues,
+    _as_residues,
     _is_array,
     _numpy_kernels,
     get_table,
@@ -106,32 +107,22 @@ def lin_conv_def(u: list[int], v: list[int], fp: FourierPrime) -> list[int]:
 
 
 def _numpy_inputs(table: TwiddleTable, *vecs):
-    """The lists vecs as uint64 arrays if table's transforms run in numpy, else None.
+    """vecs as uint64 arrays (`transform._as_residues`) for an engine to rerun on, else None.
 
-    Arrays give None too: they are already on the numpy path, once checked to
-    hold residues. Asking `_numpy_kernels` imports numpy from 2**15 on, so the
-    first product that large converts like every later one. Ints outside
-    [0, p) in a list are reduced, as the Python loops reduce them.
+    An engine runs in arrays when any input is an ndarray or when table's
+    transforms run in numpy; asking `_numpy_kernels` imports numpy from 2**15
+    on, so the first product that large converts like every later one. Every
+    input goes through `_as_residues`, whatever its position: a list is
+    reduced into [0, p), an ndarray is checked. Inputs that are all arrays
+    give None once checked: the engine is already on the array path, and
+    returns an ndarray only then.
     """
     p = table.field.p
-    if _is_array(vecs[0]):
-        for a in vecs:
-            _check_residues(a, p)
+    given = [_is_array(v) for v in vecs]
+    if not any(given) and _numpy_kernels(p, table.size) is None:
         return None
-    if _numpy_kernels(p, table.size) is None:
-        return None
-    import numpy as np
-
-    arrays = []
-    for v in vecs:
-        try:
-            a = np.array(v, dtype=np.uint64)
-        except OverflowError:  # an int below 0 or from 2**64 up
-            a = np.array([x % p for x in v], dtype=np.uint64)
-        if a.max() >= p:
-            a %= p
-        arrays.append(a)
-    return arrays
+    arrays = [_as_residues(v, p) for v in vecs]
+    return None if all(given) else arrays
 
 
 def _mulmod(a, b, p: int):

@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 
 from . import __version__
 from .convolve import _kronecker_slot, _next_pow2, _numpy_inputs, lin_conv_kronecker
-from .field import FourierPrime, LineError, UnsupportedSizeError, _clip, _lines
+from .field import FourierPrime, LineError, UnsupportedSizeError, _clip, _lines, root_of_unity
 from .transform import (
     _numpy_kernels,
     get_table,
@@ -392,11 +392,16 @@ class PlanSession:
         transform timings below 2**15 are of those loops; where it is ranked,
         see `_kronecker_cost`. A scalar product, or one longer than the
         field's 2-adicity allows a transform for, goes to `kronecker` without
-        reading a key. No fixed size thresholds.
+        reading a key; the field says which sizes it hosts (`root_of_unity`).
+        No fixed size thresholds.
         """
         n = z1 + z2 - 1
         size = _next_pow2(n)
-        if n == 1 or size.bit_length() - 1 > field.two_adicity:
+        if n == 1:
+            return "kronecker"
+        try:
+            root_of_unity(field, size)
+        except UnsupportedSizeError:
             return "kronecker"
         p = field.p
         keys = planned_keys(p, size)

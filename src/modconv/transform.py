@@ -7,19 +7,21 @@ decimation-style butterfly network produces them in), so truncated spectra are
 opaque tokens that only need to align positionally for pointwise products.
 
 Every transform runs iterative stage loops over the table's per-stage twiddle
-lists. itft inverts each fully known half with the loop moddft runs, on the
-one partial path that _itft_path lays out for both of its backends. The
-loops exist twice: in pure Python here, the reference and the path for any
-prime, and in numpy (`_ntt_numpy`) over p < 2**32, where a residue product
-fits in uint64. Two sizes pick the numpy kernels, provided numpy can be
-imported: _NUMPY_MIN_SIZE (2**15), from which a transform pays for importing
-numpy, and _NUMPY_CROSSOVER (2**9), from which the numpy kernels are faster
-once numpy is loaded anyway. Both paths return the same values and count the
-same butterflies. A uint64 ndarray input always runs the numpy kernels and
-gets an ndarray back, so callers can keep a whole product in arrays; it must
-hold residues, and one holding a value >= p, like any ndarray of another
-dtype, raises ValueError. numpy is
-imported on first use, never by this module or by building a table.
+lists. tft walks the stages that _tft_path lays out, and itft inverts each
+fully known half with the loop moddft runs, on the one partial path that
+_itft_path lays out; both backends read those walks. The loops exist twice:
+in pure Python here, the reference and the path for any prime, and in numpy
+(`_ntt_numpy`) over p < 2**32, where a residue product fits in uint64. Two
+sizes pick the numpy kernels for a list, provided numpy can be imported:
+_NUMPY_MIN_SIZE (2**15), from which a transform pays for importing numpy,
+and _NUMPY_CROSSOVER (2**9), from which the numpy kernels are faster once
+numpy is loaded anyway. A uint64 ndarray input always runs them and gets an
+ndarray back, so callers can keep a whole product in arrays. _as_residues is
+the one place a vector crosses into numpy: a list has its ints outside
+[0, p) reduced there, and an ndarray must be uint64 and hold residues, else
+ValueError. Both paths return the same residues and count the same
+butterflies. numpy is imported on first use, never by this module or by
+building a table.
 
 Butterfly accounting: one butterfly is one two-point kernel evaluation,
 including degenerate forms where a known-zero or unneeded half collapses the
@@ -167,23 +169,43 @@ def _is_array(x) -> bool:
     return np is not None and isinstance(x, np.ndarray)
 
 
-def _check_residues(x, p: int) -> None:
-    # The numpy kernels never reduce their input, so an array must be uint64
-    # and hold residues.
-    if x.dtype != "uint64" or x.max() >= p:
-        raise ValueError(f"arrays must be uint64 and hold residues mod p={p}")
+def _as_residues(x, p: int):
+    """x as a uint64 array of residues mod p, the one input the numpy kernels take.
+
+    A list is converted, its ints outside [0, p) reduced mod p: the residues
+    the Python loops compute with. An ndarray is taken as it is, so it must
+    be uint64, hold residues and have p < 2**32; any other raises
+    ValueError. Call it only where numpy is loaded.
+    """
+    import numpy as np
+
+    if isinstance(x, np.ndarray):
+        if p >= 1 << 32:
+            raise ValueError(f"uint64 arrays need p < 2**32, got p={p}")
+        if x.dtype != np.uint64 or x.max() >= p:
+            raise ValueError(f"arrays must be uint64 and hold residues mod p={p}")
+        return x
+    try:
+        a = np.array(x, dtype=np.uint64)
+    except OverflowError:  # an int below 0 or from 2**64 up
+        a = np.array([v % p for v in x], dtype=np.uint64)
+    if a.max() >= p:
+        a %= p
+    return a
 
 
-def _kernels_for(table: TwiddleTable, x):
-    # The numpy kernels for a uint64 ndarray x at any size, else _numpy_kernels' pick.
-    if not _is_array(x):
-        return _numpy_kernels(table.field.p, table.size)
-    if table.field.p >= 1 << 32:
-        raise ValueError(f"uint64 arrays need p < 2**32, got p={table.field.p}")
-    _check_residues(x, table.field.p)
-    from . import _ntt_numpy
+def _in_numpy(table: TwiddleTable, x, run):
+    # run(kernels, a) on the numpy kernels and a = _as_residues(x), in the
+    # type of x, where the numpy kernels run x at table's size: always for an
+    # ndarray, and for a list where _numpy_kernels picks them. None where the
+    # Python loops run x.
+    p = table.field.p
+    if _is_array(x):
+        from . import _ntt_numpy
 
-    return _ntt_numpy
+        return run(_ntt_numpy, _as_residues(x, p))
+    kernels = _numpy_kernels(p, table.size)
+    return None if kernels is None else run(kernels, _as_residues(x, p)).tolist()
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
@@ -239,10 +261,8 @@ def moddft(
         raise ValueError(f"input length {len(x)} != table size {n}")
     if direction not in ("fwd", "inv"):
         raise ValueError(f"direction must be 'fwd' or 'inv': {direction!r}")
-    kernels = _kernels_for(table, x)
-    if kernels is not None:
-        vec = kernels.moddft(x, table, direction)
-    else:
+    vec = _in_numpy(table, x, lambda kernels, a: kernels.moddft(a, table, direction))
+    if vec is None:
         vec = _moddft_python(x, table, direction)
     if counters is not None:
         counters.butterflies += (n >> 1) * table.log2_size
@@ -306,10 +326,9 @@ def tft(
         raise ValueError(f"input length {z} exceeds output count {n}")
     if n > size:
         raise ValueError(f"output count {n} exceeds transform size {size}")
-    kernels = _kernels_for(table, x)
-    if kernels is None:
+    out = _in_numpy(table, x, lambda kernels, a: kernels.tft(table, a, n))
+    if out is None:
         return _tft_python(table, x, n, counters)
-    out = kernels.tft(table, x, n)
     if counters is not None:
         counters.butterflies += tft_butterflies(size, z, n)
     return out
@@ -326,56 +345,62 @@ def _tft_python(
         c.extend([0] * (size - z))
     p = table.field.p
     used = 0
-    h = size
-    for tws in reversed(table.fwd_stages):
-        # Every block of size 2h holding a wanted output (base < n) starts
-        # with the same z live values, then zeros.
-        h >>= 1
-        zz = min(z, h)
-        both = z - zz
-        for base in range(0, n, h << 1):
-            if base + h < n:
-                for i in range(both):
-                    lo = base + i
-                    hi = lo + h
-                    a = c[lo]
-                    b = c[hi]
-                    c[lo] = (a + b) % p
-                    c[hi] = (a - b) * tws[i] % p
-                for i in range(both, zz):
-                    lo = base + i
-                    c[lo + h] = c[lo] * tws[i] % p
-                used += zz
-            else:
-                # Only the low half is wanted: fold the high half onto it.
-                for i in range(both):
-                    lo = base + i
-                    c[lo] = (c[lo] + c[lo + h]) % p
-                used += both
-        z = zz
+    for tws, (h, full, zz, both) in zip(reversed(table.fwd_stages), _tft_path(size, z, n)):
+        step = h << 1
+        for base in range(0, full * step, step):
+            for i in range(both):
+                lo = base + i
+                hi = lo + h
+                a = c[lo]
+                b = c[hi]
+                c[lo] = (a + b) % p
+                c[hi] = (a - b) * tws[i] % p
+            for i in range(both, zz):
+                lo = base + i
+                c[lo + h] = c[lo] * tws[i] % p
+            used += zz
+        base = full * step
+        if base < n:
+            # Only the low half is wanted: fold the high half onto it.
+            for i in range(both):
+                lo = base + i
+                c[lo] = (c[lo] + c[lo + h]) % p
+            used += both
     if counters is not None:
         counters.butterflies += used
     del c[n:]
     return c
 
 
+def _tft_path(size: int, z: int, n: int) -> list[tuple[int, int, int, int]]:
+    # tft's stage walk, top down, for z inputs and n outputs: per stage the
+    # half-size h, the count `full` of blocks of 2h whose high half holds a
+    # wanted output (base + h < n), the live inputs zz = min(z, h) each block
+    # starts with after the stage, and the count z - zz of them paired with a
+    # live high half. A last block at full * 2h < n has only its low half
+    # wanted and folds the paired ones.
+    stages = []
+    h = size >> 1
+    while h:
+        zz = min(z, h)
+        stages.append((h, (n + h - 1) // (h << 1), zz, z - zz))
+        z = zz
+        h >>= 1
+    return stages
+
+
 def tft_butterflies(L: int, z: int, n: int) -> int:
     """Butterflies tft spends on z inputs and n outputs at size L, without running it.
 
-    Walks the same stages as the kernels: at half-size h, each of the blocks
-    of 2h with a wanted high half spends min(z, h), and a last block with only
-    its low half wanted spends the z - min(z, h) folds; O(log L).
+    Walks tft's stages (_tft_path): at half-size h, each of the blocks of 2h
+    with a wanted high half spends min(z, h), and a last block with only its
+    low half wanted spends the z - min(z, h) folds; O(log L).
     """
     count = 0
-    h = L
-    while h > 1:
-        h >>= 1
-        zz = min(z, h)
-        full = (n + h - 1) // (h << 1)
+    for h, full, zz, both in _tft_path(L, z, n):
         count += full * zz
         if full * (h << 1) < n:
-            count += z - zz
-        z = zz
+            count += both
     return count
 
 
@@ -398,10 +423,9 @@ def itft(
         raise ValueError("spectral input must be nonempty")
     if n > size:
         raise ValueError(f"input length {n} exceeds transform size {size}")
-    kernels = _kernels_for(table, xhat)
-    if kernels is None:
+    out = _in_numpy(table, xhat, lambda kernels, a: kernels.itft(table, a))
+    if out is None:
         return _itft_python(table, xhat, counters)
-    out = kernels.itft(table, xhat)
     if counters is not None:
         counters.butterflies += itft_butterflies(size, n)
     return out

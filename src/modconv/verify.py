@@ -12,6 +12,7 @@ import random
 from dataclasses import replace
 
 from .convolve import (
+    ENGINES,
     ConvRequest,
     circ_conv_def,
     circ_conv_fft,
@@ -28,6 +29,7 @@ from .field import Felt, FourierPrime, root_of_unity
 from .planner import PlanEntry, PlanKey, PlanSession, PlanStore, plan_mirror, store_load, store_save
 from .poly import DensePoly, eval_poly, mul_karatsuba, mul_schoolbook, schoolbook_raw
 from .transform import (
+    _as_residues,
     _itft_python,
     _moddft_python,
     _tft_python,
@@ -203,27 +205,28 @@ def _suite_truncated(rng, cap, fields):
 
 def _suite_numpy_backend(rng, cap, fields):
     try:
-        import numpy as np
-
         from . import _ntt_numpy
     except ImportError:
         return True, "numpy not installed"
     checked = top = 0
-    for fp in fields:
+    # 2**32 - 2**20 + 1 (2-adicity 20) joins the fields: its residue products
+    # come closest to 2**64 in the numpy kernels.
+    for fp in (*fields, FourierPrime.from_modulus(4293918721)):
         p = fp.p
         for size in _pow2_range(min(cap, 1 << fp.two_adicity), lo=1):
             top = max(top, size)
             table = get_table(fp, size)
             x = [rng.randrange(p) for _ in range(size)]
+            a = _as_residues(x, p)
             for direction in ("fwd", "inv"):
-                if _ntt_numpy.moddft(x, table, direction) != _moddft_python(x, table, direction):
+                if _ntt_numpy.moddft(a, table, direction).tolist() != _moddft_python(x, table, direction):
                     return False, f"numpy moddft {direction} != Python at p={p}, L={size}"
             ns = {1, size // 2 or 1, size // 2 + 1, size - 1 or 1, size}
             for n in sorted(ns | {rng.randint(1, size) for _ in range(4)}):
                 z = rng.randint(1, n)
-                if _ntt_numpy.tft(table, x[:z], n) != _tft_python(table, x[:z], n, None):
+                if _ntt_numpy.tft(table, a[:z], n).tolist() != _tft_python(table, x[:z], n, None):
                     return False, f"numpy tft != Python at p={p}, L={size}, z={z}, n={n}"
-                if _ntt_numpy.itft(table, x[:n]) != _itft_python(table, x[:n], None):
+                if _ntt_numpy.itft(table, a[:n]).tolist() != _itft_python(table, x[:n], None):
                     return False, f"numpy itft != Python at p={p}, L={size}, n={n}"
                 checked += 1
         # convolve's array path against the quadratic oracles.
@@ -231,7 +234,7 @@ def _suite_numpy_backend(rng, cap, fields):
         for size in _pow2_range(min(cap, 64, 1 << (fp.two_adicity - 1))):
             u = [rng.randrange(p) for _ in range(size)]
             v = [rng.randrange(p) for _ in range(size)]
-            ua, va = (np.array(w, dtype=np.uint64) for w in (u, v))
+            ua, va = _as_residues(u, p), _as_residues(v, p)
             full = schoolbook_raw(u, v, p) + [0]
             want = {
                 conv_tft: full[:-1],
@@ -269,7 +272,7 @@ def _suite_engines(rng, cap, fields):
             b = DensePoly(fp, tuple(rng.randrange(fp.p) for _ in range(z2)))
             # poly_mul normalizes; schoolbook keeps padded length on padded input.
             want = mul_schoolbook(a, b).normalize()
-            for engine in ("definition", "fft_pad", "tft", "split", "kronecker"):
+            for engine in (e for e in ENGINES if e != "auto"):
                 got = poly_mul(a, b, replace(req, engine=engine))
                 if got != want:
                     return False, f"engine {engine} != schoolbook at p={fp.p}, {z1}x{z2}"

@@ -11,12 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modconv import (
+    ConvRequest,
     DensePoly,
     FourierPrime,
+    OpCounters,
     PlanFormatError,
     PolyTextError,
     mul_schoolbook,
     poly_from_text,
+    poly_mul,
     poly_to_text,
     store_load,
     store_save,
@@ -462,6 +465,31 @@ class TestSweep:
         assert main(argv) == EXIT_OK
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         assert rows[0][3:] == ["-1"] * 4 and rows[1][3] != "-1"
+
+    def test_split_rows(self, tmp_path):
+        # Every engine poly_mul takes can be swept. p = 17 hosts transforms of
+        # up to 2**4 points: split pads n = 14..16 to 16 and runs; from 17 its
+        # negacyclic half needs a root of order 32, so the rows are sentinels.
+        out = tmp_path / "s.csv"
+        argv = ["sweep", "--min", "14", "--max", "18", "--reps", "1", "--engines", "split",
+                "--prime", "17", "-o", str(out)]
+        assert main(argv) == EXIT_OK
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        # The inputs run_sweep draws with its default seed 0.
+        fp, rng = FourierPrime.from_modulus(17), random.Random(0)
+        for (n, engine, threads, med, mean, butterflies, pointwise), size in zip(rows, range(14, 19)):
+            assert (int(n), engine) == (size, "split")
+            z1 = (size + 1) // 2
+            a = DensePoly(fp, tuple(rng.randrange(17) for _ in range(z1)))
+            b = DensePoly(fp, tuple(rng.randrange(17) for _ in range(size + 1 - z1)))
+            if size > 16:
+                assert [med, mean, butterflies, pointwise] == ["-1"] * 4
+                continue
+            counters = OpCounters()
+            poly_mul(a, b, ConvRequest(fp, engine="split", counters=counters))
+            assert int(med) > 0 and int(mean) > 0
+            assert (int(butterflies), int(pointwise)) == (counters.butterflies, counters.pointwise_muls)
+            assert counters.butterflies > 0 and counters.pointwise_muls == 16
 
     def test_prime_bits_selection(self, tmp_path):
         out = tmp_path / "s.csv"

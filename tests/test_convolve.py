@@ -414,8 +414,9 @@ def test_kronecker_slots_hold_the_widest_sums():
             assert lin_conv_kronecker(u, u, fp) == lin_conv_def(u, u, fp), (p, z)
 
 
-# The primes below 2**32 the numpy path serves: 2-adicity 4, 8, 23 and 30.
-ARRAY_FIELDS = [FourierPrime.from_modulus(p) for p in (17, 257, 998244353, 3221225473)]
+# The primes below 2**32 the numpy path serves: 2-adicity 4, 8, 23, 30 and 20,
+# the last 2**32 - 2**20 + 1, whose residue products come closest to 2**64.
+ARRAY_FIELDS = [FourierPrime.from_modulus(p) for p in (17, 257, 998244353, 3221225473, 4293918721)]
 
 
 @st.composite
@@ -515,3 +516,30 @@ def test_arrays_must_hold_residues(fp998):
     # Residues up to p - 1 still run, and equal the list path.
     top = np.full(256, fp998.p - 1, dtype=np.uint64)
     assert conv_tft(top, top, req).tolist() == conv_tft([fp998.p - 1] * 256, [fp998.p - 1] * 256, req)
+
+
+@pytest.mark.skipif(importlib.util.find_spec("numpy") is None, reason="numpy not installed")
+@pytest.mark.parametrize("p", [998244353, 4293918721])
+def test_mixed_inputs_follow_the_array_rule(p):
+    # An ndarray in either position puts the engine in arrays; the array is
+    # checked wherever it stands, and the result is a list unless both
+    # inputs were arrays.
+    import numpy as np
+
+    fp = FourierPrime.from_modulus(p)
+    rng = random.Random(p)
+    for engine, length in ((conv_tft, 300), (circ_conv_fft, 256), (nega_conv, 256), (circ_conv_split, 256)):
+        listed = [rng.randrange(p) for _ in range(length)]
+        # Residues of p - 1 make the widest products the kernels form.
+        for other in (listed, [p - 1] * length):
+            counters = OpCounters()
+            want = engine(listed, other, ConvRequest(fp, counters=counters))
+            for pair in ((np.array(listed, dtype=np.uint64), other), (listed, np.array(other, dtype=np.uint64))):
+                got = OpCounters()
+                out = engine(*pair, ConvRequest(fp, counters=got))
+                assert isinstance(out, list) and out == want and got == counters, engine.__name__
+        negatives = np.full(length, -1, dtype=np.int64)
+        with pytest.raises(ValueError, match="residues"):
+            engine(listed, negatives, ConvRequest(fp))
+        with pytest.raises(ValueError, match="residues"):
+            engine(negatives, listed, ConvRequest(fp))

@@ -16,6 +16,7 @@ from modconv import (
     itft_butterflies,
     lin_conv_kronecker,
     plan_mirror,
+    root_of_unity,
     store_load,
     store_save,
     tft_butterflies,
@@ -401,6 +402,27 @@ class TestResolveEngine:
         fp_low = FourierPrime.from_modulus(2305843009213704193)
         assert session.resolve_engine(fp_low, 1000, 1100) == "kronecker"
         assert session.search_count == 0 and len(session.store) == 0
+
+    def test_field_decides_which_sizes_rank_transforms(self, fp998):
+        # The planner asks the field for a root of the padded size rather than
+        # restating the 2-adicity rule: a size the field refuses goes to
+        # kronecker, whatever the stocked timings say, and no key is read.
+        from unittest import mock
+
+        from modconv import UnsupportedSizeError
+
+        session = self._stocked_session(tft_nanos=10, dft_nanos=1000)
+
+        def refuse_16(field, n):
+            if n == 16:
+                raise UnsupportedSizeError(f"no root of order {n}")
+            return root_of_unity(field, n)
+
+        with mock.patch.object(planner, "root_of_unity", refuse_16), mock.patch.object(
+            session, "lookup", side_effect=AssertionError("a key was read")
+        ):
+            assert session.resolve_engine(fp998, 8, 8) == "kronecker"
+        assert session.resolve_engine(fp998, 8, 8) == "tft"
 
     @pytest.mark.parametrize("size", [1 << 9, 1 << 12, 1 << 14])
     def test_loaded_numpy_excludes_kronecker_over_word_primes(self, size):

@@ -308,8 +308,9 @@ def test_truncated_transforms_property(shape):
 HAVE_NUMPY = importlib.util.find_spec("numpy") is not None
 needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
 
-# The primes below 2**32 the numpy kernels serve: 2-adicity 4, 8, 23 and 30.
-NUMPY_FIELDS = [FourierPrime.from_modulus(p) for p in (17, 257, 998244353, 3221225473)]
+# The primes below 2**32 the numpy kernels serve: 2-adicity 4, 8, 23, 30 and
+# 20, the last 2**32 - 2**20 + 1, whose residue products come closest to 2**64.
+NUMPY_FIELDS = [FourierPrime.from_modulus(p) for p in (17, 257, 998244353, 3221225473, 4293918721)]
 
 
 @st.composite
@@ -318,7 +319,11 @@ def numpy_shapes(draw, size):
     n = draw(st.integers(1, size))
     z = draw(st.integers(1, n))
     rng = random.Random(draw(st.integers(0, 2**32)))
-    return fp, n, z, [rng.randrange(fp.p) for _ in range(size)]
+    if draw(st.booleans()):
+        return fp, n, z, [rng.randrange(fp.p) for _ in range(size)]
+    # Ints outside [0, p): negative, in [p, 2**32), in [2**32, 2**64), from 2**64 up.
+    spans = ((-(1 << 70), 0), (fp.p, 1 << 32), (1 << 32, 1 << 64), (1 << 64, 1 << 70))
+    return fp, n, z, [rng.randrange(*rng.choice(spans)) for _ in range(size)]
 
 
 @needs_numpy
@@ -326,19 +331,27 @@ def numpy_shapes(draw, size):
 @settings(derandomize=True, max_examples=15, deadline=None)
 @given(data=st.data())
 def test_numpy_kernels_match_python(size, data):
+    import numpy
+
     from modconv import _ntt_numpy
 
     fp, n, z, x = data.draw(numpy_shapes(size))
     t = get_table(fp, size)
+    # The kernels take uint64 arrays of residues only.
+    a = numpy.array([v % fp.p for v in x], dtype=numpy.uint64)
+    # The Python loops reduce every value they compute, but pass an input they
+    # never combine through (at size 1, or tft's input when z = 1), so they
+    # are compared as residues; on canonical input that is equality.
+    residues = lambda out: [v % fp.p for v in out]
 
     def run(call):
         counters = OpCounters()
         return call(counters), counters
 
     for direction in ("fwd", "inv"):
-        assert _ntt_numpy.moddft(x, t, direction) == transform._moddft_python(x, t, direction)
-    assert _ntt_numpy.tft(t, x[:z], n) == transform._tft_python(t, x[:z], n, None)
-    assert _ntt_numpy.itft(t, x[:n]) == transform._itft_python(t, x[:n], None)
+        assert _ntt_numpy.moddft(a, t, direction).tolist() == residues(transform._moddft_python(x, t, direction))
+    assert _ntt_numpy.tft(t, a[:z], n).tolist() == residues(transform._tft_python(t, x[:z], n, None))
+    assert _ntt_numpy.itft(t, a[:n]).tolist() == residues(transform._itft_python(t, x[:n], None))
     # Through the public dispatch, outputs and counters of both backends agree.
     calls = [
         (lambda c: moddft(x, t, "fwd", c)),
@@ -347,7 +360,7 @@ def test_numpy_kernels_match_python(size, data):
         (lambda c: itft(t, x[:n], c)),
     ]
     with mock.patch.multiple(transform, _NUMPY_MIN_SIZE=1 << 62, _NUMPY_CROSSOVER=1 << 62):
-        python = [run(call) for call in calls]
+        python = [(residues(out), counters) for out, counters in map(run, calls)]
     # numpy is loaded here, so the crossover alone sends every size to numpy.
     with mock.patch.object(transform, "_NUMPY_CROSSOVER", 1):
         assert transform._numpy_kernels(t.field.p, t.size) is _ntt_numpy
