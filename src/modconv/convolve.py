@@ -7,16 +7,26 @@ Kronecker substitution (one CPython big-integer multiply, for any prime and
 any length). All engines are exact, so every applicable engine produces
 bit-identical output; they differ only in operation counts.
 
-Wherever the transforms run in numpy (see `transform._numpy_kernels`, which
-imports numpy from 2**15 on and takes sizes from 2**9 on once it is loaded),
-and whenever an input is an ndarray, `conv_tft`, `circ_conv_fft`, `nega_conv`
-and `circ_conv_split` pass each input through `transform._as_residues` once,
-keep every step in arrays (transforms, pointwise product, 1/L scale, twist,
-residues) and convert the result to a list once. So an input list has its
-ints outside [0, p) reduced, and an input ndarray, in any position, must be
-uint64 and hold residues, else ValueError. The result is an ndarray only
-when every input was one. Both paths return the same values and count the
-same operations.
+Every engine checks its operands by one rule (`_operands`): both nonempty,
+and of equal length for the circular ones. The transform-backed engines get
+their table from `get_table`, which refuses a length the field cannot
+transform. A linear product through a circular engine (`lin_conv_fft_pad`,
+and `poly_mul`'s `split`) is one step, `_zero_padded`.
+
+Arrays. `conv_tft`, `circ_conv_fft`, `nega_conv`, `circ_conv_split` and
+`lin_conv_fft_pad` take numpy ndarrays as well as lists. Wherever the
+transforms run in numpy (see `transform._numpy_kernels`, which imports numpy
+from 2**15 on and takes sizes from 2**9 on once it is loaded), and whenever
+an input is an ndarray, they pass each input through `transform._as_residues`
+once (`transform._numpy_inputs`), keep every step in arrays (transforms,
+pointwise product, 1/L scale, twist, residues) and convert the result to a
+list once; `lin_conv_fft_pad` pads each input in its own type and hands it
+to `circ_conv_fft`. So an input list has its ints outside [0, p) reduced, and
+an input ndarray, in any position, must be 1-D uint64 and hold residues,
+else ValueError. The result is an ndarray only when every input was one. Both
+paths return the same values and count the same operations.
+`circ_conv_def`, `lin_conv_def` and `lin_conv_kronecker` have no array path:
+they refuse an ndarray with ValueError.
 
 Execution is serial. CPython holds the GIL through these pure-Python integer
 loops, so worker threads cannot make them faster. `ConvRequest.threads` is
@@ -31,17 +41,7 @@ from typing import TYPE_CHECKING
 
 from .field import FieldMismatchError, FourierPrime
 from .poly import DensePoly, _check_fields
-from .transform import (
-    OpCounters,
-    TwiddleTable,
-    _as_residues,
-    _is_array,
-    _numpy_kernels,
-    get_table,
-    itft,
-    moddft,
-    tft,
-)
+from .transform import OpCounters, _is_array, _numpy_inputs, get_table, itft, moddft, tft
 
 if TYPE_CHECKING:
     from .planner import PlanSession
@@ -70,11 +70,42 @@ def _next_pow2(n: int) -> int:
     return 1 << (n - 1).bit_length() if n > 1 else 1
 
 
+def _operands(u, v, circular: bool = False, arrays: bool = True) -> None:
+    """The engines' operand rule: both nonempty, of equal length for a circular engine.
+
+    An engine without an array path (arrays=False) refuses an ndarray, on
+    whose uint64 scalars its loops would wrap.
+    """
+    if not len(u) or not len(v) or circular and len(u) != len(v):
+        kind = "equal nonempty" if circular else "nonempty"
+        raise ValueError(f"need {kind} lengths, got {len(u)} and {len(v)}")
+    if not arrays and (_is_array(u) or _is_array(v)):
+        raise ValueError("this engine takes lists, not ndarrays")
+
+
+def _zero_padded(circ, u, v, req: ConvRequest, least: int):
+    """The linear product u * v as circ on both zero-padded to max(least, next_pow2(n)), cut to n.
+
+    Each input is padded in its own type (an ndarray by np.pad), so circ's
+    array rule applies to it.
+    """
+    n = len(u) + len(v) - 1
+    size = max(least, _next_pow2(n))
+
+    def pad(w):
+        if _is_array(w):
+            import numpy as np
+
+            return np.pad(w, (0, size - len(w)))
+        return list(w) + [0] * (size - len(w))
+
+    return circ(pad(u), pad(v), req)[:n]
+
+
 def circ_conv_def(u: list[int], v: list[int], fp: FourierPrime) -> list[int]:
     """Circular convolution straight from its defining sum (oracle)."""
+    _operands(u, v, circular=True, arrays=False)
     n = len(u)
-    if n == 0 or len(v) != n:
-        raise ValueError(f"need equal nonempty lengths, got {len(u)} and {len(v)}")
     p = fp.p
     v2 = list(v) + list(v)
     out = []
@@ -89,9 +120,8 @@ def circ_conv_def(u: list[int], v: list[int], fp: FourierPrime) -> list[int]:
 
 def lin_conv_def(u: list[int], v: list[int], fp: FourierPrime) -> list[int]:
     """Linear convolution straight from its defining sum (oracle)."""
+    _operands(u, v, arrays=False)
     m, n = len(u), len(v)
-    if m == 0 or n == 0:
-        raise ValueError("inputs must be nonempty")
     p = fp.p
     out = []
     for i in range(m + n - 1):
@@ -104,25 +134,6 @@ def lin_conv_def(u: list[int], v: list[int], fp: FourierPrime) -> list[int]:
             acc += u[i - k] * v[k]
         out.append(acc % p)
     return out
-
-
-def _numpy_inputs(table: TwiddleTable, *vecs):
-    """vecs as uint64 arrays (`transform._as_residues`) for an engine to rerun on, else None.
-
-    An engine runs in arrays when any input is an ndarray or when table's
-    transforms run in numpy; asking `_numpy_kernels` imports numpy from 2**15
-    on, so the first product that large converts like every later one. Every
-    input goes through `_as_residues`, whatever its position: a list is
-    reduced into [0, p), an ndarray is checked. Inputs that are all arrays
-    give None once checked: the engine is already on the array path, and
-    returns an ndarray only then.
-    """
-    p = table.field.p
-    given = [_is_array(v) for v in vecs]
-    if not any(given) and _numpy_kernels(p, table.size) is None:
-        return None
-    arrays = [_as_residues(v, p) for v in vecs]
-    return None if all(given) else arrays
 
 
 def _mulmod(a, b, p: int):
@@ -143,12 +154,8 @@ def _pointwise(a, b, p: int, req: ConvRequest):
 
 def circ_conv_fft(u: list[int], v: list[int], req: ConvRequest) -> list[int]:
     """Circular convolution as inverse-DFT of the pointwise spectral product."""
-    n = len(u)
-    if n == 0 or len(v) != n:
-        raise ValueError(f"need equal nonempty lengths, got {len(u)} and {len(v)}")
-    if n & (n - 1):
-        raise ValueError(f"length must be a power of two: {n}")
-    table = get_table(req.field, n)
+    _operands(u, v, circular=True)
+    table = get_table(req.field, len(u))
     arrays = _numpy_inputs(table, u, v)
     if arrays is not None:
         return circ_conv_fft(*arrays, req).tolist()
@@ -160,14 +167,8 @@ def circ_conv_fft(u: list[int], v: list[int], req: ConvRequest) -> list[int]:
 
 def lin_conv_fft_pad(u: list[int], v: list[int], req: ConvRequest) -> list[int]:
     """Linear convolution by zero-padding into a power-of-two circular one."""
-    m, n = len(u), len(v)
-    if m == 0 or n == 0:
-        raise ValueError("inputs must be nonempty")
-    out_len = m + n - 1
-    size = _next_pow2(out_len)
-    up = list(u) + [0] * (size - m)
-    vp = list(v) + [0] * (size - n)
-    return circ_conv_fft(up, vp, req)[:out_len]
+    _operands(u, v)
+    return _zero_padded(circ_conv_fft, u, v, req, 1)
 
 
 def nega_conv(u: list[int], v: list[int], req: ConvRequest) -> list[int]:
@@ -176,11 +177,8 @@ def nega_conv(u: list[int], v: list[int], req: ConvRequest) -> list[int]:
     Needs a root of order 2n, i.e. one extra level of 2-adicity beyond the
     circular case.
     """
+    _operands(u, v, circular=True)
     n = len(u)
-    if n == 0 or len(v) != n:
-        raise ValueError(f"need equal nonempty lengths, got {len(u)} and {len(v)}")
-    if n & (n - 1):
-        raise ValueError(f"length must be a power of two: {n}")
     arrays = _numpy_inputs(get_table(req.field, n), u, v)
     if arrays is not None:
         return nega_conv(*arrays, req).tolist()
@@ -205,9 +203,9 @@ def circ_conv_split(u: list[int], v: list[int], req: ConvRequest) -> list[int]:
     circularly and negacyclically, and the halves are recombined with the
     inverse of 2.
     """
+    _operands(u, v, circular=True)
     size = len(u)
-    if size == 0 or len(v) != size:
-        raise ValueError(f"need equal nonempty lengths, got {len(u)} and {len(v)}")
+    # Halving drops an odd length's last bit, so get_table(n) cannot refuse it.
     if size & (size - 1) or size < 2:
         raise ValueError(f"length must be a power of two >= 2: {size}")
     n = size >> 1
@@ -262,10 +260,8 @@ def conv_tft(g: list[int], h: list[int], req: ConvRequest) -> list[int]:
     pointwise (exactly n products), and recovered through the inverse
     truncated transform and one division by L.
     """
-    z1, z2 = len(g), len(h)
-    if z1 == 0 or z2 == 0:
-        raise ValueError("inputs must be nonempty")
-    n = z1 + z2 - 1
+    _operands(g, h)
+    n = len(g) + len(h) - 1
     size = _next_pow2(n)
     table = get_table(req.field, size)
     arrays = _numpy_inputs(table, g, h)
@@ -299,9 +295,8 @@ def lin_conv_kronecker(u: list[int], v: list[int], fp: FourierPrime) -> list[int
     first. Exact for any p and any lengths; it needs no twiddle table and
     counts no butterflies or pointwise products.
     """
+    _operands(u, v, arrays=False)
     z1, z2 = len(u), len(v)
-    if z1 == 0 or z2 == 0:
-        raise ValueError("inputs must be nonempty")
     p = fp.p
     slot = _kronecker_slot(p, min(z1, z2))
     packed = []
@@ -312,6 +307,18 @@ def lin_conv_kronecker(u: list[int], v: list[int], fp: FourierPrime) -> list[int
     size = (z1 + z2 - 1) * slot
     data = (packed[0] * packed[1]).to_bytes(size, "little")
     return [int.from_bytes(data[i : i + slot], "little") % p for i in range(0, size, slot)]
+
+
+# Each fixed engine's call on two coefficient lists. The lambdas look the
+# engines up by module name when called, so a replaced name (a tracer's
+# wrapper) is the one that runs.
+_ENGINE_CALLS = {
+    "definition": lambda u, v, req: lin_conv_def(u, v, req.field),
+    "fft_pad": lambda u, v, req: lin_conv_fft_pad(u, v, req),
+    "tft": lambda u, v, req: conv_tft(u, v, req),
+    "split": lambda u, v, req: _zero_padded(circ_conv_split, u, v, req, 2),
+    "kronecker": lambda u, v, req: lin_conv_kronecker(u, v, req.field),
+}
 
 
 def _resolve_engine(a_len: int, b_len: int, req: ConvRequest) -> str:
@@ -338,21 +345,5 @@ def poly_mul(a: DensePoly, b: DensePoly, req: ConvRequest) -> DensePoly:
         return DensePoly.zero(a.field)
     u = list(a.normalize().coeffs)
     v = list(b.normalize().coeffs)
-    engine = _resolve_engine(len(u), len(v), req)
-    if engine == "definition":
-        out = lin_conv_def(u, v, req.field)
-    elif engine == "fft_pad":
-        out = lin_conv_fft_pad(u, v, req)
-    elif engine == "tft":
-        out = conv_tft(u, v, req)
-    elif engine == "split":
-        out_len = len(u) + len(v) - 1
-        size = max(2, _next_pow2(out_len))
-        up = u + [0] * (size - len(u))
-        vp = v + [0] * (size - len(v))
-        out = circ_conv_split(up, vp, req)[:out_len]
-    elif engine == "kronecker":
-        out = lin_conv_kronecker(u, v, req.field)
-    else:
-        raise ValueError(f"unknown engine {engine!r}")
+    out = _ENGINE_CALLS[_resolve_engine(len(u), len(v), req)](u, v, req)
     return DensePoly(a.field, tuple(out)).normalize()

@@ -17,13 +17,14 @@ every signature it writes; the field stays because the store format carries it.
 
 The plan contract is stated once here: `planned_keys` gives the keys
 `modconv plan` writes and the automatic engine choice reads, four timings per
-(p, L), and `_run` gives the one kernel call each kind times, which `search`
+(p, L), and `_call` gives the one kernel call each kind times, which `search`
 and `replay` share. The transform keys time the full size, z = n = L; the
 `conv` key times a balanced product at the bottom of L's range, z = L/4 + 1
 and n = L/2 + 1, which keeps planning cheap. Each timing is taken on the
 vectors an engine passes to that kernel: a transform's seeded input goes
-through `convolve._numpy_inputs`, so it is a uint64 array wherever the
+through `transform._numpy_inputs`, so it is a uint64 array wherever the
 engines run in arrays and a list elsewhere; Kronecker's is a pair of lists.
+Only the transform kinds fetch a twiddle table: Kronecker runs at any size.
 The engine choice scales these timings to the product's shape (the
 transforms by exact butterfly counts, `conv` by CPython's multiply cost on
 the packed lengths), so it never searches for a new shape.
@@ -37,9 +38,10 @@ import time
 from dataclasses import dataclass, replace
 
 from . import __version__
-from .convolve import _kronecker_slot, _next_pow2, _numpy_inputs, lin_conv_kronecker
+from .convolve import _kronecker_slot, _next_pow2, lin_conv_kronecker
 from .field import FourierPrime, LineError, UnsupportedSizeError, _clip, _lines, root_of_unity
 from .transform import (
+    _numpy_inputs,
     _numpy_kernels,
     get_table,
     itft,
@@ -131,15 +133,20 @@ def planned_keys(p: int, size: int) -> tuple[PlanKey, PlanKey, PlanKey, PlanKey]
     )
 
 
-def _run(key: PlanKey, table, x):
-    """The kernel call that key times, on x: moddft, tft to n outputs, itft, or Kronecker on the pair x."""
+def _call(key: PlanKey, fp: FourierPrime, x):
+    """A zero-argument call of the kernel that key times, on x.
+
+    moddft at L, tft to n outputs or itft, on the twiddle table of (fp, L),
+    or Kronecker on the pair x, which fetches no table.
+    """
+    if key.kind == "conv":
+        return lambda: lin_conv_kronecker(*x, fp)
+    table = get_table(fp, key.L)
     if key.kind == "dft":
-        return moddft(x, table)
+        return lambda: moddft(x, table)
     if key.kind == "tft":
-        return tft(table, x, key.n)
-    if key.kind == "itft":
-        return itft(table, x)
-    return lin_conv_kronecker(*x, table.field)
+        return lambda: tft(table, x, key.n)
+    return lambda: itft(table, x)
 
 
 def plan_mirror(entry: PlanEntry) -> PlanEntry:
@@ -361,11 +368,11 @@ class PlanSession:
         """A zero-argument call of the kernel that `key` times, on seeded random input.
 
         The input is what an engine would pass: a uint64 array where
-        `convolve._numpy_inputs` makes one, a list elsewhere, and a pair of
+        `transform._numpy_inputs` makes one, a list elsewhere, and a pair of
         lists for `conv`.
         """
         size, n, z = key.L, key.n, key.z
-        table = get_table(FourierPrime.from_modulus(key.p), size)
+        fp = FourierPrime.from_modulus(key.p)
         if key.kind != "dft" and not 1 <= n <= size:
             raise ValueError(f"output count {n} invalid for L={size}")
         if key.kind in ("tft", "conv") and not 1 <= z <= n:
@@ -373,11 +380,9 @@ class PlanSession:
         rng = self._rng_for(key)
         vec = lambda length: [rng.randrange(key.p) for _ in range(length)]
         if key.kind == "conv":
-            x = (vec(z), vec(n + 1 - z))
-        else:
-            x = vec({"dft": size, "tft": z, "itft": n}[key.kind])
-            x = (_numpy_inputs(table, x) or [x])[0]
-        return lambda: _run(key, table, x)
+            return _call(key, fp, (vec(z), vec(n + 1 - z)))
+        x = vec({"dft": size, "tft": z, "itft": n}[key.kind])
+        return _call(key, fp, (_numpy_inputs(get_table(fp, size), x) or [x])[0])
 
     # -- automatic engine choice ----------------------------------------------
 
@@ -446,4 +451,4 @@ class PlanSession:
 
     def replay(self, entry: PlanEntry, x):
         """Execute a stored plan on concrete input (used for validity checks); a pair for `conv`."""
-        return _run(entry.key, get_table(FourierPrime.from_modulus(entry.key.p), entry.key.L), x)
+        return _call(entry.key, FourierPrime.from_modulus(entry.key.p), x)()

@@ -18,10 +18,10 @@ and _NUMPY_CROSSOVER (2**9), from which the numpy kernels are faster once
 numpy is loaded anyway. A uint64 ndarray input always runs them and gets an
 ndarray back, so callers can keep a whole product in arrays. _as_residues is
 the one place a vector crosses into numpy: a list has its ints outside
-[0, p) reduced there, and an ndarray must be uint64 and hold residues, else
-ValueError. Both paths return the same residues and count the same
-butterflies. numpy is imported on first use, never by this module or by
-building a table.
+[0, p) reduced there, and an ndarray must be 1-D uint64 and hold residues,
+else ValueError; _numpy_inputs says when an engine's inputs cross. Both
+paths return the same residues and count the same butterflies. numpy is
+imported on first use, never by this module or by building a table.
 
 Butterfly accounting: one butterfly is one two-point kernel evaluation,
 including degenerate forms where a known-zero or unneeded half collapses the
@@ -174,16 +174,16 @@ def _as_residues(x, p: int):
 
     A list is converted, its ints outside [0, p) reduced mod p: the residues
     the Python loops compute with. An ndarray is taken as it is, so it must
-    be uint64, hold residues and have p < 2**32; any other raises
-    ValueError. Call it only where numpy is loaded.
+    be one-dimensional and uint64, hold residues and have p < 2**32; any
+    other raises ValueError. Call it only where numpy is loaded.
     """
     import numpy as np
 
     if isinstance(x, np.ndarray):
         if p >= 1 << 32:
             raise ValueError(f"uint64 arrays need p < 2**32, got p={p}")
-        if x.dtype != np.uint64 or x.max() >= p:
-            raise ValueError(f"arrays must be uint64 and hold residues mod p={p}")
+        if x.ndim != 1 or x.dtype != np.uint64 or x.max() >= p:
+            raise ValueError(f"arrays must be 1-D uint64 and hold residues mod p={p}")
         return x
     try:
         a = np.array(x, dtype=np.uint64)
@@ -192,6 +192,25 @@ def _as_residues(x, p: int):
     if a.max() >= p:
         a %= p
     return a
+
+
+def _numpy_inputs(table: TwiddleTable, *vecs):
+    """vecs as uint64 arrays (`_as_residues`) for an engine to rerun on, else None.
+
+    An engine runs in arrays when any input is an ndarray or when table's
+    transforms run in numpy; asking `_numpy_kernels` imports numpy from 2**15
+    on, so the first product that large converts like every later one. Every
+    input goes through `_as_residues`, whatever its position: a list is
+    reduced into [0, p), an ndarray is checked. Inputs that are all arrays
+    give None once checked: the engine is already on the array path, and
+    returns an ndarray only then.
+    """
+    p = table.field.p
+    given = [_is_array(v) for v in vecs]
+    if not any(given) and _numpy_kernels(p, table.size) is None:
+        return None
+    arrays = [_as_residues(v, p) for v in vecs]
+    return None if all(given) else arrays
 
 
 def _in_numpy(table: TwiddleTable, x, run):

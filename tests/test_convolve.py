@@ -74,11 +74,43 @@ class TestDefinitionOracles:
             v = random_vec(rng, fp998, rng.randint(1, 32))
             assert lin_conv_def(u, v, fp998) == schoolbook_raw(u, v, fp998.p)
 
-    def test_usage_errors(self, fp17):
+
+# The engine functions that take the field itself; the others take a ConvRequest.
+FIELD_ENGINES = (circ_conv_def, lin_conv_def, lin_conv_kronecker)
+ALL_ENGINES = (*FIELD_ENGINES, circ_conv_fft, lin_conv_fft_pad, nega_conv, circ_conv_split, conv_tft)
+CIRCULAR = (circ_conv_def, circ_conv_fft, nega_conv, circ_conv_split)
+
+
+def _engine_arg(engine, fp):
+    return fp if engine in FIELD_ENGINES else ConvRequest(fp)
+
+
+# (engine, len(u), len(v), raises): every engine refuses an empty operand and
+# the circular ones unequal lengths; the transform-backed circular engines
+# refuse lengths their table cannot have, and the split a 2n of 1.
+USAGE_CASES = [
+    *((e, a, b, True) for e in ALL_ENGINES for a, b in ((0, 1), (1, 0), (0, 0))),
+    *((e, 2, 1, True) for e in CIRCULAR),
+    *((e, n, n, True) for e in CIRCULAR[1:] for n in (3, 6)),
+    (circ_conv_split, 1, 1, True),
+    (circ_conv_def, 6, 6, False),
+]
+
+
+@pytest.mark.parametrize(
+    "engine, a, b, raises",
+    USAGE_CASES,
+    ids=[f"{e.__name__}-{a}x{b}" for e, a, b, _ in USAGE_CASES],
+)
+def test_usage_errors(fp998, engine, a, b, raises):
+    u, v = list(range(1, a + 1)), list(range(2, b + 2))
+    if raises:
         with pytest.raises(ValueError):
-            circ_conv_def([1, 2], [1], fp17)
-        with pytest.raises(ValueError):
-            lin_conv_def([], [1], fp17)
+            engine(u, v, _engine_arg(engine, fp998))
+        return
+    full = lin_conv_def(u, v, fp998) + [0]
+    want = [(full[i] + full[i + a]) % fp998.p for i in range(a)]
+    assert engine(u, v, _engine_arg(engine, fp998)) == want
 
 
 class TestCircularFft:
@@ -108,8 +140,6 @@ class TestCircularFft:
         req = ConvRequest(fp17, engine="fft_pad")
         with pytest.raises(UnsupportedSizeError):
             circ_conv_fft(random_vec(rng, fp17, 32), random_vec(rng, fp17, 32), req)
-        with pytest.raises(ValueError):
-            circ_conv_fft([1, 2, 3], [1, 2, 3], req)
 
 
 class TestLinearFftPad:
@@ -203,13 +233,6 @@ class TestSplitEngine:
         req = ConvRequest(fp998)
         v = random_vec(rng, fp998, 32)
         assert circ_conv_split([1] + [0] * 31, v, req) == v
-
-    def test_rejects_bad_lengths(self, fp998):
-        req = ConvRequest(fp998)
-        with pytest.raises(ValueError):
-            circ_conv_split([1], [1], req)
-        with pytest.raises(ValueError):
-            circ_conv_split([1, 2, 3], [4, 5, 6], req)
 
 
 class TestConvTft:
@@ -401,8 +424,6 @@ def test_kronecker_matches_definition(case):
 def test_kronecker_reduces_ints_outside_the_field(fp17):
     u, v = [-1, 17, 40, 2**70], [3, -20]
     assert lin_conv_kronecker(u, v, fp17) == lin_conv_def(u, v, fp17)
-    with pytest.raises(ValueError):
-        lin_conv_kronecker([], [1], fp17)
 
 
 def test_kronecker_slots_hold_the_widest_sums():
@@ -464,8 +485,6 @@ def test_array_path_matches_list_path(case):
         # numpy is loaded here, so the crossover alone moves every size to arrays.
         with mock.patch.object(transform, "_NUMPY_CROSSOVER", 1):
             assert run(engine, args) == listed, engine.__name__
-        if engine is lin_conv_fft_pad:
-            continue  # it pads lists and hands them to circ_conv_fft
         arrays = [np.array(x, dtype=np.uint64) for x in canonical]
         out, counters = run(engine, arrays)
         assert isinstance(out, np.ndarray) and out.dtype == np.uint64, engine.__name__
@@ -474,6 +493,33 @@ def test_array_path_matches_list_path(case):
     a, b = split_residues(np.array(residues(u), dtype=np.uint64), fp.p)
     assert [a.tolist(), b.tolist()] == list(split_residues(u, fp.p))
     assert recombine_residues(a, b, fp.p).tolist() == residues(u)
+
+
+@pytest.mark.skipif(importlib.util.find_spec("numpy") is None, reason="numpy not installed")
+@pytest.mark.parametrize("length", [10, 600])
+@pytest.mark.parametrize("engine", ALL_ENGINES, ids=lambda e: e.__name__)
+def test_array_operands_run_or_raise(fp998, engine, length):
+    # uint64 arrays of p - 1 and p - 2 form the widest products. An engine
+    # with an array path returns the list result (an ndarray when both
+    # inputs are arrays) or refuses the length as it refuses the lists; the
+    # others refuse arrays outright.
+    import numpy as np
+
+    p = fp998.p
+    listed = ([p - 1] * length, [p - 2] * length)
+    arrays = [np.full(length, x[0], dtype=np.uint64) for x in listed]
+    try:
+        want = engine(*listed, _engine_arg(engine, fp998))
+    except ValueError:
+        want = None
+    for pair in (arrays, (arrays[0], listed[1]), (listed[0], arrays[1])):
+        if want is None or engine in FIELD_ENGINES:
+            with pytest.raises(ValueError):
+                engine(*pair, _engine_arg(engine, fp998))
+            continue
+        out = engine(*pair, _engine_arg(engine, fp998))
+        assert isinstance(out, np.ndarray) == (pair is arrays)
+        assert (out.tolist() if isinstance(out, np.ndarray) else out) == want
 
 
 @pytest.mark.skipif(importlib.util.find_spec("numpy") is None, reason="numpy not installed")
@@ -500,8 +546,10 @@ def test_arrays_must_hold_residues(fp998):
         transform.tft(table, edge[:10], 20)
     with pytest.raises(ValueError, match="residues"):
         transform.itft(table, edge[:10])
-    # Only uint64 arrays hold residues: int64 negatives and floats pass a max() < p test.
-    for other in (np.full(300, -1, dtype=np.int64), np.ones(300, dtype=np.float64)):
+    # Only 1-D uint64 arrays hold residues: int64 negatives and floats pass a
+    # max() < p test, and a 2-D array would run as rows.
+    square = np.ones((300, 300), dtype=np.uint64)
+    for other in (np.full(300, -1, dtype=np.int64), np.ones(300, dtype=np.float64), square):
         with pytest.raises(ValueError, match="residues"):
             conv_tft(other, np.ones(300, dtype=np.uint64), req)
         for engine in (circ_conv_fft, nega_conv, circ_conv_split):

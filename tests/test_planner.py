@@ -21,7 +21,7 @@ from modconv import (
     store_save,
     tft_butterflies,
 )
-from modconv import planner
+from modconv import planner, transform
 from modconv.planner import STORE_VERSION
 
 from conftest import LARGE_PRIME, random_vec
@@ -234,6 +234,16 @@ class TestLookupPolicy:
         assert session.replay(entry, ([1, 2, 3], [4, 5])) == [4, 13, 5, 15]
         with pytest.raises(ValueError):
             session.search(PlanKey("conv", 17, 8, 0, 8, 1))
+
+    def test_conv_key_needs_no_twiddle_table(self):
+        # Kronecker runs at any size: a conv key at 2**12 over a prime of
+        # 2-adicity 11 is timed and replayed without building a table.
+        session = make_session(reps=1)
+        misses = transform._build_table.cache_info().misses
+        entry = session.search(PlanKey("conv", 2305843009213704193, 4096, 1025, 2049, 1))
+        assert entry.key.L == 4096 and session.search_count == 1
+        assert session.replay(entry, ([1, 2], [3])) == [3, 6]
+        assert transform._build_table.cache_info().misses == misses
 
 
 class TestDftSearch:
