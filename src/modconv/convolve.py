@@ -186,12 +186,13 @@ def nega_conv(u: list[int], v: list[int], req: ConvRequest) -> list[int]:
     twist = get_table(req.field, 2 * n)
     # psi**j and psi**-j for j < n, psi**2 == w_n.
     if _is_array(u):
-        from ._ntt_numpy import stage_arrays
+        from ._ntt_numpy import mulmod, stage_arrays
 
         fwd, inv, _ = stage_arrays(twist)
-        psi, inv_psi = fwd[-1], inv[-1]
-    else:
-        psi, inv_psi = twist.fwd_stages[-1], twist.inv_stages[-1]
+        # Each stage is (twiddles, their Shoup quotients).
+        circ = circ_conv_fft(mulmod(u, *fwd[-1], p), mulmod(v, *fwd[-1], p), req)
+        return mulmod(circ, *inv[-1], p)
+    psi, inv_psi = twist.fwd_stages[-1], twist.inv_stages[-1]
     circ = circ_conv_fft(_mulmod(u, psi, p), _mulmod(v, psi, p), req)
     return _mulmod(circ, inv_psi, p)
 
@@ -224,13 +225,14 @@ def split_residues(u: list[int], p: int) -> tuple[list[int], list[int]]:
     """Residues of u mod (x**n - 1) and mod (x**n + 1), for n = len(u)/2."""
     n = len(u) >> 1
     if _is_array(u):
+        import numpy as np
+
+        # Both lie in [0, 2p); where one is below p, subtracting p wraps above it.
         lo, hi = u[:n], u[n:]
         a = lo + hi
-        a %= p
-        b = p - hi
-        b += lo
-        b %= p
-        return a, b
+        b = lo - hi
+        b += p
+        return np.minimum(a, a - p), np.minimum(b, b - p)
     a = [(u[j] + u[j + n]) % p for j in range(n)]
     b = [(u[j] - u[j + n]) % p for j in range(n)]
     return a, b
@@ -242,11 +244,11 @@ def recombine_residues(a: list[int], b: list[int], p: int) -> list[int]:
     if _is_array(a):
         import numpy as np
 
-        # Sums and differences stay below 2p, so their products with inv2 fit.
-        out = np.concatenate((a + b, a + (p - b)))
-        out *= inv2
-        out %= p
-        return out
+        from ._ntt_numpy import mulmod, quotient
+
+        # The residues of a followed by b are a + b and a - b.
+        out = np.concatenate(split_residues(np.concatenate((a, b)), p))
+        return mulmod(out, inv2, quotient(inv2, p), p)
     lo = [(x + y) * inv2 % p for x, y in zip(a, b)]
     hi = [(x - y) * inv2 % p for x, y in zip(a, b)]
     return lo + hi
@@ -274,9 +276,9 @@ def conv_tft(g: list[int], h: list[int], req: ConvRequest) -> list[int]:
     scaled = itft(table, prod, req.counters)
     inv_size = table.inv_size
     if _is_array(scaled):
-        scaled *= inv_size
-        scaled %= p
-        return scaled
+        from ._ntt_numpy import mulmod, quotient
+
+        return mulmod(scaled, inv_size, quotient(inv_size, p), p)
     return [x * inv_size % p for x in scaled]
 
 

@@ -209,26 +209,28 @@ def _suite_numpy_backend(rng, cap, fields):
     except ImportError:
         return True, "numpy not installed"
     checked = top = 0
-    # 2**32 - 2**20 + 1 (2-adicity 20) joins the fields: its residue products
-    # come closest to 2**64 in the numpy kernels.
-    for fp in (*fields, FourierPrime.from_modulus(4293918721)):
+    # 3 * 2**30 + 1 and 2**32 - 2**20 + 1 (2-adicity 20) join the fields:
+    # their residue products come closest to 2**64 in the numpy kernels.
+    for fp in (*fields, *map(FourierPrime.from_modulus, (3221225473, 4293918721))):
         p = fp.p
         for size in _pow2_range(min(cap, 1 << fp.two_adicity), lo=1):
             top = max(top, size)
             table = get_table(fp, size)
-            x = [rng.randrange(p) for _ in range(size)]
-            a = _as_residues(x, p)
-            for direction in ("fwd", "inv"):
-                if _ntt_numpy.moddft(a, table, direction).tolist() != _moddft_python(x, table, direction):
-                    return False, f"numpy moddft {direction} != Python at p={p}, L={size}"
-            ns = {1, size // 2 or 1, size // 2 + 1, size - 1 or 1, size}
-            for n in sorted(ns | {rng.randint(1, size) for _ in range(4)}):
-                z = rng.randint(1, n)
-                if _ntt_numpy.tft(table, a[:z], n).tolist() != _tft_python(table, x[:z], n, None):
-                    return False, f"numpy tft != Python at p={p}, L={size}, z={z}, n={n}"
-                if _ntt_numpy.itft(table, a[:n]).tolist() != _itft_python(table, x[:n], None):
-                    return False, f"numpy itft != Python at p={p}, L={size}, n={n}"
-                checked += 1
+            # Random residues, then all p - 1: the largest values the uint64
+            # bounds of the division-free products must hold.
+            for x in ([rng.randrange(p) for _ in range(size)], [p - 1] * size):
+                a = _as_residues(x, p)
+                for direction in ("fwd", "inv"):
+                    if _ntt_numpy.moddft(a, table, direction).tolist() != _moddft_python(x, table, direction):
+                        return False, f"numpy moddft {direction} != Python at p={p}, L={size}"
+                ns = {1, size // 2 or 1, size // 2 + 1, size - 1 or 1, size}
+                for n in sorted(ns | {rng.randint(1, size) for _ in range(4)}):
+                    z = rng.randint(1, n)
+                    if _ntt_numpy.tft(table, a[:z], n).tolist() != _tft_python(table, x[:z], n, None):
+                        return False, f"numpy tft != Python at p={p}, L={size}, z={z}, n={n}"
+                    if _ntt_numpy.itft(table, a[:n]).tolist() != _itft_python(table, x[:n], None):
+                        return False, f"numpy itft != Python at p={p}, L={size}, n={n}"
+                    checked += 1
         # convolve's array path against the quadratic oracles.
         req = ConvRequest(fp)
         for size in _pow2_range(min(cap, 64, 1 << (fp.two_adicity - 1))):

@@ -327,7 +327,8 @@ def numpy_shapes(draw, size):
 
 
 @needs_numpy
-@pytest.mark.parametrize("size", [1 << k for k in range(11)])
+# Every size up to 2**12, so that each parity of log2(size) meets _dit's transposed split.
+@pytest.mark.parametrize("size", [1 << k for k in range(13)])
 @settings(derandomize=True, max_examples=15, deadline=None)
 @given(data=st.data())
 def test_numpy_kernels_match_python(size, data):
@@ -352,6 +353,18 @@ def test_numpy_kernels_match_python(size, data):
         assert _ntt_numpy.moddft(a, t, direction).tolist() == residues(transform._moddft_python(x, t, direction))
     assert _ntt_numpy.tft(t, a[:z], n).tolist() == residues(transform._tft_python(t, x[:z], n, None))
     assert _ntt_numpy.itft(t, a[:n]).tolist() == residues(transform._itft_python(t, x[:n], None))
+    # Lengths above size/2, where itft inverts full halves with _dit.
+    for m in {size // 2 + 1, size - size // 8, size - 1 or 1, size}:
+        assert _ntt_numpy.itft(t, a[:m]).tolist() == residues(transform._itft_python(t, x[:m], None))
+    # The largest residues at the primes nearest 2**32 meet the uint64 bounds.
+    for big in NUMPY_FIELDS[-2:]:
+        top = [big.p - 1] * size
+        tb = get_table(big, size)
+        ab = numpy.array(top, dtype=numpy.uint64)
+        for direction in ("fwd", "inv"):
+            assert _ntt_numpy.moddft(ab, tb, direction).tolist() == transform._moddft_python(top, tb, direction)
+        assert _ntt_numpy.tft(tb, ab[:z], n).tolist() == transform._tft_python(tb, top[:z], n, None)
+        assert _ntt_numpy.itft(tb, ab[:n]).tolist() == transform._itft_python(tb, top[:n], None)
     # Through the public dispatch, outputs and counters of both backends agree.
     calls = [
         (lambda c: moddft(x, t, "fwd", c)),
