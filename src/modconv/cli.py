@@ -5,11 +5,14 @@ Exit codes: 0 success, 1 verification failure, 2 usage error (argparse),
 2-adicity, 6 I/O failure.
 
 Sweep CSV schema: `n,engine,threads,nanos_median,nanos_mean,butterflies,
-pointwise_muls`, one row per (n, engine), ASCII decimal, no quoting. A row
-whose size is infeasible for the prime is replaced by the sentinel
-`n,engine,threads,-1,-1,-1,-1` and the sweep continues. Row `n` is the
-length of the product (the convolution length); the two input lengths are
-the balanced split z1 = ceil((n+1)/2), z2 = n+1-z1.
+pointwise_muls`, one row per (n, engine), ASCII decimal, no quoting. The
+engines run serially, so `threads` reads 1 in every row; the column stays
+because the CSV header is a pinned format. A row whose size is infeasible
+for the prime is replaced by the sentinel `n,engine,1,-1,-1,-1,-1` and the
+sweep continues. Row `n` is the length of the product (the convolution
+length); the two input lengths are the balanced split z1 = ceil((n+1)/2),
+z2 = n+1-z1, each with a nonzero leading coefficient, so the product has
+exactly n coefficients.
 """
 
 from __future__ import annotations
@@ -49,15 +52,13 @@ class SweepConfig:
     engines: tuple[str, ...] = ("fft_pad", "tft")
     prime: int = DEFAULT_SWEEP_PRIME
     prime_bits: int | None = None
-    threads: int = 1
     reps: int = 1000
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.n_min < 1 or self.n_max < self.n_min:
             raise ValueError("need 1 <= n_min <= n_max")
-        if self.reps < 1 or self.step < 1 or self.threads < 1:
-            raise ValueError("reps, step and threads must be >= 1")
+        if self.reps < 1 or self.step < 1:
+            raise ValueError("reps and step must be >= 1")
         for engine in self.engines:
             if engine not in ENGINES:
                 raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
@@ -75,7 +76,7 @@ def cmd_verify(args) -> int:
     # Imported here, like statistics in _time_engine: `modconv mul` needs neither.
     from .verify import run_verification
 
-    results = run_verification(seed=args.seed, cap=args.cap, inject_fault=args.inject_fault)
+    results = run_verification(seed=args.seed, cap=args.cap)
     failed = 0
     for name, ok, detail in results:
         status = "PASS" if ok else "FAIL"
@@ -96,7 +97,7 @@ def cmd_mul(args) -> int:
         except PolyTextError as exc:
             return _fail(EXIT_FILE_FORMAT, f"{path}: {exc}")
     a, b = polys
-    req = ConvRequest(a.field, engine=args.engine, threads=args.threads)
+    req = ConvRequest(a.field, engine=args.engine)
     if args.engine == "auto":
         session = _session_for(args.store)
         if isinstance(session, int):
@@ -179,31 +180,37 @@ def _time_engine(a: DensePoly, b: DensePoly, req: ConvRequest, reps: int) -> tup
     return int(statistics.median(samples)), int(statistics.fmean(samples))
 
 
+def _coeffs(rng: random.Random, p: int, count: int) -> tuple[int, ...]:
+    # A zero leading coefficient would shorten the product, and its counters
+    # would then describe a smaller n than the row's.
+    return tuple([rng.randrange(p) for _ in range(count - 1)] + [rng.randrange(1, p)])
+
+
 def run_sweep(cfg: SweepConfig) -> list[str]:
     """Produce the CSV rows (header included) for one sweep configuration."""
     fp = _sweep_field(cfg)
     session = PlanSession()
-    rng = random.Random(cfg.seed)
+    rng = random.Random(0)
     rows = ["n,engine,threads,nanos_median,nanos_mean,butterflies,pointwise_muls"]
     for n in cfg.sizes():
         z1 = (n + 1) // 2
         z2 = n + 1 - z1
-        a = DensePoly(fp, tuple(rng.randrange(fp.p) for _ in range(z1)))
-        b = DensePoly(fp, tuple(rng.randrange(fp.p) for _ in range(z2)))
+        a = DensePoly(fp, _coeffs(rng, fp.p, z1))
+        b = DensePoly(fp, _coeffs(rng, fp.p, z2))
         for engine in cfg.engines:
             counters = OpCounters()
-            req = ConvRequest(fp, engine=engine, threads=cfg.threads, counters=counters)
+            req = ConvRequest(fp, engine=engine, counters=counters)
             if engine == "auto":
                 req.planner = session
             try:
                 poly_mul(a, b, req)
             except UnsupportedSizeError:
-                rows.append(f"{n},{engine},{cfg.threads},{SENTINEL_ROW}")
+                rows.append(f"{n},{engine},1,{SENTINEL_ROW}")
                 continue
             req.counters = None
             median, mean = _time_engine(a, b, req, cfg.reps)
             rows.append(
-                f"{n},{engine},{cfg.threads},{median},{mean},"
+                f"{n},{engine},1,{median},{mean},"
                 f"{counters.butterflies},{counters.pointwise_muls}"
             )
     return rows
@@ -219,9 +226,7 @@ def cmd_sweep(args) -> int:
             engines=tuple(args.engines.split(",")),
             prime=args.prime,
             prime_bits=args.prime_bits,
-            threads=args.threads,
             reps=args.reps,
-            seed=args.seed,
         )
     except ValueError as exc:
         return _fail(EXIT_USAGE, str(exc))
@@ -258,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the self-verification suites")
     p_verify.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p_verify.add_argument("--cap", type=positive_int, default=256, help="size ceiling for the suites (default 256)")
-    p_verify.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     p_verify.set_defaults(func=cmd_verify)
 
     p_mul = sub.add_parser("mul", help="multiply two polynomial files")
@@ -266,15 +270,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_mul.add_argument("poly_b")
     p_mul.add_argument("--engine", default="auto", choices=ENGINES)
     p_mul.add_argument("-o", "--output", required=True)
-    p_mul.add_argument("--threads", type=positive_int, default=1)
     p_mul.add_argument("--store", default=None, help="plan store path for --engine auto")
     p_mul.set_defaults(func=cmd_mul)
 
     p_plan = sub.add_parser("plan", help="populate a transform plan store")
     p_plan.add_argument("--store", required=True)
     p_plan.add_argument("--max-l", type=int, default=1024)
-    p_plan.add_argument("--threads", type=positive_int, default=1)
-    p_plan.add_argument("--prime", type=int, default=DEFAULT_SWEEP_PRIME, help=argparse.SUPPRESS)
+    p_plan.add_argument("--prime", type=int, default=DEFAULT_SWEEP_PRIME, help="prime to plan for (default 998244353)")
     p_plan.set_defaults(func=cmd_plan)
 
     p_sweep = sub.add_parser("sweep", help="benchmark engines over a size range, write CSV")
@@ -284,9 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--engines", default="fft_pad,tft")
     p_sweep.add_argument("--prime", type=int, default=DEFAULT_SWEEP_PRIME)
     p_sweep.add_argument("--prime-bits", type=int, default=None)
-    p_sweep.add_argument("--threads", type=positive_int, default=1)
     p_sweep.add_argument("--reps", type=int, default=1000)
-    p_sweep.add_argument("--seed", type=int, default=0, help=argparse.SUPPRESS)
     p_sweep.add_argument("-o", "--output", required=True)
     p_sweep.set_defaults(func=cmd_sweep)
     return parser

@@ -30,8 +30,8 @@ they refuse an ndarray with ValueError.
 
 Execution is serial. CPython holds the GIL through these pure-Python integer
 loops, so worker threads cannot make them faster. `ConvRequest.threads` is
-validated and kept only because the plan-store, CLI and sweep CSV formats
-carry it; neither execution nor planning reads it.
+validated and read by nothing: it stays in the public constructor, which
+acceptance criterion 6 calls with 1 and 4. No CLI command sets it.
 """
 
 from __future__ import annotations
@@ -51,7 +51,10 @@ ENGINES = ("definition", "fft_pad", "tft", "split", "kronecker", "auto")
 
 @dataclass
 class ConvRequest:
-    """How to run a convolution: field, engine, thread setting, instrumentation."""
+    """How to run a convolution: field, engine, instrumentation and plan session.
+
+    `threads` is validated and otherwise ignored: every engine runs serially.
+    """
 
     field: FourierPrime
     engine: str = "auto"

@@ -1,9 +1,11 @@
+import argparse
 import os
 import random
 import re
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -17,6 +19,7 @@ from modconv import (
     OpCounters,
     PlanFormatError,
     PolyTextError,
+    TwiddleTable,
     mul_schoolbook,
     poly_from_text,
     poly_mul,
@@ -34,6 +37,8 @@ from modconv.cli import (
     EXIT_USAGE,
     EXIT_VERIFY_FAILED,
     SweepConfig,
+    _coeffs,
+    build_parser,
     main,
 )
 
@@ -61,10 +66,14 @@ def write_poly(path, p, coeffs):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["mul", "a", "b", "-o", "c", "--threads", "0"],
-        ["plan", "--store", "s", "--threads", "0"],
+        # Removed options are unknown arguments, whatever their value.
+        ["mul", "a", "b", "-o", "c", "--threads", "2"],
+        ["plan", "--store", "s", "--threads", "1"],
         ["plan", "--store", "s", "--prime", "15"],
         ["verify", "--cap", "0"],
+        ["sweep", "--min", "1", "--max", "2", "-o", "c", "--threads", "2"],
+        ["sweep", "--min", "1", "--max", "2", "-o", "c", "--seed", "3"],
+        ["verify", "--inject-fault"],
     ],
 )
 def test_invalid_flag_values_are_usage_errors(tmp_path, monkeypatch, capsys, argv):
@@ -79,6 +88,20 @@ def test_invalid_flag_values_are_usage_errors(tmp_path, monkeypatch, capsys, arg
     err = capsys.readouterr().err.splitlines()
     assert sum("error:" in line for line in err) == 1, err
     assert sorted(f.name for f in tmp_path.iterdir()) == ["a", "b"]
+
+
+def test_every_option_is_documented_in_readme():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    synopsis = re.search(r"^## CLI\n+```sh\n(.*?)^```", readme, re.S | re.M).group(1)
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for command, parser in sub.choices.items():
+        assert f"modconv {command} " in synopsis, command
+        for action in parser._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            assert action.help is not argparse.SUPPRESS, (command, action.option_strings)
+            for option in action.option_strings:
+                assert re.search(rf"(?<![\w-]){option}(?![\w-])", synopsis), (command, option)
 
 
 class TestMul:
@@ -348,12 +371,11 @@ class TestPlan:
         stamp = lambda st: (st.st_ino, st.st_mtime_ns)
         planned_stamp = stamp(store_path.stat())
         fa, fb, out = tmp_path / "a", tmp_path / "b", tmp_path / "out"
-        # --threads changes nothing that runs, so it reads the same planned keys.
-        for za, zb, threads in ((300, 200, "1"), (700, 20, "2"), (100, 90, "1")):
+        for za, zb in ((300, 200), (700, 20), (100, 90)):
             write_poly(fa, 998244353, [(7 * i + 1) % 1000 for i in range(za)])
             write_poly(fb, 998244353, [(3 * i + 2) % 1000 for i in range(zb)])
             argv = ["mul", str(fa), str(fb), "--engine", "auto", "--store", str(store_path), "-o", str(out)]
-            assert main(argv + ["--threads", threads]) == EXIT_OK
+            assert main(argv) == EXIT_OK
             want = mul_schoolbook(poly_from_text(fa.read_text()), poly_from_text(fb.read_text()))
             assert poly_from_text(out.read_text()) == want.normalize(), (za, zb)
             assert store_load(str(store_path)) == planned, (za, zb)
@@ -475,13 +497,13 @@ class TestSweep:
                 "--prime", "17", "-o", str(out)]
         assert main(argv) == EXIT_OK
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
-        # The inputs run_sweep draws with its default seed 0.
+        # The inputs run_sweep draws from its fixed seed 0.
         fp, rng = FourierPrime.from_modulus(17), random.Random(0)
         for (n, engine, threads, med, mean, butterflies, pointwise), size in zip(rows, range(14, 19)):
             assert (int(n), engine) == (size, "split")
             z1 = (size + 1) // 2
-            a = DensePoly(fp, tuple(rng.randrange(17) for _ in range(z1)))
-            b = DensePoly(fp, tuple(rng.randrange(17) for _ in range(size + 1 - z1)))
+            a = DensePoly(fp, _coeffs(rng, 17, z1))
+            b = DensePoly(fp, _coeffs(rng, 17, size + 1 - z1))
             if size > 16:
                 assert [med, mean, butterflies, pointwise] == ["-1"] * 4
                 continue
@@ -490,6 +512,25 @@ class TestSweep:
             assert int(med) > 0 and int(mean) > 0
             assert (int(butterflies), int(pointwise)) == (counters.butterflies, counters.pointwise_muls)
             assert counters.butterflies > 0 and counters.pointwise_muls == 16
+
+    @pytest.mark.parametrize("prime", [17, 257])
+    def test_counters_describe_the_rows_size(self, tmp_path, prime):
+        # Every input keeps its leading coefficient, so the product has n
+        # coefficients: tft multiplies n points and fft_pad the padded size.
+        out = tmp_path / "s.csv"
+        argv = ["sweep", "--min", "1", "--max", "200", "--reps", "1", "--engines", "tft,fft_pad",
+                "--prime", str(prime), "-o", str(out)]
+        assert main(argv) == EXIT_OK
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 2 * 200
+        for n, engine, threads, med, mean, butterflies, pointwise in rows:
+            n = int(n)
+            if n > 1 << FourierPrime.from_modulus(prime).two_adicity:
+                assert pointwise == "-1", (n, engine)
+            elif engine == "tft":
+                assert int(pointwise) == n, (n, engine)
+            else:
+                assert int(pointwise) == 1 << (n - 1).bit_length(), (n, engine)
 
     def test_prime_bits_selection(self, tmp_path):
         out = tmp_path / "s.csv"
@@ -548,8 +589,13 @@ class TestVerify:
             totals.append(sum(sizes))
         assert totals[1] <= 2.5 * totals[0], totals
 
-    def test_injected_fault_is_detected_and_named(self, capsys):
-        assert main(["verify", "--cap", "32", "--inject-fault"]) == EXIT_VERIFY_FAILED
+    def test_injected_fault_is_detected_and_named(self, monkeypatch, capsys):
+        bad = TwiddleTable(FourierPrime.from_modulus(998244353), 16)
+        stage = bad.fwd_stages[-1]
+        stage[1] = (stage[1] + 1) % 998244353
+        real = verify.get_table
+        monkeypatch.setattr(verify, "get_table", lambda fp, n: bad if (fp.p, n) == (998244353, 16) else real(fp, n))
+        assert main(["verify", "--cap", "32"]) == EXIT_VERIFY_FAILED
         out = capsys.readouterr().out
         assert "FAIL transform-roundtrip" in out
 
