@@ -284,8 +284,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--max", type=int, required=True)
     p_sweep.add_argument("--step", default="all", help="stride, or 'all' for every size (default)")
     p_sweep.add_argument("--engines", default="fft_pad,tft")
-    p_sweep.add_argument("--prime", type=int, default=DEFAULT_SWEEP_PRIME)
-    p_sweep.add_argument("--prime-bits", type=int, default=None)
+    sweep_field = p_sweep.add_mutually_exclusive_group()
+    sweep_field.add_argument("--prime", type=int, default=DEFAULT_SWEEP_PRIME)
+    sweep_field.add_argument("--prime-bits", type=int, default=None)
     p_sweep.add_argument("--reps", type=int, default=1000)
     p_sweep.add_argument("-o", "--output", required=True)
     p_sweep.set_defaults(func=cmd_sweep)

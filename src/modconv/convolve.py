@@ -20,11 +20,16 @@ from 2**15 on and takes sizes from 2**9 on once it is loaded), and whenever
 an input is an ndarray, they pass each input through `transform._as_residues`
 once (`transform._numpy_inputs`), keep every step in arrays (transforms,
 pointwise product, 1/L scale, twist, residues) and convert the result to a
-list once; `lin_conv_fft_pad` pads each input in its own type and hands it
-to `circ_conv_fft`. So an input list has its ints outside [0, p) reduced, and
-an input ndarray, in any position, must be 1-D uint64 and hold residues,
-else ValueError. The result is an ndarray only when every input was one. Both
-paths return the same values and count the same operations.
+list once; `_zero_padded` pads an ndarray in numpy and a list as a list. So
+an input list has its ints outside [0, p) reduced, and an input ndarray, in
+any position, must be 1-D uint64 and hold residues, else ValueError. The
+result is an ndarray only when every input was one. Both paths return the
+same values and count the same operations. `poly_mul` is the one place where
+a polynomial product crosses: it converts each trimmed operand once
+(`_TRANSFORM_SIZE` names the transform size that decides), calls the engine
+on arrays, and hands the ndarray product to `DensePoly`, which range-checks
+it in numpy and stores it as ints. So no padding zero is converted, and no
+engine converts a list it was handed by `poly_mul`.
 `circ_conv_def`, `lin_conv_def` and `lin_conv_kronecker` have no array path:
 they refuse an ndarray with ValueError.
 
@@ -41,7 +46,7 @@ from typing import TYPE_CHECKING
 
 from .field import FieldMismatchError, FourierPrime
 from .poly import DensePoly, _check_fields
-from .transform import OpCounters, _is_array, _numpy_inputs, get_table, itft, moddft, tft
+from .transform import OpCounters, _as_residues, _is_array, _numpy_inputs, get_table, itft, moddft, tft
 
 if TYPE_CHECKING:
     from .planner import PlanSession
@@ -89,8 +94,9 @@ def _operands(u, v, circular: bool = False, arrays: bool = True) -> None:
 def _zero_padded(circ, u, v, req: ConvRequest, least: int):
     """The linear product u * v as circ on both zero-padded to max(least, next_pow2(n)), cut to n.
 
-    Each input is padded in its own type (an ndarray by np.pad), so circ's
-    array rule applies to it.
+    Each input is padded in its own type. An ndarray is checked by circ's
+    array rule (`_as_residues`) before it is copied into a zeroed uint64
+    array, so only its own values are converted.
     """
     n = len(u) + len(v) - 1
     size = max(least, _next_pow2(n))
@@ -99,7 +105,9 @@ def _zero_padded(circ, u, v, req: ConvRequest, least: int):
         if _is_array(w):
             import numpy as np
 
-            return np.pad(w, (0, size - len(w)))
+            out = np.zeros(size, dtype=np.uint64)
+            out[: len(w)] = _as_residues(w, req.field.p)
+            return out
         return list(w) + [0] * (size - len(w))
 
     return circ(pad(u), pad(v), req)[:n]
@@ -314,7 +322,7 @@ def lin_conv_kronecker(u: list[int], v: list[int], fp: FourierPrime) -> list[int
     return [int.from_bytes(data[i : i + slot], "little") % p for i in range(0, size, slot)]
 
 
-# Each fixed engine's call on two coefficient lists. The lambdas look the
+# Each fixed engine's call on two coefficient vectors. The lambdas look the
 # engines up by module name when called, so a replaced name (a tracer's
 # wrapper) is the one that runs.
 _ENGINE_CALLS = {
@@ -323,6 +331,15 @@ _ENGINE_CALLS = {
     "tft": lambda u, v, req: conv_tft(u, v, req),
     "split": lambda u, v, req: _zero_padded(circ_conv_split, u, v, req, 2),
     "kronecker": lambda u, v, req: lin_conv_kronecker(u, v, req.field),
+}
+
+# The transform size whose backend each engine with an array path takes for
+# a product of length n: the size its `_numpy_inputs` reads when called on
+# lists. poly_mul hands an engine arrays exactly where that size runs in numpy.
+_TRANSFORM_SIZE = {
+    "fft_pad": _next_pow2,
+    "tft": _next_pow2,
+    "split": lambda n: max(2, _next_pow2(n)) >> 1,
 }
 
 
@@ -340,6 +357,13 @@ def poly_mul(a: DensePoly, b: DensePoly, req: ConvRequest) -> DensePoly:
     Zero inputs short-circuit to the zero polynomial without touching any
     transform. Trailing zeros are trimmed first, so engine input lengths are
     degree+1.
+
+    This is where a product crosses between Python ints and numpy, once each
+    way. Where the engine's transforms run in numpy (`_TRANSFORM_SIZE` and
+    `transform._numpy_inputs`), each trimmed operand is converted to a uint64
+    array by `_as_residues`, the engine pads and multiplies in arrays, and
+    its ndarray product becomes the DensePoly, which checks it in numpy.
+    Every other engine, size and prime gets lists and returns a list.
     """
     _check_fields(a, b)
     if a.field.p != req.field.p:
@@ -348,7 +372,11 @@ def poly_mul(a: DensePoly, b: DensePoly, req: ConvRequest) -> DensePoly:
         )
     if a.is_zero() or b.is_zero():
         return DensePoly.zero(a.field)
-    u = list(a.normalize().coeffs)
-    v = list(b.normalize().coeffs)
-    out = _ENGINE_CALLS[_resolve_engine(len(u), len(v), req)](u, v, req)
-    return DensePoly(a.field, tuple(out)).normalize()
+    u, v = a.normalize().coeffs, b.normalize().coeffs
+    engine = _resolve_engine(len(u), len(v), req)
+    arrays = None
+    if engine in _TRANSFORM_SIZE:
+        table = get_table(req.field, _TRANSFORM_SIZE[engine](len(u) + len(v) - 1))
+        arrays = _numpy_inputs(table, u, v)
+    u, v = arrays or (list(u), list(v))
+    return DensePoly(a.field, _ENGINE_CALLS[engine](u, v, req)).normalize()

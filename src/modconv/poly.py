@@ -8,9 +8,11 @@ the transform-based engines.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .field import Felt, FieldMismatchError, FourierPrime, LineError, _clip, _lines
+from .transform import _as_residues, _is_array
 
 KARATSUBA_THRESHOLD = 16
 
@@ -19,24 +21,49 @@ class PolyTextError(LineError):
     """Malformed polynomial text; carries the 1-based offending line."""
 
 
+def _residue(c, p: int) -> int:
+    """The coefficient c as a Python int in [0, p) (`operator.index`), else ValueError."""
+    try:
+        v = operator.index(c)
+    except TypeError:
+        raise ValueError(f"coefficient {c!r} is not an integer") from None
+    if not 0 <= v < p:
+        raise ValueError(f"coefficient {v} out of range for p={p}")
+    return v
+
+
 @dataclass(frozen=True, slots=True)
 class DensePoly:
     """Immutable coefficient vector over one Fourier prime.
 
     The zero polynomial is represented by an empty coefficient tuple after
     normalization, but any all-zero vector also denotes it (degree() is None).
+
+    coeffs is stored as a tuple of Python ints in [0, p); any other value is
+    a ValueError. A sequence is checked one coefficient at a time: an
+    int-like value (a bool, a numpy integer) is stored as the int that
+    `operator.index` gives, and a non-integer, a float among them, is
+    refused. A numpy ndarray, which is how the numpy engines hand
+    `poly_mul` its product, is checked in numpy instead, by
+    `transform._as_residues`' rule (nonempty, 1-D, uint64, max() < p, and
+    p < 2**32), and converted to ints once.
     """
 
     field: FourierPrime
     coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.coeffs, tuple):
-            object.__setattr__(self, "coeffs", tuple(self.coeffs))
         p = self.field.p
-        for c in self.coeffs:
-            if not 0 <= c < p:
-                raise ValueError(f"coefficient {c} out of range for p={p}")
+        coeffs = self.coeffs
+        if _is_array(coeffs):
+            coeffs = tuple(_as_residues(coeffs, p).tolist())
+        else:
+            coeffs = tuple(coeffs)
+            for c in coeffs:
+                if type(c) is not int or not 0 <= c < p:
+                    coeffs = tuple(_residue(c, p) for c in coeffs)
+                    break
+        object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
     def from_ints(cls, field: FourierPrime, values) -> "DensePoly":

@@ -172,11 +172,15 @@ def _is_array(x) -> bool:
 def _as_residues(x, p: int):
     """x as a uint64 array of residues mod p, the one input the numpy kernels take.
 
-    A list is converted, its ints outside [0, p) reduced mod p: the residues
-    the Python loops compute with. An ndarray is taken as it is, so it must
-    be one-dimensional and uint64, hold residues and have p < 2**32; any
-    other raises ValueError. Call it only where numpy is loaded.
+    A list (or tuple) is converted through the buffer protocol, as a C array
+    of unsigned 64-bit ints, and its ints outside [0, p) are reduced mod p:
+    the residues the Python loops compute with. An ndarray is taken as it
+    is, so it must be one-dimensional and uint64, hold residues and have
+    p < 2**32; any other raises ValueError, as an empty x does. `DensePoly`
+    reads an ndarray by this rule too. Call it only where numpy is loaded.
     """
+    import array  # a shared library, so a process that never converts never loads it
+
     import numpy as np
 
     if isinstance(x, np.ndarray):
@@ -186,7 +190,7 @@ def _as_residues(x, p: int):
             raise ValueError(f"arrays must be 1-D uint64 and hold residues mod p={p}")
         return x
     try:
-        a = np.array(x, dtype=np.uint64)
+        a = np.frombuffer(array.array("Q", x), dtype=np.uint64)
     except OverflowError:  # an int below 0 or from 2**64 up
         a = np.array([v % p for v in x], dtype=np.uint64)
     if a.max() >= p:

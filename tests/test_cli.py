@@ -74,6 +74,8 @@ def write_poly(path, p, coeffs):
         ["sweep", "--min", "1", "--max", "2", "-o", "c", "--threads", "2"],
         ["sweep", "--min", "1", "--max", "2", "-o", "c", "--seed", "3"],
         ["verify", "--inject-fault"],
+        # A sweep's prime is given one way: by value or by bit size.
+        ["sweep", "--min", "4", "--max", "5", "-o", "c", "--prime", "17", "--prime-bits", "12"],
     ],
 )
 def test_invalid_flag_values_are_usage_errors(tmp_path, monkeypatch, capsys, argv):

@@ -550,8 +550,9 @@ def test_arrays_must_hold_residues(fp998):
     # max() < p test, and a 2-D array would run as rows.
     square = np.ones((300, 300), dtype=np.uint64)
     for other in (np.full(300, -1, dtype=np.int64), np.ones(300, dtype=np.float64), square):
-        with pytest.raises(ValueError, match="residues"):
-            conv_tft(other, np.ones(300, dtype=np.uint64), req)
+        for engine in (conv_tft, lin_conv_fft_pad):
+            with pytest.raises(ValueError, match="residues"):
+                engine(other, np.ones(300, dtype=np.uint64), req)
         for engine in (circ_conv_fft, nega_conv, circ_conv_split):
             with pytest.raises(ValueError, match="residues"):
                 engine(ones, other[:256], req)
@@ -591,3 +592,76 @@ def test_mixed_inputs_follow_the_array_rule(p):
             engine(listed, negatives, ConvRequest(fp))
         with pytest.raises(ValueError, match="residues"):
             engine(negatives, listed, ConvRequest(fp))
+
+
+
+def test_every_engine_sees_integer_coefficients(fp998):
+    # A float coefficient would reach every engine's arithmetic (and come out
+    # as floats, or raise in kronecker); int-likes are stored as ints, so all
+    # engines agree.
+    for bad in ((1.5, 2), (2, 0.5)):
+        with pytest.raises(ValueError, match="not an integer"):
+            DensePoly(fp998, bad)
+    a = DensePoly(fp998, (True, 2, False, fp998.p - 1))
+    b = DensePoly.from_ints(fp998, (3, 1))
+    if importlib.util.find_spec("numpy") is not None:
+        import numpy as np
+
+        b = DensePoly(fp998, (np.int64(3), np.uint64(1)))
+    want = mul_schoolbook(DensePoly(fp998, (1, 2, 0, fp998.p - 1)), DensePoly(fp998, (3, 1)))
+    for engine in ("definition", "fft_pad", "tft", "split", "kronecker"):
+        got = poly_mul(a, b, ConvRequest(fp998, engine=engine))
+        assert got == want and {type(c) for c in got.coeffs} == {int}, engine
+
+
+def _traced_call(call, fp, engine):
+    """call(req)'s result, req's OpCounters, and (transform, ran on an ndarray) per transform run."""
+    from modconv import convolve
+
+    seen = []
+
+    def spy(name, real):
+        def wrapped(*args, **kwargs):
+            seen.append((name, transform._is_array(args[0] if name == "moddft" else args[1])))
+            return real(*args, **kwargs)
+
+        return wrapped
+
+    counters = OpCounters()
+    names = ("moddft", "tft", "itft")
+    with mock.patch.multiple(convolve, **{k: spy(k, getattr(convolve, k)) for k in names}):
+        out = call(ConvRequest(fp, engine=engine, counters=counters))
+    return out, counters, seen
+
+
+@pytest.mark.skipif(importlib.util.find_spec("numpy") is None, reason="numpy not installed")
+@pytest.mark.parametrize("p", [998244353, 4293918721])
+# Product lengths around 2**9, where tft's and fft_pad's transforms cross
+# into numpy at n = 257 and split's half-size ones at n = 513, and around
+# 2**15.
+@pytest.mark.parametrize("n", [256, 257, 512, 513, 777, 1024, 1025, 1 << 15, (1 << 15) + 1])
+def test_poly_mul_crosses_once_and_matches_python_loops(p, n):
+    import numpy  # noqa: F401  loaded, so the crossover alone puts sizes in numpy
+
+    from modconv import convolve
+
+    fp = FourierPrime.from_modulus(p)
+    rng = random.Random(n)
+    z1 = (n + 2) // 2
+    for coeffs in (lambda z: [rng.randrange(1, p) for _ in range(z)], lambda z: [p - 1] * z):
+        a, b = DensePoly(fp, coeffs(z1)), DensePoly(fp, coeffs(n + 1 - z1))
+        product = lambda req: poly_mul(a, b, req)
+        for engine in ("tft", "fft_pad", "split"):
+            with mock.patch.multiple(transform, _NUMPY_MIN_SIZE=1 << 62, _NUMPY_CROSSOVER=1 << 62):
+                want, want_counters, python = _traced_call(product, fp, engine)
+            assert not any(array for _, array in python)
+            got, counters, backends = _traced_call(product, fp, engine)
+            assert (got, counters) == (want, want_counters), (engine, n)
+            assert {type(c) for c in got.coeffs} == {int}
+            assert any(array for _, array in backends) == (n > (512 if engine == "split" else 256))
+            # Each transform runs on the backend the engine picks when it is
+            # handed the operands as lists, and returns a list.
+            listed = list(a.coeffs), list(b.coeffs)
+            out, _, own = _traced_call(lambda req: convolve._ENGINE_CALLS[engine](*listed, req), fp, engine)
+            assert backends == own, (engine, n)
+            assert isinstance(out, list) and tuple(out) == want.coeffs

@@ -1,9 +1,12 @@
+import importlib.util
 import random
+from fractions import Fraction
 
 import pytest
 
 from modconv import (
     DensePoly,
+    FourierPrime,
     Felt,
     FieldMismatchError,
     PolyTextError,
@@ -26,6 +29,51 @@ class TestDensePoly:
 
     def test_from_ints_reduces(self, fp17):
         assert DensePoly.from_ints(fp17, [20, -1]).coeffs == (3, 16)
+
+    def test_coefficients_are_integers(self, fp17):
+        # A float would flow into every engine's arithmetic and out as floats.
+        for bad in ((1.5, 2), (1, 2.0), (Fraction(1),), ("1",), (None,)):
+            with pytest.raises(ValueError):
+                DensePoly(fp17, bad)
+        for bad in ((1.5, 2), (1, 2.0), (Fraction(1),)):
+            with pytest.raises(ValueError):
+                DensePoly.from_ints(fp17, bad)
+
+    def test_int_like_coefficients_are_stored_as_ints(self, fp17):
+        for poly in (DensePoly(fp17, [True, False, 3]), DensePoly.from_ints(fp17, (True, False, 20))):
+            assert poly.coeffs == (1, 0, 3)
+            assert [type(c) for c in poly.coeffs] == [int] * 3
+        assert poly_to_text(DensePoly(fp17, (True,))) == "17\n1\n1\n"
+
+    @pytest.mark.skipif(importlib.util.find_spec("numpy") is None, reason="numpy not installed")
+    def test_numpy_integers_are_stored_as_ints(self, fp17):
+        import numpy as np
+
+        for poly in (DensePoly(fp17, (np.uint64(16), np.int64(2), np.int32(0))),
+                     DensePoly.from_ints(fp17, (np.uint64(33), np.int64(-15), np.int8(0)))):
+            assert poly.coeffs == (16, 2, 0)
+            assert [type(c) for c in poly.coeffs] == [int] * 3
+        with pytest.raises(ValueError):
+            DensePoly(fp17, (np.int64(-1),))
+        with pytest.raises(ValueError):
+            DensePoly(fp17, (np.float64(1.0),))
+
+    @pytest.mark.skipif(importlib.util.find_spec("numpy") is None, reason="numpy not installed")
+    @pytest.mark.parametrize("p", [998244353, 4293918721])
+    def test_ndarray_is_checked_in_numpy(self, p):
+        import numpy as np
+
+        fp = FourierPrime.from_modulus(p)
+        rng = random.Random(p)
+        arr = np.array([0, p - 1] + [rng.randrange(p) for _ in range(30)] + [p - 1, 0], dtype=np.uint64)
+        poly = DensePoly(fp, arr)
+        assert poly == DensePoly(fp, tuple(arr.tolist()))
+        assert isinstance(poly.coeffs, tuple) and {type(c) for c in poly.coeffs} == {int}
+        above = arr.copy()
+        above[5] = p
+        for bad in (above, arr.reshape(2, -1), arr.astype(np.int64), arr.astype(np.float64)):
+            with pytest.raises(ValueError):
+                DensePoly(fp, bad)
 
     def test_degree_and_zero(self, fp17):
         assert DensePoly(fp17, (1, 2, 0, 0)).degree() == 1

@@ -438,6 +438,23 @@ def test_transforms_keep_uint64_arrays(size):
         moddft(np.zeros(8, dtype=np.uint64), wide)
 
 
+@needs_numpy
+@pytest.mark.parametrize("p", [17, 998244353, 4293918721])
+def test_converter_reduces_every_int_like(p):
+    import numpy as np
+
+    ints = [0, 1, p - 1, p, 2 * p + 3, (1 << 64) - 1, True, False, np.uint64((1 << 64) - 1),
+            np.int64(5), np.int32(p - 1) if p < 1 << 31 else np.uint32(p - 1)]
+    outside = [-1, -(1 << 70), np.int64(-3), 1 << 64, (1 << 70) + 5]
+    # The first list converts in one buffer pass and is then reduced; each of
+    # the others holds an int array.array("Q") cannot take.
+    cases = [ints] + [ints + [v] for v in outside] + [[v] * 3 for v in outside]
+    for x in cases + [tuple(ints)]:
+        got = transform._as_residues(x, p)
+        assert got.dtype == np.uint64 and got.ndim == 1
+        assert np.array_equal(got, np.array([v % p for v in x], dtype=np.uint64)), x
+
+
 def _run_python(code):
     src = Path(transform.__file__).resolve().parents[1]
     env = dict(os.environ)
