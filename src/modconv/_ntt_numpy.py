@@ -21,21 +21,47 @@ p < 2**32. A sum a + b, a difference a - b + p and such a t all lie in
 s - p wraps around to above 2**63. `stage_arrays` stores each stage's
 quotients beside its twiddles.
 
-For L = 2**k, a stage with half-size h < cols = 2**floor(k/2) pairs residues
-within each row of the vector as a (L/cols, cols) matrix. `_dit` runs those
-stages on the matrix's transpose, where each butterfly pairs two rows of
-L/cols >= sqrt(L) contiguous residues, and the later stages in place, on
-blocks of h >= cols >= sqrt(L/2). On the natural layout the short stages
-would run each operation over stretches of h residues. tft runs its stages
-with h < cols the same way, as whole butterflies on the rows that hold a
-wanted output; the extra butterflies only write positions at n and above.
+Layout: each numpy operation runs over stretches of at least _ROW/2
+residues, not over the h residues of a short stage's half-blocks. The
+stages within rows of m = min(_ROW, L) points run as Stockham passes
+(`_stockham`) over all rows at once: a pass reads the two halves of each
+row, multiplies by twiddles stored tiled to half a row, and writes the
+sums and differences interleaved, so the rows need no bit reversal
+between passes and come out in natural order. The stages on blocks longer
+than a row run in place, where each half-block is at least a row long
+(`_dit`). moddft gathers its input into rows in the order those in-place
+stages want (`_row_gather`). itft inverts every fully known low half on
+its path at once, as one such stage loop over the blocks they form, a
+prefix of c (`_inverses`); its per-level steps are O(1) operations each,
+so it makes O(log L) numpy calls. tft runs its stages on blocks longer
+than a row in place, then the rows below n as Stockham DFTs in
+bit-reversed order: up to n, a row's outputs are those of its DIF. Each
+kernel sets numpy's ufunc buffer to _BUFSIZE elements while it runs, and
+restores the caller's.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .transform import _itft_path, _tft_path
+
+
+# Points per row of the Stockham passes (`_stockham`): the stages within a
+# row run as passes over all rows at once, and the stages on longer blocks
+# in place, so every operation runs over stretches of at least _ROW / 2
+# residues.
+_ROW = 1 << 10
+# Most residues one call of Stockham passes takes: longer batches of rows go
+# a chunk at a time, so that a pass's buffers stay in a core's cache.
+_CHUNK = 1 << 15
+# numpy's ufunc buffer size, in elements, while a kernel runs: with the
+# default 8192 an operation over rows of a few hundred residues runs about
+# twice as slow as over one contiguous vector. Set inside np.errstate(),
+# which restores the caller's value.
+_BUFSIZE = 256
 
 
 def quotient(w, p: int):
@@ -44,21 +70,24 @@ def quotient(w, p: int):
 
 
 def stage_arrays(table):
-    """table's forward and inverse stages as uint64 (twiddles, quotients) pairs, and its bit-reversal.
+    """table's forward and inverse stages as uint64 (twiddles, quotients) pairs, and moddft's row gather.
 
-    Filled on the first numpy call for this table, never at construction:
-    building a table must not import numpy.
+    A stage with fewer than half a row's twiddles holds them tiled to half a
+    row (see `_stockham`); its first entries are the stage's own. The gather
+    is None when the whole transform is one row. Filled on the first numpy
+    call for this table, never at construction: building a table must not
+    import numpy.
     """
     arrays = table.numpy_arrays
     if arrays is None:
         p = table.field.p
+        half = min(table.size, _ROW) >> 1
 
         def pairs(stages):
-            return [(w, quotient(w, p)) for w in (np.array(tws, dtype=np.uint64) for tws in stages)]
+            tiled = [np.tile(np.array(tws, dtype=np.uint64), max(1, half // len(tws))) for tws in stages]
+            return [(w, quotient(w, p)) for w in tiled]
 
-        # Reversing the axes of an index grid over (2,)*log2 reverses the bits.
-        rev = np.arange(table.size).reshape((2,) * table.log2_size).T.ravel()
-        arrays = table.numpy_arrays = (pairs(table.fwd_stages), pairs(table.inv_stages), rev)
+        arrays = table.numpy_arrays = (pairs(table.fwd_stages), pairs(table.inv_stages), _row_gather(table.size))
     return arrays
 
 
@@ -123,91 +152,194 @@ def _dif(lo, hi, w, wq, p, t, tmp) -> None:
     _mul(t, w, wq, p, hi, tmp)
 
 
-def _cols(size: int) -> int:
-    # 2**floor(k/2) for size 2**k: the stages with h below it run transposed.
-    return 1 << (size.bit_length() - 1 >> 1)
+@functools.lru_cache(maxsize=64)
+def _rev(size: int):
+    # The bit reversal of range(size), size a power of two: reversing the
+    # axes of an index grid over (2,)*log2(size) reverses the bits.
+    return np.arange(size).reshape((2,) * (size.bit_length() - 1)).T.ravel()
 
 
-def _halves(v, t, tmp):
-    # The halves of v, shaped (blocks, 2, ...), and t and tmp shaped like one.
-    lo = v[:, 0]
-    k = lo.size
-    return lo, v[:, 1], t[:k].reshape(lo.shape), tmp[:k].reshape(lo.shape)
+@functools.lru_cache(maxsize=64)
+def _runs(s: int):
+    # A dtype whose one item is a run of 2**s residues.
+    return np.dtype((np.void, 8 << s))
 
 
-def _transposed(mat, stages, butterflies, p, t, tmp) -> None:
-    # Runs `butterflies` for each stage in turn on mat's columns: mat's rows
-    # are independent blocks, so its transpose holds the halves of a stage
-    # as whole rows of contiguous residues.
-    grid = np.ascontiguousarray(mat.T)
-    for tws, quo in stages:
-        lo, hi, tt, tmpt = _halves(grid.reshape(-1, 2, len(tws), len(mat)), t, tmp)
-        butterflies(lo, hi, tws[:, None], quo[:, None], p, tt, tmpt)
-    mat[...] = grid.T
+def _row_gather(size: int):
+    # moddft's input order for size > _ROW: row r of its (size/_ROW, _ROW)
+    # rows holds x[i * rows + rev(r)] for i < _ROW, so that the rows' DFTs
+    # are the blocks that the in-place stages then combine.
+    if size <= _ROW:
+        return None
+    rows = size // _ROW
+    return (np.arange(_ROW) * rows + _rev(rows)[:, None]).ravel()
 
 
-def _dit(vec, stages, p) -> None:
-    # vec is a contiguous uint64 view; it arrives bit-reversed and leaves in
-    # natural order. The stage with half-size h pairs the halves of each
-    # block of 2h: those with h < cols run on the rows of vec as a
-    # (len/cols, cols) matrix, transposed, and the rest in place.
-    cols = _cols(len(vec))
-    low = cols.bit_length() - 1
+def _stockham(y, out, stages, p) -> None:
+    # out <- the DFT of each row of y, in natural order, for rows in natural
+    # order; y is left unchanged and must not overlap out. Rows go a chunk
+    # of at most _CHUNK residues at a time.
+    rows, size = y.shape
+    step = max(1, _CHUNK // size)
+    for r in range(0, rows, step):
+        _passes(y[r : r + step], out[r : r + step], stages, p)
+
+
+def _passes(y, out, stages, p) -> None:
+    # _stockham on one chunk, one `_pass` per stage, the last into out.
+    rows, size = y.shape
+    passes = size.bit_length() - 1
+    if not passes:
+        out[...] = y
+        return
+    scratch = [np.empty((rows, size >> 1), dtype=np.uint64) for _ in range(3)]
+    bufs = (out, np.empty((rows, size), dtype=np.uint64))
+    for s in range(passes):
+        dst = bufs[(passes - 1 - s) & 1]
+        _pass(y, dst, s, stages, p, *scratch)
+        y = dst
+
+
+def _pass(y, out, s: int, stages, p, u, t, tmp) -> None:
+    # Stockham's stage s: reads the two halves of every row of y, whose
+    # twiddles repeat with period 2**s and are stored tiled to half a row,
+    # and writes the sums and differences to out interleaved in runs of 2**s
+    # residues, one strided copy each.
+    half = y.shape[1] >> 1
+    lo, hi = y[:, :half], y[:, half:]
+    if s:
+        w, wq = stages[s]
+        _mul(hi, w[:half], wq[:half], p, t, tmp)
+        hi = t
+    item = _runs(s)
+    runs = out.view(item).reshape(len(out), -1, 2)
+    _add(lo, hi, p, u, tmp)
+    runs[:, :, 0] = u.view(item)
+    _sub(lo, hi, p, u, tmp)
+    runs[:, :, 1] = u.view(item)
+
+
+def _dit(vec, sizes, stages, p, first: int) -> None:
+    # The in-place DIT stages from half-size 2**first up, on vec holding
+    # consecutive blocks of the given decreasing power-of-two sizes: the
+    # stage with half-size h runs on every block longer than h, a prefix of
+    # vec, pairing the halves of each sub-block of 2h.
     t, tmp = (np.empty(len(vec) >> 1, dtype=np.uint64) for _ in range(2))
-    _transposed(vec.reshape(-1, cols), stages[:low], _butterflies, p, t, tmp)
-    for tws, quo in stages[low:]:
-        lo, hi, tt, tmpt = _halves(vec.reshape(-1, 2, len(tws)), t, tmp)
-        _butterflies(lo, hi, tws, quo, p, tt, tmpt)
+    s = first
+    while True:
+        h = 1 << s
+        end = sum(b for b in sizes if b > h)
+        if not end:
+            return
+        v = vec[:end].reshape(-1, 2, h)
+        lo, hi = v[:, 0], v[:, 1]
+        k = end >> 1
+        tws, quo = stages[s]
+        _butterflies(lo, hi, tws[:h], quo[:h], p, t[:k].reshape(lo.shape), tmp[:k].reshape(lo.shape))
+        s += 1
+
+
+def _inverses(c, sizes, stages, p) -> None:
+    # The inverse DFT of each of the consecutive blocks of c of the given
+    # decreasing sizes, each in bit-reversed order, in place: the stages
+    # within rows of m = min(_ROW, sizes[0]) points as Stockham passes over
+    # all the blocks of at least m points, the longer stages in place, and
+    # the blocks below m in place.
+    m = min(_ROW, sizes[0])
+    big = [b for b in sizes if b >= m]
+    end = sum(big)
+    rows = c[:end].reshape(-1, m)
+    _stockham(np.take(rows, _rev(m), axis=1), rows, stages, p)
+    _dit(c, big, stages, p, m.bit_length() - 1)
+    small = sizes[len(big):]
+    if small:
+        _dit(c[end:], small, stages, p, 0)
 
 
 def moddft(x, table, direction: str):
     """transform.moddft's loops; direction is "fwd" or "inv"."""
-    fwd, inv, rev = stage_arrays(table)
+    fwd, inv, gather = stage_arrays(table)
+    stages = fwd if direction == "fwd" else inv
     p = table.field.p
-    vec = x[rev]
-    if direction == "fwd":
-        _dit(vec, fwd, _u64(p))
-    else:
-        _dit(vec, inv, _u64(p))
-        vec = mulmod(vec, table.inv_size, quotient(table.inv_size, p), p)
+    with np.errstate():
+        np.setbufsize(_BUFSIZE)
+        rows = x.reshape(1, -1) if gather is None else x[gather].reshape(-1, _ROW)
+        vec = np.empty(table.size, dtype=np.uint64)
+        _stockham(rows, vec.reshape(rows.shape), stages, _u64(p))
+        if gather is not None:
+            _dit(vec, [table.size], stages, _u64(p), _ROW.bit_length() - 1)
+        if direction == "inv":
+            vec = mulmod(vec, table.inv_size, quotient(table.inv_size, p), p)
     return vec
 
 
-def tft(table, x, n: int):
-    """transform.tft's values: per stage down to h = cols, full blocks at once,
-    then the one partial block; the stages below cols transposed."""
-    fwd = stage_arrays(table)[0]
-    p = _u64(table.field.p)
-    z = len(x)
-    c = np.zeros(table.size, dtype=np.uint64)
-    c[:z] = x
-    t, tmp = (np.empty(table.size >> 1, dtype=np.uint64) for _ in range(2))
-    cols = _cols(table.size)
-    low = cols.bit_length() - 1
-    for (tws, quo), (h, full, zz, both) in zip(reversed(fwd[low:]), _tft_path(table.size, z, n)):
+def _tft_stages(c, stages, path, n: int, p) -> None:
+    # tft's stages on c for n outputs, in place, per stage all full blocks
+    # at once, then the one partial block.
+    t, tmp = (np.empty(len(c) >> 1, dtype=np.uint64) for _ in range(2))
+    for h, full, zz, both in path:
+        tws, quo = stages[h.bit_length() - 1]
         if full:
             v = c[: full * (h << 1)].reshape(full, 2, h)
             if both:
-                lo, hi, d, dt = _halves(v[:, :, :both], t, tmp)
-                _dif(lo, hi, tws[:both], quo[:both], p, d, dt)
+                lo, hi = v[:, 0, :both], v[:, 1, :both]
+                k = lo.size
+                _dif(lo, hi, tws[:both], quo[:both], p, t[:k].reshape(lo.shape), tmp[:k].reshape(lo.shape))
             if zz > both:
-                lo, hi, _, dt = _halves(v[:, :, both:zz], t, tmp)
-                _mul(lo, tws[both:zz], quo[both:zz], p, hi, dt)
+                lo, hi = v[:, 0, both:zz], v[:, 1, both:zz]
+                k = lo.size
+                _mul(lo, tws[both:zz], quo[both:zz], p, hi, tmp[:k].reshape(lo.shape))
         base = full * (h << 1)
         if base < n and both:
             # Only the low half is wanted: fold the high half onto it.
             lo = c[base : base + both]
             _add(lo, c[base + h : base + h + both], p, lo, tmp[:both])
-    # The stages with h < cols, as whole butterflies on every row of
-    # (rows, cols) holding a wanted output: positions that tft leaves alone
-    # are either zero there or feed only outputs at n and above.
-    rows = -(-n // cols)
-    _transposed(c[: rows * cols].reshape(rows, cols), fwd[:low][::-1], _dif, p, t, tmp)
+
+
+def _dif_rows(c, rows: int, m: int, stages, p) -> None:
+    # The first rows rows of m points of c in place by their DIF, their DFT
+    # in bit-reversed order.
+    if rows:
+        y = c[: rows * m].reshape(rows, m)
+        dft = np.empty_like(y)
+        _stockham(y, dft, stages, p)
+        np.take(dft, _rev(m), axis=1, out=y)
+
+
+def tft(table, x, n: int):
+    """transform.tft's values: the stages on blocks longer than a row in
+    place, then the rows below n as Stockham DFTs."""
+    fwd = stage_arrays(table)[0]
+    p = _u64(table.field.p)
+    size = table.size
+    z = len(x)
+    c = np.zeros(size, dtype=np.uint64)
+    c[:z] = x
+    m = min(_ROW, size >> 1) or 1
+    path = _tft_path(size, z, n)
+    with np.errstate():
+        np.setbufsize(_BUFSIZE)
+        _tft_stages(c, fwd, [stage for stage in path if stage[0] >= m], n, p)
+        # A row below n now holds every input its wanted outputs need, and
+        # those are its DIF outputs. A last row with more than an eighth of
+        # it wanted is transformed whole, which costs no more numpy calls;
+        # one with less is first halved by the stages that fold its high
+        # half onto its low half, until more than half of it is wanted.
+        rows, left = divmod(n, m)
+        if left > m >> 3:
+            rows, left = rows + 1, 0
+        _dif_rows(c, rows, m, fwd, p)
+        if left:
+            part = c[rows * m :]
+            folds = [stage for stage in _tft_path(m, min(z, m), left) if stage[0] >= left]
+            _tft_stages(part, fwd, folds, left, p)
+            _dif_rows(part, 1, m >> len(folds), fwd, p)
     return c[:n]
 
 
 def itft(table, xhat):
-    """transform.itft's values: down the one partial path and back up."""
+    """transform.itft's values: every fully known low half on the partial
+    path inverted at once, then down the path and back up."""
     fwd, inv, _ = stage_arrays(table)
     p = table.field.p
     n = len(xhat)
@@ -222,37 +354,61 @@ def itft(table, xhat):
         w %= p
         return _u64(w), _u64(quotient(w, p))
 
-    for off, m, left, log in levels:
-        h = m >> 1
-        if left > h:
-            # The low half is fully known: its inverse gives h * u_i.
-            _dit(c[off : off + h], inv[:log], pu)
-            tws, quo = fwd[log]
-            # Cross butterflies: from (h*u_i, x_{i+h}) produce (m*x_i, v_i)
-            # as m*x_i = a + d and v_i = d * tws_i / h, for d = a - m*b.
-            a = c[off + left - h : off + h]
-            b = c[off + left : off + m]
-            k = len(a)
-            d, mb, kt = s[:k], t[:k], tmp[:k]
-            _mul(b, *factor(m), pu, mb, kt)
-            _sub(a, mb, pu, d, kt)
-            _add(a, d, pu, a, kt)
-            _mul(d, *factor(pow(h, -1, p)), pu, mb, kt)
-            _mul(mb, tws[left - h :], quo[left - h :], pu, b, kt)
-        else:
-            lo = c[off + left : off + h]
-            _add(lo, c[off + left + h : off + m], pu, lo, tmp[: len(lo)])
-    for off, m, left, log in reversed(levels):
-        h = m >> 1
-        if left > h:
-            k = left - h
-            tws, quo = inv[log]
-            _butterflies(c[off : off + k], c[off + h : off + left], tws[:k], quo[:k], pu, t[:k], tmp[:k])
-        else:
-            # m*x_i = 2a - m*b = a + (a - m*b).
+    with np.errstate():
+        np.setbufsize(_BUFSIZE)
+        # The low halves the path inverts are consecutive blocks from 0 of
+        # decreasing size, and hold only input spectral values until the
+        # level that uses them, so they are inverted first, together.
+        sizes = [m >> 1 for _, m, left, _ in levels if left > m >> 1]
+        if sizes:
+            _inverses(c, sizes, inv, pu)
+        for off, m, left, log in levels:
+            h = m >> 1
+            if left == m:
+                # A fully known block: its inverted low half is all it needs.
+                continue
+            if left > h:
+                # The low half holds h * u_i. Cross butterflies: from
+                # (h*u_i, x_{i+h}) produce (m*x_i, v_i) as m*x_i = a + d and
+                # v_i = d * tws_i / h, for d = a - m*b.
+                tws, quo = fwd[log]
+                a = c[off + left - h : off + h]
+                b = c[off + left : off + m]
+                k = len(a)
+                d, mb, kt = s[:k], t[:k], tmp[:k]
+                _mul(b, *factor(m), pu, mb, kt)
+                _sub(a, mb, pu, d, kt)
+                _add(a, d, pu, a, kt)
+                _mul(d, *factor(pow(h, -1, p)), pu, mb, kt)
+                _mul(mb, tws[left - h : h], quo[left - h : h], pu, b, kt)
+            else:
+                lo = c[off + left : off + h]
+                _add(lo, c[off + left + h : off + m], pu, lo, tmp[: len(lo)])
+        j = len(levels)
+        while j:
+            off, m, left, log = levels[j - 1]
+            h = m >> 1
+            if left > h:
+                k = left - h
+                tws, quo = inv[log]
+                _butterflies(c[off : off + k], c[off + h : off + left], tws[:k], quo[:k], pu, t[:k], tmp[:k])
+                j -= 1
+                continue
+            # A run of levels that all keep to their low half shares off and
+            # left. Up it, each level sets a <- 2a - m*b for its m and its
+            # b = c[off+h:off+h+left], which no level of the run writes: over
+            # runs = J levels from m upwards, a <- 2**J * a - 2**(J-1) * m * sum(b).
+            i = j - 1
+            while i and levels[i - 1][2] <= levels[i - 1][1] >> 1:
+                i -= 1
+            runs = j - i
+            at = off + (h << np.arange(runs, dtype=np.uint64))
+            total = c[at[:, None] + np.arange(left, dtype=np.uint64)].sum(axis=0)
+            total %= pu
             a = c[off : off + left]
             mb, kt = t[:left], tmp[:left]
-            _mul(c[off + h : off + h + left], *factor(m), pu, mb, kt)
-            _sub(a, mb, pu, mb, kt)
+            _mul(a, *factor(1 << runs), pu, a, kt)
+            _mul(total, *factor(-(m << runs - 1)), pu, mb, kt)
             _add(a, mb, pu, a, kt)
+            j = i
     return c[:n]

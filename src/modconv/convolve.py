@@ -24,12 +24,16 @@ list once; `_zero_padded` pads an ndarray in numpy and a list as a list. So
 an input list has its ints outside [0, p) reduced, and an input ndarray, in
 any position, must be 1-D uint64 and hold residues, else ValueError. The
 result is an ndarray only when every input was one. Both paths return the
-same values and count the same operations. `poly_mul` is the one place where
-a polynomial product crosses: it converts each trimmed operand once
-(`_TRANSFORM_SIZE` names the transform size that decides), calls the engine
-on arrays, and hands the ndarray product to `DensePoly`, which range-checks
-it in numpy and stores it as ints. So no padding zero is converted, and no
-engine converts a list it was handed by `poly_mul`.
+same values and count the same operations. An ndarray is checked once,
+where it enters: the engine reruns itself on the checked arrays under
+`transform._checked`, and the engines and transforms it calls there take
+their arrays as they are. `poly_mul` is the one place where a polynomial
+product crosses: it converts each trimmed operand once (`_TRANSFORM_SIZE`
+names the transform size that decides), calls the engine on arrays under
+`_checked`, and hands the ndarray product to `DensePoly`, which
+range-checks it in numpy and stores it as ints. So no padding zero is
+converted, no engine converts a list it was handed by `poly_mul`, and
+nothing below `poly_mul` checks its arrays again.
 `circ_conv_def`, `lin_conv_def` and `lin_conv_kronecker` have no array path:
 they refuse an ndarray with ValueError.
 
@@ -46,7 +50,7 @@ from typing import TYPE_CHECKING
 
 from .field import FieldMismatchError, FourierPrime
 from .poly import DensePoly, _check_fields
-from .transform import OpCounters, _as_residues, _is_array, _numpy_inputs, get_table, itft, moddft, tft
+from .transform import OpCounters, _checked, _is_array, _numpy_inputs, _residues, get_table, itft, moddft, tft
 
 if TYPE_CHECKING:
     from .planner import PlanSession
@@ -96,7 +100,8 @@ def _zero_padded(circ, u, v, req: ConvRequest, least: int):
 
     Each input is padded in its own type. An ndarray is checked by circ's
     array rule (`_as_residues`) before it is copied into a zeroed uint64
-    array, so only its own values are converted.
+    array, so only its own values are converted, and two padded arrays go
+    to circ as checked.
     """
     n = len(u) + len(v) - 1
     size = max(least, _next_pow2(n))
@@ -106,11 +111,23 @@ def _zero_padded(circ, u, v, req: ConvRequest, least: int):
             import numpy as np
 
             out = np.zeros(size, dtype=np.uint64)
-            out[: len(w)] = _as_residues(w, req.field.p)
+            out[: len(w)] = _residues(w, req.field.p)
             return out
         return list(w) + [0] * (size - len(w))
 
-    return circ(pad(u), pad(v), req)[:n]
+    pu, pv = pad(u), pad(v)
+    if _is_array(pu) and _is_array(pv):
+        return _checked(circ, pu, pv, req)[:n]
+    return circ(pu, pv, req)[:n]
+
+
+def _rerun(engine, arrays, req: ConvRequest, *given):
+    """engine on the arrays `_numpy_inputs` made of given, under `_checked`.
+
+    The product is an ndarray only where every given input was one.
+    """
+    out = _checked(engine, *arrays, req)
+    return out if all(map(_is_array, given)) else out.tolist()
 
 
 def circ_conv_def(u: list[int], v: list[int], fp: FourierPrime) -> list[int]:
@@ -169,7 +186,7 @@ def circ_conv_fft(u: list[int], v: list[int], req: ConvRequest) -> list[int]:
     table = get_table(req.field, len(u))
     arrays = _numpy_inputs(table, u, v)
     if arrays is not None:
-        return circ_conv_fft(*arrays, req).tolist()
+        return _rerun(circ_conv_fft, arrays, req, u, v)
     uf = moddft(u, table, "fwd", req.counters)
     vf = moddft(v, table, "fwd", req.counters)
     prod = _pointwise(uf, vf, req.field.p, req)
@@ -192,7 +209,7 @@ def nega_conv(u: list[int], v: list[int], req: ConvRequest) -> list[int]:
     n = len(u)
     arrays = _numpy_inputs(get_table(req.field, n), u, v)
     if arrays is not None:
-        return nega_conv(*arrays, req).tolist()
+        return _rerun(nega_conv, arrays, req, u, v)
     p = req.field.p
     twist = get_table(req.field, 2 * n)
     # psi**j and psi**-j for j < n, psi**2 == w_n.
@@ -223,7 +240,7 @@ def circ_conv_split(u: list[int], v: list[int], req: ConvRequest) -> list[int]:
     n = size >> 1
     arrays = _numpy_inputs(get_table(req.field, n), u, v)
     if arrays is not None:
-        return circ_conv_split(*arrays, req).tolist()
+        return _rerun(circ_conv_split, arrays, req, u, v)
     p = req.field.p
     ua, ub = split_residues(u, p)
     va, vb = split_residues(v, p)
@@ -279,7 +296,7 @@ def conv_tft(g: list[int], h: list[int], req: ConvRequest) -> list[int]:
     table = get_table(req.field, size)
     arrays = _numpy_inputs(table, g, h)
     if arrays is not None:
-        return conv_tft(*arrays, req).tolist()
+        return _rerun(conv_tft, arrays, req, g, h)
     p = req.field.p
     gf = tft(table, g, n, req.counters)
     hf = tft(table, h, n, req.counters)
@@ -378,5 +395,8 @@ def poly_mul(a: DensePoly, b: DensePoly, req: ConvRequest) -> DensePoly:
     if engine in _TRANSFORM_SIZE:
         table = get_table(req.field, _TRANSFORM_SIZE[engine](len(u) + len(v) - 1))
         arrays = _numpy_inputs(table, u, v)
-    u, v = arrays or (list(u), list(v))
-    return DensePoly(a.field, _ENGINE_CALLS[engine](u, v, req)).normalize()
+    if arrays is None:
+        product = _ENGINE_CALLS[engine](list(u), list(v), req)
+    else:
+        product = _checked(_ENGINE_CALLS[engine], *arrays, req)
+    return DensePoly(a.field, product).normalize()

@@ -19,7 +19,9 @@ numpy is loaded anyway. A uint64 ndarray input always runs them and gets an
 ndarray back, so callers can keep a whole product in arrays. _as_residues is
 the one place a vector crosses into numpy: a list has its ints outside
 [0, p) reduced there, and an ndarray must be 1-D uint64 and hold residues,
-else ValueError; _numpy_inputs says when an engine's inputs cross. Both
+else ValueError; _numpy_inputs says when an engine's inputs cross. Inside
+_checked, which the entry that checked them sets, arrays are taken as they
+are, so an array is checked once however deep it travels. Both
 paths return the same residues and count the same butterflies. numpy is
 imported on first use, never by this module or by building a table.
 
@@ -137,8 +139,9 @@ def get_table(field: FourierPrime, size: int) -> TwiddleTable:
 # all stay smaller never imports it.
 _NUMPY_MIN_SIZE = 1 << 15
 # Smallest transform size the numpy kernels take once numpy is loaded anyway:
-# from 2**9 up they beat the Python loops on every transform, and from 2**10 to
-# 2**14 they run 5-15x faster (measured on a 2-core x86-64 host).
+# from 2**9 up they beat the Python loops on every transform, lists in and out
+# (itft at n = L by 1.3x, moddft by 4x), while at 2**8 itft at n = L still
+# loses (measured on a 2-core x86-64 host).
 _NUMPY_CROSSOVER = 1 << 9
 
 
@@ -198,27 +201,48 @@ def _as_residues(x, p: int):
     return a
 
 
+# Its `on` is true, in one thread, while an engine or poly_mul runs on arrays
+# it has checked: the engines and transforms it calls then take their
+# ndarray inputs as they are.
+_CHECKED = threading.local()
+
+
+def _checked(run, *args):
+    """run(*args), with every ndarray it hands on taken as checked residues."""
+    was = getattr(_CHECKED, "on", False)
+    _CHECKED.on = True
+    try:
+        return run(*args)
+    finally:
+        _CHECKED.on = was
+
+
+def _residues(x, p: int):
+    # An ndarray x as residues: itself inside _checked, else _as_residues(x, p).
+    return x if getattr(_CHECKED, "on", False) else _as_residues(x, p)
+
+
 def _numpy_inputs(table: TwiddleTable, *vecs):
-    """vecs as uint64 arrays (`_as_residues`) for an engine to rerun on, else None.
+    """vecs as uint64 arrays (`_as_residues`) for an engine to rerun on under `_checked`, else None.
 
     An engine runs in arrays when any input is an ndarray or when table's
     transforms run in numpy; asking `_numpy_kernels` imports numpy from 2**15
     on, so the first product that large converts like every later one. Every
     input goes through `_as_residues`, whatever its position: a list is
-    reduced into [0, p), an ndarray is checked. Inputs that are all arrays
-    give None once checked: the engine is already on the array path, and
-    returns an ndarray only then.
+    reduced into [0, p), an ndarray is checked. Inside `_checked` it gives
+    None at once: the engine is on the array path, handed arrays that an
+    enclosing call has checked, and returns an ndarray.
     """
-    p = table.field.p
-    given = [_is_array(v) for v in vecs]
-    if not any(given) and _numpy_kernels(p, table.size) is None:
+    if getattr(_CHECKED, "on", False):
         return None
-    arrays = [_as_residues(v, p) for v in vecs]
-    return None if all(given) else arrays
+    p = table.field.p
+    if not any(map(_is_array, vecs)) and _numpy_kernels(p, table.size) is None:
+        return None
+    return [_as_residues(v, p) for v in vecs]
 
 
 def _in_numpy(table: TwiddleTable, x, run):
-    # run(kernels, a) on the numpy kernels and a = _as_residues(x), in the
+    # run(kernels, a) on the numpy kernels and a = x as residues, in the
     # type of x, where the numpy kernels run x at table's size: always for an
     # ndarray, and for a list where _numpy_kernels picks them. None where the
     # Python loops run x.
@@ -226,7 +250,7 @@ def _in_numpy(table: TwiddleTable, x, run):
     if _is_array(x):
         from . import _ntt_numpy
 
-        return run(_ntt_numpy, _as_residues(x, p))
+        return run(_ntt_numpy, _residues(x, p))
     kernels = _numpy_kernels(p, table.size)
     return None if kernels is None else run(kernels, _as_residues(x, p)).tolist()
 

@@ -206,6 +206,9 @@ def _suite_numpy_backend(rng, cap, fields):
     except ImportError:
         return True, "numpy not installed"
     checked = top = 0
+    # The kernels change course at their row size (_ntt_numpy._ROW): --cap
+    # 4096 meets both sides of it in every kernel, and --cap 65536 both
+    # sides of their chunk size (_ntt_numpy._CHUNK).
     # 3 * 2**30 + 1 and 2**32 - 2**20 + 1 (2-adicity 20) join the fields:
     # their residue products come closest to 2**64 in the numpy kernels.
     for fp in (*fields, *map(FourierPrime.from_modulus, (3221225473, 4293918721))):
@@ -220,8 +223,11 @@ def _suite_numpy_backend(rng, cap, fields):
                 for direction in ("fwd", "inv"):
                     if _ntt_numpy.moddft(a, table, direction).tolist() != _moddft_python(x, table, direction):
                         return False, f"numpy moddft {direction} != Python at p={p}, L={size}"
-                ns = {1, size // 2 or 1, size // 2 + 1, size - 1 or 1, size}
-                for n in sorted(ns | {rng.randint(1, size) for _ in range(4)}):
+                # Every n up to 64 points; beyond, the shapes of balanced
+                # products (L/2 + 1, 7L/8, L) and a few drawn at random.
+                ns = {1, size // 2 or 1, size // 2 + 1, size - size // 8, size - 1 or 1, size}
+                ns |= set(range(1, size + 1)) if size <= 64 else {rng.randint(1, size) for _ in range(4)}
+                for n in sorted(ns):
                     z = rng.randint(1, n)
                     if _ntt_numpy.tft(table, a[:z], n).tolist() != _tft_python(table, x[:z], n, None):
                         return False, f"numpy tft != Python at p={p}, L={size}, z={z}, n={n}"

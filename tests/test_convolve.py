@@ -665,3 +665,78 @@ def test_poly_mul_crosses_once_and_matches_python_loops(p, n):
             out, _, own = _traced_call(lambda req: convolve._ENGINE_CALLS[engine](*listed, req), fp, engine)
             assert backends == own, (engine, n)
             assert isinstance(out, list) and tuple(out) == want.coeffs
+
+
+@pytest.mark.skipif(importlib.util.find_spec("numpy") is None, reason="numpy not installed")
+@pytest.mark.parametrize("engine", ["tft", "fft_pad", "split"])
+def test_arrays_are_checked_at_the_entry_only(fp998, engine):
+    # poly_mul converts its two operands and checks its product: three
+    # passes of _as_residues. The engines and transforms it runs take those
+    # arrays as checked. An engine called directly checks each ndarray once.
+    import numpy as np
+
+    from modconv import poly
+
+    calls = []
+    real = transform._as_residues
+
+    def counted(x, p):
+        calls.append(transform._is_array(x))
+        return real(x, p)
+
+    rng = random.Random(11)
+    a = DensePoly(fp998, tuple(rng.randrange(fp998.p) for _ in range(700)))
+    b = DensePoly(fp998, tuple(rng.randrange(fp998.p) for _ in range(600)))
+    u, v = (np.array(w.coeffs, dtype=np.uint64) for w in (a, b))
+    square = [np.array(w.coeffs[:512], dtype=np.uint64) for w in (a, b)]
+    req = ConvRequest(fp998)
+    direct = {
+        "tft": [(conv_tft, (u, v))],
+        "fft_pad": [(lin_conv_fft_pad, (u, v)), (circ_conv_fft, square)],
+        "split": [(circ_conv_split, square), (nega_conv, square)],
+    }
+    with mock.patch.object(transform, "_as_residues", counted), mock.patch.object(poly, "_as_residues", counted):
+        got = poly_mul(a, b, ConvRequest(fp998, engine=engine))
+        assert calls == [False, False, True], engine
+        for call, args in direct[engine]:
+            calls.clear()
+            call(*args, req)
+            assert calls == [True, True], call.__name__
+    assert got == poly_mul(a, b, ConvRequest(fp998, engine="kronecker"))
+
+
+@pytest.mark.skipif(importlib.util.find_spec("numpy") is None, reason="numpy not installed")
+def test_checked_arrays_stay_in_their_thread_and_call(fp998):
+    # While one thread runs under transform._checked, another still has its
+    # arrays checked; and a call that raises under _checked leaves nothing
+    # taken as checked behind it.
+    import threading
+
+    import numpy as np
+
+    bad = np.full(300, fp998.p, dtype=np.uint64)
+    ones = np.ones(300, dtype=np.uint64)
+    inside, release = threading.Event(), threading.Event()
+
+    def hold():
+        inside.set()
+        release.wait(10)
+
+    worker = threading.Thread(target=transform._checked, args=(hold,))
+    worker.start()
+    try:
+        assert inside.wait(10)
+        with pytest.raises(ValueError, match="residues"):
+            conv_tft(bad, ones, ConvRequest(fp998))
+    finally:
+        release.set()
+        worker.join(10)
+    assert not worker.is_alive()
+
+    def fail():
+        raise KeyError
+
+    with pytest.raises(KeyError):
+        transform._checked(fail)
+    with pytest.raises(ValueError, match="residues"):
+        conv_tft(bad, ones, ConvRequest(fp998))

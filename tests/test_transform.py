@@ -1,3 +1,4 @@
+import contextlib
 import importlib.util
 import json
 import os
@@ -327,8 +328,9 @@ def numpy_shapes(draw, size):
 
 
 @needs_numpy
-# Every size up to 2**12, so that each parity of log2(size) meets _dit's transposed split.
-@pytest.mark.parametrize("size", [1 << k for k in range(13)])
+# Every size up to 2**14: tft and itft run rows of min(_ROW, L/2) points,
+# moddft rows of min(_ROW, L), so 2**10..2**12 meet each side of _ROW.
+@pytest.mark.parametrize("size", [1 << k for k in range(15)])
 @settings(derandomize=True, max_examples=15, deadline=None)
 @given(data=st.data())
 def test_numpy_kernels_match_python(size, data):
@@ -356,15 +358,18 @@ def test_numpy_kernels_match_python(size, data):
     # Lengths above size/2, where itft inverts full halves with _dit.
     for m in {size // 2 + 1, size - size // 8, size - 1 or 1, size}:
         assert _ntt_numpy.itft(t, a[:m]).tolist() == residues(transform._itft_python(t, x[:m], None))
-    # The largest residues at the primes nearest 2**32 meet the uint64 bounds.
+    # The largest residues at the primes nearest 2**32 meet the uint64 bounds,
+    # at the drawn n and at the shapes of balanced products.
     for big in NUMPY_FIELDS[-2:]:
         top = [big.p - 1] * size
         tb = get_table(big, size)
         ab = numpy.array(top, dtype=numpy.uint64)
         for direction in ("fwd", "inv"):
             assert _ntt_numpy.moddft(ab, tb, direction).tolist() == transform._moddft_python(top, tb, direction)
-        assert _ntt_numpy.tft(tb, ab[:z], n).tolist() == transform._tft_python(tb, top[:z], n, None)
-        assert _ntt_numpy.itft(tb, ab[:n]).tolist() == transform._itft_python(tb, top[:n], None)
+        for m in {n, size // 2 + 1, size - size // 8, size}:
+            zm = min(z, m)
+            assert _ntt_numpy.tft(tb, ab[:zm], m).tolist() == transform._tft_python(tb, top[:zm], m, None)
+            assert _ntt_numpy.itft(tb, ab[:m]).tolist() == transform._itft_python(tb, top[:m], None)
     # Through the public dispatch, outputs and counters of both backends agree.
     calls = [
         (lambda c: moddft(x, t, "fwd", c)),
@@ -378,6 +383,57 @@ def test_numpy_kernels_match_python(size, data):
     with mock.patch.object(transform, "_NUMPY_CROSSOVER", 1):
         assert transform._numpy_kernels(t.field.p, t.size) is _ntt_numpy
         assert [run(call) for call in calls] == python
+
+
+@needs_numpy
+# The kernels' row and chunk sizes as they are, and shrunk so that at these
+# sizes moddft gathers rows, tft and itft run stages on blocks longer than a
+# row, and a batch of rows goes one row at a time.
+@pytest.mark.parametrize("row, chunk", [(None, None), (4, 4), (8, 1)])
+def test_numpy_kernels_match_python_at_every_n(row, chunk):
+    import numpy
+
+    from modconv import _ntt_numpy
+
+    patches = {k: v for k, v in (("_ROW", row), ("_CHUNK", chunk)) if v is not None}
+    rng = random.Random(64)
+    with mock.patch.multiple(_ntt_numpy, **patches) if patches else contextlib.nullcontext():
+        for fp in NUMPY_FIELDS:
+            for size in (1 << k for k in range(7)):
+                if size > 1 << fp.two_adicity:
+                    continue
+                # A fresh table, whose numpy arrays follow the patched row size.
+                t = TwiddleTable(fp, size)
+                for x in ([rng.randrange(fp.p) for _ in range(size)], [fp.p - 1] * size):
+                    a = numpy.array(x, dtype=numpy.uint64)
+                    for direction in ("fwd", "inv"):
+                        assert _ntt_numpy.moddft(a, t, direction).tolist() == transform._moddft_python(x, t, direction)
+                    for n in range(1, size + 1):
+                        for z in {1, n // 2 or 1, rng.randint(1, n), n}:
+                            assert _ntt_numpy.tft(t, a[:z], n).tolist() == transform._tft_python(t, x[:z], n, None)
+                        assert _ntt_numpy.itft(t, a[:n]).tolist() == transform._itft_python(t, x[:n], None)
+
+
+@needs_numpy
+def test_kernels_restore_the_callers_buffer_size():
+    import numpy as np
+
+    from modconv import _ntt_numpy
+
+    t = get_table(FourierPrime.from_modulus(998244353), 1 << 12)
+    x = np.arange(1 << 12, dtype=np.uint64)
+    before = np.getbufsize()
+    with np.errstate():
+        np.setbufsize(4096)
+        for call in (lambda: _ntt_numpy.moddft(x, t, "inv"), lambda: _ntt_numpy.tft(t, x[:9], 3000),
+                     lambda: _ntt_numpy.itft(t, x[:2049])):
+            call()
+            assert np.getbufsize() == 4096
+        # A vector of the wrong length fails inside the kernel's scope.
+        with pytest.raises(ValueError):
+            _ntt_numpy.moddft(x[:1000], get_table(FourierPrime.from_modulus(998244353), 1 << 9), "fwd")
+        assert np.getbufsize() == 4096
+    assert np.getbufsize() == before
 
 
 def test_large_prime_stays_on_python():
