@@ -34,14 +34,15 @@ stages want (`_row_gather`). itft inverts every fully known low half on
 its path at once, as one such stage loop over the blocks they form, a
 prefix of c (`_inverses`); its per-level steps are O(1) operations each,
 so it makes O(log L) numpy calls. tft runs its stages on blocks longer
-than a row in place, then the rows below n as Stockham DFTs in
-bit-reversed order: up to n, a row's outputs are those of its DIF. Each
-kernel sets numpy's ufunc buffer to _BUFSIZE elements while it runs, and
-restores the caller's.
+than a row in place, then every row that holds an output below n as a
+Stockham DFT in bit-reversed order: up to n, a row's outputs are those of
+its DIF. Each kernel sets numpy's ufunc buffer to _BUFSIZE elements while
+it runs, and restores the caller's.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 
 import numpy as np
@@ -54,14 +55,26 @@ from .transform import _itft_path, _tft_path
 # in place, so every operation runs over stretches of at least _ROW / 2
 # residues.
 _ROW = 1 << 10
-# Most residues one call of Stockham passes takes: longer batches of rows go
-# a chunk at a time, so that a pass's buffers stay in a core's cache.
+# About the most residues one call of Stockham passes takes: longer batches
+# of rows go a chunk at a time, so that a pass's buffers stay in a core's
+# cache. One call over all rows was up to 1.4x slower from L = 2**17 up and
+# no faster below; chunks of 2**14 or 2**16 were no faster.
 _CHUNK = 1 << 15
 # numpy's ufunc buffer size, in elements, while a kernel runs: with the
 # default 8192 an operation over rows of a few hundred residues runs about
-# twice as slow as over one contiguous vector. Set inside np.errstate(),
-# which restores the caller's value.
+# twice as slow as over one contiguous vector.
 _BUFSIZE = 256
+
+
+@contextlib.contextmanager
+def _small_buffer():
+    # numpy's ufunc buffer at _BUFSIZE elements while a kernel runs; the
+    # caller's value is restored on the way out, also on an exception.
+    old = np.setbufsize(_BUFSIZE)
+    try:
+        yield
+    finally:
+        np.setbufsize(old)
 
 
 def quotient(w, p: int):
@@ -177,27 +190,25 @@ def _row_gather(size: int):
 
 def _stockham(y, out, stages, p) -> None:
     # out <- the DFT of each row of y, in natural order, for rows in natural
-    # order; y is left unchanged and must not overlap out. Rows go a chunk
-    # of at most _CHUNK residues at a time.
-    rows, size = y.shape
-    step = max(1, _CHUNK // size)
-    for r in range(0, rows, step):
-        _passes(y[r : r + step], out[r : r + step], stages, p)
-
-
-def _passes(y, out, stages, p) -> None:
-    # _stockham on one chunk, one `_pass` per stage, the last into out.
+    # order, one `_pass` per stage, the last into out; y is left unchanged
+    # and must not overlap out. The rows go in equal chunks of about _CHUNK
+    # residues, which share one set of scratch arrays.
     rows, size = y.shape
     passes = size.bit_length() - 1
     if not passes:
         out[...] = y
         return
-    scratch = [np.empty((rows, size >> 1), dtype=np.uint64) for _ in range(3)]
-    bufs = (out, np.empty((rows, size), dtype=np.uint64))
-    for s in range(passes):
-        dst = bufs[(passes - 1 - s) & 1]
-        _pass(y, dst, s, stages, p, *scratch)
-        y = dst
+    step = -(-rows // max(1, round(rows * size / _CHUNK)))
+    spare = np.empty((step, size), dtype=np.uint64)
+    scratch = [np.empty((step, size >> 1), dtype=np.uint64) for _ in range(3)]
+    for r in range(0, rows, step):
+        k = min(step, rows - r)
+        src, bufs = y[r : r + k], (out[r : r + k], spare[:k])
+        u, t, tmp = (a[:k] for a in scratch)
+        for s in range(passes):
+            dst = bufs[(passes - 1 - s) & 1]
+            _pass(src, dst, s, stages, p, u, t, tmp)
+            src = dst
 
 
 def _pass(y, out, s: int, stages, p, u, t, tmp) -> None:
@@ -261,8 +272,7 @@ def moddft(x, table, direction: str):
     fwd, inv, gather = stage_arrays(table)
     stages = fwd if direction == "fwd" else inv
     p = table.field.p
-    with np.errstate():
-        np.setbufsize(_BUFSIZE)
+    with _small_buffer():
         rows = x.reshape(1, -1) if gather is None else x[gather].reshape(-1, _ROW)
         vec = np.empty(table.size, dtype=np.uint64)
         _stockham(rows, vec.reshape(rows.shape), stages, _u64(p))
@@ -308,7 +318,7 @@ def _dif_rows(c, rows: int, m: int, stages, p) -> None:
 
 def tft(table, x, n: int):
     """transform.tft's values: the stages on blocks longer than a row in
-    place, then the rows below n as Stockham DFTs."""
+    place, then every row that holds an output below n as a Stockham DFT."""
     fwd = stage_arrays(table)[0]
     p = _u64(table.field.p)
     size = table.size
@@ -317,23 +327,11 @@ def tft(table, x, n: int):
     c[:z] = x
     m = min(_ROW, size >> 1) or 1
     path = _tft_path(size, z, n)
-    with np.errstate():
-        np.setbufsize(_BUFSIZE)
+    with _small_buffer():
         _tft_stages(c, fwd, [stage for stage in path if stage[0] >= m], n, p)
         # A row below n now holds every input its wanted outputs need, and
-        # those are its DIF outputs. A last row with more than an eighth of
-        # it wanted is transformed whole, which costs no more numpy calls;
-        # one with less is first halved by the stages that fold its high
-        # half onto its low half, until more than half of it is wanted.
-        rows, left = divmod(n, m)
-        if left > m >> 3:
-            rows, left = rows + 1, 0
-        _dif_rows(c, rows, m, fwd, p)
-        if left:
-            part = c[rows * m :]
-            folds = [stage for stage in _tft_path(m, min(z, m), left) if stage[0] >= left]
-            _tft_stages(part, fwd, folds, left, p)
-            _dif_rows(part, 1, m >> len(folds), fwd, p)
+        # those are its DIF outputs.
+        _dif_rows(c, -(-n // m), m, fwd, p)
     return c[:n]
 
 
@@ -354,8 +352,7 @@ def itft(table, xhat):
         w %= p
         return _u64(w), _u64(quotient(w, p))
 
-    with np.errstate():
-        np.setbufsize(_BUFSIZE)
+    with _small_buffer():
         # The low halves the path inverts are consecutive blocks from 0 of
         # decreasing size, and hold only input spectral values until the
         # level that uses them, so they are inverted first, together.

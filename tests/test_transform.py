@@ -422,9 +422,8 @@ def test_kernels_restore_the_callers_buffer_size():
 
     t = get_table(FourierPrime.from_modulus(998244353), 1 << 12)
     x = np.arange(1 << 12, dtype=np.uint64)
-    before = np.getbufsize()
-    with np.errstate():
-        np.setbufsize(4096)
+    before = np.setbufsize(4096)
+    try:
         for call in (lambda: _ntt_numpy.moddft(x, t, "inv"), lambda: _ntt_numpy.tft(t, x[:9], 3000),
                      lambda: _ntt_numpy.itft(t, x[:2049])):
             call()
@@ -433,7 +432,8 @@ def test_kernels_restore_the_callers_buffer_size():
         with pytest.raises(ValueError):
             _ntt_numpy.moddft(x[:1000], get_table(FourierPrime.from_modulus(998244353), 1 << 9), "fwd")
         assert np.getbufsize() == 4096
-    assert np.getbufsize() == before
+    finally:
+        np.setbufsize(before)
 
 
 def test_large_prime_stays_on_python():
