@@ -6,11 +6,13 @@ for importing numpy, and runs smaller transforms here too once numpy is loaded
 pure-Python counterpart in `transform` computes, a few numpy operations per
 stage (per level, on itft's partial path) instead of one Python statement per
 butterfly. Each takes a uint64 ndarray of residues and returns a new uint64
-ndarray, leaving its input unchanged; `transform._as_residues` makes and
-checks that input, and `transform` converts the result back to a list for a
-list caller. tft walks the stages that `transform._tft_path` returns and itft
-the levels that `transform._itft_path` returns, as the pure-Python loops do.
-Argument checks and `OpCounters` stay with the callers in `transform`.
+ndarray, leaving its input unchanged. In the library only the transform
+cores in `transform` call them, on arrays that a door or `poly_mul` made
+from lists with `transform._as_residues` and that are taken as they are; a
+door converts the result back to a list. tft walks the stages that
+`transform._tft_path` returns and itft the levels that
+`transform._itft_path` returns, as the pure-Python loops do. Argument
+checks and `OpCounters` stay with the callers in `transform`.
 
 No butterfly divides. A product by a twiddle or a constant factor w < p uses
 Shoup's precomputed quotient w' = floor(w * 2**32 / p) (`quotient`; NTL's

@@ -13,29 +13,25 @@ their table from `get_table`, which refuses a length the field cannot
 transform. A linear product through a circular engine (`lin_conv_fft_pad`,
 and `poly_mul`'s `split`) is one step, `_zero_padded`.
 
-Arrays. `conv_tft`, `circ_conv_fft`, `nega_conv`, `circ_conv_split` and
-`lin_conv_fft_pad` take numpy ndarrays as well as lists. Wherever the
-transforms run in numpy (see `transform._numpy_kernels`, which imports numpy
-from 2**15 on and takes sizes from 2**9 on once it is loaded), and whenever
-an input is an ndarray, they pass each input through `transform._as_residues`
-once (`transform._numpy_inputs`), keep every step in arrays (transforms,
-pointwise product, 1/L scale, twist, residues) and convert the result to a
-list once; `_zero_padded` pads an ndarray in numpy and a list as a list. So
-an input list has its ints outside [0, p) reduced, and an input ndarray, in
-any position, must be 1-D uint64 and hold residues, else ValueError. The
-result is an ndarray only when every input was one. Both paths return the
-same values and count the same operations. An ndarray is checked once,
-where it enters: the engine reruns itself on the checked arrays under
-`transform._checked`, and the engines and transforms it calls there take
-their arrays as they are. `poly_mul` is the one place where a polynomial
-product crosses: it converts each trimmed operand once (`_TRANSFORM_SIZE`
-names the transform size that decides), calls the engine on arrays under
-`_checked`, and hands the ndarray product to `DensePoly`, which
+Doors and cores. Every public engine takes lists and returns a list; an
+ndarray operand raises ValueError (`_operands`). Each transform-backed
+engine (`circ_conv_fft`, `nega_conv`, `circ_conv_split`, `conv_tft`,
+`lin_conv_fft_pad`) is a door over a private core (`_circ_conv_fft`,
+`_nega_conv`, `_circ_conv_split`, `_conv_tft`, and `_zero_padded` for the
+padded ones). Wherever its transforms run in numpy (see
+`transform._numpy_kernels`, which imports numpy from 2**15 on and takes
+sizes from 2**9 on once it is loaded), the door converts each input once
+(`transform._listed`, which reduces ints outside [0, p)), and converts
+the core's result to a list once. A core trusts what it is handed and calls
+only cores. On uint64 arrays every step stays in arrays (transforms,
+pointwise product, 1/L scale, twist, residues, padding); on lists every
+step runs the Python loops. Both paths return the same values and count the
+same operations. `poly_mul` converts each trimmed operand itself, calls the
+core from `_ENGINES`, and hands an ndarray product to `DensePoly`, which
 range-checks it in numpy and stores it as ints. So no padding zero is
-converted, no engine converts a list it was handed by `poly_mul`, and
-nothing below `poly_mul` checks its arrays again.
-`circ_conv_def`, `lin_conv_def` and `lin_conv_kronecker` have no array path:
-they refuse an ndarray with ValueError.
+converted, and nothing below a door or `poly_mul` checks its arrays again.
+The residue maps are public and called by the split core, so they take
+lists or uint64 arrays, and check an array by `transform._as_residues`' rule.
 
 Execution is serial. CPython holds the GIL through these pure-Python integer
 loops, so worker threads cannot make them faster. `ConvRequest.threads` is
@@ -50,7 +46,12 @@ from typing import TYPE_CHECKING
 
 from .field import FieldMismatchError, FourierPrime
 from .poly import DensePoly, _check_fields
-from .transform import OpCounters, _checked, _is_array, _numpy_inputs, _residues, get_table, itft, moddft, tft
+from .transform import OpCounters, _as_residues, _is_array, _listed, _numpy_inputs, get_table
+
+# The engines call the transform cores by these module names, as they call
+# split_residues and recombine_residues: a tracer that replaces
+# `convolve.tft` (perfbench's spans do) then sees every transform a product runs.
+from .transform import _itft as itft, _moddft as moddft, _tft as tft
 
 if TYPE_CHECKING:
     from .planner import PlanSession
@@ -82,26 +83,23 @@ def _next_pow2(n: int) -> int:
     return 1 << (n - 1).bit_length() if n > 1 else 1
 
 
-def _operands(u, v, circular: bool = False, arrays: bool = True) -> None:
-    """The engines' operand rule: both nonempty, of equal length for a circular engine.
+def _operands(u, v, circular: bool = False) -> None:
+    """The engines' operand rule: lists, both nonempty, of equal length for a circular engine.
 
-    An engine without an array path (arrays=False) refuses an ndarray, on
-    whose uint64 scalars its loops would wrap.
+    An ndarray is refused: only the cores take arrays.
     """
     if not len(u) or not len(v) or circular and len(u) != len(v):
         kind = "equal nonempty" if circular else "nonempty"
         raise ValueError(f"need {kind} lengths, got {len(u)} and {len(v)}")
-    if not arrays and (_is_array(u) or _is_array(v)):
-        raise ValueError("this engine takes lists, not ndarrays")
+    if _is_array(u) or _is_array(v):
+        raise ValueError("engines take lists, not ndarrays")
 
 
 def _zero_padded(circ, u, v, req: ConvRequest, least: int):
-    """The linear product u * v as circ on both zero-padded to max(least, next_pow2(n)), cut to n.
+    """The linear product u * v as the core circ on both zero-padded to max(least, next_pow2(n)), cut to n.
 
-    Each input is padded in its own type. An ndarray is checked by circ's
-    array rule (`_as_residues`) before it is copied into a zeroed uint64
-    array, so only its own values are converted, and two padded arrays go
-    to circ as checked.
+    Both inputs are uint64 arrays or both lists, and are padded in their own
+    type, so that only their own values were converted.
     """
     n = len(u) + len(v) - 1
     size = max(least, _next_pow2(n))
@@ -111,28 +109,16 @@ def _zero_padded(circ, u, v, req: ConvRequest, least: int):
             import numpy as np
 
             out = np.zeros(size, dtype=np.uint64)
-            out[: len(w)] = _residues(w, req.field.p)
+            out[: len(w)] = w
             return out
         return list(w) + [0] * (size - len(w))
 
-    pu, pv = pad(u), pad(v)
-    if _is_array(pu) and _is_array(pv):
-        return _checked(circ, pu, pv, req)[:n]
-    return circ(pu, pv, req)[:n]
-
-
-def _rerun(engine, arrays, req: ConvRequest, *given):
-    """engine on the arrays `_numpy_inputs` made of given, under `_checked`.
-
-    The product is an ndarray only where every given input was one.
-    """
-    out = _checked(engine, *arrays, req)
-    return out if all(map(_is_array, given)) else out.tolist()
+    return circ(pad(u), pad(v), req)[:n]
 
 
 def circ_conv_def(u: list[int], v: list[int], fp: FourierPrime) -> list[int]:
     """Circular convolution straight from its defining sum (oracle)."""
-    _operands(u, v, circular=True, arrays=False)
+    _operands(u, v, circular=True)
     n = len(u)
     p = fp.p
     v2 = list(v) + list(v)
@@ -148,7 +134,7 @@ def circ_conv_def(u: list[int], v: list[int], fp: FourierPrime) -> list[int]:
 
 def lin_conv_def(u: list[int], v: list[int], fp: FourierPrime) -> list[int]:
     """Linear convolution straight from its defining sum (oracle)."""
-    _operands(u, v, arrays=False)
+    _operands(u, v)
     m, n = len(u), len(v)
     p = fp.p
     out = []
@@ -183,10 +169,11 @@ def _pointwise(a, b, p: int, req: ConvRequest):
 def circ_conv_fft(u: list[int], v: list[int], req: ConvRequest) -> list[int]:
     """Circular convolution as inverse-DFT of the pointwise spectral product."""
     _operands(u, v, circular=True)
+    return _listed(get_table(req.field, len(u)), lambda a, b: _circ_conv_fft(a, b, req), u, v)
+
+
+def _circ_conv_fft(u, v, req: ConvRequest):
     table = get_table(req.field, len(u))
-    arrays = _numpy_inputs(table, u, v)
-    if arrays is not None:
-        return _rerun(circ_conv_fft, arrays, req, u, v)
     uf = moddft(u, table, "fwd", req.counters)
     vf = moddft(v, table, "fwd", req.counters)
     prod = _pointwise(uf, vf, req.field.p, req)
@@ -196,7 +183,7 @@ def circ_conv_fft(u: list[int], v: list[int], req: ConvRequest) -> list[int]:
 def lin_conv_fft_pad(u: list[int], v: list[int], req: ConvRequest) -> list[int]:
     """Linear convolution by zero-padding into a power-of-two circular one."""
     _operands(u, v)
-    return _zero_padded(circ_conv_fft, u, v, req, 1)
+    return _linear("fft_pad", u, v, req)
 
 
 def nega_conv(u: list[int], v: list[int], req: ConvRequest) -> list[int]:
@@ -206,22 +193,22 @@ def nega_conv(u: list[int], v: list[int], req: ConvRequest) -> list[int]:
     circular case.
     """
     _operands(u, v, circular=True)
-    n = len(u)
-    arrays = _numpy_inputs(get_table(req.field, n), u, v)
-    if arrays is not None:
-        return _rerun(nega_conv, arrays, req, u, v)
+    return _listed(get_table(req.field, len(u)), lambda a, b: _nega_conv(a, b, req), u, v)
+
+
+def _nega_conv(u, v, req: ConvRequest):
     p = req.field.p
-    twist = get_table(req.field, 2 * n)
+    twist = get_table(req.field, 2 * len(u))
     # psi**j and psi**-j for j < n, psi**2 == w_n.
     if _is_array(u):
         from ._ntt_numpy import mulmod, stage_arrays
 
         fwd, inv, _ = stage_arrays(twist)
         # Each stage is (twiddles, their Shoup quotients).
-        circ = circ_conv_fft(mulmod(u, *fwd[-1], p), mulmod(v, *fwd[-1], p), req)
+        circ = _circ_conv_fft(mulmod(u, *fwd[-1], p), mulmod(v, *fwd[-1], p), req)
         return mulmod(circ, *inv[-1], p)
     psi, inv_psi = twist.fwd_stages[-1], twist.inv_stages[-1]
-    circ = circ_conv_fft(_mulmod(u, psi, p), _mulmod(v, psi, p), req)
+    circ = _circ_conv_fft(_mulmod(u, psi, p), _mulmod(v, psi, p), req)
     return _mulmod(circ, inv_psi, p)
 
 
@@ -237,45 +224,63 @@ def circ_conv_split(u: list[int], v: list[int], req: ConvRequest) -> list[int]:
     # Halving drops an odd length's last bit, so get_table(n) cannot refuse it.
     if size & (size - 1) or size < 2:
         raise ValueError(f"length must be a power of two >= 2: {size}")
-    n = size >> 1
-    arrays = _numpy_inputs(get_table(req.field, n), u, v)
-    if arrays is not None:
-        return _rerun(circ_conv_split, arrays, req, u, v)
+    return _listed(get_table(req.field, size >> 1), lambda a, b: _circ_conv_split(a, b, req), u, v)
+
+
+def _circ_conv_split(u, v, req: ConvRequest):
     p = req.field.p
     ua, ub = split_residues(u, p)
     va, vb = split_residues(v, p)
-    ca = circ_conv_fft(ua, va, req)
-    cb = nega_conv(ub, vb, req)
+    ca = _circ_conv_fft(ua, va, req)
+    cb = _nega_conv(ub, vb, req)
     return recombine_residues(ca, cb, p)
 
 
-def split_residues(u: list[int], p: int) -> tuple[list[int], list[int]]:
-    """Residues of u mod (x**n - 1) and mod (x**n + 1), for n = len(u)/2."""
-    n = len(u) >> 1
-    if _is_array(u):
-        import numpy as np
+def _residue_pair(lo, hi, p: int):
+    # (lo + hi, lo - hi) mod p on uint64 residues: both lie in [0, 2p), and
+    # where one is below p, subtracting p wraps above it.
+    import numpy as np
 
-        # Both lie in [0, 2p); where one is below p, subtracting p wraps above it.
-        lo, hi = u[:n], u[n:]
-        a = lo + hi
-        b = lo - hi
-        b += p
-        return np.minimum(a, a - p), np.minimum(b, b - p)
+    a = lo + hi
+    b = lo - hi
+    b += p
+    return np.minimum(a, a - p), np.minimum(b, b - p)
+
+
+def split_residues(u: list[int], p: int) -> tuple[list[int], list[int]]:
+    """Residues of u mod (x**n - 1) and mod (x**n + 1), for n = len(u)/2.
+
+    len(u) must be even and nonzero. A uint64 ndarray u (p < 2**32) must
+    hold residues (`transform._as_residues`) and gives arrays back.
+    """
+    n = len(u) >> 1
+    if not n or len(u) & 1:
+        raise ValueError(f"need an even nonzero length, got {len(u)}")
+    if _is_array(u):
+        u = _as_residues(u, p)
+        return _residue_pair(u[:n], u[n:], p)
     a = [(u[j] + u[j + n]) % p for j in range(n)]
     b = [(u[j] - u[j + n]) % p for j in range(n)]
     return a, b
 
 
 def recombine_residues(a: list[int], b: list[int], p: int) -> list[int]:
-    """Inverse of split_residues: lift the residue pair back to length 2n."""
+    """Inverse of split_residues: lift the residue pair back to length 2n.
+
+    a and b must be nonempty and of equal length. An ndarray among them puts
+    the map in arrays: each input then goes through `transform._as_residues`,
+    and the result is an array.
+    """
+    if not len(a) or len(a) != len(b):
+        raise ValueError(f"need equal nonempty lengths, got {len(a)} and {len(b)}")
     inv2 = (p + 1) >> 1
-    if _is_array(a):
+    if _is_array(a) or _is_array(b):
         import numpy as np
 
         from ._ntt_numpy import mulmod, quotient
 
         # The residues of a followed by b are a + b and a - b.
-        out = np.concatenate(split_residues(np.concatenate((a, b)), p))
+        out = np.concatenate(_residue_pair(_as_residues(a, p), _as_residues(b, p), p))
         return mulmod(out, inv2, quotient(inv2, p), p)
     lo = [(x + y) * inv2 % p for x, y in zip(a, b)]
     hi = [(x - y) * inv2 % p for x, y in zip(a, b)]
@@ -291,12 +296,12 @@ def conv_tft(g: list[int], h: list[int], req: ConvRequest) -> list[int]:
     truncated transform and one division by L.
     """
     _operands(g, h)
+    return _linear("tft", g, h, req)
+
+
+def _conv_tft(g, h, req: ConvRequest):
     n = len(g) + len(h) - 1
-    size = _next_pow2(n)
-    table = get_table(req.field, size)
-    arrays = _numpy_inputs(table, g, h)
-    if arrays is not None:
-        return _rerun(conv_tft, arrays, req, g, h)
+    table = get_table(req.field, _next_pow2(n))
     p = req.field.p
     gf = tft(table, g, n, req.counters)
     hf = tft(table, h, n, req.counters)
@@ -325,7 +330,7 @@ def lin_conv_kronecker(u: list[int], v: list[int], fp: FourierPrime) -> list[int
     first. Exact for any p and any lengths; it needs no twiddle table and
     counts no butterflies or pointwise products.
     """
-    _operands(u, v, arrays=False)
+    _operands(u, v)
     z1, z2 = len(u), len(v)
     p = fp.p
     slot = _kronecker_slot(p, min(z1, z2))
@@ -339,25 +344,25 @@ def lin_conv_kronecker(u: list[int], v: list[int], fp: FourierPrime) -> list[int
     return [int.from_bytes(data[i : i + slot], "little") % p for i in range(0, size, slot)]
 
 
-# Each fixed engine's call on two coefficient vectors. The lambdas look the
-# engines up by module name when called, so a replaced name (a tracer's
+# Each fixed engine's (transform-size rule, core) for a product of length n.
+# The rule gives the size whose transforms decide, as in
+# `transform._numpy_inputs`, whether the core is handed uint64 arrays; None
+# for an engine without transforms, which always gets lists. The lambdas look
+# the cores up by module name when called, so a replaced name (a tracer's
 # wrapper) is the one that runs.
-_ENGINE_CALLS = {
-    "definition": lambda u, v, req: lin_conv_def(u, v, req.field),
-    "fft_pad": lambda u, v, req: lin_conv_fft_pad(u, v, req),
-    "tft": lambda u, v, req: conv_tft(u, v, req),
-    "split": lambda u, v, req: _zero_padded(circ_conv_split, u, v, req, 2),
-    "kronecker": lambda u, v, req: lin_conv_kronecker(u, v, req.field),
+_ENGINES = {
+    "definition": (None, lambda u, v, req: lin_conv_def(u, v, req.field)),
+    "fft_pad": (_next_pow2, lambda u, v, req: _zero_padded(_circ_conv_fft, u, v, req, 1)),
+    "tft": (_next_pow2, lambda u, v, req: _conv_tft(u, v, req)),
+    "split": (lambda n: max(2, _next_pow2(n)) >> 1, lambda u, v, req: _zero_padded(_circ_conv_split, u, v, req, 2)),
+    "kronecker": (None, lambda u, v, req: lin_conv_kronecker(u, v, req.field)),
 }
 
-# The transform size whose backend each engine with an array path takes for
-# a product of length n: the size its `_numpy_inputs` reads when called on
-# lists. poly_mul hands an engine arrays exactly where that size runs in numpy.
-_TRANSFORM_SIZE = {
-    "fft_pad": _next_pow2,
-    "tft": _next_pow2,
-    "split": lambda n: max(2, _next_pow2(n)) >> 1,
-}
+
+def _linear(engine: str, u, v, req: ConvRequest) -> list[int]:
+    # A linear engine's door, after its operand check.
+    size, core = _ENGINES[engine]
+    return _listed(get_table(req.field, size(len(u) + len(v) - 1)), lambda a, b: core(a, b, req), u, v)
 
 
 def _resolve_engine(a_len: int, b_len: int, req: ConvRequest) -> str:
@@ -376,10 +381,10 @@ def poly_mul(a: DensePoly, b: DensePoly, req: ConvRequest) -> DensePoly:
     degree+1.
 
     This is where a product crosses between Python ints and numpy, once each
-    way. Where the engine's transforms run in numpy (`_TRANSFORM_SIZE` and
+    way. Where the engine's transforms run in numpy (`_ENGINES` and
     `transform._numpy_inputs`), each trimmed operand is converted to a uint64
-    array by `_as_residues`, the engine pads and multiplies in arrays, and
-    its ndarray product becomes the DensePoly, which checks it in numpy.
+    array by `_as_residues`, the engine's core pads and multiplies in arrays,
+    and its ndarray product becomes the DensePoly, which checks it in numpy.
     Every other engine, size and prime gets lists and returns a list.
     """
     _check_fields(a, b)
@@ -391,12 +396,7 @@ def poly_mul(a: DensePoly, b: DensePoly, req: ConvRequest) -> DensePoly:
         return DensePoly.zero(a.field)
     u, v = a.normalize().coeffs, b.normalize().coeffs
     engine = _resolve_engine(len(u), len(v), req)
-    arrays = None
-    if engine in _TRANSFORM_SIZE:
-        table = get_table(req.field, _TRANSFORM_SIZE[engine](len(u) + len(v) - 1))
-        arrays = _numpy_inputs(table, u, v)
-    if arrays is None:
-        product = _ENGINE_CALLS[engine](list(u), list(v), req)
-    else:
-        product = _checked(_ENGINE_CALLS[engine], *arrays, req)
+    size, core = _ENGINES[engine]
+    arrays = None if size is None else _numpy_inputs(get_table(req.field, size(len(u) + len(v) - 1)), u, v)
+    product = core(*(arrays or (list(u), list(v))), req)
     return DensePoly(a.field, product).normalize()

@@ -20,10 +20,11 @@ The plan contract is stated once here: `planned_keys` gives the keys
 (p, L), and `_call` gives the one kernel call each kind times, which `search`
 and `replay` share. The transform keys time the full size, z = n = L; the
 `conv` key times a balanced product at the bottom of L's range, z = L/4 + 1
-and n = L/2 + 1, which keeps planning cheap. Each timing is taken on the
-vectors an engine passes to that kernel: a transform's seeded input goes
-through `transform._numpy_inputs`, so it is a uint64 array wherever the
-engines run in arrays and a list elsewhere; Kronecker's is a pair of lists.
+and n = L/2 + 1, which keeps planning cheap. Each timing is of the call an
+engine makes, on the vectors it passes: a transform core (`transform._moddft`,
+`_tft`, `_itft`, which check nothing) on its seeded input after
+`transform._numpy_inputs`, so a uint64 array wherever the engines run in
+arrays and a list elsewhere; Kronecker on a pair of lists.
 Only the transform kinds fetch a twiddle table: Kronecker runs at any size.
 The engine choice scales these timings to the product's shape (the
 transforms by exact butterfly counts, `conv` by CPython's multiply cost on
@@ -41,13 +42,13 @@ from . import __version__
 from .convolve import _kronecker_slot, _next_pow2, lin_conv_kronecker
 from .field import FourierPrime, LineError, UnsupportedSizeError, _clip, _lines, root_of_unity
 from .transform import (
+    _itft,
+    _moddft,
     _numpy_inputs,
     _numpy_kernels,
+    _tft,
     get_table,
-    itft,
     itft_butterflies,
-    moddft,
-    tft,
     tft_butterflies,
 )
 
@@ -134,19 +135,22 @@ def planned_keys(p: int, size: int) -> tuple[PlanKey, PlanKey, PlanKey, PlanKey]
 
 
 def _call(key: PlanKey, fp: FourierPrime, x):
-    """A zero-argument call of the kernel that key times, on x.
+    """A zero-argument call of the kernel that key times, on the list x as an engine passes it.
 
-    moddft at L, tft to n outputs or itft, on the twiddle table of (fp, L),
-    or Kronecker on the pair x, which fetches no table.
+    The moddft core at L, the tft core to n outputs or the itft core, on the
+    twiddle table of (fp, L) and on x as `_numpy_inputs` hands it to them,
+    or Kronecker on the pair of lists x, which fetches no table. x is
+    converted here, outside the call.
     """
     if key.kind == "conv":
         return lambda: lin_conv_kronecker(*x, fp)
     table = get_table(fp, key.L)
+    x = (_numpy_inputs(table, x) or [x])[0]
     if key.kind == "dft":
-        return lambda: moddft(x, table)
+        return lambda: _moddft(x, table)
     if key.kind == "tft":
-        return lambda: tft(table, x, key.n)
-    return lambda: itft(table, x)
+        return lambda: _tft(table, x, key.n)
+    return lambda: _itft(table, x)
 
 
 def plan_mirror(entry: PlanEntry) -> PlanEntry:
@@ -365,12 +369,7 @@ class PlanSession:
         return self.timer() - t0
 
     def _kernel(self, key: PlanKey):
-        """A zero-argument call of the kernel that `key` times, on seeded random input.
-
-        The input is what an engine would pass: a uint64 array where
-        `transform._numpy_inputs` makes one, a list elsewhere, and a pair of
-        lists for `conv`.
-        """
+        """A zero-argument call of the kernel that `key` times, on seeded random lists (`_call`)."""
         size, n, z = key.L, key.n, key.z
         fp = FourierPrime.from_modulus(key.p)
         if key.kind != "dft" and not 1 <= n <= size:
@@ -381,8 +380,7 @@ class PlanSession:
         vec = lambda length: [rng.randrange(key.p) for _ in range(length)]
         if key.kind == "conv":
             return _call(key, fp, (vec(z), vec(n + 1 - z)))
-        x = vec({"dft": size, "tft": z, "itft": n}[key.kind])
-        return _call(key, fp, (_numpy_inputs(get_table(fp, size), x) or [x])[0])
+        return _call(key, fp, vec({"dft": size, "tft": z, "itft": n}[key.kind]))
 
     # -- automatic engine choice ----------------------------------------------
 
@@ -449,6 +447,7 @@ class PlanSession:
 
     # -- replay ---------------------------------------------------------------
 
-    def replay(self, entry: PlanEntry, x):
-        """Execute a stored plan on concrete input (used for validity checks); a pair for `conv`."""
-        return _call(entry.key, FourierPrime.from_modulus(entry.key.p), x)()
+    def replay(self, entry: PlanEntry, x) -> list[int]:
+        """Execute a stored plan on a concrete list (used for validity checks); a pair for `conv`."""
+        out = _call(entry.key, FourierPrime.from_modulus(entry.key.p), x)()
+        return out if isinstance(out, list) else out.tolist()

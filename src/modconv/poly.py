@@ -43,10 +43,11 @@ class DensePoly:
     a ValueError. A sequence is checked one coefficient at a time: an
     int-like value (a bool, a numpy integer) is stored as the int that
     `operator.index` gives, and a non-integer, a float among them, is
-    refused. A numpy ndarray, which is how the numpy engines hand
+    refused. A numpy ndarray, which is how the engines' cores hand
     `poly_mul` its product, is checked in numpy instead, by
-    `transform._as_residues`' rule (nonempty, 1-D, uint64, max() < p, and
-    p < 2**32), and converted to ints once.
+    `transform._as_residues`' rule (1-D, uint64, max() < p, and
+    p < 2**32), and converted to ints once; an empty one, like an empty
+    tuple, is the zero polynomial.
     """
 
     field: FourierPrime

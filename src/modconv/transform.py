@@ -15,15 +15,20 @@ in pure Python here, the reference and the path for any prime, and in numpy
 sizes pick the numpy kernels for a list, provided numpy can be imported:
 _NUMPY_MIN_SIZE (2**15), from which a transform pays for importing numpy,
 and _NUMPY_CROSSOVER (2**9), from which the numpy kernels are faster once
-numpy is loaded anyway. A uint64 ndarray input always runs them and gets an
-ndarray back, so callers can keep a whole product in arrays. _as_residues is
-the one place a vector crosses into numpy: a list has its ints outside
-[0, p) reduced there, and an ndarray must be 1-D uint64 and hold residues,
-else ValueError; _numpy_inputs says when an engine's inputs cross. Inside
-_checked, which the entry that checked them sets, arrays are taken as they
-are, so an array is checked once however deep it travels. Both
-paths return the same residues and count the same butterflies. numpy is
-imported on first use, never by this module or by building a table.
+numpy is loaded anyway.
+
+Each public transform (moddft, tft, itft) is a door over a private core
+(_moddft, _tft, _itft) with the same positional arguments. A door checks
+its arguments, takes lists only (an ndarray raises ValueError), converts a
+list where the numpy kernels run its size (`_numpy_inputs`) and returns a
+list. A core trusts what it is handed and dispatches on its type: a uint64
+array of residues runs the numpy kernels and gives one back, and a list
+runs the Python loops. The engines in `convolve` call the cores, so a
+product converts its inputs once and stays in arrays. _as_residues is the
+one place a vector crosses into numpy: a list has its ints outside [0, p)
+reduced there. Both paths return the same residues and count the same
+butterflies. numpy is imported on first use, never by this module or by
+building a table.
 
 Butterfly accounting: one butterfly is one two-point kernel evaluation,
 including degenerate forms where a known-zero or unneeded half collapses the
@@ -177,10 +182,11 @@ def _as_residues(x, p: int):
 
     A list (or tuple) is converted through the buffer protocol, as a C array
     of unsigned 64-bit ints, and its ints outside [0, p) are reduced mod p:
-    the residues the Python loops compute with. An ndarray is taken as it
-    is, so it must be one-dimensional and uint64, hold residues and have
-    p < 2**32; any other raises ValueError, as an empty x does. `DensePoly`
-    reads an ndarray by this rule too. Call it only where numpy is loaded.
+    the residues the Python loops compute with. An empty list raises
+    ValueError. An ndarray is taken as it is, so it must be one-dimensional
+    and uint64, hold residues and have p < 2**32; any other raises
+    ValueError. `DensePoly` and the residue maps read an ndarray by this
+    rule. Call it only where numpy is loaded.
     """
     import array  # a shared library, so a process that never converts never loads it
 
@@ -189,7 +195,7 @@ def _as_residues(x, p: int):
     if isinstance(x, np.ndarray):
         if p >= 1 << 32:
             raise ValueError(f"uint64 arrays need p < 2**32, got p={p}")
-        if x.ndim != 1 or x.dtype != np.uint64 or x.max() >= p:
+        if x.ndim != 1 or x.dtype != np.uint64 or x.size and x.max() >= p:
             raise ValueError(f"arrays must be 1-D uint64 and hold residues mod p={p}")
         return x
     try:
@@ -201,58 +207,30 @@ def _as_residues(x, p: int):
     return a
 
 
-# Its `on` is true, in one thread, while an engine or poly_mul runs on arrays
-# it has checked: the engines and transforms it calls then take their
-# ndarray inputs as they are.
-_CHECKED = threading.local()
-
-
-def _checked(run, *args):
-    """run(*args), with every ndarray it hands on taken as checked residues."""
-    was = getattr(_CHECKED, "on", False)
-    _CHECKED.on = True
-    try:
-        return run(*args)
-    finally:
-        _CHECKED.on = was
-
-
-def _residues(x, p: int):
-    # An ndarray x as residues: itself inside _checked, else _as_residues(x, p).
-    return x if getattr(_CHECKED, "on", False) else _as_residues(x, p)
-
-
 def _numpy_inputs(table: TwiddleTable, *vecs):
-    """vecs as uint64 arrays (`_as_residues`) for an engine to rerun on under `_checked`, else None.
+    """The lists vecs as uint64 arrays (`_as_residues`) where table's transforms run in numpy, else None.
 
-    An engine runs in arrays when any input is an ndarray or when table's
-    transforms run in numpy; asking `_numpy_kernels` imports numpy from 2**15
-    on, so the first product that large converts like every later one. Every
-    input goes through `_as_residues`, whatever its position: a list is
-    reduced into [0, p), an ndarray is checked. Inside `_checked` it gives
-    None at once: the engine is on the array path, handed arrays that an
-    enclosing call has checked, and returns an ndarray.
+    An ndarray among vecs raises ValueError: what enters a transform or an
+    engine from outside is a list. Asking `_numpy_kernels` imports numpy
+    from 2**15 on, so the first product that large converts like every
+    later one.
     """
-    if getattr(_CHECKED, "on", False):
-        return None
+    if any(map(_is_array, vecs)):
+        raise ValueError("transforms take lists, not ndarrays")
     p = table.field.p
-    if not any(map(_is_array, vecs)) and _numpy_kernels(p, table.size) is None:
+    if _numpy_kernels(p, table.size) is None:
         return None
     return [_as_residues(v, p) for v in vecs]
 
 
-def _in_numpy(table: TwiddleTable, x, run):
-    # run(kernels, a) on the numpy kernels and a = x as residues, in the
-    # type of x, where the numpy kernels run x at table's size: always for an
-    # ndarray, and for a list where _numpy_kernels picks them. None where the
-    # Python loops run x.
-    p = table.field.p
-    if _is_array(x):
-        from . import _ntt_numpy
+def _listed(table: TwiddleTable, core, *vecs) -> list[int]:
+    """core(*vecs) for a door (a public transform or engine), as a list.
 
-        return run(_ntt_numpy, _residues(x, p))
-    kernels = _numpy_kernels(p, table.size)
-    return None if kernels is None else run(kernels, _as_residues(x, p)).tolist()
+    The lists vecs reach core as `_numpy_inputs` makes them: uint64 arrays
+    where table's transforms run in numpy, else as they are.
+    """
+    arrays = _numpy_inputs(table, *vecs)
+    return core(*vecs) if arrays is None else core(*arrays).tolist()
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
@@ -300,31 +278,33 @@ def moddft(
 
     Forward: y_k = sum_j x_j * w**(j*k). Inverse applies the reversed twiddles
     and the 1/N scale, so moddft(moddft(x, t), t, "inv") == x exactly. Each
-    call performs exactly (N/2)*log2(N) butterflies. A uint64 ndarray x (only
-    for p < 2**32) runs the numpy kernels and gives an ndarray back.
+    call performs exactly (N/2)*log2(N) butterflies.
     """
     n = table.size
     if len(x) != n:
         raise ValueError(f"input length {len(x)} != table size {n}")
     if direction not in ("fwd", "inv"):
         raise ValueError(f"direction must be 'fwd' or 'inv': {direction!r}")
-    vec = _in_numpy(table, x, lambda kernels, a: kernels.moddft(a, table, direction))
-    if vec is None:
-        vec = _moddft_python(x, table, direction)
+    return _listed(table, lambda a: _moddft(a, table, direction, counters), x)
+
+
+def _moddft(x, table: TwiddleTable, direction: str = "fwd", counters: OpCounters | None = None):
+    # moddft on trusted input: a uint64 array of residues runs the numpy
+    # kernels and gives one back; a list runs the pure-Python loops, the
+    # reference for the numpy kernels.
+    if _is_array(x):
+        from . import _ntt_numpy
+
+        vec = _ntt_numpy.moddft(x, table, direction)
+    else:
+        p = table.field.p
+        vec = [x[r] for r in _rev_indices(table.size)]
+        _dit_inplace(vec, table.fwd_stages if direction == "fwd" else table.inv_stages, p)
+        if direction == "inv":
+            inv_n = table.inv_size
+            vec = [v * inv_n % p for v in vec]
     if counters is not None:
-        counters.butterflies += (n >> 1) * table.log2_size
-    return vec
-
-
-def _moddft_python(x: list[int], table: TwiddleTable, direction: str) -> list[int]:
-    # moddft's pure-Python loops, the reference for the numpy kernels.
-    p = table.field.p
-    stages = table.fwd_stages if direction == "fwd" else table.inv_stages
-    vec = [x[r] for r in _rev_indices(table.size)]
-    _dit_inplace(vec, stages, p)
-    if direction == "inv":
-        inv_n = table.inv_size
-        vec = [v * inv_n % p for v in vec]
+        counters.butterflies += (table.size >> 1) * table.log2_size
     return vec
 
 
@@ -363,7 +343,7 @@ def tft(
 
     The input's z = len(x) coefficients are implicitly extended with zeros to
     the table size L. Requires 1 <= z <= n <= L. Butterflies spent are at
-    most n*log2(L)/2 + L. A uint64 ndarray x gives an ndarray back, as in moddft.
+    most n*log2(L)/2 + L.
     """
     size = table.size
     z = len(x)
@@ -373,20 +353,21 @@ def tft(
         raise ValueError(f"input length {z} exceeds output count {n}")
     if n > size:
         raise ValueError(f"output count {n} exceeds transform size {size}")
-    out = _in_numpy(table, x, lambda kernels, a: kernels.tft(table, a, n))
-    if out is None:
-        return _tft_python(table, x, n, counters)
-    if counters is not None:
-        counters.butterflies += tft_butterflies(size, z, n)
-    return out
+    return _listed(table, lambda a: _tft(table, a, n, counters), x)
 
 
-def _tft_python(
-    table: TwiddleTable, x: list[int], n: int, counters: OpCounters | None
-) -> list[int]:
-    # tft's pure-Python loops, the reference for the numpy kernels.
+def _tft(table: TwiddleTable, x, n: int, counters: OpCounters | None = None):
+    # tft on trusted input, dispatched as in _moddft; the list branch is
+    # the pure-Python loops.
     size = table.size
     z = len(x)
+    if _is_array(x):
+        from . import _ntt_numpy
+
+        out = _ntt_numpy.tft(table, x, n)
+        if counters is not None:
+            counters.butterflies += tft_butterflies(size, z, n)
+        return out
     c = list(x)
     if z < size:
         c.extend([0] * (size - z))
@@ -461,8 +442,7 @@ def itft(
     The caller promises that the underlying time-domain coefficients u_j
     vanish for j >= n; that promise is what lets the missing spectrum be
     reconstructed. Divide by L via table.inv_size to obtain u itself.
-    Butterflies spent are at most n*log2(L)/2 + L. A uint64 ndarray xhat gives
-    an ndarray back, as in moddft.
+    Butterflies spent are at most n*log2(L)/2 + L.
     """
     size = table.size
     n = len(xhat)
@@ -470,20 +450,21 @@ def itft(
         raise ValueError("spectral input must be nonempty")
     if n > size:
         raise ValueError(f"input length {n} exceeds transform size {size}")
-    out = _in_numpy(table, xhat, lambda kernels, a: kernels.itft(table, a))
-    if out is None:
-        return _itft_python(table, xhat, counters)
-    if counters is not None:
-        counters.butterflies += itft_butterflies(size, n)
-    return out
+    return _listed(table, lambda a: _itft(table, a, counters), xhat)
 
 
-def _itft_python(
-    table: TwiddleTable, xhat: list[int], counters: OpCounters | None
-) -> list[int]:
-    # itft's pure-Python loops, the reference for the numpy kernels.
+def _itft(table: TwiddleTable, xhat, counters: OpCounters | None = None):
+    # itft on trusted input, dispatched as in _moddft; the list branch is
+    # the pure-Python loops.
     size = table.size
     n = len(xhat)
+    if _is_array(xhat):
+        from . import _ntt_numpy
+
+        out = _ntt_numpy.itft(table, xhat)
+        if counters is not None:
+            counters.butterflies += itft_butterflies(size, n)
+        return out
     c = list(xhat)
     if n < size:
         c.extend([0] * (size - n))

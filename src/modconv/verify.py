@@ -14,8 +14,11 @@ from dataclasses import replace
 from .convolve import (
     ENGINES,
     ConvRequest,
+    _circ_conv_fft,
+    _circ_conv_split,
+    _conv_tft,
+    _nega_conv,
     circ_conv_def,
-    circ_conv_fft,
     circ_conv_split,
     conv_tft,
     lin_conv_def,
@@ -30,9 +33,9 @@ from .planner import PlanEntry, PlanKey, PlanSession, PlanStore, plan_mirror, st
 from .poly import DensePoly, eval_poly, mul_karatsuba, mul_schoolbook, schoolbook_raw
 from .transform import (
     _as_residues,
-    _itft_python,
-    _moddft_python,
-    _tft_python,
+    _itft,
+    _moddft,
+    _tft,
     OpCounters,
     bit_reverse_permute,
     get_table,
@@ -153,19 +156,19 @@ def _suite_butterfly_counts(rng, cap, fields):
     for size in _pow2_range(top, lo=1):
         table = get_table(fp, size)
         # The edges of both halves and a few random n keep the suite linear in
-        # cap; tests/test_transform.py checks every n up to 1024. The Python
-        # kernels count inline, whichever backend the public calls would take.
+        # cap; tests/test_transform.py checks every n up to 1024. The cores
+        # run the Python loops on lists, which count inline.
         ns = {1, 2, size // 2, size // 2 + 1, size - 1, size}
         ns |= {rng.randint(1, size) for _ in range(4)}
         for n in sorted(k for k in ns if 1 <= k <= size):
             for z in sorted({1, n // 2 or 1, n}):
                 counters = OpCounters()
-                _tft_python(table, [rng.randrange(fp.p) for _ in range(z)], n, counters)
+                _tft(table, [rng.randrange(fp.p) for _ in range(z)], n, counters)
                 if counters.butterflies != tft_butterflies(size, z, n):
                     return False, f"tft_butterflies != tft's count at L={size}, z={z}, n={n}"
                 checked += 1
             counters = OpCounters()
-            _itft_python(table, [rng.randrange(fp.p) for _ in range(n)], counters)
+            _itft(table, [rng.randrange(fp.p) for _ in range(n)], counters)
             if counters.butterflies != itft_butterflies(size, n):
                 return False, f"itft_butterflies != itft's count at L={size}, n={n}"
     return True, f"{checked} (L, z, n) counts predicted exactly up to L={top}"
@@ -202,7 +205,7 @@ def _suite_truncated(rng, cap, fields):
 
 def _suite_numpy_backend(rng, cap, fields):
     try:
-        from . import _ntt_numpy
+        from . import _ntt_numpy  # noqa: F401  numpy installed
     except ImportError:
         return True, "numpy not installed"
     checked = top = 0
@@ -217,11 +220,12 @@ def _suite_numpy_backend(rng, cap, fields):
             top = max(top, size)
             table = get_table(fp, size)
             # Random residues, then all p - 1: the largest values the uint64
-            # bounds of the division-free products must hold.
+            # bounds of the division-free products must hold. The cores run
+            # the numpy kernels on arrays and the Python loops on lists.
             for x in ([rng.randrange(p) for _ in range(size)], [p - 1] * size):
                 a = _as_residues(x, p)
                 for direction in ("fwd", "inv"):
-                    if _ntt_numpy.moddft(a, table, direction).tolist() != _moddft_python(x, table, direction):
+                    if _moddft(a, table, direction).tolist() != _moddft(x, table, direction):
                         return False, f"numpy moddft {direction} != Python at p={p}, L={size}"
                 # Every n up to 64 points; beyond, the shapes of balanced
                 # products (L/2 + 1, 7L/8, L) and a few drawn at random.
@@ -229,12 +233,12 @@ def _suite_numpy_backend(rng, cap, fields):
                 ns |= set(range(1, size + 1)) if size <= 64 else {rng.randint(1, size) for _ in range(4)}
                 for n in sorted(ns):
                     z = rng.randint(1, n)
-                    if _ntt_numpy.tft(table, a[:z], n).tolist() != _tft_python(table, x[:z], n, None):
+                    if _tft(table, a[:z], n).tolist() != _tft(table, x[:z], n):
                         return False, f"numpy tft != Python at p={p}, L={size}, z={z}, n={n}"
-                    if _ntt_numpy.itft(table, a[:n]).tolist() != _itft_python(table, x[:n], None):
+                    if _itft(table, a[:n]).tolist() != _itft(table, x[:n]):
                         return False, f"numpy itft != Python at p={p}, L={size}, n={n}"
                     checked += 1
-        # convolve's array path against the quadratic oracles.
+        # convolve's cores on uint64 arrays against the quadratic oracles.
         req = ConvRequest(fp)
         for size in _pow2_range(min(cap, 64, 1 << (fp.two_adicity - 1))):
             u = [rng.randrange(p) for _ in range(size)]
@@ -242,15 +246,15 @@ def _suite_numpy_backend(rng, cap, fields):
             ua, va = _as_residues(u, p), _as_residues(v, p)
             full = schoolbook_raw(u, v, p) + [0]
             want = {
-                conv_tft: full[:-1],
-                circ_conv_fft: circ_conv_def(u, v, fp),
-                circ_conv_split: circ_conv_def(u, v, fp),
-                nega_conv: [(full[i] - full[i + size]) % p for i in range(size)],
+                _conv_tft: full[:-1],
+                _circ_conv_fft: circ_conv_def(u, v, fp),
+                _circ_conv_split: circ_conv_def(u, v, fp),
+                _nega_conv: [(full[i] - full[i + size]) % p for i in range(size)],
             }
-            for engine, out in want.items():
-                if engine(ua, va, req).tolist() != out:
-                    return False, f"{engine.__name__} on uint64 arrays != oracle at p={p}, n={size}"
-    return True, f"{checked} (p, L, n) cases match the Python kernels up to L={top}; array convolutions match the oracles"
+            for core, out in want.items():
+                if core(ua, va, req).tolist() != out:
+                    return False, f"{core.__name__} on uint64 arrays != oracle at p={p}, n={size}"
+    return True, f"{checked} (p, L, n) cases match the Python kernels up to L={top}; convolution cores on arrays match the oracles"
 
 
 def _suite_convolution_theorem(rng, cap, fields):

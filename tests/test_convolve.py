@@ -25,9 +25,11 @@ from modconv import (
     mul_schoolbook,
     nega_conv,
     get_table,
+    itft,
     poly_mul,
     recombine_residues,
     split_residues,
+    tft,
 )
 from modconv import transform
 from modconv.planner import PlanSession
@@ -461,138 +463,142 @@ def array_cases(draw):
 @settings(derandomize=True, max_examples=120, deadline=None)
 @given(array_cases())
 def test_array_path_matches_list_path(case):
+    # Each door on lists, on either backend, and its core on lists and on
+    # uint64 arrays return the same values and count the same operations.
     import numpy as np
+
+    from modconv import convolve
 
     fp, u, v, g, h = case
     residues = lambda x: [y % fp.p for y in x]
     calls = {
-        conv_tft: (g, h),
-        lin_conv_fft_pad: (g, h),
-        circ_conv_fft: (u, v),
-        nega_conv: (u, v),
-        circ_conv_split: (u, v),
+        conv_tft: (convolve._ENGINES["tft"][1], (g, h)),
+        lin_conv_fft_pad: (convolve._ENGINES["fft_pad"][1], (g, h)),
+        circ_conv_fft: (convolve._circ_conv_fft, (u, v)),
+        nega_conv: (convolve._nega_conv, (u, v)),
+        circ_conv_split: (convolve._circ_conv_split, (u, v)),
     }
 
     def run(engine, args):
         counters = OpCounters()
         return engine(*args, ConvRequest(fp, counters=counters)), counters
 
-    for engine, args in calls.items():
+    for door, (core, args) in calls.items():
         canonical = [residues(x) for x in args]
         with mock.patch.multiple(transform, _NUMPY_MIN_SIZE=1 << 62, _NUMPY_CROSSOVER=1 << 62):
-            listed = run(engine, args)
-            assert run(engine, canonical) == listed, engine.__name__
+            listed = run(door, args)
+            assert run(door, canonical) == listed, door.__name__
+        assert run(core, canonical) == listed, door.__name__
         # numpy is loaded here, so the crossover alone moves every size to arrays.
         with mock.patch.object(transform, "_NUMPY_CROSSOVER", 1):
-            assert run(engine, args) == listed, engine.__name__
+            assert run(door, args) == listed, door.__name__
         arrays = [np.array(x, dtype=np.uint64) for x in canonical]
-        out, counters = run(engine, arrays)
-        assert isinstance(out, np.ndarray) and out.dtype == np.uint64, engine.__name__
-        assert (out.tolist(), counters) == listed, engine.__name__
+        out, counters = run(core, arrays)
+        assert isinstance(out, np.ndarray) and out.dtype == np.uint64, door.__name__
+        assert (out.tolist(), counters) == listed, door.__name__
         assert [x.tolist() for x in arrays] == canonical
     a, b = split_residues(np.array(residues(u), dtype=np.uint64), fp.p)
     assert [a.tolist(), b.tolist()] == list(split_residues(u, fp.p))
     assert recombine_residues(a, b, fp.p).tolist() == residues(u)
 
 
+# Every public function that takes coefficient vectors refuses an ndarray:
+# the eight doors over array cores and the three list-only engines.
+TRANSFORMS = (moddft, tft, itft)
+DOORS = (*TRANSFORMS, *ALL_ENGINES)
+
+
 @pytest.mark.skipif(importlib.util.find_spec("numpy") is None, reason="numpy not installed")
 @pytest.mark.parametrize("length", [10, 600])
-@pytest.mark.parametrize("engine", ALL_ENGINES, ids=lambda e: e.__name__)
+@pytest.mark.parametrize("engine", DOORS, ids=lambda e: e.__name__)
 def test_array_operands_run_or_raise(fp998, engine, length):
-    # uint64 arrays of p - 1 and p - 2 form the widest products. An engine
-    # with an array path returns the list result (an ndarray when both
-    # inputs are arrays) or refuses the length as it refuses the lists; the
-    # others refuse arrays outright.
+    # Lists run or are refused by length; a uint64 array of residues (p - 1
+    # and p - 2, the widest products) in either position raises ValueError
+    # whatever the length: only the cores and the residue maps take arrays.
     import numpy as np
 
     p = fp998.p
-    listed = ([p - 1] * length, [p - 2] * length)
-    arrays = [np.full(length, x[0], dtype=np.uint64) for x in listed]
+    size = 1 << (length - 1).bit_length()
+    n = size if engine is moddft else length
+    listed = ([p - 1] * n, [p - 2] * n)
+    arrays = [np.full(n, x[0], dtype=np.uint64) for x in listed]
+    table = get_table(fp998, size)
+    call = {
+        moddft: lambda x, y: moddft(x, table),
+        tft: lambda x, y: tft(table, x, size),
+        itft: lambda x, y: itft(table, x),
+    }.get(engine, lambda x, y: engine(x, y, _engine_arg(engine, fp998)))
     try:
-        want = engine(*listed, _engine_arg(engine, fp998))
+        want = call(*listed)
     except ValueError:
         want = None
-    for pair in (arrays, (arrays[0], listed[1]), (listed[0], arrays[1])):
-        if want is None or engine in FIELD_ENGINES:
-            with pytest.raises(ValueError):
-                engine(*pair, _engine_arg(engine, fp998))
-            continue
-        out = engine(*pair, _engine_arg(engine, fp998))
-        assert isinstance(out, np.ndarray) == (pair is arrays)
-        assert (out.tolist() if isinstance(out, np.ndarray) else out) == want
+    pairs = [(arrays[0], listed[1]), arrays]
+    if engine not in TRANSFORMS:
+        pairs.append((listed[0], arrays[1]))
+    for pair in pairs:
+        with pytest.raises(ValueError, match="ndarray"):
+            call(*pair)
+    if want is not None:
+        assert type(want) is list and call(*listed) == want
 
 
 @pytest.mark.skipif(importlib.util.find_spec("numpy") is None, reason="numpy not installed")
 def test_arrays_must_hold_residues(fp998):
-    # The numpy kernels never reduce their input, so an array holding a value
-    # >= p is refused rather than multiplied into wrong coefficients.
+    # The residue maps take an ndarray, as the split core hands them, and
+    # only one that holds residues: 1-D uint64, every value below p, over
+    # p < 2**32. Their lengths are checked for lists and arrays alike.
     import numpy as np
 
-    big = np.array([2**40 + 1] * 256, dtype=np.uint64)
-    ones = np.ones(256, dtype=np.uint64)
-    req = ConvRequest(fp998)
-    for engine in (conv_tft, circ_conv_fft, nega_conv, circ_conv_split):
+    p = fp998.p
+    ones = np.ones(4, dtype=np.uint64)
+    bad = (np.array([2**40] * 4, dtype=np.uint64), np.full(4, p, dtype=np.uint64),
+           np.full(4, -1, dtype=np.int64), np.ones(4, dtype=np.float64), np.ones((4, 4), dtype=np.uint64))
+    for x in bad:
         with pytest.raises(ValueError, match="residues"):
-            engine(big, ones, req)
+            split_residues(x, p)
         with pytest.raises(ValueError, match="residues"):
-            engine(ones, big, req)
-    with pytest.raises(ValueError, match="residues"):
-        conv_tft(np.array([2**40 + 1] * 300, dtype=np.uint64), np.ones(300, dtype=np.uint64), req)
-    table = get_table(fp998, 256)
-    edge = np.full(256, fp998.p, dtype=np.uint64)
-    with pytest.raises(ValueError, match="residues"):
-        moddft(edge, table)
-    with pytest.raises(ValueError, match="residues"):
-        transform.tft(table, edge[:10], 20)
-    with pytest.raises(ValueError, match="residues"):
-        transform.itft(table, edge[:10])
-    # Only 1-D uint64 arrays hold residues: int64 negatives and floats pass a
-    # max() < p test, and a 2-D array would run as rows.
-    square = np.ones((300, 300), dtype=np.uint64)
-    for other in (np.full(300, -1, dtype=np.int64), np.ones(300, dtype=np.float64), square):
-        for engine in (conv_tft, lin_conv_fft_pad):
-            with pytest.raises(ValueError, match="residues"):
-                engine(other, np.ones(300, dtype=np.uint64), req)
-        for engine in (circ_conv_fft, nega_conv, circ_conv_split):
-            with pytest.raises(ValueError, match="residues"):
-                engine(ones, other[:256], req)
+            recombine_residues(x, ones, p)
         with pytest.raises(ValueError, match="residues"):
-            moddft(other[:256], table)
-        with pytest.raises(ValueError, match="residues"):
-            transform.tft(table, other[:10], 20)
-        with pytest.raises(ValueError, match="residues"):
-            transform.itft(table, other[:10])
+            recombine_residues(ones, x, p)
+    with pytest.raises(ValueError, match="2\\*\\*32"):
+        split_residues(np.zeros(4, dtype=np.uint64), 2305843009448574977)
+    for u in ([1, 2, 3, 4, 5], [1], [], ones[:3], ones[:0]):
+        with pytest.raises(ValueError, match="even nonzero"):
+            split_residues(u, 17)
+    for a, b in (([1, 2, 3], [4]), ([], []), (ones[:3], ones[:1]), (ones[:2], [1])):
+        with pytest.raises(ValueError, match="equal nonempty"):
+            recombine_residues(a, b, 17)
     # Residues up to p - 1 still run, and equal the list path.
-    top = np.full(256, fp998.p - 1, dtype=np.uint64)
-    assert conv_tft(top, top, req).tolist() == conv_tft([fp998.p - 1] * 256, [fp998.p - 1] * 256, req)
+    top = [p - 1] * 4
+    halves = split_residues(np.array(top, dtype=np.uint64), p)
+    assert [x.tolist() for x in halves] == list(split_residues(top, p))
 
 
 @pytest.mark.skipif(importlib.util.find_spec("numpy") is None, reason="numpy not installed")
 @pytest.mark.parametrize("p", [998244353, 4293918721])
 def test_mixed_inputs_follow_the_array_rule(p):
-    # An ndarray in either position puts the engine in arrays; the array is
-    # checked wherever it stands, and the result is a list unless both
-    # inputs were arrays.
+    # An ndarray among the residue maps' inputs puts them in arrays: each
+    # input is then read by transform._as_residues, which reduces a list and
+    # checks an array, and the result is an array equal to the list result.
     import numpy as np
 
-    fp = FourierPrime.from_modulus(p)
     rng = random.Random(p)
-    for engine, length in ((conv_tft, 300), (circ_conv_fft, 256), (nega_conv, 256), (circ_conv_split, 256)):
-        listed = [rng.randrange(p) for _ in range(length)]
-        # Residues of p - 1 make the widest products the kernels form.
-        for other in (listed, [p - 1] * length):
-            counters = OpCounters()
-            want = engine(listed, other, ConvRequest(fp, counters=counters))
-            for pair in ((np.array(listed, dtype=np.uint64), other), (listed, np.array(other, dtype=np.uint64))):
-                got = OpCounters()
-                out = engine(*pair, ConvRequest(fp, counters=got))
-                assert isinstance(out, list) and out == want and got == counters, engine.__name__
-        negatives = np.full(length, -1, dtype=np.int64)
+    for length in (2, 256):
+        # Residues of p - 1 make the widest sums the maps form.
+        for u in ([rng.randrange(p) for _ in range(length)], [p - 1] * length):
+            a, b = split_residues(u, p)
+            halves = split_residues(np.array(u, dtype=np.uint64), p)
+            assert [x.tolist() for x in halves] == [a, b]
+            wide = [x + p for x in a]
+            for pair in ((halves[0], b), (a, halves[1]), (wide, halves[1]), halves):
+                out = recombine_residues(*pair, p)
+                assert isinstance(out, np.ndarray) and out.tolist() == u
+            assert recombine_residues(a, b, p) == u
+        negatives = np.full(length >> 1, -1, dtype=np.int64)
         with pytest.raises(ValueError, match="residues"):
-            engine(listed, negatives, ConvRequest(fp))
+            recombine_residues(a, negatives, p)
         with pytest.raises(ValueError, match="residues"):
-            engine(negatives, listed, ConvRequest(fp))
-
+            recombine_residues(negatives, b, p)
 
 
 def test_every_engine_sees_integer_coefficients(fp998):
@@ -615,21 +621,40 @@ def test_every_engine_sees_integer_coefficients(fp998):
 
 
 def _traced_call(call, fp, engine):
-    """call(req)'s result, req's OpCounters, and (transform, ran on an ndarray) per transform run."""
-    from modconv import convolve
+    """call(req)'s result, req's OpCounters, and (name, ran on an ndarray) per transform and residue map.
+
+    Each is seen through its name in convolve, which perfbench's spans wrap:
+    a numpy kernel or numpy residue step that runs outside those names
+    fails the call.
+    """
+    from modconv import _ntt_numpy, convolve
 
     seen = []
+    depth = [0]
 
     def spy(name, real):
         def wrapped(*args, **kwargs):
-            seen.append((name, transform._is_array(args[0] if name == "moddft" else args[1])))
+            seen.append((name, any(map(transform._is_array, args))))
+            depth[0] += 1
+            try:
+                return real(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        return wrapped
+
+    def inside(real):
+        def wrapped(*args, **kwargs):
+            assert depth[0], f"{real.__name__} ran outside convolve's names"
             return real(*args, **kwargs)
 
         return wrapped
 
     counters = OpCounters()
-    names = ("moddft", "tft", "itft")
-    with mock.patch.multiple(convolve, **{k: spy(k, getattr(convolve, k)) for k in names}):
+    names = ("moddft", "tft", "itft", "split_residues", "recombine_residues")
+    with mock.patch.multiple(convolve, **{k: spy(k, getattr(convolve, k)) for k in names}), \
+            mock.patch.multiple(_ntt_numpy, **{k: inside(getattr(_ntt_numpy, k)) for k in ("moddft", "tft", "itft")}), \
+            mock.patch.object(convolve, "_residue_pair", inside(convolve._residue_pair)):
         out = call(ConvRequest(fp, engine=engine, counters=counters))
     return out, counters, seen
 
@@ -648,6 +673,12 @@ def test_poly_mul_crosses_once_and_matches_python_loops(p, n):
     fp = FourierPrime.from_modulus(p)
     rng = random.Random(n)
     z1 = (n + 2) // 2
+    # The transforms and residue maps each engine runs, by convolve's names.
+    runs = {
+        "tft": ["tft", "tft", "itft"],
+        "fft_pad": ["moddft"] * 3,
+        "split": ["split_residues"] * 2 + ["moddft"] * 6 + ["recombine_residues"],
+    }
     for coeffs in (lambda z: [rng.randrange(1, p) for _ in range(z)], lambda z: [p - 1] * z):
         a, b = DensePoly(fp, coeffs(z1)), DensePoly(fp, coeffs(n + 1 - z1))
         product = lambda req: poly_mul(a, b, req)
@@ -658,11 +689,12 @@ def test_poly_mul_crosses_once_and_matches_python_loops(p, n):
             got, counters, backends = _traced_call(product, fp, engine)
             assert (got, counters) == (want, want_counters), (engine, n)
             assert {type(c) for c in got.coeffs} == {int}
+            assert [name for name, _ in backends] == [name for name, _ in python] == runs[engine]
             assert any(array for _, array in backends) == (n > (512 if engine == "split" else 256))
             # Each transform runs on the backend the engine picks when it is
             # handed the operands as lists, and returns a list.
             listed = list(a.coeffs), list(b.coeffs)
-            out, _, own = _traced_call(lambda req: convolve._ENGINE_CALLS[engine](*listed, req), fp, engine)
+            out, _, own = _traced_call(lambda req: convolve._linear(engine, *listed, req), fp, engine)
             assert backends == own, (engine, n)
             assert isinstance(out, list) and tuple(out) == want.coeffs
 
@@ -671,9 +703,10 @@ def test_poly_mul_crosses_once_and_matches_python_loops(p, n):
 @pytest.mark.parametrize("engine", ["tft", "fft_pad", "split"])
 def test_arrays_are_checked_at_the_entry_only(fp998, engine):
     # poly_mul converts its two operands and checks its product: three
-    # passes of _as_residues. The engines and transforms it runs take those
-    # arrays as checked. An engine called directly checks each ndarray once.
-    import numpy as np
+    # passes of _as_residues. split's residue maps check the arrays the core
+    # hands them: one pass per split and two per recombine. The cores and
+    # transforms check nothing. A door converts each list it is handed once.
+    import numpy  # noqa: F401  loaded, so the crossover alone puts sizes in numpy
 
     from modconv import poly
 
@@ -685,58 +718,23 @@ def test_arrays_are_checked_at_the_entry_only(fp998, engine):
         return real(x, p)
 
     rng = random.Random(11)
-    a = DensePoly(fp998, tuple(rng.randrange(fp998.p) for _ in range(700)))
-    b = DensePoly(fp998, tuple(rng.randrange(fp998.p) for _ in range(600)))
-    u, v = (np.array(w.coeffs, dtype=np.uint64) for w in (a, b))
-    square = [np.array(w.coeffs[:512], dtype=np.uint64) for w in (a, b)]
+    a = DensePoly(fp998, tuple(rng.randrange(fp998.p) for _ in range(1100)))
+    b = DensePoly(fp998, tuple(rng.randrange(fp998.p) for _ in range(1000)))
+    u, v = (list(w.coeffs) for w in (a, b))
+    square = u[:1024], u[-1024:]
     req = ConvRequest(fp998)
+    residue_maps = [True] * 4
     direct = {
-        "tft": [(conv_tft, (u, v))],
-        "fft_pad": [(lin_conv_fft_pad, (u, v)), (circ_conv_fft, square)],
-        "split": [(circ_conv_split, square), (nega_conv, square)],
+        "tft": [(conv_tft, (u, v), [])],
+        "fft_pad": [(lin_conv_fft_pad, (u, v), []), (circ_conv_fft, square, [])],
+        "split": [(circ_conv_split, square, residue_maps), (nega_conv, square, [])],
     }
-    with mock.patch.object(transform, "_as_residues", counted), mock.patch.object(poly, "_as_residues", counted):
+    with mock.patch.object(transform, "_as_residues", counted), mock.patch.object(poly, "_as_residues", counted), \
+            mock.patch("modconv.convolve._as_residues", counted):
         got = poly_mul(a, b, ConvRequest(fp998, engine=engine))
-        assert calls == [False, False, True], engine
-        for call, args in direct[engine]:
+        assert calls == [False, False, *(residue_maps if engine == "split" else []), True], engine
+        for door, args, checks in direct[engine]:
             calls.clear()
-            call(*args, req)
-            assert calls == [True, True], call.__name__
+            door(*args, req)
+            assert calls == [False, False, *checks], door.__name__
     assert got == poly_mul(a, b, ConvRequest(fp998, engine="kronecker"))
-
-
-@pytest.mark.skipif(importlib.util.find_spec("numpy") is None, reason="numpy not installed")
-def test_checked_arrays_stay_in_their_thread_and_call(fp998):
-    # While one thread runs under transform._checked, another still has its
-    # arrays checked; and a call that raises under _checked leaves nothing
-    # taken as checked behind it.
-    import threading
-
-    import numpy as np
-
-    bad = np.full(300, fp998.p, dtype=np.uint64)
-    ones = np.ones(300, dtype=np.uint64)
-    inside, release = threading.Event(), threading.Event()
-
-    def hold():
-        inside.set()
-        release.wait(10)
-
-    worker = threading.Thread(target=transform._checked, args=(hold,))
-    worker.start()
-    try:
-        assert inside.wait(10)
-        with pytest.raises(ValueError, match="residues"):
-            conv_tft(bad, ones, ConvRequest(fp998))
-    finally:
-        release.set()
-        worker.join(10)
-    assert not worker.is_alive()
-
-    def fail():
-        raise KeyError
-
-    with pytest.raises(KeyError):
-        transform._checked(fail)
-    with pytest.raises(ValueError, match="residues"):
-        conv_tft(bad, ones, ConvRequest(fp998))

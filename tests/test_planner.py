@@ -1,3 +1,4 @@
+import importlib.util
 import itertools
 import random
 
@@ -252,9 +253,9 @@ class TestDftSearch:
 
         def counting_moddft(*args, **kwargs):
             calls.append(len(args[0]))
-            return moddft(*args, **kwargs)
+            return transform._moddft(*args, **kwargs)
 
-        monkeypatch.setattr(planner, "moddft", counting_moddft)
+        monkeypatch.setattr(planner, "_moddft", counting_moddft)
         session = make_session(reps=3)
         entry = session.search(PlanKey("dft", LARGE_PRIME, 64, 0, 64, 1))
         # One call per timed repetition, all on the key's size.
@@ -270,6 +271,12 @@ class TestDftSearch:
             table = get_table(fp998, entry.key.L)
             x = random_vec(rng, fp998, entry.key.L)
             assert session.replay(entry, x) == moddft(x, table)
+        # A plan replays on lists, as the public transforms take them.
+        if importlib.util.find_spec("numpy") is not None:
+            import numpy as np
+
+            with pytest.raises(ValueError, match="ndarray"):
+                session.replay(entry, np.array(x, dtype=np.uint64))
 
     def test_radix_4_8_entries_load_and_replay(self, fp998, rng, tmp_path):
         # Stores written with general-radix decompositions stay readable.
@@ -312,7 +319,7 @@ class TestDftSearch:
         else:
             want = list
         seen = []
-        for name in ("moddft", "tft", "itft", "lin_conv_kronecker"):
+        for name in ("_moddft", "_tft", "_itft", "lin_conv_kronecker"):
             monkeypatch.setattr(planner, name, lambda *args: seen.append(args))
         session = make_session(reps=1)
         for key in planner.planned_keys(p, size):

@@ -74,6 +74,10 @@ class TestDensePoly:
         for bad in (above, arr.reshape(2, -1), arr.astype(np.int64), arr.astype(np.float64)):
             with pytest.raises(ValueError):
                 DensePoly(fp, bad)
+        # An empty array, like an empty tuple, is the zero polynomial.
+        assert DensePoly(fp, arr[:0]) == DensePoly(fp, ()) == DensePoly.zero(fp)
+        with pytest.raises(ValueError):
+            DensePoly(fp, arr[:0].astype(np.float64))
 
     def test_degree_and_zero(self, fp17):
         assert DensePoly(fp17, (1, 2, 0, 0)).degree() == 1

@@ -255,10 +255,10 @@ class TestButterflyBounds:
             for n in range(1, size + 1):
                 for z in {1, n // 2 or 1, n}:
                     fc = OpCounters()
-                    transform._tft_python(t, random_vec(rng, fp998, z), n, fc)
+                    transform._tft(t, random_vec(rng, fp998, z), n, fc)
                     assert tft_butterflies(size, z, n) == fc.butterflies, (size, z, n)
                 ic = OpCounters()
-                transform._itft_python(t, random_vec(rng, fp998, n), ic)
+                transform._itft(t, random_vec(rng, fp998, n), ic)
                 assert itft_butterflies(size, n) == ic.butterflies, (size, n)
             size <<= 1
 
@@ -295,14 +295,14 @@ def test_truncated_transforms_property(shape):
     fc = OpCounters()
     spectral = tft(t, x, n)
     assert spectral == bit_reverse_permute(moddft(x + [0] * (size - len(x)), t))[:n]
-    # The counts come from the Python kernels, which count inline whichever
-    # backend the public call took.
-    assert transform._tft_python(t, x, n, fc) == spectral
+    # The counts come from the cores on lists, the Python kernels, which
+    # count inline whichever backend the public call took.
+    assert transform._tft(t, x, n, fc) == spectral
     assert fc.butterflies == tft_butterflies(size, len(x), n)
     ic = OpCounters()
     scaled = itft(t, spectral)
     assert scaled == [v * size % fp.p for v in x + [0] * (n - len(x))]
-    assert transform._itft_python(t, spectral, ic) == scaled
+    assert transform._itft(t, spectral, ic) == scaled
     assert ic.butterflies == itft_butterflies(size, n)
 
 
@@ -352,12 +352,12 @@ def test_numpy_kernels_match_python(size, data):
         return call(counters), counters
 
     for direction in ("fwd", "inv"):
-        assert _ntt_numpy.moddft(a, t, direction).tolist() == residues(transform._moddft_python(x, t, direction))
-    assert _ntt_numpy.tft(t, a[:z], n).tolist() == residues(transform._tft_python(t, x[:z], n, None))
-    assert _ntt_numpy.itft(t, a[:n]).tolist() == residues(transform._itft_python(t, x[:n], None))
+        assert _ntt_numpy.moddft(a, t, direction).tolist() == residues(transform._moddft(x, t, direction))
+    assert _ntt_numpy.tft(t, a[:z], n).tolist() == residues(transform._tft(t, x[:z], n))
+    assert _ntt_numpy.itft(t, a[:n]).tolist() == residues(transform._itft(t, x[:n]))
     # Lengths above size/2, where itft inverts full halves with _dit.
     for m in {size // 2 + 1, size - size // 8, size - 1 or 1, size}:
-        assert _ntt_numpy.itft(t, a[:m]).tolist() == residues(transform._itft_python(t, x[:m], None))
+        assert _ntt_numpy.itft(t, a[:m]).tolist() == residues(transform._itft(t, x[:m]))
     # The largest residues at the primes nearest 2**32 meet the uint64 bounds,
     # at the drawn n and at the shapes of balanced products.
     for big in NUMPY_FIELDS[-2:]:
@@ -365,11 +365,11 @@ def test_numpy_kernels_match_python(size, data):
         tb = get_table(big, size)
         ab = numpy.array(top, dtype=numpy.uint64)
         for direction in ("fwd", "inv"):
-            assert _ntt_numpy.moddft(ab, tb, direction).tolist() == transform._moddft_python(top, tb, direction)
+            assert _ntt_numpy.moddft(ab, tb, direction).tolist() == transform._moddft(top, tb, direction)
         for m in {n, size // 2 + 1, size - size // 8, size}:
             zm = min(z, m)
-            assert _ntt_numpy.tft(tb, ab[:zm], m).tolist() == transform._tft_python(tb, top[:zm], m, None)
-            assert _ntt_numpy.itft(tb, ab[:m]).tolist() == transform._itft_python(tb, top[:m], None)
+            assert _ntt_numpy.tft(tb, ab[:zm], m).tolist() == transform._tft(tb, top[:zm], m)
+            assert _ntt_numpy.itft(tb, ab[:m]).tolist() == transform._itft(tb, top[:m])
     # Through the public dispatch, outputs and counters of both backends agree.
     calls = [
         (lambda c: moddft(x, t, "fwd", c)),
@@ -407,11 +407,11 @@ def test_numpy_kernels_match_python_at_every_n(row, chunk):
                 for x in ([rng.randrange(fp.p) for _ in range(size)], [fp.p - 1] * size):
                     a = numpy.array(x, dtype=numpy.uint64)
                     for direction in ("fwd", "inv"):
-                        assert _ntt_numpy.moddft(a, t, direction).tolist() == transform._moddft_python(x, t, direction)
+                        assert _ntt_numpy.moddft(a, t, direction).tolist() == transform._moddft(x, t, direction)
                     for n in range(1, size + 1):
                         for z in {1, n // 2 or 1, rng.randint(1, n), n}:
-                            assert _ntt_numpy.tft(t, a[:z], n).tolist() == transform._tft_python(t, x[:z], n, None)
-                        assert _ntt_numpy.itft(t, a[:n]).tolist() == transform._itft_python(t, x[:n], None)
+                            assert _ntt_numpy.tft(t, a[:z], n).tolist() == transform._tft(t, x[:z], n)
+                        assert _ntt_numpy.itft(t, a[:n]).tolist() == transform._itft(t, x[:n])
 
 
 @needs_numpy
@@ -468,30 +468,30 @@ def test_loaded_numpy_takes_transforms_from_the_crossover():
 @needs_numpy
 @pytest.mark.parametrize("size", [1, 8, 1 << 10])
 def test_transforms_keep_uint64_arrays(size):
+    # The cores take uint64 arrays of residues and give them back, equal,
+    # with equal counts, to the doors on lists; at the primes nearest 2**32,
+    # on random residues and on all p - 1, the widest the kernels multiply.
     import numpy as np
 
-    fp = FourierPrime.from_modulus(3221225473)
-    t = get_table(fp, size)
     rng = random.Random(size)
-    x = [rng.randrange(fp.p) for _ in range(size)]
-    n = size // 2 + 1
-    calls = [
-        (lambda v, c: moddft(v, t, "fwd", c)),
-        (lambda v, c: moddft(v, t, "inv", c)),
-        (lambda v, c: tft(t, v[: n // 2 or 1], n, c)),
-        (lambda v, c: itft(t, v[:n], c)),
-    ]
-    for call in calls:
-        listed, array_counts = OpCounters(), OpCounters()
-        a = np.array(x, dtype=np.uint64)
-        out = call(a, array_counts)
-        assert isinstance(out, np.ndarray) and out.dtype == np.uint64
-        assert out.tolist() == call(x, listed)
-        assert array_counts == listed
-        assert a.tolist() == x
-    wide = get_table(FourierPrime.from_modulus(2305843009448574977), 8)
-    with pytest.raises(ValueError, match="2\\*\\*32"):
-        moddft(np.zeros(8, dtype=np.uint64), wide)
+    for p in (3221225473, 4293918721):
+        t = get_table(FourierPrime.from_modulus(p), size)
+        n = size // 2 + 1
+        calls = [
+            (moddft, transform._moddft, lambda f, v, c: f(v, t, "fwd", c)),
+            (moddft, transform._moddft, lambda f, v, c: f(v, t, "inv", c)),
+            (tft, transform._tft, lambda f, v, c: f(t, v[: n // 2 or 1], n, c)),
+            (itft, transform._itft, lambda f, v, c: f(t, v[:n], c)),
+        ]
+        for x in ([rng.randrange(p) for _ in range(size)], [p - 1] * size):
+            for door, core, call in calls:
+                listed, array_counts = OpCounters(), OpCounters()
+                a = np.array(x, dtype=np.uint64)
+                out = call(core, a, array_counts)
+                assert isinstance(out, np.ndarray) and out.dtype == np.uint64
+                assert out.tolist() == call(door, x, listed)
+                assert array_counts == listed
+                assert a.tolist() == x
 
 
 @needs_numpy
