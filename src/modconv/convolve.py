@@ -19,8 +19,9 @@ engine (`circ_conv_fft`, `nega_conv`, `circ_conv_split`, `conv_tft`,
 `lin_conv_fft_pad`) is a door over a private core (`_circ_conv_fft`,
 `_nega_conv`, `_circ_conv_split`, `_conv_tft`, and `_zero_padded` for the
 padded ones). Wherever its transforms run in numpy (see
-`transform._numpy_kernels`, which imports numpy from 2**15 on and takes
-sizes from 2**9 on once it is loaded), the door converts each input once
+`transform._numpy_kernels`, which takes sizes from 2**9 on once a
+transform of 2**15, or the process's earlier Python-loop transforms, have
+paid for importing numpy), the door converts each input once
 (`transform._listed`, which reduces ints outside [0, p)), and converts
 the core's result to a list once. A core trusts what it is handed and calls
 only cores. On uint64 arrays every step stays in arrays (transforms,
@@ -46,7 +47,7 @@ from typing import TYPE_CHECKING
 
 from .field import FieldMismatchError, FourierPrime
 from .poly import DensePoly, _check_fields
-from .transform import OpCounters, _as_residues, _is_array, _listed, _numpy_inputs, get_table
+from .transform import OpCounters, _as_residues, _is_array, _listed, _numpy_inputs, _ran_in_python, get_table
 
 # The engines call the transform cores by these module names, as they call
 # split_residues and recombine_residues: a tracer that replaces
@@ -385,7 +386,10 @@ def poly_mul(a: DensePoly, b: DensePoly, req: ConvRequest) -> DensePoly:
     `transform._numpy_inputs`), each trimmed operand is converted to a uint64
     array by `_as_residues`, the engine's core pads and multiplies in arrays,
     and its ndarray product becomes the DensePoly, which checks it in numpy.
-    Every other engine, size and prime gets lists and returns a list.
+    Every other engine, size and prime gets lists and returns a list. A
+    product that ran on lists at a size and prime the numpy kernels take
+    counts as three transforms toward the process's switch to numpy
+    (`transform._ran_in_python`).
     """
     _check_fields(a, b)
     if a.field.p != req.field.p:
@@ -397,6 +401,9 @@ def poly_mul(a: DensePoly, b: DensePoly, req: ConvRequest) -> DensePoly:
     u, v = a.normalize().coeffs, b.normalize().coeffs
     engine = _resolve_engine(len(u), len(v), req)
     size, core = _ENGINES[engine]
-    arrays = None if size is None else _numpy_inputs(get_table(req.field, size(len(u) + len(v) - 1)), u, v)
+    table = None if size is None else get_table(req.field, size(len(u) + len(v) - 1))
+    arrays = None if table is None else _numpy_inputs(table, u, v)
     product = core(*(arrays or (list(u), list(v))), req)
+    if table is not None and arrays is None:
+        _ran_in_python(table, 3)
     return DensePoly(a.field, product).normalize()

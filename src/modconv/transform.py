@@ -11,11 +11,13 @@ lists. tft walks the stages that _tft_path lays out, and itft inverts each
 fully known half with the loop moddft runs, on the one partial path that
 _itft_path lays out; both backends read those walks. The loops exist twice:
 in pure Python here, the reference and the path for any prime, and in numpy
-(`_ntt_numpy`) over p < 2**32, where a residue product fits in uint64. Two
-sizes pick the numpy kernels for a list, provided numpy can be imported:
-_NUMPY_MIN_SIZE (2**15), from which a transform pays for importing numpy,
-and _NUMPY_CROSSOVER (2**9), from which the numpy kernels are faster once
-numpy is loaded anyway.
+(`_ntt_numpy`) over p < 2**32, where a residue product fits in uint64. The
+numpy kernels take a transform of _NUMPY_CROSSOVER (2**9) points or more,
+where they are the faster loops, once numpy is loaded or the process should
+load it (`_numpy_kernels`): the transform has _NUMPY_MIN_SIZE (2**15)
+points, which pay for the import by themselves, or the process's earlier
+Python-loop transforms at sizes the kernels take have cost _BUDGET
+butterflies, as much as the import. numpy must be importable.
 
 Each public transform (moddft, tft, itft) is a door over a private core
 (_moddft, _tft, _itft) with the same positional arguments. A door checks
@@ -139,35 +141,64 @@ def get_table(field: FourierPrime, size: int) -> TwiddleTable:
         return _build_table(field, size)
 
 
-# Smallest transform size that imports numpy. Importing it costs about as much
-# as one pure-Python transform of 2**15 points, so a process whose transforms
-# all stay smaller never imports it.
+# Smallest transform size that imports numpy by itself. Importing it costs
+# about as much as one pure-Python transform of 2**15 points.
 _NUMPY_MIN_SIZE = 1 << 15
-# Smallest transform size the numpy kernels take once numpy is loaded anyway:
-# from 2**9 up they beat the Python loops on every transform, lists in and out
+# Smallest transform size the numpy kernels take: from 2**9 up they beat the
+# Python loops on every transform once numpy is loaded, lists in and out
 # (itft at n = L by 1.3x, moddft by 4x), while at 2**8 itft at n = L still
 # loses (measured on a 2-core x86-64 host).
 _NUMPY_CROSSOVER = 1 << 9
+# Butterflies of one transform of _NUMPY_MIN_SIZE points, the cost of
+# importing numpy: once the Python loops have spent that much where the numpy
+# kernels could have run, the process pays for the import (the ski-rental
+# rule, never worse than twice the better of never and at once).
+_BUDGET = (_NUMPY_MIN_SIZE >> 1) * (_NUMPY_MIN_SIZE.bit_length() - 1)
+# The process's butterflies so far in Python-loop transforms of a size and
+# prime the numpy kernels take, as the doors and poly_mul count them
+# (`_ran_in_python`). It only grows, and is updated without a lock: a lost
+# update under threads only delays the switch.
+_python_butterflies = 0
+
+
+@functools.cache
+def _load_numpy_kernels():
+    # The numpy kernels module, or None where numpy cannot be imported; a
+    # failure is remembered, so the import is tried once per process.
+    try:
+        from . import _ntt_numpy
+    except ImportError:
+        return None
+    return _ntt_numpy
 
 
 def _numpy_kernels(p: int, size: int):
     """The numpy kernels module if they should run size-point transforms mod p, else None.
 
     They should over p < 2**32, where a product of two residues fits in
-    uint64, at sizes >= _NUMPY_MIN_SIZE, which pay for importing numpy, and at
-    sizes >= _NUMPY_CROSSOVER once numpy is loaded, where they are faster than
-    the Python loops. Either way numpy must be importable; it is imported
-    here only from _NUMPY_MIN_SIZE on.
+    uint64, from _NUMPY_CROSSOVER points up, once the process has loaded
+    numpy or should load it: at _NUMPY_MIN_SIZE points and up, or once its
+    earlier Python-loop transforms have run _BUDGET butterflies. Either way
+    numpy must be importable. A process's first product thus loads numpy
+    only from _NUMPY_MIN_SIZE on.
     """
-    if p >= 1 << 32:
+    if p >= 1 << 32 or size < _NUMPY_CROSSOVER:
         return None
-    if size < _NUMPY_MIN_SIZE and (size < _NUMPY_CROSSOVER or sys.modules.get("numpy") is None):
+    if size < _NUMPY_MIN_SIZE and _python_butterflies < _BUDGET and sys.modules.get("numpy") is None:
         return None
-    try:
-        from . import _ntt_numpy
-    except ImportError:
-        return None
-    return _ntt_numpy
+    return _load_numpy_kernels()
+
+
+def _ran_in_python(table: TwiddleTable, transforms: int) -> None:
+    """Add `transforms` Python-loop transforms of table's size to the process's tally.
+
+    Only sizes and primes the numpy kernels take count. The doors and
+    poly_mul call this; the planner's timings do not, so `modconv plan`
+    times the backend a fresh `modconv mul` process runs.
+    """
+    global _python_butterflies
+    if table.field.p < 1 << 32 and table.size >= _NUMPY_CROSSOVER:
+        _python_butterflies += transforms * (table.size >> 1) * table.log2_size
 
 
 def _is_array(x) -> bool:
@@ -212,8 +243,8 @@ def _numpy_inputs(table: TwiddleTable, *vecs):
 
     An ndarray among vecs raises ValueError: what enters a transform or an
     engine from outside is a list. Asking `_numpy_kernels` imports numpy
-    from 2**15 on, so the first product that large converts like every
-    later one.
+    where its rule says the process should pay for it, so the first product
+    that does converts like every later one.
     """
     if any(map(_is_array, vecs)):
         raise ValueError("transforms take lists, not ndarrays")
@@ -227,10 +258,16 @@ def _listed(table: TwiddleTable, core, *vecs) -> list[int]:
     """core(*vecs) for a door (a public transform or engine), as a list.
 
     The lists vecs reach core as `_numpy_inputs` makes them: uint64 arrays
-    where table's transforms run in numpy, else as they are.
+    where table's transforms run in numpy, else as they are. A run on lists
+    is counted (`_ran_in_python`) as one transform for a transform door and
+    three for an engine door, which hands two vectors.
     """
     arrays = _numpy_inputs(table, *vecs)
-    return core(*vecs) if arrays is None else core(*arrays).tolist()
+    if arrays is not None:
+        return core(*arrays).tolist()
+    out = core(*vecs)
+    _ran_in_python(table, 1 if len(vecs) == 1 else 3)
+    return out
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)

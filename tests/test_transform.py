@@ -522,23 +522,179 @@ def _run_python(code):
     return done.stdout
 
 
-def test_small_transforms_never_import_numpy():
+@pytest.mark.parametrize("engine", ["tft", "fft_pad", "split"])
+def test_first_product_below_2_15_leaves_numpy_unloaded(engine):
+    # A fresh process's first product of length 2**14 runs the Python loops
+    # and never pays for importing numpy.
     out = _run_python(
-        """
+        f"""
 import random, sys
-from dataclasses import replace
 from modconv import ConvRequest, DensePoly, FourierPrime, poly_mul
 fp = FourierPrime.from_modulus(998244353)
 rng = random.Random(14)
 a = DensePoly(fp, tuple(rng.randrange(1, fp.p) for _ in range(1 << 13)))
 b = DensePoly(fp, tuple(rng.randrange(1, fp.p) for _ in range((1 << 13) + 1)))
-req = ConvRequest(fp, engine="tft")
-products = {poly_mul(a, b, replace(req, engine=e)) for e in ("tft", "fft_pad", "split")}
-assert len(products) == 1 and len(products.pop()) == 1 << 14
+assert len(poly_mul(a, b, ConvRequest(fp, engine={engine!r}))) == 1 << 14
 print("numpy" in sys.modules)
 """
     )
     assert out.strip() == "False"
+
+
+_PRODUCT_PAST_THE_BUDGET = """
+import json, random, sys
+from modconv import ConvRequest, DensePoly, FourierPrime, OpCounters, convolve, poly_mul, transform
+fp = FourierPrime.from_modulus(998244353)
+rng = random.Random(21)
+poly = lambda z: DensePoly(fp, tuple(rng.randrange(1, fp.p) for _ in range(z)))
+# Products of length 2**11 on the Python loops, each 3 * 1024 * 11 butterflies,
+# until the process has spent the budget.
+while transform._python_butterflies < transform._BUDGET:
+    poly_mul(poly(1024), poly(1025), ConvRequest(fp, engine="tft"))
+before = sys.modules.get("numpy") is not None
+pointwise, seen = convolve._pointwise, []
+def spy(x, y, p, req):
+    seen.append([type(x).__name__, type(y).__name__])
+    return pointwise(x, y, p, req)
+convolve._pointwise = spy
+ops = OpCounters()
+c = poly_mul(poly(600), poly(424), ConvRequest(fp, engine="tft", counters=ops))
+print(json.dumps({"c": list(c.coeffs), "ops": [ops.butterflies, ops.pointwise_muls], "seen": seen,
+                  "before": before, "after": sys.modules.get("numpy") is not None}))
+"""
+
+
+@needs_numpy
+def test_products_past_the_budget_run_in_arrays():
+    # Once earlier products have run _BUDGET butterflies on the Python loops,
+    # the next product at 2**10 imports numpy and runs in arrays, with the
+    # coefficients and counters of a process that cannot import numpy.
+    with_numpy = json.loads(_run_python(_PRODUCT_PAST_THE_BUDGET))
+    without = json.loads(_run_python('import sys\nsys.modules["numpy"] = None\n' + _PRODUCT_PAST_THE_BUDGET))
+    assert [with_numpy.pop(k) for k in ("before", "after", "seen")] == [False, True, [["ndarray", "ndarray"]]]
+    assert [without.pop(k) for k in ("before", "after", "seen")] == [False, False, [["list", "list"]]]
+    assert with_numpy == without
+    assert len(without["c"]) == 1023
+
+
+def test_ineligible_products_leave_numpy_unloaded():
+    # Products the numpy kernels cannot take (a 62-bit prime) or would not
+    # (transforms below 2**9) never count, however many run.
+    out = _run_python(
+        """
+import random, sys
+from modconv import ConvRequest, DensePoly, FourierPrime, poly_mul, transform
+rng = random.Random(22)
+for p, z in ((2305843009448574977, 200), (998244353, 100)):
+    fp = FourierPrime.from_modulus(p)
+    for i in range(200):
+        a = DensePoly(fp, tuple(rng.randrange(1, p) for _ in range(z)))
+        b = DensePoly(fp, tuple(rng.randrange(1, p) for _ in range(z + 1)))
+        poly_mul(a, b, ConvRequest(fp, engine=("tft", "fft_pad", "split")[i % 3]))
+print(transform._python_butterflies, "numpy" in sys.modules)
+"""
+    )
+    assert out.split() == ["0", "False"]
+
+
+def test_planning_leaves_numpy_unloaded(tmp_path):
+    # The planner's timings never count, so `modconv plan` keeps timing the
+    # Python loops that a fresh `modconv mul` process below 2**15 runs.
+    store = tmp_path / "plans.txt"
+    out = _run_python(
+        f"""
+import sys
+from modconv import cli, transform
+assert cli.main(["plan", "--max-l", "16384", "--prime", "998244353", "--store", {str(store)!r}]) == 0
+print(transform._python_butterflies, "numpy" in sys.modules)
+"""
+    )
+    assert out.split()[-2:] == ["0", "False"]
+
+
+@needs_numpy
+def test_the_tally_counts_what_ran_on_lists():
+    # In a process that has not loaded numpy: what each caller adds, and the
+    # budget's edge. No modconv code reads a clock on the way.
+    out = _run_python(
+        """
+import random, sys, time
+from modconv import ConvRequest, DensePoly, FourierPrime, get_table, moddft, planner, poly_mul, transform
+fp = FourierPrime.from_modulus(998244353)
+rng = random.Random(23)
+assert transform._BUDGET == (transform._NUMPY_MIN_SIZE // 2) * 15 == 245760
+clock_reads = []
+def watch(clock):
+    def read():
+        caller = sys._getframe(1).f_globals.get("__name__", "")
+        if caller.startswith("modconv"):
+            clock_reads.append(caller)
+        return clock()
+    return read
+clocks = {name: getattr(time, name) for name in
+          ("time", "time_ns", "monotonic", "monotonic_ns", "perf_counter", "perf_counter_ns",
+           "process_time", "process_time_ns", "thread_time", "thread_time_ns")}
+def added(call):
+    before = transform._python_butterflies
+    call()
+    return transform._python_butterflies - before
+def product(size):
+    # A tft product whose transforms have `size` points.
+    z = size // 2
+    a = DensePoly(fp, tuple(rng.randrange(1, fp.p) for _ in range(z)))
+    b = DensePoly(fp, tuple(rng.randrange(1, fp.p) for _ in range(z + 1)))
+    return lambda: poly_mul(a, b, ConvRequest(fp, engine="tft"))
+for name, clock in clocks.items():
+    setattr(time, name, watch(clock))
+assert [added(product(1 << k)) for k in (8, 9, 14)] == [0, 3 * 256 * 9, 3 * 8192 * 14]
+transform._python_butterflies = 0
+x = [rng.randrange(fp.p) for _ in range(1 << 10)]
+assert added(lambda: moddft(x, get_table(fp, 1 << 10))) == 512 * 10
+for name, clock in clocks.items():
+    setattr(time, name, clock)
+session = planner.PlanSession(reps=1)
+for key in planner.planned_keys(fp.p, 1 << 10):
+    assert added(lambda: session.search(key)) == 0
+for name, clock in clocks.items():
+    setattr(time, name, watch(clock))
+transform._python_butterflies = transform._BUDGET - 1
+assert transform._numpy_kernels(fp.p, 1 << 9) is None and "numpy" not in sys.modules
+transform._python_butterflies = transform._BUDGET
+assert transform._numpy_kernels(fp.p, 1 << 9).__name__ == "modconv._ntt_numpy"
+assert not clock_reads, clock_reads
+print("numpy" in sys.modules)
+"""
+    )
+    assert out.strip() == "True"
+
+
+def test_a_failed_numpy_import_is_tried_once():
+    # Without numpy, every eligible call would otherwise run _ntt_numpy up to
+    # its failing `import numpy` again.
+    out = _run_python(
+        """
+import random, sys
+sys.modules["numpy"] = None
+from modconv import ConvRequest, DensePoly, FourierPrime, poly_mul, transform
+attempts = []
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "modconv._ntt_numpy":
+            attempts.append(name)
+        return None
+sys.meta_path.insert(0, Spy())
+fp = FourierPrime.from_modulus(998244353)
+rng = random.Random(24)
+transform._python_butterflies = transform._BUDGET
+for _ in range(10):
+    a = DensePoly(fp, tuple(rng.randrange(1, fp.p) for _ in range(300)))
+    b = DensePoly(fp, tuple(rng.randrange(1, fp.p) for _ in range(301)))
+    poly_mul(a, b, ConvRequest(fp, engine="tft"))
+    assert transform._numpy_kernels(fp.p, 1 << 16) is None
+print(len(attempts))
+"""
+    )
+    assert int(out) <= 1
 
 
 def test_missing_numpy_falls_back_to_python():
