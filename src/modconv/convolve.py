@@ -27,12 +27,20 @@ the core's result to a list once. A core trusts what it is handed and calls
 only cores. On uint64 arrays every step stays in arrays (transforms,
 pointwise product, 1/L scale, twist, residues, padding); on lists every
 step runs the Python loops. Both paths return the same values and count the
-same operations. `poly_mul` converts each trimmed operand itself, calls the
-core from `_ENGINES`, and hands an ndarray product to `DensePoly`, which
-range-checks it in numpy and stores it as ints. So no padding zero is
-converted, and nothing below a door or `poly_mul` checks its arrays again.
-The residue maps are public and called by the split core, so they take
-lists or uint64 arrays, and check an array by `transform._as_residues`' rule.
+same operations. `poly_mul` hands each trimmed operand to the core from
+`_ENGINES` through the same step (`transform._run`), and hands an ndarray
+product to `DensePoly`, which range-checks it in numpy and stores it as
+ints. So no padding zero is converted, and nothing below a door or
+`poly_mul` checks its arrays again. The residue maps are public and called
+by the split core, so they take lists or uint64 arrays, and check an array
+by `transform._as_residues`' rule.
+
+One table. `_ENGINES` holds each fixed engine: its transform-size rule, its
+core, and how `auto` prices it (`_Engine`): the planned keys its cost reads,
+the cost as one function of their timings and the shape, where it is
+ranked, and its place among equal costs; or, for `definition` and `split`,
+why it is never ranked. `ENGINES` is its names and "auto", and
+`planner.PlanSession.resolve_engine` is one loop over it.
 
 Execution is serial. CPython holds the GIL through these pure-Python integer
 loops, so worker threads cannot make them faster. `ConvRequest.threads` is
@@ -43,11 +51,12 @@ acceptance criterion 6 calls with 1 and 4. No CLI command sets it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .field import FieldMismatchError, FourierPrime
 from .poly import DensePoly, _check_fields
-from .transform import OpCounters, _as_residues, _is_array, _listed, _numpy_inputs, _ran_in_python, get_table
+from .transform import OpCounters, _as_residues, _is_array, _listed, _numpy_kernels, _run, get_table
+from .transform import itft_butterflies, tft_butterflies
 
 # The engines call the transform cores by these module names, as they call
 # split_residues and recombine_residues: a tracer that replaces
@@ -55,9 +64,7 @@ from .transform import OpCounters, _as_residues, _is_array, _listed, _numpy_inpu
 from .transform import _itft as itft, _moddft as moddft, _tft as tft
 
 if TYPE_CHECKING:
-    from .planner import PlanSession
-
-ENGINES = ("definition", "fft_pad", "tft", "split", "kronecker", "auto")
+    from .planner import PlanEntry, PlanSession
 
 
 @dataclass
@@ -345,33 +352,90 @@ def lin_conv_kronecker(u: list[int], v: list[int], fp: FourierPrime) -> list[int
     return [int.from_bytes(data[i : i + slot], "little") % p for i in range(0, size, slot)]
 
 
-# Each fixed engine's (transform-size rule, core) for a product of length n.
-# The rule gives the size whose transforms decide, as in
-# `transform._numpy_inputs`, whether the core is handed uint64 arrays; None
-# for an engine without transforms, which always gets lists. The lambdas look
-# the cores up by module name when called, so a replaced name (a tracer's
-# wrapper) is the one that runs.
+# CPython multiplies a b-digit int by a c-digit one, c <= b, in about
+# b * c**0.585 steps: Karatsuba (exponent log2(3)) on b/c pieces of c digits.
+KARATSUBA_EXPONENT = 0.585
+# The size whose conv timing prices Kronecker's linear packing work: a 17 x 17
+# product, where packing and unpacking take nearly all of the time.
+LINEAR_WORK_L = 64
+
+
+def _tft_cost(z1: int, z2: int, fwd: PlanEntry, inv: PlanEntry) -> float:
+    # The full-size tft and itft timings scaled to z1 x z2 by exact butterfly counts.
+    size, n = fwd.key.L, z1 + z2 - 1
+    forward = fwd.measured_nanos * (tft_butterflies(size, z1, n) + tft_butterflies(size, z2, n))
+    inverse = inv.measured_nanos * itft_butterflies(size, n)
+    return forward / tft_butterflies(size, size, size) + inverse / itft_butterflies(size, size)
+
+
+def _kronecker_cost(z1: int, z2: int, timed: PlanEntry, base: PlanEntry) -> float:
+    """The `timed` conv timing scaled to z1 x z2, floored by the linear work.
+
+    The scale is CPython's multiply cost, b * c**KARATSUBA_EXPONENT, on the
+    packed lengths of the product against those of the timed shape. That
+    ignores packing and unpacking, which are linear in the product length n
+    and dominate short or lopsided products, so the cost is at least the
+    `base` timing, of the conv key at LINEAR_WORK_L, scaled by n.
+    """
+    p, z, n = timed.key.p, timed.key.z, timed.key.n
+
+    def mul_steps(a: int, b: int) -> float:
+        slot = _kronecker_slot(p, min(a, b))
+        return max(a, b) * slot * (min(a, b) * slot) ** KARATSUBA_EXPONENT
+
+    scaled = timed.measured_nanos * mul_steps(z1, z2) / mul_steps(z, n + 1 - z)
+    return max(scaled, base.measured_nanos * (z1 + z2 - 1) / base.key.n)
+
+
+class _Engine(NamedTuple):
+    """A fixed engine: how it runs a product of length n, and how `auto` prices it.
+
+    `size` gives the transform size for n, which decides, as in
+    `transform._numpy_inputs`, whether `core` is handed uint64 arrays; None
+    for an engine without transforms, which gets its operands as they are.
+    `core` looks the cores up by module name when called, so a replaced name
+    (a tracer's wrapper) is the one that runs. `cost` gives the nanoseconds
+    of a z1 x z2 product from the plan entries of the (kind, L) keys that
+    `reads` names at the padded size L (`planner.planned_keys`), or, for an
+    engine `auto` never ranks, the reason as a string. `applies` says where
+    `auto` ranks it, at a padded size the field hosts; equal costs go to the
+    lowest `tie`.
+    """
+
+    size: Callable[[int], int] | None
+    core: Callable
+    cost: Callable[..., float] | str
+    reads: Callable[[int], tuple] = lambda size: ()
+    applies: Callable[[int, int], bool] = lambda p, size: True
+    tie: int = 0
+
+
+# The fixed engines, in the order of ENGINES. The ranked engine without
+# transforms serves every product no transform can: `auto` sends the scalar
+# ones and those beyond the field's 2-adicity to it without pricing.
+# kronecker is not ranked where the transforms run in numpy: the stored
+# timings below 2**15 are of the Python loops, so it would win there where
+# the numpy tft is 2-5x faster.
 _ENGINES = {
-    "definition": (None, lambda u, v, req: lin_conv_def(u, v, req.field)),
-    "fft_pad": (_next_pow2, lambda u, v, req: _zero_padded(_circ_conv_fft, u, v, req, 1)),
-    "tft": (_next_pow2, lambda u, v, req: _conv_tft(u, v, req)),
-    "split": (lambda n: max(2, _next_pow2(n)) >> 1, lambda u, v, req: _zero_padded(_circ_conv_split, u, v, req, 2)),
-    "kronecker": (None, lambda u, v, req: lin_conv_kronecker(u, v, req.field)),
+    "definition": _Engine(None, lambda u, v, req: lin_conv_def(u, v, req.field),
+                          "quadratic: auto never falls back to it, and it stays the oracle"),
+    "fft_pad": _Engine(_next_pow2, lambda u, v, req: _zero_padded(_circ_conv_fft, u, v, req, 1),
+                       lambda z1, z2, dft: 3 * dft.measured_nanos, lambda size: (("dft", size),)),
+    "tft": _Engine(_next_pow2, lambda u, v, req: _conv_tft(u, v, req), _tft_cost,
+                   lambda size: (("tft", size), ("itft", size)), tie=2),
+    "split": _Engine(lambda n: max(2, _next_pow2(n)) >> 1, lambda u, v, req: _zero_padded(_circ_conv_split, u, v, req, 2),
+                     "fft_pad's work at half size plus a twist: no planned key times it, and it was never the fastest"),
+    "kronecker": _Engine(None, lambda u, v, req: lin_conv_kronecker(u, v, req.field), _kronecker_cost,
+                         lambda size: (("conv", size), ("conv", min(size, LINEAR_WORK_L))),
+                         lambda p, size: _numpy_kernels(p, size) is None, tie=1),
 }
+ENGINES = (*_ENGINES, "auto")
 
 
 def _linear(engine: str, u, v, req: ConvRequest) -> list[int]:
     # A linear engine's door, after its operand check.
-    size, core = _ENGINES[engine]
+    size, core = _ENGINES[engine][:2]
     return _listed(get_table(req.field, size(len(u) + len(v) - 1)), lambda a, b: core(a, b, req), u, v)
-
-
-def _resolve_engine(a_len: int, b_len: int, req: ConvRequest) -> str:
-    if req.engine != "auto":
-        return req.engine
-    if req.planner is None:
-        raise ValueError("engine 'auto' requires a ConvRequest.planner plan session")
-    return req.planner.resolve_engine(req.field, a_len, b_len)
 
 
 def poly_mul(a: DensePoly, b: DensePoly, req: ConvRequest) -> DensePoly:
@@ -382,14 +446,15 @@ def poly_mul(a: DensePoly, b: DensePoly, req: ConvRequest) -> DensePoly:
     degree+1.
 
     This is where a product crosses between Python ints and numpy, once each
-    way. Where the engine's transforms run in numpy (`_ENGINES` and
+    way, through `transform._run` as at the doors. Where the engine's
+    transforms run in numpy (its `_ENGINES` size rule and
     `transform._numpy_inputs`), each trimmed operand is converted to a uint64
     array by `_as_residues`, the engine's core pads and multiplies in arrays,
     and its ndarray product becomes the DensePoly, which checks it in numpy.
-    Every other engine, size and prime gets lists and returns a list. A
-    product that ran on lists at a size and prime the numpy kernels take
-    counts as three transforms toward the process's switch to numpy
-    (`transform._ran_in_python`).
+    Every other engine, size and prime gets the trimmed coefficient tuples
+    and returns a list. A product that ran on them at a size and prime the
+    numpy kernels take counts as three transforms toward the process's
+    switch to numpy (`transform._ran_in_python`).
     """
     _check_fields(a, b)
     if a.field.p != req.field.p:
@@ -399,11 +464,14 @@ def poly_mul(a: DensePoly, b: DensePoly, req: ConvRequest) -> DensePoly:
     if a.is_zero() or b.is_zero():
         return DensePoly.zero(a.field)
     u, v = a.normalize().coeffs, b.normalize().coeffs
-    engine = _resolve_engine(len(u), len(v), req)
-    size, core = _ENGINES[engine]
-    table = None if size is None else get_table(req.field, size(len(u) + len(v) - 1))
-    arrays = None if table is None else _numpy_inputs(table, u, v)
-    product = core(*(arrays or (list(u), list(v))), req)
-    if table is not None and arrays is None:
-        _ran_in_python(table, 3)
+    engine = req.engine
+    if engine == "auto":
+        if req.planner is None:
+            raise ValueError("engine 'auto' requires a ConvRequest.planner plan session")
+        engine = req.planner.resolve_engine(req.field, len(u), len(v))
+    size, core = _ENGINES[engine][:2]
+    if size is None:
+        product = core(u, v, req)
+    else:
+        product = _run(get_table(req.field, size(len(u) + len(v) - 1)), lambda x, y: core(x, y, req), u, v)
     return DensePoly(a.field, product).normalize()

@@ -26,9 +26,10 @@ engine makes, on the vectors it passes: a transform core (`transform._moddft`,
 `transform._numpy_inputs`, so a uint64 array wherever the engines run in
 arrays and a list elsewhere; Kronecker on a pair of lists.
 Only the transform kinds fetch a twiddle table: Kronecker runs at any size.
-The engine choice scales these timings to the product's shape (the
-transforms by exact butterfly counts, `conv` by CPython's multiply cost on
-the packed lengths), so it never searches for a new shape.
+The engine choice (`PlanSession.resolve_engine`) prices each engine by the
+cost its `convolve._ENGINES` entry gives from these timings, so a new shape
+needs no search up to the planned max L; beyond it, the first product
+searches that L's `planned_keys`.
 """
 
 from __future__ import annotations
@@ -39,29 +40,14 @@ import time
 from dataclasses import dataclass, replace
 
 from . import __version__
-from .convolve import _kronecker_slot, _next_pow2, lin_conv_kronecker
+from .convolve import _ENGINES, _next_pow2, lin_conv_kronecker
 from .field import FourierPrime, LineError, UnsupportedSizeError, _clip, _lines, root_of_unity
-from .transform import (
-    _itft,
-    _moddft,
-    _numpy_inputs,
-    _numpy_kernels,
-    _tft,
-    get_table,
-    itft_butterflies,
-    tft_butterflies,
-)
+from .transform import _itft, _moddft, _numpy_inputs, _tft, get_table
 
 KINDS = ("dft", "tft", "itft", "conv")
 RADIX_MENU = (2, 4, 8)
 STORE_VERSION = "modconv-plan v1"
 DEFAULT_SEARCH_REPS = 5
-# CPython multiplies a b-digit int by a c-digit one, c <= b, in about
-# b * c**0.585 steps: Karatsuba (exponent log2(3)) on b/c pieces of c digits.
-KARATSUBA_EXPONENT = 0.585
-# The size whose conv timing prices Kronecker's linear packing work: a 17 x 17
-# product, where packing and unpacking take nearly all of the time.
-LINEAR_WORK_L = 64
 
 # Characters an exec signature may hold: printable ASCII but the field separator.
 _SIGNATURE_CHARS = frozenset(map(chr, range(0x20, 0x7F))) - {"|"}
@@ -387,63 +373,31 @@ class PlanSession:
     def resolve_engine(self, field: FourierPrime, z1: int, z2: int) -> str:
         """Pick the cheapest engine for a z1 x z2 product from measured timings.
 
-        Only `planned_keys` are read, at the padded size L (and `conv` at
-        LINEAR_WORK_L), so a new shape never triggers a search. `fft_pad`
-        costs three `dft` timings, and `tft` the truncated timings scaled by
-        exact butterfly counts. `kronecker` is ranked only where the
-        transforms at (p, L) run the Python loops, because the stored
-        transform timings below 2**15 are of those loops; where it is ranked,
-        see `_kronecker_cost`. A scalar product, or one longer than the
-        field's 2-adicity allows a transform for, goes to `kronecker` without
-        reading a key; the field says which sizes it hosts (`root_of_unity`).
-        No fixed size thresholds.
+        Each fixed engine in `convolve._ENGINES` that has a cost and applies
+        at (p, L), L the padded size, is priced from the `planned_keys` it
+        reads, through `lookup`; the cheapest wins, and equal costs go to
+        the lowest `tie`. Up to the planned max L every key is in the store,
+        so no shape searches; beyond it, lookup searches that L's keys once.
+        A scalar product, or one longer than the field's 2-adicity allows a
+        transform for, goes to the ranked engine without transforms and
+        reads no key; the field says which sizes it hosts (`root_of_unity`).
         """
         n = z1 + z2 - 1
         size = _next_pow2(n)
+        any_length = next(name for name, e in _ENGINES.items() if e.size is None and callable(e.cost))
         if n == 1:
-            return "kronecker"
+            return any_length
         try:
             root_of_unity(field, size)
         except UnsupportedSizeError:
-            return "kronecker"
-        p = field.p
-        keys = planned_keys(p, size)
-        t_dft, t_tft, t_itft = (self.lookup(k).measured_nanos for k in keys[:3])
-        costs = [
-            (3 * t_dft, "fft_pad"),
-            (
-                t_tft
-                * (tft_butterflies(size, z1, n) + tft_butterflies(size, z2, n))
-                / tft_butterflies(size, size, size)
-                + t_itft * itft_butterflies(size, n) / itft_butterflies(size, size),
-                "tft",
-            ),
-        ]
-        if _numpy_kernels(p, size) is None:
-            costs.append((self._kronecker_cost(keys[3], z1, z2), "kronecker"))
-        # The names sort in order of preference: ties go to fft_pad, then kronecker.
-        return min(costs)[1]
-
-    def _kronecker_cost(self, timed: PlanKey, z1: int, z2: int) -> float:
-        """The `timed` conv timing scaled to z1 x z2, floored by the linear work.
-
-        The scale is CPython's multiply cost, b * c**KARATSUBA_EXPONENT, on
-        the packed lengths of the product against those of the timed shape.
-        That ignores packing and unpacking, which are linear in the product
-        length n and dominate short or lopsided products, so the cost is at
-        least the `conv` timing at LINEAR_WORK_L scaled by n.
-        """
-        p = timed.p
-        base = planned_keys(p, min(timed.L, LINEAR_WORK_L))[3]
-
-        def mul_steps(a: int, b: int) -> float:
-            slot = _kronecker_slot(p, min(a, b))
-            return max(a, b) * slot * (min(a, b) * slot) ** KARATSUBA_EXPONENT
-
-        t_timed, t_base = self.lookup(timed).measured_nanos, self.lookup(base).measured_nanos
-        scaled = t_timed * mul_steps(z1, z2) / mul_steps(timed.z, timed.n + 1 - timed.z)
-        floor = t_base * (z1 + z2 - 1) / base.n
-        return max(scaled, floor)
+            return any_length
+        costs = []
+        for name, engine in _ENGINES.items():
+            if callable(engine.cost) and engine.applies(field.p, size):
+                # planned_keys gives one key of each kind, in the order of KINDS.
+                entries = (self.lookup(planned_keys(field.p, at)[KINDS.index(kind)]) for kind, at in engine.reads(size))
+                costs.append((engine.cost(z1, z2, *entries), engine.tie, name))
+        return min(costs)[2]
 
     # -- replay ---------------------------------------------------------------
 

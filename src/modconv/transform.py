@@ -254,20 +254,25 @@ def _numpy_inputs(table: TwiddleTable, *vecs):
     return [_as_residues(v, p) for v in vecs]
 
 
-def _listed(table: TwiddleTable, core, *vecs) -> list[int]:
-    """core(*vecs) for a door (a public transform or engine), as a list.
+def _run(table: TwiddleTable, core, *vecs):
+    """core(*vecs) on the lists vecs as `_numpy_inputs` makes them, counting a run on lists.
 
-    The lists vecs reach core as `_numpy_inputs` makes them: uint64 arrays
-    where table's transforms run in numpy, else as they are. A run on lists
-    is counted (`_ran_in_python`) as one transform for a transform door and
-    three for an engine door, which hands two vectors.
+    The core gets uint64 arrays where table's transforms run in numpy, else
+    vecs as they are. A run on lists is counted (`_ran_in_python`) as one
+    transform for one vector (a transform) and three for two (a product).
     """
     arrays = _numpy_inputs(table, *vecs)
     if arrays is not None:
-        return core(*arrays).tolist()
+        return core(*arrays)
     out = core(*vecs)
     _ran_in_python(table, 1 if len(vecs) == 1 else 3)
     return out
+
+
+def _listed(table: TwiddleTable, core, *vecs) -> list[int]:
+    """`_run`(table, core, *vecs) for a door (a public transform or engine), as a list."""
+    out = _run(table, core, *vecs)
+    return out if isinstance(out, list) else out.tolist()
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)

@@ -12,7 +12,7 @@ import random
 from dataclasses import replace
 
 from .convolve import (
-    ENGINES,
+    _ENGINES,
     ConvRequest,
     _circ_conv_fft,
     _circ_conv_split,
@@ -274,14 +274,14 @@ def _suite_convolution_theorem(rng, cap, fields):
 def _suite_engines(rng, cap, fields):
     top = min(cap, 128)
     for fp in fields:
-        req = ConvRequest(fp, engine="definition")
+        req = ConvRequest(fp)
         for _ in range(60):
             z1, z2 = rng.randint(1, top), rng.randint(1, top)
             a = DensePoly(fp, tuple(rng.randrange(fp.p) for _ in range(z1)))
             b = DensePoly(fp, tuple(rng.randrange(fp.p) for _ in range(z2)))
             # poly_mul normalizes; schoolbook keeps padded length on padded input.
             want = mul_schoolbook(a, b).normalize()
-            for engine in (e for e in ENGINES if e != "auto"):
+            for engine in _ENGINES:
                 got = poly_mul(a, b, replace(req, engine=engine))
                 if got != want:
                     return False, f"engine {engine} != schoolbook at p={fp.p}, {z1}x{z2}"
@@ -290,7 +290,7 @@ def _suite_engines(rng, cap, fields):
 
 def _suite_split_residues(rng, cap, fields):
     fp = fields[-1]
-    req = ConvRequest(fp, engine="definition")
+    req = ConvRequest(fp)
     for size in _pow2_range(min(cap, 128, 1 << (fp.two_adicity - 1))):
         u = [rng.randrange(fp.p) for _ in range(size)]
         v = [rng.randrange(fp.p) for _ in range(size)]
@@ -304,7 +304,7 @@ def _suite_split_residues(rng, cap, fields):
 
 def _suite_negacyclic(rng, cap, fields):
     fp = fields[-1]
-    req = ConvRequest(fp, engine="definition")
+    req = ConvRequest(fp)
     for size in _pow2_range(min(cap, 64, 1 << (fp.two_adicity - 1))):
         u = [rng.randrange(fp.p) for _ in range(size)]
         v = [rng.randrange(fp.p) for _ in range(size)]
@@ -317,7 +317,7 @@ def _suite_negacyclic(rng, cap, fields):
 
 def _suite_linear_defs(rng, cap, fields):
     fp = fields[0]
-    req = ConvRequest(fp, engine="definition")
+    req = ConvRequest(fp)
     for _ in range(80):
         m, n = rng.randint(1, 32), rng.randint(1, 32)
         u = [rng.randrange(fp.p) for _ in range(m)]

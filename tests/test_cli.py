@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modconv import (
+    ENGINES,
     ConvRequest,
     DensePoly,
     FourierPrime,
@@ -121,7 +122,7 @@ class TestMul:
         a = poly_from_text(fa.read_text())
         b = poly_from_text(fb.read_text())
         want = mul_schoolbook(a, b).normalize()
-        for engine in ("definition", "fft_pad", "tft", "split", "kronecker", "auto"):
+        for engine in ENGINES:
             assert main(["mul", str(fa), str(fb), "--engine", engine, "-o", str(out)]) == EXIT_OK
             assert poly_from_text(out.read_text()) == want, engine
 

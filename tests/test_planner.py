@@ -22,7 +22,7 @@ from modconv import (
     store_save,
     tft_butterflies,
 )
-from modconv import planner, transform
+from modconv import convolve, planner, transform
 from modconv.planner import STORE_VERSION
 
 from conftest import LARGE_PRIME, random_vec
@@ -384,7 +384,7 @@ class TestResolveEngine:
         # The conv key at L = 16 times 5 x 5; an 8 x 8 product packs both
         # inputs at 8 bytes per coefficient too, so it costs (64/40)**1.585
         # times as much, above the linear floor of n/9 = 15/9.
-        cost = 1000 * 1.6 ** (1 + planner.KARATSUBA_EXPONENT)
+        cost = 1000 * 1.6 ** (1 + convolve.KARATSUBA_EXPONENT)
         assert cost > 1000 * 15 / 9
         for dft, pick in ((int(cost / 3) - 1, "fft_pad"), (int(cost / 3) + 1, "kronecker")):
             session = self._stocked_session(tft_nanos=10**9, dft_nanos=dft, conv_nanos=1000)
@@ -395,7 +395,7 @@ class TestResolveEngine:
         # alone it would cost about 0.41 * 100_000 ns. Packing and unpacking
         # are priced from the conv timing at LINEAR_WORK_L = 64 (a 17 x 17
         # product, n = 33) by n, which makes it 127 * 1000 ns.
-        base = planner.planned_keys(LARGE_PRIME, planner.LINEAR_WORK_L)[3]
+        base = planner.planned_keys(LARGE_PRIME, convolve.LINEAR_WORK_L)[3]
         assert (base.z, base.n) == (17, 33)
         floor = 127_000
         for dft, pick in ((floor // 3 - 1, "fft_pad"), (floor // 3 + 1, "kronecker")):
@@ -461,6 +461,145 @@ class TestResolveEngine:
         session = self._stocked_session(tft_nanos=10**6, dft_nanos=10**6, conv_nanos=10, size=256)
         session.store.add(PlanEntry(planner.planned_keys(LARGE_PRIME, 64)[3], (2,) * 5, 2, 10, session.signature))
         assert session.resolve_engine(fp998, 100, 100) == "kronecker"
+
+
+# The picks grid: over 998244353 and two 62-bit primes (2-adicity 25 and 11),
+# product lengths n = 7/8*2**k, 2**k and 2**k + 1 for k = 1..16, each split
+# 1:1 and 1:8, with and without numpy loaded.
+PICK_PRIMES = (LARGE_PRIME, WIDE_PRIME, 2305843009213704193)
+PICK_SHAPES = tuple(dict.fromkeys(
+    (z1, n + 1 - z1)
+    for k in range(1, 17)
+    for n in (7 * 2**k // 8, 2**k, 2**k + 1)
+    for z1 in (max(1, n // 2), max(1, n // 9))
+))
+PICK_TOP = 1 << 17  # the padded size of the longest product, 2**16 + 1
+
+
+def stock_pick_store(session):
+    """Every planned key up to PICK_TOP for PICK_PRIMES, with seeded timings shaped like a 2-core host's.
+
+    A transform costs about 290 ns per Python-loop butterfly (350 over a
+    62-bit prime) and 16 ns in numpy, which `modconv plan` runs from 2**15
+    over p < 2**32; `tft` and `itft` take 1.15x and 1.3x a `dft`. `conv`
+    grows as (L/2048)**1.46 from 0.86 ms, 2.2x that over a 62-bit prime.
+    Each timing is scaled by a seeded factor in [0.8, 1.25].
+    """
+    rng = random.Random(2023)
+    for p in PICK_PRIMES:
+        for log in range(1, PICK_TOP.bit_length()):
+            size = 1 << log
+            per = 350 if p >> 32 else 16 if size >= 1 << 15 else 290
+            transform_ns = per * (size >> 1) * log
+            conv_ns = 4000 + 860_000 * (2.2 if p >> 32 else 1) * (size / 2048) ** 1.46
+            scale = {"dft": transform_ns, "tft": 1.15 * transform_ns, "itft": 1.3 * transform_ns, "conv": conv_ns}
+            for key in planner.planned_keys(p, size):
+                nanos = int(scale[key.kind] * rng.uniform(0.8, 1.25))
+                session.store.add(PlanEntry(key, (2,) * (log - 1), 2, nanos, session.signature))
+
+
+# `auto`'s picks on PICK_SHAPES over each of PICK_PRIMES from stock_pick_store,
+# with numpy loaded (True) or not (False), one letter per shape: f for
+# fft_pad, t for tft, k for kronecker. Recorded from the planner before the
+# engines' costs moved into `convolve._ENGINES`.
+RECORDED_PICKS = {
+    False: {
+        998244353: "kftftkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkttttttttfffftt",
+        2305843009448574977: "kftffkkkkfkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkfkkkkkfkkkffffkk",
+        2305843009213704193: "ktkfkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkk",
+    },
+    True: {
+        998244353: "kftftkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkttttttttftffttffffttttftttffffttffffttttttttfffftt",
+        2305843009448574977: "kftffkkkkfkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkfkkkkkfkkkffffkk",
+        2305843009213704193: "ktkfkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkk",
+    },
+}
+
+
+def numpy_decision(loaded):
+    # `_numpy_kernels` as a process with numpy loaded (or not, and under its
+    # import budget) decides, whether or not this one has numpy.
+    lowest = transform._NUMPY_CROSSOVER if loaded else transform._NUMPY_MIN_SIZE
+    return lambda p, size: transform if p < 1 << 32 and size >= lowest else None
+
+
+class TestEngineTable:
+    def test_every_fixed_engine_has_an_entry(self):
+        from modconv import ENGINES
+
+        assert ENGINES == ("definition", "fft_pad", "tft", "split", "kronecker", "auto")
+        assert ENGINES == (*convolve._ENGINES, "auto")
+
+    def test_every_entry_has_a_cost_or_its_reason(self):
+        unranked = set()
+        for name, engine in convolve._ENGINES.items():
+            if not callable(engine.cost):
+                assert isinstance(engine.cost, str) and engine.cost.strip(), name
+                unranked.add(name)
+        assert unranked == {"definition", "split"}
+
+    @pytest.mark.parametrize("loaded", [False, True])
+    def test_inside_the_planned_l_only_planned_keys_are_read(self, monkeypatch, loaded):
+        # A store planned to L = 1024 over two primes; every product that
+        # fits in it reads only those keys and picks an engine with a cost.
+        monkeypatch.setattr(convolve, "_numpy_kernels", numpy_decision(loaded))
+        session = make_session()
+        planned = set()
+        for p in (LARGE_PRIME, WIDE_PRIME):
+            for log in range(1, 11):
+                for key in planner.planned_keys(p, 1 << log):
+                    planned.add(key)
+                    session.store.add(PlanEntry(key, (2,) * (log - 1), 2, 1000 * log + key.L, session.signature))
+        read = []
+        lookup = session.lookup
+        monkeypatch.setattr(session, "lookup", lambda key: read.append(key) or lookup(key))
+        from modconv import FourierPrime
+
+        for p in (LARGE_PRIME, WIDE_PRIME):
+            fp = FourierPrime.from_modulus(p)
+            for z1 in (1, 2, 3, 7, 64, 300, 512):
+                for z2 in (1, 5, 100, 400, 513):
+                    if z1 + z2 - 1 <= 1024:
+                        pick = session.resolve_engine(fp, z1, z2)
+                        assert callable(convolve._ENGINES[pick].cost), (p, z1, z2)
+        assert read and set(read) <= planned
+        assert session.search_count == 0 and len(session.store) == len(planned)
+
+    def test_ties_go_by_the_table(self, monkeypatch, fp998):
+        # With every ranked cost equal, the pick is the lowest `tie` among the
+        # engines that apply: fft_pad, then kronecker, then tft.
+        monkeypatch.setattr(convolve, "_numpy_kernels", lambda p, size: None)
+        ranked = {name: e for name, e in convolve._ENGINES.items() if callable(e.cost)}
+        assert sorted(ranked, key=lambda name: ranked[name].tie) == ["fft_pad", "kronecker", "tft"]
+        for name, engine in ranked.items():
+            monkeypatch.setitem(convolve._ENGINES, name, engine._replace(cost=lambda z1, z2, *entries: 1))
+        session = TestResolveEngine()._stocked_session(tft_nanos=1, dft_nanos=1, conv_nanos=1)
+        session.store.add(PlanEntry(planner.planned_keys(LARGE_PRIME, 64)[3], (2,) * 5, 2, 1, session.signature))
+        for pick in ("fft_pad", "kronecker", "tft"):
+            assert session.resolve_engine(fp998, 8, 8) == pick
+            # Price the winner out, and the next in the tie order wins.
+            monkeypatch.setitem(convolve._ENGINES, pick, ranked[pick]._replace(cost=lambda z1, z2, *entries: 2))
+        assert session.search_count == 0
+
+    @pytest.mark.parametrize("loaded", [False, True])
+    def test_picks_match_the_recorded_ones(self, monkeypatch, loaded):
+        from modconv import FourierPrime
+
+        monkeypatch.setattr(convolve, "_numpy_kernels", numpy_decision(loaded))
+        session = make_session()
+        stock_pick_store(session)
+        stocked = len(session.store)
+        picks = {
+            p: "".join(session.resolve_engine(FourierPrime.from_modulus(p), *shape)[0] for shape in PICK_SHAPES)
+            for p in PICK_PRIMES
+        }
+        assert picks == RECORDED_PICKS[loaded]
+        assert session.search_count == 0 and len(session.store) == stocked
+
+    def test_recorded_picks_cover_every_ranked_engine(self):
+        letters = "".join(s for by_prime in RECORDED_PICKS.values() for s in by_prime.values())
+        assert len(letters) == 2 * len(PICK_PRIMES) * len(PICK_SHAPES) >= 500
+        assert all(letters.count(c) >= 10 for c in "ftk"), {c: letters.count(c) for c in "ftk"}
 
 
 def _cpuinfo_has_model_name() -> bool:
