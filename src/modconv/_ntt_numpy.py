@@ -6,10 +6,12 @@ for importing numpy, and runs smaller transforms here too once numpy is loaded
 pure-Python counterpart in `transform` computes, a few numpy operations per
 stage (per level, on itft's partial path) instead of one Python statement per
 butterfly. Each takes a uint64 ndarray of residues and returns a new uint64
-ndarray, leaving its input unchanged. In the library only the transform
-cores in `transform` call them, on arrays that a door or `poly_mul` made
-from lists with `transform._as_residues` and that are taken as they are; a
-door converts the result back to a list. tft walks the stages that
+ndarray, leaving its input unchanged. No kernel divides by the size: the
+inverse moddft, like itft, returns size times its result, and
+`transform._div_size` scales once per product. In the library only the
+transform cores in `transform` call them, on arrays that `transform._run`
+made from lists with `transform._as_residues` and that are taken as they
+are; a door converts the result back to a list. tft walks the stages that
 `transform._tft_path` returns and itft the levels that
 `transform._itft_path` returns, as the pure-Python loops do. Argument
 checks and `OpCounters` stay with the callers in `transform`.
@@ -270,18 +272,17 @@ def _inverses(c, sizes, stages, p) -> None:
 
 
 def moddft(x, table, direction: str):
-    """transform.moddft's loops; direction is "fwd" or "inv"."""
+    """transform._moddft's loops; direction is "fwd" or "inv", and the
+    inverse, like the core's, returns size times the inverse DFT."""
     fwd, inv, gather = stage_arrays(table)
     stages = fwd if direction == "fwd" else inv
-    p = table.field.p
+    p = _u64(table.field.p)
     with _small_buffer():
         rows = x.reshape(1, -1) if gather is None else x[gather].reshape(-1, _ROW)
         vec = np.empty(table.size, dtype=np.uint64)
-        _stockham(rows, vec.reshape(rows.shape), stages, _u64(p))
+        _stockham(rows, vec.reshape(rows.shape), stages, p)
         if gather is not None:
-            _dit(vec, [table.size], stages, _u64(p), _ROW.bit_length() - 1)
-        if direction == "inv":
-            vec = mulmod(vec, table.inv_size, quotient(table.inv_size, p), p)
+            _dit(vec, [table.size], stages, p, _ROW.bit_length() - 1)
     return vec
 
 

@@ -24,7 +24,7 @@ import sys
 import time
 from dataclasses import dataclass
 
-from .convolve import ENGINES, ConvRequest, poly_mul
+from .convolve import ENGINES, ConvRequest, _check_engine, poly_mul
 from .field import FieldMismatchError, FourierPrime, UnsupportedSizeError, find_fourier_prime, root_of_unity
 from .planner import PlanFormatError, PlanSession, PlanStore, planned_keys, store_load, store_save
 from .poly import DensePoly, PolyTextError, poly_from_text, poly_to_text
@@ -60,8 +60,7 @@ class SweepConfig:
         if self.reps < 1 or self.step < 1:
             raise ValueError("reps and step must be >= 1")
         for engine in self.engines:
-            if engine not in ENGINES:
-                raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
+            _check_engine(engine)
 
     def sizes(self):
         return range(self.n_min, self.n_max + 1, self.step)
@@ -283,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--min", type=int, required=True)
     p_sweep.add_argument("--max", type=int, required=True)
     p_sweep.add_argument("--step", default="all", help="stride, or 'all' for every size (default)")
-    p_sweep.add_argument("--engines", default="fft_pad,tft")
+    p_sweep.add_argument("--engines", default=",".join(SweepConfig.engines))
     sweep_field = p_sweep.add_mutually_exclusive_group()
     sweep_field.add_argument("--prime", type=int, default=DEFAULT_SWEEP_PRIME)
     sweep_field.add_argument("--prime-bits", type=int, default=None)

@@ -7,33 +7,41 @@ Kronecker substitution (one CPython big-integer multiply, for any prime and
 any length). All engines are exact, so every applicable engine produces
 bit-identical output; they differ only in operation counts.
 
-Every engine checks its operands by one rule (`_operands`): both nonempty,
-and of equal length for the circular ones. The transform-backed engines get
-their table from `get_table`, which refuses a length the field cannot
-transform. A linear product through a circular engine (`lin_conv_fft_pad`,
-and `poly_mul`'s `split`) is one step, `_zero_padded`.
+Every engine checks its operands by one rule (`_operands`): lists of ints
+by DensePoly's rule (`transform._ints`: an int-like through
+`operator.index`, a non-integer or an ndarray raises ValueError), both
+nonempty, and of equal length for the circular ones. The transform-backed
+engines get their table from `get_table`, which refuses a length the field
+cannot transform. A linear product through a circular engine
+(`lin_conv_fft_pad`, and `poly_mul`'s `split`) is one step, `_zero_padded`.
 
-Doors and cores. Every public engine takes lists and returns a list; an
-ndarray operand raises ValueError (`_operands`). Each transform-backed
-engine (`circ_conv_fft`, `nega_conv`, `circ_conv_split`, `conv_tft`,
-`lin_conv_fft_pad`) is a door over a private core (`_circ_conv_fft`,
-`_nega_conv`, `_circ_conv_split`, `_conv_tft`, and `_zero_padded` for the
-padded ones). Wherever its transforms run in numpy (see
+Doors and cores. Every public engine takes lists and returns a list. Each
+transform-backed engine (`circ_conv_fft`, `nega_conv`, `circ_conv_split`,
+`conv_tft`, `lin_conv_fft_pad`) is a door over a private core
+(`_circ_conv_fft`, `_nega_conv`, `_circ_conv_split`, `_conv_tft`, and
+`_zero_padded` for the padded ones). Every such core returns L times its
+product, where L is the size of the table the product is run on: its
+inverse transforms do not scale, as itft does not. One step, `_product`,
+serves the five doors and `poly_mul`: it takes the table of the size the
+engine's rule gives, runs the core through `transform._run`, and divides by
+L once (`transform._div_size`), after `_zero_padded`'s cut, so fft_pad
+scales n values and split, at L/2, scales once. `_run` hands the core
+uint64 arrays wherever the transforms run in numpy (see
 `transform._numpy_kernels`, which takes sizes from 2**9 on once a
 transform of 2**15, or the process's earlier Python-loop transforms, have
-paid for importing numpy), the door converts each input once
-(`transform._listed`, which reduces ints outside [0, p)), and converts
-the core's result to a list once. A core trusts what it is handed and calls
-only cores. On uint64 arrays every step stays in arrays (transforms,
-pointwise product, 1/L scale, twist, residues, padding); on lists every
-step runs the Python loops. Both paths return the same values and count the
-same operations. `poly_mul` hands each trimmed operand to the core from
-`_ENGINES` through the same step (`transform._run`), and hands an ndarray
-product to `DensePoly`, which range-checks it in numpy and stores it as
-ints. So no padding zero is converted, and nothing below a door or
-`poly_mul` checks its arrays again. The residue maps are public and called
-by the split core, so they take lists or uint64 arrays, and check an array
-by `transform._as_residues`' rule.
+paid for importing numpy), converting each input once (which reduces ints
+outside [0, p)), and a door converts the result to a list once
+(`transform._listed`). A core trusts what it is handed and calls only
+cores. On uint64 arrays every step stays in arrays (transforms, pointwise
+product, 1/L scale, twist, residues, padding); on lists every step runs the
+Python loops. Both paths return the same values and count the same
+operations. `poly_mul` hands its trimmed operands, ints that `DensePoly`
+has checked, to the same step, and hands an ndarray product to
+`DensePoly`, which range-checks it in numpy and stores it as ints. So no
+padding zero is converted, and nothing below a door or `poly_mul` checks
+its arrays again. The residue maps are public and called by the split
+core, so they take lists of ints or uint64 arrays, and check an array by
+`transform._as_residues`' rule.
 
 One table. `_ENGINES` holds each fixed engine: its transform-size rule, its
 core, and how `auto` prices it (`_Engine`): the planned keys its cost reads,
@@ -55,7 +63,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .field import FieldMismatchError, FourierPrime
 from .poly import DensePoly, _check_fields
-from .transform import OpCounters, _as_residues, _is_array, _listed, _numpy_kernels, _run, get_table
+from .transform import OpCounters, _as_residues, _div_size, _ints, _is_array, _listed, _numpy_kernels, _run, get_table
 from .transform import itft_butterflies, tft_butterflies
 
 # The engines call the transform cores by these module names, as they call
@@ -81,33 +89,50 @@ class ConvRequest:
     planner: "PlanSession | None" = dc_field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        if self.engine not in ENGINES:
-            raise ValueError(f"unknown engine {self.engine!r}; choose from {ENGINES}")
+        _check_engine(self.engine)
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
+
+
+def _check_engine(name: str) -> None:
+    """The one unknown-engine check, of a request's engine and of a sweep's."""
+    if name not in ENGINES:
+        raise ValueError(f"unknown engine {name!r}; choose from {ENGINES}")
 
 
 def _next_pow2(n: int) -> int:
     return 1 << (n - 1).bit_length() if n > 1 else 1
 
 
-def _operands(u, v, circular: bool = False) -> None:
-    """The engines' operand rule: lists, both nonempty, of equal length for a circular engine.
+def _operands(u, v, circular: bool = False) -> tuple[list[int], list[int]]:
+    """The engines' operand rule: u and v as lists of ints (`transform._ints`), both nonempty, of equal length for a circular engine.
 
     An ndarray is refused: only the cores take arrays.
     """
+    u, v = _ints(u), _ints(v)
     if not len(u) or not len(v) or circular and len(u) != len(v):
         kind = "equal nonempty" if circular else "nonempty"
         raise ValueError(f"need {kind} lengths, got {len(u)} and {len(v)}")
-    if _is_array(u) or _is_array(v):
-        raise ValueError("engines take lists, not ndarrays")
+    return u, v
+
+
+def _product(size: int, core, u, v, req: ConvRequest):
+    """core's product of u and v over the size-point table, divided by size once: the step of every transform-backed product.
+
+    `transform._run` hands core uint64 arrays where the table's transforms
+    run in numpy, else the lists, and keeps the process's tally. core
+    returns size times the product, and `transform._div_size` scales it.
+    """
+    table = get_table(req.field, size)
+    return _div_size(_run(table, lambda a, b: core(a, b, req), u, v), table)
 
 
 def _zero_padded(circ, u, v, req: ConvRequest, least: int):
     """The linear product u * v as the core circ on both zero-padded to max(least, next_pow2(n)), cut to n.
 
-    Both inputs are uint64 arrays or both lists, and are padded in their own
-    type, so that only their own values were converted.
+    It carries circ's factor, the table size. Both inputs are uint64 arrays
+    or both lists, and are padded in their own type, so that only their own
+    values were converted.
     """
     n = len(u) + len(v) - 1
     size = max(least, _next_pow2(n))
@@ -126,7 +151,7 @@ def _zero_padded(circ, u, v, req: ConvRequest, least: int):
 
 def circ_conv_def(u: list[int], v: list[int], fp: FourierPrime) -> list[int]:
     """Circular convolution straight from its defining sum (oracle)."""
-    _operands(u, v, circular=True)
+    u, v = _operands(u, v, circular=True)
     n = len(u)
     p = fp.p
     v2 = list(v) + list(v)
@@ -142,7 +167,7 @@ def circ_conv_def(u: list[int], v: list[int], fp: FourierPrime) -> list[int]:
 
 def lin_conv_def(u: list[int], v: list[int], fp: FourierPrime) -> list[int]:
     """Linear convolution straight from its defining sum (oracle)."""
-    _operands(u, v)
+    u, v = _operands(u, v)
     m, n = len(u), len(v)
     p = fp.p
     out = []
@@ -176,11 +201,12 @@ def _pointwise(a, b, p: int, req: ConvRequest):
 
 def circ_conv_fft(u: list[int], v: list[int], req: ConvRequest) -> list[int]:
     """Circular convolution as inverse-DFT of the pointwise spectral product."""
-    _operands(u, v, circular=True)
-    return _listed(get_table(req.field, len(u)), lambda a, b: _circ_conv_fft(a, b, req), u, v)
+    u, v = _operands(u, v, circular=True)
+    return _listed(_product(len(u), _circ_conv_fft, u, v, req))
 
 
 def _circ_conv_fft(u, v, req: ConvRequest):
+    # len(u) times the circular product: the inverse moddft core does not scale.
     table = get_table(req.field, len(u))
     uf = moddft(u, table, "fwd", req.counters)
     vf = moddft(v, table, "fwd", req.counters)
@@ -190,8 +216,7 @@ def _circ_conv_fft(u, v, req: ConvRequest):
 
 def lin_conv_fft_pad(u: list[int], v: list[int], req: ConvRequest) -> list[int]:
     """Linear convolution by zero-padding into a power-of-two circular one."""
-    _operands(u, v)
-    return _linear("fft_pad", u, v, req)
+    return _listed(_ENGINES["fft_pad"].run(*_operands(u, v), req))
 
 
 def nega_conv(u: list[int], v: list[int], req: ConvRequest) -> list[int]:
@@ -200,11 +225,12 @@ def nega_conv(u: list[int], v: list[int], req: ConvRequest) -> list[int]:
     Needs a root of order 2n, i.e. one extra level of 2-adicity beyond the
     circular case.
     """
-    _operands(u, v, circular=True)
-    return _listed(get_table(req.field, len(u)), lambda a, b: _nega_conv(a, b, req), u, v)
+    u, v = _operands(u, v, circular=True)
+    return _listed(_product(len(u), _nega_conv, u, v, req))
 
 
 def _nega_conv(u, v, req: ConvRequest):
+    # len(u) times the negacyclic product, untwisted from the circular core's.
     p = req.field.p
     twist = get_table(req.field, 2 * len(u))
     # psi**j and psi**-j for j < n, psi**2 == w_n.
@@ -227,15 +253,16 @@ def circ_conv_split(u: list[int], v: list[int], req: ConvRequest) -> list[int]:
     circularly and negacyclically, and the halves are recombined with the
     inverse of 2.
     """
-    _operands(u, v, circular=True)
+    u, v = _operands(u, v, circular=True)
     size = len(u)
     # Halving drops an odd length's last bit, so get_table(n) cannot refuse it.
     if size & (size - 1) or size < 2:
         raise ValueError(f"length must be a power of two >= 2: {size}")
-    return _listed(get_table(req.field, size >> 1), lambda a, b: _circ_conv_split(a, b, req), u, v)
+    return _listed(_product(size >> 1, _circ_conv_split, u, v, req))
 
 
 def _circ_conv_split(u, v, req: ConvRequest):
+    # len(u)/2 times the product, recombined from two half-size cores' products.
     p = req.field.p
     ua, ub = split_residues(u, p)
     va, vb = split_residues(v, p)
@@ -258,8 +285,9 @@ def _residue_pair(lo, hi, p: int):
 def split_residues(u: list[int], p: int) -> tuple[list[int], list[int]]:
     """Residues of u mod (x**n - 1) and mod (x**n + 1), for n = len(u)/2.
 
-    len(u) must be even and nonzero. A uint64 ndarray u (p < 2**32) must
-    hold residues (`transform._as_residues`) and gives arrays back.
+    len(u) must be even and nonzero. A list holds ints (`transform._ints`).
+    A uint64 ndarray u (p < 2**32) must hold residues
+    (`transform._as_residues`) and gives arrays back.
     """
     n = len(u) >> 1
     if not n or len(u) & 1:
@@ -267,6 +295,7 @@ def split_residues(u: list[int], p: int) -> tuple[list[int], list[int]]:
     if _is_array(u):
         u = _as_residues(u, p)
         return _residue_pair(u[:n], u[n:], p)
+    u = _ints(u)
     a = [(u[j] + u[j + n]) % p for j in range(n)]
     b = [(u[j] - u[j + n]) % p for j in range(n)]
     return a, b
@@ -275,12 +304,14 @@ def split_residues(u: list[int], p: int) -> tuple[list[int], list[int]]:
 def recombine_residues(a: list[int], b: list[int], p: int) -> list[int]:
     """Inverse of split_residues: lift the residue pair back to length 2n.
 
-    a and b must be nonempty and of equal length. An ndarray among them puts
-    the map in arrays: each input then goes through `transform._as_residues`,
-    and the result is an array.
+    a and b must be nonempty and of equal length, and a list holds ints
+    (`transform._ints`). An ndarray among them puts the map in arrays: each
+    input then goes through `transform._as_residues`, and the result is an
+    array.
     """
     if not len(a) or len(a) != len(b):
         raise ValueError(f"need equal nonempty lengths, got {len(a)} and {len(b)}")
+    a, b = (x if _is_array(x) else _ints(x) for x in (a, b))
     inv2 = (p + 1) >> 1
     if _is_array(a) or _is_array(b):
         import numpy as np
@@ -303,24 +334,16 @@ def conv_tft(g: list[int], h: list[int], req: ConvRequest) -> list[int]:
     pointwise (exactly n products), and recovered through the inverse
     truncated transform and one division by L.
     """
-    _operands(g, h)
-    return _linear("tft", g, h, req)
+    return _listed(_ENGINES["tft"].run(*_operands(g, h), req))
 
 
 def _conv_tft(g, h, req: ConvRequest):
+    # L times the product: itft does not divide by L.
     n = len(g) + len(h) - 1
     table = get_table(req.field, _next_pow2(n))
-    p = req.field.p
     gf = tft(table, g, n, req.counters)
     hf = tft(table, h, n, req.counters)
-    prod = _pointwise(gf, hf, p, req)
-    scaled = itft(table, prod, req.counters)
-    inv_size = table.inv_size
-    if _is_array(scaled):
-        from ._ntt_numpy import mulmod, quotient
-
-        return mulmod(scaled, inv_size, quotient(inv_size, p), p)
-    return [x * inv_size % p for x in scaled]
+    return itft(table, _pointwise(gf, hf, req.field.p, req), req.counters)
 
 
 def _kronecker_slot(p: int, shorter: int) -> int:
@@ -338,7 +361,12 @@ def lin_conv_kronecker(u: list[int], v: list[int], fp: FourierPrime) -> list[int
     first. Exact for any p and any lengths; it needs no twiddle table and
     counts no butterflies or pointwise products.
     """
-    _operands(u, v)
+    return _kronecker(*_operands(u, v), fp)
+
+
+def _kronecker(u, v, fp: FourierPrime) -> list[int]:
+    # lin_conv_kronecker on nonempty sequences of ints, as poly_mul and the
+    # planner's timings hand them.
     z1, z2 = len(u), len(v)
     p = fp.p
     slot = _kronecker_slot(p, min(z1, z2))
@@ -390,16 +418,17 @@ def _kronecker_cost(z1: int, z2: int, timed: PlanEntry, base: PlanEntry) -> floa
 class _Engine(NamedTuple):
     """A fixed engine: how it runs a product of length n, and how `auto` prices it.
 
-    `size` gives the transform size for n, which decides, as in
-    `transform._numpy_inputs`, whether `core` is handed uint64 arrays; None
-    for an engine without transforms, which gets its operands as they are.
-    `core` looks the cores up by module name when called, so a replaced name
-    (a tracer's wrapper) is the one that runs. `cost` gives the nanoseconds
-    of a z1 x z2 product from the plan entries of the (kind, L) keys that
-    `reads` names at the padded size L (`planner.planned_keys`), or, for an
-    engine `auto` never ranks, the reason as a string. `applies` says where
-    `auto` ranks it, at a padded size the field hosts; equal costs go to the
-    lowest `tie`.
+    `size` gives the transform size L for n, the table `run` hands to
+    `_product`, which decides whether `core` is handed uint64 arrays and
+    divides core's L-fold product by L; None for an engine without
+    transforms, whose core gets its operands as they are and returns the
+    product itself. `core` looks the cores up by module name when called,
+    so a replaced name (a tracer's wrapper) is the one that runs. `cost`
+    gives the nanoseconds of a z1 x z2 product from the plan entries of the
+    (kind, L) keys that `reads` names at the padded size L
+    (`planner.planned_keys`), or, for an engine `auto` never ranks, the
+    reason as a string. `applies` says where `auto` ranks it, at a padded
+    size the field hosts; equal costs go to the lowest `tie`.
     """
 
     size: Callable[[int], int] | None
@@ -408,6 +437,12 @@ class _Engine(NamedTuple):
     reads: Callable[[int], tuple] = lambda size: ()
     applies: Callable[[int, int], bool] = lambda p, size: True
     tie: int = 0
+
+    def run(self, u, v, req: ConvRequest):
+        """The product of the int sequences u and v by this engine, a list or a uint64 array."""
+        if self.size is None:
+            return self.core(u, v, req)
+        return _product(self.size(len(u) + len(v) - 1), self.core, u, v, req)
 
 
 # The fixed engines, in the order of ENGINES. The ranked engine without
@@ -425,17 +460,11 @@ _ENGINES = {
                    lambda size: (("tft", size), ("itft", size)), tie=2),
     "split": _Engine(lambda n: max(2, _next_pow2(n)) >> 1, lambda u, v, req: _zero_padded(_circ_conv_split, u, v, req, 2),
                      "fft_pad's work at half size plus a twist: no planned key times it, and it was never the fastest"),
-    "kronecker": _Engine(None, lambda u, v, req: lin_conv_kronecker(u, v, req.field), _kronecker_cost,
+    "kronecker": _Engine(None, lambda u, v, req: _kronecker(u, v, req.field), _kronecker_cost,
                          lambda size: (("conv", size), ("conv", min(size, LINEAR_WORK_L))),
                          lambda p, size: _numpy_kernels(p, size) is None, tie=1),
 }
 ENGINES = (*_ENGINES, "auto")
-
-
-def _linear(engine: str, u, v, req: ConvRequest) -> list[int]:
-    # A linear engine's door, after its operand check.
-    size, core = _ENGINES[engine][:2]
-    return _listed(get_table(req.field, size(len(u) + len(v) - 1)), lambda a, b: core(a, b, req), u, v)
 
 
 def poly_mul(a: DensePoly, b: DensePoly, req: ConvRequest) -> DensePoly:
@@ -446,15 +475,15 @@ def poly_mul(a: DensePoly, b: DensePoly, req: ConvRequest) -> DensePoly:
     degree+1.
 
     This is where a product crosses between Python ints and numpy, once each
-    way, through `transform._run` as at the doors. Where the engine's
-    transforms run in numpy (its `_ENGINES` size rule and
-    `transform._numpy_inputs`), each trimmed operand is converted to a uint64
-    array by `_as_residues`, the engine's core pads and multiplies in arrays,
-    and its ndarray product becomes the DensePoly, which checks it in numpy.
-    Every other engine, size and prime gets the trimmed coefficient tuples
-    and returns a list. A product that ran on them at a size and prime the
-    numpy kernels take counts as three transforms toward the process's
-    switch to numpy (`transform._ran_in_python`).
+    way, through the doors' step `_product` (`_Engine.run`). Where the
+    engine's transforms run in numpy (its `_ENGINES` size rule and
+    `transform._numpy_kernels`), each trimmed operand is converted to a
+    uint64 array by `_as_residues`, the engine's core pads and multiplies in
+    arrays, the product is divided by L once, and the ndarray becomes the
+    DensePoly, which checks it in numpy. Every other engine, size and prime
+    gets the trimmed coefficient tuples and returns a list. A product that
+    ran on them at a size and prime the numpy kernels take counts as three
+    transforms toward the process's switch to numpy (`transform._run`).
     """
     _check_fields(a, b)
     if a.field.p != req.field.p:
@@ -469,9 +498,4 @@ def poly_mul(a: DensePoly, b: DensePoly, req: ConvRequest) -> DensePoly:
         if req.planner is None:
             raise ValueError("engine 'auto' requires a ConvRequest.planner plan session")
         engine = req.planner.resolve_engine(req.field, len(u), len(v))
-    size, core = _ENGINES[engine][:2]
-    if size is None:
-        product = core(u, v, req)
-    else:
-        product = _run(get_table(req.field, size(len(u) + len(v) - 1)), lambda x, y: core(x, y, req), u, v)
-    return DensePoly(a.field, product).normalize()
+    return DensePoly(a.field, _ENGINES[engine].run(u, v, req)).normalize()

@@ -24,7 +24,8 @@ and n = L/2 + 1, which keeps planning cheap. Each timing is of the call an
 engine makes, on the vectors it passes: a transform core (`transform._moddft`,
 `_tft`, `_itft`, which check nothing) on its seeded input after
 `transform._numpy_inputs`, so a uint64 array wherever the engines run in
-arrays and a list elsewhere; Kronecker on a pair of lists.
+arrays and a list elsewhere; the Kronecker core (`convolve._kronecker`,
+which `poly_mul` runs) on a pair of lists.
 Only the transform kinds fetch a twiddle table: Kronecker runs at any size.
 The engine choice (`PlanSession.resolve_engine`) prices each engine by the
 cost its `convolve._ENGINES` entry gives from these timings, so a new shape
@@ -40,9 +41,9 @@ import time
 from dataclasses import dataclass, replace
 
 from . import __version__
-from .convolve import _ENGINES, _next_pow2, lin_conv_kronecker
+from .convolve import _ENGINES, _kronecker, _next_pow2
 from .field import FourierPrime, LineError, UnsupportedSizeError, _clip, _lines, root_of_unity
-from .transform import _itft, _moddft, _numpy_inputs, _tft, get_table
+from .transform import _itft, _ints, _listed, _moddft, _numpy_inputs, _tft, get_table
 
 KINDS = ("dft", "tft", "itft", "conv")
 RADIX_MENU = (2, 4, 8)
@@ -129,7 +130,7 @@ def _call(key: PlanKey, fp: FourierPrime, x):
     converted here, outside the call.
     """
     if key.kind == "conv":
-        return lambda: lin_conv_kronecker(*x, fp)
+        return lambda: _kronecker(*x, fp)
     table = get_table(fp, key.L)
     x = (_numpy_inputs(table, x) or [x])[0]
     if key.kind == "dft":
@@ -402,6 +403,10 @@ class PlanSession:
     # -- replay ---------------------------------------------------------------
 
     def replay(self, entry: PlanEntry, x) -> list[int]:
-        """Execute a stored plan on a concrete list (used for validity checks); a pair for `conv`."""
-        out = _call(entry.key, FourierPrime.from_modulus(entry.key.p), x)()
-        return out if isinstance(out, list) else out.tolist()
+        """Execute a stored plan on a concrete list of ints (used for validity checks); a pair for `conv`.
+
+        The lists follow the doors' rule (`transform._ints`): an ndarray or a
+        non-integer element raises ValueError.
+        """
+        x = [_ints(w) for w in x] if entry.key.kind == "conv" else _ints(x)
+        return _listed(_call(entry.key, FourierPrime.from_modulus(entry.key.p), x)())

@@ -14,23 +14,29 @@ in pure Python here, the reference and the path for any prime, and in numpy
 (`_ntt_numpy`) over p < 2**32, where a residue product fits in uint64. The
 numpy kernels take a transform of _NUMPY_CROSSOVER (2**9) points or more,
 where they are the faster loops, once numpy is loaded or the process should
-load it (`_numpy_kernels`): the transform has _NUMPY_MIN_SIZE (2**15)
-points, which pay for the import by themselves, or the process's earlier
-Python-loop transforms at sizes the kernels take have cost _BUDGET
-butterflies, as much as the import. numpy must be importable.
+load it (`_numpy_kernels`): once the larger of the process's Python-loop
+butterflies at sizes the kernels take and this transform's own butterflies
+reaches _BUDGET, one 2**15-point transform's worth, about what the import
+costs. numpy must be importable.
 
 Each public transform (moddft, tft, itft) is a door over a private core
-(_moddft, _tft, _itft) with the same positional arguments. A door checks
-its arguments, takes lists only (an ndarray raises ValueError), converts a
-list where the numpy kernels run its size (`_numpy_inputs`) and returns a
-list. A core trusts what it is handed and dispatches on its type: a uint64
-array of residues runs the numpy kernels and gives one back, and a list
-runs the Python loops. The engines in `convolve` call the cores, so a
-product converts its inputs once and stays in arrays. _as_residues is the
-one place a vector crosses into numpy: a list has its ints outside [0, p)
-reduced there. Both paths return the same residues and count the same
-butterflies. numpy is imported on first use, never by this module or by
-building a table.
+(_moddft, _tft, _itft) with the same positional arguments. A door reads its
+vector as a list of ints (`_ints`: an int-like through `operator.index`, a
+non-integer or an ndarray raises ValueError), checks its arguments, runs
+the core through `_run` and returns a list. `_run` is the one place that
+decides the backend and keeps the process's tally: a core trusts what it is
+handed and dispatches on its type, a uint64 array of residues runs the numpy
+kernels and gives one back, and a list runs the Python loops. The engines in
+`convolve` call the cores through the same `_run`, so a product converts its
+inputs once and stays in arrays. _as_residues is the one place a vector
+crosses into numpy: a list has its ints outside [0, p) reduced there. Both
+paths return the same residues and count the same butterflies. numpy is
+imported on first use, never by this module or by building a table.
+
+No core divides by the size: the inverse moddft core, like itft, returns
+size times the inverse transform. `_div_size` is the one 1/L scale; the
+moddft door applies it, and so does `convolve`'s one product step, once per
+product.
 
 Butterfly accounting: one butterfly is one two-point kernel evaluation,
 including degenerate forms where a known-zero or unneeded half collapses the
@@ -43,34 +49,23 @@ counts without running them, by walking the same stages and the same path.
 from __future__ import annotations
 
 import functools
+import operator
 import sys
 import threading
+from dataclasses import dataclass
 
 from .field import FourierPrime, root_of_unity
 
 
+@dataclass(slots=True)
 class OpCounters:
     """Monotone tally of butterflies and pointwise spectral products.
 
     Attach one per call; transforms only ever add to it.
     """
 
-    __slots__ = ("butterflies", "pointwise_muls")
-
-    def __init__(self, butterflies: int = 0, pointwise_muls: int = 0):
-        self.butterflies = butterflies
-        self.pointwise_muls = pointwise_muls
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, OpCounters):
-            return NotImplemented
-        return (
-            self.butterflies == other.butterflies
-            and self.pointwise_muls == other.pointwise_muls
-        )
-
-    def __repr__(self) -> str:
-        return f"OpCounters(butterflies={self.butterflies}, pointwise_muls={self.pointwise_muls})"
+    butterflies: int = 0
+    pointwise_muls: int = 0
 
 
 class TwiddleTable:
@@ -141,22 +136,20 @@ def get_table(field: FourierPrime, size: int) -> TwiddleTable:
         return _build_table(field, size)
 
 
-# Smallest transform size that imports numpy by itself. Importing it costs
-# about as much as one pure-Python transform of 2**15 points.
-_NUMPY_MIN_SIZE = 1 << 15
 # Smallest transform size the numpy kernels take: from 2**9 up they beat the
 # Python loops on every transform once numpy is loaded, lists in and out
 # (itft at n = L by 1.3x, moddft by 4x), while at 2**8 itft at n = L still
 # loses (measured on a 2-core x86-64 host).
 _NUMPY_CROSSOVER = 1 << 9
-# Butterflies of one transform of _NUMPY_MIN_SIZE points, the cost of
-# importing numpy: once the Python loops have spent that much where the numpy
-# kernels could have run, the process pays for the import (the ski-rental
-# rule, never worse than twice the better of never and at once).
-_BUDGET = (_NUMPY_MIN_SIZE >> 1) * (_NUMPY_MIN_SIZE.bit_length() - 1)
+# Butterflies of one 2**15-point transform, about what importing numpy
+# costs: once the Python loops have spent that much where the numpy kernels
+# could have run, or one transform would by itself, the process pays for the
+# import (the ski-rental rule, never worse than twice the better of never
+# and at once).
+_BUDGET = (1 << 14) * 15
 # The process's butterflies so far in Python-loop transforms of a size and
-# prime the numpy kernels take, as the doors and poly_mul count them
-# (`_ran_in_python`). It only grows, and is updated without a lock: a lost
+# prime the numpy kernels take, as the doors and poly_mul run them; only
+# `_run` adds to it. It only grows, and is updated without a lock: a lost
 # update under threads only delays the switch.
 _python_butterflies = 0
 
@@ -172,33 +165,27 @@ def _load_numpy_kernels():
     return _ntt_numpy
 
 
+def _takes(p: int, size: int) -> bool:
+    # Whether the numpy kernels take size-point transforms mod p at all:
+    # p < 2**32, where a product of two residues fits in uint64, and from
+    # _NUMPY_CROSSOVER points up.
+    return p < 1 << 32 and size >= _NUMPY_CROSSOVER
+
+
 def _numpy_kernels(p: int, size: int):
     """The numpy kernels module if they should run size-point transforms mod p, else None.
 
-    They should over p < 2**32, where a product of two residues fits in
-    uint64, from _NUMPY_CROSSOVER points up, once the process has loaded
-    numpy or should load it: at _NUMPY_MIN_SIZE points and up, or once its
-    earlier Python-loop transforms have run _BUDGET butterflies. Either way
-    numpy must be importable. A process's first product thus loads numpy
-    only from _NUMPY_MIN_SIZE on.
+    They should where they take the transform (`_takes`) and the process
+    has loaded numpy or should load it: once the larger of its earlier
+    Python-loop butterflies and this transform's own reaches _BUDGET. numpy
+    must be importable. A process's first product thus loads numpy only
+    from 2**15 points on.
     """
-    if p >= 1 << 32 or size < _NUMPY_CROSSOVER:
+    if not _takes(p, size):
         return None
-    if size < _NUMPY_MIN_SIZE and _python_butterflies < _BUDGET and sys.modules.get("numpy") is None:
+    if sys.modules.get("numpy") is None and max(_python_butterflies, (size >> 1) * (size.bit_length() - 1)) < _BUDGET:
         return None
     return _load_numpy_kernels()
-
-
-def _ran_in_python(table: TwiddleTable, transforms: int) -> None:
-    """Add `transforms` Python-loop transforms of table's size to the process's tally.
-
-    Only sizes and primes the numpy kernels take count. The doors and
-    poly_mul call this; the planner's timings do not, so `modconv plan`
-    times the backend a fresh `modconv mul` process runs.
-    """
-    global _python_butterflies
-    if table.field.p < 1 << 32 and table.size >= _NUMPY_CROSSOVER:
-        _python_butterflies += transforms * (table.size >> 1) * table.log2_size
 
 
 def _is_array(x) -> bool:
@@ -208,16 +195,31 @@ def _is_array(x) -> bool:
     return np is not None and isinstance(x, np.ndarray)
 
 
+def _ints(x) -> list[int]:
+    """A door's vector x as a list of Python ints, by DensePoly's rule.
+
+    An int-like element (a bool, a numpy integer) is read through
+    `operator.index`; anything else, and an ndarray x, raises ValueError.
+    Ints outside [0, p) are kept, for the arithmetic to reduce.
+    """
+    if _is_array(x):
+        raise ValueError("transforms and engines take lists, not ndarrays")
+    try:
+        return list(map(operator.index, x))
+    except TypeError:
+        raise ValueError("vector elements must be integers") from None
+
+
 def _as_residues(x, p: int):
     """x as a uint64 array of residues mod p, the one input the numpy kernels take.
 
-    A list (or tuple) is converted through the buffer protocol, as a C array
-    of unsigned 64-bit ints, and its ints outside [0, p) are reduced mod p:
-    the residues the Python loops compute with. An empty list raises
-    ValueError. An ndarray is taken as it is, so it must be one-dimensional
-    and uint64, hold residues and have p < 2**32; any other raises
-    ValueError. `DensePoly` and the residue maps read an ndarray by this
-    rule. Call it only where numpy is loaded.
+    A list (or tuple) of ints is converted through the buffer protocol, as
+    a C array of unsigned 64-bit ints, and its ints outside [0, p) are
+    reduced mod p: the residues the Python loops compute with. An empty list
+    raises ValueError. An ndarray is taken as it is, so it must be
+    one-dimensional and uint64, hold residues and have p < 2**32; any other
+    raises ValueError. `DensePoly` and the residue maps read an ndarray by
+    this rule. Call it only where numpy is loaded.
     """
     import array  # a shared library, so a process that never converts never loads it
 
@@ -239,15 +241,12 @@ def _as_residues(x, p: int):
 
 
 def _numpy_inputs(table: TwiddleTable, *vecs):
-    """The lists vecs as uint64 arrays (`_as_residues`) where table's transforms run in numpy, else None.
+    """The int vectors vecs as uint64 arrays (`_as_residues`) where table's transforms run in numpy, else None.
 
-    An ndarray among vecs raises ValueError: what enters a transform or an
-    engine from outside is a list. Asking `_numpy_kernels` imports numpy
-    where its rule says the process should pay for it, so the first product
-    that does converts like every later one.
+    Asking `_numpy_kernels` imports numpy where its rule says the process
+    should pay for it, so the first product that does converts like every
+    later one. It counts nothing: the planner times its kernels on these.
     """
-    if any(map(_is_array, vecs)):
-        raise ValueError("transforms take lists, not ndarrays")
     p = table.field.p
     if _numpy_kernels(p, table.size) is None:
         return None
@@ -255,24 +254,42 @@ def _numpy_inputs(table: TwiddleTable, *vecs):
 
 
 def _run(table: TwiddleTable, core, *vecs):
-    """core(*vecs) on the lists vecs as `_numpy_inputs` makes them, counting a run on lists.
+    """core(*vecs) on the int vectors vecs as `_numpy_inputs` makes them: the one crossing, and the one tally.
 
     The core gets uint64 arrays where table's transforms run in numpy, else
-    vecs as they are. A run on lists is counted (`_ran_in_python`) as one
-    transform for one vector (a transform) and three for two (a product).
+    vecs as they are. A run on lists at a size and prime the numpy kernels
+    take (`_takes`) adds to the process's tally, as one transform for one
+    vector (a transform) and three for two (a product). The planner's
+    timings do not come here, so `modconv plan` times the backend a fresh
+    `modconv mul` process runs.
     """
+    global _python_butterflies
     arrays = _numpy_inputs(table, *vecs)
     if arrays is not None:
         return core(*arrays)
     out = core(*vecs)
-    _ran_in_python(table, 1 if len(vecs) == 1 else 3)
+    if _takes(table.field.p, table.size):
+        _python_butterflies += (1 if len(vecs) == 1 else 3) * (table.size >> 1) * table.log2_size
     return out
 
 
-def _listed(table: TwiddleTable, core, *vecs) -> list[int]:
-    """`_run`(table, core, *vecs) for a door (a public transform or engine), as a list."""
-    out = _run(table, core, *vecs)
-    return out if isinstance(out, list) else out.tolist()
+def _listed(x) -> list[int]:
+    """A core's result x, a list or a uint64 array, as a list: what a door returns."""
+    return x if isinstance(x, list) else x.tolist()
+
+
+def _div_size(x, table: TwiddleTable):
+    """x / table.size mod p for a list or a uint64 array x of residues: the one 1/L scale.
+
+    Every transform-backed core returns size times its result, so each
+    product, and the inverse moddft door, divides once, here.
+    """
+    p, inv = table.field.p, table.inv_size
+    if _is_array(x):
+        from ._ntt_numpy import mulmod, quotient
+
+        return mulmod(x, inv, quotient(inv, p), p)
+    return [v * inv % p for v in x]
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
@@ -322,16 +339,19 @@ def moddft(
     and the 1/N scale, so moddft(moddft(x, t), t, "inv") == x exactly. Each
     call performs exactly (N/2)*log2(N) butterflies.
     """
+    x = _ints(x)
     n = table.size
     if len(x) != n:
         raise ValueError(f"input length {len(x)} != table size {n}")
     if direction not in ("fwd", "inv"):
         raise ValueError(f"direction must be 'fwd' or 'inv': {direction!r}")
-    return _listed(table, lambda a: _moddft(a, table, direction, counters), x)
+    out = _run(table, lambda a: _moddft(a, table, direction, counters), x)
+    return _listed(_div_size(out, table) if direction == "inv" else out)
 
 
 def _moddft(x, table: TwiddleTable, direction: str = "fwd", counters: OpCounters | None = None):
-    # moddft on trusted input: a uint64 array of residues runs the numpy
+    # moddft on trusted input, without the inverse's 1/N scale: the inverse
+    # returns N times its result. A uint64 array of residues runs the numpy
     # kernels and gives one back; a list runs the pure-Python loops, the
     # reference for the numpy kernels.
     if _is_array(x):
@@ -339,12 +359,8 @@ def _moddft(x, table: TwiddleTable, direction: str = "fwd", counters: OpCounters
 
         vec = _ntt_numpy.moddft(x, table, direction)
     else:
-        p = table.field.p
         vec = [x[r] for r in _rev_indices(table.size)]
-        _dit_inplace(vec, table.fwd_stages if direction == "fwd" else table.inv_stages, p)
-        if direction == "inv":
-            inv_n = table.inv_size
-            vec = [v * inv_n % p for v in vec]
+        _dit_inplace(vec, table.fwd_stages if direction == "fwd" else table.inv_stages, table.field.p)
     if counters is not None:
         counters.butterflies += (table.size >> 1) * table.log2_size
     return vec
@@ -352,6 +368,7 @@ def _moddft(x, table: TwiddleTable, direction: str = "fwd", counters: OpCounters
 
 def moddft_naive(x: list[int], table: TwiddleTable, direction: str = "fwd") -> list[int]:
     """Quadratic evaluation straight from the transform definition (oracle)."""
+    x = _ints(x)
     n = table.size
     if len(x) != n:
         raise ValueError(f"input length {len(x)} != table size {n}")
@@ -387,6 +404,7 @@ def tft(
     the table size L. Requires 1 <= z <= n <= L. Butterflies spent are at
     most n*log2(L)/2 + L.
     """
+    x = _ints(x)
     size = table.size
     z = len(x)
     if z < 1:
@@ -395,7 +413,7 @@ def tft(
         raise ValueError(f"input length {z} exceeds output count {n}")
     if n > size:
         raise ValueError(f"output count {n} exceeds transform size {size}")
-    return _listed(table, lambda a: _tft(table, a, n, counters), x)
+    return _listed(_run(table, lambda a: _tft(table, a, n, counters), x))
 
 
 def _tft(table: TwiddleTable, x, n: int, counters: OpCounters | None = None):
@@ -483,16 +501,17 @@ def itft(
 
     The caller promises that the underlying time-domain coefficients u_j
     vanish for j >= n; that promise is what lets the missing spectrum be
-    reconstructed. Divide by L via table.inv_size to obtain u itself.
+    reconstructed. Divide by L (`_div_size`) to obtain u itself.
     Butterflies spent are at most n*log2(L)/2 + L.
     """
+    xhat = _ints(xhat)
     size = table.size
     n = len(xhat)
     if n < 1:
         raise ValueError("spectral input must be nonempty")
     if n > size:
         raise ValueError(f"input length {n} exceeds transform size {size}")
-    return _listed(table, lambda a: _itft(table, a, counters), xhat)
+    return _listed(_run(table, lambda a: _itft(table, a, counters), xhat))
 
 
 def _itft(table: TwiddleTable, xhat, counters: OpCounters | None = None):

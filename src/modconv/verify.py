@@ -33,6 +33,7 @@ from .planner import PlanEntry, PlanKey, PlanSession, PlanStore, plan_mirror, st
 from .poly import DensePoly, eval_poly, mul_karatsuba, mul_schoolbook, schoolbook_raw
 from .transform import (
     _as_residues,
+    _div_size,
     _itft,
     _moddft,
     _tft,
@@ -204,6 +205,10 @@ def _suite_truncated(rng, cap, fields):
 
 
 def _suite_numpy_backend(rng, cap, fields):
+    # The numpy kernels against the Python loops, neither of which divides
+    # by L (the inverse moddft and itft return L times their result), and
+    # convolve's cores on arrays, each divided by its L once, against the
+    # quadratic oracles.
     try:
         from . import _ntt_numpy  # noqa: F401  numpy installed
     except ImportError:
@@ -246,13 +251,13 @@ def _suite_numpy_backend(rng, cap, fields):
             ua, va = _as_residues(u, p), _as_residues(v, p)
             full = schoolbook_raw(u, v, p) + [0]
             want = {
-                _conv_tft: full[:-1],
-                _circ_conv_fft: circ_conv_def(u, v, fp),
-                _circ_conv_split: circ_conv_def(u, v, fp),
-                _nega_conv: [(full[i] - full[i + size]) % p for i in range(size)],
+                _conv_tft: (2 * size, full[:-1]),
+                _circ_conv_fft: (size, circ_conv_def(u, v, fp)),
+                _circ_conv_split: (size >> 1, circ_conv_def(u, v, fp)),
+                _nega_conv: (size, [(full[i] - full[i + size]) % p for i in range(size)]),
             }
-            for core, out in want.items():
-                if core(ua, va, req).tolist() != out:
+            for core, (L, out) in want.items():
+                if _div_size(core(ua, va, req), get_table(fp, L)).tolist() != out:
                     return False, f"{core.__name__} on uint64 arrays != oracle at p={p}, n={size}"
     return True, f"{checked} (p, L, n) cases match the Python kernels up to L={top}; convolution cores on arrays match the oracles"
 

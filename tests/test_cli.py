@@ -57,6 +57,19 @@ class TestSweepConfig:
         with pytest.raises(ValueError):
             SweepConfig(n_min=1, n_max=4, engines=("teleport",))
 
+    def test_engines_are_checked_and_defaulted_once(self, tmp_path, capsys):
+        # The sweep's unknown-engine message is ConvRequest's, and `sweep`
+        # without --engines runs SweepConfig's default engines.
+        with pytest.raises(ValueError) as request_error:
+            ConvRequest(FourierPrime.from_modulus(17), engine="teleport")
+        out = tmp_path / "rows.csv"
+        assert main(["sweep", "--min", "4", "--max", "4", "-o", str(out), "--engines", "teleport"]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {request_error.value}\n"
+        assert not out.exists()
+        assert SweepConfig(n_min=1, n_max=1).engines == ("fft_pad", "tft")
+        assert main(["sweep", "--min", "4", "--max", "4", "--reps", "1", "-o", str(out)]) == EXIT_OK
+        assert [row.split(",")[1] for row in out.read_text().splitlines()[1:]] == ["fft_pad", "tft"]
+
 
 def write_poly(path, p, coeffs):
     fp = FourierPrime.from_modulus(p)

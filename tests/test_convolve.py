@@ -1,6 +1,7 @@
 import importlib.util
 import random
 import threading
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -23,6 +24,7 @@ from modconv import (
     lin_conv_fft_pad,
     lin_conv_kronecker,
     moddft,
+    moddft_naive,
     mul_schoolbook,
     nega_conv,
     get_table,
@@ -472,29 +474,33 @@ def test_array_path_matches_list_path(case):
 
     fp, u, v, g, h = case
     residues = lambda x: [y % fp.p for y in x]
+    # Each core with the size L of the table its door runs it on.
+    padded = 1 << (len(g) + len(h) - 2).bit_length()
     calls = {
-        conv_tft: (convolve._ENGINES["tft"][1], (g, h)),
-        lin_conv_fft_pad: (convolve._ENGINES["fft_pad"][1], (g, h)),
-        circ_conv_fft: (convolve._circ_conv_fft, (u, v)),
-        nega_conv: (convolve._nega_conv, (u, v)),
-        circ_conv_split: (convolve._circ_conv_split, (u, v)),
+        conv_tft: (convolve._ENGINES["tft"].core, padded, (g, h)),
+        lin_conv_fft_pad: (convolve._ENGINES["fft_pad"].core, padded, (g, h)),
+        circ_conv_fft: (convolve._circ_conv_fft, len(u), (u, v)),
+        nega_conv: (convolve._nega_conv, len(u), (u, v)),
+        circ_conv_split: (convolve._circ_conv_split, len(u) >> 1, (u, v)),
     }
 
-    def run(engine, args):
+    def run(engine, args, size=None):
         counters = OpCounters()
-        return engine(*args, ConvRequest(fp, counters=counters)), counters
+        out = engine(*args, ConvRequest(fp, counters=counters))
+        # A core returns L times its product; one scale divides it, as the door does.
+        return (out if size is None else transform._div_size(out, get_table(fp, size))), counters
 
-    for door, (core, args) in calls.items():
+    for door, (core, size, args) in calls.items():
         canonical = [residues(x) for x in args]
-        with mock.patch.multiple(transform, _NUMPY_MIN_SIZE=1 << 62, _NUMPY_CROSSOVER=1 << 62):
+        with mock.patch.object(transform, "_NUMPY_CROSSOVER", 1 << 62):
             listed = run(door, args)
             assert run(door, canonical) == listed, door.__name__
-        assert run(core, canonical) == listed, door.__name__
+        assert run(core, canonical, size) == listed, door.__name__
         # numpy is loaded here, so the crossover alone moves every size to arrays.
         with mock.patch.object(transform, "_NUMPY_CROSSOVER", 1):
             assert run(door, args) == listed, door.__name__
         arrays = [np.array(x, dtype=np.uint64) for x in canonical]
-        out, counters = run(core, arrays)
+        out, counters = run(core, arrays, size)
         assert isinstance(out, np.ndarray) and out.dtype == np.uint64, door.__name__
         assert (out.tolist(), counters) == listed, door.__name__
         assert [x.tolist() for x in arrays] == canonical
@@ -684,7 +690,7 @@ def test_poly_mul_crosses_once_and_matches_python_loops(p, n):
         a, b = DensePoly(fp, coeffs(z1)), DensePoly(fp, coeffs(n + 1 - z1))
         product = lambda req: poly_mul(a, b, req)
         for engine in ("tft", "fft_pad", "split"):
-            with mock.patch.multiple(transform, _NUMPY_MIN_SIZE=1 << 62, _NUMPY_CROSSOVER=1 << 62):
+            with mock.patch.object(transform, "_NUMPY_CROSSOVER", 1 << 62):
                 want, want_counters, python = _traced_call(product, fp, engine)
             assert not any(array for _, array in python)
             got, counters, backends = _traced_call(product, fp, engine)
@@ -695,7 +701,7 @@ def test_poly_mul_crosses_once_and_matches_python_loops(p, n):
             # Each transform runs on the backend the engine picks when it is
             # handed the operands as lists, and returns a list.
             listed = list(a.coeffs), list(b.coeffs)
-            out, _, own = _traced_call(lambda req: convolve._linear(engine, *listed, req), fp, engine)
+            out, _, own = _traced_call(lambda req: transform._listed(convolve._ENGINES[engine].run(*listed, req)), fp, engine)
             assert backends == own, (engine, n)
             assert isinstance(out, list) and tuple(out) == want.coeffs
 
@@ -739,3 +745,121 @@ def test_arrays_are_checked_at_the_entry_only(fp998, engine):
             door(*args, req)
             assert calls == [False, False, *checks], door.__name__
     assert got == poly_mul(a, b, ConvRequest(fp998, engine="kronecker"))
+
+
+HAVE_NUMPY = importlib.util.find_spec("numpy") is not None
+
+
+def backend(name):
+    """A context that runs the transforms of every size in numpy ("numpy") or on the Python loops ("python")."""
+    if name == "numpy":
+        if not HAVE_NUMPY:
+            pytest.skip("numpy not installed")
+        import numpy  # noqa: F401  loaded, so the crossover alone puts sizes in numpy
+
+        return mock.patch.object(transform, "_NUMPY_CROSSOVER", 1)
+    return mock.patch.object(transform, "_NUMPY_CROSSOVER", 1 << 62)
+
+
+def _int_rule_calls(fp):
+    # Every public function that does arithmetic on lists, on vectors x and
+    # y of length 8; the transforms and split_residues read only x.
+    t = get_table(fp, 8)
+    req = ConvRequest(fp)
+    return {
+        "moddft": lambda x, y: moddft(x, t, "inv"),
+        "moddft_naive": lambda x, y: moddft_naive(x, t),
+        "tft": lambda x, y: tft(t, x, 8),
+        "itft": lambda x, y: itft(t, x),
+        "split_residues": lambda x, y: list(split_residues(x, fp.p)),
+        "recombine_residues": lambda x, y: recombine_residues(x, y, fp.p),
+        "circ_conv_def": lambda x, y: circ_conv_def(x, y, fp),
+        "lin_conv_def": lambda x, y: lin_conv_def(x, y, fp),
+        "lin_conv_kronecker": lambda x, y: lin_conv_kronecker(x, y, fp),
+        "circ_conv_fft": lambda x, y: circ_conv_fft(x, y, req),
+        "nega_conv": lambda x, y: nega_conv(x, y, req),
+        "circ_conv_split": lambda x, y: circ_conv_split(x, y, req),
+        "lin_conv_fft_pad": lambda x, y: lin_conv_fft_pad(x, y, req),
+        "conv_tft": lambda x, y: conv_tft(x, y, req),
+    }
+
+
+UNARY = {"moddft", "moddft_naive", "tft", "itft", "split_residues"}
+
+
+@pytest.mark.parametrize("name", list(_int_rule_calls(FourierPrime.from_modulus(998244353))))
+@pytest.mark.parametrize("engine_backend", ["python", "numpy"])
+def test_lists_follow_the_integer_rule(fp998, name, engine_backend):
+    # DensePoly's rule at every door, on both backends: an int-like (a bool,
+    # a numpy integer) is read as the int operator.index gives, ints outside
+    # [0, p) are reduced, and any other element raises ValueError.
+    p = fp998.p
+    call = _int_rule_calls(fp998)[name]
+    rng = random.Random(name)
+    x, y = ([rng.randrange(p) for _ in range(8)] for _ in range(2))
+    ints = [1, 0, p - 1, p - 1, -3, p + 5, 7, 2]
+    likes = [True, False, p - 1, p - 1, -3, p + 5, 7, 2]
+    if HAVE_NUMPY:
+        import numpy as np
+
+        # p - 1 as uint64, whose square overflows uint64 on the Python loops.
+        likes[2:5] = [np.uint64(p - 1), np.int64(p - 1), np.int32(-3)]
+    with backend(engine_backend):
+        want = call(ints, y)
+        assert all(type(c) is int for part in want for c in (part if isinstance(part, list) else [part]))
+        assert call(likes, y) == want
+        if name not in UNARY:
+            assert call(y, likes) == call(y, ints)
+        for bad in (1.5, 2.0, "3", None):
+            with pytest.raises(ValueError, match="integer"):
+                call(x[:3] + [bad] + x[4:], y)
+            if name not in UNARY:
+                with pytest.raises(ValueError, match="integer"):
+                    call(x, [bad] + y[1:])
+
+
+@pytest.mark.parametrize("engine_backend", ["python", "numpy"])
+def test_each_product_scales_once(fp998, engine_backend):
+    # One 1/L scale per product, after the cut: poly_mul's transform-backed
+    # engines and the doors each divide once, fft_pad its n values, split at
+    # its half size L/2; the inverse moddft door once, and nothing else.
+    from modconv import convolve
+
+    seen = []
+    real = transform._div_size
+
+    def spy(x, table):
+        seen.append((len(x), table.size))
+        return real(x, table)
+
+    rng = random.Random(5)
+    a = DensePoly(fp998, tuple(rng.randrange(1, fp998.p) for _ in range(300)))
+    b = DensePoly(fp998, tuple(rng.randrange(1, fp998.p) for _ in range(214)))
+    g, h = list(a.coeffs), list(b.coeffs)
+    u, v = g[:64], h[:64]
+    req = ConvRequest(fp998)
+    t = get_table(fp998, 64)
+    calls = {
+        "fft_pad": (lambda: poly_mul(a, b, replace(req, engine="fft_pad")), [(513, 1024)]),
+        "tft": (lambda: poly_mul(a, b, replace(req, engine="tft")), [(513, 1024)]),
+        "split": (lambda: poly_mul(a, b, replace(req, engine="split")), [(513, 512)]),
+        "kronecker": (lambda: poly_mul(a, b, replace(req, engine="kronecker")), []),
+        "definition": (lambda: poly_mul(a, b, replace(req, engine="definition")), []),
+        "lin_conv_fft_pad": (lambda: lin_conv_fft_pad(g, h, req), [(513, 1024)]),
+        "conv_tft": (lambda: conv_tft(g, h, req), [(513, 1024)]),
+        "circ_conv_fft": (lambda: circ_conv_fft(u, v, req), [(64, 64)]),
+        "nega_conv": (lambda: nega_conv(u, v, req), [(64, 64)]),
+        "circ_conv_split": (lambda: circ_conv_split(u, v, req), [(64, 32)]),
+        "moddft_inv": (lambda: moddft(u, t, "inv"), [(64, 64)]),
+        "moddft": (lambda: moddft(u, t), []),
+        "tft_itft": (lambda: itft(t, tft(t, u[:20], 40)), []),
+    }
+    want = poly_mul(a, b, replace(req, engine="definition"))
+    with backend(engine_backend), mock.patch.object(transform, "_div_size", spy), \
+            mock.patch.object(convolve, "_div_size", spy):
+        for name, (call, scales) in calls.items():
+            seen.clear()
+            out = call()
+            assert seen == scales, name
+            if isinstance(out, DensePoly):
+                assert out == want, name

@@ -15,7 +15,6 @@ from modconv import (
     moddft,
     get_table,
     itft_butterflies,
-    lin_conv_kronecker,
     plan_mirror,
     root_of_unity,
     store_load,
@@ -224,9 +223,10 @@ class TestLookupPolicy:
 
         def counting_kronecker(u, v, fp):
             calls.append((len(u), len(v), fp.p))
-            return lin_conv_kronecker(u, v, fp)
+            return convolve._kronecker(u, v, fp)
 
-        monkeypatch.setattr(planner, "lin_conv_kronecker", counting_kronecker)
+        # The planner times the Kronecker core that poly_mul's engine runs.
+        monkeypatch.setattr(planner, "_kronecker", counting_kronecker)
         session = make_session(reps=3)
         entry = session.search(PlanKey("conv", 17, 8, 3, 5, 1))
         # A 3 x 3 product (n = 5) over 17, once per timed repetition.
@@ -319,7 +319,7 @@ class TestDftSearch:
         else:
             want = list
         seen = []
-        for name in ("_moddft", "_tft", "_itft", "lin_conv_kronecker"):
+        for name in ("_moddft", "_tft", "_itft", "_kronecker"):
             monkeypatch.setattr(planner, name, lambda *args: seen.append(args))
         session = make_session(reps=1)
         for key in planner.planned_keys(p, size):
@@ -519,7 +519,8 @@ RECORDED_PICKS = {
 def numpy_decision(loaded):
     # `_numpy_kernels` as a process with numpy loaded (or not, and under its
     # import budget) decides, whether or not this one has numpy.
-    lowest = transform._NUMPY_CROSSOVER if loaded else transform._NUMPY_MIN_SIZE
+    # Unloaded, a first product pays for the import from 2**15 points on.
+    lowest = transform._NUMPY_CROSSOVER if loaded else 1 << 15
     return lambda p, size: transform if p < 1 << 32 and size >= lowest else None
 
 

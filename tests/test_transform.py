@@ -377,7 +377,7 @@ def test_numpy_kernels_match_python(size, data):
         (lambda c: tft(t, x[:z], n, c)),
         (lambda c: itft(t, x[:n], c)),
     ]
-    with mock.patch.multiple(transform, _NUMPY_MIN_SIZE=1 << 62, _NUMPY_CROSSOVER=1 << 62):
+    with mock.patch.object(transform, "_NUMPY_CROSSOVER", 1 << 62):
         python = [(residues(out), counters) for out, counters in map(run, calls)]
     # numpy is loaded here, so the crossover alone sends every size to numpy.
     with mock.patch.object(transform, "_NUMPY_CROSSOVER", 1):
@@ -477,18 +477,21 @@ def test_transforms_keep_uint64_arrays(size):
     for p in (3221225473, 4293918721):
         t = get_table(FourierPrime.from_modulus(p), size)
         n = size // 2 + 1
+        # The inverse moddft core returns size times x; its door divides once.
         calls = [
-            (moddft, transform._moddft, lambda f, v, c: f(v, t, "fwd", c)),
-            (moddft, transform._moddft, lambda f, v, c: f(v, t, "inv", c)),
-            (tft, transform._tft, lambda f, v, c: f(t, v[: n // 2 or 1], n, c)),
-            (itft, transform._itft, lambda f, v, c: f(t, v[:n], c)),
+            (moddft, transform._moddft, lambda f, v, c: f(v, t, "fwd", c), False),
+            (moddft, transform._moddft, lambda f, v, c: f(v, t, "inv", c), True),
+            (tft, transform._tft, lambda f, v, c: f(t, v[: n // 2 or 1], n, c), False),
+            (itft, transform._itft, lambda f, v, c: f(t, v[:n], c), False),
         ]
         for x in ([rng.randrange(p) for _ in range(size)], [p - 1] * size):
-            for door, core, call in calls:
+            for door, core, call, scaled in calls:
                 listed, array_counts = OpCounters(), OpCounters()
                 a = np.array(x, dtype=np.uint64)
                 out = call(core, a, array_counts)
                 assert isinstance(out, np.ndarray) and out.dtype == np.uint64
+                if scaled:
+                    out = transform._div_size(out, t)
                 assert out.tolist() == call(door, x, listed)
                 assert array_counts == listed
                 assert a.tolist() == x
@@ -622,7 +625,7 @@ import random, sys, time
 from modconv import ConvRequest, DensePoly, FourierPrime, get_table, moddft, planner, poly_mul, transform
 fp = FourierPrime.from_modulus(998244353)
 rng = random.Random(23)
-assert transform._BUDGET == (transform._NUMPY_MIN_SIZE // 2) * 15 == 245760
+assert transform._BUDGET == ((1 << 15) // 2) * 15 == 245760
 clock_reads = []
 def watch(clock):
     def read():
@@ -780,3 +783,39 @@ def test_first_product_past_2_15_runs_in_arrays():
     assert without.pop("seen") == [["list", "list"]]
     assert with_numpy == without
     assert len(without["c"]) == (1 << 15) + 1
+
+
+@pytest.mark.parametrize("loaded", [False, True])
+def test_numpy_rule_is_one_inequality(loaded):
+    # max(tally, one transform's butterflies) >= _BUDGET decides exactly as
+    # the two conditions it replaced: a transform of 2**15 points or more,
+    # or a tally of _BUDGET, or numpy loaded, over p < 2**32 from 2**9 up.
+    def two_conditions(p, size, tally):
+        if p >= 1 << 32 or size < 1 << 9:
+            return False
+        return size >= 1 << 15 or tally >= transform._BUDGET or loaded
+
+    sizes = [1 << k for k in range(8, 17)] + [300, 511, 513, 1000, 3 << 13, (1 << 15) - 1, (1 << 15) + 1, 40000]
+    # A stand-in for the kernels module and for numpy, so that no import
+    # runs and the remembered import result is left alone.
+    with mock.patch.object(transform, "_load_numpy_kernels", lambda: "kernels"), \
+            mock.patch.dict(sys.modules, {"numpy": object() if loaded else None}):
+        for tally in (0, transform._BUDGET - 1, transform._BUDGET):
+            with mock.patch.object(transform, "_python_butterflies", tally):
+                for p in (998244353, 4293918721, 2305843009448574977):
+                    for size in sizes:
+                        got = transform._numpy_kernels(p, size)
+                        assert (got == "kernels") == two_conditions(p, size, tally), (p, size, tally)
+                        assert got in ("kernels", None)
+
+
+def test_op_counters_are_a_plain_value():
+    c = OpCounters(3, 4)
+    assert (c.butterflies, c.pointwise_muls) == (3, 4)
+    assert repr(c) == "OpCounters(butterflies=3, pointwise_muls=4)"
+    assert c == OpCounters(butterflies=3, pointwise_muls=4) != OpCounters()
+    assert c.__eq__(object()) is NotImplemented
+    with pytest.raises(TypeError):
+        hash(c)
+    with pytest.raises(AttributeError):
+        c.extra = 1

@@ -12,6 +12,11 @@ over rounds of each tree and new/old.
 `kernels` (the default) times `_ntt_numpy.moddft` (forward and inverse, L
 inputs), `tft` (L/4 inputs, n = L/2 + 1 outputs, the shape of a balanced
 product of length L/2 + 1) and `itft` (n = L/2 + 1 and n = L), in ms.
+The inverse `moddft` kernel divided by L in trees before the one-scale
+boundary (where `transform._div_size` became the only 1/L scale) and does
+not from it on, so a `moddft_inv` row that compares a tree from each side
+shows one elementwise multiply of L residues as a false gain or loss; the
+forward row and the other kernels compare like with like.
 
 `stages` times the stages of `moddft`, `tft` and `itft` (the shapes above,
 n = L/2 + 1) in us, beside one butterfly over two contiguous L/2 halves
