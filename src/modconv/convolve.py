@@ -10,25 +10,28 @@ bit-identical output; they differ only in operation counts.
 Every engine checks its operands by one rule (`_operands`): lists of ints
 by DensePoly's rule (`transform._ints`: an int-like through
 `operator.index`, a non-integer or an ndarray raises ValueError), both
-nonempty, and of equal length for the circular ones. The transform-backed
-engines get their table from `get_table`, which refuses a length the field
-cannot transform. A linear product through a circular engine
-(`lin_conv_fft_pad`, and `poly_mul`'s `split`) is one step, `_zero_padded`.
+nonempty, and of equal length for the circular ones. A transform-backed
+product gets its table once, in `_product`, from `get_table`, which refuses
+a length the field cannot transform. A linear product through a circular
+engine (`lin_conv_fft_pad`, and `poly_mul`'s `split`) is one step,
+`_zero_padded`.
 
 Doors and cores. Every public engine takes lists and returns a list. Each
 transform-backed engine (`circ_conv_fft`, `nega_conv`, `circ_conv_split`,
 `conv_tft`, `lin_conv_fft_pad`) is a door over a private core
 (`_circ_conv_fft`, `_nega_conv`, `_circ_conv_split`, `_conv_tft`, and
-`_zero_padded` for the padded ones). Every such core returns L times its
-product, where L is the size of the table the product is run on: its
-inverse transforms do not scale, as itft does not. One step, `_product`,
-serves the five doors and `poly_mul`: it takes the table of the size the
-engine's rule gives, runs the core through `transform._run`, and divides by
-L once (`transform._div_size`), after `_zero_padded`'s cut, so fft_pad
-scales n values and split, at L/2, scales once. `_run` hands the core
-uint64 arrays wherever the transforms run in numpy (see
-`transform._numpy_kernels`, which takes sizes from 2**9 on once a
-transform of 2**15, or the process's earlier Python-loop transforms, have
+`_zero_padded` for the padded ones). Every such core takes the table its
+product runs on as its first argument and reads L there, as `table.size`:
+none fetches its own table or works its size out again, and the only other
+table a core fetches is `_nega_conv`'s twist, of 2L. It returns L times its
+product: its inverse transforms do not scale, as itft does not. One step,
+`_product`, serves the five doors and `poly_mul`: it fetches the table of
+the size the engine's rule gives, runs the core on it through
+`transform._run`, and divides by L once (`transform._div_size`), after
+`_zero_padded`'s cut, so fft_pad scales n values and split, at L/2, scales
+once. `_run` hands the core uint64 arrays wherever the transforms run in
+numpy (see `transform._numpy_kernels`, which takes sizes from 2**9 on once
+a transform of 2**15, or the process's earlier Python-loop transforms, have
 paid for importing numpy), converting each input once (which reduces ints
 outside [0, p)), and a door converts the result to a list once
 (`transform._listed`). A core trusts what it is handed and calls only
@@ -36,11 +39,11 @@ cores. On uint64 arrays every step stays in arrays (transforms, pointwise
 product, 1/L scale, twist, residues, padding); on lists every step runs the
 Python loops. Both paths return the same values and count the same
 operations. `poly_mul` hands its trimmed operands, ints that `DensePoly`
-has checked, to the same step, and hands an ndarray product to
-`DensePoly`, which range-checks it in numpy and stores it as ints. So no
-padding zero is converted, and nothing below a door or `poly_mul` checks
-its arrays again. The residue maps are public and called by the split
-core, so they take lists of ints or uint64 arrays, and check an array by
+has checked, to the same step, and hands an ndarray product to `DensePoly`,
+which range-checks it in numpy and stores it as ints. So no padding zero is
+converted, and nothing below a door or `poly_mul` checks its arrays again.
+The residue maps are public and called by the split core, so they take
+lists of ints or uint64 arrays, and check an array by
 `transform._as_residues`' rule.
 
 One table. `_ENGINES` holds each fixed engine: its transform-size rule, its
@@ -119,23 +122,23 @@ def _operands(u, v, circular: bool = False) -> tuple[list[int], list[int]]:
 def _product(size: int, core, u, v, req: ConvRequest):
     """core's product of u and v over the size-point table, divided by size once: the step of every transform-backed product.
 
+    It fetches the table and hands it to core, which reads its size there.
     `transform._run` hands core uint64 arrays where the table's transforms
     run in numpy, else the lists, and keeps the process's tally. core
     returns size times the product, and `transform._div_size` scales it.
     """
     table = get_table(req.field, size)
-    return _div_size(_run(table, lambda a, b: core(a, b, req), u, v), table)
+    return _div_size(_run(table, lambda a, b: core(table, a, b, req), u, v), table)
 
 
-def _zero_padded(circ, u, v, req: ConvRequest, least: int):
-    """The linear product u * v as the core circ on both zero-padded to max(least, next_pow2(n)), cut to n.
+def _zero_padded(circ, size: int, table, u, v, req: ConvRequest):
+    """The linear product u * v as the core circ on table, over u and v zero-padded to size, cut to n.
 
     It carries circ's factor, the table size. Both inputs are uint64 arrays
     or both lists, and are padded in their own type, so that only their own
     values were converted.
     """
     n = len(u) + len(v) - 1
-    size = max(least, _next_pow2(n))
 
     def pad(w):
         if _is_array(w):
@@ -146,7 +149,7 @@ def _zero_padded(circ, u, v, req: ConvRequest, least: int):
             return out
         return list(w) + [0] * (size - len(w))
 
-    return circ(pad(u), pad(v), req)[:n]
+    return circ(table, pad(u), pad(v), req)[:n]
 
 
 def circ_conv_def(u: list[int], v: list[int], fp: FourierPrime) -> list[int]:
@@ -205,9 +208,8 @@ def circ_conv_fft(u: list[int], v: list[int], req: ConvRequest) -> list[int]:
     return _listed(_product(len(u), _circ_conv_fft, u, v, req))
 
 
-def _circ_conv_fft(u, v, req: ConvRequest):
-    # len(u) times the circular product: the inverse moddft core does not scale.
-    table = get_table(req.field, len(u))
+def _circ_conv_fft(table, u, v, req: ConvRequest):
+    # table.size times the circular product: the inverse moddft core does not scale.
     uf = moddft(u, table, "fwd", req.counters)
     vf = moddft(v, table, "fwd", req.counters)
     prod = _pointwise(uf, vf, req.field.p, req)
@@ -229,20 +231,20 @@ def nega_conv(u: list[int], v: list[int], req: ConvRequest) -> list[int]:
     return _listed(_product(len(u), _nega_conv, u, v, req))
 
 
-def _nega_conv(u, v, req: ConvRequest):
-    # len(u) times the negacyclic product, untwisted from the circular core's.
+def _nega_conv(table, u, v, req: ConvRequest):
+    # table.size times the negacyclic product, untwisted from the circular core's.
     p = req.field.p
-    twist = get_table(req.field, 2 * len(u))
+    twist = get_table(req.field, 2 * table.size)
     # psi**j and psi**-j for j < n, psi**2 == w_n.
     if _is_array(u):
         from ._ntt_numpy import mulmod, stage_arrays
 
         fwd, inv, _ = stage_arrays(twist)
         # Each stage is (twiddles, their Shoup quotients).
-        circ = _circ_conv_fft(mulmod(u, *fwd[-1], p), mulmod(v, *fwd[-1], p), req)
+        circ = _circ_conv_fft(table, mulmod(u, *fwd[-1], p), mulmod(v, *fwd[-1], p), req)
         return mulmod(circ, *inv[-1], p)
     psi, inv_psi = twist.fwd_stages[-1], twist.inv_stages[-1]
-    circ = _circ_conv_fft(_mulmod(u, psi, p), _mulmod(v, psi, p), req)
+    circ = _circ_conv_fft(table, _mulmod(u, psi, p), _mulmod(v, psi, p), req)
     return _mulmod(circ, inv_psi, p)
 
 
@@ -261,13 +263,15 @@ def circ_conv_split(u: list[int], v: list[int], req: ConvRequest) -> list[int]:
     return _listed(_product(size >> 1, _circ_conv_split, u, v, req))
 
 
-def _circ_conv_split(u, v, req: ConvRequest):
-    # len(u)/2 times the product, recombined from two half-size cores' products.
+def _circ_conv_split(table, u, v, req: ConvRequest):
+    # table.size = len(u)/2 times the product, recombined from the two
+    # half-size cores' products. The negacyclic half runs first, so a size
+    # whose twist table the field refuses is refused before any transform.
     p = req.field.p
     ua, ub = split_residues(u, p)
     va, vb = split_residues(v, p)
-    ca = _circ_conv_fft(ua, va, req)
-    cb = _nega_conv(ub, vb, req)
+    cb = _nega_conv(table, ub, vb, req)
+    ca = _circ_conv_fft(table, ua, va, req)
     return recombine_residues(ca, cb, p)
 
 
@@ -337,10 +341,9 @@ def conv_tft(g: list[int], h: list[int], req: ConvRequest) -> list[int]:
     return _listed(_ENGINES["tft"].run(*_operands(g, h), req))
 
 
-def _conv_tft(g, h, req: ConvRequest):
-    # L times the product: itft does not divide by L.
+def _conv_tft(table, g, h, req: ConvRequest):
+    # L = table.size times the product: itft does not divide by L.
     n = len(g) + len(h) - 1
-    table = get_table(req.field, _next_pow2(n))
     gf = tft(table, g, n, req.counters)
     hf = tft(table, h, n, req.counters)
     return itft(table, _pointwise(gf, hf, req.field.p, req), req.counters)
@@ -418,13 +421,14 @@ def _kronecker_cost(z1: int, z2: int, timed: PlanEntry, base: PlanEntry) -> floa
 class _Engine(NamedTuple):
     """A fixed engine: how it runs a product of length n, and how `auto` prices it.
 
-    `size` gives the transform size L for n, the table `run` hands to
-    `_product`, which decides whether `core` is handed uint64 arrays and
-    divides core's L-fold product by L; None for an engine without
-    transforms, whose core gets its operands as they are and returns the
-    product itself. `core` looks the cores up by module name when called,
-    so a replaced name (a tracer's wrapper) is the one that runs. `cost`
-    gives the nanoseconds of a z1 x z2 product from the plan entries of the
+    `size` gives the transform size L for n, the one place that decides it:
+    `_product` fetches the L-point table, hands it to `core` as its first
+    argument, decides whether core is handed uint64 arrays, and divides
+    core's L-fold product by L. None for an engine without transforms, whose
+    core gets None for a table and its operands as they are, and returns the
+    product itself. `core` looks the cores up by module name when called, so
+    a replaced name (a tracer's wrapper) is the one that runs. `cost` gives
+    the nanoseconds of a z1 x z2 product from the plan entries of the
     (kind, L) keys that `reads` names at the padded size L
     (`planner.planned_keys`), or, for an engine `auto` never ranks, the
     reason as a string. `applies` says where `auto` ranks it, at a padded
@@ -441,7 +445,7 @@ class _Engine(NamedTuple):
     def run(self, u, v, req: ConvRequest):
         """The product of the int sequences u and v by this engine, a list or a uint64 array."""
         if self.size is None:
-            return self.core(u, v, req)
+            return self.core(None, u, v, req)
         return _product(self.size(len(u) + len(v) - 1), self.core, u, v, req)
 
 
@@ -452,15 +456,16 @@ class _Engine(NamedTuple):
 # timings below 2**15 are of the Python loops, so it would win there where
 # the numpy tft is 2-5x faster.
 _ENGINES = {
-    "definition": _Engine(None, lambda u, v, req: lin_conv_def(u, v, req.field),
+    "definition": _Engine(None, lambda table, u, v, req: lin_conv_def(u, v, req.field),
                           "quadratic: auto never falls back to it, and it stays the oracle"),
-    "fft_pad": _Engine(_next_pow2, lambda u, v, req: _zero_padded(_circ_conv_fft, u, v, req, 1),
+    "fft_pad": _Engine(_next_pow2, lambda table, u, v, req: _zero_padded(_circ_conv_fft, table.size, table, u, v, req),
                        lambda z1, z2, dft: 3 * dft.measured_nanos, lambda size: (("dft", size),)),
-    "tft": _Engine(_next_pow2, lambda u, v, req: _conv_tft(u, v, req), _tft_cost,
+    "tft": _Engine(_next_pow2, lambda table, u, v, req: _conv_tft(table, u, v, req), _tft_cost,
                    lambda size: (("tft", size), ("itft", size)), tie=2),
-    "split": _Engine(lambda n: max(2, _next_pow2(n)) >> 1, lambda u, v, req: _zero_padded(_circ_conv_split, u, v, req, 2),
+    "split": _Engine(lambda n: max(2, _next_pow2(n)) >> 1,
+                     lambda table, u, v, req: _zero_padded(_circ_conv_split, 2 * table.size, table, u, v, req),
                      "fft_pad's work at half size plus a twist: no planned key times it, and it was never the fastest"),
-    "kronecker": _Engine(None, lambda u, v, req: _kronecker(u, v, req.field), _kronecker_cost,
+    "kronecker": _Engine(None, lambda table, u, v, req: _kronecker(u, v, req.field), _kronecker_cost,
                          lambda size: (("conv", size), ("conv", min(size, LINEAR_WORK_L))),
                          lambda p, size: _numpy_kernels(p, size) is None, tie=1),
 }

@@ -15,9 +15,8 @@ from functools import lru_cache
 
 MAX_MODULUS_BITS = 62
 
-# Deterministic Miller-Rabin witness set, valid for every n < 3.3 * 10**24.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
+# The primes below 40: the trial divisors, and a deterministic Miller-Rabin
+# witness set, valid for every n < 3.3 * 10**24.
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -96,7 +95,7 @@ def is_probable_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_WITNESSES:
+    for a in _SMALL_PRIMES:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

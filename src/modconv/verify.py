@@ -207,8 +207,8 @@ def _suite_truncated(rng, cap, fields):
 def _suite_numpy_backend(rng, cap, fields):
     # The numpy kernels against the Python loops, neither of which divides
     # by L (the inverse moddft and itft return L times their result), and
-    # convolve's cores on arrays, each divided by its L once, against the
-    # quadratic oracles.
+    # convolve's cores on arrays, each run on the table of its door's size
+    # and divided by that table's L once, against the quadratic oracles.
     try:
         from . import _ntt_numpy  # noqa: F401  numpy installed
     except ImportError:
@@ -257,7 +257,8 @@ def _suite_numpy_backend(rng, cap, fields):
                 _nega_conv: (size, [(full[i] - full[i + size]) % p for i in range(size)]),
             }
             for core, (L, out) in want.items():
-                if _div_size(core(ua, va, req), get_table(fp, L)).tolist() != out:
+                table = get_table(fp, L)
+                if _div_size(core(table, ua, va, req), table).tolist() != out:
                     return False, f"{core.__name__} on uint64 arrays != oracle at p={p}, n={size}"
     return True, f"{checked} (p, L, n) cases match the Python kernels up to L={top}; convolution cores on arrays match the oracles"
 

@@ -274,6 +274,17 @@ class TestMul:
         write_poly(fb, 7, [3, 4])
         assert main(["mul", str(fa), str(fb), "--engine", "tft", "-o", str(out)]) == EXIT_UNSUPPORTED
 
+    @pytest.mark.parametrize("engine", ["fft_pad", "split"])
+    def test_split_and_fft_pad_refuse_the_same_size(self, tmp_path, engine):
+        # n = 17 needs a 32-point table, beyond 17's 2-adicity 4: split's
+        # negacyclic half twists by it, so split refuses it as fft_pad does.
+        fa, fb, out = tmp_path / "a", tmp_path / "b", tmp_path / "out"
+        write_poly(fa, 17, [1] * 9)
+        write_poly(fb, 17, [2] * 9)
+        assert main(["mul", str(fa), str(fb), "--engine", engine, "-o", str(out)]) == EXIT_UNSUPPORTED
+        write_poly(fb, 17, [2] * 8)
+        assert main(["mul", str(fa), str(fb), "--engine", engine, "-o", str(out)]) == EXIT_OK
+
     def test_missing_file_exit_code(self, tmp_path):
         fb, out = tmp_path / "b", tmp_path / "out"
         write_poly(fb, 17, [3, 4])

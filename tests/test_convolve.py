@@ -486,9 +486,13 @@ def test_array_path_matches_list_path(case):
 
     def run(engine, args, size=None):
         counters = OpCounters()
-        out = engine(*args, ConvRequest(fp, counters=counters))
-        # A core returns L times its product; one scale divides it, as the door does.
-        return (out if size is None else transform._div_size(out, get_table(fp, size))), counters
+        req = ConvRequest(fp, counters=counters)
+        if size is None:
+            return engine(*args, req), counters
+        # A core runs on the table it is handed and returns L times its
+        # product; one scale by that same table divides it, as the door does.
+        table = get_table(fp, size)
+        return transform._div_size(engine(table, *args, req), table), counters
 
     for door, (core, size, args) in calls.items():
         canonical = [residues(x) for x in args]
@@ -863,3 +867,81 @@ def test_each_product_scales_once(fp998, engine_backend):
             assert seen == scales, name
             if isinstance(out, DensePoly):
                 assert out == want, name
+
+
+@pytest.mark.parametrize("engine_backend", ["python", "numpy"])
+def test_each_product_fetches_each_table_once(fp998, engine_backend):
+    # _product fetches the table of the engine's size rule and hands it to
+    # the core: no core fetches it again, and the only other fetch is the
+    # negacyclic twist's table, of twice the size.
+    from modconv import convolve
+
+    seen = []
+    real = convolve.get_table
+
+    def spy(fp, size):
+        seen.append(size)
+        return real(fp, size)
+
+    rng = random.Random(6)
+    a = DensePoly(fp998, tuple(rng.randrange(1, fp998.p) for _ in range(300)))
+    b = DensePoly(fp998, tuple(rng.randrange(1, fp998.p) for _ in range(214)))
+    g, h = list(a.coeffs), list(b.coeffs)
+    u, v = g[:64], h[:64]
+    req = ConvRequest(fp998)
+    calls = {
+        "fft_pad": (lambda: poly_mul(a, b, replace(req, engine="fft_pad")), [1024]),
+        "tft": (lambda: poly_mul(a, b, replace(req, engine="tft")), [1024]),
+        "split": (lambda: poly_mul(a, b, replace(req, engine="split")), [512, 1024]),
+        "kronecker": (lambda: poly_mul(a, b, replace(req, engine="kronecker")), []),
+        "definition": (lambda: poly_mul(a, b, replace(req, engine="definition")), []),
+        "lin_conv_fft_pad": (lambda: lin_conv_fft_pad(g, h, req), [1024]),
+        "conv_tft": (lambda: conv_tft(g, h, req), [1024]),
+        "circ_conv_fft": (lambda: circ_conv_fft(u, v, req), [64]),
+        "nega_conv": (lambda: nega_conv(u, v, req), [64, 128]),
+        "circ_conv_split": (lambda: circ_conv_split(u, v, req), [32, 64]),
+    }
+    want = poly_mul(a, b, replace(req, engine="definition"))
+    with backend(engine_backend), mock.patch.object(convolve, "get_table", spy):
+        for name, (call, fetches) in calls.items():
+            seen.clear()
+            out = call()
+            assert sorted(seen) == fetches, name
+            if isinstance(out, DensePoly):
+                assert out == want, name
+
+
+# 2-adicity 4, 8 and 11: a product of 2**k + 1 needs a table of 2**(k+1).
+REFUSING = [(17, 4), (257, 8), (2305843009213704193, 11)]
+
+
+@pytest.mark.parametrize("engine_backend", ["python", "numpy"])
+@pytest.mark.parametrize("p, k", REFUSING)
+def test_split_refuses_before_any_transform(p, k, engine_backend):
+    # split takes the L fft_pad takes: it refuses n = 2**k + 1, as fft_pad
+    # does, and fetches the negacyclic half's twist table before it runs
+    # any transform.
+    from modconv import convolve
+
+    fp = FourierPrime.from_modulus(p)
+    rng = random.Random(p)
+    z1 = (1 << (k - 1)) + 1
+    a, b = (DensePoly(fp, tuple(rng.randrange(1, p) for _ in range(z))) for z in (z1, (1 << k) + 2 - z1))
+    u, v = ([rng.randrange(p) for _ in range(1 << (k + 1))] for _ in range(2))
+    calls = {
+        "fft_pad": lambda: poly_mul(a, b, ConvRequest(fp, engine="fft_pad")),
+        "split": lambda: poly_mul(a, b, ConvRequest(fp, engine="split")),
+        "circ_conv_split": lambda: circ_conv_split(u, v, ConvRequest(fp)),
+    }
+    ran = []
+    with backend(engine_backend), mock.patch.object(convolve, "moddft", lambda *args: ran.append(args)):
+        for name, call in calls.items():
+            with pytest.raises(UnsupportedSizeError):
+                call()
+            assert ran == [], name
+    # One level below, split and fft_pad both multiply.
+    c = DensePoly(fp, a.coeffs[:-1])
+    want = poly_mul(c, b, ConvRequest(fp, engine="definition"))
+    with backend(engine_backend):
+        for engine in ("fft_pad", "split"):
+            assert poly_mul(c, b, ConvRequest(fp, engine=engine)) == want, engine
