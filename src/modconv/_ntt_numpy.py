@@ -1,4 +1,13 @@
-"""numpy stage loops for moddft, tft and itft over primes p < 2**32.
+"""All uint64 arithmetic of modconv: numpy stage loops for moddft, tft and itft, and the array primitives, over p < 2**32.
+
+This is the only module that imports numpy. The word bound 2**32 is
+`transform._WORD`, its one definition, which `transform._takes` reads before
+numpy loads. Besides the transforms it holds the named primitives the other
+modules run on arrays, each beside its list branch there: `residues` (the
+one crossing into numpy, and the array check), `pointwise`, `scale` (Shoup's
+product by one int constant), `pair` (the split's residue pair), `pad` and
+`mulmod`. They reach this module through `transform._array_kernels` (on an
+ndarray) or `transform._numpy_kernels` (on the size rule).
 
 `transform` imports this module on the first transform large enough to pay
 for importing numpy, and runs smaller transforms here too once numpy is loaded
@@ -8,21 +17,22 @@ stage (per level, on itft's partial path) instead of one Python statement per
 butterfly. Each takes a uint64 ndarray of residues and returns a new uint64
 ndarray, leaving its input unchanged. No kernel divides by the size: the
 inverse moddft, like itft, returns size times its result, and
-`transform._div_size` scales once per product. In the library only the
-transform cores in `transform` call them, on arrays that `transform._run`
-made from lists with `transform._as_residues` and that are taken as they
+`transform._div_size` scales once per product, by `scale`. In the library
+only the transform cores in `transform` call them, on arrays that
+`transform._run` made from lists with `residues` and that are taken as they
 are; a door converts the result back to a list. tft walks the stages that
 `transform._tft_path` returns and itft the levels that
 `transform._itft_path` returns, as the pure-Python loops do. Argument
 checks and `OpCounters` stay with the callers in `transform`.
 
 No butterfly divides. A product by a twiddle or a constant factor w < p uses
-Shoup's precomputed quotient w' = floor(w * 2**32 / p) (`quotient`; NTL's
-MulModPrecon): for a residue x, t = x*w - ((x*w') >> 32) * p lies in [0, 2p).
-Residues are below 2**32, so x*w and x*w' stay below 2**64 for every
-p < 2**32. A sum a + b, a difference a - b + p and such a t all lie in
-[0, 2p) and are brought into [0, p) by np.minimum(s, s - p): when s < p,
-s - p wraps around to above 2**63. `stage_arrays` stores each stage's
+Shoup's precomputed quotient w' = floor(w * 2**32 / p) (`quotient`, and
+`_constant` for an int w with its quotient; NTL's MulModPrecon): for a
+residue x, t = x*w - ((x*w') >> 32) * p lies in [0, 2p). Residues are
+below 2**32, so x*w and x*w' stay below 2**64 for every p < 2**32. A sum
+a + b, a difference a - b + p and such a t all lie in [0, 2p) and are
+brought into [0, p) by np.minimum(s, s - p): when s < p, s - p wraps
+around to above 2**63. `stage_arrays` stores each stage's
 quotients beside its twiddles.
 
 Layout: each numpy operation runs over stretches of at least _ROW/2
@@ -46,12 +56,13 @@ it runs, and restores the caller's.
 
 from __future__ import annotations
 
+import array
 import contextlib
 import functools
 
 import numpy as np
 
-from .transform import _itft_path, _tft_path
+from .transform import _WORD, _itft_path, _tft_path
 
 
 # Points per row of the Stockham passes (`_stockham`): the stages within a
@@ -83,7 +94,7 @@ def _small_buffer():
 
 def quotient(w, p: int):
     """Shoup's quotient floor(w * 2**32 / p) of a factor w < p: an int, or a uint64 array for one."""
-    return (w << 32) // p
+    return w * _WORD // p
 
 
 def stage_arrays(table):
@@ -108,14 +119,20 @@ def stage_arrays(table):
     return arrays
 
 
-# The shift of Shoup's product. Scalar operands go to numpy as 0-d arrays:
-# converting a Python int costs about 0.5 us on every call, as much as
-# adding a few hundred residues.
-_SHIFT = np.array(32, dtype=np.uint64)
-
-
 def _u64(v: int):
     return np.array(v, dtype=np.uint64)
+
+
+# The shift of Shoup's product, log2 of the word bound. Scalar operands go
+# to numpy as 0-d arrays: converting a Python int costs about 0.5 us on
+# every call, as much as adding a few hundred residues.
+_SHIFT = _u64(_WORD.bit_length() - 1)
+
+
+def _constant(w: int, p: int):
+    # w mod p and its Shoup quotient, as numpy operands of `_mul`.
+    w %= p
+    return _u64(w), _u64(quotient(w, p))
 
 
 def _reduce(s, p, tmp) -> None:
@@ -153,6 +170,61 @@ def mulmod(x, w, wq, p: int):
     out = np.empty_like(x)
     _mul(x, w, wq, _u64(p), out, np.empty_like(x))
     return out
+
+
+def scale(x, w: int, p: int):
+    """x * w mod p as a new array, for residues x and an int w: Shoup's product by one constant."""
+    return mulmod(x, *_constant(w, p), p)
+
+
+def pointwise(a, b, p: int):
+    """a * b mod p elementwise as a new array, for residues a and b."""
+    out = a * b
+    out %= p
+    return out
+
+
+def pair(lo, hi, p: int):
+    """(lo + hi) mod p followed by (lo - hi) mod p, as one new array, for residues lo and hi of one length."""
+    n = len(lo)
+    out = np.empty(2 * n, dtype=np.uint64)
+    tmp, pu = np.empty_like(lo), _u64(p)
+    _add(lo, hi, pu, out[:n], tmp)
+    _sub(lo, hi, pu, out[n:], tmp)
+    return out
+
+
+def pad(x, size: int):
+    """x followed by zeros, as a new uint64 array of size entries."""
+    out = np.zeros(size, dtype=np.uint64)
+    out[: len(x)] = x
+    return out
+
+
+def residues(x, p: int):
+    """x as a uint64 array of residues mod p, the one input the numpy kernels take.
+
+    A list (or tuple) of ints is converted through the buffer protocol, as
+    a C array of unsigned 64-bit ints, and its ints outside [0, p) are
+    reduced mod p: the residues the Python loops compute with. An empty list
+    raises ValueError. An ndarray is taken as it is, so it must be
+    one-dimensional and uint64, hold residues and have p < transform._WORD;
+    any other raises ValueError. `DensePoly` and the residue maps read an
+    ndarray by this rule.
+    """
+    if isinstance(x, np.ndarray):
+        if p >= _WORD:
+            raise ValueError(f"uint64 arrays need p < 2**32, got p={p}")
+        if x.ndim != 1 or x.dtype != np.uint64 or x.size and x.max() >= p:
+            raise ValueError(f"arrays must be 1-D uint64 and hold residues mod p={p}")
+        return x
+    try:
+        a = np.frombuffer(array.array("Q", x), dtype=np.uint64)
+    except OverflowError:  # an int below 0 or from 2**64 up
+        a = np.array([v % p for v in x], dtype=np.uint64)
+    if a.max() >= p:
+        a %= p
+    return a
 
 
 def _butterflies(lo, hi, w, wq, p, t, tmp) -> None:
@@ -325,11 +397,9 @@ def tft(table, x, n: int):
     fwd = stage_arrays(table)[0]
     p = _u64(table.field.p)
     size = table.size
-    z = len(x)
-    c = np.zeros(size, dtype=np.uint64)
-    c[:z] = x
+    c = pad(x, size)
     m = min(_ROW, size >> 1) or 1
-    path = _tft_path(size, z, n)
+    path = _tft_path(size, len(x), n)
     with _small_buffer():
         _tft_stages(c, fwd, [stage for stage in path if stage[0] >= m], n, p)
         # A row below n now holds every input its wanted outputs need, and
@@ -344,17 +414,10 @@ def itft(table, xhat):
     fwd, inv, _ = stage_arrays(table)
     p = table.field.p
     n = len(xhat)
-    c = np.zeros(table.size, dtype=np.uint64)
-    c[:n] = xhat
+    c = pad(xhat, table.size)
     s, t, tmp = (np.empty(table.size >> 1, dtype=np.uint64) for _ in range(3))
     levels = _itft_path(table.size, n)
     pu = _u64(p)
-
-    def factor(w: int):
-        # w mod p and its quotient, as numpy operands.
-        w %= p
-        return _u64(w), _u64(quotient(w, p))
-
     with _small_buffer():
         # The low halves the path inverts are consecutive blocks from 0 of
         # decreasing size, and hold only input spectral values until the
@@ -376,10 +439,10 @@ def itft(table, xhat):
                 b = c[off + left : off + m]
                 k = len(a)
                 d, mb, kt = s[:k], t[:k], tmp[:k]
-                _mul(b, *factor(m), pu, mb, kt)
+                _mul(b, *_constant(m, p), pu, mb, kt)
                 _sub(a, mb, pu, d, kt)
                 _add(a, d, pu, a, kt)
-                _mul(d, *factor(pow(h, -1, p)), pu, mb, kt)
+                _mul(d, *_constant(pow(h, -1, p), p), pu, mb, kt)
                 _mul(mb, tws[left - h : h], quo[left - h : h], pu, b, kt)
             else:
                 lo = c[off + left : off + h]
@@ -407,8 +470,8 @@ def itft(table, xhat):
             total %= pu
             a = c[off : off + left]
             mb, kt = t[:left], tmp[:left]
-            _mul(a, *factor(1 << runs), pu, a, kt)
-            _mul(total, *factor(-(m << runs - 1)), pu, mb, kt)
+            _mul(a, *_constant(1 << runs, p), pu, a, kt)
+            _mul(total, *_constant(-(m << runs - 1), p), pu, mb, kt)
             _add(a, mb, pu, a, kt)
             j = i
     return c[:n]

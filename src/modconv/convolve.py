@@ -23,8 +23,10 @@ transform-backed engine (`circ_conv_fft`, `nega_conv`, `circ_conv_split`,
 `_zero_padded` for the padded ones). Every such core takes the table its
 product runs on as its first argument and reads L there, as `table.size`:
 none fetches its own table or works its size out again, and the only other
-table a core fetches is `_nega_conv`'s twist, of 2L. It returns L times its
-product: its inverse transforms do not scale, as itft does not. One step,
+table a core fetches is the negacyclic twist, of 2L (`_circ_conv_split`
+fetches it before its residue maps run, and hands it to `_nega_conv`). It
+returns L times its product: its inverse transforms do not scale, as itft
+does not. One step,
 `_product`, serves the five doors and `poly_mul`: it fetches the table of
 the size the engine's rule gives, runs the core on it through
 `transform._run`, and divides by L once (`transform._div_size`), after
@@ -37,14 +39,17 @@ outside [0, p)), and a door converts the result to a list once
 (`transform._listed`). A core trusts what it is handed and calls only
 cores. On uint64 arrays every step stays in arrays (transforms, pointwise
 product, 1/L scale, twist, residues, padding); on lists every step runs the
-Python loops. Both paths return the same values and count the same
-operations. `poly_mul` hands its trimmed operands, ints that `DensePoly`
-has checked, to the same step, and hands an ndarray product to `DensePoly`,
-which range-checks it in numpy and stores it as ints. So no padding zero is
-converted, and nothing below a door or `poly_mul` checks its arrays again.
-The residue maps are public and called by the split core, so they take
-lists of ints or uint64 arrays, and check an array by
-`transform._as_residues`' rule.
+Python loops. Every step keeps its list branch here and runs on arrays
+through the primitives of `_ntt_numpy`, which holds all uint64 arithmetic
+(`pointwise`, `scale`, `pair`, `pad`, `mulmod`), looked up by
+`transform._array_kernels`; this module does not import numpy. Both paths
+return the same values and count the same operations. `poly_mul` hands its
+trimmed operands, ints that `DensePoly` has checked, to the same step, and
+hands an ndarray product to `DensePoly`, which range-checks it in numpy
+and stores it as ints. So no padding zero is converted, and nothing below
+a door or `poly_mul` checks its arrays again. The residue maps are public
+and called by the split core, so they take lists of ints or uint64 arrays,
+and check an array by `_ntt_numpy.residues`' rule.
 
 One table. `_ENGINES` holds each fixed engine: its transform-size rule, its
 core, and how `auto` prices it (`_Engine`): the planned keys its cost reads,
@@ -66,7 +71,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .field import FieldMismatchError, FourierPrime
 from .poly import DensePoly, _check_fields
-from .transform import OpCounters, _as_residues, _div_size, _ints, _is_array, _listed, _numpy_kernels, _run, get_table
+from .transform import OpCounters, _array_kernels, _div_size, _ints, _listed, _numpy_kernels, _run, get_table
 from .transform import itft_butterflies, tft_butterflies
 
 # The engines call the transform cores by these module names, as they call
@@ -139,17 +144,9 @@ def _zero_padded(circ, size: int, table, u, v, req: ConvRequest):
     values were converted.
     """
     n = len(u) + len(v) - 1
-
-    def pad(w):
-        if _is_array(w):
-            import numpy as np
-
-            out = np.zeros(size, dtype=np.uint64)
-            out[: len(w)] = w
-            return out
-        return list(w) + [0] * (size - len(w))
-
-    return circ(table, pad(u), pad(v), req)[:n]
+    kernels = _array_kernels(u)
+    pad = kernels.pad if kernels else lambda w, size: list(w) + [0] * (size - len(w))
+    return circ(table, pad(u, size), pad(v, size), req)[:n]
 
 
 def circ_conv_def(u: list[int], v: list[int], fp: FourierPrime) -> list[int]:
@@ -186,20 +183,12 @@ def lin_conv_def(u: list[int], v: list[int], fp: FourierPrime) -> list[int]:
     return out
 
 
-def _mulmod(a, b, p: int):
-    # Elementwise a * b mod p, for lists or for uint64 arrays with p < 2**32.
-    if _is_array(a):
-        out = a * b
-        out %= p
-        return out
-    return [x * y % p for x, y in zip(a, b)]
-
-
 def _pointwise(a, b, p: int, req: ConvRequest):
     """Elementwise spectral product, counted."""
     if req.counters is not None:
         req.counters.pointwise_muls += len(a)
-    return _mulmod(a, b, p)
+    kernels = _array_kernels(a)
+    return kernels.pointwise(a, b, p) if kernels else [x * y % p for x, y in zip(a, b)]
 
 
 def circ_conv_fft(u: list[int], v: list[int], req: ConvRequest) -> list[int]:
@@ -231,21 +220,22 @@ def nega_conv(u: list[int], v: list[int], req: ConvRequest) -> list[int]:
     return _listed(_product(len(u), _nega_conv, u, v, req))
 
 
-def _nega_conv(table, u, v, req: ConvRequest):
-    # table.size times the negacyclic product, untwisted from the circular core's.
+def _nega_conv(table, u, v, req: ConvRequest, twist=None):
+    # table.size times the negacyclic product, untwisted from the circular
+    # core's, by the last stages of twist, the 2L table (fetched here unless
+    # the caller has): psi**j and psi**-j for j < n, psi**2 == w_n.
     p = req.field.p
-    twist = get_table(req.field, 2 * table.size)
-    # psi**j and psi**-j for j < n, psi**2 == w_n.
-    if _is_array(u):
-        from ._ntt_numpy import mulmod, stage_arrays
-
-        fwd, inv, _ = stage_arrays(twist)
+    twist = twist or get_table(req.field, 2 * table.size)
+    kernels = _array_kernels(u)
+    if kernels:
         # Each stage is (twiddles, their Shoup quotients).
-        circ = _circ_conv_fft(table, mulmod(u, *fwd[-1], p), mulmod(v, *fwd[-1], p), req)
-        return mulmod(circ, *inv[-1], p)
-    psi, inv_psi = twist.fwd_stages[-1], twist.inv_stages[-1]
-    circ = _circ_conv_fft(table, _mulmod(u, psi, p), _mulmod(v, psi, p), req)
-    return _mulmod(circ, inv_psi, p)
+        fwd, inv, _ = kernels.stage_arrays(twist)
+        mul = lambda x, w: kernels.mulmod(x, *w, p)
+    else:
+        fwd, inv = twist.fwd_stages, twist.inv_stages
+        mul = lambda x, w: [a * b % p for a, b in zip(x, w)]
+    circ = _circ_conv_fft(table, mul(u, fwd[-1]), mul(v, fwd[-1]), req)
+    return mul(circ, inv[-1])
 
 
 def circ_conv_split(u: list[int], v: list[int], req: ConvRequest) -> list[int]:
@@ -265,40 +255,32 @@ def circ_conv_split(u: list[int], v: list[int], req: ConvRequest) -> list[int]:
 
 def _circ_conv_split(table, u, v, req: ConvRequest):
     # table.size = len(u)/2 times the product, recombined from the two
-    # half-size cores' products. The negacyclic half runs first, so a size
-    # whose twist table the field refuses is refused before any transform.
+    # half-size cores' products. The twist table is fetched first, so a
+    # size whose twist the field refuses is refused before any work.
     p = req.field.p
+    twist = get_table(req.field, 2 * table.size)
     ua, ub = split_residues(u, p)
     va, vb = split_residues(v, p)
-    cb = _nega_conv(table, ub, vb, req)
+    cb = _nega_conv(table, ub, vb, req, twist)
     ca = _circ_conv_fft(table, ua, va, req)
     return recombine_residues(ca, cb, p)
-
-
-def _residue_pair(lo, hi, p: int):
-    # (lo + hi, lo - hi) mod p on uint64 residues: both lie in [0, 2p), and
-    # where one is below p, subtracting p wraps above it.
-    import numpy as np
-
-    a = lo + hi
-    b = lo - hi
-    b += p
-    return np.minimum(a, a - p), np.minimum(b, b - p)
 
 
 def split_residues(u: list[int], p: int) -> tuple[list[int], list[int]]:
     """Residues of u mod (x**n - 1) and mod (x**n + 1), for n = len(u)/2.
 
     len(u) must be even and nonzero. A list holds ints (`transform._ints`).
-    A uint64 ndarray u (p < 2**32) must hold residues
-    (`transform._as_residues`) and gives arrays back.
+    A uint64 ndarray u must hold residues (`_ntt_numpy.residues`) and gives
+    arrays back.
     """
     n = len(u) >> 1
     if not n or len(u) & 1:
         raise ValueError(f"need an even nonzero length, got {len(u)}")
-    if _is_array(u):
-        u = _as_residues(u, p)
-        return _residue_pair(u[:n], u[n:], p)
+    kernels = _array_kernels(u)
+    if kernels:
+        u = kernels.residues(u, p)
+        both = kernels.pair(u[:n], u[n:], p)
+        return both[:n], both[n:]
     u = _ints(u)
     a = [(u[j] + u[j + n]) % p for j in range(n)]
     b = [(u[j] - u[j + n]) % p for j in range(n)]
@@ -310,21 +292,17 @@ def recombine_residues(a: list[int], b: list[int], p: int) -> list[int]:
 
     a and b must be nonempty and of equal length, and a list holds ints
     (`transform._ints`). An ndarray among them puts the map in arrays: each
-    input then goes through `transform._as_residues`, and the result is an
+    input then goes through `_ntt_numpy.residues`, and the result is an
     array.
     """
     if not len(a) or len(a) != len(b):
         raise ValueError(f"need equal nonempty lengths, got {len(a)} and {len(b)}")
-    a, b = (x if _is_array(x) else _ints(x) for x in (a, b))
+    kernels = _array_kernels(a, b)
+    a, b = (x if _array_kernels(x) else _ints(x) for x in (a, b))
     inv2 = (p + 1) >> 1
-    if _is_array(a) or _is_array(b):
-        import numpy as np
-
-        from ._ntt_numpy import mulmod, quotient
-
+    if kernels:
         # The residues of a followed by b are a + b and a - b.
-        out = np.concatenate(_residue_pair(_as_residues(a, p), _as_residues(b, p), p))
-        return mulmod(out, inv2, quotient(inv2, p), p)
+        return kernels.scale(kernels.pair(kernels.residues(a, p), kernels.residues(b, p), p), inv2, p)
     lo = [(x + y) * inv2 % p for x, y in zip(a, b)]
     hi = [(x - y) * inv2 % p for x, y in zip(a, b)]
     return lo + hi
@@ -483,9 +461,9 @@ def poly_mul(a: DensePoly, b: DensePoly, req: ConvRequest) -> DensePoly:
     way, through the doors' step `_product` (`_Engine.run`). Where the
     engine's transforms run in numpy (its `_ENGINES` size rule and
     `transform._numpy_kernels`), each trimmed operand is converted to a
-    uint64 array by `_as_residues`, the engine's core pads and multiplies in
-    arrays, the product is divided by L once, and the ndarray becomes the
-    DensePoly, which checks it in numpy. Every other engine, size and prime
+    uint64 array by `_ntt_numpy.residues`, the engine's core pads and
+    multiplies in arrays, the product is divided by L once, and the ndarray
+    becomes the DensePoly, which checks it in numpy. Every other engine, size and prime
     gets the trimmed coefficient tuples and returns a list. A product that
     ran on them at a size and prime the numpy kernels take counts as three
     transforms toward the process's switch to numpy (`transform._run`).

@@ -12,7 +12,7 @@ import operator
 from dataclasses import dataclass
 
 from .field import Felt, FieldMismatchError, FourierPrime, LineError, _clip, _lines
-from .transform import _as_residues, _is_array
+from .transform import _array_kernels
 
 KARATSUBA_THRESHOLD = 16
 
@@ -45,9 +45,11 @@ class DensePoly:
     `operator.index` gives, and a non-integer, a float among them, is
     refused. A numpy ndarray, which is how the engines' cores hand
     `poly_mul` its product, is checked in numpy instead, by
-    `transform._as_residues`' rule (1-D, uint64, max() < p, and
-    p < 2**32), and converted to ints once; an empty one, like an empty
-    tuple, is the zero polynomial.
+    `_ntt_numpy.residues`' rule (1-D, uint64, max() < p, and p below the
+    word bound `transform._WORD`), and converted to ints once; an empty
+    one, like an empty tuple, is the zero polynomial. This module does not
+    import numpy: `_ntt_numpy` holds all uint64 arithmetic, reached through
+    `transform._array_kernels`.
     """
 
     field: FourierPrime
@@ -56,8 +58,9 @@ class DensePoly:
     def __post_init__(self) -> None:
         p = self.field.p
         coeffs = self.coeffs
-        if _is_array(coeffs):
-            coeffs = tuple(_as_residues(coeffs, p).tolist())
+        kernels = _array_kernels(coeffs)
+        if kernels:
+            coeffs = tuple(kernels.residues(coeffs, p).tolist())
         else:
             coeffs = tuple(coeffs)
             for c in coeffs:

@@ -11,10 +11,11 @@ lists. tft walks the stages that _tft_path lays out, and itft inverts each
 fully known half with the loop moddft runs, on the one partial path that
 _itft_path lays out; both backends read those walks. The loops exist twice:
 in pure Python here, the reference and the path for any prime, and in numpy
-(`_ntt_numpy`) over p < 2**32, where a residue product fits in uint64. The
-numpy kernels take a transform of _NUMPY_CROSSOVER (2**9) points or more,
-where they are the faster loops, once numpy is loaded or the process should
-load it (`_numpy_kernels`): once the larger of the process's Python-loop
+(`_ntt_numpy`) over p < _WORD = 2**32, where a residue product fits in
+uint64; _WORD is that bound's one definition. The numpy kernels take a
+transform of _NUMPY_CROSSOVER (2**9) points or more, where they are the
+faster loops, once numpy is loaded or the process should load it
+(`_numpy_kernels`): once the larger of the process's Python-loop
 butterflies at sizes the kernels take and this transform's own butterflies
 reaches _BUDGET, one 2**15-point transform's worth, about what the import
 costs. numpy must be importable.
@@ -28,9 +29,15 @@ decides the backend and keeps the process's tally: a core trusts what it is
 handed and dispatches on its type, a uint64 array of residues runs the numpy
 kernels and gives one back, and a list runs the Python loops. The engines in
 `convolve` call the cores through the same `_run`, so a product converts its
-inputs once and stays in arrays. _as_residues is the one place a vector
-crosses into numpy: a list has its ints outside [0, p) reduced there. Both
-paths return the same residues and count the same butterflies. numpy is
+inputs once and stays in arrays. Both paths return the same residues and
+count the same butterflies.
+
+One arithmetic layer for arrays. `_ntt_numpy` holds all uint64 arithmetic:
+the stage loops and a few named primitives (`residues`, the one crossing
+into numpy, which reduces a list's ints outside [0, p); `pointwise`;
+`scale`; `pair`; `pad`; `mulmod`). This module, `convolve` and `poly` keep
+their list branches and reach the primitives on arrays through one lookup,
+`_array_kernels`, and no module but `_ntt_numpy` imports numpy. numpy is
 imported on first use, never by this module or by building a table.
 
 No core divides by the size: the inverse moddft core, like itft, returns
@@ -165,11 +172,16 @@ def _load_numpy_kernels():
     return _ntt_numpy
 
 
+# The word bound of the numpy kernels, defined here once: over p < _WORD a
+# product of two residues fits in uint64. `_takes` reads it before numpy is
+# loaded, and `_ntt_numpy` imports it for its checks and Shoup's shift.
+_WORD = 1 << 32
+
+
 def _takes(p: int, size: int) -> bool:
     # Whether the numpy kernels take size-point transforms mod p at all:
-    # p < 2**32, where a product of two residues fits in uint64, and from
-    # _NUMPY_CROSSOVER points up.
-    return p < 1 << 32 and size >= _NUMPY_CROSSOVER
+    # p < _WORD, and from _NUMPY_CROSSOVER points up.
+    return p < _WORD and size >= _NUMPY_CROSSOVER
 
 
 def _numpy_kernels(p: int, size: int):
@@ -188,11 +200,18 @@ def _numpy_kernels(p: int, size: int):
     return _load_numpy_kernels()
 
 
-def _is_array(x) -> bool:
-    # True for a numpy ndarray; only a process that has loaded numpy holds one,
-    # so this never imports it.
+def _array_kernels(*xs):
+    """The numpy kernels module if any x is a numpy ndarray, else None: the one way to the array primitives.
+
+    Only a process that has loaded numpy holds an ndarray, so this never
+    imports numpy. The list branches stay with the callers; on arrays they
+    call the kernels' primitives (`residues`, `pointwise`, `scale`, `pair`,
+    `pad`, `mulmod`), which hold all uint64 arithmetic.
+    """
     np = sys.modules.get("numpy")
-    return np is not None and isinstance(x, np.ndarray)
+    if np is not None and any(isinstance(x, np.ndarray) for x in xs):
+        return _load_numpy_kernels()
+    return None
 
 
 def _ints(x) -> list[int]:
@@ -202,7 +221,7 @@ def _ints(x) -> list[int]:
     `operator.index`; anything else, and an ndarray x, raises ValueError.
     Ints outside [0, p) are kept, for the arithmetic to reduce.
     """
-    if _is_array(x):
+    if _array_kernels(x):
         raise ValueError("transforms and engines take lists, not ndarrays")
     try:
         return list(map(operator.index, x))
@@ -210,47 +229,16 @@ def _ints(x) -> list[int]:
         raise ValueError("vector elements must be integers") from None
 
 
-def _as_residues(x, p: int):
-    """x as a uint64 array of residues mod p, the one input the numpy kernels take.
-
-    A list (or tuple) of ints is converted through the buffer protocol, as
-    a C array of unsigned 64-bit ints, and its ints outside [0, p) are
-    reduced mod p: the residues the Python loops compute with. An empty list
-    raises ValueError. An ndarray is taken as it is, so it must be
-    one-dimensional and uint64, hold residues and have p < 2**32; any other
-    raises ValueError. `DensePoly` and the residue maps read an ndarray by
-    this rule. Call it only where numpy is loaded.
-    """
-    import array  # a shared library, so a process that never converts never loads it
-
-    import numpy as np
-
-    if isinstance(x, np.ndarray):
-        if p >= 1 << 32:
-            raise ValueError(f"uint64 arrays need p < 2**32, got p={p}")
-        if x.ndim != 1 or x.dtype != np.uint64 or x.size and x.max() >= p:
-            raise ValueError(f"arrays must be 1-D uint64 and hold residues mod p={p}")
-        return x
-    try:
-        a = np.frombuffer(array.array("Q", x), dtype=np.uint64)
-    except OverflowError:  # an int below 0 or from 2**64 up
-        a = np.array([v % p for v in x], dtype=np.uint64)
-    if a.max() >= p:
-        a %= p
-    return a
-
-
 def _numpy_inputs(table: TwiddleTable, *vecs):
-    """The int vectors vecs as uint64 arrays (`_as_residues`) where table's transforms run in numpy, else None.
+    """The int vectors vecs as uint64 arrays (`_ntt_numpy.residues`) where table's transforms run in numpy, else None.
 
     Asking `_numpy_kernels` imports numpy where its rule says the process
     should pay for it, so the first product that does converts like every
     later one. It counts nothing: the planner times its kernels on these.
     """
     p = table.field.p
-    if _numpy_kernels(p, table.size) is None:
-        return None
-    return [_as_residues(v, p) for v in vecs]
+    kernels = _numpy_kernels(p, table.size)
+    return kernels and [kernels.residues(v, p) for v in vecs]
 
 
 def _run(table: TwiddleTable, core, *vecs):
@@ -285,11 +273,8 @@ def _div_size(x, table: TwiddleTable):
     product, and the inverse moddft door, divides once, here.
     """
     p, inv = table.field.p, table.inv_size
-    if _is_array(x):
-        from ._ntt_numpy import mulmod, quotient
-
-        return mulmod(x, inv, quotient(inv, p), p)
-    return [v * inv % p for v in x]
+    kernels = _array_kernels(x)
+    return kernels.scale(x, inv, p) if kernels else [v * inv % p for v in x]
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
@@ -354,10 +339,9 @@ def _moddft(x, table: TwiddleTable, direction: str = "fwd", counters: OpCounters
     # returns N times its result. A uint64 array of residues runs the numpy
     # kernels and gives one back; a list runs the pure-Python loops, the
     # reference for the numpy kernels.
-    if _is_array(x):
-        from . import _ntt_numpy
-
-        vec = _ntt_numpy.moddft(x, table, direction)
+    kernels = _array_kernels(x)
+    if kernels:
+        vec = kernels.moddft(x, table, direction)
     else:
         vec = [x[r] for r in _rev_indices(table.size)]
         _dit_inplace(vec, table.fwd_stages if direction == "fwd" else table.inv_stages, table.field.p)
@@ -421,10 +405,9 @@ def _tft(table: TwiddleTable, x, n: int, counters: OpCounters | None = None):
     # the pure-Python loops.
     size = table.size
     z = len(x)
-    if _is_array(x):
-        from . import _ntt_numpy
-
-        out = _ntt_numpy.tft(table, x, n)
+    kernels = _array_kernels(x)
+    if kernels:
+        out = kernels.tft(table, x, n)
         if counters is not None:
             counters.butterflies += tft_butterflies(size, z, n)
         return out
@@ -519,10 +502,9 @@ def _itft(table: TwiddleTable, xhat, counters: OpCounters | None = None):
     # the pure-Python loops.
     size = table.size
     n = len(xhat)
-    if _is_array(xhat):
-        from . import _ntt_numpy
-
-        out = _ntt_numpy.itft(table, xhat)
+    kernels = _array_kernels(xhat)
+    if kernels:
+        out = kernels.itft(table, xhat)
         if counters is not None:
             counters.butterflies += itft_butterflies(size, n)
         return out

@@ -32,7 +32,6 @@ from .field import Felt, FourierPrime, root_of_unity
 from .planner import PlanEntry, PlanKey, PlanSession, PlanStore, plan_mirror, store_load, store_save
 from .poly import DensePoly, eval_poly, mul_karatsuba, mul_schoolbook, schoolbook_raw
 from .transform import (
-    _as_residues,
     _div_size,
     _itft,
     _moddft,
@@ -210,7 +209,7 @@ def _suite_numpy_backend(rng, cap, fields):
     # convolve's cores on arrays, each run on the table of its door's size
     # and divided by that table's L once, against the quadratic oracles.
     try:
-        from . import _ntt_numpy  # noqa: F401  numpy installed
+        from . import _ntt_numpy
     except ImportError:
         return True, "numpy not installed"
     checked = top = 0
@@ -228,7 +227,7 @@ def _suite_numpy_backend(rng, cap, fields):
             # bounds of the division-free products must hold. The cores run
             # the numpy kernels on arrays and the Python loops on lists.
             for x in ([rng.randrange(p) for _ in range(size)], [p - 1] * size):
-                a = _as_residues(x, p)
+                a = _ntt_numpy.residues(x, p)
                 for direction in ("fwd", "inv"):
                     if _moddft(a, table, direction).tolist() != _moddft(x, table, direction):
                         return False, f"numpy moddft {direction} != Python at p={p}, L={size}"
@@ -248,7 +247,7 @@ def _suite_numpy_backend(rng, cap, fields):
         for size in _pow2_range(min(cap, 64, 1 << (fp.two_adicity - 1))):
             u = [rng.randrange(p) for _ in range(size)]
             v = [rng.randrange(p) for _ in range(size)]
-            ua, va = _as_residues(u, p), _as_residues(v, p)
+            ua, va = _ntt_numpy.residues(u, p), _ntt_numpy.residues(v, p)
             full = schoolbook_raw(u, v, p) + [0]
             want = {
                 _conv_tft: (2 * size, full[:-1]),

@@ -589,7 +589,7 @@ def test_arrays_must_hold_residues(fp998):
 @pytest.mark.parametrize("p", [998244353, 4293918721])
 def test_mixed_inputs_follow_the_array_rule(p):
     # An ndarray among the residue maps' inputs puts them in arrays: each
-    # input is then read by transform._as_residues, which reduces a list and
+    # input is then read by _ntt_numpy.residues, which reduces a list and
     # checks an array, and the result is an array equal to the list result.
     import numpy as np
 
@@ -645,7 +645,7 @@ def _traced_call(call, fp, engine):
 
     def spy(name, real):
         def wrapped(*args, **kwargs):
-            seen.append((name, any(map(transform._is_array, args))))
+            seen.append((name, transform._array_kernels(*args) is not None))
             depth[0] += 1
             try:
                 return real(*args, **kwargs)
@@ -665,7 +665,7 @@ def _traced_call(call, fp, engine):
     names = ("moddft", "tft", "itft", "split_residues", "recombine_residues")
     with mock.patch.multiple(convolve, **{k: spy(k, getattr(convolve, k)) for k in names}), \
             mock.patch.multiple(_ntt_numpy, **{k: inside(getattr(_ntt_numpy, k)) for k in ("moddft", "tft", "itft")}), \
-            mock.patch.object(convolve, "_residue_pair", inside(convolve._residue_pair)):
+            mock.patch.object(_ntt_numpy, "pair", inside(_ntt_numpy.pair)):
         out = call(ConvRequest(fp, engine=engine, counters=counters))
     return out, counters, seen
 
@@ -714,18 +714,19 @@ def test_poly_mul_crosses_once_and_matches_python_loops(p, n):
 @pytest.mark.parametrize("engine", ["tft", "fft_pad", "split"])
 def test_arrays_are_checked_at_the_entry_only(fp998, engine):
     # poly_mul converts its two operands and checks its product: three
-    # passes of _as_residues. split's residue maps check the arrays the core
-    # hands them: one pass per split and two per recombine. The cores and
-    # transforms check nothing. A door converts each list it is handed once.
+    # passes of _ntt_numpy.residues. split's residue maps check the arrays
+    # the core hands them: one pass per split and two per recombine. The
+    # cores and transforms check nothing. A door converts each list it is
+    # handed once.
     import numpy  # noqa: F401  loaded, so the crossover alone puts sizes in numpy
 
-    from modconv import poly
+    from modconv import _ntt_numpy
 
     calls = []
-    real = transform._as_residues
+    real = _ntt_numpy.residues
 
     def counted(x, p):
-        calls.append(transform._is_array(x))
+        calls.append(transform._array_kernels(x) is not None)
         return real(x, p)
 
     rng = random.Random(11)
@@ -740,8 +741,7 @@ def test_arrays_are_checked_at_the_entry_only(fp998, engine):
         "fft_pad": [(lin_conv_fft_pad, (u, v), []), (circ_conv_fft, square, [])],
         "split": [(circ_conv_split, square, residue_maps), (nega_conv, square, [])],
     }
-    with mock.patch.object(transform, "_as_residues", counted), mock.patch.object(poly, "_as_residues", counted), \
-            mock.patch("modconv.convolve._as_residues", counted):
+    with mock.patch.object(_ntt_numpy, "residues", counted):
         got = poly_mul(a, b, ConvRequest(fp998, engine=engine))
         assert calls == [False, False, *(residue_maps if engine == "split" else []), True], engine
         for door, args, checks in direct[engine]:
@@ -920,7 +920,7 @@ REFUSING = [(17, 4), (257, 8), (2305843009213704193, 11)]
 def test_split_refuses_before_any_transform(p, k, engine_backend):
     # split takes the L fft_pad takes: it refuses n = 2**k + 1, as fft_pad
     # does, and fetches the negacyclic half's twist table before it runs
-    # any transform.
+    # any transform or residue map.
     from modconv import convolve
 
     fp = FourierPrime.from_modulus(p)
@@ -934,7 +934,9 @@ def test_split_refuses_before_any_transform(p, k, engine_backend):
         "circ_conv_split": lambda: circ_conv_split(u, v, ConvRequest(fp)),
     }
     ran = []
-    with backend(engine_backend), mock.patch.object(convolve, "moddft", lambda *args: ran.append(args)):
+    spy = lambda *args: ran.append(args)
+    with backend(engine_backend), mock.patch.object(convolve, "moddft", spy), \
+            mock.patch.object(convolve, "split_residues", spy):
         for name, call in calls.items():
             with pytest.raises(UnsupportedSizeError):
                 call()

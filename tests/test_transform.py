@@ -502,6 +502,8 @@ def test_transforms_keep_uint64_arrays(size):
 def test_converter_reduces_every_int_like(p):
     import numpy as np
 
+    from modconv import _ntt_numpy
+
     ints = [0, 1, p - 1, p, 2 * p + 3, (1 << 64) - 1, True, False, np.uint64((1 << 64) - 1),
             np.int64(5), np.int32(p - 1) if p < 1 << 31 else np.uint32(p - 1)]
     outside = [-1, -(1 << 70), np.int64(-3), 1 << 64, (1 << 70) + 5]
@@ -509,7 +511,7 @@ def test_converter_reduces_every_int_like(p):
     # the others holds an int array.array("Q") cannot take.
     cases = [ints] + [ints + [v] for v in outside] + [[v] * 3 for v in outside]
     for x in cases + [tuple(ints)]:
-        got = transform._as_residues(x, p)
+        got = _ntt_numpy.residues(x, p)
         assert got.dtype == np.uint64 and got.ndim == 1
         assert np.array_equal(got, np.array([v % p for v in x], dtype=np.uint64)), x
 

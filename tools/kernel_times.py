@@ -30,10 +30,11 @@ that are no stage. Try --lo 10 --hi 16.
 
 `boundary` times the crossing a product makes in `poly_mul`, in ns per
 coefficient, over L random residues: `to_array`, a list into uint64
-residues (`transform._as_residues`), and `to_poly`, an ndarray product into
-a `DensePoly`. A tree whose `DensePoly` does not read ndarrays in numpy (its
-coefficients come out as numpy scalars) is timed on the route its
-`poly_mul` took, `DensePoly(field, tuple(arr.tolist()))`.
+residues (`_ntt_numpy.residues`, or `transform._as_residues` in a tree from
+before the kernels held all uint64 arithmetic), and `to_poly`, an ndarray
+product into a `DensePoly`. A tree whose `DensePoly` does not read ndarrays
+in numpy (its coefficients come out as numpy scalars) is timed on the route
+its `poly_mul` took, `DensePoly(field, tuple(arr.tolist()))`.
 """
 
 import argparse
@@ -46,10 +47,13 @@ import sys
 CHILD = r"""
 import json, sys, time
 import numpy as np
-from modconv import _ntt_numpy as K
+from modconv import _ntt_numpy as K, transform
 from modconv.field import FourierPrime
 from modconv.poly import DensePoly
-from modconv.transform import _as_residues, get_table
+from modconv.transform import get_table
+
+# A tree from before the kernels held all uint64 arithmetic converts in transform.
+to_array = getattr(K, "residues", None) or transform._as_residues
 
 fp = FourierPrime.from_modulus(998244353)
 rng = np.random.default_rng(1)
@@ -118,7 +122,7 @@ def stages(L, x):
 def calls(group, L, x):
     if group == "boundary":
         listed = x.tolist()
-        return {"to_array": lambda: _as_residues(listed, fp.p), "to_poly": lambda: to_poly(x)}
+        return {"to_array": lambda: to_array(listed, fp.p), "to_poly": lambda: to_poly(x)}
     t = get_table(fp, L)
     n = L // 2 + 1
     return {
