@@ -1,13 +1,13 @@
-"""All uint64 arithmetic of modconv: numpy stage loops for moddft, tft and itft, and the array primitives, over p < 2**32.
+"""All uint64 arithmetic of modconv: numpy stage loops for moddft, tft and itft, and the array primitives, over every p < 2**62.
 
-This is the only module that imports numpy. The word bound 2**32 is
-`transform._WORD`, its one definition, which `transform._takes` reads before
-numpy loads. Besides the transforms it holds the named primitives the other
-modules run on arrays, each beside its list branch there: `residues` (the
-one crossing into numpy, and the array check), `pointwise`, `scale` (Shoup's
-product by one int constant), `pair` (the split's residue pair), `pad` and
-`mulmod`. They reach this module through `transform._array_kernels` (on an
-ndarray) or `transform._numpy_kernels` (on the size rule).
+This is the only module that imports numpy. FourierPrime.from_modulus
+accepts only p < 2**62, and the kernels take every such p. Besides the
+transforms it holds the named primitives the other modules run on arrays,
+each beside its list branch there: `residues` (the one crossing into numpy,
+and the array check), `pointwise`, `scale` (Shoup's product by one int
+constant), `pair` (the split's residue pair), `pad` and `mulmod`. They reach
+this module through `transform._array_kernels` (on an ndarray) or
+`transform._numpy_kernels` (on the size rule).
 
 `transform` imports this module on the first transform large enough to pay
 for importing numpy, and runs smaller transforms here too once numpy is loaded
@@ -26,14 +26,24 @@ are; a door converts the result back to a list. tft walks the stages that
 checks and `OpCounters` stay with the callers in `transform`.
 
 No butterfly divides. A product by a twiddle or a constant factor w < p uses
-Shoup's precomputed quotient w' = floor(w * 2**32 / p) (`quotient`, and
-`_constant` for an int w with its quotient; NTL's MulModPrecon): for a
-residue x, t = x*w - ((x*w') >> 32) * p lies in [0, 2p). Residues are
-below 2**32, so x*w and x*w' stay below 2**64 for every p < 2**32. A sum
-a + b, a difference a - b + p and such a t all lie in [0, 2p) and are
-brought into [0, p) by np.minimum(s, s - p): when s < p, s - p wraps
-around to above 2**63. `stage_arrays` stores each stage's
-quotients beside its twiddles.
+Shoup's precomputed quotient (NTL's MulModPrecon; Harvey, Faster
+arithmetic for number-theoretic transforms, 2014). The arithmetic is chosen
+once per kernel call from p (`_arith`), and the stage loops are one copy
+over both:
+- `_Word`, for p below the word bound `transform._WORD` = 2**32: w' =
+  floor(w * 2**32 / p), and for a residue x, t = x*w - ((x*w') >> 32) * p
+  lies in [0, 2p). Residues are below 2**32, so x*w and x*w' stay below
+  2**64.
+- `_Wide`, for p from 2**32 up to 2**62: w' = floor(w * 2**64 / p), stored
+  as two 32-bit limbs, and the high word of x*w' comes from three limb
+  products, at most 2 short, so that t, computed in uint64 with wrap-around,
+  lies in [0, 4p), below 2**64. Its quotients come from a float estimate
+  and a correction (`_Wide.quotient`), and its pointwise product is Shoup's
+  product by one operand with that operand's quotients.
+A sum a + b, a difference a - b + p and a t in [0, 2p) are brought into
+[0, p) by np.minimum(s, s - p): when s < p, s - p wraps around to above
+2**63, as 2p < 2**63. `stage_arrays` stores each stage's quotients beside
+its twiddles.
 
 Layout: each numpy operation runs over stretches of at least _ROW/2
 residues, not over the h residues of a short stage's half-blocks. The
@@ -92,9 +102,145 @@ def _small_buffer():
         np.setbufsize(old)
 
 
-def quotient(w, p: int):
-    """Shoup's quotient floor(w * 2**32 / p) of a factor w < p: an int, or a uint64 array for one."""
-    return w * _WORD // p
+def _u64(v: int):
+    return np.array(v, dtype=np.uint64)
+
+
+# The limb of the 62-bit product, log2 of the word bound, and its mask.
+# Scalar operands go to numpy as 0-d arrays: converting a Python int costs
+# about 0.5 us on every call, as much as adding a few hundred residues.
+_LIMB = _u64(_WORD.bit_length() - 1)
+_MASK = _u64(_WORD - 1)
+# The top bit of a uint64: set where a difference wrapped below 0.
+_SIGN = _u64(63)
+
+
+class _Word:
+    """Arithmetic on uint64 arrays of residues mod p < _WORD: Shoup's product with beta = _WORD.
+
+    `_arith` picks this class or `_Wide` once per kernel call from p. `add`,
+    `sub` and `mul` write into out (which may be a or b, but not x in
+    `mul`), using tmp, of the same shape, as scratch.
+    """
+
+    def __init__(self, p: int):
+        self.modulus = p
+        self.p = _u64(p)
+
+    def quotient(self, w):
+        """Shoup's quotient floor(w * _WORD / p) of a factor w < p, an int or a uint64 array."""
+        return w * _WORD // self.modulus
+
+    def constant(self, w: int):
+        """w mod p and its quotient, as operands of `mul`."""
+        w = _u64(w % self.modulus)
+        return w, self.quotient(w)
+
+    def reduce(self, s, tmp) -> None:
+        # s in [0, 2p) -> s mod p, in place.
+        np.subtract(s, self.p, out=tmp)
+        np.minimum(s, tmp, out=s)
+
+    def add(self, a, b, out, tmp) -> None:
+        # out = (a + b) mod p.
+        np.add(a, b, out=out)
+        self.reduce(out, tmp)
+
+    def sub(self, a, b, out, tmp) -> None:
+        # out = (a - b) mod p. Where a >= b, tmp = a - b is the smaller;
+        # elsewhere it wrapped and a - b + p is.
+        np.subtract(a, b, out=tmp)
+        np.add(tmp, self.p, out=out)
+        np.minimum(out, tmp, out=out)
+
+    def mul(self, x, w, wq, out, tmp) -> None:
+        # out = x * w mod p, for residues x, factors w < p and wq = quotient(w).
+        np.multiply(x, wq, out=tmp)
+        tmp >>= _LIMB
+        tmp *= self.p
+        np.multiply(x, w, out=out)
+        out -= tmp
+        self.reduce(out, tmp)
+
+    def pointwise(self, a, b):
+        # a * b mod p as a new array: the product fits in uint64.
+        out = a * b
+        out %= self.p
+        return out
+
+
+class _Wide(_Word):
+    """Arithmetic mod p from _WORD up to 2**62: Shoup's product with beta = _WORD**2.
+
+    Its quotient w' = floor(w * 2**64 / p) is two limbs of log2(_WORD)
+    bits, stored as a (2, ...) array [low, high], so the stage loops slice
+    quotients along their last axis. `mul` takes the high word of x * w'
+    from three limb products, dropping the low one and the carries, which
+    leaves it at most 2 short: x*w minus it times p lies in [0, 4p), below
+    2**64 for p < 2**62, and two minimum steps bring it into [0, p).
+    """
+
+    def __init__(self, p: int):
+        super().__init__(p)
+        self.p2 = _u64(2 * p)
+        self.ratio = np.float64(_WORD / p)
+
+    def _digit(self, v):
+        # floor(v * _WORD / p) and its remainder, for v < p: a float
+        # estimate, off by at most one, corrected by the remainder's sign
+        # and size; the remainder wraps in uint64 but lies in [-p, 2p).
+        q = (v * self.ratio).astype(np.uint64)
+        r = (v << _LIMB) - q * self.p
+        under = r >> _SIGN
+        q -= under
+        r += under * self.p
+        over = (r >= self.p).astype(np.uint64)
+        return q + over, r - over * self.p
+
+    def quotient(self, w):
+        """floor(w * 2**64 / p) of a factor w < p, an int or a uint64 array, as its limbs [low, high].
+
+        Two steps of long division by p, one per limb (`_digit`).
+        """
+        # At least 1-D: numpy warns on a 0-d operand's wrap-around, which
+        # the remainder step relies on.
+        high, rest = self._digit(np.atleast_1d(np.asarray(w, dtype=np.uint64)))
+        return np.stack([self._digit(rest)[0], high])
+
+    def mul(self, x, w, wq, out, tmp) -> None:
+        # For x = x1*2**32 + x0 and w' = w1*2**32 + w0: the quotient
+        # q = x1*w1 + (x1*w0 >> 32) + (x0*w1 >> 32), a sum below 2**63.
+        w0, w1 = wq
+        np.bitwise_and(x, _MASK, out=out)
+        out *= w1
+        out >>= _LIMB
+        np.right_shift(x, _LIMB, out=tmp)
+        tmp *= w0
+        tmp >>= _LIMB
+        out += tmp
+        np.right_shift(x, _LIMB, out=tmp)
+        tmp *= w1
+        out += tmp
+        # x*w - q*p, in [0, 4p), then into [0, 2p) and [0, p).
+        out *= self.p
+        np.multiply(x, w, out=tmp)
+        tmp -= out
+        np.subtract(tmp, self.p2, out=out)
+        np.minimum(tmp, out, out=out)
+        self.reduce(out, tmp)
+
+    def pointwise(self, a, b):
+        # a * b mod p as a new array: Shoup's product by b, with b's quotients.
+        out = np.empty_like(a)
+        self.mul(a, b, self.quotient(b), out, np.empty_like(a))
+        return out
+
+
+@functools.lru_cache(maxsize=64)
+def _arith(p: int) -> _Word:
+    # The arithmetic mod p: below _WORD the one-word product, whose multiply
+    # is about 2.3x cheaper per element (a whole moddft 1.5x).
+    return (_Word if p < _WORD else _Wide)(p)
 
 
 def stage_arrays(table):
@@ -108,89 +254,41 @@ def stage_arrays(table):
     """
     arrays = table.numpy_arrays
     if arrays is None:
-        p = table.field.p
+        f = _arith(table.field.p)
         half = min(table.size, _ROW) >> 1
 
         def pairs(stages):
             tiled = [np.tile(np.array(tws, dtype=np.uint64), max(1, half // len(tws))) for tws in stages]
-            return [(w, quotient(w, p)) for w in tiled]
+            return [(w, f.quotient(w)) for w in tiled]
 
         arrays = table.numpy_arrays = (pairs(table.fwd_stages), pairs(table.inv_stages), _row_gather(table.size))
     return arrays
 
 
-def _u64(v: int):
-    return np.array(v, dtype=np.uint64)
-
-
-# The shift of Shoup's product, log2 of the word bound. Scalar operands go
-# to numpy as 0-d arrays: converting a Python int costs about 0.5 us on
-# every call, as much as adding a few hundred residues.
-_SHIFT = _u64(_WORD.bit_length() - 1)
-
-
-def _constant(w: int, p: int):
-    # w mod p and its Shoup quotient, as numpy operands of `_mul`.
-    w %= p
-    return _u64(w), _u64(quotient(w, p))
-
-
-def _reduce(s, p, tmp) -> None:
-    # s in [0, 2p) -> s mod p, in place.
-    np.subtract(s, p, out=tmp)
-    np.minimum(s, tmp, out=s)
-
-
-def _add(a, b, p, out, tmp) -> None:
-    # out = (a + b) mod p; out may be a or b.
-    np.add(a, b, out=out)
-    _reduce(out, p, tmp)
-
-
-def _sub(a, b, p, out, tmp) -> None:
-    # out = (a - b) mod p; out may be a or b. Where a >= b, tmp = a - b is
-    # the smaller; elsewhere it wrapped and a - b + p is.
-    np.subtract(a, b, out=tmp)
-    np.add(tmp, p, out=out)
-    np.minimum(out, tmp, out=out)
-
-
-def _mul(x, w, wq, p, out, tmp) -> None:
-    # out = x * w mod p, for residues x, a factor w < p and wq = quotient(w, p).
-    np.multiply(x, wq, out=tmp)
-    tmp >>= _SHIFT
-    tmp *= p
-    np.multiply(x, w, out=out)
-    out -= tmp
-    _reduce(out, p, tmp)
-
-
 def mulmod(x, w, wq, p: int):
-    """x * w mod p as a new array, for residues x, factors w < p and wq = quotient(w, p)."""
+    """x * w mod p as a new array, for residues x, factors w < p and their quotients wq (`stage_arrays`)."""
     out = np.empty_like(x)
-    _mul(x, w, wq, _u64(p), out, np.empty_like(x))
+    _arith(p).mul(x, w, wq, out, np.empty_like(x))
     return out
 
 
 def scale(x, w: int, p: int):
     """x * w mod p as a new array, for residues x and an int w: Shoup's product by one constant."""
-    return mulmod(x, *_constant(w, p), p)
+    return mulmod(x, *_arith(p).constant(w), p)
 
 
 def pointwise(a, b, p: int):
     """a * b mod p elementwise as a new array, for residues a and b."""
-    out = a * b
-    out %= p
-    return out
+    return _arith(p).pointwise(a, b)
 
 
 def pair(lo, hi, p: int):
     """(lo + hi) mod p followed by (lo - hi) mod p, as one new array, for residues lo and hi of one length."""
     n = len(lo)
     out = np.empty(2 * n, dtype=np.uint64)
-    tmp, pu = np.empty_like(lo), _u64(p)
-    _add(lo, hi, pu, out[:n], tmp)
-    _sub(lo, hi, pu, out[n:], tmp)
+    tmp, f = np.empty_like(lo), _arith(p)
+    f.add(lo, hi, out[:n], tmp)
+    f.sub(lo, hi, out[n:], tmp)
     return out
 
 
@@ -208,13 +306,11 @@ def residues(x, p: int):
     a C array of unsigned 64-bit ints, and its ints outside [0, p) are
     reduced mod p: the residues the Python loops compute with. An empty list
     raises ValueError. An ndarray is taken as it is, so it must be
-    one-dimensional and uint64, hold residues and have p < transform._WORD;
-    any other raises ValueError. `DensePoly` and the residue maps read an
-    ndarray by this rule.
+    one-dimensional and uint64 and hold residues; any other raises
+    ValueError. `DensePoly` and the residue maps read an ndarray by this
+    rule.
     """
     if isinstance(x, np.ndarray):
-        if p >= _WORD:
-            raise ValueError(f"uint64 arrays need p < 2**32, got p={p}")
         if x.ndim != 1 or x.dtype != np.uint64 or x.size and x.max() >= p:
             raise ValueError(f"arrays must be 1-D uint64 and hold residues mod p={p}")
         return x
@@ -227,18 +323,18 @@ def residues(x, p: int):
     return a
 
 
-def _butterflies(lo, hi, w, wq, p, t, tmp) -> None:
+def _butterflies(lo, hi, w, wq, f, t, tmp) -> None:
     # (lo, hi) <- (lo + hi*w, lo - hi*w) mod p; t and tmp are scratch of lo's shape.
-    _mul(hi, w, wq, p, t, tmp)
-    _sub(lo, t, p, hi, tmp)
-    _add(lo, t, p, lo, tmp)
+    f.mul(hi, w, wq, t, tmp)
+    f.sub(lo, t, hi, tmp)
+    f.add(lo, t, lo, tmp)
 
 
-def _dif(lo, hi, w, wq, p, t, tmp) -> None:
+def _dif(lo, hi, w, wq, f, t, tmp) -> None:
     # (lo, hi) <- (lo + hi, (lo - hi)*w) mod p; t and tmp are scratch of lo's shape.
-    _sub(lo, hi, p, t, tmp)
-    _add(lo, hi, p, lo, tmp)
-    _mul(t, w, wq, p, hi, tmp)
+    f.sub(lo, hi, t, tmp)
+    f.add(lo, hi, lo, tmp)
+    f.mul(t, w, wq, hi, tmp)
 
 
 @functools.lru_cache(maxsize=64)
@@ -264,7 +360,7 @@ def _row_gather(size: int):
     return (np.arange(_ROW) * rows + _rev(rows)[:, None]).ravel()
 
 
-def _stockham(y, out, stages, p) -> None:
+def _stockham(y, out, stages, f) -> None:
     # out <- the DFT of each row of y, in natural order, for rows in natural
     # order, one `_pass` per stage, the last into out; y is left unchanged
     # and must not overlap out. The rows go in equal chunks of about _CHUNK
@@ -283,11 +379,11 @@ def _stockham(y, out, stages, p) -> None:
         u, t, tmp = (a[:k] for a in scratch)
         for s in range(passes):
             dst = bufs[(passes - 1 - s) & 1]
-            _pass(src, dst, s, stages, p, u, t, tmp)
+            _pass(src, dst, s, stages, f, u, t, tmp)
             src = dst
 
 
-def _pass(y, out, s: int, stages, p, u, t, tmp) -> None:
+def _pass(y, out, s: int, stages, f, u, t, tmp) -> None:
     # Stockham's stage s: reads the two halves of every row of y, whose
     # twiddles repeat with period 2**s and are stored tiled to half a row,
     # and writes the sums and differences to out interleaved in runs of 2**s
@@ -296,17 +392,17 @@ def _pass(y, out, s: int, stages, p, u, t, tmp) -> None:
     lo, hi = y[:, :half], y[:, half:]
     if s:
         w, wq = stages[s]
-        _mul(hi, w[:half], wq[:half], p, t, tmp)
+        f.mul(hi, w[:half], wq[..., :half], t, tmp)
         hi = t
     item = _runs(s)
     runs = out.view(item).reshape(len(out), -1, 2)
-    _add(lo, hi, p, u, tmp)
+    f.add(lo, hi, u, tmp)
     runs[:, :, 0] = u.view(item)
-    _sub(lo, hi, p, u, tmp)
+    f.sub(lo, hi, u, tmp)
     runs[:, :, 1] = u.view(item)
 
 
-def _dit(vec, sizes, stages, p, first: int) -> None:
+def _dit(vec, sizes, stages, f, first: int) -> None:
     # The in-place DIT stages from half-size 2**first up, on vec holding
     # consecutive blocks of the given decreasing power-of-two sizes: the
     # stage with half-size h runs on every block longer than h, a prefix of
@@ -322,11 +418,11 @@ def _dit(vec, sizes, stages, p, first: int) -> None:
         lo, hi = v[:, 0], v[:, 1]
         k = end >> 1
         tws, quo = stages[s]
-        _butterflies(lo, hi, tws[:h], quo[:h], p, t[:k].reshape(lo.shape), tmp[:k].reshape(lo.shape))
+        _butterflies(lo, hi, tws[:h], quo[..., :h], f, t[:k].reshape(lo.shape), tmp[:k].reshape(lo.shape))
         s += 1
 
 
-def _inverses(c, sizes, stages, p) -> None:
+def _inverses(c, sizes, stages, f) -> None:
     # The inverse DFT of each of the consecutive blocks of c of the given
     # decreasing sizes, each in bit-reversed order, in place: the stages
     # within rows of m = min(_ROW, sizes[0]) points as Stockham passes over
@@ -336,11 +432,11 @@ def _inverses(c, sizes, stages, p) -> None:
     big = [b for b in sizes if b >= m]
     end = sum(big)
     rows = c[:end].reshape(-1, m)
-    _stockham(np.take(rows, _rev(m), axis=1), rows, stages, p)
-    _dit(c, big, stages, p, m.bit_length() - 1)
+    _stockham(np.take(rows, _rev(m), axis=1), rows, stages, f)
+    _dit(c, big, stages, f, m.bit_length() - 1)
     small = sizes[len(big):]
     if small:
-        _dit(c[end:], small, stages, p, 0)
+        _dit(c[end:], small, stages, f, 0)
 
 
 def moddft(x, table, direction: str):
@@ -348,17 +444,17 @@ def moddft(x, table, direction: str):
     inverse, like the core's, returns size times the inverse DFT."""
     fwd, inv, gather = stage_arrays(table)
     stages = fwd if direction == "fwd" else inv
-    p = _u64(table.field.p)
+    f = _arith(table.field.p)
     with _small_buffer():
         rows = x.reshape(1, -1) if gather is None else x[gather].reshape(-1, _ROW)
         vec = np.empty(table.size, dtype=np.uint64)
-        _stockham(rows, vec.reshape(rows.shape), stages, p)
+        _stockham(rows, vec.reshape(rows.shape), stages, f)
         if gather is not None:
-            _dit(vec, [table.size], stages, p, _ROW.bit_length() - 1)
+            _dit(vec, [table.size], stages, f, _ROW.bit_length() - 1)
     return vec
 
 
-def _tft_stages(c, stages, path, n: int, p) -> None:
+def _tft_stages(c, stages, path, n: int, f) -> None:
     # tft's stages on c for n outputs, in place, per stage all full blocks
     # at once, then the one partial block.
     t, tmp = (np.empty(len(c) >> 1, dtype=np.uint64) for _ in range(2))
@@ -369,25 +465,25 @@ def _tft_stages(c, stages, path, n: int, p) -> None:
             if both:
                 lo, hi = v[:, 0, :both], v[:, 1, :both]
                 k = lo.size
-                _dif(lo, hi, tws[:both], quo[:both], p, t[:k].reshape(lo.shape), tmp[:k].reshape(lo.shape))
+                _dif(lo, hi, tws[:both], quo[..., :both], f, t[:k].reshape(lo.shape), tmp[:k].reshape(lo.shape))
             if zz > both:
                 lo, hi = v[:, 0, both:zz], v[:, 1, both:zz]
                 k = lo.size
-                _mul(lo, tws[both:zz], quo[both:zz], p, hi, tmp[:k].reshape(lo.shape))
+                f.mul(lo, tws[both:zz], quo[..., both:zz], hi, tmp[:k].reshape(lo.shape))
         base = full * (h << 1)
         if base < n and both:
             # Only the low half is wanted: fold the high half onto it.
             lo = c[base : base + both]
-            _add(lo, c[base + h : base + h + both], p, lo, tmp[:both])
+            f.add(lo, c[base + h : base + h + both], lo, tmp[:both])
 
 
-def _dif_rows(c, rows: int, m: int, stages, p) -> None:
+def _dif_rows(c, rows: int, m: int, stages, f) -> None:
     # The first rows rows of m points of c in place by their DIF, their DFT
     # in bit-reversed order.
     if rows:
         y = c[: rows * m].reshape(rows, m)
         dft = np.empty_like(y)
-        _stockham(y, dft, stages, p)
+        _stockham(y, dft, stages, f)
         np.take(dft, _rev(m), axis=1, out=y)
 
 
@@ -395,16 +491,16 @@ def tft(table, x, n: int):
     """transform.tft's values: the stages on blocks longer than a row in
     place, then every row that holds an output below n as a Stockham DFT."""
     fwd = stage_arrays(table)[0]
-    p = _u64(table.field.p)
+    f = _arith(table.field.p)
     size = table.size
     c = pad(x, size)
     m = min(_ROW, size >> 1) or 1
     path = _tft_path(size, len(x), n)
     with _small_buffer():
-        _tft_stages(c, fwd, [stage for stage in path if stage[0] >= m], n, p)
+        _tft_stages(c, fwd, [stage for stage in path if stage[0] >= m], n, f)
         # A row below n now holds every input its wanted outputs need, and
         # those are its DIF outputs.
-        _dif_rows(c, -(-n // m), m, fwd, p)
+        _dif_rows(c, -(-n // m), m, fwd, f)
     return c[:n]
 
 
@@ -412,19 +508,18 @@ def itft(table, xhat):
     """transform.itft's values: every fully known low half on the partial
     path inverted at once, then down the path and back up."""
     fwd, inv, _ = stage_arrays(table)
-    p = table.field.p
+    f = _arith(table.field.p)
     n = len(xhat)
     c = pad(xhat, table.size)
     s, t, tmp = (np.empty(table.size >> 1, dtype=np.uint64) for _ in range(3))
     levels = _itft_path(table.size, n)
-    pu = _u64(p)
     with _small_buffer():
         # The low halves the path inverts are consecutive blocks from 0 of
         # decreasing size, and hold only input spectral values until the
         # level that uses them, so they are inverted first, together.
         sizes = [m >> 1 for _, m, left, _ in levels if left > m >> 1]
         if sizes:
-            _inverses(c, sizes, inv, pu)
+            _inverses(c, sizes, inv, f)
         for off, m, left, log in levels:
             h = m >> 1
             if left == m:
@@ -439,14 +534,14 @@ def itft(table, xhat):
                 b = c[off + left : off + m]
                 k = len(a)
                 d, mb, kt = s[:k], t[:k], tmp[:k]
-                _mul(b, *_constant(m, p), pu, mb, kt)
-                _sub(a, mb, pu, d, kt)
-                _add(a, d, pu, a, kt)
-                _mul(d, *_constant(pow(h, -1, p), p), pu, mb, kt)
-                _mul(mb, tws[left - h : h], quo[left - h : h], pu, b, kt)
+                f.mul(b, *f.constant(m), mb, kt)
+                f.sub(a, mb, d, kt)
+                f.add(a, d, a, kt)
+                f.mul(d, *f.constant(pow(h, -1, f.modulus)), mb, kt)
+                f.mul(mb, tws[left - h : h], quo[..., left - h : h], b, kt)
             else:
                 lo = c[off + left : off + h]
-                _add(lo, c[off + left + h : off + m], pu, lo, tmp[: len(lo)])
+                f.add(lo, c[off + left + h : off + m], lo, tmp[: len(lo)])
         j = len(levels)
         while j:
             off, m, left, log = levels[j - 1]
@@ -454,7 +549,7 @@ def itft(table, xhat):
             if left > h:
                 k = left - h
                 tws, quo = inv[log]
-                _butterflies(c[off : off + k], c[off + h : off + left], tws[:k], quo[:k], pu, t[:k], tmp[:k])
+                _butterflies(c[off : off + k], c[off + h : off + left], tws[:k], quo[..., :k], f, t[:k], tmp[:k])
                 j -= 1
                 continue
             # A run of levels that all keep to their low half shares off and
@@ -465,13 +560,17 @@ def itft(table, xhat):
             while i and levels[i - 1][2] <= levels[i - 1][1] >> 1:
                 i -= 1
             runs = j - i
-            at = off + (h << np.arange(runs, dtype=np.uint64))
-            total = c[at[:, None] + np.arange(left, dtype=np.uint64)].sum(axis=0)
-            total %= pu
+            # sum(b) mod p as sums of k residues at a time, mod p in turn:
+            # k (p - 1) < 2**64, so no sum wraps uint64 (over p near 2**62,
+            # k = 4), and below 2**32 one sum does.
+            k = ((1 << 64) - 1) // (f.modulus - 1)
+            total = c[off + (h << np.arange(runs))[:, None] + np.arange(left)]
+            while len(total) > 1:
+                total = np.add.reduceat(total, np.arange(0, len(total), k), axis=0) % f.p
+            total, mb, kt = total[0], t[:left], tmp[:left]
             a = c[off : off + left]
-            mb, kt = t[:left], tmp[:left]
-            _mul(a, *_constant(1 << runs, p), pu, a, kt)
-            _mul(total, *_constant(-(m << runs - 1), p), pu, mb, kt)
-            _add(a, mb, pu, a, kt)
+            f.mul(total, *f.constant(-(m << runs - 1)), mb, kt)
+            f.mul(a, *f.constant(1 << runs), total, kt)
+            f.add(total, mb, a, kt)
             j = i
     return c[:n]

@@ -32,12 +32,12 @@ the size the engine's rule gives, runs the core on it through
 `transform._run`, and divides by L once (`transform._div_size`), after
 `_zero_padded`'s cut, so fft_pad scales n values and split, at L/2, scales
 once. `_run` hands the core uint64 arrays wherever the transforms run in
-numpy (see `transform._numpy_kernels`, which takes sizes from 2**9 on once
-a transform of 2**15, or the process's earlier Python-loop transforms, have
-paid for importing numpy), converting each input once (which reduces ints
-outside [0, p)), and a door converts the result to a list once
-(`transform._listed`). A core trusts what it is handed and calls only
-cores. On uint64 arrays every step stays in arrays (transforms, pointwise
+numpy (see `transform._numpy_kernels`, which takes sizes from 2**9 on,
+over every prime, once a transform of 2**15, or the process's earlier
+Python-loop transforms, have paid for importing numpy), converting each
+input once (which reduces ints outside [0, p)), and a door converts the
+result to a list once (`transform._listed`). A core trusts what it is
+handed and calls only cores. On uint64 arrays every step stays in arrays (transforms, pointwise
 product, 1/L scale, twist, residues, padding); on lists every step runs the
 Python loops. Every step keeps its list branch here and runs on arrays
 through the primitives of `_ntt_numpy`, which holds all uint64 arithmetic
@@ -430,9 +430,9 @@ class _Engine(NamedTuple):
 # The fixed engines, in the order of ENGINES. The ranked engine without
 # transforms serves every product no transform can: `auto` sends the scalar
 # ones and those beyond the field's 2-adicity to it without pricing.
-# kronecker is not ranked where the transforms run in numpy: the stored
-# timings below 2**15 are of the Python loops, so it would win there where
-# the numpy tft is 2-5x faster.
+# kronecker is not ranked where the transforms run in numpy, over 62-bit
+# primes too: the stored timings below 2**15 are of the Python loops, so it
+# would win there where the numpy tft is 2-5x faster.
 _ENGINES = {
     "definition": _Engine(None, lambda table, u, v, req: lin_conv_def(u, v, req.field),
                           "quadratic: auto never falls back to it, and it stays the oracle"),
@@ -465,8 +465,8 @@ def poly_mul(a: DensePoly, b: DensePoly, req: ConvRequest) -> DensePoly:
     multiplies in arrays, the product is divided by L once, and the ndarray
     becomes the DensePoly, which checks it in numpy. Every other engine, size and prime
     gets the trimmed coefficient tuples and returns a list. A product that
-    ran on them at a size and prime the numpy kernels take counts as three
-    transforms toward the process's switch to numpy (`transform._run`).
+    ran on them at a size the numpy kernels take, over any prime, counts as
+    three transforms toward the process's switch to numpy (`transform._run`).
     """
     _check_fields(a, b)
     if a.field.p != req.field.p:

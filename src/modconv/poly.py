@@ -45,8 +45,8 @@ class DensePoly:
     `operator.index` gives, and a non-integer, a float among them, is
     refused. A numpy ndarray, which is how the engines' cores hand
     `poly_mul` its product, is checked in numpy instead, by
-    `_ntt_numpy.residues`' rule (1-D, uint64, max() < p, and p below the
-    word bound `transform._WORD`), and converted to ints once; an empty
+    `_ntt_numpy.residues`' rule (1-D, uint64 and max() < p, over any p a
+    FourierPrime holds), and converted to ints once; an empty
     one, like an empty tuple, is the zero polynomial. This module does not
     import numpy: `_ntt_numpy` holds all uint64 arithmetic, reached through
     `transform._array_kernels`.

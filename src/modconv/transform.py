@@ -10,12 +10,13 @@ Every transform runs iterative stage loops over the table's per-stage twiddle
 lists. tft walks the stages that _tft_path lays out, and itft inverts each
 fully known half with the loop moddft runs, on the one partial path that
 _itft_path lays out; both backends read those walks. The loops exist twice:
-in pure Python here, the reference and the path for any prime, and in numpy
-(`_ntt_numpy`) over p < _WORD = 2**32, where a residue product fits in
-uint64; _WORD is that bound's one definition. The numpy kernels take a
+in pure Python here, the reference, and in numpy (`_ntt_numpy`). Both serve
+every prime a FourierPrime holds (p < 2**62): the numpy kernels multiply in
+one uint64 product below the word bound _WORD = 2**32, that bound's one
+definition, and in 32-bit limbs above it. The numpy kernels take a
 transform of _NUMPY_CROSSOVER (2**9) points or more, where they are the
-faster loops, once numpy is loaded or the process should load it
-(`_numpy_kernels`): once the larger of the process's Python-loop
+faster loops at either width, once numpy is loaded or the process should
+load it (`_numpy_kernels`): once the larger of the process's Python-loop
 butterflies at sizes the kernels take and this transform's own butterflies
 reaches _BUDGET, one 2**15-point transform's worth, about what the import
 costs. numpy must be importable.
@@ -154,8 +155,8 @@ _NUMPY_CROSSOVER = 1 << 9
 # import (the ski-rental rule, never worse than twice the better of never
 # and at once).
 _BUDGET = (1 << 14) * 15
-# The process's butterflies so far in Python-loop transforms of a size and
-# prime the numpy kernels take, as the doors and poly_mul run them; only
+# The process's butterflies so far in Python-loop transforms of a size the
+# numpy kernels take, as the doors and poly_mul run them; only
 # `_run` adds to it. It only grows, and is updated without a lock: a lost
 # update under threads only delays the switch.
 _python_butterflies = 0
@@ -173,27 +174,27 @@ def _load_numpy_kernels():
 
 
 # The word bound of the numpy kernels, defined here once: over p < _WORD a
-# product of two residues fits in uint64. `_takes` reads it before numpy is
-# loaded, and `_ntt_numpy` imports it for its checks and Shoup's shift.
+# product of two residues fits in uint64, so they multiply in one step, and
+# over larger p in limbs of log2(_WORD) bits. `_ntt_numpy` imports it.
 _WORD = 1 << 32
 
 
-def _takes(p: int, size: int) -> bool:
-    # Whether the numpy kernels take size-point transforms mod p at all:
-    # p < _WORD, and from _NUMPY_CROSSOVER points up.
-    return p < _WORD and size >= _NUMPY_CROSSOVER
+def _takes(size: int) -> bool:
+    # Whether the numpy kernels take size-point transforms at all: from
+    # _NUMPY_CROSSOVER points up, over every prime a FourierPrime holds.
+    return size >= _NUMPY_CROSSOVER
 
 
 def _numpy_kernels(p: int, size: int):
     """The numpy kernels module if they should run size-point transforms mod p, else None.
 
-    They should where they take the transform (`_takes`) and the process
-    has loaded numpy or should load it: once the larger of its earlier
-    Python-loop butterflies and this transform's own reaches _BUDGET. numpy
-    must be importable. A process's first product thus loads numpy only
-    from 2**15 points on.
+    They should where they take the transform (`_takes`, whatever p is) and
+    the process has loaded numpy or should load it: once the larger of its
+    earlier Python-loop butterflies and this transform's own reaches
+    _BUDGET. numpy must be importable. A process's first product thus loads
+    numpy only from 2**15 points on.
     """
-    if not _takes(p, size):
+    if not _takes(size):
         return None
     if sys.modules.get("numpy") is None and max(_python_butterflies, (size >> 1) * (size.bit_length() - 1)) < _BUDGET:
         return None
@@ -245,8 +246,8 @@ def _run(table: TwiddleTable, core, *vecs):
     """core(*vecs) on the int vectors vecs as `_numpy_inputs` makes them: the one crossing, and the one tally.
 
     The core gets uint64 arrays where table's transforms run in numpy, else
-    vecs as they are. A run on lists at a size and prime the numpy kernels
-    take (`_takes`) adds to the process's tally, as one transform for one
+    vecs as they are. A run on lists at a size the numpy kernels take
+    (`_takes`) adds to the process's tally, as one transform for one
     vector (a transform) and three for two (a product). The planner's
     timings do not come here, so `modconv plan` times the backend a fresh
     `modconv mul` process runs.
@@ -256,7 +257,7 @@ def _run(table: TwiddleTable, core, *vecs):
     if arrays is not None:
         return core(*arrays)
     out = core(*vecs)
-    if _takes(table.field.p, table.size):
+    if _takes(table.size):
         _python_butterflies += (1 if len(vecs) == 1 else 3) * (table.size >> 1) * table.log2_size
     return out
 

@@ -217,8 +217,12 @@ def _suite_numpy_backend(rng, cap, fields):
     # 4096 meets both sides of it in every kernel, and --cap 65536 both
     # sides of their chunk size (_ntt_numpy._CHUNK).
     # 3 * 2**30 + 1 and 2**32 - 2**20 + 1 (2-adicity 20) join the fields:
-    # their residue products come closest to 2**64 in the numpy kernels.
-    for fp in (*fields, *map(FourierPrime.from_modulus, (3221225473, 4293918721))):
+    # their residue products come closest to 2**64 in the one-word product.
+    # So do three primes of the limb product: 2305843009448574977 and
+    # 2305843009213704193 (2-adicity 25 and 11), and 2**62 - 21 * 2**20 + 1
+    # (2-adicity 20), whose sums and differences come closest to 2**64.
+    extra = (3221225473, 4293918721, 2305843009448574977, 2305843009213704193, 4611686018405367809)
+    for fp in (*fields, *map(FourierPrime.from_modulus, extra)):
         p = fp.p
         for size in _pow2_range(min(cap, 1 << fp.two_adicity), lo=1):
             top = max(top, size)

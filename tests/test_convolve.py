@@ -440,9 +440,15 @@ def test_kronecker_slots_hold_the_widest_sums():
             assert lin_conv_kronecker(u, u, fp) == lin_conv_def(u, u, fp), (p, z)
 
 
-# The primes below 2**32 the numpy path serves: 2-adicity 4, 8, 23, 30 and 20,
-# the last 2**32 - 2**20 + 1, whose residue products come closest to 2**64.
-ARRAY_FIELDS = [FourierPrime.from_modulus(p) for p in (17, 257, 998244353, 3221225473, 4293918721)]
+# Primes of both numpy multiplies. Below 2**32: 2-adicity 4, 8, 23, 30 and
+# 20, the last 2**32 - 2**20 + 1, whose residue products come closest to
+# 2**64. From 2**32 up: 2-adicity 25, 11 and 20, the last
+# 2**62 - 21 * 2**20 + 1, whose sums come closest to 2**64.
+ARRAY_FIELDS = [
+    FourierPrime.from_modulus(p)
+    for p in (17, 257, 998244353, 3221225473, 4293918721, 2305843009448574977, 2305843009213704193,
+              4611686018405367809)
+]
 
 
 @st.composite
@@ -456,8 +462,8 @@ def array_cases(draw):
     if draw(st.booleans()):
         vec = lambda k: [rng.randrange(fp.p) for _ in range(k)]
     else:
-        # Ints outside [0, p): negative, in [p, 2**32), in [2**32, 2**64), from 2**64 up.
-        spans = ((-(1 << 70), 0), (fp.p, 1 << 32), (1 << 32, 1 << 64), (1 << 64, 1 << 70))
+        # Ints outside [0, p): negative, in [p, p + 2**32), in [p, 2**64), from 2**64 up.
+        spans = ((-(1 << 70), 0), (fp.p, fp.p + (1 << 32)), (fp.p, 1 << 64), (1 << 64, 1 << 70))
         vec = lambda k: [rng.randrange(*rng.choice(spans)) for _ in range(k)]
     return fp, vec(size), vec(size), vec(z1), vec(z2)
 
@@ -557,7 +563,7 @@ def test_array_operands_run_or_raise(fp998, engine, length):
 def test_arrays_must_hold_residues(fp998):
     # The residue maps take an ndarray, as the split core hands them, and
     # only one that holds residues: 1-D uint64, every value below p, over
-    # p < 2**32. Their lengths are checked for lists and arrays alike.
+    # any prime. Their lengths are checked for lists and arrays alike.
     import numpy as np
 
     p = fp998.p
@@ -571,8 +577,12 @@ def test_arrays_must_hold_residues(fp998):
             recombine_residues(x, ones, p)
         with pytest.raises(ValueError, match="residues"):
             recombine_residues(ones, x, p)
-    with pytest.raises(ValueError, match="2\\*\\*32"):
-        split_residues(np.zeros(4, dtype=np.uint64), 2305843009448574977)
+    # A 62-bit prime's arrays are residues like any other's.
+    wide = 2305843009448574977
+    assert [x.tolist() for x in split_residues(np.full(4, wide - 1, dtype=np.uint64), wide)] == \
+        [[wide - 2] * 2, [0] * 2]
+    with pytest.raises(ValueError, match="residues"):
+        split_residues(np.full(4, wide, dtype=np.uint64), wide)
     for u in ([1, 2, 3, 4, 5], [1], [], ones[:3], ones[:0]):
         with pytest.raises(ValueError, match="even nonzero"):
             split_residues(u, 17)
@@ -708,6 +718,33 @@ def test_poly_mul_crosses_once_and_matches_python_loops(p, n):
             out, _, own = _traced_call(lambda req: transform._listed(convolve._ENGINES[engine].run(*listed, req)), fp, engine)
             assert backends == own, (engine, n)
             assert isinstance(out, list) and tuple(out) == want.coeffs
+
+
+@pytest.mark.skipif(importlib.util.find_spec("numpy") is None, reason="numpy not installed")
+@pytest.mark.parametrize("p", [2305843009448574977, 2305843009213704193, 4611686018405367809])
+def test_wide_products_in_numpy_match_definition(p):
+    # With numpy loaded, products over 62-bit primes from 2**9 up run the
+    # limb product in numpy. Each engine equals `definition` on all p - 1,
+    # the widest residues, and on random ones, and counts what the Python
+    # loops count.
+    import numpy  # noqa: F401  loaded, so the crossover alone puts sizes in numpy
+
+    fp = FourierPrime.from_modulus(p)
+    rng = random.Random(p)
+    for n in (513, 1025):
+        z1 = (n + 2) // 2
+        for coeffs in (lambda z: [p - 1] * z, lambda z: [rng.randrange(p) for _ in range(z)]):
+            a, b = DensePoly(fp, coeffs(z1)), DensePoly(fp, coeffs(n + 1 - z1))
+            want = poly_mul(a, b, ConvRequest(fp, engine="definition"))
+            for engine in ("fft_pad", "tft", "split", "kronecker"):
+                python = OpCounters()
+                with mock.patch.object(transform, "_NUMPY_CROSSOVER", 1 << 62):
+                    assert poly_mul(a, b, ConvRequest(fp, engine=engine, counters=python)) == want, engine
+                counters = OpCounters()
+                assert poly_mul(a, b, ConvRequest(fp, engine=engine, counters=counters)) == want, engine
+                assert counters == python, engine
+        # The transforms ran in numpy: they filled their tables' arrays.
+        assert get_table(fp, 1 << (n - 1).bit_length()).numpy_arrays is not None
 
 
 @pytest.mark.skipif(importlib.util.find_spec("numpy") is None, reason="numpy not installed")

@@ -311,13 +311,9 @@ class TestDftSearch:
     @pytest.mark.parametrize("size", [1 << 15, 1 << 16])
     @pytest.mark.parametrize("p", [LARGE_PRIME, WIDE_PRIME])
     def test_search_times_what_the_engines_pass(self, monkeypatch, p, size):
-        # Over p < 2**32 the engines hand these kernels uint64 arrays from 2**15
-        # on, importing numpy if need be; over a 62-bit prime they hand them lists.
-        if p == LARGE_PRIME:
-            np = pytest.importorskip("numpy")
-            want = np.ndarray
-        else:
-            want = list
+        # Over a 30-bit and a 62-bit prime alike, the engines hand these
+        # kernels uint64 arrays from 2**15 on, importing numpy if need be.
+        np = pytest.importorskip("numpy")
         seen = []
         for name in ("_moddft", "_tft", "_itft", "_kronecker"):
             monkeypatch.setattr(planner, name, lambda *args: seen.append(args))
@@ -327,10 +323,9 @@ class TestDftSearch:
         # dft passes the vector first, tft and itft the table.
         (x_dft, _), (_, x_tft, _), (_, x_itft), (u, v, _) = seen
         inputs = [x_dft, x_tft, x_itft]
-        assert all(type(x) is want for x in inputs)
+        assert all(type(x) is np.ndarray for x in inputs)
         assert [len(x) for x in inputs] == [size] * 3
-        if want is not list:
-            assert all(x.dtype == np.uint64 for x in inputs)
+        assert all(x.dtype == np.uint64 for x in inputs)
         # Kronecker packs lists: a balanced product at the bottom of L's range.
         assert type(u) is type(v) is list and len(u) == len(v) == size // 4 + 1
 
@@ -443,14 +438,14 @@ class TestResolveEngine:
 
     @pytest.mark.parametrize("size", [1 << 9, 1 << 12, 1 << 14])
     def test_loaded_numpy_excludes_kronecker_over_word_primes(self, size):
-        # Once numpy is loaded, transforms over p < 2**32 run there from 2**9,
-        # faster than the Python-speed timings stored below 2**15 say, so
-        # kronecker is not ranked there; over a 62-bit prime it still is.
+        # Once numpy is loaded, transforms over every prime, 62-bit ones
+        # too, run there from 2**9, faster than the Python-speed timings
+        # stored below 2**15 say, so kronecker is not ranked there.
         pytest.importorskip("numpy")
         from modconv import FourierPrime
 
         z = size // 2
-        for p, pick in ((LARGE_PRIME, "tft"), (WIDE_PRIME, "kronecker")):
+        for p, pick in ((LARGE_PRIME, "tft"), (WIDE_PRIME, "tft")):
             session = self._stocked_session(tft_nanos=10**6, dft_nanos=10**9, conv_nanos=1, size=size, p=p)
             session.store.add(PlanEntry(planner.planned_keys(p, 64)[3], (2,) * 5, 2, 1, session.signature))
             assert session.resolve_engine(FourierPrime.from_modulus(p), z, z) == pick, p
@@ -480,8 +475,9 @@ def stock_pick_store(session):
     """Every planned key up to PICK_TOP for PICK_PRIMES, with seeded timings shaped like a 2-core host's.
 
     A transform costs about 290 ns per Python-loop butterfly (350 over a
-    62-bit prime) and 16 ns in numpy, which `modconv plan` runs from 2**15
-    over p < 2**32; `tft` and `itft` take 1.15x and 1.3x a `dft`. `conv`
+    62-bit prime) and 16 ns in numpy (35 over a 62-bit prime), which
+    `modconv plan` runs from 2**15; `tft` and `itft` take 1.15x and 1.3x a
+    `dft`. `conv`
     grows as (L/2048)**1.46 from 0.86 ms, 2.2x that over a 62-bit prime.
     Each timing is scaled by a seeded factor in [0.8, 1.25].
     """
@@ -489,7 +485,7 @@ def stock_pick_store(session):
     for p in PICK_PRIMES:
         for log in range(1, PICK_TOP.bit_length()):
             size = 1 << log
-            per = 350 if p >> 32 else 16 if size >= 1 << 15 else 290
+            per = (35 if p >> 32 else 16) if size >= 1 << 15 else 350 if p >> 32 else 290
             transform_ns = per * (size >> 1) * log
             conv_ns = 4000 + 860_000 * (2.2 if p >> 32 else 1) * (size / 2048) ** 1.46
             scale = {"dft": transform_ns, "tft": 1.15 * transform_ns, "itft": 1.3 * transform_ns, "conv": conv_ns}
@@ -501,17 +497,20 @@ def stock_pick_store(session):
 # `auto`'s picks on PICK_SHAPES over each of PICK_PRIMES from stock_pick_store,
 # with numpy loaded (True) or not (False), one letter per shape: f for
 # fft_pad, t for tft, k for kronecker. Recorded from the planner before the
-# engines' costs moved into `convolve._ENGINES`.
+# engines' costs moved into `convolve._ENGINES`; the 62-bit picks that
+# changed were recorded again when the numpy kernels came to take 62-bit
+# primes (`kronecker` is no longer ranked there with numpy loaded, and the
+# stocked 62-bit timings from 2**15 are of numpy).
 RECORDED_PICKS = {
     False: {
         998244353: "kftftkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkttttttttfffftt",
-        2305843009448574977: "kftffkkkkfkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkfkkkkkfkkkffffkk",
+        2305843009448574977: "kftffkkkkfkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkfkttffffttfffftt",
         2305843009213704193: "ktkfkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkk",
     },
     True: {
         998244353: "kftftkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkttttttttftffttffffttttftttffffttffffttttttttfffftt",
-        2305843009448574977: "kftffkkkkfkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkfkkkkkfkkkffffkk",
-        2305843009213704193: "ktkfkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkk",
+        2305843009448574977: "kftffkkkkfkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkttffffttttffttttffttttftttftffttffffttffffttfffftt",
+        2305843009213704193: "ktkfkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkttffffttftffttffffkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkk",
     },
 }
 
@@ -521,7 +520,7 @@ def numpy_decision(loaded):
     # import budget) decides, whether or not this one has numpy.
     # Unloaded, a first product pays for the import from 2**15 points on.
     lowest = transform._NUMPY_CROSSOVER if loaded else 1 << 15
-    return lambda p, size: transform if p < 1 << 32 and size >= lowest else None
+    return lambda p, size: transform if size >= lowest else None
 
 
 class TestEngineTable:

@@ -47,8 +47,9 @@ from modconv import (
 )
 
 # 2-adicity 4, 8, 23, 30, 20 and 25: the last two primes below 2**32 come
-# closest to 2**64 in the numpy kernels' products, and the 62-bit one runs
-# the Python loops in both states.
+# closest to 2**64 in the numpy kernels' one-word products, and the 62-bit
+# one runs their limb products in the numpy state, to the digests the Python
+# loops recorded.
 PRIMES = (17, 257, 998244353, 3221225473, 4293918721, 2305843009448574977)
 # Product lengths on both sides of the numpy crossover (2**9) and of a
 # kernel row (2**10 points).

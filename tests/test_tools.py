@@ -51,3 +51,18 @@ def test_kernel_times_runs_each_group(group, calls):
         assert all(int(row[4]) > 0 for row in rows), lines
     else:
         assert all(float(row[2]) > 0 and float(row[3]) > 0 for row in rows), lines
+
+
+def test_kernel_times_runs_over_a_given_prime():
+    # --prime reaches the timed calls: a 62-bit prime runs, and a size past
+    # a prime's 2-adicity (11 here) fails in the child, which was given it.
+    pytest.importorskip("numpy")
+    lines = run_tool("tools/kernel_times.py", str(ROOT), str(ROOT), "--rounds", "1", "--lo", "9", "--hi", "9",
+                     "--prime", "2305843009448574977")
+    rows = table_rows(lines)
+    assert [row[0] for row in rows] == ["moddft", "moddft_inv", "tft", "itft", "itft_n=L"]
+    assert all(float(row[2]) > 0 and float(row[3]) > 0 for row in rows), lines
+    done = subprocess.run([sys.executable, "tools/kernel_times.py", str(ROOT), str(ROOT), "--rounds", "1",
+                           "--lo", "12", "--hi", "12", "--prime", "2305843009213704193"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert done.returncode != 0 and "'kernels', '2305843009213704193'" in done.stderr

@@ -309,9 +309,18 @@ def test_truncated_transforms_property(shape):
 HAVE_NUMPY = importlib.util.find_spec("numpy") is not None
 needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
 
-# The primes below 2**32 the numpy kernels serve: 2-adicity 4, 8, 23, 30 and
-# 20, the last 2**32 - 2**20 + 1, whose residue products come closest to 2**64.
-NUMPY_FIELDS = [FourierPrime.from_modulus(p) for p in (17, 257, 998244353, 3221225473, 4293918721)]
+# Primes of both numpy multiplies. Below 2**32: 2-adicity 4, 8, 23, 30 and
+# 20, the last 2**32 - 2**20 + 1, whose residue products come closest to
+# 2**64. From 2**32 up: 2-adicity 25, 11 and 20, the last
+# 2**62 - 21 * 2**20 + 1, whose sums come closest to 2**64.
+NUMPY_FIELDS = [
+    FourierPrime.from_modulus(p)
+    for p in (17, 257, 998244353, 3221225473, 4293918721, 2305843009448574977, 2305843009213704193,
+              4611686018405367809)
+]
+# The primes nearest each multiply's bound: their largest residues meet the
+# uint64 bounds.
+EDGE_FIELDS = [fp for fp in NUMPY_FIELDS if fp.p in (3221225473, 4293918721, 4611686018405367809)]
 
 
 @st.composite
@@ -322,8 +331,8 @@ def numpy_shapes(draw, size):
     rng = random.Random(draw(st.integers(0, 2**32)))
     if draw(st.booleans()):
         return fp, n, z, [rng.randrange(fp.p) for _ in range(size)]
-    # Ints outside [0, p): negative, in [p, 2**32), in [2**32, 2**64), from 2**64 up.
-    spans = ((-(1 << 70), 0), (fp.p, 1 << 32), (1 << 32, 1 << 64), (1 << 64, 1 << 70))
+    # Ints outside [0, p): negative, in [p, p + 2**32), in [p, 2**64), from 2**64 up.
+    spans = ((-(1 << 70), 0), (fp.p, fp.p + (1 << 32)), (fp.p, 1 << 64), (1 << 64, 1 << 70))
     return fp, n, z, [rng.randrange(*rng.choice(spans)) for _ in range(size)]
 
 
@@ -358,9 +367,9 @@ def test_numpy_kernels_match_python(size, data):
     # Lengths above size/2, where itft inverts full halves with _dit.
     for m in {size // 2 + 1, size - size // 8, size - 1 or 1, size}:
         assert _ntt_numpy.itft(t, a[:m]).tolist() == residues(transform._itft(t, x[:m]))
-    # The largest residues at the primes nearest 2**32 meet the uint64 bounds,
-    # at the drawn n and at the shapes of balanced products.
-    for big in NUMPY_FIELDS[-2:]:
+    # The largest residues at the primes nearest each bound meet the uint64
+    # bounds, at the drawn n and at the shapes of balanced products.
+    for big in EDGE_FIELDS:
         top = [big.p - 1] * size
         tb = get_table(big, size)
         ab = numpy.array(top, dtype=numpy.uint64)
@@ -415,6 +424,26 @@ def test_numpy_kernels_match_python_at_every_n(row, chunk):
 
 
 @needs_numpy
+@pytest.mark.parametrize("size", [1 << 12, 1 << 14])
+def test_itft_sums_long_runs_mod_p(size):
+    # Where itft's path keeps to the low half for 8 or more levels (n = 1 and
+    # 2 all the way down, n = L/2 + 1 below the top), it sums one value per
+    # level. Over 2**62 - 21 * 2**20 + 1 a plain uint64 sum of 5 residues can
+    # wrap; random spectra at n = L/2 + 1 fill the summed values, all p - 1
+    # spectra give the widest inputs.
+    import numpy as np
+
+    from modconv import _ntt_numpy
+
+    fp = FourierPrime.from_modulus(4611686018405367809)
+    t = get_table(fp, size)
+    rng = random.Random(size)
+    for n in (1, 2, size // 4 + 1, size // 2 + 1, size // 2 + 2):
+        for x in ([fp.p - 1] * n, [rng.randrange(fp.p) for _ in range(n)]):
+            assert _ntt_numpy.itft(t, np.array(x, dtype=np.uint64)).tolist() == transform._itft(t, x), n
+
+
+@needs_numpy
 def test_kernels_restore_the_callers_buffer_size():
     import numpy as np
 
@@ -436,14 +465,19 @@ def test_kernels_restore_the_callers_buffer_size():
         np.setbufsize(before)
 
 
-def test_large_prime_stays_on_python():
+@needs_numpy
+def test_large_prime_runs_in_numpy():
+    # A 62-bit prime follows the rule of every other: a 2**15-point
+    # transform pays for importing numpy by itself and runs in the kernels.
+    from modconv import _ntt_numpy
+
     fp = FourierPrime.from_modulus(2305843009448574977)
-    t = get_table(fp, 1 << 15)
-    assert transform._numpy_kernels(t.field.p, t.size) is None
+    t = TwiddleTable(fp, 1 << 15)
+    assert transform._numpy_kernels(t.field.p, t.size) is _ntt_numpy
     rng = random.Random(15)
     x = [rng.randrange(fp.p) for _ in range(1 << 15)]
     assert moddft(moddft(x, t), t, "inv") == x
-    assert t.numpy_arrays is None
+    assert t.numpy_arrays is not None
 
 
 @needs_numpy
@@ -451,13 +485,13 @@ def test_loaded_numpy_takes_transforms_from_the_crossover():
     import numpy  # noqa: F401  loaded, as after any transform of 2**15 points
     from modconv import _ntt_numpy
 
-    fp = FourierPrime.from_modulus(998244353)
-    assert transform._numpy_kernels(fp.p, transform._NUMPY_CROSSOVER) is _ntt_numpy
-    # Fresh tables, so that no earlier call has filled numpy_arrays.
-    small = TwiddleTable(fp, transform._NUMPY_CROSSOVER >> 1)
-    wide = TwiddleTable(FourierPrime.from_modulus(2305843009448574977), 1 << 10)
+    # Over a 30-bit and a 62-bit prime alike.
+    for p in (998244353, 2305843009448574977):
+        assert transform._numpy_kernels(p, transform._NUMPY_CROSSOVER) is _ntt_numpy
+    # A fresh table, so that no earlier call has filled numpy_arrays.
     rng = random.Random(16)
-    for t in (small, wide):
+    for p in (998244353, 2305843009448574977):
+        t = TwiddleTable(FourierPrime.from_modulus(p), transform._NUMPY_CROSSOVER >> 1)
         assert transform._numpy_kernels(t.field.p, t.size) is None
         x = [rng.randrange(t.field.p) for _ in range(t.size)]
         assert moddft(moddft(x, t), t, "inv") == x
@@ -469,12 +503,13 @@ def test_loaded_numpy_takes_transforms_from_the_crossover():
 @pytest.mark.parametrize("size", [1, 8, 1 << 10])
 def test_transforms_keep_uint64_arrays(size):
     # The cores take uint64 arrays of residues and give them back, equal,
-    # with equal counts, to the doors on lists; at the primes nearest 2**32,
-    # on random residues and on all p - 1, the widest the kernels multiply.
+    # with equal counts, to the doors on lists; at the primes nearest each
+    # multiply's bound, on random residues and on all p - 1, the widest the
+    # kernels multiply.
     import numpy as np
 
     rng = random.Random(size)
-    for p in (3221225473, 4293918721):
+    for p in (fp.p for fp in EDGE_FIELDS):
         t = get_table(FourierPrime.from_modulus(p), size)
         n = size // 2 + 1
         # The inverse moddft core returns size times x; its door divides once.
@@ -582,24 +617,30 @@ def test_products_past_the_budget_run_in_arrays():
     assert len(without["c"]) == 1023
 
 
-def test_ineligible_products_leave_numpy_unloaded():
-    # Products the numpy kernels cannot take (a 62-bit prime) or would not
-    # (transforms below 2**9) never count, however many run.
-    out = _run_python(
-        """
+_MANY_PRODUCTS = """
 import random, sys
 from modconv import ConvRequest, DensePoly, FourierPrime, poly_mul, transform
 rng = random.Random(22)
-for p, z in ((2305843009448574977, 200), (998244353, 100)):
+for p, z in ((2305843009448574977, {wide}), (998244353, 100)):
     fp = FourierPrime.from_modulus(p)
     for i in range(200):
         a = DensePoly(fp, tuple(rng.randrange(1, p) for _ in range(z)))
         b = DensePoly(fp, tuple(rng.randrange(1, p) for _ in range(z + 1)))
         poly_mul(a, b, ConvRequest(fp, engine=("tft", "fft_pad", "split")[i % 3]))
-print(transform._python_butterflies, "numpy" in sys.modules)
+print(transform._python_butterflies, sys.modules.get("numpy") is not None)
 """
-    )
+
+
+def test_ineligible_products_leave_numpy_unloaded():
+    # Products the numpy kernels would not take (transforms below 2**9), over
+    # a 62-bit and a 30-bit prime, never count, however many run.
+    out = _run_python(_MANY_PRODUCTS.format(wide=100))
     assert out.split() == ["0", "False"]
+    # A process that cannot import numpy never loads it: its 62-bit products
+    # at 2**9 count, and spend the budget, on the Python loops.
+    out = _run_python('import sys\nsys.modules["numpy"] = None\n' + _MANY_PRODUCTS.format(wide=200))
+    tally, loaded = out.split()
+    assert int(tally) >= transform._BUDGET and loaded == "False"
 
 
 def test_planning_leaves_numpy_unloaded(tmp_path):
@@ -791,9 +832,9 @@ def test_first_product_past_2_15_runs_in_arrays():
 def test_numpy_rule_is_one_inequality(loaded):
     # max(tally, one transform's butterflies) >= _BUDGET decides exactly as
     # the two conditions it replaced: a transform of 2**15 points or more,
-    # or a tally of _BUDGET, or numpy loaded, over p < 2**32 from 2**9 up.
+    # or a tally of _BUDGET, or numpy loaded, over every prime from 2**9 up.
     def two_conditions(p, size, tally):
-        if p >= 1 << 32 or size < 1 << 9:
+        if size < 1 << 9:
             return False
         return size >= 1 << 15 or tally >= transform._BUDGET or loaded
 

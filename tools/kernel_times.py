@@ -1,12 +1,15 @@
 """Time the numpy kernels, their stages, or the list/array crossing, of two modconv source trees.
 
     python3 tools/kernel_times.py OLD_TREE NEW_TREE [--group kernels|stages|boundary]
-                                  [--rounds 5] [--lo 9] [--hi 18]
+                                  [--rounds 5] [--lo 9] [--hi 18] [--prime 998244353]
 
 Each round runs one fresh subprocess per tree, alternating which tree goes
 first, and each subprocess imports `modconv` from TREE/src. At every size
-L = 2**lo .. 2**hi over p = 998244353 it times each call as the best of a few
-calls after a warm-up call. The table prints, per call and size, the median
+L = 2**lo .. 2**hi over the prime P (default 998244353; P's 2-adicity caps
+hi) it times each call as the best of a few calls after a warm-up call.
+A tree from before the 62-bit multiply runs its kernels over a prime from
+2**32 up with the wrong arithmetic, and its `DensePoly` refuses an ndarray
+there, so compare such a tree over a 62-bit prime only by the Python loops. The table prints, per call and size, the median
 over rounds of each tree and new/old.
 
 `kernels` (the default) times `_ntt_numpy.moddft` (forward and inverse, L
@@ -55,7 +58,7 @@ from modconv.transform import get_table
 # A tree from before the kernels held all uint64 arithmetic converts in transform.
 to_array = getattr(K, "residues", None) or transform._as_residues
 
-fp = FourierPrime.from_modulus(998244353)
+fp = FourierPrime.from_modulus(int(sys.argv[4]))
 rng = np.random.default_rng(1)
 
 
@@ -104,11 +107,16 @@ def stages(L, x):
             total = min(total, time.perf_counter() - t0)
         per = [min(r[i] for r in runs) for i in range(len(runs[0]))]
         out[f"{name} {L.bit_length() - 1}"] = {"total": total * 1e6, "stages": per}
-    t = get_table(fp, L)
-    p = np.array(fp.p, dtype=np.uint64)
     lo, hi = x[: L // 2].copy(), x[L // 2 :].copy()
-    w = x[: L // 2] % np.uint64(fp.p)
-    wq = K.quotient(w, fp.p)
+    w = x[: L // 2]
+    if hasattr(K, "_arith"):
+        # The stage loops take the arithmetic mod p, chosen from p.
+        p = K._arith(fp.p)
+        wq = p.quotient(w)
+    else:
+        # A tree from before the 62-bit multiply passes p, over p < 2**32.
+        p = np.array(fp.p, dtype=np.uint64)
+        wq = K.quotient(w, fp.p)
     scratch = [np.empty(L // 2, dtype=np.uint64) for _ in range(2)]
     best = float("inf")
     for _ in range(max(3, min(25, (1 << 20) // L))):
@@ -156,9 +164,9 @@ print(json.dumps(out))
 UNITS = {"kernels": "ms", "stages": "us", "boundary": "ns/coef"}
 
 
-def run(tree: str, lo: int, hi: int, group: str) -> dict:
+def run(tree: str, lo: int, hi: int, group: str, prime: int) -> dict:
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"))
-    done = subprocess.run([sys.executable, "-c", CHILD, str(lo), str(hi), group], env=env,
+    done = subprocess.run([sys.executable, "-c", CHILD, str(lo), str(hi), group, str(prime)], env=env,
                           capture_output=True, text=True, check=True)
     return json.loads(done.stdout)
 
@@ -188,11 +196,12 @@ def main() -> None:
     ap.add_argument("--rounds", type=int, default=5)
     ap.add_argument("--lo", type=int, default=9)
     ap.add_argument("--hi", type=int, default=18)
+    ap.add_argument("--prime", type=int, default=998244353, help="the prime to time over (default 998244353)")
     args = ap.parse_args()
     times = {args.old: [], args.new: []}
     for r in range(args.rounds):
         for tree in (args.old, args.new) if r % 2 == 0 else (args.new, args.old):
-            times[tree].append(run(tree, args.lo, args.hi, args.group))
+            times[tree].append(run(tree, args.lo, args.hi, args.group, args.prime))
     unit = UNITS[args.group]
     if args.group == "stages":
         print_stages(times, args.old, args.new)
