@@ -22,22 +22,27 @@ transform-backed engine (`circ_conv_fft`, `nega_conv`, `circ_conv_split`,
 (`_circ_conv_fft`, `_nega_conv`, `_circ_conv_split`, `_conv_tft`, and
 `_zero_padded` for the padded ones). Every such core takes the table its
 product runs on as its first argument and reads L there, as `table.size`:
-none fetches its own table or works its size out again, and the only other
-table a core fetches is the negacyclic twist, of 2L (`_circ_conv_split`
-fetches it before its residue maps run, and hands it to `_nega_conv`). It
-returns L times its product: its inverse transforms do not scale, as itft
-does not. One step,
+none fetches its own table or works its size out again. The only other
+table is the negacyclic twist, of 2L, which `_product` fetches for the
+cores that twist (`_nega_conv`, `_circ_conv_split`) before any input is
+padded or converted, so that a size whose twist the field refuses costs
+nothing. A core returns L times its product: its inverse transforms do not
+scale, as itft does not. Each core makes one forward call on the stack of
+its inputs (`_circ_conv_split` on its four halves, the negacyclic pair
+twisted), one pointwise product of the stacked spectra, and one inverse
+call. One step,
 `_product`, serves the five doors and `poly_mul`: it fetches the table of
 the size the engine's rule gives, runs the core on it through
 `transform._run`, and divides by L once (`transform._div_size`), after
 `_zero_padded`'s cut, so fft_pad scales n values and split, at L/2, scales
 once. `_run` hands the core uint64 arrays wherever the transforms run in
-numpy (see `transform._numpy_kernels`, which takes sizes from 2**9 on,
-over every prime, once a transform of 2**15, or the process's earlier
-Python-loop transforms, have paid for importing numpy), converting each
-input once (which reduces ints outside [0, p)), and a door converts the
-result to a list once (`transform._listed`). A core trusts what it is
-handed and calls only cores. On uint64 arrays every step stays in arrays (transforms, pointwise
+numpy (see `transform._numpy_kernels`, which takes a product from 2**8 on,
+decided on the twist's size for a core that twists, over every prime,
+once a transform of 2**15, or the process's earlier Python-loop
+transforms, have paid for importing numpy), converting each input once
+(which reduces ints outside [0, p)), and a door converts the result to a
+list once (`transform._listed`). A core trusts what it is handed and calls
+only cores. On uint64 arrays every step stays in arrays (transforms, pointwise
 product, 1/L scale, twist, residues, padding); on lists every step runs the
 Python loops. Every step keeps its list branch here and runs on arrays
 through the primitives of `_ntt_numpy`, which holds all uint64 arithmetic
@@ -124,29 +129,39 @@ def _operands(u, v, circular: bool = False) -> tuple[list[int], list[int]]:
     return u, v
 
 
-def _product(size: int, core, u, v, req: ConvRequest):
+def _product(size: int, core, u, v, req: ConvRequest, twist: bool = False):
     """core's product of u and v over the size-point table, divided by size once: the step of every transform-backed product.
 
-    It fetches the table and hands it to core, which reads its size there.
-    `transform._run` hands core uint64 arrays where the table's transforms
-    run in numpy, else the lists, and keeps the process's tally. core
+    It fetches the table and hands it to core, which reads its size there;
+    a core that twists (`twist`) is handed the negacyclic twist's table too,
+    of 2 * size, fetched here as well, so that a size whose twist the field
+    refuses is refused before any input is padded or converted.
+    `transform._run` hands core uint64 arrays where the transforms of the
+    larger table run in numpy, else the lists, and keeps the process's
+    tally. split's forward call stacks four rows of the half size, as much
+    as two rows of the twist's size; the negacyclic door thus takes numpy
+    from n = 2**7, where it already pays (0.76x the Python loops' time at
+    n = 128 over 998244353, best of 100). core
     returns size times the product, and `transform._div_size` scales it.
     """
     table = get_table(req.field, size)
-    return _div_size(_run(table, lambda a, b: core(table, a, b, req), u, v), table)
+    if not twist:
+        return _div_size(_run(table, lambda a, b: core(table, a, b, req), u, v), table)
+    twisting = get_table(req.field, 2 * size)
+    return _div_size(_run(twisting, lambda a, b: core(table, a, b, req, twist=twisting), u, v), table)
 
 
-def _zero_padded(circ, size: int, table, u, v, req: ConvRequest):
+def _zero_padded(circ, size: int, table, u, v, req: ConvRequest, **tables):
     """The linear product u * v as the core circ on table, over u and v zero-padded to size, cut to n.
 
-    It carries circ's factor, the table size. Both inputs are uint64 arrays
-    or both lists, and are padded in their own type, so that only their own
-    values were converted.
+    It carries circ's factor, the table size, and hands circ the tables it
+    was handed. Both inputs are uint64 arrays or both lists, and are padded
+    in their own type, so that only their own values were converted.
     """
     n = len(u) + len(v) - 1
     kernels = _array_kernels(u)
     pad = kernels.pad if kernels else lambda w, size: list(w) + [0] * (size - len(w))
-    return circ(table, pad(u, size), pad(v, size), req)[:n]
+    return circ(table, pad(u, size), pad(v, size), req, **tables)[:n]
 
 
 def circ_conv_def(u: list[int], v: list[int], fp: FourierPrime) -> list[int]:
@@ -184,11 +199,11 @@ def lin_conv_def(u: list[int], v: list[int], fp: FourierPrime) -> list[int]:
 
 
 def _pointwise(a, b, p: int, req: ConvRequest):
-    """Elementwise spectral product, counted."""
+    """Elementwise spectral product of two stacks of rows, a 2-D uint64 array or a list of lists each, counted."""
     if req.counters is not None:
-        req.counters.pointwise_muls += len(a)
+        req.counters.pointwise_muls += sum(map(len, a))
     kernels = _array_kernels(a)
-    return kernels.pointwise(a, b, p) if kernels else [x * y % p for x, y in zip(a, b)]
+    return kernels.pointwise(a, b, p) if kernels else [[x * y % p for x, y in zip(r, s)] for r, s in zip(a, b)]
 
 
 def circ_conv_fft(u: list[int], v: list[int], req: ConvRequest) -> list[int]:
@@ -198,11 +213,10 @@ def circ_conv_fft(u: list[int], v: list[int], req: ConvRequest) -> list[int]:
 
 
 def _circ_conv_fft(table, u, v, req: ConvRequest):
-    # table.size times the circular product: the inverse moddft core does not scale.
-    uf = moddft(u, table, "fwd", req.counters)
-    vf = moddft(v, table, "fwd", req.counters)
-    prod = _pointwise(uf, vf, req.field.p, req)
-    return moddft(prod, table, "inv", req.counters)
+    # table.size times the circular product: one forward call on the stack
+    # of u and v, and the inverse moddft core does not scale.
+    f = moddft((u, v), table, "fwd", req.counters)
+    return moddft(_pointwise(f[:1], f[1:], req.field.p, req), table, "inv", req.counters)[0]
 
 
 def lin_conv_fft_pad(u: list[int], v: list[int], req: ConvRequest) -> list[int]:
@@ -217,25 +231,26 @@ def nega_conv(u: list[int], v: list[int], req: ConvRequest) -> list[int]:
     circular case.
     """
     u, v = _operands(u, v, circular=True)
-    return _listed(_product(len(u), _nega_conv, u, v, req))
+    return _listed(_product(len(u), _nega_conv, u, v, req, twist=True))
+
+
+def _twisted(twist, x, direction: str, p: int):
+    """x times psi**j ("fwd") or psi**-j ("inv") for j < len(x): the last stage of twist, the 2L table, where psi**2 == w_L."""
+    kernels = _array_kernels(x)
+    if kernels:
+        # Each stage is (twiddles, their Shoup quotients).
+        fwd, inv, _ = kernels.stage_arrays(twist)
+        return kernels.mulmod(x, *(fwd if direction == "fwd" else inv)[-1], p)
+    return [a * b % p for a, b in zip(x, (twist.fwd_stages if direction == "fwd" else twist.inv_stages)[-1])]
 
 
 def _nega_conv(table, u, v, req: ConvRequest, twist=None):
     # table.size times the negacyclic product, untwisted from the circular
-    # core's, by the last stages of twist, the 2L table (fetched here unless
-    # the caller has): psi**j and psi**-j for j < n, psi**2 == w_n.
+    # core's by twist, the 2L table (fetched here unless the caller has).
     p = req.field.p
     twist = twist or get_table(req.field, 2 * table.size)
-    kernels = _array_kernels(u)
-    if kernels:
-        # Each stage is (twiddles, their Shoup quotients).
-        fwd, inv, _ = kernels.stage_arrays(twist)
-        mul = lambda x, w: kernels.mulmod(x, *w, p)
-    else:
-        fwd, inv = twist.fwd_stages, twist.inv_stages
-        mul = lambda x, w: [a * b % p for a, b in zip(x, w)]
-    circ = _circ_conv_fft(table, mul(u, fwd[-1]), mul(v, fwd[-1]), req)
-    return mul(circ, inv[-1])
+    circ = _circ_conv_fft(table, _twisted(twist, u, "fwd", p), _twisted(twist, v, "fwd", p), req)
+    return _twisted(twist, circ, "inv", p)
 
 
 def circ_conv_split(u: list[int], v: list[int], req: ConvRequest) -> list[int]:
@@ -250,20 +265,25 @@ def circ_conv_split(u: list[int], v: list[int], req: ConvRequest) -> list[int]:
     # Halving drops an odd length's last bit, so get_table(n) cannot refuse it.
     if size & (size - 1) or size < 2:
         raise ValueError(f"length must be a power of two >= 2: {size}")
-    return _listed(_product(size >> 1, _circ_conv_split, u, v, req))
+    return _listed(_product(size >> 1, _circ_conv_split, u, v, req, twist=True))
 
 
-def _circ_conv_split(table, u, v, req: ConvRequest):
-    # table.size = len(u)/2 times the product, recombined from the two
-    # half-size cores' products. The twist table is fetched first, so a
-    # size whose twist the field refuses is refused before any work.
+def _circ_conv_split(table, u, v, req: ConvRequest, twist=None):
+    # table.size = len(u)/2 times the product, recombined from the circular
+    # and the negacyclic half's: the negacyclic pair is twisted by twist, the
+    # 2L table (fetched here unless the caller has), then all four halves go
+    # through one forward call, one pointwise product and one inverse call.
     p = req.field.p
-    twist = get_table(req.field, 2 * table.size)
-    ua, ub = split_residues(u, p)
-    va, vb = split_residues(v, p)
-    cb = _nega_conv(table, ub, vb, req, twist)
-    ca = _circ_conv_fft(table, ua, va, req)
-    return recombine_residues(ca, cb, p)
+    twist = twist or get_table(req.field, 2 * table.size)
+    (ua, ub), (va, vb) = split_residues(u, p), split_residues(v, p)
+    f = moddft((ua, va, _twisted(twist, ub, "fwd", p), _twisted(twist, vb, "fwd", p)), table, "fwd", req.counters)
+    # Each step lets go of the arrays before it once read: the smaller peak
+    # leaves fewer heap pages to be trimmed and faulted back in on every
+    # product (96 against 192 minor faults per product at n = 7168).
+    del ua, ub, va, vb
+    f = _pointwise(f[0::2], f[1::2], p, req)
+    f = moddft(f, table, "inv", req.counters)
+    return recombine_residues(f[0], _twisted(twist, f[1], "inv", p), p)
 
 
 def split_residues(u: list[int], p: int) -> tuple[list[int], list[int]]:
@@ -321,10 +341,9 @@ def conv_tft(g: list[int], h: list[int], req: ConvRequest) -> list[int]:
 
 def _conv_tft(table, g, h, req: ConvRequest):
     # L = table.size times the product: itft does not divide by L.
-    n = len(g) + len(h) - 1
-    gf = tft(table, g, n, req.counters)
-    hf = tft(table, h, n, req.counters)
-    return itft(table, _pointwise(gf, hf, req.field.p, req), req.counters)
+    # One forward call on the stack of both inputs.
+    f = tft(table, (g, h), len(g) + len(h) - 1, req.counters)
+    return itft(table, _pointwise(f[:1], f[1:], req.field.p, req)[0], req.counters)
 
 
 def _kronecker_slot(p: int, shorter: int) -> int:
@@ -410,7 +429,9 @@ class _Engine(NamedTuple):
     (kind, L) keys that `reads` names at the padded size L
     (`planner.planned_keys`), or, for an engine `auto` never ranks, the
     reason as a string. `applies` says where `auto` ranks it, at a padded
-    size the field hosts; equal costs go to the lowest `tie`.
+    size the field hosts; equal costs go to the lowest `tie`. A core that
+    twists (`twist`) also takes the negacyclic twist's table, of 2L, which
+    `_product` fetches before anything else runs.
     """
 
     size: Callable[[int], int] | None
@@ -419,20 +440,24 @@ class _Engine(NamedTuple):
     reads: Callable[[int], tuple] = lambda size: ()
     applies: Callable[[int, int], bool] = lambda p, size: True
     tie: int = 0
+    twist: bool = False
 
     def run(self, u, v, req: ConvRequest):
         """The product of the int sequences u and v by this engine, a list or a uint64 array."""
         if self.size is None:
             return self.core(None, u, v, req)
-        return _product(self.size(len(u) + len(v) - 1), self.core, u, v, req)
+        return _product(self.size(len(u) + len(v) - 1), self.core, u, v, req, self.twist)
 
 
 # The fixed engines, in the order of ENGINES. The ranked engine without
 # transforms serves every product no transform can: `auto` sends the scalar
 # ones and those beyond the field's 2-adicity to it without pricing.
-# kronecker is not ranked where the transforms run in numpy, over 62-bit
-# primes too: the stored timings below 2**15 are of the Python loops, so it
-# would win there where the numpy tft is 2-5x faster.
+# kronecker is not ranked where a single transform runs in numpy (from
+# 2**9), over 62-bit primes too: the stored timings below 2**15 are of the
+# Python loops, so it would win there where the numpy tft is 2-5x faster.
+# At 2**8, where only a product's stacked transforms run in numpy, it is
+# ranked: it stays the fastest there (0.08-0.44 ms against 0.25-0.8 ms for
+# a numpy fft_pad at n = 129..256, 2-core x86-64 host).
 _ENGINES = {
     "definition": _Engine(None, lambda table, u, v, req: lin_conv_def(u, v, req.field),
                           "quadratic: auto never falls back to it, and it stays the oracle"),
@@ -441,11 +466,13 @@ _ENGINES = {
     "tft": _Engine(_next_pow2, lambda table, u, v, req: _conv_tft(table, u, v, req), _tft_cost,
                    lambda size: (("tft", size), ("itft", size)), tie=2),
     "split": _Engine(lambda n: max(2, _next_pow2(n)) >> 1,
-                     lambda table, u, v, req: _zero_padded(_circ_conv_split, 2 * table.size, table, u, v, req),
-                     "fft_pad's work at half size plus a twist: no planned key times it, and it was never the fastest"),
+                     lambda table, u, v, req, twist: _zero_padded(_circ_conv_split, 2 * table.size, table, u, v, req,
+                                                                  twist=twist),
+                     "fft_pad's work at half size plus a twist: no planned key times it, and it was never the fastest",
+                     twist=True),
     "kronecker": _Engine(None, lambda table, u, v, req: _kronecker(u, v, req.field), _kronecker_cost,
                          lambda size: (("conv", size), ("conv", min(size, LINEAR_WORK_L))),
-                         lambda p, size: _numpy_kernels(p, size) is None, tie=1),
+                         lambda p, size: _numpy_kernels(size, 1) is None, tie=1),
 }
 ENGINES = (*_ENGINES, "auto")
 

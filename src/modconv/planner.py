@@ -124,19 +124,21 @@ def planned_keys(p: int, size: int) -> tuple[PlanKey, PlanKey, PlanKey, PlanKey]
 def _call(key: PlanKey, fp: FourierPrime, x):
     """A zero-argument call of the kernel that key times, on the list x as an engine passes it.
 
-    The moddft core at L, the tft core to n outputs or the itft core, on the
-    twiddle table of (fp, L) and on x as `_numpy_inputs` hands it to them,
-    or Kronecker on the pair of lists x, which fetches no table. x is
-    converted here, outside the call.
+    The moddft core at L, the tft core to n outputs (each on a stack of the
+    one vector x) or the itft core, on the twiddle table of (fp, L) and on
+    x as `_numpy_inputs` hands it to a product's cores, or Kronecker on the
+    pair of lists x, which fetches no table. x is converted here, outside
+    the call.
     """
     if key.kind == "conv":
         return lambda: _kronecker(*x, fp)
     table = get_table(fp, key.L)
-    x = (_numpy_inputs(table, x) or [x])[0]
+    # The backend a product at L runs, which its two inputs decide.
+    x = (_numpy_inputs(table, x, vectors=2) or [x])[0]
     if key.kind == "dft":
-        return lambda: _moddft(x, table)
+        return lambda: _moddft((x,), table)
     if key.kind == "tft":
-        return lambda: _tft(table, x, key.n)
+        return lambda: _tft(table, (x,), key.n)
     return lambda: _itft(table, x)
 
 
@@ -409,4 +411,6 @@ class PlanSession:
         non-integer element raises ValueError.
         """
         x = [_ints(w) for w in x] if entry.key.kind == "conv" else _ints(x)
-        return _listed(_call(entry.key, FourierPrime.from_modulus(entry.key.p), x)())
+        out = _call(entry.key, FourierPrime.from_modulus(entry.key.p), x)()
+        # The moddft and tft cores give back their stack of one.
+        return _listed(out[0] if entry.key.kind in ("dft", "tft") else out)

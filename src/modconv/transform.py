@@ -13,16 +13,25 @@ _itft_path lays out; both backends read those walks. The loops exist twice:
 in pure Python here, the reference, and in numpy (`_ntt_numpy`). Both serve
 every prime a FourierPrime holds (p < 2**62): the numpy kernels multiply in
 one uint64 product below the word bound _WORD = 2**32, that bound's one
-definition, and in 32-bit limbs above it. The numpy kernels take a
-transform of _NUMPY_CROSSOVER (2**9) points or more, where they are the
-faster loops at either width, once numpy is loaded or the process should
-load it (`_numpy_kernels`): once the larger of the process's Python-loop
-butterflies at sizes the kernels take and this transform's own butterflies
-reaches _BUDGET, one 2**15-point transform's worth, about what the import
-costs. numpy must be importable.
+definition, and in 32-bit limbs above it. The numpy kernels take a call on
+`vectors` vectors of L points where vectors * L reaches _NUMPY_CROSSOVER
+(2**9), where they are the faster loops at either width: a door's one
+transform from 2**9 points, and a product, whose forward call runs both
+inputs as one stack, from 2**8. They take it once numpy is loaded or the
+process should load it (`_numpy_kernels`): once the larger of the
+process's Python-loop butterflies where the kernels take the call and one
+transform's own butterflies reaches _BUDGET, one 2**15-point transform's
+worth, about what the import costs. numpy must be importable.
+
+The moddft and tft cores take a stack of vectors and transform each, so
+that a product makes one forward call on both its inputs (split on its
+four halves) and one inverse call: a 2-D uint64 array, or a sequence of
+uint64 arrays, runs the numpy kernels in one call; a sequence of lists
+runs the Python loops row by row. The doors hand them a stack of one.
 
 Each public transform (moddft, tft, itft) is a door over a private core
-(_moddft, _tft, _itft) with the same positional arguments. A door reads its
+(_moddft, _tft, _itft) with the same positional arguments, a stack in place
+of the vector for _moddft and _tft. A door reads its
 vector as a list of ints (`_ints`: an int-like through `operator.index`, a
 non-integer or an ndarray raises ValueError), checks its arguments, runs
 the core through `_run` and returns a list. `_run` is the one place that
@@ -144,10 +153,15 @@ def get_table(field: FourierPrime, size: int) -> TwiddleTable:
         return _build_table(field, size)
 
 
-# Smallest transform size the numpy kernels take: from 2**9 up they beat the
-# Python loops on every transform once numpy is loaded, lists in and out
-# (itft at n = L by 1.3x, moddft by 4x), while at 2**8 itft at n = L still
-# loses (measured on a 2-core x86-64 host).
+# The fewest points, vectors times size, of a call the numpy kernels take.
+# From 2**9 up a door's one transform beats the Python loops once numpy is
+# loaded, lists in and out (itft at n = L by 1.3x, moddft by 4x), while at
+# 2**8 itft at n = L still loses. A product at L = 2**8 (two vectors, its
+# forward pair stacked) takes 0.33-0.39x the Python loops' time on fft_pad,
+# 0.38-0.45x on split and 0.59-0.90x on tft, and at 2**7 its tft loses
+# (1.03-1.90x) where fft_pad and split would still win (0.66-0.85x); n =
+# L/2 + 1, 7L/8 and L over 998244353 and a 62-bit prime
+# (`tools/kernel_times.py --group products`, 2-core x86-64 host).
 _NUMPY_CROSSOVER = 1 << 9
 # Butterflies of one 2**15-point transform, about what importing numpy
 # costs: once the Python loops have spent that much where the numpy kernels
@@ -155,7 +169,7 @@ _NUMPY_CROSSOVER = 1 << 9
 # import (the ski-rental rule, never worse than twice the better of never
 # and at once).
 _BUDGET = (1 << 14) * 15
-# The process's butterflies so far in Python-loop transforms of a size the
+# The process's butterflies so far in Python-loop transforms of calls the
 # numpy kernels take, as the doors and poly_mul run them; only
 # `_run` adds to it. It only grows, and is updated without a lock: a lost
 # update under threads only delays the switch.
@@ -179,22 +193,24 @@ def _load_numpy_kernels():
 _WORD = 1 << 32
 
 
-def _takes(size: int) -> bool:
-    # Whether the numpy kernels take size-point transforms at all: from
-    # _NUMPY_CROSSOVER points up, over every prime a FourierPrime holds.
-    return size >= _NUMPY_CROSSOVER
+def _takes(size: int, vectors: int) -> bool:
+    # Whether the numpy kernels take a call on `vectors` vectors of size
+    # points at all: from _NUMPY_CROSSOVER points in all, over every prime a
+    # FourierPrime holds. A door's one transform thus goes from 2**9 points,
+    # a product, whose forward call runs both inputs as one stack, from 2**8.
+    return vectors * size >= _NUMPY_CROSSOVER
 
 
-def _numpy_kernels(p: int, size: int):
-    """The numpy kernels module if they should run size-point transforms mod p, else None.
+def _numpy_kernels(size: int, vectors: int):
+    """The numpy kernels module if they should run a call on `vectors` vectors of size points, else None.
 
-    They should where they take the transform (`_takes`, whatever p is) and
-    the process has loaded numpy or should load it: once the larger of its
-    earlier Python-loop butterflies and this transform's own reaches
-    _BUDGET. numpy must be importable. A process's first product thus loads
-    numpy only from 2**15 points on.
+    They should where they take the call (`_takes`) and the process has
+    loaded numpy or should load it: once the larger of its earlier
+    Python-loop butterflies and one transform's own reaches _BUDGET. numpy
+    must be importable. A process's first product thus loads numpy only
+    from 2**15 points on.
     """
-    if not _takes(size):
+    if not _takes(size, vectors):
         return None
     if sys.modules.get("numpy") is None and max(_python_butterflies, (size >> 1) * (size.bit_length() - 1)) < _BUDGET:
         return None
@@ -230,23 +246,24 @@ def _ints(x) -> list[int]:
         raise ValueError("vector elements must be integers") from None
 
 
-def _numpy_inputs(table: TwiddleTable, *vecs):
+def _numpy_inputs(table: TwiddleTable, *vecs, vectors: int | None = None):
     """The int vectors vecs as uint64 arrays (`_ntt_numpy.residues`) where table's transforms run in numpy, else None.
 
-    Asking `_numpy_kernels` imports numpy where its rule says the process
-    should pay for it, so the first product that does converts like every
-    later one. It counts nothing: the planner times its kernels on these.
+    The call is on `vectors` vectors, len(vecs) unless given: the planner
+    times one transform by the rule of a product's two. Asking
+    `_numpy_kernels` imports numpy where its rule says the process should
+    pay for it, so the first product that does converts like every later
+    one. It counts nothing: the planner times its kernels on these.
     """
-    p = table.field.p
-    kernels = _numpy_kernels(p, table.size)
-    return kernels and [kernels.residues(v, p) for v in vecs]
+    kernels = _numpy_kernels(table.size, vectors or len(vecs))
+    return kernels and [kernels.residues(v, table.field.p) for v in vecs]
 
 
 def _run(table: TwiddleTable, core, *vecs):
     """core(*vecs) on the int vectors vecs as `_numpy_inputs` makes them: the one crossing, and the one tally.
 
     The core gets uint64 arrays where table's transforms run in numpy, else
-    vecs as they are. A run on lists at a size the numpy kernels take
+    vecs as they are. A run on lists where the numpy kernels take the call
     (`_takes`) adds to the process's tally, as one transform for one
     vector (a transform) and three for two (a product). The planner's
     timings do not come here, so `modconv plan` times the backend a fresh
@@ -257,7 +274,7 @@ def _run(table: TwiddleTable, core, *vecs):
     if arrays is not None:
         return core(*arrays)
     out = core(*vecs)
-    if _takes(table.size):
+    if _takes(table.size, len(vecs)):
         _python_butterflies += (1 if len(vecs) == 1 else 3) * (table.size >> 1) * table.log2_size
     return out
 
@@ -331,24 +348,31 @@ def moddft(
         raise ValueError(f"input length {len(x)} != table size {n}")
     if direction not in ("fwd", "inv"):
         raise ValueError(f"direction must be 'fwd' or 'inv': {direction!r}")
-    out = _run(table, lambda a: _moddft(a, table, direction, counters), x)
+    out = _run(table, lambda a: _moddft((a,), table, direction, counters)[0], x)
     return _listed(_div_size(out, table) if direction == "inv" else out)
 
 
 def _moddft(x, table: TwiddleTable, direction: str = "fwd", counters: OpCounters | None = None):
-    # moddft on trusted input, without the inverse's 1/N scale: the inverse
-    # returns N times its result. A uint64 array of residues runs the numpy
-    # kernels and gives one back; a list runs the pure-Python loops, the
-    # reference for the numpy kernels.
-    kernels = _array_kernels(x)
+    # moddft of each row of the stack x on trusted input, without the
+    # inverse's 1/N scale: the inverse returns N times its result. A stack
+    # of uint64 arrays of residues (or a 2-D one) runs the numpy kernels in
+    # one call and gives a 2-D array back; a stack of lists runs the
+    # pure-Python loops row by row, the reference for the numpy kernels, and
+    # gives a list of lists. Each row counts as one transform.
+    kernels = _array_kernels(x[0])
     if kernels:
-        vec = kernels.moddft(x, table, direction)
+        out = kernels.moddft(x, table, direction)
     else:
-        vec = [x[r] for r in _rev_indices(table.size)]
-        _dit_inplace(vec, table.fwd_stages if direction == "fwd" else table.inv_stages, table.field.p)
+        stages = table.fwd_stages if direction == "fwd" else table.inv_stages
+        rev, p = _rev_indices(table.size), table.field.p
+        out = []
+        for row in x:
+            vec = [row[r] for r in rev]
+            _dit_inplace(vec, stages, p)
+            out.append(vec)
     if counters is not None:
-        counters.butterflies += (table.size >> 1) * table.log2_size
-    return vec
+        counters.butterflies += len(x) * (table.size >> 1) * table.log2_size
+    return out
 
 
 def moddft_naive(x: list[int], table: TwiddleTable, direction: str = "fwd") -> list[int]:
@@ -398,20 +422,28 @@ def tft(
         raise ValueError(f"input length {z} exceeds output count {n}")
     if n > size:
         raise ValueError(f"output count {n} exceeds transform size {size}")
-    return _listed(_run(table, lambda a: _tft(table, a, n, counters), x))
+    return _listed(_run(table, lambda a: _tft(table, (a,), n, counters)[0], x))
 
 
-def _tft(table: TwiddleTable, x, n: int, counters: OpCounters | None = None):
-    # tft on trusted input, dispatched as in _moddft; the list branch is
-    # the pure-Python loops.
+def _tft(table: TwiddleTable, xs, n: int, counters: OpCounters | None = None):
+    # tft of each input of the stack xs, which may differ in length, on
+    # trusted input, dispatched as in _moddft: arrays run the numpy kernels
+    # in one call and give a (len(xs), n) array back; lists run the
+    # pure-Python loops input by input. Each input counts its own
+    # butterflies.
+    kernels = _array_kernels(xs[0])
+    if kernels:
+        out = kernels.tft(table, xs, n)
+        if counters is not None:
+            counters.butterflies += sum(tft_butterflies(table.size, len(x), n) for x in xs)
+        return out
+    return [_tft_loops(table, x, n, counters) for x in xs]
+
+
+def _tft_loops(table: TwiddleTable, x: list[int], n: int, counters: OpCounters | None) -> list[int]:
+    # tft's pure-Python loops on one input, the reference, counting inline.
     size = table.size
     z = len(x)
-    kernels = _array_kernels(x)
-    if kernels:
-        out = kernels.tft(table, x, n)
-        if counters is not None:
-            counters.butterflies += tft_butterflies(size, z, n)
-        return out
     c = list(x)
     if z < size:
         c.extend([0] * (size - z))

@@ -163,7 +163,7 @@ def _suite_butterfly_counts(rng, cap, fields):
         for n in sorted(k for k in ns if 1 <= k <= size):
             for z in sorted({1, n // 2 or 1, n}):
                 counters = OpCounters()
-                _tft(table, [rng.randrange(fp.p) for _ in range(z)], n, counters)
+                _tft(table, ([rng.randrange(fp.p) for _ in range(z)],), n, counters)
                 if counters.butterflies != tft_butterflies(size, z, n):
                     return False, f"tft_butterflies != tft's count at L={size}, z={z}, n={n}"
                 checked += 1
@@ -227,25 +227,28 @@ def _suite_numpy_backend(rng, cap, fields):
         for size in _pow2_range(min(cap, 1 << fp.two_adicity), lo=1):
             top = max(top, size)
             table = get_table(fp, size)
-            # Random residues, then all p - 1: the largest values the uint64
-            # bounds of the division-free products must hold. The cores run
-            # the numpy kernels on arrays and the Python loops on lists.
-            for x in ([rng.randrange(p) for _ in range(size)], [p - 1] * size):
-                a = _ntt_numpy.residues(x, p)
-                for direction in ("fwd", "inv"):
-                    if _moddft(a, table, direction).tolist() != _moddft(x, table, direction):
-                        return False, f"numpy moddft {direction} != Python at p={p}, L={size}"
-                # Every n up to 64 points; beyond, the shapes of balanced
-                # products (L/2 + 1, 7L/8, L) and a few drawn at random.
-                ns = {1, size // 2 or 1, size // 2 + 1, size - size // 8, size - 1 or 1, size}
-                ns |= set(range(1, size + 1)) if size <= 64 else {rng.randint(1, size) for _ in range(4)}
-                for n in sorted(ns):
-                    z = rng.randint(1, n)
-                    if _tft(table, a[:z], n).tolist() != _tft(table, x[:z], n):
-                        return False, f"numpy tft != Python at p={p}, L={size}, z={z}, n={n}"
+            # Random residues and all p - 1, the largest values the uint64
+            # bounds of the division-free products must hold, as one stack,
+            # as a product's cores hand them. The cores run the numpy kernels
+            # on arrays and the Python loops on lists.
+            rows = ([rng.randrange(p) for _ in range(size)], [p - 1] * size)
+            arrays = [_ntt_numpy.residues(x, p) for x in rows]
+            for direction in ("fwd", "inv"):
+                if _moddft(arrays, table, direction).tolist() != _moddft(rows, table, direction):
+                    return False, f"numpy moddft {direction} != Python at p={p}, L={size}"
+            # Every n up to 64 points; beyond, the shapes of balanced
+            # products (L/2 + 1, 7L/8, L) and a few drawn at random.
+            ns = {1, size // 2 or 1, size // 2 + 1, size - size // 8, size - 1 or 1, size}
+            ns |= set(range(1, size + 1)) if size <= 64 else {rng.randint(1, size) for _ in range(4)}
+            for n in sorted(ns):
+                zs = [rng.randint(1, n) for _ in rows]
+                if _tft(table, [a[:z] for a, z in zip(arrays, zs)], n).tolist() != \
+                        _tft(table, [x[:z] for x, z in zip(rows, zs)], n):
+                    return False, f"numpy tft != Python at p={p}, L={size}, z={zs}, n={n}"
+                for a, x in zip(arrays, rows):
                     if _itft(table, a[:n]).tolist() != _itft(table, x[:n]):
                         return False, f"numpy itft != Python at p={p}, L={size}, n={n}"
-                    checked += 1
+                checked += 1
         # convolve's cores on uint64 arrays against the quadratic oracles.
         req = ConvRequest(fp)
         for size in _pow2_range(min(cap, 64, 1 << (fp.two_adicity - 1))):

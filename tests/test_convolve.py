@@ -1,3 +1,4 @@
+import contextlib
 import importlib.util
 import random
 import threading
@@ -653,9 +654,14 @@ def _traced_call(call, fp, engine):
     seen = []
     depth = [0]
 
+    def on_arrays(args):
+        # Whether an argument, or the first row of a stack, is an ndarray.
+        rows = [a[0] for a in args if isinstance(a, (tuple, list)) and a]
+        return transform._array_kernels(*args, *rows) is not None
+
     def spy(name, real):
         def wrapped(*args, **kwargs):
-            seen.append((name, transform._array_kernels(*args) is not None))
+            seen.append((name, on_arrays(args)))
             depth[0] += 1
             try:
                 return real(*args, **kwargs)
@@ -682,10 +688,10 @@ def _traced_call(call, fp, engine):
 
 @pytest.mark.skipif(importlib.util.find_spec("numpy") is None, reason="numpy not installed")
 @pytest.mark.parametrize("p", [998244353, 4293918721])
-# Product lengths around 2**9, where tft's and fft_pad's transforms cross
-# into numpy at n = 257 and split's half-size ones at n = 513, and around
-# 2**15.
-@pytest.mark.parametrize("n", [256, 257, 512, 513, 777, 1024, 1025, 1 << 15, (1 << 15) + 1])
+# Product lengths around 2**8, where every engine's transforms cross into
+# numpy at n = 129 (split's half-size ones by its twist's size), around
+# 2**9 and 2**10, and around 2**15.
+@pytest.mark.parametrize("n", [128, 129, 256, 257, 512, 513, 777, 1024, 1025, 1 << 15, (1 << 15) + 1])
 def test_poly_mul_crosses_once_and_matches_python_loops(p, n):
     import numpy  # noqa: F401  loaded, so the crossover alone puts sizes in numpy
 
@@ -694,11 +700,13 @@ def test_poly_mul_crosses_once_and_matches_python_loops(p, n):
     fp = FourierPrime.from_modulus(p)
     rng = random.Random(n)
     z1 = (n + 2) // 2
-    # The transforms and residue maps each engine runs, by convolve's names.
+    # The transforms and residue maps each engine runs, by convolve's names:
+    # one forward call on the stack of both inputs (of split's four halves)
+    # and one inverse call.
     runs = {
-        "tft": ["tft", "tft", "itft"],
-        "fft_pad": ["moddft"] * 3,
-        "split": ["split_residues"] * 2 + ["moddft"] * 6 + ["recombine_residues"],
+        "tft": ["tft", "itft"],
+        "fft_pad": ["moddft"] * 2,
+        "split": ["split_residues"] * 2 + ["moddft"] * 2 + ["recombine_residues"],
     }
     for coeffs in (lambda z: [rng.randrange(1, p) for _ in range(z)], lambda z: [p - 1] * z):
         a, b = DensePoly(fp, coeffs(z1)), DensePoly(fp, coeffs(n + 1 - z1))
@@ -711,7 +719,7 @@ def test_poly_mul_crosses_once_and_matches_python_loops(p, n):
             assert (got, counters) == (want, want_counters), (engine, n)
             assert {type(c) for c in got.coeffs} == {int}
             assert [name for name, _ in backends] == [name for name, _ in python] == runs[engine]
-            assert any(array for _, array in backends) == (n > (512 if engine == "split" else 256))
+            assert any(array for _, array in backends) == (n > 128)
             # Each transform runs on the backend the engine picks when it is
             # handed the operands as lists, and returns a list.
             listed = list(a.coeffs), list(b.coeffs)
@@ -956,8 +964,8 @@ REFUSING = [(17, 4), (257, 8), (2305843009213704193, 11)]
 @pytest.mark.parametrize("p, k", REFUSING)
 def test_split_refuses_before_any_transform(p, k, engine_backend):
     # split takes the L fft_pad takes: it refuses n = 2**k + 1, as fft_pad
-    # does, and fetches the negacyclic half's twist table before it runs
-    # any transform or residue map.
+    # does, and fetches the negacyclic half's twist table before it pads or
+    # converts its inputs, or runs any transform or residue map.
     from modconv import convolve
 
     fp = FourierPrime.from_modulus(p)
@@ -971,9 +979,15 @@ def test_split_refuses_before_any_transform(p, k, engine_backend):
         "circ_conv_split": lambda: circ_conv_split(u, v, ConvRequest(fp)),
     }
     ran = []
-    spy = lambda *args: ran.append(args)
-    with backend(engine_backend), mock.patch.object(convolve, "moddft", spy), \
-            mock.patch.object(convolve, "split_residues", spy):
+    spy = lambda *args, **kwargs: ran.append(args)
+    spies = [mock.patch.object(convolve, name, spy) for name in ("moddft", "split_residues", "_zero_padded")]
+    if HAVE_NUMPY:
+        from modconv import _ntt_numpy
+
+        spies += [mock.patch.object(_ntt_numpy, name, spy) for name in ("residues", "pad")]
+    with backend(engine_backend), contextlib.ExitStack() as stack:
+        for patch in spies:
+            stack.enter_context(patch)
         for name, call in calls.items():
             with pytest.raises(UnsupportedSizeError):
                 call()

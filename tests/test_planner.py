@@ -252,14 +252,14 @@ class TestDftSearch:
         calls = []
 
         def counting_moddft(*args, **kwargs):
-            calls.append(len(args[0]))
+            calls.append([len(x) for x in args[0]])
             return transform._moddft(*args, **kwargs)
 
         monkeypatch.setattr(planner, "_moddft", counting_moddft)
         session = make_session(reps=3)
         entry = session.search(PlanKey("dft", LARGE_PRIME, 64, 0, 64, 1))
-        # One call per timed repetition, all on the key's size.
-        assert calls == [64] * 3
+        # One call per timed repetition, each on a stack of one vector of the key's size.
+        assert calls == [[64]] * 3
         assert (entry.splits, entry.base_case) == ((2,) * 5, 2)
         assert session.search_count == 1 and len(session.store) == 1
 
@@ -320,8 +320,9 @@ class TestDftSearch:
         session = make_session(reps=1)
         for key in planner.planned_keys(p, size):
             session.search(key)
-        # dft passes the vector first, tft and itft the table.
-        (x_dft, _), (_, x_tft, _), (_, x_itft), (u, v, _) = seen
+        # dft passes its stack of one vector first, tft the table and its
+        # stack of one, itft the table and the vector.
+        ((x_dft,), _), (_, (x_tft,), _), (_, x_itft), (u, v, _) = seen
         inputs = [x_dft, x_tft, x_itft]
         assert all(type(x) is np.ndarray for x in inputs)
         assert [len(x) for x in inputs] == [size] * 3
@@ -517,10 +518,14 @@ RECORDED_PICKS = {
 
 def numpy_decision(loaded):
     # `_numpy_kernels` as a process with numpy loaded (or not, and under its
-    # import budget) decides, whether or not this one has numpy.
-    # Unloaded, a first product pays for the import from 2**15 points on.
-    lowest = transform._NUMPY_CROSSOVER if loaded else 1 << 15
-    return lambda p, size: transform if size >= lowest else None
+    # import budget) decides, whether or not this one has numpy: a call on
+    # vectors vectors of size points from vectors * size = _NUMPY_CROSSOVER
+    # up; unloaded, a first product pays for the import from 2**15 points on.
+    def decide(size, vectors):
+        taken = size * vectors >= transform._NUMPY_CROSSOVER
+        return transform if taken and (loaded or size >= 1 << 15) else None
+
+    return decide
 
 
 class TestEngineTable:
@@ -568,7 +573,7 @@ class TestEngineTable:
     def test_ties_go_by_the_table(self, monkeypatch, fp998):
         # With every ranked cost equal, the pick is the lowest `tie` among the
         # engines that apply: fft_pad, then kronecker, then tft.
-        monkeypatch.setattr(convolve, "_numpy_kernels", lambda p, size: None)
+        monkeypatch.setattr(convolve, "_numpy_kernels", lambda size, vectors: None)
         ranked = {name: e for name, e in convolve._ENGINES.items() if callable(e.cost)}
         assert sorted(ranked, key=lambda name: ranked[name].tie) == ["fft_pad", "kronecker", "tft"]
         for name, engine in ranked.items():

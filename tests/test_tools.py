@@ -66,3 +66,18 @@ def test_kernel_times_runs_over_a_given_prime():
                            "--lo", "12", "--hi", "12", "--prime", "2305843009213704193"],
                           cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert done.returncode != 0 and "'kernels', '2305843009213704193'" in done.stderr
+
+
+def test_kernel_times_times_products_on_both_backends():
+    # --group products times whole poly_mul products per engine and shape
+    # on the Python loops and on the numpy kernels, in each tree, and the
+    # last column is the new tree's numpy time over its Python-loop time.
+    pytest.importorskip("numpy")
+    lines = run_tool("tools/kernel_times.py", str(ROOT), str(ROOT), "--rounds", "1", "--lo", "8", "--hi", "8",
+                     "--group", "products")
+    rows = table_rows(lines)
+    assert [row[:3] for row in rows] == [[engine, "2^8", n] for n in ("129", "224", "256")
+                                         for engine in ("fft_pad", "tft", "split")]
+    times = [[float(cell) for cell in row[3:]] for row in rows]
+    assert all(t > 0 for row in times for t in row), lines
+    assert all(abs(row[4] - round(row[3] / row[2], 2)) <= 0.011 for row in times), lines

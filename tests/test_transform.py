@@ -255,7 +255,7 @@ class TestButterflyBounds:
             for n in range(1, size + 1):
                 for z in {1, n // 2 or 1, n}:
                     fc = OpCounters()
-                    transform._tft(t, random_vec(rng, fp998, z), n, fc)
+                    transform._tft(t, [random_vec(rng, fp998, z)], n, fc)
                     assert tft_butterflies(size, z, n) == fc.butterflies, (size, z, n)
                 ic = OpCounters()
                 transform._itft(t, random_vec(rng, fp998, n), ic)
@@ -297,7 +297,7 @@ def test_truncated_transforms_property(shape):
     assert spectral == bit_reverse_permute(moddft(x + [0] * (size - len(x)), t))[:n]
     # The counts come from the cores on lists, the Python kernels, which
     # count inline whichever backend the public call took.
-    assert transform._tft(t, x, n, fc) == spectral
+    assert transform._tft(t, [x], n, fc) == [spectral]
     assert fc.butterflies == tft_butterflies(size, len(x), n)
     ic = OpCounters()
     scaled = itft(t, spectral)
@@ -361,8 +361,8 @@ def test_numpy_kernels_match_python(size, data):
         return call(counters), counters
 
     for direction in ("fwd", "inv"):
-        assert _ntt_numpy.moddft(a, t, direction).tolist() == residues(transform._moddft(x, t, direction))
-    assert _ntt_numpy.tft(t, a[:z], n).tolist() == residues(transform._tft(t, x[:z], n))
+        assert _ntt_numpy.moddft([a], t, direction).tolist() == [residues(transform._moddft([x], t, direction)[0])]
+    assert _ntt_numpy.tft(t, [a[:z]], n).tolist() == [residues(transform._tft(t, [x[:z]], n)[0])]
     assert _ntt_numpy.itft(t, a[:n]).tolist() == residues(transform._itft(t, x[:n]))
     # Lengths above size/2, where itft inverts full halves with _dit.
     for m in {size // 2 + 1, size - size // 8, size - 1 or 1, size}:
@@ -374,10 +374,10 @@ def test_numpy_kernels_match_python(size, data):
         tb = get_table(big, size)
         ab = numpy.array(top, dtype=numpy.uint64)
         for direction in ("fwd", "inv"):
-            assert _ntt_numpy.moddft(ab, tb, direction).tolist() == transform._moddft(top, tb, direction)
+            assert _ntt_numpy.moddft([ab], tb, direction).tolist() == transform._moddft([top], tb, direction)
         for m in {n, size // 2 + 1, size - size // 8, size}:
             zm = min(z, m)
-            assert _ntt_numpy.tft(tb, ab[:zm], m).tolist() == transform._tft(tb, top[:zm], m)
+            assert _ntt_numpy.tft(tb, [ab[:zm]], m).tolist() == transform._tft(tb, [top[:zm]], m)
             assert _ntt_numpy.itft(tb, ab[:m]).tolist() == transform._itft(tb, top[:m])
     # Through the public dispatch, outputs and counters of both backends agree.
     calls = [
@@ -390,7 +390,7 @@ def test_numpy_kernels_match_python(size, data):
         python = [(residues(out), counters) for out, counters in map(run, calls)]
     # numpy is loaded here, so the crossover alone sends every size to numpy.
     with mock.patch.object(transform, "_NUMPY_CROSSOVER", 1):
-        assert transform._numpy_kernels(t.field.p, t.size) is _ntt_numpy
+        assert transform._numpy_kernels(t.size, 1) is _ntt_numpy
         assert [run(call) for call in calls] == python
 
 
@@ -416,11 +416,76 @@ def test_numpy_kernels_match_python_at_every_n(row, chunk):
                 for x in ([rng.randrange(fp.p) for _ in range(size)], [fp.p - 1] * size):
                     a = numpy.array(x, dtype=numpy.uint64)
                     for direction in ("fwd", "inv"):
-                        assert _ntt_numpy.moddft(a, t, direction).tolist() == transform._moddft(x, t, direction)
+                        assert _ntt_numpy.moddft([a], t, direction).tolist() == transform._moddft([x], t, direction)
                     for n in range(1, size + 1):
                         for z in {1, n // 2 or 1, rng.randint(1, n), n}:
-                            assert _ntt_numpy.tft(t, a[:z], n).tolist() == transform._tft(t, x[:z], n)
+                            assert _ntt_numpy.tft(t, [a[:z]], n).tolist() == transform._tft(t, [x[:z]], n)
                         assert _ntt_numpy.itft(t, a[:n]).tolist() == transform._itft(t, x[:n])
+
+
+@needs_numpy
+# The kernels' row and chunk sizes as they are, where 2**11 is past a row
+# and a stack of rows goes one row at a time, and shrunk, so that the small
+# sizes meet both sides of a row, and a stack of a row or less goes in
+# chunks.
+@pytest.mark.parametrize("row, chunk, sizes", [(None, None, (1, 2, 64, 512, 1 << 10, 1 << 11)),
+                                               (4, 4, (1, 2, 4, 8, 16, 32)), (8, 1, (4, 8, 16, 64))])
+def test_stacks_match_per_row_calls(row, chunk, sizes):
+    # moddft (both directions) and tft on stacks of 1, 2 and 4 rows return,
+    # row by row, the bits of a call on that row alone and of the Python
+    # loops, and the cores count each row's butterflies; at both word
+    # widths, on random residues and on all p - 1, and tft on inputs of
+    # unequal lengths.
+    import numpy as np
+
+    from modconv import _ntt_numpy
+
+    patches = {k: v for k, v in (("_ROW", row), ("_CHUNK", chunk)) if v is not None}
+    rng = random.Random(28)
+    with mock.patch.multiple(_ntt_numpy, **patches) if patches else contextlib.nullcontext():
+        for fp in EDGE_FIELDS + [FourierPrime.from_modulus(998244353)]:
+            for size in sizes:
+                # A fresh table, whose numpy arrays follow the patched row size.
+                t = TwiddleTable(fp, size)
+                for rows in (1, 2, 4):
+                    for stack in ([[rng.randrange(fp.p) for _ in range(size)] for _ in range(rows)],
+                                  [[fp.p - 1] * size] * rows):
+                        arrays = [np.array(x, dtype=np.uint64) for x in stack]
+                        for direction in ("fwd", "inv"):
+                            listed, counted = OpCounters(), OpCounters()
+                            want = transform._moddft(stack, t, direction, listed)
+                            got = transform._moddft(np.stack(arrays), t, direction, counted)
+                            assert got.tolist() == want and counted == listed, (fp.p, size, rows)
+                            assert [_ntt_numpy.moddft([a], t, direction)[0].tolist() for a in arrays] == want
+                        for n in sorted({1, size // 2 + 1, size - size // 8, size}):
+                            zs = [rng.randint(1, n) for _ in stack]
+                            listed, counted = OpCounters(), OpCounters()
+                            want = transform._tft(t, [x[:z] for x, z in zip(stack, zs)], n, listed)
+                            got = transform._tft(t, [a[:z] for a, z in zip(arrays, zs)], n, counted)
+                            assert got.tolist() == want and counted == listed, (fp.p, size, rows, n, zs)
+                            assert [_ntt_numpy.tft(t, [a[:z]], n)[0].tolist() for a, z in zip(arrays, zs)] == want
+
+
+@needs_numpy
+def test_stage_arrays_equal_per_stage_ones():
+    # stage_arrays takes each stage's twiddles and quotients as a stride of
+    # the last stage's: at every L up to 2**16, at both word widths, they
+    # equal each stage's own, tiled to half a row and quotiented alone.
+    import numpy as np
+
+    from modconv import _ntt_numpy
+
+    for p in (998244353, 4293918721, 2305843009448574977):
+        fp, f = FourierPrime.from_modulus(p), _ntt_numpy._arith(p)
+        for k in range(17):
+            t = TwiddleTable(fp, 1 << k)
+            fwd, inv, _ = _ntt_numpy.stage_arrays(t)
+            half = min(t.size, _ntt_numpy._ROW) >> 1
+            for arrays, stages in ((fwd, t.fwd_stages), (inv, t.inv_stages)):
+                assert len(arrays) == len(stages) == k
+                for (w, wq), tws in zip(arrays, stages):
+                    tiled = np.tile(np.array(tws, dtype=np.uint64), max(1, half // len(tws)))
+                    assert np.array_equal(w, tiled) and np.array_equal(wq, f.quotient(tiled)), (p, k)
 
 
 @needs_numpy
@@ -453,13 +518,13 @@ def test_kernels_restore_the_callers_buffer_size():
     x = np.arange(1 << 12, dtype=np.uint64)
     before = np.setbufsize(4096)
     try:
-        for call in (lambda: _ntt_numpy.moddft(x, t, "inv"), lambda: _ntt_numpy.tft(t, x[:9], 3000),
+        for call in (lambda: _ntt_numpy.moddft([x], t, "inv"), lambda: _ntt_numpy.tft(t, [x[:9]], 3000),
                      lambda: _ntt_numpy.itft(t, x[:2049])):
             call()
             assert np.getbufsize() == 4096
         # A vector of the wrong length fails inside the kernel's scope.
         with pytest.raises(ValueError):
-            _ntt_numpy.moddft(x[:1000], get_table(FourierPrime.from_modulus(998244353), 1 << 9), "fwd")
+            _ntt_numpy.moddft([x[:1000]], get_table(FourierPrime.from_modulus(998244353), 1 << 9), "fwd")
         assert np.getbufsize() == 4096
     finally:
         np.setbufsize(before)
@@ -473,7 +538,7 @@ def test_large_prime_runs_in_numpy():
 
     fp = FourierPrime.from_modulus(2305843009448574977)
     t = TwiddleTable(fp, 1 << 15)
-    assert transform._numpy_kernels(t.field.p, t.size) is _ntt_numpy
+    assert transform._numpy_kernels(t.size, 1) is _ntt_numpy
     rng = random.Random(15)
     x = [rng.randrange(fp.p) for _ in range(1 << 15)]
     assert moddft(moddft(x, t), t, "inv") == x
@@ -485,14 +550,19 @@ def test_loaded_numpy_takes_transforms_from_the_crossover():
     import numpy  # noqa: F401  loaded, as after any transform of 2**15 points
     from modconv import _ntt_numpy
 
-    # Over a 30-bit and a 62-bit prime alike.
-    for p in (998244353, 2305843009448574977):
-        assert transform._numpy_kernels(p, transform._NUMPY_CROSSOVER) is _ntt_numpy
-    # A fresh table, so that no earlier call has filled numpy_arrays.
+    # A call on one vector (a door's transform) from the crossover, on two
+    # (a product's) from half of it; every prime a FourierPrime holds alike.
+    for vectors in (1, 2):
+        size = transform._NUMPY_CROSSOVER // vectors
+        assert transform._numpy_kernels(size, vectors) is _ntt_numpy
+        assert transform._numpy_kernels(size >> 1, vectors) is None
+    # A fresh table, so that no earlier call has filled numpy_arrays: the
+    # doors below the crossover run the Python loops, over a 30-bit and a
+    # 62-bit prime.
     rng = random.Random(16)
     for p in (998244353, 2305843009448574977):
         t = TwiddleTable(FourierPrime.from_modulus(p), transform._NUMPY_CROSSOVER >> 1)
-        assert transform._numpy_kernels(t.field.p, t.size) is None
+        assert transform._numpy_kernels(t.size, 1) is None
         x = [rng.randrange(t.field.p) for _ in range(t.size)]
         assert moddft(moddft(x, t), t, "inv") == x
         assert itft(t, tft(t, x, t.size)) == [v * t.size % t.field.p for v in x]
@@ -513,10 +583,13 @@ def test_transforms_keep_uint64_arrays(size):
         t = get_table(FourierPrime.from_modulus(p), size)
         n = size // 2 + 1
         # The inverse moddft core returns size times x; its door divides once.
+        # The moddft and tft cores run here on a stack of the one vector.
+        moddft_row = lambda v, *args: transform._moddft([v], *args)[0]
+        tft_row = lambda table, v, *args: transform._tft(table, [v], *args)[0]
         calls = [
-            (moddft, transform._moddft, lambda f, v, c: f(v, t, "fwd", c), False),
-            (moddft, transform._moddft, lambda f, v, c: f(v, t, "inv", c), True),
-            (tft, transform._tft, lambda f, v, c: f(t, v[: n // 2 or 1], n, c), False),
+            (moddft, moddft_row, lambda f, v, c: f(v, t, "fwd", c), False),
+            (moddft, moddft_row, lambda f, v, c: f(v, t, "inv", c), True),
+            (tft, tft_row, lambda f, v, c: f(t, v[: n // 2 or 1], n, c), False),
             (itft, transform._itft, lambda f, v, c: f(t, v[:n], c), False),
         ]
         for x in ([rng.randrange(p) for _ in range(size)], [p - 1] * size):
@@ -621,7 +694,7 @@ _MANY_PRODUCTS = """
 import random, sys
 from modconv import ConvRequest, DensePoly, FourierPrime, poly_mul, transform
 rng = random.Random(22)
-for p, z in ((2305843009448574977, {wide}), (998244353, 100)):
+for p, z in ((2305843009448574977, {wide}), (998244353, {narrow})):
     fp = FourierPrime.from_modulus(p)
     for i in range(200):
         a = DensePoly(fp, tuple(rng.randrange(1, p) for _ in range(z)))
@@ -632,13 +705,13 @@ print(transform._python_butterflies, sys.modules.get("numpy") is not None)
 
 
 def test_ineligible_products_leave_numpy_unloaded():
-    # Products the numpy kernels would not take (transforms below 2**9), over
+    # Products the numpy kernels would not take (transforms below 2**8), over
     # a 62-bit and a 30-bit prime, never count, however many run.
-    out = _run_python(_MANY_PRODUCTS.format(wide=100))
+    out = _run_python(_MANY_PRODUCTS.format(wide=50, narrow=50))
     assert out.split() == ["0", "False"]
     # A process that cannot import numpy never loads it: its 62-bit products
     # at 2**9 count, and spend the budget, on the Python loops.
-    out = _run_python('import sys\nsys.modules["numpy"] = None\n' + _MANY_PRODUCTS.format(wide=200))
+    out = _run_python('import sys\nsys.modules["numpy"] = None\n' + _MANY_PRODUCTS.format(wide=200, narrow=50))
     tally, loaded = out.split()
     assert int(tally) >= transform._BUDGET and loaded == "False"
 
@@ -692,7 +765,7 @@ def product(size):
     return lambda: poly_mul(a, b, ConvRequest(fp, engine="tft"))
 for name, clock in clocks.items():
     setattr(time, name, watch(clock))
-assert [added(product(1 << k)) for k in (8, 9, 14)] == [0, 3 * 256 * 9, 3 * 8192 * 14]
+assert [added(product(1 << k)) for k in (7, 8, 9, 14)] == [0, 3 * 128 * 8, 3 * 256 * 9, 3 * 8192 * 14]
 transform._python_butterflies = 0
 x = [rng.randrange(fp.p) for _ in range(1 << 10)]
 assert added(lambda: moddft(x, get_table(fp, 1 << 10))) == 512 * 10
@@ -704,9 +777,9 @@ for key in planner.planned_keys(fp.p, 1 << 10):
 for name, clock in clocks.items():
     setattr(time, name, watch(clock))
 transform._python_butterflies = transform._BUDGET - 1
-assert transform._numpy_kernels(fp.p, 1 << 9) is None and "numpy" not in sys.modules
+assert transform._numpy_kernels(1 << 9, 1) is None and "numpy" not in sys.modules
 transform._python_butterflies = transform._BUDGET
-assert transform._numpy_kernels(fp.p, 1 << 9).__name__ == "modconv._ntt_numpy"
+assert transform._numpy_kernels(1 << 9, 1).__name__ == "modconv._ntt_numpy"
 assert not clock_reads, clock_reads
 print("numpy" in sys.modules)
 """
@@ -736,7 +809,7 @@ for _ in range(10):
     a = DensePoly(fp, tuple(rng.randrange(1, fp.p) for _ in range(300)))
     b = DensePoly(fp, tuple(rng.randrange(1, fp.p) for _ in range(301)))
     poly_mul(a, b, ConvRequest(fp, engine="tft"))
-    assert transform._numpy_kernels(fp.p, 1 << 16) is None
+    assert transform._numpy_kernels(1 << 16, 1) is None
 print(len(attempts))
 """
     )
@@ -752,7 +825,7 @@ from dataclasses import replace
 from modconv import ConvRequest, DensePoly, Felt, FourierPrime, eval_poly, get_table, poly_mul
 from modconv import transform
 fp = FourierPrime.from_modulus(998244353)
-assert transform._numpy_kernels(fp.p, 1 << 16) is None
+assert transform._numpy_kernels(1 << 16, 1) is None
 rng = random.Random(15)
 a = DensePoly(fp, tuple(rng.randrange(1, fp.p) for _ in range(1 << 14)))
 b = DensePoly(fp, tuple(rng.randrange(1, fp.p) for _ in range(1 << 14 | 2)))
@@ -832,23 +905,24 @@ def test_first_product_past_2_15_runs_in_arrays():
 def test_numpy_rule_is_one_inequality(loaded):
     # max(tally, one transform's butterflies) >= _BUDGET decides exactly as
     # the two conditions it replaced: a transform of 2**15 points or more,
-    # or a tally of _BUDGET, or numpy loaded, over every prime from 2**9 up.
-    def two_conditions(p, size, tally):
-        if size < 1 << 9:
+    # or a tally of _BUDGET, or numpy loaded, for every call on vectors
+    # vectors of size points with vectors * size from 2**9 up.
+    def two_conditions(size, vectors, tally):
+        if size * vectors < 1 << 9:
             return False
         return size >= 1 << 15 or tally >= transform._BUDGET or loaded
 
-    sizes = [1 << k for k in range(8, 17)] + [300, 511, 513, 1000, 3 << 13, (1 << 15) - 1, (1 << 15) + 1, 40000]
+    sizes = [1 << k for k in range(6, 17)] + [300, 511, 513, 1000, 3 << 13, (1 << 15) - 1, (1 << 15) + 1, 40000]
     # A stand-in for the kernels module and for numpy, so that no import
     # runs and the remembered import result is left alone.
     with mock.patch.object(transform, "_load_numpy_kernels", lambda: "kernels"), \
             mock.patch.dict(sys.modules, {"numpy": object() if loaded else None}):
         for tally in (0, transform._BUDGET - 1, transform._BUDGET):
             with mock.patch.object(transform, "_python_butterflies", tally):
-                for p in (998244353, 4293918721, 2305843009448574977):
+                for vectors in (1, 2, 4):
                     for size in sizes:
-                        got = transform._numpy_kernels(p, size)
-                        assert (got == "kernels") == two_conditions(p, size, tally), (p, size, tally)
+                        got = transform._numpy_kernels(size, vectors)
+                        assert (got == "kernels") == two_conditions(size, vectors, tally), (size, vectors, tally)
                         assert got in ("kernels", None)
 
 

@@ -1,6 +1,6 @@
-"""Time the numpy kernels, their stages, or the list/array crossing, of two modconv source trees.
+"""Time the numpy kernels, their stages, the list/array crossing, or whole products, of two modconv source trees.
 
-    python3 tools/kernel_times.py OLD_TREE NEW_TREE [--group kernels|stages|boundary]
+    python3 tools/kernel_times.py OLD_TREE NEW_TREE [--group kernels|stages|boundary|products]
                                   [--rounds 5] [--lo 9] [--hi 18] [--prime 998244353]
 
 Each round runs one fresh subprocess per tree, alternating which tree goes
@@ -19,7 +19,8 @@ The inverse `moddft` kernel divided by L in trees before the one-scale
 boundary (where `transform._div_size` became the only 1/L scale) and does
 not from it on, so a `moddft_inv` row that compares a tree from each side
 shows one elementwise multiply of L residues as a false gain or loss; the
-forward row and the other kernels compare like with like.
+forward row and the other kernels compare like with like. A tree with
+stacked kernels is timed on a stack of one input.
 
 `stages` times the stages of `moddft`, `tft` and `itft` (the shapes above,
 n = L/2 + 1) in us, beside one butterfly over two contiguous L/2 halves
@@ -38,6 +39,14 @@ before the kernels held all uint64 arithmetic), and `to_poly`, an ndarray
 product into a `DensePoly`. A tree whose `DensePoly` does not read ndarrays
 in numpy (its coefficients come out as numpy scalars) is timed on the route
 its `poly_mul` took, `DensePoly(field, tuple(arr.tolist()))`.
+
+`products` times whole `poly_mul` products, in ms, with numpy loaded, on
+`fft_pad`, `tft` and `split` at n = L/2 + 1, 7L/8 and L (split 1:1), each
+on the Python loops (the numpy crossover set past every size) and on the
+numpy kernels (the crossover set to 1), and prints both trees' times beside
+the new tree's numpy/Python ratio: the table the numpy rule
+(`transform._numpy_kernels`) rests on. Try --lo 6 --hi 11; the Python loops
+make large L slow.
 """
 
 import argparse
@@ -51,9 +60,12 @@ CHILD = r"""
 import json, sys, time
 import numpy as np
 from modconv import _ntt_numpy as K, transform
+from modconv.convolve import ConvRequest, poly_mul
 from modconv.field import FourierPrime
 from modconv.poly import DensePoly
 from modconv.transform import get_table
+
+CROSSOVER = transform._NUMPY_CROSSOVER
 
 # A tree from before the kernels held all uint64 arithmetic converts in transform.
 to_array = getattr(K, "residues", None) or transform._as_residues
@@ -64,6 +76,13 @@ rng = np.random.default_rng(1)
 
 def to_poly(arr):
     return DensePoly(fp, arr)
+
+
+# A tree from before the stacked kernels takes one vector per moddft and tft call.
+try:
+    STACKED = K.moddft(np.zeros((2, 1), dtype=np.uint64), get_table(fp, 1), "fwd").shape == (2, 1)
+except ValueError:
+    STACKED = False
 
 
 if type(to_poly(np.ones(1, dtype=np.uint64)).coeffs[0]) is not int:
@@ -127,16 +146,41 @@ def stages(L, x):
     return out
 
 
+def products(L):
+    # poly_mul's products of length n = L/2 + 1, 7L/8 and L (split 1:1) on
+    # each engine, on each backend: the Python loops, and the numpy kernels,
+    # which take every size while the crossover is 1.
+    out = {}
+    for n in (L // 2 + 1, 7 * L // 8, L):
+        z = (n + 1) // 2
+        a, b = (DensePoly(fp, tuple(int(v) for v in rng.integers(1, fp.p, k, dtype=np.uint64))) for k in (z, n + 1 - z))
+        for engine in ("fft_pad", "tft", "split"):
+            req = ConvRequest(fp, engine=engine)
+            for backend, crossover in (("python", 1 << 62), ("numpy", 1)):
+                def call(a=a, b=b, req=req, crossover=crossover):
+                    transform._NUMPY_CROSSOVER = crossover
+                    try:
+                        poly_mul(a, b, req)
+                    finally:
+                        transform._NUMPY_CROSSOVER = CROSSOVER
+                out[f"{engine}:{backend}:n={n}"] = call
+    return out
+
+
 def calls(group, L, x):
+    if group == "products":
+        return products(L)
     if group == "boundary":
         listed = x.tolist()
         return {"to_array": lambda: to_array(listed, fp.p), "to_poly": lambda: to_poly(x)}
     t = get_table(fp, L)
     n = L // 2 + 1
+    # Stacked moddft and tft kernels run on a stack of the one input.
+    stack = (lambda v: v[None]) if STACKED else (lambda v: v)
     return {
-        "moddft": lambda: K.moddft(x, t, "fwd"),
-        "moddft_inv": lambda: K.moddft(x, t, "inv"),
-        "tft": lambda: K.tft(t, x[: L // 4], n),
+        "moddft": lambda: K.moddft(stack(x), t, "fwd"),
+        "moddft_inv": lambda: K.moddft(stack(x), t, "inv"),
+        "tft": lambda: K.tft(t, stack(x[: L // 4]), n),
         "itft": lambda: K.itft(t, x[:n]),
         "itft_n=L": lambda: K.itft(t, x),
     }
@@ -161,7 +205,7 @@ for k in range(int(sys.argv[1]), int(sys.argv[2]) + 1):
 print(json.dumps(out))
 """
 
-UNITS = {"kernels": "ms", "stages": "us", "boundary": "ns/coef"}
+UNITS = {"kernels": "ms", "stages": "us", "boundary": "ns/coef", "products": "ms"}
 
 
 def run(tree: str, lo: int, hi: int, group: str, prime: int) -> dict:
@@ -188,6 +232,21 @@ def print_stages(times: dict, old: str, new: str) -> None:
             print(f"| {name} | 2^{k} | {label} | {med(lambda r: r['total']):.0f} | {count} | {mid:.0f} | {top:.0f} | {fly:.0f} |")
 
 
+def print_products(times: dict, old: str, new: str) -> None:
+    # Medians over rounds, in ms, of each product on each backend of each
+    # tree, and the new tree's numpy time over its Python-loop time.
+    med = lambda tree, key: statistics.median(t[key] for t in times[tree])
+    print("| engine | L | n | old python | old numpy | new python | new numpy | new numpy/python |")
+    print("| --- | --- | --- | --- | --- | --- | --- | --- |")
+    for key in times[old][0]:
+        shape, k = key.split()
+        engine, backend, n = shape.split(":")
+        if backend != "python":
+            continue
+        cells = [med(tree, f"{engine}:{b}:{n} {k}") for tree in (old, new) for b in ("python", "numpy")]
+        print(f"| {engine} | 2^{k} | {n[2:]} | " + " | ".join(f"{c:.3f}" for c in cells) + f" | {cells[3] / cells[2]:.2f} |")
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("old")
@@ -205,6 +264,9 @@ def main() -> None:
     unit = UNITS[args.group]
     if args.group == "stages":
         print_stages(times, args.old, args.new)
+        return
+    if args.group == "products":
+        print_products(times, args.old, args.new)
         return
     print(f"| call | L | old ({unit}) | new ({unit}) | new/old |")
     print("| --- | --- | --- | --- | --- |")
