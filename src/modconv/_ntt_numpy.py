@@ -63,16 +63,30 @@ prefix of c (`_inverses`); its per-level steps are O(1) operations each,
 so it makes O(log L) numpy calls. tft runs its stages on blocks longer
 than a row in place, then every row that holds an output below n as a
 Stockham DFT in bit-reversed order: up to n, a row's outputs are those of
-its DIF. A stack is one more axis of rows: while the transform is one row
-(L <= _ROW), moddft and tft run all of a stack's rows through each numpy
-operation, tft on the path of its longest input (zeros change no output),
-which pays most at small L, where a call is mostly per-call overhead. A
-longer transform runs row by row, a rule that needs no size of its own:
-a stacked forward pair (gathered rows, then the in-place stages over both)
-took 0.70-0.80x the time of row by row at 2**11-2**12, 0.88-1.02x at
-2**13 and 1.16-1.32x from 2**14 over 998244353 (from 2**16 over a 62-bit
-prime), on a 2-core x86-64 host. Each kernel sets numpy's ufunc buffer to
-_BUFSIZE elements while it runs, and restores the caller's.
+its DIF.
+
+A stack is one more axis of rows. moddft and tft walk it in groups of
+whole inputs (`_group`), k = max(1, _CHUNK // (2L)) inputs of L points
+each: at most half a chunk of residues, so that a group and `_dit`'s two
+half-size scratch arrays fit in one chunk. A group runs as one set of
+Stockham passes over all its rows, then, in moddft, one `_dit` over all
+of them, and tft walks the path of the group's longest input (zeros
+change no output). A one-row transform is a group whose in-place stages
+are empty, and a transform longer than a quarter chunk a group of one.
+With _CHUNK = 2**15:
+
+    L            inputs per group   a product's stacks (2 rows; split: 4)
+    <= 2**12     4 or more          one group
+    2**13        2                  one group; split's halves as two pairs
+    >= 2**14     1                  input by input
+
+Stacking pays most at small L, where a call is mostly per-call overhead,
+and still past one row: a stacked pair took 0.67-0.78x the time of two
+single calls at 2**11-2**12 and 0.77-0.83x at 2**13, over 998244353 and
+2305843009448574977, while a pair stacked past the rule, from 2**14,
+took 0.95-1.10x (1.10x for moddft over 998244353 at 2**14 and 2**16), on
+a 2-core x86-64 host. Each kernel sets numpy's ufunc buffer to _BUFSIZE
+elements while it runs, and restores the caller's.
 """
 
 from __future__ import annotations
@@ -94,7 +108,8 @@ _ROW = 1 << 10
 # About the most residues one call of Stockham passes takes: longer batches
 # of rows go a chunk at a time, so that a pass's buffers stay in a core's
 # cache. One call over all rows was up to 1.4x slower from L = 2**17 up and
-# no faster below; chunks of 2**14 or 2**16 were no faster.
+# no faster below; chunks of 2**14 or 2**16 were no faster. A stack's
+# groups (`_group`) hold at most half a chunk.
 _CHUNK = 1 << 15
 # numpy's ufunc buffer size, in elements, while a kernel runs: with the
 # default 8192 an operation over rows of a few hundred residues runs about
@@ -242,9 +257,7 @@ class _Wide(_Word):
 
     def pointwise(self, a, b):
         # a * b mod p as a new array: Shoup's product by b, with b's quotients.
-        out = np.empty_like(a)
-        self.mul(a, b, self.quotient(b), out, np.empty_like(a))
-        return out
+        return mulmod(a, b, self.quotient(b), self.modulus)
 
 
 @functools.lru_cache(maxsize=64)
@@ -255,15 +268,14 @@ def _arith(p: int) -> _Word:
 
 
 def stage_arrays(table):
-    """table's forward and inverse stages as uint64 (twiddles, quotients) pairs, and moddft's row gather.
+    """table's forward and inverse stages, each a list of uint64 (twiddles, quotients) pairs.
 
     A stage with fewer than half a row's twiddles holds them tiled to half a
     row (see `_stockham`); its first entries are the stage's own. Each
     stage's twiddles, and their quotients, are a stride of the last stage's,
-    so the quotients are computed once, for the last stage. The gather is
-    None when the whole transform is one row. Filled on the first numpy
-    call for this table, never at construction: building a table must not
-    import numpy.
+    so the quotients are computed once, for the last stage. Filled on the
+    first numpy call for this table, never at construction: building a table
+    must not import numpy.
     """
     arrays = table.numpy_arrays
     if arrays is None:
@@ -281,7 +293,7 @@ def stage_arrays(table):
                 out.append(tuple(np.tile(a[..., ::step], max(1, half // len(tws))) for a in pair))
             return out
 
-        arrays = table.numpy_arrays = (pairs(table.fwd_stages), pairs(table.inv_stages), _row_gather(table.size))
+        arrays = table.numpy_arrays = (pairs(table.fwd_stages), pairs(table.inv_stages))
     return arrays
 
 
@@ -370,14 +382,35 @@ def _runs(s: int):
     return np.dtype((np.void, 8 << s))
 
 
-def _row_gather(size: int):
-    # moddft's input order for size > _ROW: row r of its (size/_ROW, _ROW)
-    # rows holds x[i * rows + rev(r)] for i < _ROW, so that the rows' DFTs
-    # are the blocks that the in-place stages then combine.
-    if size <= _ROW:
-        return None
-    rows = size // _ROW
-    return (np.arange(_ROW) * rows + _rev(rows)[:, None]).ravel()
+@functools.lru_cache(maxsize=64)
+def _row_gather(size: int, row: int):
+    # moddft's input order for rows of `row` points, as a function from a
+    # group of inputs to its (len, size) array: row r of each input's
+    # (size/row, row) rows holds x[i * rows + rev(r)] for i < row, so that
+    # the rows' DFTs are the blocks that the in-place stages then combine.
+    # A transform of one row takes its inputs as they are: an identity
+    # gather copied for nothing, 1.05-1.12x a whole moddft there. Longer
+    # ones take each input straight into the group's array: a[:, index] on
+    # a stacked group took 2.5x as long, and stacking a sequence of inputs
+    # first cost up to 1.05x a whole moddft at 2**16.
+    if size <= row:
+        return np.asarray
+    index = (np.arange(row) * (size // row) + _rev(size // row)[:, None]).ravel()
+
+    def gather(xs):
+        y = np.empty((len(xs), size), dtype=np.uint64)
+        for x, out in zip(xs, y):
+            np.take(x, index, out=out, mode="clip")
+        return y
+    return gather
+
+
+def _group(size: int) -> int:
+    # How many inputs of size points a kernel runs together, as one group
+    # (the last group of a stack may hold fewer): at most half a chunk of
+    # residues, so that a group and `_dit`'s two half-size scratch arrays
+    # fit in one chunk, and at least one input.
+    return max(1, _CHUNK // (2 * size))
 
 
 def _stockham(y, out, stages, f) -> None:
@@ -415,31 +448,32 @@ def _pass(y, out, s: int, stages, f, u, t, tmp) -> None:
         f.mul(hi, w[:half], wq[..., :half], t, tmp)
         hi = t
     item = _runs(s)
-    runs = out.view(item).reshape(len(out), -1, 2)
+    runs, u_runs = out.view(item).reshape(len(out), -1, 2), u.view(item)
     f.add(lo, hi, u, tmp)
-    runs[:, :, 0] = u.view(item)
+    runs[:, :, 0] = u_runs
     f.sub(lo, hi, u, tmp)
-    runs[:, :, 1] = u.view(item)
+    runs[:, :, 1] = u_runs
 
 
 def _dit(vec, sizes, stages, f, first: int) -> None:
     # The in-place DIT stages from half-size 2**first up, on vec holding
     # consecutive blocks of the given decreasing power-of-two sizes: the
     # stage with half-size h runs on every block longer than h, a prefix of
-    # vec, pairing the halves of each sub-block of 2h.
-    t, tmp = (np.empty(len(vec) >> 1, dtype=np.uint64) for _ in range(2))
-    s = first
-    while True:
+    # vec, pairing the halves of each sub-block of 2h. The first stage runs
+    # on the longest prefix, so its scratch serves every later one, and none
+    # is allocated when no stage runs. Scratch per stage would cost page
+    # faults: two fresh arrays of 2**15 residues took 20x as long to fill
+    # as two reused ones (2-core x86-64 host).
+    for s in range(first, max(sizes, default=1).bit_length() - 1):
         h = 1 << s
         end = sum(b for b in sizes if b > h)
-        if not end:
-            return
+        if s == first:
+            scratch = [np.empty(end >> 1, dtype=np.uint64) for _ in range(2)]
         v = vec[:end].reshape(-1, 2, h)
         lo, hi = v[:, 0], v[:, 1]
-        k = end >> 1
         tws, quo = stages[s]
-        _butterflies(lo, hi, tws[:h], quo[..., :h], f, t[:k].reshape(lo.shape), tmp[:k].reshape(lo.shape))
-        s += 1
+        t, tmp = (a[: end >> 1].reshape(lo.shape) for a in scratch)
+        _butterflies(lo, hi, tws[:h], quo[..., :h], f, t, tmp)
 
 
 def _inverses(c, sizes, stages, f) -> None:
@@ -454,28 +488,27 @@ def _inverses(c, sizes, stages, f) -> None:
     rows = c[:end].reshape(-1, m)
     _stockham(np.take(rows, _rev(m), axis=1), rows, stages, f)
     _dit(c, big, stages, f, m.bit_length() - 1)
-    small = sizes[len(big):]
-    if small:
-        _dit(c[end:], small, stages, f, 0)
+    _dit(c[end:], sizes[len(big):], stages, f, 0)
 
 
 def moddft(x, table, direction: str):
     """transform._moddft's loops on each row of the stack x, a (rows, size)
     array or a sequence of size-point arrays, as a (rows, size) array;
     direction is "fwd" or "inv", and the inverse, like the core's, returns
-    size times the inverse DFT. A transform of one row runs the whole stack
-    as one set of Stockham passes; a longer one runs row by row."""
-    fwd, inv, gather = stage_arrays(table)
-    stages = fwd if direction == "fwd" else inv
+    size times the inverse DFT. Each group of inputs (`_group`) runs as one
+    set of Stockham passes over its gathered rows, then one `_dit` over the
+    group's stages on blocks longer than a row."""
+    stages = stage_arrays(table)[direction == "inv"]
     f = _arith(table.field.p)
+    m = min(_ROW, table.size)
+    gather = _row_gather(table.size, m)
+    k = _group(table.size)
     out = np.empty((len(x), table.size), dtype=np.uint64)
     with _small_buffer():
-        if gather is None:
-            _stockham(np.asarray(x), out, stages, f)
-        else:
-            for row, vec in zip(x, out):
-                _stockham(row[gather].reshape(-1, _ROW), vec.reshape(-1, _ROW), stages, f)
-                _dit(vec, [table.size], stages, f, _ROW.bit_length() - 1)
+        for i in range(0, len(x), k):
+            rows = out[i : i + k]
+            _stockham(gather(x[i : i + k]).reshape(-1, m), rows.reshape(-1, m), stages, f)
+            _dit(rows.reshape(-1), [table.size] * len(rows), stages, f, m.bit_length() - 1)
     return out
 
 
@@ -484,11 +517,10 @@ def _tft_stages(c, stages, path, n: int, f) -> None:
     # stage all full blocks of all rows at once, then each row's one
     # partial block.
     t, tmp = (np.empty(c.size >> 1, dtype=np.uint64) for _ in range(2))
-    rows = len(c)
     for h, full, zz, both in path:
         tws, quo = stages[h.bit_length() - 1]
         if full:
-            v = c.reshape(rows, -1, 2, h)[:, :full]
+            v = c.reshape(len(c), -1, 2, h)[:, :full]
             if both:
                 lo, hi = v[..., 0, :both], v[..., 1, :both]
                 k = lo.size
@@ -506,39 +538,41 @@ def _tft_stages(c, stages, path, n: int, f) -> None:
 
 def tft(table, xs, n: int):
     """transform.tft's values for each input of xs, a sequence of arrays of
-    at most n residues, as a (len(xs), n) array: the stages on blocks longer
-    than a row in place, then every row that holds an output below n as a
-    Stockham DFT. A transform of at most one row (_ROW points) runs the
-    inputs as one stack, zero-padded to the longest, whose path it walks:
-    padding with zeros changes no output. A longer one runs input by input."""
+    at most n residues, as a (len(xs), n) array: per group of inputs
+    (`_group`), on the path of its longest input (padding with zeros
+    changes no output), the stages on blocks longer than a row in place,
+    then every row that holds an output below n as a Stockham DFT."""
     fwd = stage_arrays(table)[0]
     f = _arith(table.field.p)
     size = table.size
     m = min(_ROW, size >> 1) or 1
+    k = _group(size)
     c = np.zeros((len(xs), size), dtype=np.uint64)
     for row, x in zip(c, xs):
         row[: len(x)] = x
-    groups = [slice(None)] if size <= _ROW else [slice(i, i + 1) for i in range(len(xs))]
     with _small_buffer():
-        for group in groups:
-            rows = c[group]
-            path = _tft_path(size, max(map(len, xs[group])), n)
+        for i in range(0, len(xs), k):
+            rows = c[i : i + k]
+            path = _tft_path(size, max(map(len, xs[i : i + k])), n)
             _tft_stages(rows, fwd, [stage for stage in path if stage[0] >= m], n, f)
             # A row of m points below n now holds every input its wanted
-            # outputs need, and those are its DIF outputs. y is a view of
-            # c: it spans whole rows of c, or, for a group of several
-            # inputs, at most two rows of m points each.
-            y = rows.reshape(len(rows), -1, m)[:, : -(-n // m)].reshape(-1, m)
-            dft = np.empty_like(y)
-            _stockham(y, dft, fwd, f)
-            np.take(dft, _rev(m), axis=1, out=y)
+            # outputs need, and those are its DIF outputs. y views those
+            # rows of each input in c; for several inputs with rows past n
+            # it is strided, so the DIFs are written through it by np.take
+            # (y.reshape would copy, and writes into a copy are lost). Its
+            # indices are in range, and mode "clip" skips the copy of y that
+            # "raise" makes, 0.6x the take's time.
+            y = rows.reshape(len(rows), -1, m)[:, : -(-n // m)]
+            dft = np.empty(y.shape, dtype=np.uint64)
+            _stockham(y.reshape(-1, m), dft.reshape(-1, m), fwd, f)
+            np.take(dft, _rev(m), axis=2, out=y, mode="clip")
     return c[:, :n]
 
 
 def itft(table, xhat):
     """transform.itft's values: every fully known low half on the partial
     path inverted at once, then down the path and back up."""
-    fwd, inv, _ = stage_arrays(table)
+    fwd, inv = stage_arrays(table)
     f = _arith(table.field.p)
     n = len(xhat)
     c = pad(xhat, table.size)

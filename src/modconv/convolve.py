@@ -239,7 +239,7 @@ def _twisted(twist, x, direction: str, p: int):
     kernels = _array_kernels(x)
     if kernels:
         # Each stage is (twiddles, their Shoup quotients).
-        fwd, inv, _ = kernels.stage_arrays(twist)
+        fwd, inv = kernels.stage_arrays(twist)
         return kernels.mulmod(x, *(fwd if direction == "fwd" else inv)[-1], p)
     return [a * b % p for a, b in zip(x, (twist.fwd_stages if direction == "fwd" else twist.inv_stages)[-1])]
 
@@ -428,8 +428,8 @@ class _Engine(NamedTuple):
     the nanoseconds of a z1 x z2 product from the plan entries of the
     (kind, L) keys that `reads` names at the padded size L
     (`planner.planned_keys`), or, for an engine `auto` never ranks, the
-    reason as a string. `applies` says where `auto` ranks it, at a padded
-    size the field hosts; equal costs go to the lowest `tie`. A core that
+    reason as a string. `applies` says at which padded sizes L `auto`
+    ranks it, of those the field hosts; equal costs go to the lowest `tie`. A core that
     twists (`twist`) also takes the negacyclic twist's table, of 2L, which
     `_product` fetches before anything else runs.
     """
@@ -438,7 +438,7 @@ class _Engine(NamedTuple):
     core: Callable
     cost: Callable[..., float] | str
     reads: Callable[[int], tuple] = lambda size: ()
-    applies: Callable[[int, int], bool] = lambda p, size: True
+    applies: Callable[[int], bool] = lambda size: True
     tie: int = 0
     twist: bool = False
 
@@ -472,7 +472,7 @@ _ENGINES = {
                      twist=True),
     "kronecker": _Engine(None, lambda table, u, v, req: _kronecker(u, v, req.field), _kronecker_cost,
                          lambda size: (("conv", size), ("conv", min(size, LINEAR_WORK_L))),
-                         lambda p, size: _numpy_kernels(size, 1) is None, tie=1),
+                         lambda size: _numpy_kernels(size, 1) is None, tie=1),
 }
 ENGINES = (*_ENGINES, "auto")
 

@@ -377,7 +377,7 @@ class PlanSession:
         """Pick the cheapest engine for a z1 x z2 product from measured timings.
 
         Each fixed engine in `convolve._ENGINES` that has a cost and applies
-        at (p, L), L the padded size, is priced from the `planned_keys` it
+        at L, the padded size, is priced from the `planned_keys` it
         reads, through `lookup`; the cheapest wins, and equal costs go to
         the lowest `tie`. Up to the planned max L every key is in the store,
         so no shape searches; beyond it, lookup searches that L's keys once.
@@ -396,7 +396,7 @@ class PlanSession:
             return any_length
         costs = []
         for name, engine in _ENGINES.items():
-            if callable(engine.cost) and engine.applies(field.p, size):
+            if callable(engine.cost) and engine.applies(size):
                 # planned_keys gives one key of each kind, in the order of KINDS.
                 entries = (self.lookup(planned_keys(field.p, at)[KINDS.index(kind)]) for kind, at in engine.reads(size))
                 costs.append((engine.cost(z1, z2, *entries), engine.tie, name))

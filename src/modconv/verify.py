@@ -213,9 +213,11 @@ def _suite_numpy_backend(rng, cap, fields):
     except ImportError:
         return True, "numpy not installed"
     checked = top = 0
-    # The kernels change course at their row size (_ntt_numpy._ROW): --cap
-    # 4096 meets both sides of it in every kernel, and --cap 65536 both
-    # sides of their chunk size (_ntt_numpy._CHUNK).
+    # The kernels run a stack in groups of whole inputs sized by their chunk
+    # (_ntt_numpy._group): the two-row stacks below run together up to
+    # 2**13 and one row at a time from 2**14, so --cap 16384 meets both
+    # sides of the group boundary in moddft and tft, and of the row size
+    # (_ntt_numpy._ROW) in every kernel.
     # 3 * 2**30 + 1 and 2**32 - 2**20 + 1 (2-adicity 20) join the fields:
     # their residue products come closest to 2**64 in the one-word product.
     # So do three primes of the limb product: 2305843009448574977 and

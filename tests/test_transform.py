@@ -425,17 +425,19 @@ def test_numpy_kernels_match_python_at_every_n(row, chunk):
 
 @needs_numpy
 # The kernels' row and chunk sizes as they are, where 2**11 is past a row
-# and a stack of rows goes one row at a time, and shrunk, so that the small
-# sizes meet both sides of a row, and a stack of a row or less goes in
-# chunks.
+# and every stack here runs as one group, and shrunk: with chunks of 4 or
+# 1, every stack runs one input at a time; with rows of 4 points and chunks
+# of 64, a stack past one row runs in groups of 4 inputs (L = 8), of 2
+# (L = 16, where 3 rows leave a partial last group) and of 1 (from L = 32).
 @pytest.mark.parametrize("row, chunk, sizes", [(None, None, (1, 2, 64, 512, 1 << 10, 1 << 11)),
-                                               (4, 4, (1, 2, 4, 8, 16, 32)), (8, 1, (4, 8, 16, 64))])
+                                               (4, 4, (1, 2, 4, 8, 16, 32)), (8, 1, (4, 8, 16, 64)),
+                                               (4, 64, (4, 8, 16, 32, 64))])
 def test_stacks_match_per_row_calls(row, chunk, sizes):
-    # moddft (both directions) and tft on stacks of 1, 2 and 4 rows return,
-    # row by row, the bits of a call on that row alone and of the Python
-    # loops, and the cores count each row's butterflies; at both word
-    # widths, on random residues and on all p - 1, and tft on inputs of
-    # unequal lengths.
+    # moddft (both directions) and tft on stacks of 1 to 4 rows return, row
+    # by row, the bits of a call on that row alone and of the Python loops,
+    # and the cores count each row's butterflies; at both word widths, on
+    # random residues and on all p - 1, and tft on inputs of unequal
+    # lengths, with n < L, where a group's wanted rows are a strided view.
     import numpy as np
 
     from modconv import _ntt_numpy
@@ -447,7 +449,7 @@ def test_stacks_match_per_row_calls(row, chunk, sizes):
             for size in sizes:
                 # A fresh table, whose numpy arrays follow the patched row size.
                 t = TwiddleTable(fp, size)
-                for rows in (1, 2, 4):
+                for rows in (1, 2, 3, 4):
                     for stack in ([[rng.randrange(fp.p) for _ in range(size)] for _ in range(rows)],
                                   [[fp.p - 1] * size] * rows):
                         arrays = [np.array(x, dtype=np.uint64) for x in stack]
@@ -467,6 +469,30 @@ def test_stacks_match_per_row_calls(row, chunk, sizes):
 
 
 @needs_numpy
+@pytest.mark.parametrize("size, pair, four", [(1 << 12, 1, 1), (1 << 13, 1, 2), (1 << 14, 2, 4)])
+def test_a_pair_runs_as_one_group_while_it_fits_half_a_chunk(size, pair, four):
+    # A product's forward pair is one group, one call of Stockham passes,
+    # while the pair is at most half a chunk of residues (to 2**13), and one
+    # input at a time past it; a stack of four, split's halves, runs as two
+    # pairs at 2**13.
+    import numpy as np
+
+    from modconv import _ntt_numpy
+
+    fp = FourierPrime.from_modulus(998244353)
+    t = get_table(fp, size)
+    rng = np.random.default_rng(size)
+    xs = tuple(rng.integers(0, fp.p, size, dtype=np.uint64) for _ in range(4))
+    kernels = {"moddft": lambda stack: _ntt_numpy.moddft(stack, t, "fwd"),
+               "tft": lambda stack: _ntt_numpy.tft(t, tuple(x[: size // 2 + i] for i, x in enumerate(stack)), size)}
+    for name, kernel in kernels.items():
+        for stack, want in ((xs[:2], pair), (xs, four)):
+            with mock.patch.object(_ntt_numpy, "_stockham", wraps=_ntt_numpy._stockham) as stockham:
+                kernel(stack)
+            assert stockham.call_count == want, (name, size, len(stack))
+
+
+@needs_numpy
 def test_stage_arrays_equal_per_stage_ones():
     # stage_arrays takes each stage's twiddles and quotients as a stride of
     # the last stage's: at every L up to 2**16, at both word widths, they
@@ -479,7 +505,7 @@ def test_stage_arrays_equal_per_stage_ones():
         fp, f = FourierPrime.from_modulus(p), _ntt_numpy._arith(p)
         for k in range(17):
             t = TwiddleTable(fp, 1 << k)
-            fwd, inv, _ = _ntt_numpy.stage_arrays(t)
+            fwd, inv = _ntt_numpy.stage_arrays(t)
             half = min(t.size, _ntt_numpy._ROW) >> 1
             for arrays, stages in ((fwd, t.fwd_stages), (inv, t.inv_stages)):
                 assert len(arrays) == len(stages) == k

@@ -7,20 +7,17 @@ Each round runs one fresh subprocess per tree, alternating which tree goes
 first, and each subprocess imports `modconv` from TREE/src. At every size
 L = 2**lo .. 2**hi over the prime P (default 998244353; P's 2-adicity caps
 hi) it times each call as the best of a few calls after a warm-up call.
-A tree from before the 62-bit multiply runs its kernels over a prime from
-2**32 up with the wrong arithmetic, and its `DensePoly` refuses an ndarray
-there, so compare such a tree over a 62-bit prime only by the Python loops. The table prints, per call and size, the median
-over rounds of each tree and new/old.
+Both trees must have the stacked kernels, whose `moddft` and `tft` take a
+stack of inputs. The table prints, per call and size, the median over
+rounds of each tree and new/old.
 
 `kernels` (the default) times `_ntt_numpy.moddft` (forward and inverse, L
 inputs), `tft` (L/4 inputs, n = L/2 + 1 outputs, the shape of a balanced
-product of length L/2 + 1) and `itft` (n = L/2 + 1 and n = L), in ms.
-The inverse `moddft` kernel divided by L in trees before the one-scale
-boundary (where `transform._div_size` became the only 1/L scale) and does
-not from it on, so a `moddft_inv` row that compares a tree from each side
-shows one elementwise multiply of L residues as a false gain or loss; the
-forward row and the other kernels compare like with like. A tree with
-stacked kernels is timed on a stack of one input.
+product of length L/2 + 1) and `itft` (n = L/2 + 1 and n = L), in ms, on
+one input, as a door runs them, and `moddft_pair` and `tft_pair` (inputs
+of L/4 + 1), forward calls on a stack of two, as a product runs them. The
+pair rows meet both sides of the kernels' group rule (`_ntt_numpy._group`):
+a pair runs together up to L = 2**13 and input by input from 2**14.
 
 `stages` times the stages of `moddft`, `tft` and `itft` (the shapes above,
 n = L/2 + 1) in us, beside one butterfly over two contiguous L/2 halves
@@ -34,11 +31,8 @@ that are no stage. Try --lo 10 --hi 16.
 
 `boundary` times the crossing a product makes in `poly_mul`, in ns per
 coefficient, over L random residues: `to_array`, a list into uint64
-residues (`_ntt_numpy.residues`, or `transform._as_residues` in a tree from
-before the kernels held all uint64 arithmetic), and `to_poly`, an ndarray
-product into a `DensePoly`. A tree whose `DensePoly` does not read ndarrays
-in numpy (its coefficients come out as numpy scalars) is timed on the route
-its `poly_mul` took, `DensePoly(field, tuple(arr.tolist()))`.
+residues (`_ntt_numpy.residues`), and `to_poly`, an ndarray product into a
+`DensePoly`.
 
 `products` times whole `poly_mul` products, in ms, with numpy loaded, on
 `fft_pad`, `tft` and `split` at n = L/2 + 1, 7L/8 and L (split 1:1), each
@@ -67,28 +61,8 @@ from modconv.transform import get_table
 
 CROSSOVER = transform._NUMPY_CROSSOVER
 
-# A tree from before the kernels held all uint64 arithmetic converts in transform.
-to_array = getattr(K, "residues", None) or transform._as_residues
-
 fp = FourierPrime.from_modulus(int(sys.argv[4]))
 rng = np.random.default_rng(1)
-
-
-def to_poly(arr):
-    return DensePoly(fp, arr)
-
-
-# A tree from before the stacked kernels takes one vector per moddft and tft call.
-try:
-    STACKED = K.moddft(np.zeros((2, 1), dtype=np.uint64), get_table(fp, 1), "fwd").shape == (2, 1)
-except ValueError:
-    STACKED = False
-
-
-if type(to_poly(np.ones(1, dtype=np.uint64)).coeffs[0]) is not int:
-    def to_poly(arr):
-        return DensePoly(fp, tuple(arr.tolist()))
-
 
 STAGES = ("_pass", "_butterflies", "_dif")
 
@@ -128,14 +102,9 @@ def stages(L, x):
         out[f"{name} {L.bit_length() - 1}"] = {"total": total * 1e6, "stages": per}
     lo, hi = x[: L // 2].copy(), x[L // 2 :].copy()
     w = x[: L // 2]
-    if hasattr(K, "_arith"):
-        # The stage loops take the arithmetic mod p, chosen from p.
-        p = K._arith(fp.p)
-        wq = p.quotient(w)
-    else:
-        # A tree from before the 62-bit multiply passes p, over p < 2**32.
-        p = np.array(fp.p, dtype=np.uint64)
-        wq = K.quotient(w, fp.p)
+    # The stage loops take the arithmetic mod p, chosen from p.
+    p = K._arith(fp.p)
+    wq = p.quotient(w)
     scratch = [np.empty(L // 2, dtype=np.uint64) for _ in range(2)]
     best = float("inf")
     for _ in range(max(3, min(25, (1 << 20) // L))):
@@ -172,17 +141,18 @@ def calls(group, L, x):
         return products(L)
     if group == "boundary":
         listed = x.tolist()
-        return {"to_array": lambda: to_array(listed, fp.p), "to_poly": lambda: to_poly(x)}
+        return {"to_array": lambda: K.residues(listed, fp.p), "to_poly": lambda: DensePoly(fp, x)}
     t = get_table(fp, L)
     n = L // 2 + 1
-    # Stacked moddft and tft kernels run on a stack of the one input.
-    stack = (lambda v: v[None]) if STACKED else (lambda v: v)
+    y = x[::-1].copy()
     return {
-        "moddft": lambda: K.moddft(stack(x), t, "fwd"),
-        "moddft_inv": lambda: K.moddft(stack(x), t, "inv"),
-        "tft": lambda: K.tft(t, stack(x[: L // 4]), n),
+        "moddft": lambda: K.moddft((x,), t, "fwd"),
+        "moddft_inv": lambda: K.moddft((x,), t, "inv"),
+        "tft": lambda: K.tft(t, (x[: L // 4],), n),
         "itft": lambda: K.itft(t, x[:n]),
         "itft_n=L": lambda: K.itft(t, x),
+        "moddft_pair": lambda: K.moddft((x, y), t, "fwd"),
+        "tft_pair": lambda: K.tft(t, (x[: L // 4 + 1], y[: L // 4 + 1]), n),
     }
 
 
