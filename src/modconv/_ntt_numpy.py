@@ -32,11 +32,12 @@ No butterfly divides. A product by a twiddle or a constant factor w < p uses
 Shoup's precomputed quotient (NTL's MulModPrecon; Harvey, Faster
 arithmetic for number-theoretic transforms, 2014). The arithmetic is chosen
 once per kernel call from p (`_arith`), and the stage loops are one copy
-over both:
+over all of them:
 - `_Word`, for p below the word bound `transform._WORD` = 2**32: w' =
   floor(w * 2**32 / p), and for a residue x, t = x*w - ((x*w') >> 32) * p
   lies in [0, 2p). Residues are below 2**32, so x*w and x*w' stay below
   2**64.
+- `_Lazy`, for p below 2**30: `_Word` with lazy stage loops (below).
 - `_Wide`, for p from 2**32 up to 2**62: w' = floor(w * 2**64 / p), stored
   as two 32-bit limbs, and the high word of x*w' comes from three limb
   products, at most 2 short, so that t, computed in uint64 with wrap-around,
@@ -48,6 +49,21 @@ A sum a + b, a difference a - b + p and a t in [0, 2p) are brought into
 2**63, as 2p < 2**63. `stage_arrays` stores each stage's quotients beside
 its twiddles.
 
+Below _WORD / 4 = 2**30 the stage loops are lazy (`_Lazy`, Harvey's
+butterfly in the same paper): residues stay in [0, 4p) between the stages
+of `_stockham` and `_dit`, and in [0, 2p) between tft's in-place stages.
+A butterfly brings its left input into [0, 2p), takes hi*w by Shoup's
+product without its last reduce, in [0, 2p), and writes lo + t and
+lo - t + 2p: 10 numpy operations instead of 13. Shoup's product needs
+x*w' < 2**64, so an input x below 2**32: 4p <= 2**32 is the bound. Each
+stage loop settles its output into [0, p) with two subtract-and-minimum
+steps (`_Lazy.settle`), so itft's steps between levels, `pointwise`,
+`scale` and every caller see residues. Only Stockham passes whose rows
+all go on to in-place stages (`_dit`) hand them on unsettled, for `_dit`
+to settle: moddft's past one row, and itft's where every inverted block
+is longer than a row; that took 0.96-0.98x the time of settling both.
+From 2**30 to _WORD, `_Word` reduces every value at every stage.
+
 Layout: each numpy operation runs over stretches of at least _ROW/2
 residues, not over the h residues of a short stage's half-blocks. The
 stages within rows of m = min(_ROW, L) points run as Stockham passes
@@ -58,17 +74,18 @@ between passes and come out in natural order. The stages on blocks longer
 than a row run in place, where each half-block is at least a row long
 (`_dit`). moddft gathers its input into rows in the order those in-place
 stages want (`_row_gather`). itft inverts every fully known low half on
-its path at once, as one such stage loop over the blocks they form, a
-prefix of c (`_inverses`); its per-level steps are O(1) operations each,
-so it makes O(log L) numpy calls. tft runs its stages on blocks longer
-than a row in place, then every row that holds an output below n as a
+its path, and the first fully known block, where its path stops (at the
+top when n = L), at once, as one such stage loop over the blocks they
+form, a prefix of c (`_inverses`); its per-level steps are O(1)
+operations each, so it makes O(log L) numpy calls. tft runs its stages
+on blocks longer than a row in place, then every row that holds an output below n as a
 Stockham DFT in bit-reversed order: up to n, a row's outputs are those of
 its DIF.
 
 A stack is one more axis of rows. moddft and tft walk it in groups of
 whole inputs (`_group`), k = max(1, _CHUNK // (2L)) inputs of L points
-each: at most half a chunk of residues, so that a group and `_dit`'s two
-half-size scratch arrays fit in one chunk. A group runs as one set of
+each: at most half a chunk of residues, so that a group and `_dit`'s
+scratch, of the group's size, fit in one chunk. A group runs as one set of
 Stockham passes over all its rows, then, in moddft, one `_dit` over all
 of them, and tft walks the path of the group's longest input (zeros
 change no output). A one-row transform is a group whose in-place stages
@@ -144,9 +161,9 @@ _SIGN = _u64(63)
 class _Word:
     """Arithmetic on uint64 arrays of residues mod p < _WORD: Shoup's product with beta = _WORD.
 
-    `_arith` picks this class or `_Wide` once per kernel call from p. `add`,
-    `sub` and `mul` write into out (which may be a or b, but not x in
-    `mul`), using tmp, of the same shape, as scratch.
+    `_arith` picks this class, `_Lazy` or `_Wide` once per kernel call
+    from p. `add`, `sub` and `mul` write into out (which may be a or b, but
+    not x in `mul`), using tmp, of the same shape, as scratch.
     """
 
     def __init__(self, p: int):
@@ -157,8 +174,11 @@ class _Word:
         """Shoup's quotient floor(w * _WORD / p) of a factor w < p, an int or a uint64 array."""
         return w * _WORD // self.modulus
 
+    # Cached per (arithmetic, w): itft asks for the same few constants on
+    # every call, and `_Wide.quotient` costs 17-32 us on one value.
+    @functools.lru_cache(maxsize=256)
     def constant(self, w: int):
-        """w mod p and its quotient, as operands of `mul`."""
+        """w mod p and its quotient, as operands of `mul`; the arrays are shared, so never write to them."""
         w = _u64(w % self.modulus)
         return w, self.quotient(w)
 
@@ -179,13 +199,18 @@ class _Word:
         np.add(tmp, self.p, out=out)
         np.minimum(out, tmp, out=out)
 
-    def mul(self, x, w, wq, out, tmp) -> None:
-        # out = x * w mod p, for residues x, factors w < p and wq = quotient(w).
+    def shoup(self, x, w, wq, out, tmp) -> None:
+        # out = x*w - ((x*wq) >> 32) * p, for x < _WORD, factors w < p and
+        # wq = quotient(w): x * w mod p plus 0 or p, so in [0, 2p).
         np.multiply(x, wq, out=tmp)
         tmp >>= _LIMB
         tmp *= self.p
         np.multiply(x, w, out=out)
         out -= tmp
+
+    def mul(self, x, w, wq, out, tmp) -> None:
+        # out = x * w mod p, for residues x, factors w < p and wq = quotient(w).
+        self.shoup(x, w, wq, out, tmp)
         self.reduce(out, tmp)
 
     def pointwise(self, a, b):
@@ -193,6 +218,58 @@ class _Word:
         out = a * b
         out %= self.p
         return out
+
+    # The steps of the stage loops (`_pass`, `_butterflies`, `_dif`) and
+    # their end (`_stockham`, `_dit`): here the exact ones, so residues
+    # stay in [0, p) between stages. `_Lazy` overrides them, `_Wide` its
+    # twiddle.
+    twiddle, plus, minus = mul, add, sub
+
+    def enter(self, lo, out, tmp):
+        # lo as a butterfly's left input: here lo itself.
+        return lo
+
+    def settle(self, x, tmp) -> None:
+        # A stage loop's output into [0, p), in place: here it is already.
+        pass
+
+
+class _Lazy(_Word):
+    """`_Word`'s arithmetic, with stage loops that keep residues in [0, 4p), for p < _WORD / 4.
+
+    Harvey's butterfly (Faster arithmetic for number-theoretic transforms,
+    2014): `enter` brings the left input lo into [0, 2p); `twiddle` is
+    Shoup's product without its last reduce, in [0, 2p) for any x < _WORD,
+    so for x < 4p <= _WORD; `plus` and `minus` give lo + t and lo - t + 2p,
+    both in [0, 4p). That is 10 numpy operations per butterfly against
+    `_Word`'s 13. tft's in-place stages (`_dif`) keep [0, 2p) with the same
+    steps. `settle` brings a stage loop's output back into [0, p), so every
+    other step sees residues, as with `_Word`.
+    """
+
+    def __init__(self, p: int):
+        super().__init__(p)
+        self.p2 = _u64(2 * p)
+
+    twiddle = _Word.shoup
+
+    def enter(self, lo, out, tmp):
+        # min(lo, lo - 2p) into out: below 2p, lo - 2p wraps above 2**63.
+        np.subtract(lo, self.p2, out=tmp)
+        np.minimum(lo, tmp, out=out)
+        return out
+
+    def plus(self, a, b, out, tmp) -> None:
+        np.add(a, b, out=out)
+
+    def minus(self, a, b, out, tmp) -> None:
+        # a - b + 2p, for a and b below 2p: a - b may wrap, the sum does not.
+        np.subtract(a, b, out=out)
+        out += self.p2
+
+    def settle(self, x, tmp) -> None:
+        self.enter(x, x, tmp)
+        self.reduce(x, tmp)
 
 
 class _Wide(_Word):
@@ -255,6 +332,8 @@ class _Wide(_Word):
         np.minimum(tmp, out, out=out)
         self.reduce(out, tmp)
 
+    twiddle = mul
+
     def pointwise(self, a, b):
         # a * b mod p as a new array: Shoup's product by b, with b's quotients.
         return mulmod(a, b, self.quotient(b), self.modulus)
@@ -263,8 +342,9 @@ class _Wide(_Word):
 @functools.lru_cache(maxsize=64)
 def _arith(p: int) -> _Word:
     # The arithmetic mod p: below _WORD the one-word product, whose multiply
-    # is about 2.3x cheaper per element (a whole moddft 1.5x).
-    return (_Word if p < _WORD else _Wide)(p)
+    # is about 2.3x cheaper per element (a whole moddft 1.5x), with lazy
+    # stage loops below _WORD / 4, where 4p residues still fit one word.
+    return (_Lazy if p < _WORD >> 2 else _Word if p < _WORD else _Wide)(p)
 
 
 def stage_arrays(table):
@@ -356,17 +436,22 @@ def residues(x, p: int):
 
 
 def _butterflies(lo, hi, w, wq, f, t, tmp) -> None:
-    # (lo, hi) <- (lo + hi*w, lo - hi*w) mod p; t and tmp are scratch of lo's shape.
-    f.mul(hi, w, wq, t, tmp)
-    f.sub(lo, t, hi, tmp)
-    f.add(lo, t, lo, tmp)
+    # (lo, hi) <- (lo + hi*w, lo - hi*w) mod p, each in f's range between
+    # stages: [0, p), or [0, 4p) with `_Lazy`; t and tmp are scratch of
+    # lo's shape.
+    f.enter(lo, lo, tmp)
+    f.twiddle(hi, w, wq, t, tmp)
+    f.minus(lo, t, hi, tmp)
+    f.plus(lo, t, lo, tmp)
 
 
 def _dif(lo, hi, w, wq, f, t, tmp) -> None:
-    # (lo, hi) <- (lo + hi, (lo - hi)*w) mod p; t and tmp are scratch of lo's shape.
-    f.sub(lo, hi, t, tmp)
-    f.add(lo, hi, lo, tmp)
-    f.mul(t, w, wq, hi, tmp)
+    # (lo, hi) <- (lo + hi, (lo - hi)*w) mod p, in [0, 2p) from [0, 2p)
+    # with `_Lazy`; t and tmp are scratch of lo's shape.
+    f.minus(lo, hi, t, tmp)
+    f.plus(lo, hi, lo, tmp)
+    f.enter(lo, lo, tmp)
+    f.twiddle(t, w, wq, hi, tmp)
 
 
 @functools.lru_cache(maxsize=64)
@@ -408,20 +493,24 @@ def _row_gather(size: int, row: int):
 def _group(size: int) -> int:
     # How many inputs of size points a kernel runs together, as one group
     # (the last group of a stack may hold fewer): at most half a chunk of
-    # residues, so that a group and `_dit`'s two half-size scratch arrays
+    # residues, so that a group and `_dit`'s scratch, of the group's size,
     # fit in one chunk, and at least one input.
     return max(1, _CHUNK // (2 * size))
 
 
-def _stockham(y, out, stages, f) -> None:
+def _stockham(y, out, stages, f, settle: bool = True) -> None:
     # out <- the DFT of each row of y, in natural order, for rows in natural
-    # order, one `_pass` per stage, the last into out; y is left unchanged
-    # and must not overlap out. The rows go in equal chunks of about _CHUNK
-    # residues, which share one set of scratch arrays.
+    # order, one `_pass` per stage, the last into out, settled into [0, p)
+    # unless settle is false: then out is left in f's range between stages,
+    # for stages in place (`_dit`) to take on. y is left unchanged and must
+    # not overlap out. The rows go in equal chunks of about _CHUNK residues,
+    # which share one set of scratch arrays.
     rows, size = y.shape
     passes = size.bit_length() - 1
     if not passes:
         out[...] = y
+        if settle:
+            f.settle(out, np.empty_like(out))
         return
     step = -(-rows // max(1, round(rows * size / _CHUNK)))
     spare = np.empty((step, size), dtype=np.uint64)
@@ -434,24 +523,31 @@ def _stockham(y, out, stages, f) -> None:
             dst = bufs[(passes - 1 - s) & 1]
             _pass(src, dst, s, stages, f, u, t, tmp)
             src = dst
+        if settle:
+            f.settle(src, bufs[1])
 
 
 def _pass(y, out, s: int, stages, f, u, t, tmp) -> None:
     # Stockham's stage s: reads the two halves of every row of y, whose
     # twiddles repeat with period 2**s and are stored tiled to half a row,
     # and writes the sums and differences to out interleaved in runs of 2**s
-    # residues, one strided copy each.
+    # residues, one strided copy each. Pass 0 reads values below 2p (the
+    # kernel's residues, or tft's in-place stages' output); a later pass
+    # reads f's range between stages, and takes lo into tmp by `enter`,
+    # never in place, as y may be the caller's. Where `enter` copies
+    # (`_Lazy`), `plus` and `minus` use no scratch.
     half = y.shape[1] >> 1
     lo, hi = y[:, :half], y[:, half:]
     if s:
         w, wq = stages[s]
-        f.mul(hi, w[:half], wq[..., :half], t, tmp)
+        f.twiddle(hi, w[:half], wq[..., :half], t, u)
         hi = t
+        lo = f.enter(lo, tmp, tmp)
     item = _runs(s)
     runs, u_runs = out.view(item).reshape(len(out), -1, 2), u.view(item)
-    f.add(lo, hi, u, tmp)
+    f.plus(lo, hi, u, tmp)
     runs[:, :, 0] = u_runs
-    f.sub(lo, hi, u, tmp)
+    f.minus(lo, hi, u, tmp)
     runs[:, :, 1] = u_runs
 
 
@@ -459,21 +555,26 @@ def _dit(vec, sizes, stages, f, first: int) -> None:
     # The in-place DIT stages from half-size 2**first up, on vec holding
     # consecutive blocks of the given decreasing power-of-two sizes: the
     # stage with half-size h runs on every block longer than h, a prefix of
-    # vec, pairing the halves of each sub-block of 2h. The first stage runs
-    # on the longest prefix, so its scratch serves every later one, and none
-    # is allocated when no stage runs. Scratch per stage would cost page
+    # vec, pairing the halves of each sub-block of 2h, and the prefix is
+    # then settled into [0, p). The first stage runs on the longest prefix,
+    # so its scratch serves every later one and the settling, and none is
+    # allocated when no stage runs. Scratch per stage would cost page
     # faults: two fresh arrays of 2**15 residues took 20x as long to fill
     # as two reused ones (2-core x86-64 host).
-    for s in range(first, max(sizes, default=1).bit_length() - 1):
+    top = max(sizes, default=1).bit_length() - 1
+    if first >= top:
+        return
+    scratch = np.empty(sum(b for b in sizes if b > 1 << first), dtype=np.uint64)
+    for s in range(first, top):
         h = 1 << s
         end = sum(b for b in sizes if b > h)
-        if s == first:
-            scratch = [np.empty(end >> 1, dtype=np.uint64) for _ in range(2)]
         v = vec[:end].reshape(-1, 2, h)
         lo, hi = v[:, 0], v[:, 1]
         tws, quo = stages[s]
-        t, tmp = (a[: end >> 1].reshape(lo.shape) for a in scratch)
-        _butterflies(lo, hi, tws[:h], quo[..., :h], f, t, tmp)
+        half = end >> 1
+        _butterflies(lo, hi, tws[:h], quo[..., :h], f, scratch[:half].reshape(lo.shape),
+                     scratch[half:end].reshape(lo.shape))
+    f.settle(vec[: len(scratch)], scratch)
 
 
 def _inverses(c, sizes, stages, f) -> None:
@@ -486,7 +587,9 @@ def _inverses(c, sizes, stages, f) -> None:
     big = [b for b in sizes if b >= m]
     end = sum(big)
     rows = c[:end].reshape(-1, m)
-    _stockham(np.take(rows, _rev(m), axis=1), rows, stages, f)
+    # Where every such block is longer than a row, `_dit` takes all the
+    # rows on unsettled.
+    _stockham(np.take(rows, _rev(m), axis=1), rows, stages, f, big[-1] == m)
     _dit(c, big, stages, f, m.bit_length() - 1)
     _dit(c[end:], sizes[len(big):], stages, f, 0)
 
@@ -507,7 +610,8 @@ def moddft(x, table, direction: str):
     with _small_buffer():
         for i in range(0, len(x), k):
             rows = out[i : i + k]
-            _stockham(gather(x[i : i + k]).reshape(-1, m), rows.reshape(-1, m), stages, f)
+            # Past one row, `_dit` takes the rows on unsettled.
+            _stockham(gather(x[i : i + k]).reshape(-1, m), rows.reshape(-1, m), stages, f, m == table.size)
             _dit(rows.reshape(-1), [table.size] * len(rows), stages, f, m.bit_length() - 1)
     return out
 
@@ -528,12 +632,13 @@ def _tft_stages(c, stages, path, n: int, f) -> None:
             if zz > both:
                 lo, hi = v[..., 0, both:zz], v[..., 1, both:zz]
                 k = lo.size
-                f.mul(lo, tws[both:zz], quo[..., both:zz], hi, tmp[:k].reshape(lo.shape))
+                f.twiddle(lo, tws[both:zz], quo[..., both:zz], hi, tmp[:k].reshape(lo.shape))
         base = full * (h << 1)
         if base < n and both:
             # Only the low half is wanted: fold the high half onto it.
             lo = c[:, base : base + both]
-            f.add(lo, c[:, base + h : base + h + both], lo, tmp[: lo.size].reshape(lo.shape))
+            f.plus(lo, c[:, base + h : base + h + both], lo, tmp[: lo.size].reshape(lo.shape))
+            f.enter(lo, lo, tmp[: lo.size].reshape(lo.shape))
 
 
 def tft(table, xs, n: int):
@@ -571,25 +676,31 @@ def tft(table, xs, n: int):
 
 def itft(table, xhat):
     """transform.itft's values: every fully known low half on the partial
-    path inverted at once, then down the path and back up."""
+    path, and the first fully known block, inverted at once, then down the
+    path to that block and back up."""
     fwd, inv = stage_arrays(table)
     f = _arith(table.field.p)
     n = len(xhat)
     c = pad(xhat, table.size)
     s, t, tmp = (np.empty(table.size >> 1, dtype=np.uint64) for _ in range(3))
     levels = _itft_path(table.size, n)
+    # The path stops at its first fully known block (left == m; at the top
+    # when n = L): the levels below it would invert its halves and join
+    # them with one butterfly stage each, which is the block's inverse DFT.
+    full = next((j for j, (_, m, left, _) in enumerate(levels) if left == m), len(levels))
     with _small_buffer():
-        # The low halves the path inverts are consecutive blocks from 0 of
-        # decreasing size, and hold only input spectral values until the
-        # level that uses them, so they are inverted first, together.
-        sizes = [m >> 1 for _, m, left, _ in levels if left > m >> 1]
+        # The low halves the path inverts, then that block, are consecutive
+        # blocks from 0 of decreasing size, and hold only input spectral
+        # values until the level that uses them, so they are inverted
+        # first, together.
+        sizes = [m >> 1 for _, m, left, _ in levels[:full] if left > m >> 1]
+        if full < len(levels):
+            sizes.append(levels[full][1])
+            levels = levels[:full]
         if sizes:
             _inverses(c, sizes, inv, f)
         for off, m, left, log in levels:
             h = m >> 1
-            if left == m:
-                # A fully known block: its inverted low half is all it needs.
-                continue
             if left > h:
                 # The low half holds h * u_i. Cross butterflies: from
                 # (h*u_i, x_{i+h}) produce (m*x_i, v_i) as m*x_i = a + d and
@@ -612,9 +723,14 @@ def itft(table, xhat):
             off, m, left, log = levels[j - 1]
             h = m >> 1
             if left > h:
+                # One butterfly per known value of the high half, exact,
+                # as the levels above read residues.
                 k = left - h
                 tws, quo = inv[log]
-                _butterflies(c[off : off + k], c[off + h : off + left], tws[:k], quo[..., :k], f, t[:k], tmp[:k])
+                lo, hi, kt = c[off : off + k], c[off + h : off + left], tmp[:k]
+                f.mul(hi, tws[:k], quo[..., :k], t[:k], kt)
+                f.sub(lo, t[:k], hi, kt)
+                f.add(lo, t[:k], lo, kt)
                 j -= 1
                 continue
             # A run of levels that all keep to their low half shares off and

@@ -220,10 +220,13 @@ def _suite_numpy_backend(rng, cap, fields):
     # (_ntt_numpy._ROW) in every kernel.
     # 3 * 2**30 + 1 and 2**32 - 2**20 + 1 (2-adicity 20) join the fields:
     # their residue products come closest to 2**64 in the one-word product.
-    # So do three primes of the limb product: 2305843009448574977 and
-    # 2305843009213704193 (2-adicity 25 and 11), and 2**62 - 21 * 2**20 + 1
-    # (2-adicity 20), whose sums and differences come closest to 2**64.
-    extra = (3221225473, 4293918721, 2305843009448574977, 2305843009213704193, 4611686018405367809)
+    # 1005 * 2**20 + 1 joins them for the lazy stage loops (p < 2**30,
+    # residues in [0, 4p) between stages): its 4p comes closest to 2**32,
+    # the bound of the one-word product's input. So do three primes of the
+    # limb product: 2305843009448574977 and 2305843009213704193 (2-adicity
+    # 25 and 11), and 2**62 - 21 * 2**20 + 1 (2-adicity 20), whose sums and
+    # differences come closest to 2**64.
+    extra = (1053818881, 3221225473, 4293918721, 2305843009448574977, 2305843009213704193, 4611686018405367809)
     for fp in (*fields, *map(FourierPrime.from_modulus, extra)):
         p = fp.p
         for size in _pow2_range(min(cap, 1 << fp.two_adicity), lo=1):

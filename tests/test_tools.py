@@ -33,7 +33,7 @@ def table_rows(lines):
 @pytest.mark.parametrize(
     "group, calls",
     [
-        ("kernels", ["moddft", "moddft_inv", "tft", "itft", "itft_n=L", "moddft_pair", "tft_pair"]),
+        ("kernels", ["moddft", "moddft_inv", "tft", "itft", "itft_n=L", "itft_7L/8", "moddft_pair", "tft_pair"]),
         ("stages", ["moddft", "moddft", "tft", "tft", "itft", "itft"]),
         ("boundary", ["to_array", "to_poly"]),
     ],
@@ -60,7 +60,7 @@ def test_kernel_times_runs_over_a_given_prime():
     lines = run_tool("tools/kernel_times.py", str(ROOT), str(ROOT), "--rounds", "1", "--lo", "9", "--hi", "9",
                      "--prime", "2305843009448574977")
     rows = table_rows(lines)
-    assert [row[0] for row in rows] == ["moddft", "moddft_inv", "tft", "itft", "itft_n=L", "moddft_pair", "tft_pair"]
+    assert [row[0] for row in rows] == ["moddft", "moddft_inv", "tft", "itft", "itft_n=L", "itft_7L/8", "moddft_pair", "tft_pair"]
     assert all(float(row[2]) > 0 and float(row[3]) > 0 for row in rows), lines
     done = subprocess.run([sys.executable, "tools/kernel_times.py", str(ROOT), str(ROOT), "--rounds", "1",
                            "--lo", "12", "--hi", "12", "--prime", "2305843009213704193"],

@@ -492,6 +492,111 @@ def test_a_pair_runs_as_one_group_while_it_fits_half_a_chunk(size, pair, four):
             assert stockham.call_count == want, (name, size, len(stack))
 
 
+# The primes on each side of the lazy stage loops' bound, _WORD / 4 = 2**30:
+# below it 998244353 and 1005 * 2**20 + 1, whose 4p comes closest to the
+# 2**32 bound of the one-word product's input; above it 2013265921 and
+# 3 * 2**30 + 1, whose stage loops stay exact.
+LAZY_EDGE = (998244353, 1053818881, 2013265921, 3221225473)
+
+
+@needs_numpy
+def test_arith_is_lazy_below_2_30():
+    from modconv import _ntt_numpy
+
+    picks = {p: type(_ntt_numpy._arith(p)) for p in (17, 998244353, 1053818881, (1 << 30) - 1, 1 << 30,
+                                                     2013265921, 3221225473, 4293918721, 2305843009448574977)}
+    assert picks == {17: _ntt_numpy._Lazy, 998244353: _ntt_numpy._Lazy, 1053818881: _ntt_numpy._Lazy,
+                     (1 << 30) - 1: _ntt_numpy._Lazy, 1 << 30: _ntt_numpy._Word, 2013265921: _ntt_numpy._Word,
+                     3221225473: _ntt_numpy._Word, 4293918721: _ntt_numpy._Word,
+                     2305843009448574977: _ntt_numpy._Wide}
+
+
+@needs_numpy
+# The kernels' row and chunk sizes as they are, up to past a row (moddft
+# from 2**11, tft and itft from 2**12), and shrunk to rows of 4 points and
+# chunks of 64, where a stack of two runs as one group up to L = 16 and
+# input by input from 32.
+@pytest.mark.parametrize("row, chunk, top", [(None, None, 12), (4, 64, 7)])
+@pytest.mark.parametrize("p", LAZY_EDGE)
+def test_kernels_match_python_on_both_sides_of_the_lazy_bound(p, row, chunk, top):
+    # moddft both ways and tft on a stack of two, and itft, return the
+    # Python loops' bits and count the same butterflies, on random residues
+    # and on all p - 1, at every n where a path turns: at n = 3L/4 and 7L/8
+    # itft's path meets a fully known block below the top, at n = L at the
+    # top.
+    import numpy as np
+
+    from modconv import _ntt_numpy
+
+    fp = FourierPrime.from_modulus(p)
+    rng = random.Random(p)
+    patches = {k: v for k, v in (("_ROW", row), ("_CHUNK", chunk)) if v is not None}
+    with mock.patch.multiple(_ntt_numpy, **patches) if patches else contextlib.nullcontext():
+        for size in (1 << k for k in range(1, top + 1)):
+            # A fresh table, whose numpy arrays follow the patched row size.
+            t = TwiddleTable(fp, size)
+            stack = [[rng.randrange(p) for _ in range(size)], [p - 1] * size]
+            arrays = [np.array(x, dtype=np.uint64) for x in stack]
+            for direction in ("fwd", "inv"):
+                listed, counted = OpCounters(), OpCounters()
+                want = transform._moddft(stack, t, direction, listed)
+                assert transform._moddft(np.stack(arrays), t, direction, counted).tolist() == want, (size, direction)
+                assert counted == listed
+            for n in sorted({1, size // 2, size // 2 + 1, 3 * size // 4, 7 * size // 8, size - 1, size} - {0}):
+                zs = [rng.randint(1, n), n]
+                listed, counted = OpCounters(), OpCounters()
+                want = transform._tft(t, [x[:z] for x, z in zip(stack, zs)], n, listed)
+                assert transform._tft(t, [a[:z] for a, z in zip(arrays, zs)], n, counted).tolist() == want, (size, n)
+                assert counted == listed
+                for x, a in zip(stack, arrays):
+                    listed, counted = OpCounters(), OpCounters()
+                    want = transform._itft(t, x[:n], listed)
+                    assert transform._itft(t, a[:n], counted).tolist() == want, (size, n)
+                    assert counted == listed
+
+
+@needs_numpy
+@pytest.mark.parametrize("p", [998244353, 2305843009448574977])
+def test_itft_inverts_the_first_fully_known_block_whole(p):
+    # itft hands `_inverses` the low halves its path inverts and then the
+    # first fully known block whole, and walks no level below that block:
+    # at n = L the whole transform, at 3L/4 a block of L/4 after the low
+    # half, at 7L/8 one of L/8 after halves of L/2 and L/4. Where the path
+    # meets no such block (n = L/2 + 1), only the low halves.
+    import numpy as np
+
+    from modconv import _ntt_numpy
+
+    fp = FourierPrime.from_modulus(p)
+    size = 1 << 10
+    t = get_table(fp, size)
+    x = [random.Random(size).randrange(p) for _ in range(size)]
+    a = np.array(x, dtype=np.uint64)
+    for n, sizes in ((size, [size]), (3 * size // 4, [size // 2, size // 4]),
+                     (7 * size // 8, [size // 2, size // 4, size // 8]), (size // 2 + 1, [size // 2])):
+        with mock.patch.object(_ntt_numpy, "_inverses", wraps=_ntt_numpy._inverses) as inverses:
+            assert _ntt_numpy.itft(t, a[:n]).tolist() == transform._itft(t, x[:n])
+        assert [call.args[1] for call in inverses.call_args_list] == [sizes], n
+
+
+@needs_numpy
+def test_itft_builds_its_constants_once():
+    # itft's per-level constants (m, 1/h, and the runs' factors) are cached
+    # per arithmetic: a second itft at the same shape computes no quotient,
+    # which over a 62-bit prime costs two float-and-correction rounds.
+    import numpy as np
+
+    from modconv import _ntt_numpy
+
+    fp = FourierPrime.from_modulus(2305843009448574977)
+    t = get_table(fp, 1 << 9)
+    x = np.arange(1 << 9, dtype=np.uint64)
+    for n in (1, 257, 300, 448):
+        want = _ntt_numpy.itft(t, x[:n])
+        with mock.patch.object(_ntt_numpy._Wide, "_digit", side_effect=AssertionError("quotient rebuilt")):
+            assert np.array_equal(_ntt_numpy.itft(t, x[:n]), want)
+
+
 @needs_numpy
 def test_stage_arrays_equal_per_stage_ones():
     # stage_arrays takes each stage's twiddles and quotients as a stride of

@@ -13,8 +13,9 @@ rounds of each tree and new/old.
 
 `kernels` (the default) times `_ntt_numpy.moddft` (forward and inverse, L
 inputs), `tft` (L/4 inputs, n = L/2 + 1 outputs, the shape of a balanced
-product of length L/2 + 1) and `itft` (n = L/2 + 1 and n = L), in ms, on
-one input, as a door runs them, and `moddft_pair` and `tft_pair` (inputs
+product of length L/2 + 1) and `itft` (n = L/2 + 1, n = L, and n = 7L/8,
+whose path meets a fully known block of L/8 at its fourth level), in ms,
+on one input, as a door runs them, and `moddft_pair` and `tft_pair` (inputs
 of L/4 + 1), forward calls on a stack of two, as a product runs them. The
 pair rows meet both sides of the kernels' group rule (`_ntt_numpy._group`):
 a pair runs together up to L = 2**13 and input by input from 2**14.
@@ -151,6 +152,7 @@ def calls(group, L, x):
         "tft": lambda: K.tft(t, (x[: L // 4],), n),
         "itft": lambda: K.itft(t, x[:n]),
         "itft_n=L": lambda: K.itft(t, x),
+        "itft_7L/8": lambda: K.itft(t, x[: 7 * L // 8]),
         "moddft_pair": lambda: K.moddft((x, y), t, "fwd"),
         "tft_pair": lambda: K.tft(t, (x[: L // 4 + 1], y[: L // 4 + 1]), n),
     }
