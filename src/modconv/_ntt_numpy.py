@@ -169,6 +169,7 @@ class _Word:
     def __init__(self, p: int):
         self.modulus = p
         self.p = _u64(p)
+        self.p2 = _u64(2 * p)
 
     def quotient(self, w):
         """Shoup's quotient floor(w * _WORD / p) of a factor w < p, an int or a uint64 array."""
@@ -247,10 +248,6 @@ class _Lazy(_Word):
     other step sees residues, as with `_Word`.
     """
 
-    def __init__(self, p: int):
-        super().__init__(p)
-        self.p2 = _u64(2 * p)
-
     twiddle = _Word.shoup
 
     def enter(self, lo, out, tmp):
@@ -285,7 +282,6 @@ class _Wide(_Word):
 
     def __init__(self, p: int):
         super().__init__(p)
-        self.p2 = _u64(2 * p)
         self.ratio = np.float64(_WORD / p)
 
     def _digit(self, v):

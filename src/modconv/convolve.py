@@ -74,8 +74,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from .field import FieldMismatchError, FourierPrime
-from .poly import DensePoly, _check_fields
+from .field import FieldMismatchError, FourierPrime, _check_fields
+from .poly import DensePoly, schoolbook_raw
 from .transform import OpCounters, _array_kernels, _div_size, _ints, _listed, _numpy_kernels, _run, get_table
 from .transform import itft_butterflies, tft_butterflies
 
@@ -165,37 +165,18 @@ def _zero_padded(circ, size: int, table, u, v, req: ConvRequest, **tables):
 
 
 def circ_conv_def(u: list[int], v: list[int], fp: FourierPrime) -> list[int]:
-    """Circular convolution straight from its defining sum (oracle)."""
+    """Circular convolution straight from its defining sum (oracle): the linear sum folded mod x^n - 1."""
     u, v = _operands(u, v, circular=True)
     n = len(u)
     p = fp.p
-    v2 = list(v) + list(v)
-    out = []
-    for i in range(n):
-        acc = 0
-        base = n + i
-        for k in range(n):
-            acc += u[k] * v2[base - k]
-        out.append(acc % p)
-    return out
+    full = schoolbook_raw(u, v, p) + [0]
+    return [(full[i] + full[i + n]) % p for i in range(n)]
 
 
 def lin_conv_def(u: list[int], v: list[int], fp: FourierPrime) -> list[int]:
-    """Linear convolution straight from its defining sum (oracle)."""
+    """Linear convolution straight from its defining sum (oracle), `poly.schoolbook_raw`."""
     u, v = _operands(u, v)
-    m, n = len(u), len(v)
-    p = fp.p
-    out = []
-    for i in range(m + n - 1):
-        lo = i - m + 1
-        if lo < 0:
-            lo = 0
-        hi = i if i < n - 1 else n - 1
-        acc = 0
-        for k in range(lo, hi + 1):
-            acc += u[i - k] * v[k]
-        out.append(acc % p)
-    return out
+    return schoolbook_raw(u, v, fp.p)
 
 
 def _pointwise(a, b, p: int, req: ConvRequest):

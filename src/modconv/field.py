@@ -75,6 +75,12 @@ class FieldMismatchError(ValueError):
     """Operands belong to different prime fields."""
 
 
+def _check_fields(a, b) -> None:
+    """The one field-match check, of two values with a `field` (Felt, DensePoly): FieldMismatchError unless their moduli agree."""
+    if a.field.p != b.field.p:
+        raise FieldMismatchError(f"mixed moduli {a.field.p} and {b.field.p}")
+
+
 class UnsupportedSizeError(ValueError):
     """A transform length exceeds what the field's 2-adicity supports."""
 
@@ -219,25 +225,19 @@ class Felt:
         if not 0 <= self.value < self.field.p:
             raise ValueError(f"residue {self.value} out of range for p={self.field.p}")
 
-    def _check(self, other: "Felt") -> None:
-        if self.field.p != other.field.p:
-            raise FieldMismatchError(
-                f"mixed moduli {self.field.p} and {other.field.p}"
-            )
-
     def __add__(self, other: "Felt") -> "Felt":
-        self._check(other)
+        _check_fields(self, other)
         return Felt((self.value + other.value) % self.field.p, self.field)
 
     def __sub__(self, other: "Felt") -> "Felt":
-        self._check(other)
+        _check_fields(self, other)
         return Felt((self.value - other.value) % self.field.p, self.field)
 
     def __neg__(self) -> "Felt":
         return Felt(-self.value % self.field.p, self.field)
 
     def __mul__(self, other: "Felt") -> "Felt":
-        self._check(other)
+        _check_fields(self, other)
         return Felt(self.value * other.value % self.field.p, self.field)
 
     def inv(self) -> "Felt":

@@ -11,11 +11,15 @@ from modconv import (
     FieldMismatchError,
     PolyTextError,
     eval_poly,
+    get_table,
+    lin_conv_kronecker,
+    moddft_naive,
     mul_karatsuba,
     mul_schoolbook,
     poly_from_text,
     poly_to_text,
 )
+from modconv.poly import schoolbook_raw
 
 from conftest import random_vec
 
@@ -137,6 +141,26 @@ class TestSchoolbook:
             if a.is_zero() or b.is_zero():
                 continue
             assert mul_schoolbook(a, b).degree() == a.degree() + b.degree()
+
+    # A 4-bit, a 9-bit, a 30-bit and a 62-bit prime.
+    @pytest.mark.parametrize("p", [17, 257, 998244353, 2305843009448574977])
+    def test_raw_matches_kronecker_and_convolution_theorem(self, p, rng):
+        # schoolbook_raw is the one quadratic loop behind every definition
+        # oracle, so it is checked against what shares no code with it: one
+        # big-integer product, and the transform of the product at the
+        # padded size L, where the field has an L-th root of unity.
+        fp = FourierPrime.from_modulus(p)
+        for m, n in ((1, 1), (1, 8), (8, 1), (8, 8), (33, 33), (1, 50), (3, 150)):
+            for fill in (lambda: rng.randrange(p), lambda: p - 1):
+                u, v = [fill() for _ in range(m)], [fill() for _ in range(n)]
+                c = schoolbook_raw(u, v, p)
+                assert c == lin_conv_kronecker(u, v, fp), (m, n)
+                size = 1 << (m + n - 2).bit_length()
+                if size <= 1 << fp.two_adicity:
+                    table = get_table(fp, size)
+                    pad = lambda w: w + [0] * (size - len(w))
+                    fu, fv = moddft_naive(pad(u), table), moddft_naive(pad(v), table)
+                    assert moddft_naive(pad(c), table) == [a * b % p for a, b in zip(fu, fv)], (m, n)
 
 
 class TestKaratsuba:

@@ -512,6 +512,44 @@ def test_arith_is_lazy_below_2_30():
 
 
 @needs_numpy
+@pytest.mark.parametrize("p", [(1 << 30) - 1, (1 << 30) - 35])
+def test_lazy_twiddle_stays_below_2p(p):
+    # The lazy stage loops hand twiddle inputs up to 4p - 1; Shoup's product
+    # without its last reduce must still land in [0, 2p), congruent to x * w.
+    # The bound needs no prime, so p sits just below 2**30, where 4p comes
+    # closest to the one-word product's 2**32.
+    import numpy as np
+
+    from modconv import _ntt_numpy
+
+    f = _ntt_numpy._Lazy(p)
+    x = np.array([0, 1, p - 1, 2 * p - 1, 4 * p - 1], dtype=np.uint64)
+    out, tmp = np.empty_like(x), np.empty_like(x)
+    for w in (0, 1, p - 1):
+        f.twiddle(x, *f.constant(w), out, tmp)
+        assert out.max() < 2 * p, (p, w)
+        assert [int(r) % p for r in out] == [int(a) * w % p for a in x], (p, w)
+
+
+@needs_numpy
+@pytest.mark.parametrize("p", [(1 << 62) - 1, (1 << 62) - 57])
+def test_wide_mul_is_exact_at_p_minus_1(p):
+    # _Wide.mul's quotient drops the low limb product and the carries, so
+    # x*w - q*p may reach 4p - 1 before its two reduce steps: at
+    # x = w = p - 1, just below 2**62, that is closest to the uint64 bound.
+    import numpy as np
+
+    from modconv import _ntt_numpy
+
+    f = _ntt_numpy._Wide(p)
+    x = np.array([0, 1, p - 2, p - 1], dtype=np.uint64)
+    out, tmp = np.empty_like(x), np.empty_like(x)
+    for w in (1, p - 2, p - 1):
+        f.mul(x, *f.constant(w), out, tmp)
+        assert out.tolist() == [int(a) * w % p for a in x], (p, w)
+
+
+@needs_numpy
 # The kernels' row and chunk sizes as they are, up to past a row (moddft
 # from 2**11, tft and itft from 2**12), and shrunk to rows of 4 points and
 # chunks of 64, where a stack of two runs as one group up to L = 16 and
