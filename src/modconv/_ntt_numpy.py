@@ -24,7 +24,7 @@ inverse moddft, like itft, returns size times its result, and
 only the transform cores in `transform` call them, on arrays that
 `transform._run` made from lists with `residues` and that are taken as they
 are; a door converts the result back to a list. tft walks the stages that
-`transform._tft_path` returns and itft the levels that
+`transform._tft_path` returns and itft the blocks and levels that
 `transform._itft_path` returns, as the pure-Python loops do. Argument
 checks and `OpCounters` stay with the callers in `transform`.
 
@@ -73,11 +73,10 @@ sums and differences interleaved, so the rows need no bit reversal
 between passes and come out in natural order. The stages on blocks longer
 than a row run in place, where each half-block is at least a row long
 (`_dit`). moddft gathers its input into rows in the order those in-place
-stages want (`_row_gather`). itft inverts every fully known low half on
-its path, and the first fully known block, where its path stops (at the
-top when n = L), at once, as one such stage loop over the blocks they
-form, a prefix of c (`_inverses`); its per-level steps are O(1)
-operations each, so it makes O(log L) numpy calls. tft runs its stages
+stages want (`_row_gather`). itft inverts the blocks that
+`transform._itft_path` gives, which tile its n known values from 0, at
+once, as one such stage loop over them (`_inverses`); its per-level steps
+are O(1) operations each, so it makes O(log L) numpy calls. tft runs its stages
 on blocks longer than a row in place, then every row that holds an output below n as a
 Stockham DFT in bit-reversed order: up to n, a row's outputs are those of
 its DIF.
@@ -671,30 +670,16 @@ def tft(table, xs, n: int):
 
 
 def itft(table, xhat):
-    """transform.itft's values: every fully known low half on the partial
-    path, and the first fully known block, inverted at once, then down the
-    path to that block and back up."""
+    """transform.itft's values: the blocks of `transform._itft_path`
+    inverted at once, then down its path and back up."""
     fwd, inv = stage_arrays(table)
     f = _arith(table.field.p)
     n = len(xhat)
     c = pad(xhat, table.size)
     s, t, tmp = (np.empty(table.size >> 1, dtype=np.uint64) for _ in range(3))
-    levels = _itft_path(table.size, n)
-    # The path stops at its first fully known block (left == m; at the top
-    # when n = L): the levels below it would invert its halves and join
-    # them with one butterfly stage each, which is the block's inverse DFT.
-    full = next((j for j, (_, m, left, _) in enumerate(levels) if left == m), len(levels))
+    levels, blocks = _itft_path(table.size, n)
     with _small_buffer():
-        # The low halves the path inverts, then that block, are consecutive
-        # blocks from 0 of decreasing size, and hold only input spectral
-        # values until the level that uses them, so they are inverted
-        # first, together.
-        sizes = [m >> 1 for _, m, left, _ in levels[:full] if left > m >> 1]
-        if full < len(levels):
-            sizes.append(levels[full][1])
-            levels = levels[:full]
-        if sizes:
-            _inverses(c, sizes, inv, f)
+        _inverses(c, blocks, inv, f)
         for off, m, left, log in levels:
             h = m >> 1
             if left > h:

@@ -225,11 +225,10 @@ def _twisted(twist, x, direction: str, p: int):
     return [a * b % p for a, b in zip(x, (twist.fwd_stages if direction == "fwd" else twist.inv_stages)[-1])]
 
 
-def _nega_conv(table, u, v, req: ConvRequest, twist=None):
+def _nega_conv(table, u, v, req: ConvRequest, twist):
     # table.size times the negacyclic product, untwisted from the circular
-    # core's by twist, the 2L table (fetched here unless the caller has).
+    # core's by twist, the 2L table.
     p = req.field.p
-    twist = twist or get_table(req.field, 2 * table.size)
     circ = _circ_conv_fft(table, _twisted(twist, u, "fwd", p), _twisted(twist, v, "fwd", p), req)
     return _twisted(twist, circ, "inv", p)
 
@@ -249,13 +248,12 @@ def circ_conv_split(u: list[int], v: list[int], req: ConvRequest) -> list[int]:
     return _listed(_product(size >> 1, _circ_conv_split, u, v, req, twist=True))
 
 
-def _circ_conv_split(table, u, v, req: ConvRequest, twist=None):
+def _circ_conv_split(table, u, v, req: ConvRequest, twist):
     # table.size = len(u)/2 times the product, recombined from the circular
     # and the negacyclic half's: the negacyclic pair is twisted by twist, the
-    # 2L table (fetched here unless the caller has), then all four halves go
-    # through one forward call, one pointwise product and one inverse call.
+    # 2L table, then all four halves go through one forward call, one
+    # pointwise product and one inverse call.
     p = req.field.p
-    twist = twist or get_table(req.field, 2 * table.size)
     (ua, ub), (va, vb) = split_residues(u, p), split_residues(v, p)
     f = moddft((ua, va, _twisted(twist, ub, "fwd", p), _twisted(twist, vb, "fwd", p)), table, "fwd", req.counters)
     # Each step lets go of the arrays before it once read: the smaller peak

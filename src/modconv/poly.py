@@ -162,13 +162,11 @@ def _karatsuba_raw(a: list[int], b: list[int], p: int, threshold: int) -> list[i
     if a1 and b1:
         z2 = _karatsuba_raw(a1, b1, p, threshold)
         zm = _karatsuba_raw(_add_raw(a0, a1, p), _add_raw(b0, b1, p), p, threshold)
-    elif a1 or b1:
+    else:
+        # Both exceed threshold >= 1, so m < max(len): the longer has a high half.
         hi, lo = (a1, b0) if a1 else (b1, a0)
         z2 = []
         zm = _add_raw(_karatsuba_raw(hi, lo, p, threshold), z0, p)
-    else:
-        z2 = []
-        zm = list(z0)
     size = len(a) + len(b) - 1
     out = [0] * size
     for i, v in enumerate(z0):

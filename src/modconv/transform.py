@@ -7,9 +7,11 @@ decimation-style butterfly network produces them in), so truncated spectra are
 opaque tokens that only need to align positionally for pointwise products.
 
 Every transform runs iterative stage loops over the table's per-stage twiddle
-lists. tft walks the stages that _tft_path lays out, and itft inverts each
-fully known half with the loop moddft runs, on the one partial path that
-_itft_path lays out; both backends read those walks. The loops exist twice:
+lists. tft walks the stages that _tft_path lays out. itft walks what
+_itft_path lays out: it inverts the blocks that tile its n known values
+with the loop moddft runs, then goes down its partial path to the first
+fully known block and back up. Both backends and the butterfly counts read
+those walks. The loops exist twice:
 in pure Python here, the reference, and in numpy (`_ntt_numpy`). Both serve
 every prime a FourierPrime holds (p < 2**62): the numpy kernels multiply in
 one uint64 product below the word bound _WORD = 2**32, that bound's one
@@ -541,22 +543,28 @@ def _itft(table: TwiddleTable, xhat, counters: OpCounters | None = None):
         if counters is not None:
             counters.butterflies += itft_butterflies(size, n)
         return out
-    c = list(xhat)
-    if n < size:
-        c.extend([0] * (size - n))
     p = table.field.p
     inv = table.inv_stages
-    # Down the one partial path, c[off:off+m] holds spectral values for
-    # i < left and time values above; the way back up makes it m * u.
+    levels, blocks = _itft_path(size, n)
+    # The blocks tile the n spectral values, and each holds only those until
+    # the level that uses it, so all are inverted first: block b gives b * u_i.
+    c = []
     used = 0
-    levels = _itft_path(size, n)
+    for b in blocks:
+        log = b.bit_length() - 1
+        block = xhat[len(c) : len(c) + b]
+        if log:
+            # A block of one point, the last at odd n, is its own inverse.
+            _dit_inplace(block, inv[:log], p)
+            used += (b >> 1) * log
+        c += block
+    c.extend([0] * (size - n))
+    # Down the path, c[off:off+m] holds spectral values for i < left and
+    # time values above; the way back up makes it m * u.
     for off, m, left, log in levels:
         h = m >> 1
         if left > h:
-            # The low half is fully known: its inverse gives h * u_i.
-            low = c[off : off + h]
-            _dit_inplace(low, inv[:log], p)
-            c[off : off + h] = low
+            # The low half holds h * u_i.
             inv_h = pow(h, -1, p)
             tws = table.fwd_stages[log]
             for i in range(left - h, h):
@@ -567,7 +575,7 @@ def _itft(table: TwiddleTable, xhat, counters: OpCounters | None = None):
                 b = c[hi]
                 c[hi] = (a * inv_h - 2 * b) % p * tws[i] % p
                 c[lo] = (2 * a - m * b) % p
-            used += (h >> 1) * log + h - (left - h)
+            used += m - left
         else:
             for j in range(left, h):
                 lo = off + j
@@ -596,33 +604,36 @@ def _itft(table: TwiddleTable, xhat, counters: OpCounters | None = None):
     return c
 
 
-def _itft_path(size: int, n: int) -> list[tuple[int, int, int, int]]:
-    # itft's partial path, top down: per level the block c[off:off+m], the
-    # count `left` of its leading spectral values and log2(m/2). Where more
-    # than m/2 are known the path continues in the high half, else in the low.
-    levels = []
-    off = 0
-    left = n
-    h = size >> 1
-    while h:
-        levels.append((off, h << 1, left, h.bit_length() - 1))
+def _itft_path(size: int, n: int) -> tuple[list[tuple[int, int, int, int]], list[int]]:
+    # itft's walk for n of size values: its partial path and the blocks it
+    # inverts whole. The path, top down, gives per level the block
+    # c[off:off+m], the count `left` of its leading spectral values and
+    # log2(m/2); where more than m/2 are known it continues in the high
+    # half, else in the low. It stops at the first fully known block
+    # (left == m; at the top when n = L), which it leaves out: the levels
+    # below would invert its halves and join them with one butterfly stage
+    # each, which is the block's inverse DFT. The blocks, each level's
+    # fully known low half and then that block, lie consecutively from 0 in
+    # decreasing size.
+    levels, blocks = [], []
+    off, m, left = 0, size, n
+    while left < m:
+        h = m >> 1
+        levels.append((off, m, left, h.bit_length() - 1))
         if left > h:
+            blocks.append(h)
             off += h
             left -= h
-        h >>= 1
-    return levels
+        m = h
+    blocks.append(m)
+    return levels, blocks
 
 
 def itft_butterflies(L: int, n: int) -> int:
     """Butterflies itft spends recovering n values at size L, without running it.
 
-    Each level of itft's partial path costs h = m/2, plus a full inverse of
-    the low half when more than h values are kept; O(log L).
+    Walks itft's path (_itft_path): each level costs m/2, and each block
+    of b points inverted whole (b/2)*log2(b); O(log L).
     """
-    count = 0
-    for _, m, left, log in _itft_path(L, n):
-        h = m >> 1
-        count += h
-        if left > h:
-            count += (h >> 1) * log
-    return count
+    levels, blocks = _itft_path(L, n)
+    return sum(m >> 1 for _, m, _, _ in levels) + sum((b >> 1) * (b.bit_length() - 1) for b in blocks)

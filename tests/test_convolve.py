@@ -75,10 +75,11 @@ class TestDefinitionOracles:
         assert lin_conv_def([1, 2], [3, 4], fp7) == [3, 3, 1]
 
     def test_linear_matches_schoolbook_sweep(self, fp998, rng):
+        # The defining sum against Kronecker's product, which shares no loop with it.
         for _ in range(80):
             u = random_vec(rng, fp998, rng.randint(1, 32))
             v = random_vec(rng, fp998, rng.randint(1, 32))
-            assert lin_conv_def(u, v, fp998) == schoolbook_raw(u, v, fp998.p)
+            assert lin_conv_def(u, v, fp998) == lin_conv_kronecker(u, v, fp998)
 
 
 # The engine functions that take the field itself; the others take a ConvRequest.
@@ -114,8 +115,8 @@ def test_usage_errors(fp998, engine, a, b, raises):
         with pytest.raises(ValueError):
             engine(u, v, _engine_arg(engine, fp998))
         return
-    full = lin_conv_def(u, v, fp998) + [0]
-    want = [(full[i] + full[i + a]) % fp998.p for i in range(a)]
+    # The circulant sum of test_circulant_matrix_equivalence.
+    want = [sum(u[(i - j) % a] * v[j] for j in range(a)) % fp998.p for i in range(a)]
     assert engine(u, v, _engine_arg(engine, fp998)) == want
 
 
@@ -499,7 +500,9 @@ def test_array_path_matches_list_path(case):
         # A core runs on the table it is handed and returns L times its
         # product; one scale by that same table divides it, as the door does.
         table = get_table(fp, size)
-        return transform._div_size(engine(table, *args, req), table), counters
+        # A core that twists takes the 2L table, as `_product` hands it.
+        tables = {"twist": get_table(fp, 2 * size)} if engine in (convolve._nega_conv, convolve._circ_conv_split) else {}
+        return transform._div_size(engine(table, *args, req, **tables), table), counters
 
     for door, (core, size, args) in calls.items():
         canonical = [residues(x) for x in args]

@@ -189,6 +189,17 @@ class TestKaratsuba:
         b = DensePoly(fp7, (3, 4))
         assert mul_karatsuba(a, b, 1).coeffs == (3, 3, 1)
 
+    def test_threshold_one_edges(self, fp998, rng):
+        # A length-1 operand against a long one, both ways, and all-(p-1)
+        # operands, at threshold 1, against Kronecker's product.
+        top = fp998.p - 1
+        long = random_vec(rng, fp998, 300)
+        cases = [([5], long), (long, [5]), ([top], [top] * 300), ([top] * 300, [top]),
+                 ([top] * 300, [top] * 300), ([top] * 37, [top] * 300)]
+        for u, v in cases:
+            got = mul_karatsuba(DensePoly(fp998, tuple(u)), DensePoly(fp998, tuple(v)), 1)
+            assert got.coeffs == tuple(lin_conv_kronecker(u, v, fp998)), (len(u), len(v))
+
 
 class TestEval:
     def test_constant_term(self, fp17, rng):

@@ -599,8 +599,8 @@ def test_itft_inverts_the_first_fully_known_block_whole(p):
     # itft hands `_inverses` the low halves its path inverts and then the
     # first fully known block whole, and walks no level below that block:
     # at n = L the whole transform, at 3L/4 a block of L/4 after the low
-    # half, at 7L/8 one of L/8 after halves of L/2 and L/4. Where the path
-    # meets no such block (n = L/2 + 1), only the low halves.
+    # half, at 7L/8 one of L/8 after halves of L/2 and L/4. At n = L/2 + 1
+    # that block is the one known point the path reaches at the bottom.
     import numpy as np
 
     from modconv import _ntt_numpy
@@ -611,10 +611,45 @@ def test_itft_inverts_the_first_fully_known_block_whole(p):
     x = [random.Random(size).randrange(p) for _ in range(size)]
     a = np.array(x, dtype=np.uint64)
     for n, sizes in ((size, [size]), (3 * size // 4, [size // 2, size // 4]),
-                     (7 * size // 8, [size // 2, size // 4, size // 8]), (size // 2 + 1, [size // 2])):
+                     (7 * size // 8, [size // 2, size // 4, size // 8]), (size // 2 + 1, [size // 2, 1])):
         with mock.patch.object(_ntt_numpy, "_inverses", wraps=_ntt_numpy._inverses) as inverses:
             assert _ntt_numpy.itft(t, a[:n]).tolist() == transform._itft(t, x[:n])
         assert [call.args[1] for call in inverses.call_args_list] == [sizes], n
+
+
+@needs_numpy
+@pytest.mark.parametrize("p", [998244353, 2305843009448574977])
+def test_itft_path_is_the_one_walk(p):
+    # `_itft_path` alone says where itft's path stops and which blocks it
+    # inverts whole. The blocks lie consecutively from 0 in decreasing size
+    # and tile the n known values: each level's fully known low half at its
+    # offset, then the first fully known block, above which the path stops
+    # (the last level keeps to its low half, which is that block). Both
+    # backends run that walk, with the same values and counters.
+    import numpy as np
+
+    fp = FourierPrime.from_modulus(p)
+    rng = random.Random(p)
+    for size in (1 << k for k in range(3, 13)):
+        t = get_table(fp, size)
+        assert transform._itft_path(size, size) == ([], [size])
+        assert transform._itft_path(size, 7 * size // 8)[1][-1] == size // 8
+        for n in (size // 2 + 1, 7 * size // 8, size):
+            levels, blocks = transform._itft_path(size, n)
+            starts = [sum(blocks[:i]) for i in range(len(blocks))]
+            assert sum(blocks) == n and blocks == sorted(set(blocks), reverse=True), (size, n)
+            assert all(b & (b - 1) == 0 for b in blocks), (size, n)
+            halves = [(off, m >> 1) for off, m, left, _ in levels if left > m >> 1]
+            assert halves == list(zip(starts, blocks))[:-1], (size, n)
+            assert all(left < m for _, m, left, _ in levels), (size, n)
+            if levels:
+                off, m, left, _ = levels[-1]
+                assert off == starts[-1] and left == m >> 1 == blocks[-1], (size, n)
+            x = [rng.randrange(p) for _ in range(n)]
+            listed, counted = OpCounters(), OpCounters()
+            want = transform._itft(t, x, listed)
+            assert transform._itft(t, np.array(x, dtype=np.uint64), counted).tolist() == want, (size, n)
+            assert counted == listed and listed.butterflies == itft_butterflies(size, n), (size, n)
 
 
 @needs_numpy
