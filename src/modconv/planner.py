@@ -18,7 +18,10 @@ every signature it writes; the field stays because the store format carries it.
 The plan contract is stated once here: `planned_keys` gives the keys
 `modconv plan` writes and the automatic engine choice reads, four timings per
 (p, L), and `_call` gives the one kernel call each kind times, which `search`
-and `replay` share. The transform keys time the full size, z = n = L; the
+and `replay` share. `_call` checks its input by the rule of the kernel's
+door (`transform._full_input`, `transform._truncated`,
+`convolve._operands`), so a replay refuses what the door would refuse.
+The transform keys time the full size, z = n = L; the
 `conv` key times a balanced product at the bottom of L's range, z = L/4 + 1
 and n = L/2 + 1, which keeps planning cheap. Each timing is of the call an
 engine makes, on the vectors it passes: a transform core (`transform._moddft`,
@@ -41,9 +44,9 @@ import time
 from dataclasses import dataclass, replace
 
 from . import __version__
-from .convolve import _ENGINES, _kronecker, _next_pow2
+from .convolve import _ENGINES, _kronecker, _next_pow2, _operands
 from .field import FourierPrime, LineError, UnsupportedSizeError, _clip, _lines, root_of_unity
-from .transform import _itft, _ints, _listed, _moddft, _numpy_inputs, _tft, get_table
+from .transform import _full_input, _itft, _ints, _listed, _moddft, _numpy_inputs, _tft, _truncated, get_table
 
 KINDS = ("dft", "tft", "itft", "conv")
 RADIX_MENU = (2, 4, 8)
@@ -127,12 +130,23 @@ def _call(key: PlanKey, fp: FourierPrime, x):
     The moddft core at L, the tft core to n outputs (each on a stack of the
     one vector x) or the itft core, on the twiddle table of (fp, L) and on
     x as `_numpy_inputs` hands it to a product's cores, or Kronecker on the
-    pair of lists x, which fetches no table. x is converted here, outside
-    the call.
+    pair of lists x, which fetches no table. x is checked and converted
+    here, outside the call, by its door's rule: a dft key's by the
+    full-transform rule (`transform._full_input`), a tft key's as z =
+    len(x) inputs to key.n outputs and an itft key's as n = len(x) values
+    (`transform._truncated`), and a conv key's pair by the engines'
+    operand rule (`convolve._operands`). Each refusal is a ValueError.
     """
     if key.kind == "conv":
-        return lambda: _kronecker(*x, fp)
+        u, v = x
+        u, v = _operands(u, v)
+        return lambda: _kronecker(u, v, fp)
     table = get_table(fp, key.L)
+    if key.kind == "dft":
+        x = _full_input(x, table, "fwd")
+    else:
+        x = _ints(x)
+        _truncated(len(x), key.n if key.kind == "tft" else len(x), key.L)
     # The backend a product at L runs, which its two inputs decide.
     x = (_numpy_inputs(table, x, vectors=2) or [x])[0]
     if key.kind == "dft":
@@ -361,10 +375,9 @@ class PlanSession:
         """A zero-argument call of the kernel that `key` times, on seeded random lists (`_call`)."""
         size, n, z = key.L, key.n, key.z
         fp = FourierPrime.from_modulus(key.p)
-        if key.kind != "dft" and not 1 <= n <= size:
-            raise ValueError(f"output count {n} invalid for L={size}")
-        if key.kind in ("tft", "conv") and not 1 <= z <= n:
-            raise ValueError(f"input length {z} invalid for n={n}")
+        if key.kind != "dft":
+            # itft reads no z: it recovers n values.
+            _truncated(n if key.kind == "itft" else z, n, size)
         rng = self._rng_for(key)
         vec = lambda length: [rng.randrange(key.p) for _ in range(length)]
         if key.kind == "conv":
@@ -384,7 +397,10 @@ class PlanSession:
         A scalar product, or one longer than the field's 2-adicity allows a
         transform for, goes to the ranked engine without transforms and
         reads no key; the field says which sizes it hosts (`root_of_unity`).
+        z1 and z2 must be at least 1, else ValueError before any lookup.
         """
+        if z1 < 1 or z2 < 1:
+            raise ValueError(f"a product needs nonempty operands: got {z1} x {z2}")
         n = z1 + z2 - 1
         size = _next_pow2(n)
         any_length = next(name for name, e in _ENGINES.items() if e.size is None and callable(e.cost))
@@ -407,10 +423,11 @@ class PlanSession:
     def replay(self, entry: PlanEntry, x) -> list[int]:
         """Execute a stored plan on a concrete list of ints (used for validity checks); a pair for `conv`.
 
-        The lists follow the doors' rule (`transform._ints`): an ndarray or a
-        non-integer element raises ValueError.
+        x is checked as the kernel's door checks it, in `_call`, which runs
+        the kernel that was timed: an ndarray, a non-integer element, a
+        length the transform does not take or a conv operand that is not
+        one of a pair of nonempty lists raises ValueError.
         """
-        x = [_ints(w) for w in x] if entry.key.kind == "conv" else _ints(x)
         out = _call(entry.key, FourierPrime.from_modulus(entry.key.p), x)()
         # The moddft and tft cores give back their stack of one.
         return _listed(out[0] if entry.key.kind in ("dft", "tft") else out)

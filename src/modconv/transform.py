@@ -35,11 +35,17 @@ Each public transform (moddft, tft, itft) is a door over a private core
 (_moddft, _tft, _itft) with the same positional arguments, a stack in place
 of the vector for _moddft and _tft. A door reads its
 vector as a list of ints (`_ints`: an int-like through `operator.index`, a
-non-integer or an ndarray raises ValueError), checks its arguments, runs
-the core through `_run` and returns a list. `_run` is the one place that
-decides the backend and keeps the process's tally: a core trusts what it is
-handed and dispatches on its type, a uint64 array of residues runs the numpy
-kernels and gives one back, and a list runs the Python loops. The engines in
+non-integer or an ndarray raises ValueError), checks its arguments by one
+of two rules stated once here, runs the core through `_run` and returns a
+list. A full transform (`_full_input`) takes exactly L values and a
+direction of "fwd" or "inv"; a truncated one (`_truncated`) takes z
+inputs to n outputs with 1 <= z <= n <= L, and itft is the case z = n.
+Every refusal is a ValueError. moddft_naive, the butterfly counts and the
+planner's kernel calls check by the same two rules. `_run` is the one
+place that decides the backend and keeps the process's tally: a core
+trusts what it is handed and dispatches on its type, a uint64 array of
+residues runs the numpy kernels and gives one back, and a list runs the
+Python loops. The engines in
 `convolve` call the cores through the same `_run`, so a product converts its
 inputs once and stays in arrays. Both paths return the same residues and
 count the same butterflies.
@@ -108,11 +114,10 @@ class TwiddleTable:
     )
 
     def __init__(self, field: FourierPrime, size: int):
-        if size < 1 or size & (size - 1):
-            raise ValueError(f"transform size must be a power of two: {size}")
         log2 = size.bit_length() - 1
         p = field.p
-        # Raises UnsupportedSizeError beyond the field's 2-adicity.
+        # Raises ValueError unless size is a power of two, and
+        # UnsupportedSizeError beyond the field's 2-adicity.
         w = root_of_unity(field, size).value
         h = size >> 1
         half = [1] * h
@@ -248,6 +253,27 @@ def _ints(x) -> list[int]:
         raise ValueError("vector elements must be integers") from None
 
 
+def _full_input(x, table: TwiddleTable, direction: str) -> list[int]:
+    """x as exactly table.size ints (`_ints`) and direction as "fwd" or "inv": the full transform's one argument rule.
+
+    Returns the list; anything else raises ValueError.
+    """
+    x = _ints(x)
+    if len(x) != table.size or direction not in ("fwd", "inv"):
+        raise ValueError(f"a full transform takes {table.size} values and 'fwd' or 'inv': got {len(x)} and {direction!r}")
+    return x
+
+
+def _truncated(z: int, n: int, size: int) -> None:
+    """1 <= z <= n <= size, for z inputs to n outputs at size points: the truncated transforms' one shape rule.
+
+    tft's z is its input's length; itft is the case z = n. Anything else
+    raises ValueError.
+    """
+    if not 1 <= z <= n <= size:
+        raise ValueError(f"a truncated transform needs 1 <= z <= n <= L: got z={z}, n={n}, L={size}")
+
+
 def _numpy_inputs(table: TwiddleTable, *vecs, vectors: int | None = None):
     """The int vectors vecs as uint64 arrays (`_ntt_numpy.residues`) where table's transforms run in numpy, else None.
 
@@ -342,14 +368,10 @@ def moddft(
 
     Forward: y_k = sum_j x_j * w**(j*k). Inverse applies the reversed twiddles
     and the 1/N scale, so moddft(moddft(x, t), t, "inv") == x exactly. Each
-    call performs exactly (N/2)*log2(N) butterflies.
+    call performs exactly (N/2)*log2(N) butterflies. x must hold N values
+    and direction be "fwd" or "inv" (`_full_input`).
     """
-    x = _ints(x)
-    n = table.size
-    if len(x) != n:
-        raise ValueError(f"input length {len(x)} != table size {n}")
-    if direction not in ("fwd", "inv"):
-        raise ValueError(f"direction must be 'fwd' or 'inv': {direction!r}")
+    x = _full_input(x, table, direction)
     out = _run(table, lambda a: _moddft((a,), table, direction, counters)[0], x)
     return _listed(_div_size(out, table) if direction == "inv" else out)
 
@@ -378,13 +400,9 @@ def _moddft(x, table: TwiddleTable, direction: str = "fwd", counters: OpCounters
 
 
 def moddft_naive(x: list[int], table: TwiddleTable, direction: str = "fwd") -> list[int]:
-    """Quadratic evaluation straight from the transform definition (oracle)."""
-    x = _ints(x)
+    """Quadratic evaluation straight from the transform definition (oracle); moddft's arguments."""
+    x = _full_input(x, table, direction)
     n = table.size
-    if len(x) != n:
-        raise ValueError(f"input length {len(x)} != table size {n}")
-    if direction not in ("fwd", "inv"):
-        raise ValueError(f"direction must be 'fwd' or 'inv': {direction!r}")
     p = table.field.p
     w = table.root if direction == "fwd" else pow(table.root, -1, p)
     powers = [pow(w, j, p) for j in range(n)]
@@ -412,18 +430,11 @@ def tft(
     """First n spectral values (bit-reversed order) of the zero-padded DFT.
 
     The input's z = len(x) coefficients are implicitly extended with zeros to
-    the table size L. Requires 1 <= z <= n <= L. Butterflies spent are at
-    most n*log2(L)/2 + L.
+    the table size L. Requires 1 <= z <= n <= L (`_truncated`). Butterflies
+    spent are at most n*log2(L)/2 + L.
     """
     x = _ints(x)
-    size = table.size
-    z = len(x)
-    if z < 1:
-        raise ValueError("input must be nonempty")
-    if z > n:
-        raise ValueError(f"input length {z} exceeds output count {n}")
-    if n > size:
-        raise ValueError(f"output count {n} exceeds transform size {size}")
+    _truncated(len(x), n, table.size)
     return _listed(_run(table, lambda a: _tft(table, (a,), n, counters)[0], x))
 
 
@@ -500,8 +511,10 @@ def tft_butterflies(L: int, z: int, n: int) -> int:
 
     Walks tft's stages (_tft_path): at half-size h, each of the blocks of 2h
     with a wanted high half spends min(z, h), and a last block with only its
-    low half wanted spends the z - min(z, h) folds; O(log L).
+    low half wanted spends the z - min(z, h) folds; O(log L). The shape
+    must be one tft takes, 1 <= z <= n <= L, else ValueError.
     """
+    _truncated(z, n, L)
     count = 0
     for h, full, zz, both in _tft_path(L, z, n):
         count += full * zz
@@ -519,16 +532,12 @@ def itft(
 
     The caller promises that the underlying time-domain coefficients u_j
     vanish for j >= n; that promise is what lets the missing spectrum be
-    reconstructed. Divide by L (`_div_size`) to obtain u itself.
-    Butterflies spent are at most n*log2(L)/2 + L.
+    reconstructed. Divide by L (`_div_size`) to obtain u itself. Requires
+    1 <= n <= L (`_truncated`, z = n). Butterflies spent are at most
+    n*log2(L)/2 + L.
     """
     xhat = _ints(xhat)
-    size = table.size
-    n = len(xhat)
-    if n < 1:
-        raise ValueError("spectral input must be nonempty")
-    if n > size:
-        raise ValueError(f"input length {n} exceeds transform size {size}")
+    _truncated(len(xhat), len(xhat), table.size)
     return _listed(_run(table, lambda a: _itft(table, a, counters), xhat))
 
 
@@ -633,7 +642,9 @@ def itft_butterflies(L: int, n: int) -> int:
     """Butterflies itft spends recovering n values at size L, without running it.
 
     Walks itft's path (_itft_path): each level costs m/2, and each block
-    of b points inverted whole (b/2)*log2(b); O(log L).
+    of b points inverted whole (b/2)*log2(b); O(log L). The shape must be
+    one itft takes, 1 <= n <= L, else ValueError.
     """
+    _truncated(n, n, L)
     levels, blocks = _itft_path(L, n)
     return sum(m >> 1 for _, m, _, _ in levels) + sum((b >> 1) * (b.bit_length() - 1) for b in blocks)

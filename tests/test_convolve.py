@@ -1,6 +1,7 @@
 import contextlib
 import importlib.util
 import random
+import sys
 import threading
 from dataclasses import replace
 from unittest import mock
@@ -756,6 +757,50 @@ def test_wide_products_in_numpy_match_definition(p):
                 assert counters == python, engine
         # The transforms ran in numpy: they filled their tables' arrays.
         assert get_table(fp, 1 << (n - 1).bit_length()).numpy_arrays is not None
+
+
+@pytest.mark.skipif(importlib.util.find_spec("numpy") is None, reason="numpy not installed")
+@pytest.mark.parametrize("p", [998244353, 2305843009448574977])
+def test_four_threads_multiply_at_once(p):
+    # Four threads run fft_pad, tft and split products in numpy at once, on
+    # tables none of them has built yet: each gets the coefficients and the
+    # counts of the same products run by one thread.
+    import numpy  # noqa: F401  loaded, so the products run in arrays
+
+    fp = FourierPrime.from_modulus(p)
+    rng = random.Random(p)
+    a = DensePoly(fp, tuple(rng.randrange(p) for _ in range(2100)))
+    b = DensePoly(fp, tuple(rng.randrange(p) for _ in range(2107)))
+    engines = ("fft_pad", "tft", "split")
+
+    def products(order):
+        out = {}
+        for engine in order:
+            counters = OpCounters()
+            out[engine] = poly_mul(a, b, ConvRequest(fp, engine=engine, counters=counters)), counters
+        return out
+
+    want = products(engines)
+    transform._build_table.cache_clear()
+    start = threading.Barrier(4, timeout=60)
+    got = [None] * 4
+
+    def worker(i):
+        start.wait()
+        got[i] = products(engines[i % 3 :] + engines[: i % 3])
+
+    workers = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert got == [want] * 4
 
 
 @pytest.mark.skipif(importlib.util.find_spec("numpy") is None, reason="numpy not installed")

@@ -308,6 +308,31 @@ class TestDftSearch:
         scaled = session.replay(inv, spectral)
         assert scaled == [v * 32 % fp998.p for v in x]
 
+    # Replays that no door would take, as (kind, L, z, n) and x. With numpy
+    # loaded the dft kernel's row gather would clip the short list and cut
+    # the long one, and a conv pair must be two nonempty lists.
+    BAD_REPLAYS = {
+        "dft-short": (("dft", 2048, 0, 2048), [1] * 2000),
+        "dft-long": (("dft", 2048, 0, 2048), [1] * 2100),
+        "tft-z-above-n": (("tft", 16, 10, 10), [1] * 12),
+        "tft-empty": (("tft", 16, 10, 10), []),
+        "itft-above-L": (("itft", 16, 16, 16), [1] * 30),
+        "itft-empty": (("itft", 16, 16, 16), []),
+        "conv-empty": (("conv", 16, 3, 5), ([], [1])),
+        "conv-one-list": (("conv", 16, 3, 5), ([1],)),
+        "conv-three-lists": (("conv", 16, 3, 5), ([1], [2], [3])),
+    }
+
+    @pytest.mark.parametrize("case", list(BAD_REPLAYS))
+    def test_replay_checks_what_it_replays(self, case):
+        if importlib.util.find_spec("numpy") is not None:
+            import numpy  # noqa: F401  loaded, so the dft replays run in numpy
+        (kind, size, z, n), x = self.BAD_REPLAYS[case]
+        session = make_session(reps=1)
+        entry = session.lookup(PlanKey(kind, LARGE_PRIME, size, z, n, 1))
+        with pytest.raises(ValueError):
+            session.replay(entry, x)
+
     @pytest.mark.parametrize("size", [1 << 15, 1 << 16])
     @pytest.mark.parametrize("p", [LARGE_PRIME, WIDE_PRIME])
     def test_search_times_what_the_engines_pass(self, monkeypatch, p, size):
@@ -346,6 +371,13 @@ class TestResolveEngine:
         for key in planner.planned_keys(p, size):
             session.store.add(PlanEntry(key, (2,) * (size.bit_length() - 2), 2, nanos[key.kind], session.signature))
         return session
+
+    @pytest.mark.parametrize("z1, z2", [(0, 5), (5, 0), (0, 0), (-2, 3)])
+    def test_refuses_empty_operands_before_any_lookup(self, fp998, z1, z2):
+        session = make_session()
+        with pytest.raises(ValueError):
+            session.resolve_engine(fp998, z1, z2)
+        assert session.search_count == 0 and len(session.store) == 0
 
     def test_prefers_cheap_transforms_over_definition(self, fp998):
         session = self._stocked_session(tft_nanos=10, dft_nanos=1000)

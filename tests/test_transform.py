@@ -152,6 +152,10 @@ class TestModDft:
             moddft([1, 2, 3], t)
         with pytest.raises(ValueError):
             moddft(random_vec(rng, fp257, 8), t, "sideways")
+        with pytest.raises(ValueError):
+            moddft_naive([1, 2, 3], t)
+        with pytest.raises(ValueError):
+            moddft_naive(random_vec(rng, fp257, 8), t, "sideways")
 
 
 class TestTft:
@@ -268,6 +272,37 @@ class TestButterflyBounds:
             full = (size // 2) * (size.bit_length() - 1)
             assert tft_butterflies(size, size, size) == full
             assert itft_butterflies(size, size) == full
+
+    @pytest.mark.parametrize("z, n", [(20, 10), (0, 5), (5, 17), (0, 0), (-3, 4), (3, -3)])
+    def test_tft_count_refuses_what_tft_refuses(self, fp998, z, n):
+        with pytest.raises(ValueError):
+            tft_butterflies(16, z, n)
+        if z >= 0:
+            with pytest.raises(ValueError):
+                tft(get_table(fp998, 16), [1] * z, n)
+
+    @pytest.mark.parametrize("n", [40, 17, 0])
+    def test_itft_count_refuses_what_itft_refuses(self, fp998, n):
+        with pytest.raises(ValueError):
+            itft_butterflies(16, n)
+        with pytest.raises(ValueError):
+            itft(get_table(fp998, 16), [1] * n)
+
+    def test_itft_count_refuses_negative_n_at_once(self):
+        # A walk that never ends would grow its list until memory runs out,
+        # so the call runs in a child held to 1 GB of address space.
+        out = _run_python(
+            """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from modconv import itft_butterflies
+try:
+    itft_butterflies(16, -3)
+except ValueError:
+    print("refused")
+"""
+        )
+        assert out.strip() == "refused"
 
 
 # Primes of 5, 9, 30 and 62 bits with 2-adicity 4, 8, 23, 25 and 11.
