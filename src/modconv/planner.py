@@ -134,11 +134,15 @@ def _call(key: PlanKey, fp: FourierPrime, x):
     here, outside the call, by its door's rule: a dft key's by the
     full-transform rule (`transform._full_input`), a tft key's as z =
     len(x) inputs to key.n outputs and an itft key's as n = len(x) values
-    (`transform._truncated`), and a conv key's pair by the engines'
-    operand rule (`convolve._operands`). Each refusal is a ValueError.
+    (`transform._truncated`), and a conv key's x as a pair of operands,
+    each by the engines' operand rule (`convolve._operands`). Each refusal
+    is a ValueError.
     """
     if key.kind == "conv":
-        u, v = x
+        try:
+            u, v = x
+        except (TypeError, ValueError):
+            raise ValueError("a conv key's call takes a pair of operands") from None
         u, v = _operands(u, v)
         return lambda: _kronecker(u, v, fp)
     table = get_table(fp, key.L)

@@ -11,7 +11,16 @@ lists. tft walks the stages that _tft_path lays out. itft walks what
 _itft_path lays out: it inverts the blocks that tile its n known values
 with the loop moddft runs, then goes down its partial path to the first
 fully known block and back up. Both backends and the butterfly counts read
-those walks. The loops exist twice:
+those walks, which are cached per shape. The Python loops take two stages
+per pass where both run whole (radix 4), so that a pass reads and writes
+each element once for the two, through index lists (`_quarters`) rather
+than index arithmetic: moddft's loop (`_dit_inplace`) pairs all its
+stages, with the first stage, whose twiddles are all 1, alone at odd log2
+L, and tft pairs two stages on the blocks where both run whole, from the
+first whole stage down, taking that stage alone where an odd count of
+stages is left; its truncated blocks, twiddle-only copies and folds run
+radix 2. A pass gives the values and counts of the two stages it runs.
+The loops exist twice:
 in pure Python here, the reference, and in numpy (`_ntt_numpy`). Both serve
 every prime a FourierPrime holds (p < 2**62): the numpy kernels multiply in
 one uint64 product below the word bound _WORD = 2**32, that bound's one
@@ -40,8 +49,9 @@ of two rules stated once here, runs the core through `_run` and returns a
 list. A full transform (`_full_input`) takes exactly L values and a
 direction of "fwd" or "inv"; a truncated one (`_truncated`) takes z
 inputs to n outputs with 1 <= z <= n <= L, and itft is the case z = n.
-Every refusal is a ValueError. moddft_naive, the butterfly counts and the
-planner's kernel calls check by the same two rules. `_run` is the one
+Every refusal is a ValueError. moddft_naive and the planner's kernel calls
+check by the same two rules, and the butterfly counts by the truncated one
+at a power-of-two L (`_counted`). `_run` is the one
 place that decides the backend and keeps the process's tally: a core
 trusts what it is handed and dispatches on its type, a uint64 array of
 residues runs the numpy kernels and gives one back, and a list runs the
@@ -143,7 +153,11 @@ class TwiddleTable:
         self.numpy_arrays = None
 
 
-# Most tables and bit-reversal lists kept at once; a 2**20 table is ~50 MB.
+# Most tables, and lists of each kind the Python loops index by, kept at
+# once. A 2**20 table is ~50 MB; the index lists of the Python loops'
+# passes at one size (`_points`, `_quarters`) take about twice its stage
+# lists (6.6 against 3.0 MB at 2**16), and only a size the loops run holds
+# them.
 _CACHE_SIZE = 32
 _TABLE_LOCK = threading.Lock()
 
@@ -233,8 +247,12 @@ def _array_kernels(*xs):
     `pad`, `mulmod`), which hold all uint64 arithmetic.
     """
     np = sys.modules.get("numpy")
-    if np is not None and any(isinstance(x, np.ndarray) for x in xs):
-        return _load_numpy_kernels()
+    if np is not None:
+        # A loop, not any() over a generator: every core's list call asks,
+        # and the generator took 0.1 of the 1.4 us of a moddft at L = 4.
+        for x in xs:
+            if isinstance(x, np.ndarray):
+                return _load_numpy_kernels()
     return None
 
 
@@ -272,6 +290,17 @@ def _truncated(z: int, n: int, size: int) -> None:
     """
     if not 1 <= z <= n <= size:
         raise ValueError(f"a truncated transform needs 1 <= z <= n <= L: got z={z}, n={n}, L={size}")
+
+
+def _counted(z: int, n: int, size: int) -> None:
+    """`_truncated`'s shape at a size that is a power of two, as every table's is: the butterfly counts' rule.
+
+    The doors need no size check, since a table's size is a power of two.
+    Anything else raises ValueError.
+    """
+    _truncated(z, n, size)
+    if size & (size - 1):
+        raise ValueError(f"the butterfly counts take a power-of-two L: got {size}")
 
 
 def _numpy_inputs(table: TwiddleTable, *vecs, vectors: int | None = None):
@@ -341,21 +370,74 @@ def bit_reverse_permute(x: list[int]) -> list[int]:
     return [x[r] for r in rev]
 
 
-def _dit_inplace(vec: list[int], stages: list[list[int]], p: int) -> None:
-    # vec arrives bit-reversed; leaves in natural order.
-    n = len(vec)
-    h = 1
-    for tws in stages:
-        step = h << 1
-        for base in range(0, n, step):
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _points(n: int) -> tuple[int, ...]:
+    # 0 .. n-1 once per n, which every _quarters tuple at n slices.
+    return tuple(range(n))
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _quarters(n: int, h: int) -> tuple[tuple[int, ...], ...]:
+    # The indices a radix-4 pass over n points reads, in blocks of 4h from
+    # 0: butterfly j of the block at base reads base + j + k*h from the
+    # k-th of the four, block after block. A pass zips them with its
+    # twiddles, so one loop runs every pass without index arithmetic, and a
+    # prefix of the blocks (tft's) by shorter twiddle lists. Each is built
+    # with min(h, n/4h) slices of _points(n).
+    idx = _points(n)
+    q = h << 2
+    quarters = []
+    for k in range(0, q, h):
+        if h * q <= n:
+            col = [0] * (n >> 2)
             for j in range(h):
-                lo = base + j
-                hi = lo + h
-                t = vec[hi] * tws[j] % p
-                u = vec[lo]
-                vec[lo] = (u + t) % p
-                vec[hi] = (u - t) % p
-        h = step
+                col[j::h] = idx[k + j :: q]
+        else:
+            col = []
+            for base in range(k, n, q):
+                col += idx[base : base + h]
+        quarters.append(tuple(col))
+    return tuple(quarters)
+
+
+def _dit_inplace(vec: list[int], stages: list[list[int]], p: int) -> None:
+    # vec arrives bit-reversed; leaves in natural order. The stages run in
+    # pairs, one radix-4 pass each, which reads and writes each element
+    # once: stage s (half-size h) joins blocks of h into 2h and stage s+1
+    # those into 4h. At odd log2 n the first stage, whose twiddles are all
+    # 1, runs alone.
+    n = len(vec)
+    s = len(stages) & 1
+    if s:
+        for lo in range(0, n, 2):
+            u = vec[lo]
+            t = vec[lo + 1]
+            vec[lo] = (u + t) % p
+            vec[lo + 1] = (u - t) % p
+    h = 1 << s
+    while h < n:
+        i0s, i1s, i2s, i3s = _quarters(n, h)
+        # Butterfly j of a block takes twiddle j of stage s and twiddles j
+        # and j + h of stage s+1, the same in every block.
+        w1s, w2s, w3s = stages[s], stages[s + 1], stages[s + 1][h:]
+        blocks = n // (h << 2)
+        if blocks > 1:
+            w1s, w2s, w3s = w1s * blocks, w2s[:h] * blocks, w3s * blocks
+        for i0, i1, i2, i3, w1, w2, w3 in zip(i0s, i1s, i2s, i3s, w1s, w2s, w3s):
+            t = vec[i1] * w1 % p
+            u = vec[i0]
+            a0 = u + t
+            a1 = u - t
+            t = vec[i3] * w1 % p
+            u = vec[i2]
+            t2 = (u + t) * w2 % p
+            t3 = (u - t) * w3 % p
+            vec[i0] = (a0 + t2) % p
+            vec[i2] = (a0 - t2) % p
+            vec[i1] = (a1 + t3) % p
+            vec[i3] = (a1 - t3) % p
+        h <<= 2
+        s += 2
 
 
 def moddft(
@@ -455,16 +537,52 @@ def _tft(table: TwiddleTable, xs, n: int, counters: OpCounters | None = None):
 
 def _tft_loops(table: TwiddleTable, x: list[int], n: int, counters: OpCounters | None) -> list[int]:
     # tft's pure-Python loops on one input, the reference, counting inline.
+    # Once a stage runs whole (both = h: every block starts with both
+    # halves live), so does every stage below it. From there the stages go
+    # in pairs, the first alone where an odd count is left, so that the
+    # last stage, whose blocks are 2 points, is paired. A pair runs one
+    # radix-4 pass, as in _dit_inplace, over its first `start` blocks:
+    # those whose two sub-blocks hold a wanted output in their high half,
+    # so that the second stage runs them whole too. The pair's other
+    # blocks, and every stage above, run radix 2: truncated blocks with
+    # their twiddle-only copies, and the last block's fold.
     size = table.size
-    z = len(x)
-    c = list(x)
-    if z < size:
-        c.extend([0] * (size - z))
     p = table.field.p
+    c = list(x)
+    c += [0] * (size - len(x))
     used = 0
-    for tws, (h, full, zz, both) in zip(reversed(table.fwd_stages), _tft_path(size, z, n)):
+    path = _tft_path(size, len(x), n)
+    # The leading blocks of the next stage that a radix-4 pass has run.
+    first = 0
+    for tws, (h, full, zz, both) in zip(reversed(table.fwd_stages), path):
+        start, first = first, 0
+        if both == h and not h.bit_length() & 1:
+            # Whole, with an even count of stages left (log2(h) + 1). The
+            # next stage has half-size q = h/2; as n >= z = 2h, start >= 1.
+            q, inner_full, _, _ = path[size.bit_length() - h.bit_length()]
+            start = min(full, inner_full >> 1)
+            first = start << 1
+            i0s, i1s, i2s, i3s = _quarters(size, q)
+            # Block by block: twiddles j and j + q of this stage, j of the next.
+            w1s, w3s, w2s = tws, tws[q:], table.fwd_stages[q.bit_length() - 1]
+            if start > 1:
+                w1s, w3s, w2s = tws[:q] * start, w3s * start, w2s * start
+            for i0, i1, i2, i3, w1, w3, w2 in zip(i0s, i1s, i2s, i3s, w1s, w3s, w2s):
+                a = c[i0]
+                b = c[i2]
+                s0 = a + b
+                d0 = (a - b) * w1 % p
+                a = c[i1]
+                b = c[i3]
+                s1 = a + b
+                d1 = (a - b) * w3 % p
+                c[i0] = (s0 + s1) % p
+                c[i1] = (s0 - s1) * w2 % p
+                c[i2] = (d0 + d1) % p
+                c[i3] = (d0 - d1) * w2 % p
+            used += start * (h << 1)
         step = h << 1
-        for base in range(0, full * step, step):
+        for base in range(start * step, full * step, step):
             for i in range(both):
                 lo = base + i
                 hi = lo + h
@@ -475,7 +593,7 @@ def _tft_loops(table: TwiddleTable, x: list[int], n: int, counters: OpCounters |
             for i in range(both, zz):
                 lo = base + i
                 c[lo + h] = c[lo] * tws[i] % p
-            used += zz
+        used += (full - start) * zz
         base = full * step
         if base < n:
             # Only the low half is wanted: fold the high half onto it.
@@ -489,7 +607,11 @@ def _tft_loops(table: TwiddleTable, x: list[int], n: int, counters: OpCounters |
     return c
 
 
-def _tft_path(size: int, z: int, n: int) -> list[tuple[int, int, int, int]]:
+# Each walk is cached per shape, as a tuple, which every caller shares: the
+# loops ask for it on every call, a few hundred ns at L = 4, as much as a
+# stage.
+@functools.lru_cache(maxsize=256)
+def _tft_path(size: int, z: int, n: int) -> tuple[tuple[int, int, int, int], ...]:
     # tft's stage walk, top down, for z inputs and n outputs: per stage the
     # half-size h, the count `full` of blocks of 2h whose high half holds a
     # wanted output (base + h < n), the live inputs zz = min(z, h) each block
@@ -503,7 +625,7 @@ def _tft_path(size: int, z: int, n: int) -> list[tuple[int, int, int, int]]:
         stages.append((h, (n + h - 1) // (h << 1), zz, z - zz))
         z = zz
         h >>= 1
-    return stages
+    return tuple(stages)
 
 
 def tft_butterflies(L: int, z: int, n: int) -> int:
@@ -512,9 +634,10 @@ def tft_butterflies(L: int, z: int, n: int) -> int:
     Walks tft's stages (_tft_path): at half-size h, each of the blocks of 2h
     with a wanted high half spends min(z, h), and a last block with only its
     low half wanted spends the z - min(z, h) folds; O(log L). The shape
-    must be one tft takes, 1 <= z <= n <= L, else ValueError.
+    must be one tft takes, 1 <= z <= n <= L, at an L a table has
+    (`_counted`), else ValueError.
     """
-    _truncated(z, n, L)
+    _counted(z, n, L)
     count = 0
     for h, full, zz, both in _tft_path(L, z, n):
         count += full * zz
@@ -613,6 +736,9 @@ def _itft(table: TwiddleTable, xhat, counters: OpCounters | None = None):
     return c
 
 
+# Cached per shape, as _tft_path is; every caller shares the two lists and
+# only reads them.
+@functools.lru_cache(maxsize=256)
 def _itft_path(size: int, n: int) -> tuple[list[tuple[int, int, int, int]], list[int]]:
     # itft's walk for n of size values: its partial path and the blocks it
     # inverts whole. The path, top down, gives per level the block
@@ -643,8 +769,9 @@ def itft_butterflies(L: int, n: int) -> int:
 
     Walks itft's path (_itft_path): each level costs m/2, and each block
     of b points inverted whole (b/2)*log2(b); O(log L). The shape must be
-    one itft takes, 1 <= n <= L, else ValueError.
+    one itft takes, 1 <= n <= L, at an L a table has (`_counted`), else
+    ValueError.
     """
-    _truncated(n, n, L)
+    _counted(n, n, L)
     levels, blocks = _itft_path(L, n)
     return sum(m >> 1 for _, m, _, _ in levels) + sum((b >> 1) * (b.bit_length() - 1) for b in blocks)

@@ -310,7 +310,7 @@ class TestDftSearch:
 
     # Replays that no door would take, as (kind, L, z, n) and x. With numpy
     # loaded the dft kernel's row gather would clip the short list and cut
-    # the long one, and a conv pair must be two nonempty lists.
+    # the long one, and a conv x must be a pair of two nonempty lists.
     BAD_REPLAYS = {
         "dft-short": (("dft", 2048, 0, 2048), [1] * 2000),
         "dft-long": (("dft", 2048, 0, 2048), [1] * 2100),
@@ -321,6 +321,8 @@ class TestDftSearch:
         "conv-empty": (("conv", 16, 3, 5), ([], [1])),
         "conv-one-list": (("conv", 16, 3, 5), ([1],)),
         "conv-three-lists": (("conv", 16, 3, 5), ([1], [2], [3])),
+        "conv-not-a-pair": (("conv", 16, 3, 5), 5),
+        "conv-pair-of-ints": (("conv", 16, 3, 5), (5, 6)),
     }
 
     @pytest.mark.parametrize("case", list(BAD_REPLAYS))

@@ -30,12 +30,16 @@ def table_rows(lines):
     return [[cell.strip() for cell in line.strip("|").split("|")] for line in lines[2:]]
 
 
+LOOP_CALLS = ["moddft", "moddft_inv", "tft_n=L", "tft", "tft_7L/8", "itft_n=L", "itft", "itft_7L/8"]
+
+
 @pytest.mark.parametrize(
     "group, calls",
     [
         ("kernels", ["moddft", "moddft_inv", "tft", "itft", "itft_n=L", "itft_7L/8", "moddft_pair", "tft_pair"]),
         ("stages", ["moddft", "moddft", "tft", "tft", "itft", "itft"]),
         ("boundary", ["to_array", "to_poly"]),
+        ("loops", LOOP_CALLS),
     ],
 )
 def test_kernel_times_runs_each_group(group, calls):
@@ -81,3 +85,15 @@ def test_kernel_times_times_products_on_both_backends():
     times = [[float(cell) for cell in row[3:]] for row in rows]
     assert all(t > 0 for row in times for t in row), lines
     assert all(abs(row[4] - round(row[3] / row[2], 2)) <= 0.011 for row in times), lines
+
+
+def test_kernel_times_times_the_loops_at_small_sizes():
+    # --group loops times the Python loops on lists in us, every call at
+    # every size, down to L = 4, where the 7L/8 shapes round to 3 outputs.
+    pytest.importorskip("numpy")
+    lines = run_tool("tools/kernel_times.py", str(ROOT), str(ROOT), "--rounds", "1", "--lo", "2", "--hi", "4",
+                     "--group", "loops")
+    assert lines[0] == "| call | L | old (us) | new (us) | new/old |"
+    rows = table_rows(lines)
+    assert [row[:2] for row in rows] == [[call, f"2^{k}"] for k in (2, 3, 4) for call in LOOP_CALLS]
+    assert all(float(row[2]) > 0 and float(row[3]) > 0 for row in rows), lines

@@ -288,6 +288,15 @@ class TestButterflyBounds:
         with pytest.raises(ValueError):
             itft(get_table(fp998, 16), [1] * n)
 
+    @pytest.mark.parametrize("size", [3, 6, 12, 1000])
+    def test_counts_refuse_a_size_no_table_has(self, size):
+        # Every table's size is a power of two. Without the check the
+        # counts walked sizes no table has: itft_butterflies(12, 5) gave 11.
+        with pytest.raises(ValueError, match="power-of-two"):
+            tft_butterflies(size, 1, 2)
+        with pytest.raises(ValueError, match="power-of-two"):
+            itft_butterflies(size, 2)
+
     def test_itft_count_refuses_negative_n_at_once(self):
         # A walk that never ends would grow its list until memory runs out,
         # so the call runs in a child held to 1 GB of address space.
@@ -357,6 +366,73 @@ NUMPY_FIELDS = [
 # uint64 bounds.
 EDGE_FIELDS = [fp for fp in NUMPY_FIELDS if fp.p in (3221225473, 4293918721, 4611686018405367809)]
 
+
+# The radix-4 loops (`transform._dit_inplace`, `transform._tft_loops`) over
+# primes of 5, 9, 30, 32 and 62 bits, at every L from 2 to 2**10 that the
+# prime hosts: odd and even log2 L, so both with and without the leftover
+# radix-2 stage, and tft's pairs on whole and truncated blocks.
+LOOP_PRIMES = (17, 257, 998244353, 4293918721, 2305843009448574977)
+
+
+def loop_shapes(size, rng):
+    # Every (z, n) up to 64 points; above, a few z, each with the product
+    # shapes n = L/2 + 1 and 7L/8 where they reach z, n = z, n = L and one
+    # drawn n.
+    if size <= 64:
+        return [(z, n) for n in range(1, size + 1) for z in range(1, n + 1)]
+    zs = sorted({1, size // 4 + 1, rng.randint(1, size), size})
+    return [(z, n) for z in zs for n in sorted({z, rng.randint(z, size), max(z, size // 2 + 1), max(z, 7 * size // 8), size})]
+
+
+@pytest.mark.parametrize("p", LOOP_PRIMES)
+def test_radix_4_loops_match_the_definition(p):
+    # On lists the cores run the Python loops: moddft both ways and tft
+    # against moddft_naive, itft(tft(x)) against L*x, and the inline counts
+    # against the counts. Sampled shapes go on to 2**12, one z per size.
+    fp = FourierPrime.from_modulus(p)
+    rng = random.Random(p)
+    for k in range(1, min(fp.two_adicity, 12) + 1):
+        size = 1 << k
+        t = get_table(fp, size)
+        x = [rng.randrange(p) for _ in range(size)]
+        if k <= 10:
+            assert transform._moddft([x], t, "fwd") == [moddft_naive(x, t, "fwd")]
+            assert transform._moddft([x], t, "inv") == [[v * size % p for v in moddft_naive(x, t, "inv")]]
+            shapes = loop_shapes(size, rng)
+        else:
+            z = rng.randint(size // 4, size // 2)
+            shapes = [(z, n) for n in (z, size // 2 + 1, 7 * size // 8, size)]
+        spectra = {}
+        for z, n in shapes:
+            if z not in spectra:
+                spectra[z] = bit_reverse_permute(moddft_naive(x[:z] + [0] * (size - z), t))
+            fc, ic = OpCounters(), OpCounters()
+            spectral = transform._tft_loops(t, x[:z], n, fc)
+            assert spectral == spectra[z][:n], (size, z, n)
+            assert fc.butterflies == tft_butterflies(size, z, n), (size, z, n)
+            assert transform._itft(t, spectral, ic) == [v * size % p for v in x[:z] + [0] * (n - z)], (size, z, n)
+            assert ic.butterflies == itft_butterflies(size, n), (size, n)
+
+
+@needs_numpy
+@pytest.mark.parametrize("p", LOOP_PRIMES)
+def test_numpy_kernels_match_the_radix_4_loops(p):
+    import numpy
+
+    from modconv import _ntt_numpy
+
+    fp = FourierPrime.from_modulus(p)
+    rng = random.Random(p)
+    for k in range(1, min(fp.two_adicity, 10) + 1):
+        size = 1 << k
+        t = get_table(fp, size)
+        x = [rng.randrange(p) for _ in range(size)]
+        a = numpy.array(x, dtype=numpy.uint64)
+        for direction in ("fwd", "inv"):
+            assert _ntt_numpy.moddft([a], t, direction).tolist() == transform._moddft([x], t, direction)
+        for z, n in loop_shapes(size, rng)[:: max(1, size // 8)]:
+            assert _ntt_numpy.tft(t, [a[:z]], n).tolist() == [transform._tft_loops(t, x[:z], n, None)], (size, z, n)
+            assert _ntt_numpy.itft(t, a[:n]).tolist() == transform._itft(t, x[:n]), (size, n)
 
 @st.composite
 def numpy_shapes(draw, size):

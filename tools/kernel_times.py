@@ -1,6 +1,6 @@
-"""Time the numpy kernels, their stages, the list/array crossing, or whole products, of two modconv source trees.
+"""Time the numpy kernels, their stages, the list/array crossing, whole products, or the Python loops, of two modconv source trees.
 
-    python3 tools/kernel_times.py OLD_TREE NEW_TREE [--group kernels|stages|boundary|products]
+    python3 tools/kernel_times.py OLD_TREE NEW_TREE [--group kernels|stages|boundary|products|loops]
                                   [--rounds 5] [--lo 9] [--hi 18] [--prime 998244353]
 
 Each round runs one fresh subprocess per tree, alternating which tree goes
@@ -42,6 +42,15 @@ numpy kernels (the crossover set to 1), and prints both trees' times beside
 the new tree's numpy/Python ratio: the table the numpy rule
 (`transform._numpy_kernels`) rests on. Try --lo 6 --hi 11; the Python loops
 make large L slow.
+
+`loops` times the pure-Python loops on lists, in us: `transform._moddft`
+(forward and inverse), `_tft_loops` at z = n = L (`tft_n=L`), at z = L/4 +
+1, n = L/2 + 1 (`tft`, a balanced product's shape) and at z = 7L/16, n =
+7L/8 (`tft_7L/8`), and `_itft` at n = L, L/2 + 1 and 7L/8: the loops
+`modconv plan` times, a process runs before it loads numpy and below the
+numpy crossover, and the numpy kernels are checked against. Below 2**12
+points each timing runs 2**12 / L calls and reports one call's share. Try
+--lo 2 --hi 14.
 """
 
 import argparse
@@ -137,7 +146,26 @@ def products(L):
     return out
 
 
+def loops(L, x):
+    # The Python loops on lists, whichever backend the process has loaded.
+    t = get_table(fp, L)
+    xs = x.tolist()
+    half, eighth = L // 2 + 1, max(1, 7 * L // 8)
+    return {
+        "moddft": lambda: transform._moddft((xs,), t, "fwd"),
+        "moddft_inv": lambda: transform._moddft((xs,), t, "inv"),
+        "tft_n=L": lambda: transform._tft_loops(t, xs, L, None),
+        "tft": lambda: transform._tft_loops(t, xs[: L // 4 + 1], half, None),
+        "tft_7L/8": lambda: transform._tft_loops(t, xs[: max(1, 7 * L // 16)], eighth, None),
+        "itft_n=L": lambda: transform._itft(t, xs),
+        "itft": lambda: transform._itft(t, xs[:half]),
+        "itft_7L/8": lambda: transform._itft(t, xs[:eighth]),
+    }
+
+
 def calls(group, L, x):
+    if group == "loops":
+        return loops(L, x)
     if group == "products":
         return products(L)
     if group == "boundary":
@@ -166,18 +194,21 @@ for k in range(int(sys.argv[1]), int(sys.argv[2]) + 1):
     if group == "stages":
         out.update(stages(L, x))
         continue
+    # The loops take microseconds at small L: time a batch of calls there.
+    batch = max(1, (1 << 12) // L) if group == "loops" else 1
     for name, call in calls(group, L, x).items():
         call()
         best = float("inf")
         for _ in range(max(3, min(25, (1 << 20) // L))):
             t0 = time.perf_counter()
-            call()
-            best = min(best, time.perf_counter() - t0)
-        out[f"{name} {k}"] = best * 1e9 / L if group == "boundary" else best * 1e3
+            for _ in range(batch):
+                call()
+            best = min(best, (time.perf_counter() - t0) / batch)
+        out[f"{name} {k}"] = best * 1e9 / L if group == "boundary" else best * (1e6 if group == "loops" else 1e3)
 print(json.dumps(out))
 """
 
-UNITS = {"kernels": "ms", "stages": "us", "boundary": "ns/coef", "products": "ms"}
+UNITS = {"kernels": "ms", "stages": "us", "boundary": "ns/coef", "products": "ms", "loops": "us"}
 
 
 def run(tree: str, lo: int, hi: int, group: str, prime: int) -> dict:
