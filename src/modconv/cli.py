@@ -216,6 +216,9 @@ def run_sweep(cfg: SweepConfig) -> list[str]:
 
 
 def cmd_sweep(args) -> int:
+    # Every usage error, the field's included, is refused before the output
+    # is opened, and the output is opened before the first product: a bad
+    # flag leaves an existing file untouched, and a bad path fails at once.
     try:
         step = 1 if args.step == "all" else int(args.step)
         cfg = SweepConfig(
@@ -227,14 +230,12 @@ def cmd_sweep(args) -> int:
             prime_bits=args.prime_bits,
             reps=args.reps,
         )
-    except ValueError as exc:
-        return _fail(EXIT_USAGE, str(exc))
-    try:
-        rows = run_sweep(cfg)
+        _sweep_field(cfg)
     except ValueError as exc:
         return _fail(EXIT_USAGE, str(exc))
     try:
         with open(args.output, "w", encoding="ascii") as fh:
+            rows = run_sweep(cfg)
             fh.write("\n".join(rows))
             fh.write("\n")
     except OSError as exc:

@@ -27,12 +27,20 @@ table is the negacyclic twist, of 2L, which `_product` fetches for the
 cores that twist (`_nega_conv`, `_circ_conv_split`) before any input is
 padded or converted, so that a size whose twist the field refuses costs
 nothing. A core returns L times its product: its inverse transforms do not
-scale, as itft does not. Each core makes one forward call on the stack of
-its inputs (`_circ_conv_split` on its four halves, the negacyclic pair
-twisted), one pointwise product of the stacked spectra, and one inverse
-call. One step,
-`_product`, serves the five doors and `poly_mul`: it fetches the table of
-the size the engine's rule gives, runs the core on it through
+scale, as itft does not. The three cyclic cores are maps around one step,
+`_cyclic`, as the paper's algorithms are breakdown rules (zero-padding, CRT
+splits of x**n - 1) over one cyclic convolution. The step takes a stack of
+rows in pairs (u0, v0, u1, v1, ...) and makes one forward `moddft` call on
+the whole stack, one pointwise product of each pair's spectra, and one
+inverse call. Handed the twist's table, it twists the last pair in and its
+product out, so that product is negacyclic: no other code twists. It lets
+go of its inputs once the forward call has read them, and of the forward
+spectra before the inverse call. `_circ_conv_fft` is the step on one pair,
+`_nega_conv` the step on one twisted pair, and `_circ_conv_split` the step
+on its inputs' residue pairs, recombined; `_conv_tft` makes the same three
+calls through `tft` and `itft`. One step, `_product`, serves the five
+doors and `poly_mul`: it fetches the table of the size the engine's rule
+gives, runs the core on it through
 `transform._run`, and divides by L once (`transform._div_size`), after
 `_zero_padded`'s cut, so fft_pad scales n values and split, at L/2, scales
 once. `_run` hands the core uint64 arrays wherever the transforms run in
@@ -194,10 +202,30 @@ def circ_conv_fft(u: list[int], v: list[int], req: ConvRequest) -> list[int]:
 
 
 def _circ_conv_fft(table, u, v, req: ConvRequest):
-    # table.size times the circular product: one forward call on the stack
-    # of u and v, and the inverse moddft core does not scale.
-    f = moddft((u, v), table, "fwd", req.counters)
-    return moddft(_pointwise(f[:1], f[1:], req.field.p, req), table, "inv", req.counters)[0]
+    # table.size times the circular product.
+    return _cyclic(table, (u, v), req)[0]
+
+
+def _cyclic(table, rows, req: ConvRequest, twist=None):
+    """table.size times the cyclic product of each pair (rows[2i], rows[2i+1]) of the stack rows: the one transform step.
+
+    With twist, the 2L table, the last pair's product is negacyclic: its two
+    rows are twisted in and its product untwisted out, here alone. The step
+    makes one forward call on the whole stack, one pointwise product of the
+    pairs' spectra and one inverse call. Each call's result takes the name
+    of what it read, so the step lets go of its inputs once the forward call
+    has read them and of the forward spectra before the inverse call: fewer
+    arrays live at once. How many heap pages that spares from being trimmed
+    and faulted back in depends on the process's allocation history, and a
+    caller's own names still hold what they hold.
+    """
+    p = req.field.p
+    if twist is not None:
+        rows = (*rows[:-2], *(_twisted(twist, r, "fwd", p) for r in rows[-2:]))
+    rows = moddft(rows, table, "fwd", req.counters)
+    rows = _pointwise(rows[0::2], rows[1::2], p, req)
+    rows = moddft(rows, table, "inv", req.counters)
+    return rows if twist is None else (*rows[:-1], _twisted(twist, rows[-1], "inv", p))
 
 
 def lin_conv_fft_pad(u: list[int], v: list[int], req: ConvRequest) -> list[int]:
@@ -226,11 +254,8 @@ def _twisted(twist, x, direction: str, p: int):
 
 
 def _nega_conv(table, u, v, req: ConvRequest, twist):
-    # table.size times the negacyclic product, untwisted from the circular
-    # core's by twist, the 2L table.
-    p = req.field.p
-    circ = _circ_conv_fft(table, _twisted(twist, u, "fwd", p), _twisted(twist, v, "fwd", p), req)
-    return _twisted(twist, circ, "inv", p)
+    # table.size times the negacyclic product, by twist, the 2L table.
+    return _cyclic(table, (u, v), req, twist)[0]
 
 
 def circ_conv_split(u: list[int], v: list[int], req: ConvRequest) -> list[int]:
@@ -249,20 +274,12 @@ def circ_conv_split(u: list[int], v: list[int], req: ConvRequest) -> list[int]:
 
 
 def _circ_conv_split(table, u, v, req: ConvRequest, twist):
-    # table.size = len(u)/2 times the product, recombined from the circular
-    # and the negacyclic half's: the negacyclic pair is twisted by twist, the
-    # 2L table, then all four halves go through one forward call, one
-    # pointwise product and one inverse call.
+    # table.size = len(u)/2 times the product, recombined from its circular
+    # and negacyclic halves: the step's two pairs are u's and v's residues
+    # mod x**L - 1, then mod x**L + 1. No name here holds a residue while
+    # the step runs, so it frees each as it goes.
     p = req.field.p
-    (ua, ub), (va, vb) = split_residues(u, p), split_residues(v, p)
-    f = moddft((ua, va, _twisted(twist, ub, "fwd", p), _twisted(twist, vb, "fwd", p)), table, "fwd", req.counters)
-    # Each step lets go of the arrays before it once read: the smaller peak
-    # leaves fewer heap pages to be trimmed and faulted back in on every
-    # product (96 against 192 minor faults per product at n = 7168).
-    del ua, ub, va, vb
-    f = _pointwise(f[0::2], f[1::2], p, req)
-    f = moddft(f, table, "inv", req.counters)
-    return recombine_residues(f[0], _twisted(twist, f[1], "inv", p), p)
+    return recombine_residues(*_cyclic(table, sum(zip(split_residues(u, p), split_residues(v, p)), ()), req, twist), p)
 
 
 def split_residues(u: list[int], p: int) -> tuple[list[int], list[int]]:
@@ -410,7 +427,10 @@ class _Engine(NamedTuple):
     reason as a string. `applies` says at which padded sizes L `auto`
     ranks it, of those the field hosts; equal costs go to the lowest `tie`. A core that
     twists (`twist`) also takes the negacyclic twist's table, of 2L, which
-    `_product` fetches before anything else runs.
+    `_product` fetches before anything else runs; the core hands it to
+    `_cyclic`, the one step that twists. Every transform-backed core but
+    `tft`'s is a map around that step (its row pairs, forward call,
+    pointwise product and inverse call).
     """
 
     size: Callable[[int], int] | None

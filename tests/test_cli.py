@@ -28,7 +28,7 @@ from modconv import (
     store_load,
     store_save,
 )
-from modconv import field, planner, verify
+from modconv import cli, field, planner, verify
 from modconv.cli import (
     EXIT_FIELD_MISMATCH,
     EXIT_FILE_FORMAT,
@@ -580,6 +580,25 @@ class TestSweep:
         out = tmp_path / "s.csv"
         rc = main(["sweep", "--min", "4", "--max", "5", "--engines", "warp", "-o", str(out)])
         assert rc == 2
+
+    def test_unwritable_output_fails_before_the_first_product(self, tmp_path, monkeypatch, capsys):
+        # The output is opened before any product runs, so a bad path exits
+        # 6 at once rather than after the whole sweep.
+        def no_product(*args):
+            raise AssertionError("a product ran before the output was opened")
+
+        monkeypatch.setattr(cli, "poly_mul", no_product)
+        out = tmp_path / "missing" / "s.csv"
+        assert main(["sweep", "--min", "1", "--max", "600", "--reps", "20", "-o", str(out)]) == EXIT_IO
+        assert "cannot write" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--prime", "15"], ["--prime-bits", "63"], ["--engines", "warp"],
+                                       ["--step", "x"], ["--reps", "0"]])
+    def test_usage_errors_leave_an_existing_output_untouched(self, tmp_path, capsys, flags):
+        out = tmp_path / "s.csv"
+        out.write_text("kept\n")
+        assert main(["sweep", "--min", "4", "--max", "5", "-o", str(out), *flags]) == EXIT_USAGE
+        assert out.read_text() == "kept\n"
 
 
 class TestVerify:

@@ -1004,6 +1004,61 @@ def test_each_product_fetches_each_table_once(fp998, engine_backend):
                 assert out == want, name
 
 
+@pytest.mark.parametrize("engine_backend", ["python", "numpy"])
+def test_each_product_runs_one_forward_pointwise_inverse(fp998, engine_backend):
+    # Every transform-backed product is one forward call on the stack of its
+    # inputs (split's four halves), one pointwise product and one inverse
+    # call, in that order: perfbench's forward and inverse spans time these
+    # calls, and each new engine composes the same step.
+    from modconv import convolve
+
+    seen = []
+
+    def spy(name, real, label):
+        def call(*args):
+            seen.append(label(*args))
+            return real(*args)
+        return mock.patch.object(convolve, name, call)
+
+    rng = random.Random(7)
+    a = DensePoly(fp998, tuple(rng.randrange(1, fp998.p) for _ in range(300)))
+    b = DensePoly(fp998, tuple(rng.randrange(1, fp998.p) for _ in range(214)))
+    g, h = list(a.coeffs), list(b.coeffs)
+    u, v = g[:64], h[:64]
+    req = ConvRequest(fp998)
+    moddft_rows = [("moddft", "fwd", 2), ("pointwise",), ("moddft", "inv")]
+    split_rows = [("moddft", "fwd", 4), ("pointwise",), ("moddft", "inv")]
+    tft_rows = [("tft", 2), ("pointwise",), ("itft",)]
+    calls = {
+        "fft_pad": (lambda: poly_mul(a, b, replace(req, engine="fft_pad")), moddft_rows),
+        "tft": (lambda: poly_mul(a, b, replace(req, engine="tft")), tft_rows),
+        "split": (lambda: poly_mul(a, b, replace(req, engine="split")), split_rows),
+        "lin_conv_fft_pad": (lambda: lin_conv_fft_pad(g, h, req), moddft_rows),
+        "conv_tft": (lambda: conv_tft(g, h, req), tft_rows),
+        "circ_conv_fft": (lambda: circ_conv_fft(u, v, req), moddft_rows),
+        "nega_conv": (lambda: nega_conv(u, v, req), moddft_rows),
+        "circ_conv_split": (lambda: circ_conv_split(u, v, req), split_rows),
+    }
+    want = poly_mul(a, b, replace(req, engine="definition"))
+    spies = [
+        spy("moddft", convolve.moddft,
+            lambda x, table, direction, counters: ("moddft", direction, len(x)) if direction == "fwd"
+            else ("moddft", direction)),
+        spy("tft", convolve.tft, lambda table, x, n, counters: ("tft", len(x))),
+        spy("itft", convolve.itft, lambda table, x, counters: ("itft",)),
+        spy("_pointwise", convolve._pointwise, lambda a, b, p, req: ("pointwise",)),
+    ]
+    with backend(engine_backend), contextlib.ExitStack() as stack:
+        for patch in spies:
+            stack.enter_context(patch)
+        for name, (call, steps) in calls.items():
+            seen.clear()
+            out = call()
+            assert seen == steps, name
+            if isinstance(out, DensePoly):
+                assert out == want, name
+
+
 # 2-adicity 4, 8 and 11: a product of 2**k + 1 needs a table of 2**(k+1).
 REFUSING = [(17, 4), (257, 8), (2305843009213704193, 11)]
 

@@ -73,18 +73,23 @@ def test_kernel_times_runs_over_a_given_prime():
 
 
 def test_kernel_times_times_products_on_both_backends():
-    # --group products times whole poly_mul products per engine and shape
-    # on the Python loops and on the numpy kernels, in each tree, and the
-    # last column is the new tree's numpy time over its Python-loop time.
+    # --group products times whole poly_mul products per engine and shape,
+    # then the nega_conv and circ_conv_split doors at n = L, on the Python
+    # loops and on the numpy kernels, in each tree. The ratio columns are the
+    # new tree's numpy time over its Python-loop time, and new/old on each
+    # backend.
     pytest.importorskip("numpy")
     lines = run_tool("tools/kernel_times.py", str(ROOT), str(ROOT), "--rounds", "1", "--lo", "8", "--hi", "8",
                      "--group", "products")
     rows = table_rows(lines)
     assert [row[:3] for row in rows] == [[engine, "2^8", n] for n in ("129", "224", "256")
-                                         for engine in ("fft_pad", "tft", "split")]
+                                         for engine in ("fft_pad", "tft", "split")] + [
+        [door, "2^8", "256"] for door in ("nega_conv", "circ_conv_split")]
     times = [[float(cell) for cell in row[3:]] for row in rows]
     assert all(t > 0 for row in times for t in row), lines
     assert all(abs(row[4] - round(row[3] / row[2], 2)) <= 0.011 for row in times), lines
+    assert all(abs(row[5] - round(row[2] / row[0], 2)) <= 0.011 for row in times), lines
+    assert all(abs(row[6] - round(row[3] / row[1], 2)) <= 0.011 for row in times), lines
 
 
 def test_kernel_times_times_the_loops_at_small_sizes():

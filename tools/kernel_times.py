@@ -36,12 +36,13 @@ residues (`_ntt_numpy.residues`), and `to_poly`, an ndarray product into a
 `DensePoly`.
 
 `products` times whole `poly_mul` products, in ms, with numpy loaded, on
-`fft_pad`, `tft` and `split` at n = L/2 + 1, 7L/8 and L (split 1:1), each
-on the Python loops (the numpy crossover set past every size) and on the
-numpy kernels (the crossover set to 1), and prints both trees' times beside
-the new tree's numpy/Python ratio: the table the numpy rule
-(`transform._numpy_kernels`) rests on. Try --lo 6 --hi 11; the Python loops
-make large L slow.
+`fft_pad`, `tft` and `split` at n = L/2 + 1, 7L/8 and L (split 1:1), and
+the `nega_conv` and `circ_conv_split` doors on two vectors of L (rows n =
+L), each on the Python loops (the numpy crossover set past every size)
+and on the numpy kernels (the crossover set to 1). It prints both trees'
+times, the new tree's numpy/Python ratio (the table the numpy rule,
+`transform._numpy_kernels`, rests on), and new/old on each backend. Try
+--lo 6 --hi 11; the Python loops make large L slow.
 
 `loops` times the pure-Python loops on lists, in us: `transform._moddft`
 (forward and inverse), `_tft_loops` at z = n = L (`tft_n=L`), at z = L/4 +
@@ -64,7 +65,7 @@ CHILD = r"""
 import json, sys, time
 import numpy as np
 from modconv import _ntt_numpy as K, transform
-from modconv.convolve import ConvRequest, poly_mul
+from modconv.convolve import ConvRequest, circ_conv_split, nega_conv, poly_mul
 from modconv.field import FourierPrime
 from modconv.poly import DensePoly
 from modconv.transform import get_table
@@ -127,22 +128,33 @@ def stages(L, x):
 
 def products(L):
     # poly_mul's products of length n = L/2 + 1, 7L/8 and L (split 1:1) on
-    # each engine, on each backend: the Python loops, and the numpy kernels,
-    # which take every size while the crossover is 1.
+    # each engine, then the nega_conv and circ_conv_split doors on two
+    # vectors of L, each on each backend: the Python loops, and the numpy
+    # kernels, which take every size while the crossover is 1.
+    def timed(run):
+        out = {}
+        for backend, crossover in (("python", 1 << 62), ("numpy", 1)):
+            def call(crossover=crossover):
+                transform._NUMPY_CROSSOVER = crossover
+                try:
+                    run()
+                finally:
+                    transform._NUMPY_CROSSOVER = CROSSOVER
+            out[backend] = call
+        return out
+
     out = {}
     for n in (L // 2 + 1, 7 * L // 8, L):
         z = (n + 1) // 2
         a, b = (DensePoly(fp, tuple(int(v) for v in rng.integers(1, fp.p, k, dtype=np.uint64))) for k in (z, n + 1 - z))
         for engine in ("fft_pad", "tft", "split"):
             req = ConvRequest(fp, engine=engine)
-            for backend, crossover in (("python", 1 << 62), ("numpy", 1)):
-                def call(a=a, b=b, req=req, crossover=crossover):
-                    transform._NUMPY_CROSSOVER = crossover
-                    try:
-                        poly_mul(a, b, req)
-                    finally:
-                        transform._NUMPY_CROSSOVER = CROSSOVER
+            for backend, call in timed(lambda a=a, b=b, req=req: poly_mul(a, b, req)).items():
                 out[f"{engine}:{backend}:n={n}"] = call
+    u, v = (rng.integers(0, fp.p, L, dtype=np.uint64).tolist() for _ in range(2))
+    for door in (nega_conv, circ_conv_split):
+        for backend, call in timed(lambda door=door: door(u, v, ConvRequest(fp))).items():
+            out[f"{door.__name__}:{backend}:n={L}"] = call
     return out
 
 
@@ -237,17 +249,21 @@ def print_stages(times: dict, old: str, new: str) -> None:
 
 def print_products(times: dict, old: str, new: str) -> None:
     # Medians over rounds, in ms, of each product on each backend of each
-    # tree, and the new tree's numpy time over its Python-loop time.
+    # tree, the new tree's numpy time over its Python-loop time, and new/old
+    # on each backend.
     med = lambda tree, key: statistics.median(t[key] for t in times[tree])
-    print("| engine | L | n | old python | old numpy | new python | new numpy | new numpy/python |")
-    print("| --- | --- | --- | --- | --- | --- | --- | --- |")
+    print("| engine | L | n | old python | old numpy | new python | new numpy | new numpy/python "
+          "| python new/old | numpy new/old |")
+    print("| --- | --- | --- | --- | --- | --- | --- | --- | --- | --- |")
     for key in times[old][0]:
         shape, k = key.split()
         engine, backend, n = shape.split(":")
         if backend != "python":
             continue
         cells = [med(tree, f"{engine}:{b}:{n} {k}") for tree in (old, new) for b in ("python", "numpy")]
-        print(f"| {engine} | 2^{k} | {n[2:]} | " + " | ".join(f"{c:.3f}" for c in cells) + f" | {cells[3] / cells[2]:.2f} |")
+        ratios = (cells[3] / cells[2], cells[2] / cells[0], cells[3] / cells[1])
+        print(f"| {engine} | 2^{k} | {n[2:]} | " + " | ".join(f"{c:.3f}" for c in cells) + " | "
+              + " | ".join(f"{r:.2f}" for r in ratios) + " |")
 
 
 def main() -> None:
