@@ -25,8 +25,9 @@ only the transform cores in `transform` call them, on arrays that
 `transform._run` made from lists with `residues` and that are taken as they
 are; a door converts the result back to a list. tft walks the stages that
 `transform._tft_path` returns and itft the blocks and levels that
-`transform._itft_path` returns, as the pure-Python loops do. Argument
-checks and `OpCounters` stay with the callers in `transform`.
+`transform._itft_path` returns, as the pure-Python loops do, and itft runs
+the bottom of that walk on those loops. Argument checks and `OpCounters`
+stay with the callers in `transform`.
 
 No butterfly divides. A product by a twiddle or a constant factor w < p uses
 Shoup's precomputed quotient (NTL's MulModPrecon; Harvey, Faster
@@ -73,13 +74,30 @@ sums and differences interleaved, so the rows need no bit reversal
 between passes and come out in natural order. The stages on blocks longer
 than a row run in place, where each half-block is at least a row long
 (`_dit`). moddft gathers its input into rows in the order those in-place
-stages want (`_row_gather`). itft inverts the blocks that
-`transform._itft_path` gives, which tile its n known values from 0, at
-once, as one such stage loop over them (`_inverses`); its per-level steps
-are O(1) operations each, so it makes O(log L) numpy calls. tft runs its stages
-on blocks longer than a row in place, then every row that holds an output below n as a
-Stockham DFT in bit-reversed order: up to n, a row's outputs are those of
-its DIF.
+stages want (`_row_gather`). tft runs its stages on blocks longer than a
+row in place, then every row that holds an output below n as a Stockham
+DFT in bit-reversed order: up to n, a row's outputs are those of its DIF.
+
+itft (`_itft_plan`) cuts the walk of `transform._itft_path` at the first
+level of at most _TAIL = 64 points that crosses into its high half. The
+sub-block under the cut, with every level and block below it, runs on the
+Python loops (`transform._itft_loops`): one `tolist`, one write-back. The
+blocks above the cut, which tile the known values from 0, are inverted at
+once (`_inverses`): their stages within rows of the smallest block of at
+least _FLOOR = 16 points as one set of Stockham passes, the stages on
+longer blocks in place over their prefix, and a last block below _FLOOR in
+place. Each level above the cut is one step of O(1) operations down and
+one up, and a run of levels that keep to their low half is one step up; a
+path that ends in such a run, as at n = L/2 + 1, has no cut. So itft makes
+O(log L) numpy calls, none per level below the cut. Each switch, on the
+shapes at 2**8..2**12 whose walk it changes (itft's time over its time at
+the value taken, median per L and [range], 30-bit | 62-bit prime, 2-core
+x86-64 host):
+
+    _TAIL 32     1.01-1.06 [0.91-1.34] | 1.02-1.04 [0.94-1.37]
+    _TAIL 128    1.04-1.11 [0.95-1.30] | 1.06-1.09 [0.92-1.29]
+    _FLOOR 8     0.92-0.98 at 2**8-2**9, 1.02-1.14 at 2**10-2**12 | 0.88-0.94, 0.97-1.09
+    _FLOOR 32    1.03-1.23 [0.96-1.26] | 1.05-1.28 [1.02-1.29]
 
 A stack is one more axis of rows. moddft and tft walk it in groups of
 whole inputs (`_group`), k = max(1, _CHUNK // (2L)) inputs of L points
@@ -113,7 +131,7 @@ import functools
 
 import numpy as np
 
-from .transform import _WORD, _itft_path, _tft_path
+from .transform import _WORD, _itft_loops, _itft_path, _tft_path
 
 
 # Points per row of the Stockham passes (`_stockham`): the stages within a
@@ -131,6 +149,13 @@ _CHUNK = 1 << 15
 # default 8192 an operation over rows of a few hundred residues runs about
 # twice as slow as over one contiguous vector.
 _BUFSIZE = 256
+# itft inverts the blocks of at least _FLOOR points at once, as rows of the
+# smallest such block, and a block below it in place; and it runs the bottom
+# of its path on the Python loops from the first level of at most _TAIL
+# points that crosses into its high half. Their timings on both sides are
+# in the module's docstring.
+_FLOOR = 1 << 4
+_TAIL = 1 << 6
 
 
 @contextlib.contextmanager
@@ -575,17 +600,19 @@ def _dit(vec, sizes, stages, f, first: int) -> None:
 def _inverses(c, sizes, stages, f) -> None:
     # The inverse DFT of each of the consecutive blocks of c of the given
     # decreasing sizes, each in bit-reversed order, in place: the stages
-    # within rows of m = min(_ROW, sizes[0]) points as Stockham passes over
-    # all the blocks of at least m points, the longer stages in place, and
-    # the blocks below m in place.
-    m = min(_ROW, sizes[0])
-    big = [b for b in sizes if b >= m]
+    # within rows of m = min(_ROW, b) points, for b the smallest block of
+    # at least _FLOOR points, as Stockham passes over all the blocks of at
+    # least m points, the longer stages in place over their prefix, and
+    # the blocks below _FLOOR in place.
+    big = [b for b in sizes if b >= _FLOOR]
     end = sum(big)
-    rows = c[:end].reshape(-1, m)
-    # Where every such block is longer than a row, `_dit` takes all the
-    # rows on unsettled.
-    _stockham(np.take(rows, _rev(m), axis=1), rows, stages, f, big[-1] == m)
-    _dit(c, big, stages, f, m.bit_length() - 1)
+    if big:
+        m = min(_ROW, big[-1])
+        rows = c[:end].reshape(-1, m)
+        # Where every such block is longer than a row, `_dit` takes all the
+        # rows on unsettled.
+        _stockham(np.take(rows, _rev(m), axis=1), rows, stages, f, big[-1] == m)
+        _dit(c, big, stages, f, m.bit_length() - 1)
     _dit(c[end:], sizes[len(big):], stages, f, 0)
 
 
@@ -669,70 +696,139 @@ def tft(table, xs, n: int):
     return c[:, :n]
 
 
+@functools.lru_cache(maxsize=256)
+def _itft_plan(size: int, n: int, tail: int):
+    # `transform._itft_path(size, n)` as itft's numpy steps run it: the
+    # blocks they invert, the levels down, the steps back up, and the cut
+    # where the Python loops take over. The cut is the first level of at
+    # most `tail` points that crosses into its high half, as (off, m,
+    # levels, blocks): its sub-block c[off:off+m], which holds every level
+    # and block below, and their walk with offsets into it; or None.
+    # Down, the levels above the cut start at the first that crosses: until
+    # then no value from n on has been written, so a level that keeps to
+    # its low half adds zeros, and that first crossing level's b is zero.
+    # The path's last level, with left = m/2, adds nothing on the way
+    # down either. Up, bottom first, a step is a crossing level, as (off,
+    # m, left, log2(m/2), None), or a run of levels that keep to their low
+    # half and share off and left, as (off, m, left, runs, index): m the
+    # lowest level's, and index, where runs > 1, their high halves, one row
+    # per level from m upwards.
+    levels, blocks = _itft_path(size, n)
+    crosses = [left > m >> 1 for _, m, left, _ in levels]
+    i = next((i for i, (_, m, _, _) in enumerate(levels) if m <= tail and crosses[i]), len(levels))
+    cut = None
+    if i < len(levels):
+        # Each crossing level above the cut inverts one block, its low half.
+        k = sum(crosses[:i])
+        off, m = levels[i][:2]
+        cut = (off, m, [(o - off, *rest) for o, *rest in levels[i:]], blocks[k:])
+        levels, blocks, crosses = levels[:i], blocks[:k], crosses[:i]
+    first = crosses.index(True) if any(crosses) else len(levels)
+    down = [level for level in levels[first:] if level[2] != level[1] >> 1]
+    up = []
+    j = len(levels)
+    while j:
+        off, m, left, log = levels[j - 1]
+        i = j - 1
+        if crosses[i]:
+            up.append((off, m, left, log, None))
+        else:
+            while i and not crosses[i - 1]:
+                i -= 1
+            runs = j - i
+            index = off + ((m >> 1) << np.arange(runs))[:, None] + np.arange(left) if runs > 1 else None
+            up.append((off, m, left, runs, index))
+        j = i
+    return blocks, down, up, cut
+
+
+@functools.lru_cache(maxsize=256)
+def _cross_twiddles(table, log: int):
+    # The forward twiddles of stage log over its half-size h = 2**log,
+    # w_i / h for i < h, with their quotients: a level's cross butterflies
+    # multiply by them once. Cached per table and stage, as the stages are.
+    f = _arith(table.field.p)
+    w = stage_arrays(table)[0][log][0][: 1 << log]
+    out = np.empty_like(w)
+    f.mul(w, *f.constant(pow(1 << log, -1, f.modulus)), out, np.empty_like(w))
+    return out, f.quotient(out)
+
+
+def _less(a, b, m: int, f, d, mb, tmp) -> None:
+    # a <- 2a - m*b in place, and d <- a - m*b for the old a, for residues
+    # a and b; d, mb and tmp are scratch of a's shape.
+    f.mul(b, *f.constant(m), mb, tmp)
+    f.sub(a, mb, d, tmp)
+    f.add(a, d, a, tmp)
+
+
 def itft(table, xhat):
-    """transform.itft's values: the blocks of `transform._itft_path`
-    inverted at once, then down its path and back up."""
-    fwd, inv = stage_arrays(table)
+    """transform.itft's values, on the walk of `transform._itft_path`: the
+    blocks above the Python loops' cut inverted at once (`_inverses`), the
+    levels down to the cut, the sub-block below it on the Python loops
+    (`transform._itft_loops`, one `tolist` and one write-back), and the
+    levels back up (`_itft_plan`)."""
+    inv = stage_arrays(table)[1]
     f = _arith(table.field.p)
     n = len(xhat)
     c = pad(xhat, table.size)
+    blocks, down, up, cut = _itft_plan(table.size, n, _TAIL)
     s, t, tmp = (np.empty(table.size >> 1, dtype=np.uint64) for _ in range(3))
-    levels, blocks = _itft_path(table.size, n)
     with _small_buffer():
         _inverses(c, blocks, inv, f)
-        for off, m, left, log in levels:
+        for i, (off, m, left, log) in enumerate(down):
             h = m >> 1
-            if left > h:
-                # The low half holds h * u_i. Cross butterflies: from
-                # (h*u_i, x_{i+h}) produce (m*x_i, v_i) as m*x_i = a + d and
-                # v_i = d * tws_i / h, for d = a - m*b.
-                tws, quo = fwd[log]
-                a = c[off + left - h : off + h]
-                b = c[off + left : off + m]
-                k = len(a)
-                d, mb, kt = s[:k], t[:k], tmp[:k]
-                f.mul(b, *f.constant(m), mb, kt)
-                f.sub(a, mb, d, kt)
-                f.add(a, d, a, kt)
-                f.mul(d, *f.constant(pow(h, -1, f.modulus)), mb, kt)
-                f.mul(mb, tws[left - h : h], quo[..., left - h : h], b, kt)
-            else:
+            if left <= h:
                 lo = c[off + left : off + h]
                 f.add(lo, c[off + left + h : off + m], lo, tmp[: len(lo)])
-        j = len(levels)
-        while j:
-            off, m, left, log = levels[j - 1]
+                continue
+            # The low half holds h * u_i. Cross butterflies: from (h*u_i,
+            # x_{i+h}) produce (m*x_i, v_i) as m*x_i = a + d and v_i = d *
+            # w_i / h, for d = a - m*b; at the first level b = 0, so d = a.
+            tws, quo = _cross_twiddles(table, log)
+            a = c[off + left - h : off + h]
+            k = len(a)
+            d, kt = s[:k], tmp[:k]
+            if i:
+                _less(a, c[off + left : off + m], m, f, d, t[:k], kt)
+            else:
+                d[...] = a
+                f.add(a, a, a, kt)
+            f.mul(d, tws[left - h :], quo[..., left - h :], c[off + left : off + m], kt)
+        if cut:
+            off, m, below, inside = cut
+            sub = c[off : off + m].tolist()
+            _itft_loops(table, sub, below, inside)
+            c[off : off + m] = sub
+        # k is log2(m/2) for a crossing level, a run's count of levels.
+        for off, m, left, k, index in up:
             h = m >> 1
             if left > h:
-                # One butterfly per known value of the high half, exact,
-                # as the levels above read residues.
-                k = left - h
-                tws, quo = inv[log]
-                lo, hi, kt = c[off : off + k], c[off + h : off + left], tmp[:k]
-                f.mul(hi, tws[:k], quo[..., :k], t[:k], kt)
-                f.sub(lo, t[:k], hi, kt)
-                f.add(lo, t[:k], lo, kt)
-                j -= 1
+                # One butterfly per known value of the high half, exact, as
+                # the levels above read residues.
+                j = left - h
+                tws, quo = inv[k]
+                lo, hi, w, kt = c[off : off + j], c[off + h : off + left], t[:j], tmp[:j]
+                f.mul(hi, tws[:j], quo[..., :j], w, kt)
+                f.sub(lo, w, hi, kt)
+                f.add(lo, w, lo, kt)
                 continue
-            # A run of levels that all keep to their low half shares off and
-            # left. Up it, each level sets a <- 2a - m*b for its m and its
-            # b = c[off+h:off+h+left], which no level of the run writes: over
-            # runs = J levels from m upwards, a <- 2**J * a - 2**(J-1) * m * sum(b).
-            i = j - 1
-            while i and levels[i - 1][2] <= levels[i - 1][1] >> 1:
-                i -= 1
-            runs = j - i
-            # sum(b) mod p as sums of k residues at a time, mod p in turn:
-            # k (p - 1) < 2**64, so no sum wraps uint64 (over p near 2**62,
-            # k = 4), and below 2**32 one sum does.
-            k = ((1 << 64) - 1) // (f.modulus - 1)
-            total = c[off + (h << np.arange(runs))[:, None] + np.arange(left)]
-            while len(total) > 1:
-                total = np.add.reduceat(total, np.arange(0, len(total), k), axis=0) % f.p
-            total, mb, kt = total[0], t[:left], tmp[:left]
             a = c[off : off + left]
-            f.mul(total, *f.constant(-(m << runs - 1)), mb, kt)
-            f.mul(a, *f.constant(1 << runs), total, kt)
-            f.add(total, mb, a, kt)
-            j = i
+            if index is None:
+                # One level that keeps to its low half: a <- 2a - m*b.
+                _less(a, c[off + h : off + h + left], m, f, s[:left], t[:left], tmp[:left])
+                continue
+            # A run of k levels from m upwards, each a <- 2a - m*b for its m
+            # and its b, which no level of the run writes: so a <- 2**k * a -
+            # 2**(k-1) * m * sum(b). sum(b) mod p as sums of r residues at a
+            # time, mod p in turn: r (p - 1) < 2**64, so no sum wraps uint64
+            # (over p near 2**62, r = 4), and below 2**32 one sum does.
+            r = ((1 << 64) - 1) // (f.modulus - 1)
+            total = c[index]
+            while len(total) > 1:
+                total = np.add.reduceat(total, np.arange(0, len(total), r), axis=0) % f.p
+            total, mb, kt = total[0], t[:left], tmp[:left]
+            f.mul(total, *f.constant(m << k - 1), mb, kt)
+            f.mul(a, *f.constant(1 << k), total, kt)
+            f.sub(total, mb, a, kt)
     return c[:n]

@@ -10,8 +10,9 @@ Every transform runs iterative stage loops over the table's per-stage twiddle
 lists. tft walks the stages that _tft_path lays out. itft walks what
 _itft_path lays out: it inverts the blocks that tile its n known values
 with the loop moddft runs, then goes down its partial path to the first
-fully known block and back up. Both backends and the butterfly counts read
-those walks, which are cached per shape. The Python loops take two stages
+fully known block and back up (`_itft_loops`, which the numpy itft also
+runs on the bottom of its walk). Both backends and the butterfly counts
+read those walks, which are cached per shape. The Python loops take two stages
 per pass where both run whole (radix 4), so that a pass reads and writes
 each element once for the two, through index lists (`_quarters`) rather
 than index arithmetic: moddft's loop (`_dit_inplace`) pairs all its
@@ -675,22 +676,39 @@ def _itft(table: TwiddleTable, xhat, counters: OpCounters | None = None):
         if counters is not None:
             counters.butterflies += itft_butterflies(size, n)
         return out
+    levels, blocks = _itft_path(size, n)
+    c = list(xhat)
+    c.extend([0] * (size - n))
+    used = _itft_loops(table, c, levels, blocks)
+    if counters is not None:
+        counters.butterflies += used
+    del c[n:]
+    return c
+
+
+def _itft_loops(table: TwiddleTable, c: list[int], levels, blocks) -> int:
+    # itft's pure-Python loops, the reference, in place on the list c, for a
+    # walk as `_itft_path` gives it, its offsets taken into c; returns the
+    # butterflies spent. `_ntt_numpy.itft` runs the bottom of its path here,
+    # on the sub-block under a level of its walk.
     p = table.field.p
     inv = table.inv_stages
-    levels, blocks = _itft_path(size, n)
-    # The blocks tile the n spectral values, and each holds only those until
-    # the level that uses it, so all are inverted first: block b gives b * u_i.
-    c = []
+    # The blocks tile c's spectral values from 0, and each holds only those
+    # until the level that uses it, so all are inverted first: block b
+    # gives b * u_i.
     used = 0
+    start = 0
     for b in blocks:
         log = b.bit_length() - 1
-        block = xhat[len(c) : len(c) + b]
         if log:
-            # A block of one point, the last at odd n, is its own inverse.
+            # A block of one point, the last at odd n, is its own inverse;
+            # one of all of c, at n = L, is inverted where it is.
+            block = c[start : start + b] if b < len(c) else c
             _dit_inplace(block, inv[:log], p)
+            if block is not c:
+                c[start : start + b] = block
             used += (b >> 1) * log
-        c += block
-    c.extend([0] * (size - n))
+        start += b
     # Down the path, c[off:off+m] holds spectral values for i < left and
     # time values above; the way back up makes it m * u.
     for off, m, left, log in levels:
@@ -730,10 +748,7 @@ def _itft(table: TwiddleTable, xhat, counters: OpCounters | None = None):
                 lo = off + i
                 c[lo] = (2 * c[lo] - m * c[lo + h]) % p
             used += left
-    if counters is not None:
-        counters.butterflies += used
-    del c[n:]
-    return c
+    return used
 
 
 # Cached per shape, as _tft_path is; every caller shares the two lists and

@@ -1,8 +1,10 @@
 """Smoke tests of the measuring scripts in tools/: each runs and reports what it says."""
 
+import importlib.util
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -31,12 +33,14 @@ def table_rows(lines):
 
 
 LOOP_CALLS = ["moddft", "moddft_inv", "tft_n=L", "tft", "tft_7L/8", "itft_n=L", "itft", "itft_7L/8"]
+KERNEL_CALLS = ["moddft", "moddft_inv", "tft", "itft", "itft_n=L", "itft_7L/8", "itft_3L/4-1", "itft_7L/8+5",
+                "itft_15L/16", "itft_L-1", "moddft_pair", "tft_pair"]
 
 
 @pytest.mark.parametrize(
     "group, calls",
     [
-        ("kernels", ["moddft", "moddft_inv", "tft", "itft", "itft_n=L", "itft_7L/8", "moddft_pair", "tft_pair"]),
+        ("kernels", KERNEL_CALLS),
         ("stages", ["moddft", "moddft", "tft", "tft", "itft", "itft"]),
         ("boundary", ["to_array", "to_poly"]),
         ("loops", LOOP_CALLS),
@@ -64,7 +68,7 @@ def test_kernel_times_runs_over_a_given_prime():
     lines = run_tool("tools/kernel_times.py", str(ROOT), str(ROOT), "--rounds", "1", "--lo", "9", "--hi", "9",
                      "--prime", "2305843009448574977")
     rows = table_rows(lines)
-    assert [row[0] for row in rows] == ["moddft", "moddft_inv", "tft", "itft", "itft_n=L", "itft_7L/8", "moddft_pair", "tft_pair"]
+    assert [row[0] for row in rows] == KERNEL_CALLS
     assert all(float(row[2]) > 0 and float(row[3]) > 0 for row in rows), lines
     done = subprocess.run([sys.executable, "tools/kernel_times.py", str(ROOT), str(ROOT), "--rounds", "1",
                            "--lo", "12", "--hi", "12", "--prime", "2305843009213704193"],
@@ -102,3 +106,22 @@ def test_kernel_times_times_the_loops_at_small_sizes():
     rows = table_rows(lines)
     assert [row[:2] for row in rows] == [[call, f"2^{k}"] for k in (2, 3, 4) for call in LOOP_CALLS]
     assert all(float(row[2]) > 0 and float(row[3]) > 0 for row in rows), lines
+
+
+def test_kernel_times_stops_repeating_a_slow_call():
+    # best_time times a call up to `tries` times, but a call whose best time
+    # passes BUDGET only 3 times: a Python-loop product at 2**16 takes up to
+    # 290 ms, and 25 of them per row made a products run last 45 minutes.
+    spec = importlib.util.spec_from_file_location("kernel_times", ROOT / "tools" / "kernel_times.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    calls = []
+    fast = tool.best_time(lambda: calls.append(1), 25)
+    assert len(calls) == 25 and 0 <= fast < tool.BUDGET
+    calls.clear()
+    slow = tool.best_time(lambda: (calls.append(1), time.sleep(tool.BUDGET * 1.5)), 25)
+    assert len(calls) == 3 and slow > tool.BUDGET
+    # A batch of calls is one timing: 3 timings of 2 calls each.
+    calls.clear()
+    tool.best_time(lambda: (calls.append(1), time.sleep(tool.BUDGET * 1.5)), 25, batch=2)
+    assert len(calls) == 6

@@ -706,12 +706,18 @@ def test_kernels_match_python_on_both_sides_of_the_lazy_bound(p, row, chunk, top
 
 @needs_numpy
 @pytest.mark.parametrize("p", [998244353, 2305843009448574977])
-def test_itft_inverts_the_first_fully_known_block_whole(p):
-    # itft hands `_inverses` the low halves its path inverts and then the
-    # first fully known block whole, and walks no level below that block:
-    # at n = L the whole transform, at 3L/4 a block of L/4 after the low
-    # half, at 7L/8 one of L/8 after halves of L/2 and L/4. At n = L/2 + 1
-    # that block is the one known point the path reaches at the bottom.
+def test_itft_batches_its_blocks_and_cuts_to_the_python_loops(p):
+    # itft hands `_inverses` the blocks above its cut in one call, and its
+    # Stockham passes run rows of the smallest block of at least _FLOOR =
+    # 16 points (at most _ROW); a block below _FLOOR goes through `_dit`
+    # alone. The cut is the first level of at most _TAIL = 64 points that
+    # crosses into its high half: its sub-block, with the blocks and levels
+    # inside, runs on the Python loops. At L = 2**10: n = L, 3L/4 and 7L/8
+    # have no crossing level below 128 points, n = L/2 + 1 and L/2 + 8 a
+    # run of low halves at the bottom, whose last block (1 and 8 points)
+    # is below the floor, and L/2 + 16 and L/2 + 80 a last block of 16 at
+    # the floor; n = L/2 + 40 crosses at 64 points, L/2 + 80 at 128, and
+    # 7L/8 + 5, 3L/4 - 1 and L - 1 cross at every level down to the cut.
     import numpy as np
 
     from modconv import _ntt_numpy
@@ -721,11 +727,64 @@ def test_itft_inverts_the_first_fully_known_block_whole(p):
     t = get_table(fp, size)
     x = [random.Random(size).randrange(p) for _ in range(size)]
     a = np.array(x, dtype=np.uint64)
-    for n, sizes in ((size, [size]), (3 * size // 4, [size // 2, size // 4]),
-                     (7 * size // 8, [size // 2, size // 4, size // 8]), (size // 2 + 1, [size // 2, 1])):
-        with mock.patch.object(_ntt_numpy, "_inverses", wraps=_ntt_numpy._inverses) as inverses:
+    below = [32, 16, 8, 4, 2, 1]
+    # n: (blocks to `_inverses`, their Stockham rows, the cut's (offset, points, blocks) or None).
+    walks = {
+        size: ([size], size, None),
+        3 * size // 4: ([512, 256], 256, None),
+        7 * size // 8: ([512, 256, 128], 128, None),
+        size // 2 + 1: ([512, 1], 512, None),
+        size // 2 + 8: ([512, 8], 512, None),
+        size // 2 + 16: ([512, 16], 16, None),
+        size // 2 + 80: ([512, 64, 16], 16, None),
+        size // 2 + 40: ([512], 512, (512, 64, [32, 8])),
+        7 * size // 8 + 5: ([512, 256, 128], 128, (896, 8, [4, 1])),
+        3 * size // 4 - 1: ([512, 128, 64], 64, (704, 64, below)),
+        size - 1: ([512, 256, 128, 64], 64, (960, 64, below)),
+    }
+    for n, (blocks, row, cut) in walks.items():
+        with mock.patch.object(_ntt_numpy, "_inverses", wraps=_ntt_numpy._inverses) as inverses, \
+                mock.patch.object(_ntt_numpy, "_stockham", wraps=_ntt_numpy._stockham) as stockham, \
+                mock.patch.object(_ntt_numpy, "_itft_loops", wraps=_ntt_numpy._itft_loops) as loops:
             assert _ntt_numpy.itft(t, a[:n]).tolist() == transform._itft(t, x[:n])
-        assert [call.args[1] for call in inverses.call_args_list] == [sizes], n
+        assert [call.args[1] for call in inverses.call_args_list] == [blocks], n
+        assert [call.args[1].shape[1] for call in stockham.call_args_list] == [row], n
+        plan = _ntt_numpy._itft_plan(size, n, _ntt_numpy._TAIL)[3]
+        if cut is None:
+            assert plan is None and not loops.called, n
+            continue
+        off, m, inside = cut
+        assert plan[:2] == (off, m), n
+        (table, sub, levels, blocks_below), = [call.args for call in loops.call_args_list]
+        assert len(sub) == m and blocks_below == inside, n
+        # The cut's walk is the path's own from the cut down, from offset 0.
+        path = transform._itft_path(size, n)[0]
+        assert [(o + off, *rest) for o, *rest in levels] == path[len(path) - len(levels):], n
+
+
+@needs_numpy
+@pytest.mark.parametrize("p", [fp.p for fp in NUMPY_FIELDS if fp.two_adicity >= 7])
+def test_numpy_itft_matches_the_loops_on_both_sides_of_its_switches(p):
+    # The numpy itft returns the Python loops' bits for every n at L =
+    # 2**7..2**10, which meets both sides of its block floor (a last block
+    # of 8 or of 16 points) and of its cut (a first crossing level of 64 or
+    # of 128 points), and at 2**11..2**12 on the deep paths, n = 3L/4 - 1,
+    # 7L/8 + 5 and L - 1; over each prime of the three arithmetics (`_Lazy`,
+    # `_Word`, `_Wide`) that hosts the size, on random and all p - 1 spectra.
+    import numpy as np
+
+    from modconv import _ntt_numpy
+
+    fp = FourierPrime.from_modulus(p)
+    rng = random.Random(p)
+    for k in range(7, min(fp.two_adicity, 12) + 1):
+        size = 1 << k
+        t = get_table(fp, size)
+        ns = range(1, size + 1) if k <= 10 else (3 * size // 4 - 1, 7 * size // 8 + 5, size - 1)
+        for x in ([rng.randrange(p) for _ in range(size)], [p - 1] * size):
+            a = np.array(x, dtype=np.uint64)
+            for n in ns:
+                assert _ntt_numpy.itft(t, a[:n]).tolist() == transform._itft(t, x[:n]), (size, n)
 
 
 @needs_numpy
@@ -765,20 +824,28 @@ def test_itft_path_is_the_one_walk(p):
 
 @needs_numpy
 def test_itft_builds_its_constants_once():
-    # itft's per-level constants (m, 1/h, and the runs' factors) are cached
-    # per arithmetic: a second itft at the same shape computes no quotient,
-    # which over a 62-bit prime costs two float-and-correction rounds.
+    # Every Shoup quotient itft multiplies by is cached: the stages, the
+    # per-level constants (m and the runs' factors) per arithmetic, and the
+    # cross twiddles over h per table. A second itft at the same shape
+    # computes none, which over a 62-bit prime costs two float-and-correction
+    # rounds: at each arithmetic (`_Lazy`, `_Word`, `_Wide`), on paths that
+    # end in a run of low halves and on deep ones that reach the Python
+    # loops' cut.
     import numpy as np
 
     from modconv import _ntt_numpy
 
-    fp = FourierPrime.from_modulus(2305843009448574977)
-    t = get_table(fp, 1 << 9)
-    x = np.arange(1 << 9, dtype=np.uint64)
-    for n in (1, 257, 300, 448):
-        want = _ntt_numpy.itft(t, x[:n])
-        with mock.patch.object(_ntt_numpy._Wide, "_digit", side_effect=AssertionError("quotient rebuilt")):
-            assert np.array_equal(_ntt_numpy.itft(t, x[:n]), want)
+    for p in (998244353, 4293918721, 2305843009448574977):
+        fp = FourierPrime.from_modulus(p)
+        for size, ns in ((1 << 9, (1, 257, 300, 448)), (1 << 10, (1, 513, 552, 767, 901, 1023, 1024))):
+            t = get_table(fp, size)
+            x = np.arange(size, dtype=np.uint64)
+            want = [_ntt_numpy.itft(t, x[:n]) for n in ns]
+            rebuilt = AssertionError("quotient rebuilt")
+            with mock.patch.object(_ntt_numpy._Word, "quotient", side_effect=rebuilt), \
+                    mock.patch.object(_ntt_numpy._Wide, "quotient", side_effect=rebuilt):
+                for n, out in zip(ns, want):
+                    assert np.array_equal(_ntt_numpy.itft(t, x[:n]), out), (p, size, n)
 
 
 @needs_numpy

@@ -13,9 +13,11 @@ rounds of each tree and new/old.
 
 `kernels` (the default) times `_ntt_numpy.moddft` (forward and inverse, L
 inputs), `tft` (L/4 inputs, n = L/2 + 1 outputs, the shape of a balanced
-product of length L/2 + 1) and `itft` (n = L/2 + 1, n = L, and n = 7L/8,
-whose path meets a fully known block of L/8 at its fourth level), in ms,
-on one input, as a door runs them, and `moddft_pair` and `tft_pair` (inputs
+product of length L/2 + 1) and `itft` (n = L/2 + 1, n = L, n = 7L/8, whose
+path meets a fully known block of L/8 at its fourth level, and the deep
+paths n = 3L/4 - 1, 7L/8 + 5, 15L/16 and L - 1, which cross into a high
+half at most of their levels and reach itft's Python-loop cut), in ms, on
+one input, as a door runs them, and `moddft_pair` and `tft_pair` (inputs
 of L/4 + 1), forward calls on a stack of two, as a product runs them. The
 pair rows meet both sides of the kernels' group rule (`_ntt_numpy._group`):
 a pair runs together up to L = 2**13 and input by input from 2**14.
@@ -52,6 +54,13 @@ times, the new tree's numpy/Python ratio (the table the numpy rule,
 numpy crossover, and the numpy kernels are checked against. Below 2**12
 points each timing runs 2**12 / L calls and reports one call's share. Try
 --lo 2 --hi 14.
+
+Every group but `stages` times a call as the best of up to 25 runs (fewer
+from L = 2**16 up) and stops after 3 once that best passes BUDGET
+(`best_time`), as perfbench's `time_engine` stops at 0.1 s. A Python-loop
+product at 2**14..2**16 takes 50-290 ms: timed 16-25 times each, they
+would make a `--group products --lo 6 --hi 16 --rounds 9` run take about
+45 minutes, where it takes about 11 (2-core x86-64 host).
 """
 
 import argparse
@@ -60,10 +69,33 @@ import os
 import statistics
 import subprocess
 import sys
+import time
+
+# The best time, in s, past which `best_time` stops timing a call after 3 runs.
+BUDGET = 0.02
+
+
+def best_time(call, tries: int, batch: int = 1) -> float:
+    """The best of up to `tries` timings of `batch` calls of call, per call, in s.
+
+    From the third timing on it stops once that best passes BUDGET.
+    """
+    best = float("inf")
+    for i in range(tries):
+        t0 = time.perf_counter()
+        for _ in range(batch):
+            call()
+        best = min(best, (time.perf_counter() - t0) / batch)
+        if i >= 2 and best > BUDGET:
+            break
+    return best
+
 
 CHILD = r"""
 import json, sys, time
 import numpy as np
+sys.path.insert(0, sys.argv[5])
+from kernel_times import best_time
 from modconv import _ntt_numpy as K, transform
 from modconv.convolve import ConvRequest, circ_conv_split, nega_conv, poly_mul
 from modconv.field import FourierPrime
@@ -193,6 +225,10 @@ def calls(group, L, x):
         "itft": lambda: K.itft(t, x[:n]),
         "itft_n=L": lambda: K.itft(t, x),
         "itft_7L/8": lambda: K.itft(t, x[: 7 * L // 8]),
+        "itft_3L/4-1": lambda: K.itft(t, x[: 3 * L // 4 - 1]),
+        "itft_7L/8+5": lambda: K.itft(t, x[: 7 * L // 8 + 5]),
+        "itft_15L/16": lambda: K.itft(t, x[: 15 * L // 16]),
+        "itft_L-1": lambda: K.itft(t, x[: L - 1]),
         "moddft_pair": lambda: K.moddft((x, y), t, "fwd"),
         "tft_pair": lambda: K.tft(t, (x[: L // 4 + 1], y[: L // 4 + 1]), n),
     }
@@ -210,12 +246,7 @@ for k in range(int(sys.argv[1]), int(sys.argv[2]) + 1):
     batch = max(1, (1 << 12) // L) if group == "loops" else 1
     for name, call in calls(group, L, x).items():
         call()
-        best = float("inf")
-        for _ in range(max(3, min(25, (1 << 20) // L))):
-            t0 = time.perf_counter()
-            for _ in range(batch):
-                call()
-            best = min(best, (time.perf_counter() - t0) / batch)
+        best = best_time(call, max(3, min(25, (1 << 20) // L)), batch)
         out[f"{name} {k}"] = best * 1e9 / L if group == "boundary" else best * (1e6 if group == "loops" else 1e3)
 print(json.dumps(out))
 """
@@ -225,7 +256,8 @@ UNITS = {"kernels": "ms", "stages": "us", "boundary": "ns/coef", "products": "ms
 
 def run(tree: str, lo: int, hi: int, group: str, prime: int) -> dict:
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"))
-    done = subprocess.run([sys.executable, "-c", CHILD, str(lo), str(hi), group, str(prime)], env=env,
+    tools = os.path.dirname(os.path.abspath(__file__))
+    done = subprocess.run([sys.executable, "-c", CHILD, str(lo), str(hi), group, str(prime), tools], env=env,
                           capture_output=True, text=True, check=True)
     return json.loads(done.stdout)
 
