@@ -5,9 +5,12 @@ accepts only p < 2**62, and the kernels take every such p. Besides the
 transforms it holds the named primitives the other modules run on arrays,
 each beside its list branch there: `residues` (the one crossing into numpy,
 and the array check), `pointwise`, `scale` (Shoup's product by one int
-constant), `pair` (the split's residue pair), `pad` and `mulmod`. They reach
-this module through `transform._array_kernels` (on an ndarray) or
-`transform._numpy_kernels` (on the size rule).
+constant), `pair` (the split's residue pair), `pad`, `mulmod` and
+`schoolbook` (the defining sum of a linear product, beside
+`poly.schoolbook_raw`, the pure-Python oracle it is checked against). They
+reach this module through `transform._array_kernels` (on an ndarray),
+`transform._numpy_kernels` (on the size rule) or, for `schoolbook`,
+`transform._loaded_kernels` (once numpy is loaded).
 
 `transform` imports this module on the first transform large enough to pay
 for importing numpy, and runs smaller calls here too once numpy is loaded:
@@ -453,6 +456,77 @@ def residues(x, p: int):
     if a.max() >= p:
         a %= p
     return a
+
+
+def schoolbook(u, v, p: int):
+    """The defining sum c_i = sum of u[i - k] * v[k] mod p of residue arrays u and v, as a new array of residues.
+
+    `poly.schoolbook_raw`'s sum, by blocks of rows of the shorter operand
+    against pieces of at most _CHUNK values of the longer one, in blocks of
+    at most _CHUNK products. Row j of a block is short[i + j] times the
+    piece, by Shoup's product with short's quotients (`quotient`, once per
+    product), written width + 1 words after row j - 1 into a zeroed skew
+    buffer; read as rows of width words, the buffer holds row j at offset
+    j, so its column sums are the block's share of the outputs from i + k
+    on. The buffer and the scratch stay below 2 * _CHUNK words each: no
+    product allocates len(u) * len(v) words.
+
+    Below _WORD a row's products lie in [0, 2p), below 2**33, and an output
+    sums at most len(short) < 2**31 of them, below 2**64: the outputs are
+    summed unreduced and reduced once at the end. `_Wide`'s rows are
+    reduced products, below p < 2**62, summed r = (2**64 - 1) // (p - 1)
+    rows at a time, each sum reduced, and added into the outputs mod p.
+
+    `convolve.lin_conv_def` runs it, once numpy is loaded, from
+    len(u) * len(v) = `convolve._SCHOOLBOOK_NUMPY` = 2**10 up. Its time
+    over the Python sum's, through `lin_conv_def` (lists in and out), on
+    shapes on both sides of that switch (median of 5 rounds of best of 9,
+    998244353 | 2305843009448574977, 2-core x86-64 host):
+
+        below    16 x 17  1.18 | 1.97    23 x 23  0.78 | 1.26
+                 28 x 28  0.60 | 0.95    4 x 253  0.36 | 0.50
+        from     32 x 32  0.49 | 0.76    16 x 64  0.46 | 0.73
+                 4 x 256  0.36 | 0.47    1 x 1024 0.22 | 0.29
+        past     64 x 65  0.20 | 0.35    512 x 513  0.04 | 0.09
+
+    Balanced shapes, where the loop is cheapest per product and the
+    kernel's fixed cost (about 25 us, 50 us with `_Wide`'s quotients)
+    counts most, set the switch at the 62-bit width. Over perfbench
+    small_many's 128 products it takes 0.08x | 0.13x the loop's time.
+    """
+    f = _arith(p)
+    short, long = (u, v) if len(u) <= len(v) else (v, u)
+    s, m = len(short), min(len(long), _CHUNK)
+    rows = min(s, max(1, _CHUNK // m))
+    width = m + rows - 1
+    wide = isinstance(f, _Wide)
+    r = ((1 << 64) - 1) // (p - 1)
+    wq = f.quotient(short)
+    out = np.zeros(s + len(long) - 1, dtype=np.uint64)
+    skew = np.zeros(rows * (width + 1), dtype=np.uint64)
+    tmp = np.empty((rows, width), dtype=np.uint64)
+    with _small_buffer():
+        # The shortest piece goes first: a row's words past its piece are
+        # never written, so they stay zero for every longer piece after it.
+        for k in reversed(range(0, len(long), m)):
+            piece = long[k : k + m]
+            for i in range(0, s, rows):
+                b = min(rows, s - i)
+                n = len(piece) + b - 1
+                products = skew[: b * (width + 1)].reshape(b, width + 1)[:, : len(piece)]
+                sums = skew[: b * width].reshape(b, width)[:, :n]
+                w, t, outputs = short[i : i + b, None], tmp[:b, : len(piece)], out[i + k : i + k + n]
+                if wide:
+                    f.mul(piece, w, wq[:, i : i + b, None], products, t)
+                    while len(sums) > 1:
+                        sums = np.add.reduceat(sums, np.arange(0, len(sums), r), axis=0) % f.p
+                    f.add(outputs, sums[0], outputs, tmp[0, :n])
+                else:
+                    f.shoup(piece, w, wq[i : i + b, None], products, t)
+                    outputs += sums.sum(axis=0)
+    if not wide:
+        out %= f.p
+    return out
 
 
 def _butterflies(lo, hi, w, wq, f, t, tmp) -> None:

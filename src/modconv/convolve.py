@@ -1,11 +1,18 @@
 """Convolution engines over prime fields and the polynomial multiply dispatcher.
 
-Engines: quadratic by-definition forms (the correctness oracles), FFT-backed
-circular convolution, zero-padded linear convolution, the negacyclic twist,
-the circular/negacyclic CRT split, truncated-transform multiplication, and
+Engines: quadratic by-definition forms, FFT-backed circular convolution,
+zero-padded linear convolution, the negacyclic twist, the
+circular/negacyclic CRT split, truncated-transform multiplication, and
 Kronecker substitution (one CPython big-integer multiply, for any prime and
 any length). All engines are exact, so every applicable engine produces
 bit-identical output; they differ only in operation counts.
+
+The by-definition forms sum the defining sum. `circ_conv_def` folds
+`poly.schoolbook_raw`, which stays the pure-Python oracle; `lin_conv_def`,
+the `definition` engine, runs it too, except in a process that has already
+loaded numpy, where from len(u) * len(v) = `_SCHOOLBOOK_NUMPY` up it sums
+in blocked array products (`_ntt_numpy.schoolbook`). It never imports numpy
+itself, and counts nothing on either path.
 
 Every engine checks its operands by one rule (`_operands`): lists of ints
 by DensePoly's rule (`transform._ints`: an int-like through
@@ -85,7 +92,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 from .field import FieldMismatchError, FourierPrime, _check_fields
 from .poly import DensePoly, schoolbook_raw
 from .transform import OpCounters, _array_kernels, _div_size, _ints, _listed, _numpy_kernels, _run, get_table
-from .transform import itft_butterflies, tft_butterflies
+from .transform import _loaded_kernels, itft_butterflies, tft_butterflies
 
 # The engines call the transform cores by these module names, as they call
 # split_residues and recombine_residues: a tracer that replaces
@@ -181,10 +188,28 @@ def circ_conv_def(u: list[int], v: list[int], fp: FourierPrime) -> list[int]:
     return [(full[i] + full[i + n]) % p for i in range(n)]
 
 
+# The fewest products, len(u) * len(v), of a `lin_conv_def` that runs the
+# defining sum in numpy (`_ntt_numpy.schoolbook`, whose docstring has the
+# timings on both sides) once the process has loaded numpy.
+_SCHOOLBOOK_NUMPY = 1 << 10
+
+
 def lin_conv_def(u: list[int], v: list[int], fp: FourierPrime) -> list[int]:
-    """Linear convolution straight from its defining sum (oracle), `poly.schoolbook_raw`."""
+    """Linear convolution straight from its defining sum.
+
+    In a process that has already loaded numpy, from len(u) * len(v) =
+    _SCHOOLBOOK_NUMPY up, the sum runs in blocked array products
+    (`_ntt_numpy.schoolbook`, on `residues`, which reduce ints outside
+    [0, p)); anywhere else it is `poly.schoolbook_raw`, which stays the
+    pure-Python oracle. It never imports numpy, and both give the same
+    list.
+    """
     u, v = _operands(u, v)
-    return schoolbook_raw(u, v, fp.p)
+    p = fp.p
+    kernels = _loaded_kernels() if len(u) * len(v) >= _SCHOOLBOOK_NUMPY else None
+    if kernels:
+        return kernels.schoolbook(kernels.residues(u, p), kernels.residues(v, p), p).tolist()
+    return schoolbook_raw(u, v, p)
 
 
 def _pointwise(a, b, p: int, req: ConvRequest):
@@ -459,7 +484,7 @@ class _Engine(NamedTuple):
 # a numpy fft_pad at n = 129..256, 2-core x86-64 host).
 _ENGINES = {
     "definition": _Engine(None, lambda table, u, v, req: lin_conv_def(u, v, req.field),
-                          "quadratic: auto never falls back to it, and it stays the oracle"),
+                          "quadratic: auto never falls back to it, and poly.schoolbook_raw stays the oracle"),
     "fft_pad": _Engine(_next_pow2, lambda table, u, v, req: _zero_padded(_circ_conv_fft, table.size, table, u, v, req),
                        lambda z1, z2, dft: 3 * dft.measured_nanos, lambda size: (("dft", size),)),
     "tft": _Engine(_next_pow2, lambda table, u, v, req: _conv_tft(table, u, v, req), _tft_cost,

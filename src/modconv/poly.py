@@ -114,10 +114,12 @@ def schoolbook_raw(a, b, p: int) -> list[int]:
 
     The defining sum c_i = sum of a[i - k] * b[k] over the k that index
     both, reduced mod p once per output: the one quadratic loop, behind
-    `mul_schoolbook`, Karatsuba's base case and `convolve`'s `definition`
-    engine and circular oracle. A bounded range per output ran in 0.89-0.93x
-    the time of a row-by-row accumulation into one list, over the 128 small
-    products of perfbench's `small_many` (best of 15, 2-core x86-64 host).
+    `mul_schoolbook`, Karatsuba's base case, `convolve`'s circular oracle
+    and its `definition` engine wherever that does not run in numpy, and
+    the pure-Python oracle that `_ntt_numpy.schoolbook` is checked against.
+    A bounded range per output ran in 0.89-0.93x the time of a row-by-row
+    accumulation into one list, over the 128 small products of perfbench's
+    `small_many` (best of 15, 2-core x86-64 host).
     """
     m, n = len(a), len(b)
     out = []

@@ -239,6 +239,15 @@ def _numpy_kernels(size: int, vectors: int):
     return _load_numpy_kernels()
 
 
+def _loaded_kernels():
+    """The numpy kernels module if the process has already loaded numpy, else None; this never imports numpy.
+
+    `convolve.lin_conv_def` asks it: the defining sum runs in numpy only
+    where numpy is already paid for.
+    """
+    return _load_numpy_kernels() if sys.modules.get("numpy") is not None else None
+
+
 def _array_kernels(*xs):
     """The numpy kernels module if any x is a numpy ndarray, else None: the one way to the array primitives.
 

@@ -13,6 +13,7 @@ from dataclasses import replace
 
 from .convolve import (
     _ENGINES,
+    _SCHOOLBOOK_NUMPY,
     ConvRequest,
     _circ_conv_fft,
     _circ_conv_split,
@@ -274,7 +275,20 @@ def _suite_numpy_backend(rng, cap, fields):
                 tables = {"twist": get_table(fp, 2 * L)} if core in (_circ_conv_split, _nega_conv) else {}
                 if _div_size(core(table, ua, va, req, **tables), table).tolist() != out:
                     return False, f"{core.__name__} on uint64 arrays != oracle at p={p}, n={size}"
-    return True, f"{checked} (p, L, n) cases match the Python kernels up to L={top}; convolution cores on arrays match the oracles"
+        # The defining sum's kernel against the Python sum, on random
+        # residues and on all p - 1, with a longer side of 256 and a shorter
+        # side of one block of rows and of one row more
+        # (`_ntt_numpy.schoolbook`).
+        long = 256
+        rows = _ntt_numpy._CHUNK // long
+        for short in (rows, rows + 1):
+            for u, v in (([rng.randrange(p) for _ in range(short)], [rng.randrange(p) for _ in range(long)]),
+                         ([p - 1] * short, [p - 1] * long)):
+                got = _ntt_numpy.schoolbook(_ntt_numpy.residues(u, p), _ntt_numpy.residues(v, p), p)
+                if got.tolist() != schoolbook_raw(u, v, p):
+                    return False, f"numpy schoolbook != Python sum at p={p}, {short}x{long}"
+    return True, (f"{checked} (p, L, n) cases match the Python kernels up to L={top}; convolution cores on arrays "
+                  "and the defining sum's kernel match the oracles")
 
 
 def _suite_convolution_theorem(rng, cap, fields):
@@ -336,22 +350,34 @@ def _suite_negacyclic(rng, cap, fields):
 
 
 def _suite_linear_defs(rng, cap, fields):
-    fp = fields[0]
-    req = ConvRequest(fp)
-    for _ in range(80):
-        m, n = rng.randint(1, 32), rng.randint(1, 32)
+    # Half the pairs lie below lin_conv_def's numpy switch and half from it
+    # up, to len(u) * len(v) = 4 times the switch: where numpy is loaded,
+    # those run the array kernel, checked against the Python sum, and
+    # elsewhere both sides run the Python sum, which one big-integer
+    # product checks. The transform engines join where the field hosts
+    # the product's length.
+    switch = _SCHOOLBOOK_NUMPY
+    for i in range(80):
+        fp = fields[i // 2 % len(fields)]
+        req = ConvRequest(fp)
+        m = rng.randint(1, 32)
+        n = rng.randint(1, (switch - 1) // m) if i % 2 else rng.randint(-(-switch // m), 4 * switch // m)
         u = [rng.randrange(fp.p) for _ in range(m)]
         v = [rng.randrange(fp.p) for _ in range(n)]
+        if rng.random() < 0.5:
+            u, v = v, u
         want = schoolbook_raw(u, v, fp.p)
-        # lin_conv_def runs schoolbook_raw's loop: its independent check is
-        # one big-integer product.
-        if lin_conv_def(u, v, fp) != lin_conv_kronecker(u, v, fp):
-            return False, "lin_conv_def != kronecker"
+        if lin_conv_def(u, v, fp) != want:
+            return False, f"lin_conv_def != schoolbook at p={fp.p}, {len(u)}x{len(v)}"
+        if lin_conv_kronecker(u, v, fp) != want:
+            return False, f"kronecker != schoolbook at p={fp.p}, {len(u)}x{len(v)}"
+        if m + n - 1 > 1 << fp.two_adicity:
+            continue
         if lin_conv_fft_pad(u, v, req) != want:
             return False, "fft_pad != schoolbook"
         if conv_tft(u, v, req) != want:
             return False, "tft engine != schoolbook"
-    return True, "80 random pairs, definitions and engines agree"
+    return True, f"80 random pairs on both sides of the numpy switch ({switch}), definitions and engines agree"
 
 
 def _fuzz_entry(rng, sig) -> PlanEntry:

@@ -1,5 +1,6 @@
 import contextlib
 import importlib.util
+import math
 import random
 import sys
 import threading
@@ -736,9 +737,9 @@ def test_poly_mul_crosses_once_and_matches_python_loops(p, n):
 @pytest.mark.parametrize("p", [2305843009448574977, 2305843009213704193, 4611686018405367809])
 def test_wide_products_in_numpy_match_definition(p):
     # With numpy loaded, products over 62-bit primes from 2**9 up run the
-    # limb product in numpy. Each engine equals `definition` on all p - 1,
-    # the widest residues, and on random ones, and counts what the Python
-    # loops count.
+    # limb product in numpy. Each engine equals the pure-Python schoolbook
+    # (`mul_schoolbook`, which no engine runs) on all p - 1, the widest
+    # residues, and on random ones, and counts what the Python loops count.
     import numpy  # noqa: F401  loaded, so the crossover alone puts sizes in numpy
 
     fp = FourierPrime.from_modulus(p)
@@ -747,7 +748,7 @@ def test_wide_products_in_numpy_match_definition(p):
         z1 = (n + 2) // 2
         for coeffs in (lambda z: [p - 1] * z, lambda z: [rng.randrange(p) for _ in range(z)]):
             a, b = DensePoly(fp, coeffs(z1)), DensePoly(fp, coeffs(n + 1 - z1))
-            want = poly_mul(a, b, ConvRequest(fp, engine="definition"))
+            want = mul_schoolbook(a, b).normalize()
             for engine in ("fft_pad", "tft", "split", "kronecker"):
                 python = OpCounters()
                 with mock.patch.object(transform, "_NUMPY_CROSSOVER", 1 << 62):
@@ -762,16 +763,16 @@ def test_wide_products_in_numpy_match_definition(p):
 @pytest.mark.skipif(importlib.util.find_spec("numpy") is None, reason="numpy not installed")
 @pytest.mark.parametrize("p", [998244353, 2305843009448574977])
 def test_four_threads_multiply_at_once(p):
-    # Four threads run fft_pad, tft and split products in numpy at once, on
-    # tables none of them has built yet: each gets the coefficients and the
-    # counts of the same products run by one thread.
+    # Four threads run fft_pad, tft, split and definition products in numpy
+    # at once, on tables none of them has built yet: each gets the
+    # coefficients and the counts of the same products run by one thread.
     import numpy  # noqa: F401  loaded, so the products run in arrays
 
     fp = FourierPrime.from_modulus(p)
     rng = random.Random(p)
     a = DensePoly(fp, tuple(rng.randrange(p) for _ in range(2100)))
     b = DensePoly(fp, tuple(rng.randrange(p) for _ in range(2107)))
-    engines = ("fft_pad", "tft", "split")
+    engines = ("fft_pad", "tft", "split", "definition")
 
     def products(order):
         out = {}
@@ -787,7 +788,7 @@ def test_four_threads_multiply_at_once(p):
 
     def worker(i):
         start.wait()
-        got[i] = products(engines[i % 3 :] + engines[: i % 3])
+        got[i] = products(engines[i:] + engines[:i])
 
     workers = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
     interval = sys.getswitchinterval()
@@ -801,6 +802,137 @@ def test_four_threads_multiply_at_once(p):
         sys.setswitchinterval(interval)
     assert not any(w.is_alive() for w in workers)
     assert got == [want] * 4
+
+
+# Primes of each arithmetic of the numpy kernels: `_Lazy` below 2**30, `_Word`
+# below 2**32 (3 * 2**30 + 1 and 2**32 - 2**20 + 1, whose products come
+# closest to 2**64) and `_Wide` up to 2**62.
+SCHOOLBOOK_PRIMES = [17, 257, 998244353, 3221225473, 4293918721, 2305843009448574977, 2305843009213704193]
+
+
+def _schoolbook_shapes():
+    # 1 x 1, 1 x n and n x 1, lopsided and balanced shapes just below, at
+    # and past the switch, a shorter side of several blocks of rows, and a
+    # longer side of two pieces.
+    from modconv import _ntt_numpy, convolve
+
+    switch, chunk = convolve._SCHOOLBOOK_NUMPY, _ntt_numpy._CHUNK
+    root = math.isqrt(switch)
+    rows = chunk // 400
+    return [(1, 1), (1, 40), (40, 1), (1, switch), (switch, 1), (3, switch // 3), (4, switch // 4),
+            (root - 1, root + 1), (root, root), (root + 1, root + 1), (9, 300), (300, 9),
+            (3 * rows + 7, 400), (400, 2 * rows + 1), (2, chunk + 3)]
+
+
+@pytest.mark.skipif(importlib.util.find_spec("numpy") is None, reason="numpy not installed")
+@pytest.mark.parametrize("p", SCHOOLBOOK_PRIMES)
+def test_definition_in_numpy_is_the_python_sum(p):
+    # With numpy loaded, lin_conv_def runs the kernel from the switch up and
+    # the Python loop below it, and both give schoolbook_raw's list, on
+    # random residues and on all p - 1, the widest, at every arithmetic.
+    import numpy  # noqa: F401  loaded, so lin_conv_def may run in numpy
+
+    from modconv import _ntt_numpy, convolve
+
+    fp = FourierPrime.from_modulus(p)
+    rng = random.Random(p)
+    ran = []
+    real = _ntt_numpy.schoolbook
+
+    def spy(u, v, q):
+        ran.append((len(u), len(v)))
+        return real(u, v, q)
+
+    with mock.patch.object(_ntt_numpy, "schoolbook", spy):
+        for z1, z2 in _schoolbook_shapes():
+            for u, v in (([rng.randrange(p) for _ in range(z1)], [rng.randrange(p) for _ in range(z2)]),
+                         ([p - 1] * z1, [p - 1] * z2)):
+                ran.clear()
+                want = schoolbook_raw(u, v, p)
+                assert lin_conv_def(u, v, fp) == want, (z1, z2)
+                assert ran == ([(z1, z2)] if z1 * z2 >= convolve._SCHOOLBOOK_NUMPY else []), (z1, z2)
+                assert real(_ntt_numpy.residues(u, p), _ntt_numpy.residues(v, p), p).tolist() == want
+
+
+@pytest.mark.skipif(importlib.util.find_spec("numpy") is None, reason="numpy not installed")
+@pytest.mark.parametrize("p", [998244353, 2305843009448574977])
+def test_definition_in_numpy_reads_ints_by_the_door_rule(p):
+    # Past the switch the door still reads ints by DensePoly's rule: ints
+    # outside [0, p), negative ints and numpy integers give the list the
+    # Python sum gives on the same values.
+    import numpy as np
+
+    from modconv import convolve
+
+    fp = FourierPrime.from_modulus(p)
+    rng = random.Random(p)
+    z = convolve._SCHOOLBOOK_NUMPY // 8
+    ints = [rng.choice((rng.randrange(p), -rng.randrange(1, p), p + rng.randrange(p), -1, p)) for _ in range(z)]
+    v = [rng.randrange(-p, 2 * p) for _ in range(9)]
+    likes = list(ints)
+    likes[:4] = [np.uint64(p - 1), np.int64(-3), np.int32(7), True]
+    for x, y in ((ints, v), (v, ints)):
+        assert lin_conv_def(x, y, fp) == schoolbook_raw(x, y, p)
+    got = lin_conv_def(likes, v, fp)
+    assert got == schoolbook_raw([p - 1, -3, 7, 1, *ints[4:]], v, p)
+    assert all(type(c) is int for c in got)
+
+
+@pytest.mark.skipif(importlib.util.find_spec("numpy") is None, reason="numpy not installed")
+def test_definition_in_numpy_runs_no_transform(fp998):
+    # The definition engine in numpy is the kernel alone: no transform,
+    # pointwise product or 1/L scale runs, and it counts nothing.
+    import numpy  # noqa: F401  loaded, so lin_conv_def runs in numpy
+
+    from modconv import _ntt_numpy, convolve
+
+    ran = []
+    real = _ntt_numpy.schoolbook
+
+    def kernel(u, v, p):
+        ran.append("schoolbook")
+        return real(u, v, p)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the definition engine ran a transform step")
+
+    rng = random.Random(8)
+    a = DensePoly(fp998, tuple(rng.randrange(1, fp998.p) for _ in range(300)))
+    b = DensePoly(fp998, tuple(rng.randrange(1, fp998.p) for _ in range(214)))
+    patches = [mock.patch.object(_ntt_numpy, "schoolbook", kernel), mock.patch.object(transform, "_div_size", refuse)]
+    patches += [mock.patch.object(convolve, name, refuse) for name in ("moddft", "tft", "itft", "_pointwise", "_div_size")]
+    counters = OpCounters()
+    with contextlib.ExitStack() as stack:
+        for patch in patches:
+            stack.enter_context(patch)
+        got = poly_mul(a, b, ConvRequest(fp998, engine="definition", counters=counters))
+    assert ran == ["schoolbook"]
+    assert counters == OpCounters()
+    assert got == mul_schoolbook(a, b)
+
+
+@pytest.mark.skipif(importlib.util.find_spec("numpy") is None, reason="numpy not installed")
+@pytest.mark.parametrize("p", [998244353, 2305843009448574977])
+@pytest.mark.parametrize("z1, z2", [(1 << 12, 1 << 12), (16, 1 << 16)])
+def test_definition_in_numpy_allocates_blocks_not_the_matrix(p, z1, z2):
+    # The kernel holds a block of rows at a time: a product's peak
+    # allocation, numpy's buffers included, stays far below the z1 * z2
+    # words of a whole skew matrix (256 MB at 2**12 x 2**12).
+    import tracemalloc
+
+    import numpy  # noqa: F401  loaded, so lin_conv_def runs in numpy
+
+    fp = FourierPrime.from_modulus(p)
+    rng = random.Random(z1)
+    u, v = [rng.randrange(p) for _ in range(z1)], [rng.randrange(p) for _ in range(z2)]
+    tracemalloc.start()
+    try:
+        out = lin_conv_def(u, v, fp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(out) == z1 + z2 - 1
+    assert peak < 16 << 20, peak
 
 
 @pytest.mark.skipif(importlib.util.find_spec("numpy") is None, reason="numpy not installed")
@@ -951,7 +1083,7 @@ def test_each_product_scales_once(fp998, engine_backend):
         "moddft": (lambda: moddft(u, t), []),
         "tft_itft": (lambda: itft(t, tft(t, u[:20], 40)), []),
     }
-    want = poly_mul(a, b, replace(req, engine="definition"))
+    want = mul_schoolbook(a, b).normalize()
     with backend(engine_backend), mock.patch.object(transform, "_div_size", spy), \
             mock.patch.object(convolve, "_div_size", spy):
         for name, (call, scales) in calls.items():
@@ -994,7 +1126,7 @@ def test_each_product_fetches_each_table_once(fp998, engine_backend):
         "nega_conv": (lambda: nega_conv(u, v, req), [64, 128]),
         "circ_conv_split": (lambda: circ_conv_split(u, v, req), [32, 64]),
     }
-    want = poly_mul(a, b, replace(req, engine="definition"))
+    want = mul_schoolbook(a, b).normalize()
     with backend(engine_backend), mock.patch.object(convolve, "get_table", spy):
         for name, (call, fetches) in calls.items():
             seen.clear()
@@ -1039,7 +1171,7 @@ def test_each_product_runs_one_forward_pointwise_inverse(fp998, engine_backend):
         "nega_conv": (lambda: nega_conv(u, v, req), moddft_rows),
         "circ_conv_split": (lambda: circ_conv_split(u, v, req), split_rows),
     }
-    want = poly_mul(a, b, replace(req, engine="definition"))
+    want = mul_schoolbook(a, b).normalize()
     spies = [
         spy("moddft", convolve.moddft,
             lambda x, table, direction, counters: ("moddft", direction, len(x)) if direction == "fwd"
@@ -1097,7 +1229,7 @@ def test_split_refuses_before_any_transform(p, k, engine_backend):
             assert ran == [], name
     # One level below, split and fft_pad both multiply.
     c = DensePoly(fp, a.coeffs[:-1])
-    want = poly_mul(c, b, ConvRequest(fp, engine="definition"))
+    want = mul_schoolbook(c, b).normalize()
     with backend(engine_backend):
         for engine in ("fft_pad", "split"):
             assert poly_mul(c, b, ConvRequest(fp, engine=engine)) == want, engine

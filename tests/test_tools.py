@@ -96,6 +96,25 @@ def test_kernel_times_times_products_on_both_backends():
     assert all(abs(row[6] - round(row[3] / row[1], 2)) <= 0.011 for row in times), lines
 
 
+DEFINITION_SHAPES = ["1/1", "1/7", "1/50", "1xn", "4xn"]
+
+
+def test_kernel_times_times_the_defining_sum_on_both_backends():
+    # --group definition times lin_conv_def on lists, in us, on the Python
+    # sum and on the numpy kernel, at n = L outputs in each shape, each
+    # shape's row naming its z1 x z2. The ratio columns are as in products.
+    pytest.importorskip("numpy")
+    lines = run_tool("tools/kernel_times.py", str(ROOT), str(ROOT), "--rounds", "1", "--lo", "5", "--hi", "6",
+                     "--group", "definition")
+    assert lines[0].startswith("| shape | L | z1 x z2 | old python | old numpy |")
+    rows = table_rows(lines)
+    assert [row[:2] for row in rows] == [[shape, f"2^{k}"] for k in (5, 6) for shape in DEFINITION_SHAPES]
+    assert [row[2] for row in rows[:5]] == ["16x17", "4x29", "1x32", "1x32", "4x29"]
+    times = [[float(cell) for cell in row[3:]] for row in rows]
+    assert all(t > 0 for row in times for t in row), lines
+    assert all(abs(row[4] - round(row[3] / row[2], 2)) <= 0.011 for row in times), lines
+
+
 def test_kernel_times_times_the_loops_at_small_sizes():
     # --group loops times the Python loops on lists in us, every call at
     # every size, down to L = 4, where the 7L/8 shapes round to 3 outputs.

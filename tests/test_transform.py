@@ -1036,6 +1036,26 @@ print("numpy" in sys.modules)
     assert out.strip() == "False"
 
 
+def test_definition_product_leaves_numpy_unloaded():
+    # The definition engine runs in numpy only where numpy is loaded: a
+    # fresh process's product past the switch runs the Python sum and
+    # never imports numpy.
+    out = _run_python(
+        """
+import random, sys
+from modconv import ConvRequest, DensePoly, FourierPrime, convolve, mul_schoolbook, poly_mul
+fp = FourierPrime.from_modulus(998244353)
+rng = random.Random(15)
+a = DensePoly(fp, tuple(rng.randrange(1, fp.p) for _ in range(300)))
+b = DensePoly(fp, tuple(rng.randrange(1, fp.p) for _ in range(214)))
+assert 300 * 214 >= convolve._SCHOOLBOOK_NUMPY
+assert poly_mul(a, b, ConvRequest(fp, engine="definition")) == mul_schoolbook(a, b)
+print("numpy" in sys.modules)
+"""
+    )
+    assert out.strip() == "False"
+
+
 _PRODUCT_PAST_THE_BUDGET = """
 import json, random, sys
 from modconv import ConvRequest, DensePoly, FourierPrime, OpCounters, convolve, poly_mul, transform

@@ -1,6 +1,6 @@
-"""Time the numpy kernels, their stages, the list/array crossing, whole products, or the Python loops, of two modconv source trees.
+"""Time the numpy kernels, their stages, the list/array crossing, products, the defining sum, or the Python loops, of two modconv trees.
 
-    python3 tools/kernel_times.py OLD_TREE NEW_TREE [--group kernels|stages|boundary|products|loops]
+    python3 tools/kernel_times.py OLD_TREE NEW_TREE [--group kernels|stages|boundary|products|definition|loops]
                                   [--rounds 5] [--lo 9] [--hi 18] [--prime 998244353]
 
 Each round runs one fresh subprocess per tree, alternating which tree goes
@@ -45,6 +45,15 @@ and on the numpy kernels (the crossover set to 1). It prints both trees'
 times, the new tree's numpy/Python ratio (the table the numpy rule,
 `transform._numpy_kernels`, rests on), and new/old on each backend. Try
 --lo 6 --hi 11; the Python loops make large L slow.
+
+`definition` times `convolve.lin_conv_def` on lists, in us, with numpy
+loaded, on the Python sum and on the numpy kernel (`_ntt_numpy.schoolbook`,
+the switch `convolve._SCHOOLBOOK_NUMPY` set past every shape, then to 1),
+at n = L outputs split 1:1, 1:7 and 1:50 (small_many's range of splits),
+1 x n and 4 x n; a tree without the switch runs the Python sum on both. It
+prints the products table, the shape column as z1 x z2. Try --lo 4 --hi 10:
+the balanced shapes at 2**5 and 2**6 and the 4 x n ones at 2**8 and 2**9
+lie on both sides of the switch.
 
 `loops` times the pure-Python loops on lists, in us: `transform._moddft`
 (forward and inverse), `_tft_loops` at z = n = L (`tft_n=L`), at z = L/4 +
@@ -190,6 +199,43 @@ def products(L):
     return out
 
 
+def definition(L):
+    # lin_conv_def on lists, on each backend: the Python sum (the numpy
+    # switch set past every shape) and the numpy kernel (the switch set to
+    # 1), with numpy loaded; a tree without the switch runs the Python sum
+    # on both. Shapes of n = L outputs: 1:1, 1:7 and 1:50, as small_many
+    # splits its products, and the lopsided 1 x n and 4 x n.
+    from modconv import convolve
+
+    def timed(u, v):
+        out = {}
+        for backend, switch in (("python", 1 << 62), ("numpy", 1)):
+            def call(switch=switch):
+                convolve._SCHOOLBOOK_NUMPY = switch
+                convolve.lin_conv_def(u, v, fp)
+            out[backend] = call
+        return out
+
+    out = {}
+    for shape, z in DEFINITION_SHAPES.items():
+        z1 = z(L + 1)
+        u, v = (rng.integers(0, fp.p, k, dtype=np.uint64).tolist() for k in (z1, L + 1 - z1))
+        for backend, call in timed(u, v).items():
+            out[f"{shape}:{backend}:n={z1}x{L + 1 - z1}"] = call
+    return out
+
+
+# The shorter side of each shape `definition` times, as a function of the
+# sum of both sides.
+DEFINITION_SHAPES = {
+    "1/1": lambda z: z // 2,
+    "1/7": lambda z: max(1, z // 8),
+    "1/50": lambda z: max(1, z // 51),
+    "1xn": lambda z: 1,
+    "4xn": lambda z: min(4, z // 2),
+}
+
+
 def loops(L, x):
     # The Python loops on lists, whichever backend the process has loaded.
     t = get_table(fp, L)
@@ -212,6 +258,8 @@ def calls(group, L, x):
         return loops(L, x)
     if group == "products":
         return products(L)
+    if group == "definition":
+        return definition(L)
     if group == "boundary":
         listed = x.tolist()
         return {"to_array": lambda: K.residues(listed, fp.p), "to_poly": lambda: DensePoly(fp, x)}
@@ -243,15 +291,16 @@ for k in range(int(sys.argv[1]), int(sys.argv[2]) + 1):
         out.update(stages(L, x))
         continue
     # The loops take microseconds at small L: time a batch of calls there.
-    batch = max(1, (1 << 12) // L) if group == "loops" else 1
+    batch = max(1, (1 << 12) // L) if group in ("loops", "definition") else 1
     for name, call in calls(group, L, x).items():
         call()
         best = best_time(call, max(3, min(25, (1 << 20) // L)), batch)
-        out[f"{name} {k}"] = best * 1e9 / L if group == "boundary" else best * (1e6 if group == "loops" else 1e3)
+        scale = 1e9 / L if group == "boundary" else 1e6 if group in ("loops", "definition") else 1e3
+        out[f"{name} {k}"] = best * scale
 print(json.dumps(out))
 """
 
-UNITS = {"kernels": "ms", "stages": "us", "boundary": "ns/coef", "products": "ms", "loops": "us"}
+UNITS = {"kernels": "ms", "stages": "us", "boundary": "ns/coef", "products": "ms", "loops": "us", "definition": "us"}
 
 
 def run(tree: str, lo: int, hi: int, group: str, prime: int) -> dict:
@@ -279,12 +328,12 @@ def print_stages(times: dict, old: str, new: str) -> None:
             print(f"| {name} | 2^{k} | {label} | {med(lambda r: r['total']):.0f} | {count} | {mid:.0f} | {top:.0f} | {fly:.0f} |")
 
 
-def print_products(times: dict, old: str, new: str) -> None:
-    # Medians over rounds, in ms, of each product on each backend of each
-    # tree, the new tree's numpy time over its Python-loop time, and new/old
-    # on each backend.
+def print_products(times: dict, old: str, new: str, first: str = "engine", shape: str = "n") -> None:
+    # Medians over rounds, in ms (us for `definition`), of each product on
+    # each backend of each tree, the new tree's numpy time over its
+    # Python-loop time, and new/old on each backend.
     med = lambda tree, key: statistics.median(t[key] for t in times[tree])
-    print("| engine | L | n | old python | old numpy | new python | new numpy | new numpy/python "
+    print(f"| {first} | L | {shape} | old python | old numpy | new python | new numpy | new numpy/python "
           "| python new/old | numpy new/old |")
     print("| --- | --- | --- | --- | --- | --- | --- | --- | --- | --- |")
     for key in times[old][0]:
@@ -318,6 +367,9 @@ def main() -> None:
         return
     if args.group == "products":
         print_products(times, args.old, args.new)
+        return
+    if args.group == "definition":
+        print_products(times, args.old, args.new, "shape", "z1 x z2")
         return
     print(f"| call | L | old ({unit}) | new ({unit}) | new/old |")
     print("| --- | --- | --- | --- | --- |")
