@@ -64,38 +64,46 @@ stage loop settles its output into [0, p) with two subtract-and-minimum
 steps (`_Lazy.settle`), so itft's steps between levels, `pointwise`,
 `scale` and every caller see residues. Only Stockham passes whose rows
 all go on to in-place stages (`_dit`) hand them on unsettled, for `_dit`
-to settle: moddft's past one row, and itft's where every inverted block
-is longer than a row; that took 0.96-0.98x the time of settling both.
+to settle: in `_dft`, where the smallest block is longer than a row (a
+moddft past one row, itft's inverted blocks when all are); that took
+0.96-0.98x the time of settling both.
 From 2**30 to _WORD, `_Word` reduces every value at every stage.
 
 Layout: each numpy operation runs over stretches of at least _ROW/2
-residues, not over the h residues of a short stage's half-blocks. The
-stages within rows of m = min(_ROW, L) points run as Stockham passes
+residues, not over the h residues of a short stage's half-blocks. One
+step, `_dft`, transforms whole blocks: the stages within rows of m =
+min(_ROW, b) points, b the smallest block, run as Stockham passes
 (`_stockham`) over all rows at once: a pass reads the two halves of each
 row, multiplies by twiddles stored tiled to half a row, and writes the
 sums and differences interleaved, so the rows need no bit reversal
 between passes and come out in natural order. The stages on blocks longer
-than a row run in place, where each half-block is at least a row long
-(`_dit`). moddft gathers its input into rows in the order those in-place
-stages want (`_row_gather`). tft runs its stages on blocks longer than a
-row in place, then every row that holds an output below n as a Stockham
-DFT in bit-reversed order: up to n, a row's outputs are those of its DIF.
+than a row then run in place, where each half-block is at least a row
+long (`_dit`). moddft, tft's rows and itft's inverted blocks all run
+through it. moddft gathers its input into rows in the order those
+in-place stages want (`_row_gather`). tft runs its stages on blocks
+longer than a row in place, then every row that holds an output below n
+as a one-row `_dft` in bit-reversed order: up to n, a row's outputs are
+those of its DIF.
 
 itft (`_itft_plan`) cuts the walk of `transform._itft_path` at the first
 level of at most _TAIL = 64 points that crosses into its high half. The
 sub-block under the cut, with every level and block below it, runs on the
 Python loops (`transform._itft_loops`): one `tolist`, one write-back. The
 blocks above the cut, which tile the known values from 0, are inverted at
-once (`_inverses`): their stages within rows of the smallest block of at
-least _FLOOR = 16 points as one set of Stockham passes, the stages on
-longer blocks in place over their prefix, and a last block below _FLOOR in
-place. Each level above the cut is one step of O(1) operations down and
-one up, and a run of levels that keep to their low half is one step up; a
-path that ends in such a run, as at n = L/2 + 1, has no cut. So itft makes
-O(log L) numpy calls, none per level below the cut. Each switch, on the
-shapes at 2**8..2**12 whose walk it changes (itft's time over its time at
-the value taken, median per L and [range], 30-bit | 62-bit prime, 2-core
-x86-64 host):
+once (`_inverses`): those of at least _FLOOR = 16 points as one `_dft`,
+in rows of the smallest of them, and a last block below _FLOOR in place.
+Each level above the cut is one step of O(1) operations down and one up,
+and a run of levels that keep to their low half is one step up, its high
+halves summed mod p by the arithmetic's `column_sum`; a path that ends in
+such a run, as at n = L/2 + 1, has no cut. So itft makes O(log L) numpy
+calls, none per level below the cut. A level's cross butterflies multiply
+by the stage's forward twiddles over its half-size (`_cross_twiddles`),
+kept on the table beside its stage arrays (`stage_arrays`): no cache of
+this module holds a table, so a table's arrays go with it when
+`transform.get_table` lets it go. Each switch, on the shapes at
+2**8..2**12 whose walk it changes (itft's time over its time at the value
+taken, median per L and [range], 30-bit | 62-bit prime, 2-core x86-64
+host):
 
     _TAIL 32     1.01-1.06 [0.91-1.34] | 1.02-1.04 [0.94-1.37]
     _TAIL 128    1.04-1.11 [0.95-1.30] | 1.06-1.09 [0.92-1.29]
@@ -105,10 +113,10 @@ x86-64 host):
 A stack is one more axis of rows. moddft and tft walk it in groups of
 whole inputs (`_group`), k = max(1, _CHUNK // (2L)) inputs of L points
 each: at most half a chunk of residues, so that a group and `_dit`'s
-scratch, of the group's size, fit in one chunk. A group runs as one set of
-Stockham passes over all its rows, then, in moddft, one `_dit` over all
-of them, and tft walks the path of the group's longest input (zeros
-change no output). A one-row transform is a group whose in-place stages
+scratch, of the group's size, fit in one chunk. In moddft a group runs as
+one `_dft` over all its rows; tft walks the path of the group's longest
+input (zeros change no output), then runs one `_dft` over the group's
+rows below n. A one-row transform is a group whose in-place stages
 are empty, and a transform longer than a quarter chunk a group of one.
 With _CHUNK = 2**15:
 
@@ -247,6 +255,16 @@ class _Word:
         out %= self.p
         return out
 
+    def column_sum(self, x):
+        # The sum of the rows of x mod p, for rows of residues: sums of r =
+        # (2**64 - 1) // (p - 1) rows at a time, each taken mod p in turn.
+        # r (p - 1) < 2**64, so no sum wraps uint64 (over p near 2**62, r =
+        # 4), and below 2**32 one sum takes every row.
+        r = ((1 << 64) - 1) // (self.modulus - 1)
+        while len(x) > 1:
+            x = np.add.reduceat(x, np.arange(0, len(x), r), axis=0) % self.p
+        return x[0]
+
     # The steps of the stage loops (`_pass`, `_butterflies`, `_dif`) and
     # their end (`_stockham`, `_dit`): here the exact ones, so residues
     # stay in [0, p) between stages. `_Lazy` overrides them, `_Wide` its
@@ -378,7 +396,9 @@ def stage_arrays(table):
     stage's twiddles, and their quotients, are a stride of the last stage's,
     so the quotients are computed once, for the last stage. Filled on the
     first numpy call for this table, never at construction: building a table
-    must not import numpy.
+    must not import numpy. Beside them the table keeps itft's cross
+    twiddles (`_cross_twiddles`), one slot per stage, each made on its
+    first use.
     """
     arrays = table.numpy_arrays
     if arrays is None:
@@ -396,8 +416,8 @@ def stage_arrays(table):
                 out.append(tuple(np.tile(a[..., ::step], max(1, half // len(tws))) for a in pair))
             return out
 
-        arrays = table.numpy_arrays = (pairs(table.fwd_stages), pairs(table.inv_stages))
-    return arrays
+        arrays = table.numpy_arrays = (pairs(table.fwd_stages), pairs(table.inv_stages), [None] * table.log2_size)
+    return arrays[:2]
 
 
 def mulmod(x, w, wq, p: int):
@@ -474,8 +494,9 @@ def schoolbook(u, v, p: int):
     Below _WORD a row's products lie in [0, 2p), below 2**33, and an output
     sums at most len(short) < 2**31 of them, below 2**64: the outputs are
     summed unreduced and reduced once at the end. `_Wide`'s rows are
-    reduced products, below p < 2**62, summed r = (2**64 - 1) // (p - 1)
-    rows at a time, each sum reduced, and added into the outputs mod p.
+    reduced products, below p < 2**62, summed mod p by `column_sum` (r =
+    (2**64 - 1) // (p - 1) rows at a time, each sum reduced) and added into
+    the outputs mod p.
 
     `convolve.lin_conv_def` runs it, once numpy is loaded, from
     len(u) * len(v) = `convolve._SCHOOLBOOK_NUMPY` = 2**10 up. Its time
@@ -500,7 +521,6 @@ def schoolbook(u, v, p: int):
     rows = min(s, max(1, _CHUNK // m))
     width = m + rows - 1
     wide = isinstance(f, _Wide)
-    r = ((1 << 64) - 1) // (p - 1)
     wq = f.quotient(short)
     out = np.zeros(s + len(long) - 1, dtype=np.uint64)
     skew = np.zeros(rows * (width + 1), dtype=np.uint64)
@@ -518,9 +538,7 @@ def schoolbook(u, v, p: int):
                 w, t, outputs = short[i : i + b, None], tmp[:b, : len(piece)], out[i + k : i + k + n]
                 if wide:
                     f.mul(piece, w, wq[:, i : i + b, None], products, t)
-                    while len(sums) > 1:
-                        sums = np.add.reduceat(sums, np.arange(0, len(sums), r), axis=0) % f.p
-                    f.add(outputs, sums[0], outputs, tmp[0, :n])
+                    f.add(outputs, f.column_sum(sums), outputs, tmp[0, :n])
                 else:
                     f.shoup(piece, w, wq[i : i + b, None], products, t)
                     outputs += sums.sum(axis=0)
@@ -592,7 +610,25 @@ def _group(size: int) -> int:
     return max(1, _CHUNK // (2 * size))
 
 
-def _stockham(y, out, stages, f, settle: bool = True) -> None:
+def _dft(gather, out, sizes, stages, f) -> None:
+    # out <- the DFT of each of its consecutive blocks of the given
+    # decreasing power-of-two sizes, in natural order: Stockham passes over
+    # the blocks' rows of m = min(_ROW, sizes[-1]) points, which gather(m)
+    # gives in the order their in-place stages want, then `_dit` from m up
+    # where a block is longer than m (tft's one-row blocks skip that call,
+    # about 1 us of a 100 us pair at 2**8). Past one row, where the smallest
+    # block is longer than m, `_dit` takes the rows on unsettled. The
+    # gathered rows must not overlap out; made here, they are freed before
+    # `_dit` allocates its scratch, which can then take their memory: kept
+    # alive through `_dit`, they made a moddft pair over a 62-bit prime at
+    # 2**15 and an itft at n = L = 2**16 1.07-1.16x slower.
+    m = min(_ROW, sizes[-1])
+    _stockham(gather(m).reshape(-1, m), out.reshape(-1, m), stages, f, sizes[-1] == m)
+    if sizes[0] > m:
+        _dit(out.reshape(-1), sizes, stages, f, m.bit_length() - 1)
+
+
+def _stockham(y, out, stages, f, settle: bool) -> None:
     # out <- the DFT of each row of y, in natural order, for rows in natural
     # order, one `_pass` per stage, the last into out, settled into [0, p)
     # unless settle is false: then out is left in f's range between stages,
@@ -673,20 +709,14 @@ def _dit(vec, sizes, stages, f, first: int) -> None:
 
 def _inverses(c, sizes, stages, f) -> None:
     # The inverse DFT of each of the consecutive blocks of c of the given
-    # decreasing sizes, each in bit-reversed order, in place: the stages
-    # within rows of m = min(_ROW, b) points, for b the smallest block of
-    # at least _FLOOR points, as Stockham passes over all the blocks of at
-    # least m points, the longer stages in place over their prefix, and
-    # the blocks below _FLOOR in place.
+    # decreasing sizes, each in bit-reversed order, in place: the blocks of
+    # at least _FLOOR points as one `_dft`, in rows of m = min(_ROW, b)
+    # points for b the smallest of them, each row bit-reversed into natural
+    # order first, and the blocks below _FLOOR in place.
     big = [b for b in sizes if b >= _FLOOR]
     end = sum(big)
     if big:
-        m = min(_ROW, big[-1])
-        rows = c[:end].reshape(-1, m)
-        # Where every such block is longer than a row, `_dit` takes all the
-        # rows on unsettled.
-        _stockham(np.take(rows, _rev(m), axis=1), rows, stages, f, big[-1] == m)
-        _dit(c, big, stages, f, m.bit_length() - 1)
+        _dft(lambda m: np.take(c[:end].reshape(-1, m), _rev(m), axis=1), c[:end], big, stages, f)
     _dit(c[end:], sizes[len(big):], stages, f, 0)
 
 
@@ -695,20 +725,15 @@ def moddft(x, table, direction: str):
     array or a sequence of size-point arrays, as a (rows, size) array;
     direction is "fwd" or "inv", and the inverse, like the core's, returns
     size times the inverse DFT. Each group of inputs (`_group`) runs as one
-    set of Stockham passes over its gathered rows, then one `_dit` over the
-    group's stages on blocks longer than a row."""
+    `_dft` over its gathered rows."""
     stages = stage_arrays(table)[direction == "inv"]
     f = _arith(table.field.p)
-    m = min(_ROW, table.size)
-    gather = _row_gather(table.size, m)
     k = _group(table.size)
     out = np.empty((len(x), table.size), dtype=np.uint64)
     with _small_buffer():
         for i in range(0, len(x), k):
             rows = out[i : i + k]
-            # Past one row, `_dit` takes the rows on unsettled.
-            _stockham(gather(x[i : i + k]).reshape(-1, m), rows.reshape(-1, m), stages, f, m == table.size)
-            _dit(rows.reshape(-1), [table.size] * len(rows), stages, f, m.bit_length() - 1)
+            _dft(lambda m: _row_gather(table.size, m)(x[i : i + k]), rows, [table.size] * len(rows), stages, f)
     return out
 
 
@@ -765,17 +790,17 @@ def tft(table, xs, n: int):
             # "raise" makes, 0.6x the take's time.
             y = rows.reshape(len(rows), -1, m)[:, : -(-n // m)]
             dft = np.empty(y.shape, dtype=np.uint64)
-            _stockham(y.reshape(-1, m), dft.reshape(-1, m), fwd, f)
+            _dft(lambda _: y, dft, [m] * (dft.size // m), fwd, f)
             np.take(dft, _rev(m), axis=2, out=y, mode="clip")
     return c[:, :n]
 
 
 @functools.lru_cache(maxsize=256)
-def _itft_plan(size: int, n: int, tail: int):
+def _itft_plan(size: int, n: int):
     # `transform._itft_path(size, n)` as itft's numpy steps run it: the
     # blocks they invert, the levels down, the steps back up, and the cut
     # where the Python loops take over. The cut is the first level of at
-    # most `tail` points that crosses into its high half, as (off, m,
+    # most _TAIL points that crosses into its high half, as (off, m,
     # levels, blocks): its sub-block c[off:off+m], which holds every level
     # and block below, and their walk with offsets into it; or None.
     # Down, the levels above the cut start at the first that crosses: until
@@ -789,7 +814,7 @@ def _itft_plan(size: int, n: int, tail: int):
     # per level from m upwards.
     levels, blocks = _itft_path(size, n)
     crosses = [left > m >> 1 for _, m, left, _ in levels]
-    i = next((i for i, (_, m, _, _) in enumerate(levels) if m <= tail and crosses[i]), len(levels))
+    i = next((i for i, (_, m, _, _) in enumerate(levels) if m <= _TAIL and crosses[i]), len(levels))
     cut = None
     if i < len(levels):
         # Each crossing level above the cut inverts one block, its low half.
@@ -816,16 +841,18 @@ def _itft_plan(size: int, n: int, tail: int):
     return blocks, down, up, cut
 
 
-@functools.lru_cache(maxsize=256)
 def _cross_twiddles(table, log: int):
     # The forward twiddles of stage log over its half-size h = 2**log,
     # w_i / h for i < h, with their quotients: a level's cross butterflies
-    # multiply by them once. Cached per table and stage, as the stages are.
-    f = _arith(table.field.p)
-    w = stage_arrays(table)[0][log][0][: 1 << log]
-    out = np.empty_like(w)
-    f.mul(w, *f.constant(pow(1 << log, -1, f.modulus)), out, np.empty_like(w))
-    return out, f.quotient(out)
+    # multiply by them once. Kept on the table beside its stages, which
+    # itft's `stage_arrays` call has filled, each stage's made on its first
+    # use; threads that make one at once store equal arrays.
+    fwd, _, cross = table.numpy_arrays
+    if cross[log] is None:
+        f = _arith(table.field.p)
+        w = mulmod(fwd[log][0][: 1 << log], *f.constant(pow(1 << log, -1, f.modulus)), f.modulus)
+        cross[log] = w, f.quotient(w)
+    return cross[log]
 
 
 def _less(a, b, m: int, f, d, mb, tmp) -> None:
@@ -846,7 +873,7 @@ def itft(table, xhat):
     f = _arith(table.field.p)
     n = len(xhat)
     c = pad(xhat, table.size)
-    blocks, down, up, cut = _itft_plan(table.size, n, _TAIL)
+    blocks, down, up, cut = _itft_plan(table.size, n)
     s, t, tmp = (np.empty(table.size >> 1, dtype=np.uint64) for _ in range(3))
     with _small_buffer():
         _inverses(c, blocks, inv, f)
@@ -894,14 +921,8 @@ def itft(table, xhat):
                 continue
             # A run of k levels from m upwards, each a <- 2a - m*b for its m
             # and its b, which no level of the run writes: so a <- 2**k * a -
-            # 2**(k-1) * m * sum(b). sum(b) mod p as sums of r residues at a
-            # time, mod p in turn: r (p - 1) < 2**64, so no sum wraps uint64
-            # (over p near 2**62, r = 4), and below 2**32 one sum does.
-            r = ((1 << 64) - 1) // (f.modulus - 1)
-            total = c[index]
-            while len(total) > 1:
-                total = np.add.reduceat(total, np.arange(0, len(total), r), axis=0) % f.p
-            total, mb, kt = total[0], t[:left], tmp[:left]
+            # 2**(k-1) * m * sum(b), with sum(b) mod p by `column_sum`.
+            total, mb, kt = f.column_sum(c[index]), t[:left], tmp[:left]
             f.mul(total, *f.constant(m << k - 1), mb, kt)
             f.mul(a, *f.constant(1 << k), total, kt)
             f.sub(total, mb, a, kt)

@@ -410,11 +410,12 @@ LINEAR_WORK_L = 64
 
 
 def _tft_cost(z1: int, z2: int, fwd: PlanEntry, inv: PlanEntry) -> float:
-    # The full-size tft and itft timings scaled to z1 x z2 by exact butterfly counts.
+    # The tft and itft timings scaled from the shapes they were timed at
+    # (their keys' z and n) to z1 x z2 by exact butterfly counts.
     size, n = fwd.key.L, z1 + z2 - 1
     forward = fwd.measured_nanos * (tft_butterflies(size, z1, n) + tft_butterflies(size, z2, n))
     inverse = inv.measured_nanos * itft_butterflies(size, n)
-    return forward / tft_butterflies(size, size, size) + inverse / itft_butterflies(size, size)
+    return forward / tft_butterflies(size, fwd.key.z, fwd.key.n) + inverse / itft_butterflies(size, inv.key.n)
 
 
 def _kronecker_cost(z1: int, z2: int, timed: PlanEntry, base: PlanEntry) -> float:

@@ -417,8 +417,9 @@ class PlanSession:
         costs = []
         for name, engine in _ENGINES.items():
             if callable(engine.cost) and engine.applies(size):
-                # planned_keys gives one key of each kind, in the order of KINDS.
-                entries = (self.lookup(planned_keys(field.p, at)[KINDS.index(kind)]) for kind, at in engine.reads(size))
+                # The planned key of each (kind, L) the engine reads, by its kind.
+                entries = [self.lookup(key) for kind, at in engine.reads(size)
+                           for key in planned_keys(field.p, at) if key.kind == kind]
                 costs.append((engine.cost(z1, z2, *entries), engine.tie, name))
         return min(costs)[2]
 

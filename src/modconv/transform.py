@@ -108,8 +108,9 @@ class TwiddleTable:
     """Per-stage powers of a principal root of unity w for one transform size.
 
     The last stage holds w**j and w**-j for j < size/2. Read-only after
-    construction, apart from numpy_arrays, which the numpy kernels fill once
-    with values derived from the stages; safe to share across threads.
+    construction, apart from numpy_arrays, which the numpy kernels fill
+    with values derived from the stages (the stage arrays once, itft's
+    cross twiddles per stage on first use); safe to share across threads.
     Prefer get_table(), which caches recently used tables.
     """
 
@@ -149,16 +150,20 @@ class TwiddleTable:
         # uses powers of the order-2h root, i.e. every (size/2h)-th entry.
         self.fwd_stages = [half[:: size >> (s + 1)] for s in range(log2)]
         self.inv_stages = [inv_half[:: size >> (s + 1)] for s in range(log2)]
-        # uint64 copies of the stages for the numpy kernels, made by their
-        # first call on this table so that building a table never imports numpy.
+        # uint64 copies of the stages for the numpy kernels, and slots for
+        # itft's cross twiddles, made by their first call on this table so
+        # that building a table never imports numpy.
         self.numpy_arrays = None
 
 
 # Most tables, and lists of each kind the Python loops index by, kept at
-# once. A 2**20 table is ~50 MB; the index lists of the Python loops'
-# passes at one size (`_points`, `_quarters`) take about twice its stage
-# lists (6.6 against 3.0 MB at 2**16), and only a size the loops run holds
-# them.
+# once. Beyond what callers hold, get_table's LRU is the only thing that
+# keeps a table alive, and with it every numpy array made for it
+# (`TwiddleTable.numpy_arrays`), so this also bounds the live tables with
+# their arrays. A 2**20 table is ~50 MB; the index lists of the Python
+# loops' passes at one size (`_points`, `_quarters`) take about twice its
+# stage lists (6.6 against 3.0 MB at 2**16), and only a size the loops run
+# holds them.
 _CACHE_SIZE = 32
 _TABLE_LOCK = threading.Lock()
 

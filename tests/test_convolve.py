@@ -804,6 +804,44 @@ def test_four_threads_multiply_at_once(p):
     assert got == [want] * 4
 
 
+@pytest.mark.skipif(importlib.util.find_spec("numpy") is None, reason="numpy not installed")
+@pytest.mark.parametrize("p", [998244353, 2305843009448574977])
+def test_four_threads_run_deep_itft_paths_at_once(p):
+    # Four threads run tft products in numpy at once, on tables none of
+    # them has filled, whose itft walks a deep path (n = 3L/4 - 1 and 7L/8
+    # + 5 at L = 2**9..2**11) and so makes its cross twiddles on the table:
+    # each thread's products equal the pure-Python schoolbook.
+    import numpy  # noqa: F401  loaded, so the products run in arrays
+
+    fp = FourierPrime.from_modulus(p)
+    rng = random.Random(p)
+    pairs = [(DensePoly(fp, tuple(rng.randrange(p) for _ in range(64))),
+              DensePoly(fp, tuple(rng.randrange(p) for _ in range(n - 63))))
+             for size in (1 << 9, 1 << 10, 1 << 11) for n in (3 * size // 4 - 1, 7 * size // 8 + 5)]
+    want = {i: mul_schoolbook(a, b).normalize() for i, (a, b) in enumerate(pairs)}
+    transform._build_table.cache_clear()
+    start = threading.Barrier(4, timeout=60)
+    got = [None] * 4
+
+    def worker(i):
+        start.wait()
+        order = list(range(i, len(pairs))) + list(range(i))
+        got[i] = {j: poly_mul(*pairs[j], ConvRequest(fp, engine="tft")) for j in order}
+
+    workers = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert got == [want] * 4
+
+
 # Primes of each arithmetic of the numpy kernels: `_Lazy` below 2**30, `_Word`
 # below 2**32 (3 * 2**30 + 1 and 2**32 - 2**20 + 1, whose products come
 # closest to 2**64) and `_Wide` up to 2**62.

@@ -410,6 +410,16 @@ class TestResolveEngine:
             session = self._stocked_session(tft_nanos=1000, dft_nanos=dft)
             assert session.resolve_engine(fp998, 2, 8) == pick, dft
 
+    def test_truncated_timings_scale_from_the_shape_they_were_timed_at(self):
+        # Entries timed at z = L/4 + 1 inputs to n = L/2 + 1 outputs price a
+        # product of that shape at their own timings: two forward tfts and
+        # one itft.
+        size = 64
+        z, n = size // 4 + 1, size // 2 + 1
+        fwd = PlanEntry(PlanKey("tft", LARGE_PRIME, size, z, n, 1), (2,) * 5, 2, 700, "sig")
+        inv = PlanEntry(PlanKey("itft", LARGE_PRIME, size, n, n, 1), (2,) * 5, 2, 900, "sig")
+        assert convolve._tft_cost(z, z, fwd, inv) == 2 * 700 + 900
+
     def test_kronecker_timing_scales_by_packed_multiply_cost(self, fp998):
         # The conv key at L = 16 times 5 x 5; an 8 x 8 product packs both
         # inputs at 8 bytes per coefficient too, so it costs (64/40)**1.585

@@ -749,7 +749,7 @@ def test_itft_batches_its_blocks_and_cuts_to_the_python_loops(p):
             assert _ntt_numpy.itft(t, a[:n]).tolist() == transform._itft(t, x[:n])
         assert [call.args[1] for call in inverses.call_args_list] == [blocks], n
         assert [call.args[1].shape[1] for call in stockham.call_args_list] == [row], n
-        plan = _ntt_numpy._itft_plan(size, n, _ntt_numpy._TAIL)[3]
+        plan = _ntt_numpy._itft_plan(size, n)[3]
         if cut is None:
             assert plan is None and not loops.called, n
             continue
@@ -868,6 +868,35 @@ def test_stage_arrays_equal_per_stage_ones():
                 for (w, wq), tws in zip(arrays, stages):
                     tiled = np.tile(np.array(tws, dtype=np.uint64), max(1, half // len(tws)))
                     assert np.array_equal(w, tiled) and np.array_equal(wq, f.quotient(tiled)), (p, k)
+
+
+@needs_numpy
+def test_evicted_tables_are_freed():
+    # Every numpy array made for a table, itft's cross twiddles too, is
+    # kept on the table, so get_table's LRU is all that keeps a table
+    # alive: after one numpy itft on a deep path (n = 3L/4 - 1, which makes
+    # cross twiddles from L = 2**7) on each of _CACHE_SIZE + 10 tables, at
+    # most _CACHE_SIZE of them are alive.
+    import gc
+
+    import numpy as np
+
+    from modconv import _ntt_numpy
+
+    primes = (998244353, 1053818881, 2013265921, 3221225473, 4293918721, 2305843009448574977)
+    keys = [(p, 1 << k) for p in primes for k in range(5, 12)][: transform._CACHE_SIZE + 10]
+    assert len(keys) == transform._CACHE_SIZE + 10
+
+    def alive():
+        return sum(isinstance(o, TwiddleTable) and (o.field.p, o.size) in keys for o in gc.get_objects())
+
+    transform._build_table.cache_clear()
+    gc.collect()
+    before = alive()
+    for p, size in keys:
+        _ntt_numpy.itft(get_table(FourierPrime.from_modulus(p), size), np.arange(3 * size // 4 - 1, dtype=np.uint64))
+    gc.collect()
+    assert alive() - before <= transform._CACHE_SIZE
 
 
 @needs_numpy
