@@ -459,10 +459,11 @@ def residues(x, p: int):
 
     A list (or tuple) of ints is converted through the buffer protocol, as
     a C array of unsigned 64-bit ints, and its ints outside [0, p) are
-    reduced mod p: the residues the Python loops compute with. An empty list
-    raises ValueError. An ndarray is taken as it is, so it must be
-    one-dimensional and uint64 and hold residues; any other raises
-    ValueError. `DensePoly` and the residue maps read an ndarray by this
+    reduced mod p: the residues the Python loops compute with. An element
+    is read by `transform._ints`' rule, through its `__index__`, so any
+    other element, or an empty list, raises ValueError. An ndarray is
+    taken as it is, so it must be one-dimensional and uint64 and hold
+    residues; any other raises ValueError. `DensePoly` and the residue maps read an ndarray by this
     rule.
     """
     if isinstance(x, np.ndarray):
@@ -473,6 +474,8 @@ def residues(x, p: int):
         a = np.frombuffer(array.array("Q", x), dtype=np.uint64)
     except OverflowError:  # an int below 0 or from 2**64 up
         a = np.array([v % p for v in x], dtype=np.uint64)
+    except TypeError:
+        raise ValueError("vector elements must be integers") from None
     if a.max() >= p:
         a %= p
     return a

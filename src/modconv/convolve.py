@@ -26,15 +26,15 @@ engine (`lin_conv_fft_pad`, and `poly_mul`'s `split`) is one step,
 Doors and cores. Every public engine takes lists and returns a list. Each
 transform-backed engine (`circ_conv_fft`, `nega_conv`, `circ_conv_split`,
 `conv_tft`, `lin_conv_fft_pad`) is a door over a private core
-(`_circ_conv_fft`, `_nega_conv`, `_circ_conv_split`, `_conv_tft`, and
-`_zero_padded` for the padded ones). Every such core takes the table its
-product runs on as its first argument and reads L there, as `table.size`:
-none fetches its own table or works its size out again. The only other
-table is the negacyclic twist, of 2L, which `_product` fetches for the
-cores that twist (`_nega_conv`, `_circ_conv_split`) before any input is
-padded or converted, so that a size whose twist the field refuses costs
-nothing. A core returns L times its product: its inverse transforms do not
-scale, as itft does not. The three cyclic cores are maps around one step,
+(`_circ_conv_fft` for the circular and negacyclic ones, `_circ_conv_split`,
+`_conv_tft`, and `_zero_padded` for the padded ones). Every such core
+takes the table its product runs on as its first argument and reads L
+there, as `table.size`: none fetches its own table or works its size out
+again. The only other table is the negacyclic twist, of 2L, which
+`_product` fetches for the doors whose core twists (`nega_conv`,
+`circ_conv_split`) before any input is padded or converted, so that a size
+whose twist the field refuses costs nothing. A core returns L times its product: its inverse transforms do not
+scale, as itft does not. The two cyclic cores are maps around one step,
 `_cyclic`, as the paper's algorithms are breakdown rules (zero-padding, CRT
 splits of x**n - 1) over one cyclic convolution. The step takes a stack of
 rows in pairs (u0, v0, u1, v1, ...) and makes one forward `moddft` call on
@@ -43,7 +43,7 @@ inverse call. Handed the twist's table, it twists the last pair in and its
 product out, so that product is negacyclic: no other code twists. It lets
 go of its inputs once the forward call has read them, and of the forward
 spectra before the inverse call. `_circ_conv_fft` is the step on one pair,
-`_nega_conv` the step on one twisted pair, and `_circ_conv_split` the step
+twisted if it is handed the twist's table, and `_circ_conv_split` the step
 on its inputs' residue pairs, recombined; `_conv_tft` makes the same three
 calls through `tft` and `itft`. One step, `_product`, serves the five
 doors and `poly_mul`: it fetches the table of the size the engine's rule
@@ -226,9 +226,10 @@ def circ_conv_fft(u: list[int], v: list[int], req: ConvRequest) -> list[int]:
     return _listed(_product(len(u), _circ_conv_fft, u, v, req))
 
 
-def _circ_conv_fft(table, u, v, req: ConvRequest):
-    # table.size times the circular product.
-    return _cyclic(table, (u, v), req)[0]
+def _circ_conv_fft(table, u, v, req: ConvRequest, twist=None):
+    # table.size times the circular product, or with twist, the 2L table,
+    # the negacyclic one.
+    return _cyclic(table, (u, v), req, twist)[0]
 
 
 def _cyclic(table, rows, req: ConvRequest, twist=None):
@@ -265,7 +266,7 @@ def nega_conv(u: list[int], v: list[int], req: ConvRequest) -> list[int]:
     circular case.
     """
     u, v = _operands(u, v, circular=True)
-    return _listed(_product(len(u), _nega_conv, u, v, req, twist=True))
+    return _listed(_product(len(u), _circ_conv_fft, u, v, req, twist=True))
 
 
 def _twisted(twist, x, direction: str, p: int):
@@ -276,11 +277,6 @@ def _twisted(twist, x, direction: str, p: int):
         fwd, inv = kernels.stage_arrays(twist)
         return kernels.mulmod(x, *(fwd if direction == "fwd" else inv)[-1], p)
     return [a * b % p for a, b in zip(x, (twist.fwd_stages if direction == "fwd" else twist.inv_stages)[-1])]
-
-
-def _nega_conv(table, u, v, req: ConvRequest, twist):
-    # table.size times the negacyclic product, by twist, the 2L table.
-    return _cyclic(table, (u, v), req, twist)[0]
 
 
 def circ_conv_split(u: list[int], v: list[int], req: ConvRequest) -> list[int]:
@@ -339,11 +335,11 @@ def recombine_residues(a: list[int], b: list[int], p: int) -> list[int]:
     if not len(a) or len(a) != len(b):
         raise ValueError(f"need equal nonempty lengths, got {len(a)} and {len(b)}")
     kernels = _array_kernels(a, b)
-    a, b = (x if _array_kernels(x) else _ints(x) for x in (a, b))
     inv2 = (p + 1) >> 1
     if kernels:
         # The residues of a followed by b are a + b and a - b.
         return kernels.scale(kernels.pair(kernels.residues(a, p), kernels.residues(b, p), p), inv2, p)
+    a, b = _ints(a), _ints(b)
     lo = [(x + y) * inv2 % p for x, y in zip(a, b)]
     hi = [(x - y) * inv2 % p for x, y in zip(a, b)]
     return lo + hi
@@ -410,8 +406,10 @@ LINEAR_WORK_L = 64
 
 
 def _tft_cost(z1: int, z2: int, fwd: PlanEntry, inv: PlanEntry) -> float:
-    # The tft and itft timings scaled from the shapes they were timed at
-    # (their keys' z and n) to z1 x z2 by exact butterfly counts.
+    # The forward tft timing and the inverse's, scaled from the shapes they
+    # were timed at (their keys' z and n) to z1 x z2 by exact butterfly
+    # counts. The inverse is the dft key's timing: itft at n = L, that key's
+    # n, runs the same loop, so `modconv plan` times no itft key.
     size, n = fwd.key.L, z1 + z2 - 1
     forward = fwd.measured_nanos * (tft_butterflies(size, z1, n) + tft_butterflies(size, z2, n))
     inverse = inv.measured_nanos * itft_butterflies(size, n)
@@ -449,7 +447,8 @@ class _Engine(NamedTuple):
     a replaced name (a tracer's wrapper) is the one that runs. `cost` gives
     the nanoseconds of a z1 x z2 product from the plan entries of the
     (kind, L) keys that `reads` names at the padded size L
-    (`planner.planned_keys`), or, for an engine `auto` never ranks, the
+    (`planner.planned_keys`; `tft` reads the tft key and, for its inverse,
+    the dft key), or, for an engine `auto` never ranks, the
     reason as a string. `applies` says at which padded sizes L `auto`
     ranks it, of those the field hosts; equal costs go to the lowest `tie`. A core that
     twists (`twist`) also takes the negacyclic twist's table, of 2L, which
@@ -489,7 +488,7 @@ _ENGINES = {
     "fft_pad": _Engine(_next_pow2, lambda table, u, v, req: _zero_padded(_circ_conv_fft, table.size, table, u, v, req),
                        lambda z1, z2, dft: 3 * dft.measured_nanos, lambda size: (("dft", size),)),
     "tft": _Engine(_next_pow2, lambda table, u, v, req: _conv_tft(table, u, v, req), _tft_cost,
-                   lambda size: (("tft", size), ("itft", size)), tie=2),
+                   lambda size: (("tft", size), ("dft", size)), tie=2),
     "split": _Engine(lambda n: max(2, _next_pow2(n)) >> 1,
                      lambda table, u, v, req, twist: _zero_padded(_circ_conv_split, 2 * table.size, table, u, v, req,
                                                                   twist=twist),

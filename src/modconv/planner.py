@@ -16,11 +16,14 @@ Execution is serial, so `threads` is 1 in every key this module makes and in
 every signature it writes; the field stays because the store format carries it.
 
 The plan contract is stated once here: `planned_keys` gives the keys
-`modconv plan` writes and the automatic engine choice reads, four timings per
-(p, L), and `_call` gives the one kernel call each kind times, which `search`
-and `replay` share. `_call` checks its input by the rule of the kernel's
-door (`transform._full_input`, `transform._truncated`,
-`convolve._operands`), so a replay refuses what the door would refuse.
+`modconv plan` writes and the automatic engine choice reads, three timings
+per (p, L): dft, tft and conv. None is of itft, whose loop at n = L is
+the dft key's, so tft's inverse is priced from the dft timing; an itft key
+is still timed on request, replayed and loaded. `_call` gives the one
+kernel call each kind times, which `search` and `replay` share. `_call`
+checks its input by the rule of the kernel's door
+(`transform._full_input`, `transform._truncated`, `convolve._operands`),
+so a replay refuses what the door would refuse.
 The transform keys time the full size, z = n = L; the
 `conv` key times a balanced product at the bottom of L's range, z = L/4 + 1
 and n = L/2 + 1, which keeps planning cheap. Each timing is of the call an
@@ -113,13 +116,16 @@ class PlanEntry:
             raise ValueError("exec signature must be printable ASCII without '|'")
 
 
-def planned_keys(p: int, size: int) -> tuple[PlanKey, PlanKey, PlanKey, PlanKey]:
-    """The dft, tft, itft and conv keys that `modconv plan` writes and `auto` reads at L = size."""
+def planned_keys(p: int, size: int) -> tuple[PlanKey, PlanKey, PlanKey]:
+    """The dft, tft and conv keys that `modconv plan` writes and `auto` reads at L = size.
+
+    No itft key: itft at n = L runs the dft key's loop, so `auto` prices
+    tft's inverse from the dft timing.
+    """
     z = size // 4 + 1
     return (
         PlanKey("dft", p, size, 0, size, 1),
         PlanKey("tft", p, size, size, size, 1),
-        PlanKey("itft", p, size, size, size, 1),
         PlanKey("conv", p, size, z, 2 * z - 1, 1),
     )
 

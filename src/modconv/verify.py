@@ -18,7 +18,6 @@ from .convolve import (
     _circ_conv_fft,
     _circ_conv_split,
     _conv_tft,
-    _nega_conv,
     circ_conv_def,
     circ_conv_split,
     conv_tft,
@@ -263,18 +262,19 @@ def _suite_numpy_backend(rng, cap, fields):
             v = [rng.randrange(p) for _ in range(size)]
             ua, va = _ntt_numpy.residues(u, p), _ntt_numpy.residues(v, p)
             full = schoolbook_raw(u, v, p) + [0]
-            want = {
-                _conv_tft: (2 * size, full[:-1]),
-                _circ_conv_fft: (size, circ_conv_def(u, v, fp)),
-                _circ_conv_split: (size >> 1, circ_conv_def(u, v, fp)),
-                _nega_conv: (size, [(full[i] - full[i + size]) % p for i in range(size)]),
-            }
-            for core, (L, out) in want.items():
+            # Each core, its table's size, whether it twists, and the oracle's product.
+            want = [
+                (_conv_tft, 2 * size, False, full[:-1]),
+                (_circ_conv_fft, size, False, circ_conv_def(u, v, fp)),
+                (_circ_conv_split, size >> 1, True, circ_conv_def(u, v, fp)),
+                (_circ_conv_fft, size, True, [(full[i] - full[i + size]) % p for i in range(size)]),
+            ]
+            for core, L, twists, out in want:
                 table = get_table(fp, L)
                 # A core that twists takes the 2L table, as `_product` hands it.
-                tables = {"twist": get_table(fp, 2 * L)} if core in (_circ_conv_split, _nega_conv) else {}
+                tables = {"twist": get_table(fp, 2 * L)} if twists else {}
                 if _div_size(core(table, ua, va, req, **tables), table).tolist() != out:
-                    return False, f"{core.__name__} on uint64 arrays != oracle at p={p}, n={size}"
+                    return False, f"{core.__name__}{' twisted' * twists} on uint64 arrays != oracle at p={p}, n={size}"
         # The defining sum's kernel against the Python sum, on random
         # residues and on all p - 1, with a longer side of 256 and a shorter
         # side of one block of rows and of one row more

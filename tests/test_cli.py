@@ -345,12 +345,9 @@ class TestPlan:
         for entry in store:
             kinds.setdefault(entry.key.kind, set()).add(entry.key.L)
         sizes = {2, 4, 8, 16, 32, 64}
-        assert kinds["dft"] == sizes
-        assert kinds["tft"] == sizes
-        assert kinds["itft"] == sizes
-        assert kinds["conv"] == sizes
-        # Each kind is timed on its own kernel: four searches per size.
-        assert "search invocations: 24" in capsys.readouterr().out
+        assert kinds == {"dft": sizes, "tft": sizes, "conv": sizes}
+        # Each kind is timed on its own kernel: three searches per size.
+        assert "search invocations: 18" in capsys.readouterr().out
 
     def test_rerun_performs_zero_searches(self, tmp_path, capsys):
         store_path = tmp_path / "plans.txt"
@@ -360,18 +357,43 @@ class TestPlan:
         out = capsys.readouterr().out
         assert "search invocations: 0" in out
 
-    def test_mirrored_inverse_plans(self, tmp_path):
+    def test_plan_writes_no_itft_entry(self, tmp_path):
+        # itft at n = L runs the dft key's loop, so no itft key is planned:
+        # `auto` prices tft's inverse from the dft timing.
         store_path = tmp_path / "plans.txt"
         main(["plan", "--store", str(store_path), "--max-l", "32"])
         store = store_load(str(store_path))
-        for entry in store:
-            if entry.key.kind == "tft":
-                inv_key = entry.key
-                mirrored = [
-                    e for e in store
-                    if e.key.kind == "itft" and e.key.L == inv_key.L
-                ]
-                assert mirrored and mirrored[0].splits == tuple(reversed(entry.splits))
+        assert len(store) == 15
+        assert not any(entry.key.kind == "itft" for entry in store)
+
+    def test_plan_over_a_store_with_itft_entries_keeps_them(self, tmp_path, capsys):
+        # A store as `modconv plan --max-l 64` wrote it when it planned an
+        # itft key at each size too: planning it again searches nothing and
+        # keeps every line, and a product reads no itft key from it.
+        sig = planner.make_exec_signature()
+        lines = ["modconv-plan v1"]
+        for kind in ("conv", "dft", "itft", "tft"):
+            for log in range(1, 7):
+                size, z = 1 << log, (1 << log) // 4 + 1
+                kz, kn = {"conv": (z, 2 * z - 1), "dft": (0, size)}.get(kind, (size, size))
+                splits = ",".join("2" * (log - 1))
+                lines.append(f"{kind}|998244353|{size}|{kz}|{kn}|1|splits={splits}|base=2|nanos={900 * log}|sig={sig}")
+        text = "\n".join(lines) + "\n"
+        store_path = tmp_path / "plans.txt"
+        store_path.write_text(text)
+        assert main(["plan", "--store", str(store_path), "--max-l", "64"]) == EXIT_OK
+        assert "search invocations: 0" in capsys.readouterr().out
+        assert store_path.read_text() == text
+        fa, fb, out = tmp_path / "a", tmp_path / "b", tmp_path / "out"
+        write_poly(fa, 998244353, list(range(1, 31)))
+        write_poly(fb, 998244353, list(range(2, 26)))
+        read = []
+        lookup = planner.PlanSession.lookup
+        with mock.patch.object(planner.PlanSession, "lookup", lambda self, key: read.append(key) or lookup(self, key)):
+            argv = ["mul", str(fa), str(fb), "--engine", "auto", "--store", str(store_path), "-o", str(out)]
+            assert main(argv) == EXIT_OK
+        assert read and not any(key.kind == "itft" for key in read)
+        assert store_path.read_text() == text
 
     def test_corrupted_store_is_not_overwritten(self, tmp_path, capsys):
         store_path = tmp_path / "plans.txt"

@@ -484,17 +484,18 @@ def test_array_path_matches_list_path(case):
 
     fp, u, v, g, h = case
     residues = lambda x: [y % fp.p for y in x]
-    # Each core with the size L of the table its door runs it on.
+    # Each door with its core, the size L of the table the door runs it on,
+    # and whether the door hands it the twist's table.
     padded = 1 << (len(g) + len(h) - 2).bit_length()
-    calls = {
-        conv_tft: (convolve._ENGINES["tft"].core, padded, (g, h)),
-        lin_conv_fft_pad: (convolve._ENGINES["fft_pad"].core, padded, (g, h)),
-        circ_conv_fft: (convolve._circ_conv_fft, len(u), (u, v)),
-        nega_conv: (convolve._nega_conv, len(u), (u, v)),
-        circ_conv_split: (convolve._circ_conv_split, len(u) >> 1, (u, v)),
-    }
+    calls = [
+        (conv_tft, convolve._ENGINES["tft"].core, padded, (g, h), False),
+        (lin_conv_fft_pad, convolve._ENGINES["fft_pad"].core, padded, (g, h), False),
+        (circ_conv_fft, convolve._circ_conv_fft, len(u), (u, v), False),
+        (nega_conv, convolve._circ_conv_fft, len(u), (u, v), True),
+        (circ_conv_split, convolve._circ_conv_split, len(u) >> 1, (u, v), True),
+    ]
 
-    def run(engine, args, size=None):
+    def run(engine, args, size=None, twists=False):
         counters = OpCounters()
         req = ConvRequest(fp, counters=counters)
         if size is None:
@@ -503,20 +504,20 @@ def test_array_path_matches_list_path(case):
         # product; one scale by that same table divides it, as the door does.
         table = get_table(fp, size)
         # A core that twists takes the 2L table, as `_product` hands it.
-        tables = {"twist": get_table(fp, 2 * size)} if engine in (convolve._nega_conv, convolve._circ_conv_split) else {}
+        tables = {"twist": get_table(fp, 2 * size)} if twists else {}
         return transform._div_size(engine(table, *args, req, **tables), table), counters
 
-    for door, (core, size, args) in calls.items():
+    for door, core, size, args, twists in calls:
         canonical = [residues(x) for x in args]
         with mock.patch.object(transform, "_NUMPY_CROSSOVER", 1 << 62):
             listed = run(door, args)
             assert run(door, canonical) == listed, door.__name__
-        assert run(core, canonical, size) == listed, door.__name__
+        assert run(core, canonical, size, twists) == listed, door.__name__
         # numpy is loaded here, so the crossover alone moves every size to arrays.
         with mock.patch.object(transform, "_NUMPY_CROSSOVER", 1):
             assert run(door, args) == listed, door.__name__
         arrays = [np.array(x, dtype=np.uint64) for x in canonical]
-        out, counters = run(core, arrays, size)
+        out, counters = run(core, arrays, size, twists)
         assert isinstance(out, np.ndarray) and out.dtype == np.uint64, door.__name__
         assert (out.tolist(), counters) == listed, door.__name__
         assert [x.tolist() for x in arrays] == canonical
@@ -624,6 +625,9 @@ def test_mixed_inputs_follow_the_array_rule(p):
         negatives = np.full(length >> 1, -1, dtype=np.int64)
         with pytest.raises(ValueError, match="residues"):
             recombine_residues(a, negatives, p)
+        # Beside an array, a list is still read by the lists' integer rule.
+        with pytest.raises(ValueError, match="integers"):
+            recombine_residues(halves[0], [0.5] * len(b), p)
         with pytest.raises(ValueError, match="residues"):
             recombine_residues(negatives, b, p)
 

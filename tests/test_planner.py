@@ -39,6 +39,11 @@ def make_session(store=None, sig="test-host;cores=1;threads=1;build=test", reps=
     return PlanSession(store or PlanStore(), signature=sig, timer=fake_timer(), reps=reps)
 
 
+def planned_key(p, size, kind):
+    """The `planned_keys` entry of one kind at L = size."""
+    return next(key for key in planner.planned_keys(p, size) if key.kind == kind)
+
+
 class TestPlanKeyEntry:
     def test_total_ordering(self):
         keys = [
@@ -342,17 +347,17 @@ class TestDftSearch:
         # kernels uint64 arrays from 2**15 on, importing numpy if need be.
         np = pytest.importorskip("numpy")
         seen = []
-        for name in ("_moddft", "_tft", "_itft", "_kronecker"):
+        for name in ("_moddft", "_tft", "_kronecker"):
             monkeypatch.setattr(planner, name, lambda *args: seen.append(args))
         session = make_session(reps=1)
         for key in planner.planned_keys(p, size):
             session.search(key)
         # dft passes its stack of one vector first, tft the table and its
-        # stack of one, itft the table and the vector.
-        ((x_dft,), _), (_, (x_tft,), _), (_, x_itft), (u, v, _) = seen
-        inputs = [x_dft, x_tft, x_itft]
+        # stack of one.
+        ((x_dft,), _), (_, (x_tft,), _), (u, v, _) = seen
+        inputs = [x_dft, x_tft]
         assert all(type(x) is np.ndarray for x in inputs)
-        assert [len(x) for x in inputs] == [size] * 3
+        assert [len(x) for x in inputs] == [size] * 2
         assert all(x.dtype == np.uint64 for x in inputs)
         # Kronecker packs lists: a balanced product at the bottom of L's range.
         assert type(u) is type(v) is list and len(u) == len(v) == size // 4 + 1
@@ -369,7 +374,7 @@ class TestResolveEngine:
     def _stocked_session(self, tft_nanos, dft_nanos, conv_nanos=10**9, size=16, p=LARGE_PRIME):
         # Exactly the keys `modconv plan` writes at L = size.
         session = make_session()
-        nanos = {"dft": dft_nanos, "tft": tft_nanos, "itft": tft_nanos, "conv": conv_nanos}
+        nanos = {"dft": dft_nanos, "tft": tft_nanos, "conv": conv_nanos}
         for key in planner.planned_keys(p, size):
             session.store.add(PlanEntry(key, (2,) * (size.bit_length() - 2), 2, nanos[key.kind], session.signature))
         return session
@@ -398,15 +403,17 @@ class TestResolveEngine:
         for z1, z2 in ((8, 8), (2, 14), (9, 7), (16, 1), (5, 5)):
             session.resolve_engine(fp998, z1, z2)
         assert session.search_count == 0
-        assert len(session.store) == 4
+        assert len(session.store) == 3
 
     def test_truncated_timings_scale_by_butterfly_counts(self, fp998):
         # 2 x 8 -> n = 9 at L = 16, where a full tft or itft spends 32 butterflies.
-        # With kronecker priced out, fft_pad costs 3 dft timings and tft its scaled ones.
-        scaled = 1000 * (
-            tft_butterflies(16, 2, 9) + tft_butterflies(16, 8, 9) + itft_butterflies(16, 9)
-        ) / 32
-        for dft, pick in ((int(scaled / 3) - 1, "fft_pad"), (int(scaled / 3) + 1, "tft")):
+        # With kronecker priced out, fft_pad costs 3 dft timings, and tft the
+        # tft timing and, for its inverse, the dft timing, each scaled: tft
+        # wins once 3 * dft > 1000 * fwd + dft * inv.
+        fwd = (tft_butterflies(16, 2, 9) + tft_butterflies(16, 8, 9)) / 32
+        inv = itft_butterflies(16, 9) / 32
+        even = 1000 * fwd / (3 - inv)
+        for dft, pick in ((int(even) - 1, "fft_pad"), (int(even) + 1, "tft")):
             session = self._stocked_session(tft_nanos=1000, dft_nanos=dft)
             assert session.resolve_engine(fp998, 2, 8) == pick, dft
 
@@ -435,7 +442,7 @@ class TestResolveEngine:
         # alone it would cost about 0.41 * 100_000 ns. Packing and unpacking
         # are priced from the conv timing at LINEAR_WORK_L = 64 (a 17 x 17
         # product, n = 33) by n, which makes it 127 * 1000 ns.
-        base = planner.planned_keys(LARGE_PRIME, convolve.LINEAR_WORK_L)[3]
+        base = planned_key(LARGE_PRIME, convolve.LINEAR_WORK_L, "conv")
         assert (base.z, base.n) == (17, 33)
         floor = 127_000
         for dft, pick in ((floor // 3 - 1, "fft_pad"), (floor // 3 + 1, "kronecker")):
@@ -443,6 +450,22 @@ class TestResolveEngine:
             session.store.add(PlanEntry(base, (2,) * 5, 2, 33_000, session.signature))
             assert session.resolve_engine(fp998, 1, 127) == pick, dft
             assert session.search_count == 0
+
+    def test_a_product_past_the_planned_l_searches_its_three_keys(self, monkeypatch, fp998):
+        # Past the planned max L, the first product at a new L times that
+        # L's planned keys once: dft, tft and conv, and no itft.
+        monkeypatch.setattr(convolve, "_numpy_kernels", numpy_decision(False))
+        session = make_session(reps=1)
+        for log in range(1, 7):
+            for key in planner.planned_keys(LARGE_PRIME, 1 << log):
+                session.store.add(PlanEntry(key, (2,) * (log - 1), 2, 1000 * log, session.signature))
+        session.resolve_engine(fp998, 30, 30)
+        assert session.search_count == 0
+        session.resolve_engine(fp998, 40, 40)
+        assert session.search_count == 3
+        assert sorted(e.key.kind for e in session.store if e.key.L == 128) == ["conv", "dft", "tft"]
+        session.resolve_engine(fp998, 50, 60)
+        assert session.search_count == 3
 
     def test_scalar_product_short_circuits(self, fp998):
         session = make_session()
@@ -492,14 +515,14 @@ class TestResolveEngine:
         z = size // 2
         for p, pick in ((LARGE_PRIME, "tft"), (WIDE_PRIME, "tft")):
             session = self._stocked_session(tft_nanos=10**6, dft_nanos=10**9, conv_nanos=1, size=size, p=p)
-            session.store.add(PlanEntry(planner.planned_keys(p, 64)[3], (2,) * 5, 2, 1, session.signature))
+            session.store.add(PlanEntry(planned_key(p, 64, "conv"), (2,) * 5, 2, 1, session.signature))
             assert session.resolve_engine(FourierPrime.from_modulus(p), z, z) == pick, p
             assert session.search_count == 0
 
     def test_below_numpy_crossover_kronecker_is_ranked_with_numpy_loaded(self, fp998):
         pytest.importorskip("numpy")
         session = self._stocked_session(tft_nanos=10**6, dft_nanos=10**6, conv_nanos=10, size=256)
-        session.store.add(PlanEntry(planner.planned_keys(LARGE_PRIME, 64)[3], (2,) * 5, 2, 10, session.signature))
+        session.store.add(PlanEntry(planned_key(LARGE_PRIME, 64, "conv"), (2,) * 5, 2, 10, session.signature))
         assert session.resolve_engine(fp998, 100, 100) == "kronecker"
 
 
@@ -521,10 +544,12 @@ def stock_pick_store(session):
 
     A transform costs about 290 ns per Python-loop butterfly (350 over a
     62-bit prime) and 16 ns in numpy (35 over a 62-bit prime), which
-    `modconv plan` runs from 2**15; `tft` and `itft` take 1.15x and 1.3x a
-    `dft`. `conv`
+    `modconv plan` runs from 2**15; `tft` takes 1.15x a `dft`. `conv`
     grows as (L/2048)**1.46 from 0.86 ms, 2.2x that over a 62-bit prime.
-    Each timing is scaled by a seeded factor in [0.8, 1.25].
+    Each timing is scaled by a seeded factor in [0.8, 1.25]. The seeded
+    draws still include one for the itft key that `modconv plan` wrote
+    when these picks were first recorded, so every other timing keeps the
+    draw it had then.
     """
     rng = random.Random(2023)
     for p in PICK_PRIMES:
@@ -533,10 +558,12 @@ def stock_pick_store(session):
             per = (35 if p >> 32 else 16) if size >= 1 << 15 else 350 if p >> 32 else 290
             transform_ns = per * (size >> 1) * log
             conv_ns = 4000 + 860_000 * (2.2 if p >> 32 else 1) * (size / 2048) ** 1.46
-            scale = {"dft": transform_ns, "tft": 1.15 * transform_ns, "itft": 1.3 * transform_ns, "conv": conv_ns}
-            for key in planner.planned_keys(p, size):
-                nanos = int(scale[key.kind] * rng.uniform(0.8, 1.25))
-                session.store.add(PlanEntry(key, (2,) * (log - 1), 2, nanos, session.signature))
+            scale = {"dft": transform_ns, "tft": 1.15 * transform_ns, "conv": conv_ns}
+            keys = {key.kind: key for key in planner.planned_keys(p, size)}
+            for kind in ("dft", "tft", "itft", "conv"):
+                nanos = int(scale.get(kind, 0) * rng.uniform(0.8, 1.25))
+                if kind in keys:
+                    session.store.add(PlanEntry(keys[kind], (2,) * (log - 1), 2, nanos, session.signature))
 
 
 # `auto`'s picks on PICK_SHAPES over each of PICK_PRIMES from stock_pick_store,
@@ -545,17 +572,18 @@ def stock_pick_store(session):
 # engines' costs moved into `convolve._ENGINES`; the 62-bit picks that
 # changed were recorded again when the numpy kernels came to take 62-bit
 # primes (`kronecker` is no longer ranked there with numpy loaded, and the
-# stocked 62-bit timings from 2**15 are of numpy).
+# stocked 62-bit timings from 2**15 are of numpy), and 20 letters were
+# recorded again when tft's inverse came to be priced from the dft timing.
 RECORDED_PICKS = {
     False: {
         998244353: "kftftkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkttttttttfffftt",
-        2305843009448574977: "kftffkkkkfkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkfkttffffttfffftt",
+        2305843009448574977: "kftftkkkkfkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkfkttftffttfffftt",
         2305843009213704193: "ktkfkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkk",
     },
     True: {
-        998244353: "kftftkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkttttttttftffttffffttttftttffffttffffttttttttfffftt",
-        2305843009448574977: "kftffkkkkfkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkttffffttttffttttffttttftttftffttffffttffffttfffftt",
-        2305843009213704193: "ktkfkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkttffffttftffttffffkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkk",
+        998244353: "kftftkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkttttftttttftttttffttttttttffffttttffttttttttfffftt",
+        2305843009448574977: "kftftkkkkfkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkttttffttttffttttttttttftttttffttftffttftffttfffftt",
+        2305843009213704193: "ktkfkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkttffffttttftttffffkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkk",
     },
 }
 
@@ -589,19 +617,29 @@ class TestEngineTable:
 
     @pytest.mark.parametrize("loaded", [False, True])
     def test_inside_the_planned_l_only_planned_keys_are_read(self, monkeypatch, loaded):
-        # A store planned to L = 1024 over two primes; every product that
-        # fits in it reads only those keys and picks an engine with a cost.
+        # A store planned to L = 1024 over two primes, holding too the itft
+        # key that `modconv plan` once wrote at each size: every product
+        # that fits in it reads only the planned keys, never an itft one,
+        # prices every ranked engine somewhere, and picks one with a cost.
         monkeypatch.setattr(convolve, "_numpy_kernels", numpy_decision(loaded))
         session = make_session()
         planned = set()
         for p in (LARGE_PRIME, WIDE_PRIME):
             for log in range(1, 11):
-                for key in planner.planned_keys(p, 1 << log):
+                size = 1 << log
+                for key in planner.planned_keys(p, size):
                     planned.add(key)
                     session.store.add(PlanEntry(key, (2,) * (log - 1), 2, 1000 * log + key.L, session.signature))
-        read = []
+                itft = PlanKey("itft", p, size, size, size, 1)
+                session.store.add(PlanEntry(itft, (2,) * (log - 1), 2, 1000 * log + size, session.signature))
+        stocked = len(session.store)
+        read, priced = [], set()
         lookup = session.lookup
         monkeypatch.setattr(session, "lookup", lambda key: read.append(key) or lookup(key))
+        for name, engine in convolve._ENGINES.items():
+            if callable(engine.cost):
+                spy = lambda *args, name=name, cost=engine.cost: priced.add(name) or cost(*args)
+                monkeypatch.setitem(convolve._ENGINES, name, engine._replace(cost=spy))
         from modconv import FourierPrime
 
         for p in (LARGE_PRIME, WIDE_PRIME):
@@ -612,7 +650,8 @@ class TestEngineTable:
                         pick = session.resolve_engine(fp, z1, z2)
                         assert callable(convolve._ENGINES[pick].cost), (p, z1, z2)
         assert read and set(read) <= planned
-        assert session.search_count == 0 and len(session.store) == len(planned)
+        assert priced == {"fft_pad", "tft", "kronecker"}
+        assert session.search_count == 0 and len(session.store) == stocked
 
     def test_ties_go_by_the_table(self, monkeypatch, fp998):
         # With every ranked cost equal, the pick is the lowest `tie` among the
@@ -623,7 +662,7 @@ class TestEngineTable:
         for name, engine in ranked.items():
             monkeypatch.setitem(convolve._ENGINES, name, engine._replace(cost=lambda z1, z2, *entries: 1))
         session = TestResolveEngine()._stocked_session(tft_nanos=1, dft_nanos=1, conv_nanos=1)
-        session.store.add(PlanEntry(planner.planned_keys(LARGE_PRIME, 64)[3], (2,) * 5, 2, 1, session.signature))
+        session.store.add(PlanEntry(planned_key(LARGE_PRIME, 64, "conv"), (2,) * 5, 2, 1, session.signature))
         for pick in ("fft_pad", "kronecker", "tft"):
             assert session.resolve_engine(fp998, 8, 8) == pick
             # Price the winner out, and the next in the tie order wins.

@@ -3,13 +3,15 @@
     python3 tools/kernel_times.py OLD_TREE NEW_TREE [--group kernels|stages|boundary|products|definition|loops]
                                   [--rounds 5] [--lo 9] [--hi 18] [--prime 998244353]
 
-Each round runs one fresh subprocess per tree, alternating which tree goes
-first, and each subprocess imports `modconv` from TREE/src. At every size
-L = 2**lo .. 2**hi over the prime P (default 998244353; P's 2-adicity caps
-hi) it times each call as the best of a few calls after a warm-up call.
-Both trees must have the stacked kernels, whose `moddft` and `tft` take a
-stack of inputs. The table prints, per call and size, the median over
-rounds of each tree and new/old.
+Each round runs, at every size L = 2**lo .. 2**hi over the prime P
+(default 998244353; P's 2-adicity caps hi), one fresh subprocess per tree,
+which imports `modconv` from TREE/src and times each call as the best of a
+few calls after a warm-up call. Which tree goes first alternates by round
+and by size, so the two runs of a pair meet the same host load. Both trees
+must have the stacked kernels, whose `moddft` and `tft` take a stack of
+inputs. The table prints, per call and size, the median over rounds of
+each tree's time, and the median and quartiles of the per-round new/old
+ratios: the same tree on both sides reads about 1.00.
 
 `kernels` (the default) times `_ntt_numpy.moddft` (forward and inverse, L
 inputs), `tft` (L/4 inputs, n = L/2 + 1 outputs, the shape of a balanced
@@ -43,8 +45,9 @@ the `nega_conv` and `circ_conv_split` doors on two vectors of L (rows n =
 L), each on the Python loops (the numpy crossover set past every size)
 and on the numpy kernels (the crossover set to 1). It prints both trees'
 times, the new tree's numpy/Python ratio (the table the numpy rule,
-`transform._numpy_kernels`, rests on), and new/old on each backend. Try
---lo 6 --hi 11; the Python loops make large L slow.
+`transform._numpy_kernels`, rests on), and the median and quartiles of the
+per-round new/old ratios on each backend. Try --lo 6 --hi 11; the Python
+loops make large L slow.
 
 `definition` times `convolve.lin_conv_def` on lists, in us, with numpy
 loaded, on the Python sum and on the numpy kernel (`_ntt_numpy.schoolbook`,
@@ -103,7 +106,7 @@ def best_time(call, tries: int, batch: int = 1) -> float:
 CHILD = r"""
 import json, sys, time
 import numpy as np
-sys.path.insert(0, sys.argv[5])
+sys.path.insert(0, sys.argv[4])
 from kernel_times import best_time
 from modconv import _ntt_numpy as K, transform
 from modconv.convolve import ConvRequest, circ_conv_split, nega_conv, poly_mul
@@ -113,7 +116,7 @@ from modconv.transform import get_table
 
 CROSSOVER = transform._NUMPY_CROSSOVER
 
-fp = FourierPrime.from_modulus(int(sys.argv[4]))
+fp = FourierPrime.from_modulus(int(sys.argv[3]))
 rng = np.random.default_rng(1)
 
 STAGES = ("_pass", "_butterflies", "_dif")
@@ -282,14 +285,13 @@ def calls(group, L, x):
     }
 
 
-group = sys.argv[3]
+k, group = int(sys.argv[1]), sys.argv[2]
+L = 1 << k
+x = rng.integers(0, fp.p, L, dtype=np.uint64)
 out = {}
-for k in range(int(sys.argv[1]), int(sys.argv[2]) + 1):
-    L = 1 << k
-    x = rng.integers(0, fp.p, L, dtype=np.uint64)
-    if group == "stages":
-        out.update(stages(L, x))
-        continue
+if group == "stages":
+    out = stages(L, x)
+else:
     # The loops take microseconds at small L: time a batch of calls there.
     batch = max(1, (1 << 12) // L) if group in ("loops", "definition") else 1
     for name, call in calls(group, L, x).items():
@@ -303,48 +305,61 @@ print(json.dumps(out))
 UNITS = {"kernels": "ms", "stages": "us", "boundary": "ns/coef", "products": "ms", "loops": "us", "definition": "us"}
 
 
-def run(tree: str, lo: int, hi: int, group: str, prime: int) -> dict:
+def run(tree: str, k: int, group: str, prime: int) -> dict:
+    """The times of one fresh subprocess that imports `modconv` from tree, at L = 2**k."""
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"))
     tools = os.path.dirname(os.path.abspath(__file__))
-    done = subprocess.run([sys.executable, "-c", CHILD, str(lo), str(hi), group, str(prime), tools], env=env,
+    done = subprocess.run([sys.executable, "-c", CHILD, str(k), group, str(prime), tools], env=env,
                           capture_output=True, text=True, check=True)
     return json.loads(done.stdout)
 
 
-def print_stages(times: dict, old: str, new: str) -> None:
+def paired(old: list, new: list, key: str) -> tuple[float, float, float]:
+    """The median and the lower and upper quartiles of the per-round new/old ratios of key."""
+    ratios = [n[key] / o[key] for o, n in zip(old, new)]
+    if len(ratios) == 1:
+        return ratios[0], ratios[0], ratios[0]
+    low, mid, high = statistics.quantiles(ratios, n=4, method="inclusive")
+    return mid, low, high
+
+
+def print_stages(old: list, new: list) -> None:
     # Medians over rounds of each tree's totals and stage statistics, in us.
     print("| call | L | tree | total | stages | median stage | largest stage | butterfly |")
     print("| --- | --- | --- | --- | --- | --- | --- | --- |")
-    for key in times[old][0]:
+    for key in old[0]:
         name, k = key.split()
         if name == "butterfly":
             continue
-        for label, tree in (("old", old), ("new", new)):
-            med = lambda f: statistics.median(f(t[key]) for t in times[tree])
-            count = len(times[tree][0][key]["stages"])
+        for label, times in (("old", old), ("new", new)):
+            med = lambda f: statistics.median(f(t[key]) for t in times)
+            count = len(times[0][key]["stages"])
             mid = med(lambda r: statistics.median(r["stages"]) if r["stages"] else 0.0)
             top = med(lambda r: max(r["stages"], default=0.0))
-            fly = statistics.median(t[f"butterfly {k}"]["total"] for t in times[tree])
+            fly = statistics.median(t[f"butterfly {k}"]["total"] for t in times)
             print(f"| {name} | 2^{k} | {label} | {med(lambda r: r['total']):.0f} | {count} | {mid:.0f} | {top:.0f} | {fly:.0f} |")
 
 
-def print_products(times: dict, old: str, new: str, first: str = "engine", shape: str = "n") -> None:
+def print_products(old: list, new: list, first: str = "engine", shape: str = "n") -> None:
     # Medians over rounds, in ms (us for `definition`), of each product on
     # each backend of each tree, the new tree's numpy time over its
-    # Python-loop time, and new/old on each backend.
-    med = lambda tree, key: statistics.median(t[key] for t in times[tree])
+    # Python-loop time, and on each backend the median and quartiles of the
+    # per-round new/old ratios.
+    med = lambda times, key: statistics.median(t[key] for t in times)
     print(f"| {first} | L | {shape} | old python | old numpy | new python | new numpy | new numpy/python "
-          "| python new/old | numpy new/old |")
-    print("| --- | --- | --- | --- | --- | --- | --- | --- | --- | --- |")
-    for key in times[old][0]:
+          "| python new/old | numpy new/old | python quartiles | numpy quartiles |")
+    print("| --- | --- | --- | --- | --- | --- | --- | --- | --- | --- | --- | --- |")
+    for key in old[0]:
         shape, k = key.split()
         engine, backend, n = shape.split(":")
         if backend != "python":
             continue
-        cells = [med(tree, f"{engine}:{b}:{n} {k}") for tree in (old, new) for b in ("python", "numpy")]
-        ratios = (cells[3] / cells[2], cells[2] / cells[0], cells[3] / cells[1])
-        print(f"| {engine} | 2^{k} | {n[2:]} | " + " | ".join(f"{c:.3f}" for c in cells) + " | "
-              + " | ".join(f"{r:.2f}" for r in ratios) + " |")
+        cells = [f"{engine}:{b}:{n} {k}" for b in ("python", "numpy")]
+        times = [med(side, cell) for side in (old, new) for cell in cells]
+        ratios = [paired(old, new, cell) for cell in cells]
+        print(f"| {engine} | 2^{k} | {n[2:]} | " + " | ".join(f"{t:.3f}" for t in times)
+              + f" | {times[3] / times[2]:.2f} | " + " | ".join(f"{r[0]:.2f}" for r in ratios) + " | "
+              + " | ".join(f"{r[1]:.2f}-{r[2]:.2f}" for r in ratios) + " |")
 
 
 def main() -> None:
@@ -357,26 +372,32 @@ def main() -> None:
     ap.add_argument("--hi", type=int, default=18)
     ap.add_argument("--prime", type=int, default=998244353, help="the prime to time over (default 998244353)")
     args = ap.parse_args()
-    times = {args.old: [], args.new: []}
+    # Per side, old then new, one dict of times per round; a tree may be on both sides.
+    old, new = [], []
     for r in range(args.rounds):
-        for tree in (args.old, args.new) if r % 2 == 0 else (args.new, args.old):
-            times[tree].append(run(tree, args.lo, args.hi, args.group, args.prime))
+        rounds = ({}, {})
+        for k in range(args.lo, args.hi + 1):
+            for side in (0, 1) if (r + k) % 2 == 0 else (1, 0):
+                rounds[side].update(run((args.old, args.new)[side], k, args.group, args.prime))
+        old.append(rounds[0])
+        new.append(rounds[1])
     unit = UNITS[args.group]
     if args.group == "stages":
-        print_stages(times, args.old, args.new)
+        print_stages(old, new)
         return
     if args.group == "products":
-        print_products(times, args.old, args.new)
+        print_products(old, new)
         return
     if args.group == "definition":
-        print_products(times, args.old, args.new, "shape", "z1 x z2")
+        print_products(old, new, "shape", "z1 x z2")
         return
-    print(f"| call | L | old ({unit}) | new ({unit}) | new/old |")
-    print("| --- | --- | --- | --- | --- |")
-    for key in times[args.old][0]:
-        old, new = (statistics.median(t[key] for t in times[tree]) for tree in (args.old, args.new))
+    print(f"| call | L | old ({unit}) | new ({unit}) | new/old | quartiles |")
+    print("| --- | --- | --- | --- | --- | --- |")
+    for key in old[0]:
+        mid, low, high = paired(old, new, key)
         name, k = key.split()
-        print(f"| {name} | 2^{k} | {old:.3f} | {new:.3f} | {new / old:.2f} |")
+        print(f"| {name} | 2^{k} | {statistics.median(t[key] for t in old):.3f} | "
+              f"{statistics.median(t[key] for t in new):.3f} | {mid:.2f} | {low:.2f}-{high:.2f} |")
 
 
 if __name__ == "__main__":
