@@ -45,21 +45,24 @@ over all of them:
 - `_Wide`, for p from 2**32 up to 2**62: w' = floor(w * 2**64 / p), stored
   as two 32-bit limbs, and the high word of x*w' comes from three limb
   products, at most 2 short, so that t, computed in uint64 with wrap-around,
-  lies in [0, 4p), below 2**64. Its quotients come from a float estimate
-  and a correction (`_Wide.quotient`), and its pointwise product is Shoup's
-  product by one operand with that operand's quotients.
+  lies in [0, 4p), below 2**64, for any x < 2**64; one minimum step takes it
+  into [0, 2p). Its quotients come from a float estimate and a correction
+  (`_Wide.quotient`), and its pointwise product is Shoup's product by one
+  operand with that operand's quotients. Its stage loops are lazy too.
 A sum a + b, a difference a - b + p and a t in [0, 2p) are brought into
 [0, p) by np.minimum(s, s - p): when s < p, s - p wraps around to above
 2**63, as 2p < 2**63. `stage_arrays` stores each stage's quotients beside
 its twiddles.
 
-Below _WORD / 4 = 2**30 the stage loops are lazy (`_Lazy`, Harvey's
-butterfly in the same paper): residues stay in [0, 4p) between the stages
+Below _WORD / 4 = 2**30, and from _WORD up, the stage loops are lazy
+(`_Lazy` and `_Wide`, Harvey's butterfly in the same paper): residues stay
+in [0, 4p) between the stages
 of `_stockham` and `_dit`, and in [0, 2p) between tft's in-place stages.
 A butterfly brings its left input into [0, 2p), takes hi*w by Shoup's
 product without its last reduce, in [0, 2p), and writes lo + t and
-lo - t + 2p: 10 numpy operations instead of 13. Shoup's product needs
-x*w' < 2**64, so an input x below 2**32: 4p <= 2**32 is the bound. Each
+lo - t + 2p: 10 numpy operations instead of 13 (`_Wide`: 19 instead of
+23). `_Word`'s product needs x*w' < 2**64, so an input x below 2**32: 4p <=
+2**32 is the bound; `_Wide`'s takes any x below 2**64, and 4p < 2**64. Each
 stage loop settles its output into [0, p) with two subtract-and-minimum
 steps (`_Lazy.settle`), so itft's steps between levels, `pointwise`,
 `scale` and every caller see residues. Only Stockham passes whose rows
@@ -68,6 +71,13 @@ to settle: in `_dft`, where the smallest block is longer than a row (a
 moddft past one row, itft's inverted blocks when all are); that took
 0.96-0.98x the time of settling both.
 From 2**30 to _WORD, `_Word` reduces every value at every stage.
+
+The defining sum (`schoolbook`) runs on BLAS instead: it splits residues
+into limbs of 16 bits (below _WORD) or 21 bits (`_Wide`), convolves them
+as float64 arrays with `np.convolve`, in pieces of the shorter operand
+short enough that every value is an integer below 2**53 and so exact
+(`_exact_piece`), and sums the limbs' diagonals mod p (`from_limbs`). Its
+docstring has the exactness argument and the timings.
 
 Layout: each numpy operation runs over stretches of at least _ROW/2
 residues, not over the h residues of a short stage's half-blocks. One
@@ -193,18 +203,38 @@ _MASK = _u64(_WORD - 1)
 _SIGN = _u64(63)
 
 
+def _exact_piece(limb: int) -> int:
+    # The most values of the shorter operand that one piece of the defining
+    # sum takes with limbs of `limb` bits, so that every float64 value its
+    # convolutions make is an integer below 2**53, and so exact in any
+    # summation order: the largest is a convolution of two sums of two
+    # limbs, at most piece * (2 * (2**limb - 1))**2 (see `_diagonals`).
+    return (2**53 - 1) // (2 * ((1 << limb) - 1)) ** 2
+
+
 class _Word:
     """Arithmetic on uint64 arrays of residues mod p < _WORD: Shoup's product with beta = _WORD.
 
     `_arith` picks this class, `_Lazy` or `_Wide` once per kernel call
     from p. `add`, `sub` and `mul` write into out (which may be a or b, but
     not x in `mul`), using tmp, of the same shape, as scratch.
+
+    The defining sum (`schoolbook`) splits residues into `limbs` limbs of
+    `limb` bits, convolves them in float64 in pieces of at most `piece`
+    values of the shorter operand (`_exact_piece`), and takes its short
+    sides below `limbs_from` on rows of Shoup products instead (`_rows`).
     """
+
+    limb, limbs = 16, 2
+    piece = _exact_piece(limb)
+    limbs_from = 32
 
     def __init__(self, p: int):
         self.modulus = p
         self.p = _u64(p)
         self.p2 = _u64(2 * p)
+        self.shifts = (np.arange(self.limbs, dtype=np.uint64) * _u64(self.limb))[:, None]
+        self.mask = _u64((1 << self.limb) - 1)
 
     def quotient(self, w):
         """Shoup's quotient floor(w * _WORD / p) of a factor w < p, an int or a uint64 array."""
@@ -265,6 +295,19 @@ class _Word:
             x = np.add.reduceat(x, np.arange(0, len(x), r), axis=0) % self.p
         return x[0]
 
+    def from_limbs(self, d):
+        """The sum of d[i] * 2**(limb * i) mod p, for uint64 rows d below 2**53, as a new array.
+
+        Horner's rule from the top row: each step is below 2**32 * 2**limb +
+        2**53 < 2**64 before its remainder.
+        """
+        out = d[-1] % self.p
+        for row in d[-2::-1]:
+            out <<= _u64(self.limb)
+            out += row
+            out %= self.p
+        return out
+
     # The steps of the stage loops (`_pass`, `_butterflies`, `_dif`) and
     # their end (`_stockham`, `_dit`): here the exact ones, so residues
     # stay in [0, p) between stages. `_Lazy` overrides them, `_Wide` its
@@ -285,12 +328,13 @@ class _Lazy(_Word):
 
     Harvey's butterfly (Faster arithmetic for number-theoretic transforms,
     2014): `enter` brings the left input lo into [0, 2p); `twiddle` is
-    Shoup's product without its last reduce, in [0, 2p) for any x < _WORD,
-    so for x < 4p <= _WORD; `plus` and `minus` give lo + t and lo - t + 2p,
-    both in [0, 4p). That is 10 numpy operations per butterfly against
-    `_Word`'s 13. tft's in-place stages (`_dif`) keep [0, 2p) with the same
-    steps. `settle` brings a stage loop's output back into [0, p), so every
-    other step sees residues, as with `_Word`.
+    Shoup's product without its last reduce (`shoup`), in [0, 2p) for any
+    x < _WORD, so for x < 4p <= _WORD; `plus` and `minus` give lo + t and
+    lo - t + 2p, both in [0, 4p). That is 10 numpy operations per butterfly
+    against `_Word`'s 13. tft's in-place stages (`_dif`) keep [0, 2p) with
+    the same steps. `settle` brings a stage loop's output back into [0, p),
+    so every other step sees residues, as with `_Word`. `_Wide` takes the
+    same steps over its own `shoup`.
     """
 
     twiddle = _Word.shoup
@@ -314,20 +358,31 @@ class _Lazy(_Word):
         self.reduce(x, tmp)
 
 
-class _Wide(_Word):
-    """Arithmetic mod p from _WORD up to 2**62: Shoup's product with beta = _WORD**2.
+class _Wide(_Lazy):
+    """Arithmetic mod p from _WORD up to 2**62: Shoup's product with beta = _WORD**2, and `_Lazy`'s stage loops.
 
     Its quotient w' = floor(w * 2**64 / p) is two limbs of log2(_WORD)
     bits, stored as a (2, ...) array [low, high], so the stage loops slice
-    quotients along their last axis. `mul` takes the high word of x * w'
+    quotients along their last axis. `shoup` takes the high word of x * w'
     from three limb products, dropping the low one and the carries, which
-    leaves it at most 2 short: x*w minus it times p lies in [0, 4p), below
-    2**64 for p < 2**62, and two minimum steps bring it into [0, p).
+    leaves it at most 2 short: for any x < 2**64, x*w minus it times p lies
+    in [0, x*p / 2**64 + 3p), below 4p < 2**64 for p < 2**62, and one
+    minimum step brings it into [0, 2p). So the lazy stage loops' inputs,
+    below 4p, twiddle into [0, 2p) as `_Lazy`'s do, and `mul` is exact on
+    any uint64 x, as `from_limbs` needs.
     """
+
+    limb, limbs = 21, 3
+    piece = _exact_piece(limb)
+    limbs_from = 8
 
     def __init__(self, p: int):
         super().__init__(p)
         self.ratio = np.float64(_WORD / p)
+        # 2**(limb * i) mod p for the limbs' diagonals 1 .. 2 * limbs - 2,
+        # as a column, and its quotients, for `from_limbs`.
+        w = np.array([pow(2, self.limb * i, p) for i in range(1, 2 * self.limbs - 1)], dtype=np.uint64)[:, None]
+        self.powers = w, self.quotient(w)
 
     def _digit(self, v):
         # floor(v * _WORD / p) and its remainder, for v < p: a float
@@ -351,40 +406,55 @@ class _Wide(_Word):
         high, rest = self._digit(np.atleast_1d(np.asarray(w, dtype=np.uint64)))
         return np.stack([self._digit(rest)[0], high])
 
-    def mul(self, x, w, wq, out, tmp) -> None:
+    def shoup(self, x, w, wq, out, tmp) -> None:
         # For x = x1*2**32 + x0 and w' = w1*2**32 + w0: the quotient
-        # q = x1*w1 + (x1*w0 >> 32) + (x0*w1 >> 32), a sum below 2**63.
+        # q = (x1*w0 >> 32) + x1*w1 + (x0*w1 >> 32), a sum below 2**64, with
+        # x1 taken once; then x*w - q*p, in [0, 4p), into [0, 2p).
         w0, w1 = wq
-        np.bitwise_and(x, _MASK, out=out)
-        out *= w1
+        np.right_shift(x, _LIMB, out=tmp)
+        np.multiply(tmp, w0, out=out)
         out >>= _LIMB
-        np.right_shift(x, _LIMB, out=tmp)
-        tmp *= w0
-        tmp >>= _LIMB
-        out += tmp
-        np.right_shift(x, _LIMB, out=tmp)
         tmp *= w1
         out += tmp
-        # x*w - q*p, in [0, 4p), then into [0, 2p) and [0, p).
+        np.bitwise_and(x, _MASK, out=tmp)
+        tmp *= w1
+        tmp >>= _LIMB
+        out += tmp
         out *= self.p
         np.multiply(x, w, out=tmp)
         tmp -= out
         np.subtract(tmp, self.p2, out=out)
         np.minimum(tmp, out, out=out)
-        self.reduce(out, tmp)
 
-    twiddle = mul
+    twiddle = shoup
 
     def pointwise(self, a, b):
         # a * b mod p as a new array: Shoup's product by b, with b's quotients.
         return mulmod(a, b, self.quotient(b), self.modulus)
+
+    def from_limbs(self, d):
+        """The sum of d[i] * 2**(limb * i) mod p, for uint64 rows d, as a new array.
+
+        Rows 1 up times their powers of two by one `mul`, exact on any uint64
+        (see the class), then summed: 2 * limbs - 2 = 4 residues stay below
+        4p < 2**64; row 0 joins after a remainder.
+        """
+        w, wq = self.powers
+        high = np.empty_like(d[1:])
+        self.mul(d[1:], w, wq, high, np.empty_like(high))
+        out = high.sum(axis=0)
+        out %= self.p
+        out += d[0]
+        out %= self.p
+        return out
 
 
 @functools.lru_cache(maxsize=64)
 def _arith(p: int) -> _Word:
     # The arithmetic mod p: below _WORD the one-word product, whose multiply
     # is about 2.3x cheaper per element (a whole moddft 1.5x), with lazy
-    # stage loops below _WORD / 4, where 4p residues still fit one word.
+    # stage loops below _WORD / 4, where 4p residues still fit one word,
+    # and from _WORD up, where `_Wide`'s product takes any uint64.
     return (_Lazy if p < _WORD >> 2 else _Word if p < _WORD else _Wide)(p)
 
 
@@ -484,67 +554,157 @@ def residues(x, p: int):
 def schoolbook(u, v, p: int):
     """The defining sum c_i = sum of u[i - k] * v[k] mod p of residue arrays u and v, as a new array of residues.
 
-    `poly.schoolbook_raw`'s sum, by blocks of rows of the shorter operand
-    against pieces of at most _CHUNK values of the longer one, in blocks of
-    at most _CHUNK products. Row j of a block is short[i + j] times the
-    piece, by Shoup's product with short's quotients (`quotient`, once per
-    product), written width + 1 words after row j - 1 into a zeroed skew
-    buffer; read as rows of width words, the buffer holds row j at offset
-    j, so its column sums are the block's share of the outputs from i + k
-    on. The buffer and the scratch stay below 2 * _CHUNK words each: no
-    product allocates len(u) * len(v) words.
+    `poly.schoolbook_raw`'s sum as exact float64 convolutions of limbs.
+    Each residue splits into `limbs` limbs of `limb` bits: 2 of 16 bits
+    below _WORD, 3 of 21 bits with `_Wide`. Karatsuba's identity on the
+    limbs (`_karatsuba`) takes the 4 | 9 limb products down to 3 | 6
+    convolutions, one `np.convolve` each: a direct sum, one BLAS dot product
+    per output, not an FFT. Exactness: each term multiplies two integers
+    below 2 * 2**limb, so a convolution of pieces of at most `piece` values
+    of the shorter operand is a nonnegative integer below piece * (2 *
+    (2**limb - 1))**2 < 2**53 (`_exact_piece`: piece = 524304 | 512), as is
+    every value `_diagonals` forms from them; integers below 2**53 are
+    float64s, and their sums are exact in any order. Each limb diagonal i + j
+    converts to uint64, and the arithmetic's `from_limbs` scales it by
+    2**(limb * (i + j)) mod p and sums the diagonals mod p. Past `piece`,
+    the shorter operand goes in pieces, each added into the outputs mod p.
+    No product allocates len(u) * len(v) values.
 
-    Below _WORD a row's products lie in [0, 2p), below 2**33, and an output
-    sums at most len(short) < 2**31 of them, below 2**64: the outputs are
-    summed unreduced and reduced once at the end. `_Wide`'s rows are
-    reduced products, below p < 2**62, summed mod p by `column_sum` (r =
-    (2**64 - 1) // (p - 1) rows at a time, each sum reduced) and added into
-    the outputs mod p.
+    Short sides below the arithmetic's `limbs_from` (32 | 8), where the
+    convolutions' fixed cost and the diagonals' modular steps outweigh
+    their sum, run on rows of Shoup products instead (`_rows`). The limb
+    convolutions' time over the rows' on both sides of it (median of 5
+    rounds of best of 15, 2-core x86-64 host); over 62-bit primes they
+    only break even from 8 up on long sides of 1024 and more:
+
+        998244353              31 x 31  0.99   31 x 256  1.01   31 x 1024  0.45
+                               32 x 32  1.03   32 x 256  0.95   32 x 1024  0.40
+                               16 x 64  1.00   16 x 256  1.13   16 x 4096  0.74
+        2305843009448574977     7 x 7   0.80    7 x 256  0.85    7 x 4096  1.07
+                                8 x 8   0.75    8 x 256  0.75    8 x 4096  0.77
+                                4 x 64  0.81    4 x 1024 1.01    4 x 4096  1.84
+                               12 x 12  0.71   12 x 1024 1.05   12 x 4096  1.06
+
+    Against the kernel as it stood before the limbs, rows on every shape,
+    it took 0.12-0.13x the time at 369 x 628, 373 x 365 and 200 x 201 over
+    2305843009448574977 and 0.14-0.22x over 998244353, 0.41x | 0.74x at
+    64 x 65, and 0.96-0.99x on short sides of 1 and 4.
 
     `convolve.lin_conv_def` runs it, once numpy is loaded, from
-    len(u) * len(v) = `convolve._SCHOOLBOOK_NUMPY` = 2**10 up. Its time
+    len(u) * len(v) = `convolve._SCHOOLBOOK_NUMPY` = 2**9 up. Its time
     over the Python sum's, through `lin_conv_def` (lists in and out), on
     shapes on both sides of that switch (median of 5 rounds of best of 9,
-    998244353 | 2305843009448574977, 2-core x86-64 host):
+    998244353 | 2305843009448574977):
 
-        below    16 x 17  1.18 | 1.97    23 x 23  0.78 | 1.26
-                 28 x 28  0.60 | 0.95    4 x 253  0.36 | 0.50
-        from     32 x 32  0.49 | 0.76    16 x 64  0.46 | 0.73
-                 4 x 256  0.36 | 0.47    1 x 1024 0.22 | 0.29
-        past     64 x 65  0.20 | 0.35    512 x 513  0.04 | 0.09
+        below    16 x 17  1.22 | 1.46    16 x 24  0.85 | 0.96
+                 20 x 20  0.83 | 0.92    4 x 100  0.54 | 0.84
+        from     22 x 24  0.67 | 0.74    16 x 32  0.65 | 0.75
+                 8 x 64   0.57 | 0.70    1 x 512  0.23 | 0.32
+        past     32 x 32  0.49 | 0.52    64 x 65  0.16 | 0.19
+                 512 x 513  0.01 | 0.01
 
-    Balanced shapes, where the loop is cheapest per product and the
-    kernel's fixed cost (about 25 us, 50 us with `_Wide`'s quotients)
-    counts most, set the switch at the 62-bit width. Over perfbench
-    small_many's 128 products it takes 0.08x | 0.13x the loop's time.
+    From 2**9 every shape timed pays at both widths; just below, balanced
+    shapes still pay a little, and 16 x 17 loses.
     """
     f = _arith(p)
     short, long = (u, v) if len(u) <= len(v) else (v, u)
-    s, m = len(short), min(len(long), _CHUNK)
-    rows = min(s, max(1, _CHUNK // m))
-    width = m + rows - 1
+    if len(short) < f.limbs_from:
+        return _rows(short, long, f)
+    weights, pairs = _karatsuba(f.limbs)
+    b = _limb_rows(long, f, weights)
+
+    def part(i):
+        # The share of the outputs from i on of the piece of short from i.
+        return f.from_limbs(_diagonals(_limb_rows(short[i : i + f.piece], f, weights), b, pairs))
+
+    if len(short) <= f.piece:
+        return part(0)
+    out = np.zeros(len(short) + len(long) - 1, dtype=np.uint64)
+    for i in range(0, len(short), f.piece):
+        c = part(i)
+        outputs = out[i : i + len(c)]
+        f.add(outputs, c, outputs, c)
+    return out
+
+
+@functools.lru_cache(maxsize=4)
+def _karatsuba(k: int):
+    # The rows the defining sum convolves for k limbs, as a (rows, k) matrix
+    # of 0/1 weights over the limbs: limb i alone in row i, then limbs i + j
+    # for each pair i < j, in the order of the pairs, which it also returns.
+    # Convolving a row of u's with the same row of v's gives, for the
+    # pairs, a_i b_j + a_j b_i + a_i b_i + a_j b_j: Karatsuba's k + k(k-1)/2
+    # products in place of k**2.
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    weights = np.zeros((k + len(pairs), k))
+    weights[range(k), range(k)] = 1
+    for row, pair in enumerate(pairs, k):
+        weights[row, pair] = 1
+    return weights, pairs
+
+
+def _limb_rows(x, f, weights):
+    # The rows a residue array x gives the convolutions: its limbs of
+    # f.limb bits as float64, combined by `_karatsuba`'s weights. Every
+    # value is a sum of at most two limbs, so the product is exact.
+    return weights @ ((x >> f.shifts) & f.mask).astype(np.float64)
+
+
+def _diagonals(a, b, pairs):
+    # The limb products of the defining sum, summed by diagonal: row d is
+    # the sum over limbs i + j = d of the convolution of u's limb i with v's
+    # limb j, as uint64, for the rows a and b of u and v (`_limb_rows`).
+    # Each row of a is convolved with the same row of b; a pair's
+    # convolution less its two limbs' is its cross term, and every
+    # difference taken is a nonnegative integer, so exact.
+    k = len(a) - len(pairs)
+    n = a.shape[1] + b.shape[1] - 1
+    c = np.empty((len(a), n))
+    for row, x, y in zip(c, a, b):
+        row[...] = np.convolve(x, y)
+    d = np.zeros((2 * k - 1, n))
+    d[::2] = c[:k]
+    for cross, (i, j) in zip(c[k:], pairs):
+        cross -= c[i]
+        cross -= c[j]
+        d[i + j] += cross
+    return d.astype(np.uint64)
+
+
+def _rows(short, long, f):
+    # The defining sum for a short side below f.limbs_from: rows of Shoup
+    # products of pieces of m = _CHUNK // len(short) values of the longer
+    # operand by each short coefficient (quotients from `quotient`, once
+    # per product), row j written width + 1 words after row j - 1 into a
+    # zeroed skew buffer; read as rows of width words, the buffer holds row
+    # j at offset j, so its column sums are the piece's share of the
+    # outputs. Below _WORD a row's products lie in [0, 2p), below 2**33, and
+    # an output sums fewer than 32 of them: the outputs are summed
+    # unreduced and reduced once at the end. `_Wide`'s rows are reduced
+    # products, below p < 2**62, summed mod p by `column_sum` and added into
+    # the outputs mod p.
+    s, m = len(short), min(len(long), _CHUNK // len(short))
+    width = m + s - 1
     wide = isinstance(f, _Wide)
-    wq = f.quotient(short)
+    wq = f.quotient(short)[..., None]
     out = np.zeros(s + len(long) - 1, dtype=np.uint64)
-    skew = np.zeros(rows * (width + 1), dtype=np.uint64)
-    tmp = np.empty((rows, width), dtype=np.uint64)
+    skew = np.zeros(s * (width + 1), dtype=np.uint64)
+    tmp = np.empty((s, width), dtype=np.uint64)
     with _small_buffer():
         # The shortest piece goes first: a row's words past its piece are
         # never written, so they stay zero for every longer piece after it.
         for k in reversed(range(0, len(long), m)):
             piece = long[k : k + m]
-            for i in range(0, s, rows):
-                b = min(rows, s - i)
-                n = len(piece) + b - 1
-                products = skew[: b * (width + 1)].reshape(b, width + 1)[:, : len(piece)]
-                sums = skew[: b * width].reshape(b, width)[:, :n]
-                w, t, outputs = short[i : i + b, None], tmp[:b, : len(piece)], out[i + k : i + k + n]
-                if wide:
-                    f.mul(piece, w, wq[:, i : i + b, None], products, t)
-                    f.add(outputs, f.column_sum(sums), outputs, tmp[0, :n])
-                else:
-                    f.shoup(piece, w, wq[i : i + b, None], products, t)
-                    outputs += sums.sum(axis=0)
+            n = len(piece) + s - 1
+            products = skew.reshape(s, width + 1)[:, : len(piece)]
+            sums = skew[: s * width].reshape(s, width)[:, :n]
+            t, outputs = tmp[:, : len(piece)], out[k : k + n]
+            if wide:
+                f.mul(piece, short[:, None], wq, products, t)
+                f.add(outputs, f.column_sum(sums), outputs, tmp[0, :n])
+            else:
+                f.shoup(piece, short[:, None], wq, products, t)
+                outputs += sums.sum(axis=0)
     if not wide:
         out %= f.p
     return out
@@ -552,8 +712,8 @@ def schoolbook(u, v, p: int):
 
 def _butterflies(lo, hi, w, wq, f, t, tmp) -> None:
     # (lo, hi) <- (lo + hi*w, lo - hi*w) mod p, each in f's range between
-    # stages: [0, p), or [0, 4p) with `_Lazy`; t and tmp are scratch of
-    # lo's shape.
+    # stages: [0, p), or [0, 4p) with `_Lazy` and `_Wide`; t and tmp are
+    # scratch of lo's shape.
     f.enter(lo, lo, tmp)
     f.twiddle(hi, w, wq, t, tmp)
     f.minus(lo, t, hi, tmp)
@@ -562,7 +722,7 @@ def _butterflies(lo, hi, w, wq, f, t, tmp) -> None:
 
 def _dif(lo, hi, w, wq, f, t, tmp) -> None:
     # (lo, hi) <- (lo + hi, (lo - hi)*w) mod p, in [0, 2p) from [0, 2p)
-    # with `_Lazy`; t and tmp are scratch of lo's shape.
+    # with `_Lazy` and `_Wide`; t and tmp are scratch of lo's shape.
     f.minus(lo, hi, t, tmp)
     f.plus(lo, hi, lo, tmp)
     f.enter(lo, lo, tmp)
@@ -668,7 +828,7 @@ def _pass(y, out, s: int, stages, f, u, t, tmp) -> None:
     # kernel's residues, or tft's in-place stages' output); a later pass
     # reads f's range between stages, and takes lo into tmp by `enter`,
     # never in place, as y may be the caller's. Where `enter` copies
-    # (`_Lazy`), `plus` and `minus` use no scratch.
+    # (`_Lazy`, `_Wide`), `plus` and `minus` use no scratch.
     half = y.shape[1] >> 1
     lo, hi = y[:, :half], y[:, half:]
     if s:

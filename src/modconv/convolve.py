@@ -11,8 +11,8 @@ The by-definition forms sum the defining sum. `circ_conv_def` folds
 `poly.schoolbook_raw`, which stays the pure-Python oracle; `lin_conv_def`,
 the `definition` engine, runs it too, except in a process that has already
 loaded numpy, where from len(u) * len(v) = `_SCHOOLBOOK_NUMPY` up it sums
-in blocked array products (`_ntt_numpy.schoolbook`). It never imports numpy
-itself, and counts nothing on either path.
+as exact float64 convolutions of the residues' limbs (`_ntt_numpy.schoolbook`).
+It never imports numpy itself, and counts nothing on either path.
 
 Every engine checks its operands by one rule (`_operands`): lists of ints
 by DensePoly's rule (`transform._ints`: an int-like through
@@ -191,14 +191,14 @@ def circ_conv_def(u: list[int], v: list[int], fp: FourierPrime) -> list[int]:
 # The fewest products, len(u) * len(v), of a `lin_conv_def` that runs the
 # defining sum in numpy (`_ntt_numpy.schoolbook`, whose docstring has the
 # timings on both sides) once the process has loaded numpy.
-_SCHOOLBOOK_NUMPY = 1 << 10
+_SCHOOLBOOK_NUMPY = 1 << 9
 
 
 def lin_conv_def(u: list[int], v: list[int], fp: FourierPrime) -> list[int]:
     """Linear convolution straight from its defining sum.
 
     In a process that has already loaded numpy, from len(u) * len(v) =
-    _SCHOOLBOOK_NUMPY up, the sum runs in blocked array products
+    _SCHOOLBOOK_NUMPY up, the sum runs as float64 convolutions of limbs
     (`_ntt_numpy.schoolbook`, on `residues`, which reduce ints outside
     [0, p)); anywhere else it is `poly.schoolbook_raw`, which stays the
     pure-Python oracle. It never imports numpy, and both give the same

@@ -275,15 +275,24 @@ def _suite_numpy_backend(rng, cap, fields):
                 tables = {"twist": get_table(fp, 2 * L)} if twists else {}
                 if _div_size(core(table, ua, va, req, **tables), table).tolist() != out:
                     return False, f"{core.__name__}{' twisted' * twists} on uint64 arrays != oracle at p={p}, n={size}"
-        # The defining sum's kernel against the Python sum, on random
-        # residues and on all p - 1, with a longer side of 256 and a shorter
-        # side of one block of rows and of one row more
-        # (`_ntt_numpy.schoolbook`).
-        long = 256
-        rows = _ntt_numpy._CHUNK // long
-        for short in (rows, rows + 1):
+        # The defining sum's kernel against the Python sum at its edges
+        # (`_ntt_numpy.schoolbook`): short sides on both sides of the
+        # arithmetic's `limbs_from`, where the limb convolutions take over
+        # from the rows, against a longer side of 256; and, where the cap
+        # reaches it (512 with `_Wide`), at the exact-sum bound `piece` and
+        # one past it, where the shorter side goes in two pieces. On random
+        # residues, all p - 1, and the largest residue whose limbs below the
+        # top one are all ones, the widest limb sums.
+        f = _ntt_numpy._arith(p)
+        low = f.limb * (f.limbs - 1)
+        ones = (1 << low) - 1
+        widest = (p - 1 - ones) >> low << low | ones if p > ones else p - 1
+        shapes = [(f.limbs_from - 1, 256), (f.limbs_from, 256)]
+        if f.piece < cap:
+            shapes += [(f.piece, f.piece + 3), (f.piece + 1, f.piece + 1)]
+        for short, long in shapes:
             for u, v in (([rng.randrange(p) for _ in range(short)], [rng.randrange(p) for _ in range(long)]),
-                         ([p - 1] * short, [p - 1] * long)):
+                         ([p - 1] * short, [p - 1] * long), ([widest] * short, [widest] * long)):
                 got = _ntt_numpy.schoolbook(_ntt_numpy.residues(u, p), _ntt_numpy.residues(v, p), p)
                 if got.tolist() != schoolbook_raw(u, v, p):
                     return False, f"numpy schoolbook != Python sum at p={p}, {short}x{long}"

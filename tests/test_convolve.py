@@ -848,22 +848,49 @@ def test_four_threads_run_deep_itft_paths_at_once(p):
 
 # Primes of each arithmetic of the numpy kernels: `_Lazy` below 2**30, `_Word`
 # below 2**32 (3 * 2**30 + 1 and 2**32 - 2**20 + 1, whose products come
-# closest to 2**64) and `_Wide` up to 2**62.
-SCHOOLBOOK_PRIMES = [17, 257, 998244353, 3221225473, 4293918721, 2305843009448574977, 2305843009213704193]
+# closest to 2**64) and `_Wide` up to 2**62 (2**62 - 21 * 2**20 + 1 comes
+# closest to 2**62).
+SCHOOLBOOK_PRIMES = [17, 257, 998244353, 3221225473, 4293918721, 2305843009448574977, 2305843009213704193,
+                     4611686018405367809]
 
 
-def _schoolbook_shapes():
+def _schoolbook_shapes(p):
     # 1 x 1, 1 x n and n x 1, lopsided and balanced shapes just below, at
-    # and past the switch, a shorter side of several blocks of rows, and a
-    # longer side of two pieces.
+    # and past the switch, a longer side of two pieces of rows, and the
+    # kernel's edges over p's arithmetic: short sides on both sides of
+    # `limbs_from`, where the limb convolutions take over from the rows,
+    # and, where it is in reach (512 with `_Wide`), at the exact-sum bound
+    # `piece` and one past it, where the shorter side goes in two pieces.
     from modconv import _ntt_numpy, convolve
 
+    f = _ntt_numpy._arith(p)
     switch, chunk = convolve._SCHOOLBOOK_NUMPY, _ntt_numpy._CHUNK
     root = math.isqrt(switch)
-    rows = chunk // 400
-    return [(1, 1), (1, 40), (40, 1), (1, switch), (switch, 1), (3, switch // 3), (4, switch // 4),
-            (root - 1, root + 1), (root, root), (root + 1, root + 1), (9, 300), (300, 9),
-            (3 * rows + 7, 400), (400, 2 * rows + 1), (2, chunk + 3)]
+    edge = f.limbs_from
+    shapes = [(1, 1), (1, 40), (40, 1), (1, switch), (switch, 1), (3, switch // 3), (4, switch // 4),
+              (root - 1, root + 1), (root, root), (root + 1, root + 1), (9, 300), (300, 9),
+              (edge - 1, 300), (300, edge - 1), (edge, 301), (edge, edge), (edge + 1, 400), (2, chunk + 3)]
+    if f.piece <= 1024:
+        shapes += [(f.piece, f.piece + 3), (f.piece + 1, f.piece + 1), (700, f.piece + 1)]
+    return shapes
+
+
+def _max_limbs(p):
+    # The largest residue whose limbs below the top one are all 2**limb - 1,
+    # with the top limb as large as p allows: the widest limb sums.
+    from modconv import _ntt_numpy
+
+    f = _ntt_numpy._arith(p)
+    low = f.limb * (f.limbs - 1)
+    ones = (1 << low) - 1
+    return (p - 1 - ones) >> low << low | ones if p > ones else p - 1
+
+
+def _schoolbook_inputs(rng, p, z1, z2):
+    # Random residues, all p - 1, and all `_max_limbs`.
+    yield [rng.randrange(p) for _ in range(z1)], [rng.randrange(p) for _ in range(z2)]
+    for x in (p - 1, _max_limbs(p)):
+        yield [x] * z1, [x] * z2
 
 
 @pytest.mark.skipif(importlib.util.find_spec("numpy") is None, reason="numpy not installed")
@@ -871,7 +898,8 @@ def _schoolbook_shapes():
 def test_definition_in_numpy_is_the_python_sum(p):
     # With numpy loaded, lin_conv_def runs the kernel from the switch up and
     # the Python loop below it, and both give schoolbook_raw's list, on
-    # random residues and on all p - 1, the widest, at every arithmetic.
+    # random residues, on all p - 1 and on the widest limbs, at every
+    # arithmetic.
     import numpy  # noqa: F401  loaded, so lin_conv_def may run in numpy
 
     from modconv import _ntt_numpy, convolve
@@ -886,14 +914,59 @@ def test_definition_in_numpy_is_the_python_sum(p):
         return real(u, v, q)
 
     with mock.patch.object(_ntt_numpy, "schoolbook", spy):
-        for z1, z2 in _schoolbook_shapes():
-            for u, v in (([rng.randrange(p) for _ in range(z1)], [rng.randrange(p) for _ in range(z2)]),
-                         ([p - 1] * z1, [p - 1] * z2)):
+        for z1, z2 in _schoolbook_shapes(p):
+            for u, v in _schoolbook_inputs(rng, p, z1, z2):
                 ran.clear()
                 want = schoolbook_raw(u, v, p)
                 assert lin_conv_def(u, v, fp) == want, (z1, z2)
                 assert ran == ([(z1, z2)] if z1 * z2 >= convolve._SCHOOLBOOK_NUMPY else []), (z1, z2)
                 assert real(_ntt_numpy.residues(u, p), _ntt_numpy.residues(v, p), p).tolist() == want
+
+
+@pytest.mark.skipif(importlib.util.find_spec("numpy") is None, reason="numpy not installed")
+@pytest.mark.parametrize("p", SCHOOLBOOK_PRIMES)
+def test_definition_in_numpy_adds_up_pieces_of_the_short_side(p):
+    # Past `piece` the shorter side goes in pieces, each added into the
+    # outputs mod p. Below 2**32 the bound (524304) is out of a test's
+    # reach, so the piece is shrunk to 40 values at every arithmetic: a
+    # short side of one piece, of one piece and one value, and of several
+    # pieces and a short last one.
+    from modconv import _ntt_numpy
+
+    f = _ntt_numpy._arith(p)
+    rng = random.Random(p)
+    with mock.patch.object(type(f), "piece", 40):
+        for z1, z2 in ((40, 90), (41, 90), (90, 41), (123, 300)):
+            for u, v in _schoolbook_inputs(rng, p, z1, z2):
+                got = _ntt_numpy.schoolbook(_ntt_numpy.residues(u, p), _ntt_numpy.residues(v, p), p)
+                assert got.tolist() == schoolbook_raw(u, v, p), (z1, z2)
+
+
+@pytest.mark.skipif(importlib.util.find_spec("numpy") is None, reason="numpy not installed")
+def test_limb_convolutions_stay_below_2_53():
+    # Every float64 value the defining sum's convolutions make must be an
+    # integer below 2**53, so that it is exact in any summation order. The
+    # largest is a convolution of two sums of two limbs over a piece: at most
+    # piece * (2 * (2**limb - 1))**2. At each word width the limbs must
+    # cover the residues, and the chosen limb width and piece size keep
+    # that bound below 2**53. Over the 62-bit prime closest to 2**62, the
+    # widest limbs at the bound reach it, and stay below 2**53.
+    import numpy as np
+
+    from modconv import _ntt_numpy
+
+    for cls, bits in ((_ntt_numpy._Lazy, 30), (_ntt_numpy._Word, 32), (_ntt_numpy._Wide, 62)):
+        assert cls.limb * cls.limbs >= bits, cls
+        assert cls.piece * (2 * ((1 << cls.limb) - 1)) ** 2 < 1 << 53, cls
+        assert 1 <= cls.limbs_from <= cls.piece, cls
+    p = 4611686018405367809
+    f = _ntt_numpy._arith(p)
+    x = np.full(f.piece, _max_limbs(p), dtype=np.uint64)
+    weights, _ = _ntt_numpy._karatsuba(f.limbs)
+    rows = _ntt_numpy._limb_rows(x, f, weights)
+    top = max(np.convolve(row, row).max() for row in rows)
+    assert top == f.piece * (2 * ((1 << f.limb) - 1)) ** 2
+    assert top < 1 << 53
 
 
 @pytest.mark.skipif(importlib.util.find_spec("numpy") is None, reason="numpy not installed")

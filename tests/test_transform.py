@@ -623,18 +623,21 @@ def test_arith_is_lazy_below_2_30():
 
 
 @needs_numpy
-@pytest.mark.parametrize("p", [(1 << 30) - 1, (1 << 30) - 35])
+@pytest.mark.parametrize("p", [(1 << 30) - 1, (1 << 30) - 35, 2305843009448574977, 4611686018405367809])
 def test_lazy_twiddle_stays_below_2p(p):
     # The lazy stage loops hand twiddle inputs up to 4p - 1; Shoup's product
     # without its last reduce must still land in [0, 2p), congruent to x * w.
-    # The bound needs no prime, so p sits just below 2**30, where 4p comes
-    # closest to the one-word product's 2**32.
+    # The bound needs no prime, so for `_Lazy` p sits just below 2**30,
+    # where 4p comes closest to the one-word product's 2**32; `_Wide`'s
+    # stage loops are lazy too, and 4 * 4611686018405367809 comes closest
+    # to 2**64.
     import numpy as np
 
     from modconv import _ntt_numpy
 
-    f = _ntt_numpy._Lazy(p)
-    x = np.array([0, 1, p - 1, 2 * p - 1, 4 * p - 1], dtype=np.uint64)
+    f = _ntt_numpy._arith(p)
+    assert isinstance(f, _ntt_numpy._Lazy)
+    x = np.array([0, 1, p - 1, 2 * p - 1, 4 * p - 2, 4 * p - 1], dtype=np.uint64)
     out, tmp = np.empty_like(x), np.empty_like(x)
     for w in (0, 1, p - 1):
         f.twiddle(x, *f.constant(w), out, tmp)
@@ -648,12 +651,14 @@ def test_wide_mul_is_exact_at_p_minus_1(p):
     # _Wide.mul's quotient drops the low limb product and the carries, so
     # x*w - q*p may reach 4p - 1 before its two reduce steps: at
     # x = w = p - 1, just below 2**62, that is closest to the uint64 bound.
+    # It is exact on any uint64 x, as the defining sum's diagonals
+    # (`from_limbs`, up to 2**55) need.
     import numpy as np
 
     from modconv import _ntt_numpy
 
     f = _ntt_numpy._Wide(p)
-    x = np.array([0, 1, p - 2, p - 1], dtype=np.uint64)
+    x = np.array([0, 1, p - 2, p - 1, 1 << 55, (1 << 64) - 1], dtype=np.uint64)
     out, tmp = np.empty_like(x), np.empty_like(x)
     for w in (1, p - 2, p - 1):
         f.mul(x, *f.constant(w), out, tmp)

@@ -55,7 +55,7 @@ the switch `convolve._SCHOOLBOOK_NUMPY` set past every shape, then to 1),
 at n = L outputs split 1:1, 1:7 and 1:50 (small_many's range of splits),
 1 x n and 4 x n; a tree without the switch runs the Python sum on both. It
 prints the products table, the shape column as z1 x z2. Try --lo 4 --hi 10:
-the balanced shapes at 2**5 and 2**6 and the 4 x n ones at 2**8 and 2**9
+the balanced shapes at 2**5 and 2**6 and the 4 x n ones at 2**7 and 2**8
 lie on both sides of the switch.
 
 `loops` times the pure-Python loops on lists, in us: `transform._moddft`
