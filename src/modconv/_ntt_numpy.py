@@ -74,10 +74,12 @@ From 2**30 to _WORD, `_Word` reduces every value at every stage.
 
 The defining sum (`schoolbook`) runs on BLAS instead: it splits residues
 into limbs of 16 bits (below _WORD) or 21 bits (`_Wide`), convolves them
-as float64 arrays with `np.convolve`, in pieces of the shorter operand
-short enough that every value is an integer below 2**53 and so exact
-(`_exact_piece`), and sums the limbs' diagonals mod p (`from_limbs`). Its
-docstring has the exactness argument and the timings.
+as float64 arrays with `np.convolve`, in pieces of at most 4096 values of
+each operand, and of the shorter one short enough that every value is an
+integer below 2**53 and so exact (`_exact_piece`), and sums the limbs'
+diagonals mod p (`from_limbs`). Very short sides against long ones run
+on rows of Shoup products (`_rows`). Its docstring has the exactness
+argument, the rule between the two and the timings.
 
 Layout: each numpy operation runs over stretches of at least _ROW/2
 residues, not over the h residues of a short stage's half-blocks. One
@@ -166,6 +168,11 @@ _ROW = 1 << 10
 # no faster below; chunks of 2**14 or 2**16 were no faster. A stack's
 # groups (`_group`) hold at most half a chunk.
 _CHUNK = 1 << 15
+# The most values of each operand that one piece of the defining sum
+# (`schoolbook`) convolves: an eighth of a chunk, so that a piece's
+# convolutions and diagonals stay in a core's cache (timings in
+# `schoolbook`).
+_PIECE = _CHUNK >> 3
 # numpy's ufunc buffer size, in elements, while a kernel runs: with the
 # default 8192 an operation over rows of a few hundred residues runs about
 # twice as slow as over one contiguous vector.
@@ -221,13 +228,14 @@ class _Word:
 
     The defining sum (`schoolbook`) splits residues into `limbs` limbs of
     `limb` bits, convolves them in float64 in pieces of at most `piece`
-    values of the shorter operand (`_exact_piece`), and takes its short
-    sides below `limbs_from` on rows of Shoup products instead (`_rows`).
+    values of the shorter operand (`_exact_piece`), and takes short sides
+    below `limbs_from`, against long sides of at least `rows_ratio` times
+    theirs, on rows of Shoup products instead (`_rows`).
     """
 
     limb, limbs = 16, 2
     piece = _exact_piece(limb)
-    limbs_from = 32
+    limbs_from, rows_ratio = 32, 1
 
     def __init__(self, p: int):
         self.modulus = p
@@ -235,6 +243,13 @@ class _Word:
         self.p2 = _u64(2 * p)
         self.shifts = (np.arange(self.limbs, dtype=np.uint64) * _u64(self.limb))[:, None]
         self.mask = _u64((1 << self.limb) - 1)
+
+    def widest(self) -> int:
+        """The largest residue whose limbs below the top one are all 2**limb - 1: the widest limb sums p allows."""
+        low = self.limb * (self.limbs - 1)
+        ones = (1 << low) - 1
+        p = self.modulus
+        return (p - 1 - ones) >> low << low | ones if p > ones else p - 1
 
     def quotient(self, w):
         """Shoup's quotient floor(w * _WORD / p) of a factor w < p, an int or a uint64 array."""
@@ -374,7 +389,7 @@ class _Wide(_Lazy):
 
     limb, limbs = 21, 3
     piece = _exact_piece(limb)
-    limbs_from = 8
+    rows_ratio = 256
 
     def __init__(self, p: int):
         super().__init__(p)
@@ -566,29 +581,62 @@ def schoolbook(u, v, p: int):
     every value `_diagonals` forms from them; integers below 2**53 are
     float64s, and their sums are exact in any order. Each limb diagonal i + j
     converts to uint64, and the arithmetic's `from_limbs` scales it by
-    2**(limb * (i + j)) mod p and sums the diagonals mod p. Past `piece`,
-    the shorter operand goes in pieces, each added into the outputs mod p.
-    No product allocates len(u) * len(v) values.
+    2**(limb * (i + j)) mod p and sums the diagonals mod p. Both operands
+    go in pieces of at most _PIECE = 4096 values (the shorter one of at
+    most `piece`), and each pair of pieces' outputs is added into the
+    product mod p. So beside its output a product allocates below 4 *
+    _CHUNK words (1 MiB), never len(u) * len(v). Past 4096 values of the
+    longer side, the convolutions, the diagonals and `from_limbs`' scratch
+    (up to 20 words per output) leave a core's cache: against longer sides
+    of 2**13 to 2**15, on shorter sides of 2, 8 and 32 over both widths,
+    pieces of 2**13 took 1.4-2.6x the time per output of pieces of 2**12,
+    and pieces of 2**11 1.0-1.6x.
 
-    Short sides below the arithmetic's `limbs_from` (32 | 8), where the
-    convolutions' fixed cost and the diagonals' modular steps outweigh
-    their sum, run on rows of Shoup products instead (`_rows`). The limb
-    convolutions' time over the rows' on both sides of it (median of 5
-    rounds of best of 15, 2-core x86-64 host); over 62-bit primes they
-    only break even from 8 up on long sides of 1024 and more:
+    Short sides below `limbs_from` = 32 against longer sides of at least
+    the arithmetic's `rows_ratio` (1 | 256 with `_Wide`) times theirs run
+    on rows of Shoup products instead (`_rows`): there the limb path's cost
+    per output (the limb split, the convolutions' per-output dot products,
+    the diagonals' steps mod p) outweighs the rows' few products. The limb
+    path's time over the rows' (median of 5 rounds of best of 7, 2-core
+    x86-64 host), by shorter side s and longer side:
 
-        998244353              31 x 31  0.99   31 x 256  1.01   31 x 1024  0.45
-                               32 x 32  1.03   32 x 256  0.95   32 x 1024  0.40
-                               16 x 64  1.00   16 x 256  1.13   16 x 4096  0.74
-        2305843009448574977     7 x 7   0.80    7 x 256  0.85    7 x 4096  1.07
-                                8 x 8   0.75    8 x 256  0.75    8 x 4096  0.77
-                                4 x 64  0.81    4 x 1024 1.01    4 x 4096  1.84
-                               12 x 12  0.71   12 x 1024 1.05   12 x 4096  1.06
+        998244353    s x    s+1    64   256   512  1024  4096  16384
+                     2     1.19  1.23  1.33  1.46  1.68  2.14  2.80
+                     8     1.15  1.13  1.18  1.20  1.26  1.23  1.27
+                    16     1.06  1.01  1.13  1.21  1.29  1.14  1.11
+                    24     1.05  0.99  1.16  1.20  1.10  1.01  0.93
+                    31     0.95  0.88  1.02  1.11  1.11  1.00  0.80
+                    32     0.91  0.84  0.93  0.89  0.80  0.66  0.72
+                    40     0.85  0.84  0.91  0.81  0.74  0.60  0.63
 
-    Against the kernel as it stood before the limbs, rows on every shape,
-    it took 0.12-0.13x the time at 369 x 628, 373 x 365 and 200 x 201 over
-    2305843009448574977 and 0.14-0.22x over 998244353, 0.41x | 0.74x at
-    64 x 65, and 0.96-0.99x on short sides of 1 and 4.
+        2305843009448574977, by s and the longer side over s:
+                     s x     32   128   256   512  1024
+                     1     1.13  1.24  1.08  1.65  2.19
+                     4     0.74  0.93  1.16  1.48  2.39
+                     8     0.51  0.74  0.91  1.26  1.53
+                    16     0.40  0.72  1.07  1.17  1.37
+                    24     0.37  0.70  0.94  0.96  1.04
+                    31     0.33  0.76  0.97  0.96  0.93
+                    40     0.30  0.56  0.56  0.71  0.57
+
+    Below 2**32 a row's products are summed unreduced, so the rows win on
+    every longer side up to a short side of about 20, and from 24 to 31
+    the two are even. `_Wide`'s rows reduce every product, so the limbs win
+    on longer sides below about 256 times the shorter one, and the rows
+    from 512 times it, up to a short side of about 20; a short side of 1 is
+    the exception, where the rows win from 32 times (1.13-1.24) and the
+    rule leaves 1 x 32 to 1 x 255 to the limbs. Short sides of 12
+    to 15 favour the rows more (12 x 1536: 1.00): `np.convolve`'s dot
+    product per output took 3-4x as long on 12-15 values as on 8-11 or 16
+    (OpenBLAS 0.3.31, 2-core x86-64 host), and the rule does not single
+    them out.
+
+    Against the kernel as it stood before the limbs, rows in blocks of a
+    chunk on every shape, it took 0.12-0.13x the time at 369 x 628, 373 x
+    365 and 200 x 201 over 2305843009448574977 and 0.14-0.29x over
+    998244353, 0.40x | 0.72x at 64 x 65, 0.90-1.04x on short sides of 1
+    and 4, and 0.24-0.30x at 2 x 16384 and 7 x 16384 over
+    2305843009448574977.
 
     `convolve.lin_conv_def` runs it, once numpy is loaded, from
     len(u) * len(v) = `convolve._SCHOOLBOOK_NUMPY` = 2**9 up. Its time
@@ -596,34 +644,35 @@ def schoolbook(u, v, p: int):
     shapes on both sides of that switch (median of 5 rounds of best of 9,
     998244353 | 2305843009448574977):
 
-        below    16 x 17  1.22 | 1.46    16 x 24  0.85 | 0.96
-                 20 x 20  0.83 | 0.92    4 x 100  0.54 | 0.84
-        from     22 x 24  0.67 | 0.74    16 x 32  0.65 | 0.75
-                 8 x 64   0.57 | 0.70    1 x 512  0.23 | 0.32
-        past     32 x 32  0.49 | 0.52    64 x 65  0.16 | 0.19
+        below    16 x 17  1.28 | 1.48    16 x 24  1.02 | 1.21
+                 20 x 20  1.02 | 1.08    4 x 100  0.68 | 0.83
+        from     22 x 24  0.86 | 0.94    16 x 32  0.81 | 0.93
+                 8 x 64   0.73 | 0.86    1 x 512  0.30 | 0.38
+        past     32 x 32  0.50 | 0.56    64 x 65  0.19 | 0.19
                  512 x 513  0.01 | 0.01
 
     From 2**9 every shape timed pays at both widths; just below, balanced
-    shapes still pay a little, and 16 x 17 loses.
+    shapes break even or lose, and lopsided ones still pay.
     """
     f = _arith(p)
     short, long = (u, v) if len(u) <= len(v) else (v, u)
-    if len(short) < f.limbs_from:
+    if len(short) < f.limbs_from and len(long) >= f.rows_ratio * len(short):
         return _rows(short, long, f)
     weights, pairs = _karatsuba(f.limbs)
-    b = _limb_rows(long, f, weights)
+    m, n = min(f.piece, _PIECE), _PIECE
 
-    def part(i):
-        # The share of the outputs from i on of the piece of short from i.
-        return f.from_limbs(_diagonals(_limb_rows(short[i : i + f.piece], f, weights), b, pairs))
+    def part(a, b):
+        # The defining sum of pieces a and b, of at most m and n values.
+        return f.from_limbs(_diagonals(_limb_rows(a, f, weights), _limb_rows(b, f, weights), pairs))
 
-    if len(short) <= f.piece:
-        return part(0)
+    if len(short) <= m and len(long) <= n:
+        return part(short, long)
     out = np.zeros(len(short) + len(long) - 1, dtype=np.uint64)
-    for i in range(0, len(short), f.piece):
-        c = part(i)
-        outputs = out[i : i + len(c)]
-        f.add(outputs, c, outputs, c)
+    for k in range(0, len(long), n):
+        for i in range(0, len(short), m):
+            c = part(short[i : i + m], long[k : k + n])
+            outputs = out[i + k : i + k + len(c)]
+            f.add(outputs, c, outputs, c)
     return out
 
 
@@ -672,41 +721,54 @@ def _diagonals(a, b, pairs):
 
 
 def _rows(short, long, f):
-    # The defining sum for a short side below f.limbs_from: rows of Shoup
-    # products of pieces of m = _CHUNK // len(short) values of the longer
-    # operand by each short coefficient (quotients from `quotient`, once
-    # per product), row j written width + 1 words after row j - 1 into a
-    # zeroed skew buffer; read as rows of width words, the buffer holds row
-    # j at offset j, so its column sums are the piece's share of the
-    # outputs. Below _WORD a row's products lie in [0, 2p), below 2**33, and
-    # an output sums fewer than 32 of them: the outputs are summed
-    # unreduced and reduced once at the end. `_Wide`'s rows are reduced
-    # products, below p < 2**62, summed mod p by `column_sum` and added into
-    # the outputs mod p.
-    s, m = len(short), min(len(long), _CHUNK // len(short))
-    width = m + s - 1
-    wide = isinstance(f, _Wide)
-    wq = f.quotient(short)[..., None]
+    # The defining sum for a short side below f.limbs_from against a long
+    # side of at least f.rows_ratio times it (see `schoolbook`), by Shoup's
+    # products of the short coefficients (quotients from `quotient`, once
+    # per product) and pieces of at most m = _CHUNK / 2 values of the
+    # longer operand. `_Wide` takes one row at a time: short[i] times the
+    # piece, a reduced product added into the outputs from i + k mod p.
+    # Below _WORD rows go in blocks of at most _CHUNK / 2 products: row j of
+    # a block is written width + 1 words after row j - 1 into a zeroed skew
+    # buffer; read as rows of width words, the buffer holds row j at offset
+    # j, so its column sums are the block's share of the outputs from i + k
+    # on. A row's products lie in [0, 2p), below 2**33, and an output sums
+    # fewer than 32 of them: the outputs are summed unreduced and reduced
+    # once at the end. Blocks of a whole chunk took 1.9-2.2x as long per
+    # product at 8 x 4096, 16 x 2048 and 31 x 1024 over 998244353; over
+    # 2305843009448574977, blocks of rows summed by `column_sum` took
+    # 1.06-1.75x as long as single rows wherever the rows run (2-core
+    # x86-64 host).
+    s, m = len(short), min(len(long), _CHUNK >> 1)
+    wq = f.quotient(short)
     out = np.zeros(s + len(long) - 1, dtype=np.uint64)
-    skew = np.zeros(s * (width + 1), dtype=np.uint64)
-    tmp = np.empty((s, width), dtype=np.uint64)
+    if isinstance(f, _Wide):
+        t, tmp = np.empty(m, dtype=np.uint64), np.empty(m, dtype=np.uint64)
+        with _small_buffer():
+            for k in range(0, len(long), m):
+                piece = long[k : k + m]
+                n = len(piece)
+                for i in range(s):
+                    f.mul(piece, short[i], wq[:, i], t[:n], tmp[:n])
+                    outputs = out[i + k : i + k + n]
+                    f.add(outputs, t[:n], outputs, tmp[:n])
+        return out
+    rows = min(s, max(1, (_CHUNK >> 1) // m))
+    width = m + rows - 1
+    skew = np.zeros(rows * (width + 1), dtype=np.uint64)
+    tmp = np.empty((rows, width), dtype=np.uint64)
     with _small_buffer():
         # The shortest piece goes first: a row's words past its piece are
         # never written, so they stay zero for every longer piece after it.
         for k in reversed(range(0, len(long), m)):
             piece = long[k : k + m]
-            n = len(piece) + s - 1
-            products = skew.reshape(s, width + 1)[:, : len(piece)]
-            sums = skew[: s * width].reshape(s, width)[:, :n]
-            t, outputs = tmp[:, : len(piece)], out[k : k + n]
-            if wide:
-                f.mul(piece, short[:, None], wq, products, t)
-                f.add(outputs, f.column_sum(sums), outputs, tmp[0, :n])
-            else:
-                f.shoup(piece, short[:, None], wq, products, t)
-                outputs += sums.sum(axis=0)
-    if not wide:
-        out %= f.p
+            for i in range(0, s, rows):
+                b = min(rows, s - i)
+                n = len(piece) + b - 1
+                products = skew[: b * (width + 1)].reshape(b, width + 1)[:, : len(piece)]
+                sums = skew[: b * width].reshape(b, width)[:, :n]
+                f.shoup(piece, short[i : i + b, None], wq[i : i + b, None], products, tmp[:b, : len(piece)])
+                out[i + k : i + k + n] += sums.sum(axis=0)
+    out %= f.p
     return out
 
 

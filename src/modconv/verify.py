@@ -278,16 +278,21 @@ def _suite_numpy_backend(rng, cap, fields):
         # The defining sum's kernel against the Python sum at its edges
         # (`_ntt_numpy.schoolbook`): short sides on both sides of the
         # arithmetic's `limbs_from`, where the limb convolutions take over
-        # from the rows, against a longer side of 256; and, where the cap
-        # reaches it (512 with `_Wide`), at the exact-sum bound `piece` and
-        # one past it, where the shorter side goes in two pieces. On random
-        # residues, all p - 1, and the largest residue whose limbs below the
-        # top one are all ones, the widest limb sums.
+        # from the rows, against a longer side of 256 or, if longer, of
+        # `rows_ratio` times the shorter one, the shortest the rows take,
+        # and one value short of it; where the cap reaches them, one value
+        # past a piece of the longer side (`_PIECE`) and, with `_Wide`, at
+        # the exact-sum bound `piece` (512) and one past it, where the
+        # shorter side goes in two pieces. On random residues, all p - 1
+        # and the widest limbs.
         f = _ntt_numpy._arith(p)
-        low = f.limb * (f.limbs - 1)
-        ones = (1 << low) - 1
-        widest = (p - 1 - ones) >> low << low | ones if p > ones else p - 1
-        shapes = [(f.limbs_from - 1, 256), (f.limbs_from, 256)]
+        widest = f.widest()
+        edge, rows = f.limbs_from, max(256, f.rows_ratio * (f.limbs_from - 1))
+        shapes = [(edge - 1, rows), (edge, rows)]
+        if rows > 256:
+            shapes.append((edge - 1, rows - 1))
+        if _ntt_numpy._PIECE < cap:
+            shapes.append((edge, _ntt_numpy._PIECE + 1))
         if f.piece < cap:
             shapes += [(f.piece, f.piece + 3), (f.piece + 1, f.piece + 1)]
         for short, long in shapes:

@@ -856,40 +856,37 @@ SCHOOLBOOK_PRIMES = [17, 257, 998244353, 3221225473, 4293918721, 230584300944857
 
 def _schoolbook_shapes(p):
     # 1 x 1, 1 x n and n x 1, lopsided and balanced shapes just below, at
-    # and past the switch, a longer side of two pieces of rows, and the
+    # and past the switch, a longer side of several pieces of rows, and the
     # kernel's edges over p's arithmetic: short sides on both sides of
     # `limbs_from`, where the limb convolutions take over from the rows,
-    # and, where it is in reach (512 with `_Wide`), at the exact-sum bound
-    # `piece` and one past it, where the shorter side goes in two pieces.
+    # against longer sides of `rows_ratio` times them, the shortest the
+    # rows take, and one value short of it; a longer side one value past a
+    # piece (`_PIECE`); and, where it is in reach (512 with `_Wide`), the
+    # exact-sum bound `piece` and one past it, where the shorter side goes
+    # in two pieces.
     from modconv import _ntt_numpy, convolve
 
     f = _ntt_numpy._arith(p)
-    switch, chunk = convolve._SCHOOLBOOK_NUMPY, _ntt_numpy._CHUNK
+    switch, chunk, piece = convolve._SCHOOLBOOK_NUMPY, _ntt_numpy._CHUNK, _ntt_numpy._PIECE
     root = math.isqrt(switch)
-    edge = f.limbs_from
+    edge, rows = f.limbs_from, max(f.rows_ratio * (f.limbs_from - 1), 300)
     shapes = [(1, 1), (1, 40), (40, 1), (1, switch), (switch, 1), (3, switch // 3), (4, switch // 4),
               (root - 1, root + 1), (root, root), (root + 1, root + 1), (9, 300), (300, 9),
-              (edge - 1, 300), (300, edge - 1), (edge, 301), (edge, edge), (edge + 1, 400), (2, chunk + 3)]
+              (edge - 1, rows), (rows, edge - 1), (edge, rows + 1), (edge, edge), (edge + 1, 400),
+              (edge, piece + 1), (2, chunk + 3)]
+    if f.rows_ratio > 1:
+        shapes += [(edge - 1, rows - 1), (1, f.rows_ratio), (f.rows_ratio - 1, 1)]
     if f.piece <= 1024:
         shapes += [(f.piece, f.piece + 3), (f.piece + 1, f.piece + 1), (700, f.piece + 1)]
     return shapes
 
 
-def _max_limbs(p):
-    # The largest residue whose limbs below the top one are all 2**limb - 1,
-    # with the top limb as large as p allows: the widest limb sums.
+def _schoolbook_inputs(rng, p, z1, z2):
+    # Random residues, all p - 1, and all the widest limbs (`widest`).
     from modconv import _ntt_numpy
 
-    f = _ntt_numpy._arith(p)
-    low = f.limb * (f.limbs - 1)
-    ones = (1 << low) - 1
-    return (p - 1 - ones) >> low << low | ones if p > ones else p - 1
-
-
-def _schoolbook_inputs(rng, p, z1, z2):
-    # Random residues, all p - 1, and all `_max_limbs`.
     yield [rng.randrange(p) for _ in range(z1)], [rng.randrange(p) for _ in range(z2)]
-    for x in (p - 1, _max_limbs(p)):
+    for x in (p - 1, _ntt_numpy._arith(p).widest()):
         yield [x] * z1, [x] * z2
 
 
@@ -925,17 +922,19 @@ def test_definition_in_numpy_is_the_python_sum(p):
 
 @pytest.mark.skipif(importlib.util.find_spec("numpy") is None, reason="numpy not installed")
 @pytest.mark.parametrize("p", SCHOOLBOOK_PRIMES)
-def test_definition_in_numpy_adds_up_pieces_of_the_short_side(p):
-    # Past `piece` the shorter side goes in pieces, each added into the
-    # outputs mod p. Below 2**32 the bound (524304) is out of a test's
-    # reach, so the piece is shrunk to 40 values at every arithmetic: a
-    # short side of one piece, of one piece and one value, and of several
-    # pieces and a short last one.
+def test_definition_in_numpy_adds_up_pieces_of_both_sides(p):
+    # Both operands go in pieces, and each pair's outputs are added into the
+    # product mod p. Below 2**32 the exact-sum bound (524304) is out of a
+    # test's reach, so the shorter side's pieces are shrunk to 40 values
+    # (`piece`) and the longer side's to 64 (`_PIECE`) at every arithmetic:
+    # a short side of one piece, of one piece and one value, and of several
+    # pieces and a short last one, against longer sides of two and of
+    # several pieces.
     from modconv import _ntt_numpy
 
     f = _ntt_numpy._arith(p)
     rng = random.Random(p)
-    with mock.patch.object(type(f), "piece", 40):
+    with mock.patch.object(type(f), "piece", 40), mock.patch.object(_ntt_numpy, "_PIECE", 64):
         for z1, z2 in ((40, 90), (41, 90), (90, 41), (123, 300)):
             for u, v in _schoolbook_inputs(rng, p, z1, z2):
                 got = _ntt_numpy.schoolbook(_ntt_numpy.residues(u, p), _ntt_numpy.residues(v, p), p)
@@ -961,7 +960,7 @@ def test_limb_convolutions_stay_below_2_53():
         assert 1 <= cls.limbs_from <= cls.piece, cls
     p = 4611686018405367809
     f = _ntt_numpy._arith(p)
-    x = np.full(f.piece, _max_limbs(p), dtype=np.uint64)
+    x = np.full(f.piece, f.widest(), dtype=np.uint64)
     weights, _ = _ntt_numpy._karatsuba(f.limbs)
     rows = _ntt_numpy._limb_rows(x, f, weights)
     top = max(np.convolve(row, row).max() for row in rows)
@@ -1030,9 +1029,9 @@ def test_definition_in_numpy_runs_no_transform(fp998):
 @pytest.mark.parametrize("p", [998244353, 2305843009448574977])
 @pytest.mark.parametrize("z1, z2", [(1 << 12, 1 << 12), (16, 1 << 16)])
 def test_definition_in_numpy_allocates_blocks_not_the_matrix(p, z1, z2):
-    # The kernel holds a block of rows at a time: a product's peak
-    # allocation, numpy's buffers included, stays far below the z1 * z2
-    # words of a whole skew matrix (256 MB at 2**12 x 2**12).
+    # The kernel works in pieces: a product's peak allocation through
+    # lin_conv_def, numpy's buffers and the lists included, stays far below
+    # the z1 * z2 words of a whole skew matrix (256 MB at 2**12 x 2**12).
     import tracemalloc
 
     import numpy  # noqa: F401  loaded, so lin_conv_def runs in numpy
@@ -1048,6 +1047,34 @@ def test_definition_in_numpy_allocates_blocks_not_the_matrix(p, z1, z2):
         tracemalloc.stop()
     assert len(out) == z1 + z2 - 1
     assert peak < 16 << 20, peak
+
+
+@pytest.mark.skipif(importlib.util.find_spec("numpy") is None, reason="numpy not installed")
+@pytest.mark.parametrize("p", [998244353, 2305843009448574977])
+def test_definition_in_numpy_scratch_stays_below_four_chunks(p):
+    # Beside its output the kernel allocates below 4 * _CHUNK words (1 MiB),
+    # numpy's buffers included, whatever the shape: against a longer side
+    # of 2**20 on the rows and on the limb convolutions (`limbs_from`), and
+    # on shorter sides of several pieces.
+    import tracemalloc
+
+    import numpy as np
+
+    from modconv import _ntt_numpy
+
+    f = _ntt_numpy._arith(p)
+    rng = np.random.default_rng(p)
+    for z1, z2 in ((1, 1 << 20), (f.limbs_from - 1, 1 << 20), (f.limbs_from, 1 << 20), (600, 1 << 16),
+                   (5000, 5001)):
+        u, v = (rng.integers(0, p, z, dtype=np.uint64) for z in (z1, z2))
+        tracemalloc.start()
+        try:
+            out = _ntt_numpy.schoolbook(u, v, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(out) == z1 + z2 - 1
+        assert peak - out.nbytes < 4 * _ntt_numpy._CHUNK * 8, (z1, z2, peak)
 
 
 @pytest.mark.skipif(importlib.util.find_spec("numpy") is None, reason="numpy not installed")
