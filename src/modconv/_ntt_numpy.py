@@ -77,9 +77,10 @@ into limbs of 16 bits (below _WORD) or 21 bits (`_Wide`), convolves them
 as float64 arrays with `np.convolve`, in pieces of at most 4096 values of
 each operand, and of the shorter one short enough that every value is an
 integer below 2**53 and so exact (`_exact_piece`), and sums the limbs'
-diagonals mod p (`from_limbs`). Very short sides against long ones run
-on rows of Shoup products (`_rows`). Its docstring has the exactness
-argument, the rule between the two and the timings.
+diagonals mod p (`from_limbs`). Short sides against long ones run on
+rows of Shoup products (`_rows`), added up unreduced between remainders,
+in the same loop over pieces. Its docstring has the exactness argument,
+the rule between the two and the timings.
 
 Layout: each numpy operation runs over stretches of at least _ROW/2
 residues, not over the h residues of a short stage's half-blocks. One
@@ -230,17 +231,21 @@ class _Word:
     `limb` bits, convolves them in float64 in pieces of at most `piece`
     values of the shorter operand (`_exact_piece`), and takes short sides
     below `limbs_from`, against long sides of at least `rows_ratio` times
-    theirs, on rows of Shoup products instead (`_rows`).
+    theirs, on rows of Shoup products instead (`_rows`), which add up to
+    `terms` residues before a remainder, as `column_sum` does.
     """
 
     limb, limbs = 16, 2
     piece = _exact_piece(limb)
-    limbs_from, rows_ratio = 32, 1
+    limbs_from, rows_ratio = 16, 1
 
     def __init__(self, p: int):
         self.modulus = p
         self.p = _u64(p)
         self.p2 = _u64(2 * p)
+        # The most residues whose uint64 sum cannot wrap: r (p - 1) < 2**64
+        # for r = terms (4 over p near 2**62).
+        self.terms = ((1 << 64) - 1) // (p - 1)
         self.shifts = (np.arange(self.limbs, dtype=np.uint64) * _u64(self.limb))[:, None]
         self.mask = _u64((1 << self.limb) - 1)
 
@@ -267,6 +272,14 @@ class _Word:
         # s in [0, 2p) -> s mod p, in place.
         np.subtract(s, self.p, out=tmp)
         np.minimum(s, tmp, out=s)
+
+    def remainder(self, x, tmp) -> None:
+        # x mod p, in place, for any uint64 x: x - (x // p) * p. Division by
+        # the one divisor p runs as a multiply and shift (libdivide), so this
+        # took a third of `np.remainder`'s time (2-core x86-64 host).
+        np.floor_divide(x, self.p, out=tmp)
+        tmp *= self.p
+        x -= tmp
 
     def add(self, a, b, out, tmp) -> None:
         # out = (a + b) mod p.
@@ -301,13 +314,11 @@ class _Word:
         return out
 
     def column_sum(self, x):
-        # The sum of the rows of x mod p, for rows of residues: sums of r =
-        # (2**64 - 1) // (p - 1) rows at a time, each taken mod p in turn.
-        # r (p - 1) < 2**64, so no sum wraps uint64 (over p near 2**62, r =
-        # 4), and below 2**32 one sum takes every row.
-        r = ((1 << 64) - 1) // (self.modulus - 1)
+        # The sum of the rows of x mod p, for rows of residues: sums of
+        # `terms` rows at a time, each taken mod p in turn; below 2**32 one
+        # sum takes every row.
         while len(x) > 1:
-            x = np.add.reduceat(x, np.arange(0, len(x), r), axis=0) % self.p
+            x = np.add.reduceat(x, np.arange(0, len(x), self.terms), axis=0) % self.p
         return x[0]
 
     def from_limbs(self, d):
@@ -316,11 +327,12 @@ class _Word:
         Horner's rule from the top row: each step is below 2**32 * 2**limb +
         2**53 < 2**64 before its remainder.
         """
-        out = d[-1] % self.p
+        out, tmp = d[-1].copy(), np.empty_like(d[-1])
+        self.remainder(out, tmp)
         for row in d[-2::-1]:
             out <<= _u64(self.limb)
             out += row
-            out %= self.p
+            self.remainder(out, tmp)
         return out
 
     # The steps of the stage loops (`_pass`, `_butterflies`, `_dif`) and
@@ -389,7 +401,7 @@ class _Wide(_Lazy):
 
     limb, limbs = 21, 3
     piece = _exact_piece(limb)
-    rows_ratio = 256
+    limbs_from, rows_ratio = 32, 128
 
     def __init__(self, p: int):
         super().__init__(p)
@@ -458,9 +470,9 @@ class _Wide(_Lazy):
         high = np.empty_like(d[1:])
         self.mul(d[1:], w, wq, high, np.empty_like(high))
         out = high.sum(axis=0)
-        out %= self.p
+        self.remainder(out, high[0])
         out += d[0]
-        out %= self.p
+        self.remainder(out, high[0])
         return out
 
 
@@ -592,44 +604,49 @@ def schoolbook(u, v, p: int):
     pieces of 2**13 took 1.4-2.6x the time per output of pieces of 2**12,
     and pieces of 2**11 1.0-1.6x.
 
-    Short sides below `limbs_from` = 32 against longer sides of at least
-    the arithmetic's `rows_ratio` (1 | 256 with `_Wide`) times theirs run
-    on rows of Shoup products instead (`_rows`): there the limb path's cost
-    per output (the limb split, the convolutions' per-output dot products,
-    the diagonals' steps mod p) outweighs the rows' few products. The limb
-    path's time over the rows' (median of 5 rounds of best of 7, 2-core
-    x86-64 host), by shorter side s and longer side:
+    Short sides below the arithmetic's `limbs_from` (16 | 32 with `_Wide`)
+    against longer sides of at least its `rows_ratio` (1 | 128) times theirs
+    run on rows of Shoup products instead (`_rows`), in the same loop over
+    pieces: the shorter side whole and the longer one in pieces of _CHUNK /
+    2 = 16384 values (pieces of 4096 took 1.1-1.5x as long at s x 16384).
+    A row's cost per output grows with the short side; the limb path's (the
+    limb split, the convolutions' dot products, the diagonals' steps mod
+    p) does not. The limb path's time over the rows' (median of 9 rounds,
+    the two alternating in one process, 2-core x86-64 host), by shorter
+    side s and longer side:
 
-        998244353    s x    s+1    64   256   512  1024  4096  16384
-                     2     1.19  1.23  1.33  1.46  1.68  2.14  2.80
-                     8     1.15  1.13  1.18  1.20  1.26  1.23  1.27
-                    16     1.06  1.01  1.13  1.21  1.29  1.14  1.11
-                    24     1.05  0.99  1.16  1.20  1.10  1.01  0.93
-                    31     0.95  0.88  1.02  1.11  1.11  1.00  0.80
-                    32     0.91  0.84  0.93  0.89  0.80  0.66  0.72
-                    40     0.85  0.84  0.91  0.81  0.74  0.60  0.63
+        998244353    s x     64   256  1024  4096  16384
+                     1     1.60  1.73  2.10  3.30  6.73
+                     2     1.41  1.45  1.64  1.98  3.24
+                     4     1.26  1.27  1.41  1.49  2.03
+                     8     1.06  1.08  1.02  0.97  1.30
+                    12     0.99  1.14  1.38  1.61  2.04
+                    16     0.88  0.92  0.96  0.92  1.09
+                    24     0.72  0.80  0.83  0.92  1.12
+                    31     0.63  0.68  0.70  0.71  1.07
 
-        2305843009448574977, by s and the longer side over s:
-                     s x     32   128   256   512  1024
-                     1     1.13  1.24  1.08  1.65  2.19
-                     4     0.74  0.93  1.16  1.48  2.39
-                     8     0.51  0.74  0.91  1.26  1.53
-                    16     0.40  0.72  1.07  1.17  1.37
-                    24     0.37  0.70  0.94  0.96  1.04
-                    31     0.33  0.76  0.97  0.96  0.93
-                    40     0.30  0.56  0.56  0.71  0.57
+        2305843009448574977
+                     s x     64   256  1024  4096  16384
+                     1     1.13  1.28  1.89  6.46 14.42
+                     2     1.09  1.29  1.87  4.24  7.04
+                     4     1.04  1.17  1.59  3.09  4.10
+                     8     0.90  0.98  1.18  1.91  2.24
+                    12     0.91  1.12  1.52  2.23  2.57
+                    16     0.81  0.90  1.11  1.43  1.68
+                    24     0.72  0.78  0.83  1.10  1.20
+                    31     0.64  0.69  0.81  0.94  1.00
 
-    Below 2**32 a row's products are summed unreduced, so the rows win on
-    every longer side up to a short side of about 20, and from 24 to 31
-    the two are even. `_Wide`'s rows reduce every product, so the limbs win
-    on longer sides below about 256 times the shorter one, and the rows
-    from 512 times it, up to a short side of about 20; a short side of 1 is
-    the exception, where the rows win from 32 times (1.13-1.24) and the
-    rule leaves 1 x 32 to 1 x 255 to the limbs. Short sides of 12
-    to 15 favour the rows more (12 x 1536: 1.00): `np.convolve`'s dot
-    product per output took 3-4x as long on 12-15 values as on 8-11 or 16
-    (OpenBLAS 0.3.31, 2-core x86-64 host), and the rule does not single
-    them out.
+    Below 2**32 the limbs win from a short side of 16 on longer sides up
+    to 4096, and the rows below it; 8 x 1024 to 8 x 4096 are even, and at
+    16384 the rows win on every short side, which the rule leaves to the
+    limbs from 16 (1.07-1.12). Short sides of 12 to 15 favour the rows
+    most (12 x 4096: 1.61): `np.convolve`'s dot product per output took
+    3-4x as long on 12-15 values as on 8-11 or 16 (OpenBLAS 0.3.31). With
+    `_Wide` the limbs win on longer sides below about 64 times the shorter
+    one and the rows from 128 times, up to a short side of 31; the rule
+    takes the rows from 128 times, which leaves 16 x 1024 (1.11) and 2 x
+    64 (1.09) to the limbs: at 64 times it gave 31 x 2018 to the rows,
+    which read 1.21x the parent's limbs through `lin_conv_def`.
 
     Against the kernel as it stood before the limbs, rows in blocks of a
     chunk on every shape, it took 0.12-0.13x the time at 369 x 628, 373 x
@@ -657,13 +674,18 @@ def schoolbook(u, v, p: int):
     f = _arith(p)
     short, long = (u, v) if len(u) <= len(v) else (v, u)
     if len(short) < f.limbs_from and len(long) >= f.rows_ratio * len(short):
-        return _rows(short, long, f)
-    weights, pairs = _karatsuba(f.limbs)
-    m, n = min(f.piece, _PIECE), _PIECE
+        # The shorter side in one piece, with its quotients once per product.
+        m, n = len(short), _CHUNK >> 1
+        wq = f.quotient(short)
 
-    def part(a, b):
-        # The defining sum of pieces a and b, of at most m and n values.
-        return f.from_limbs(_diagonals(_limb_rows(a, f, weights), _limb_rows(b, f, weights), pairs))
+        def part(a, b):
+            return _rows(a, b, wq, f)
+    else:
+        m, n = min(f.piece, _PIECE), _PIECE
+        weights, pairs = _karatsuba(f.limbs)
+
+        def part(a, b):
+            return f.from_limbs(_diagonals(_limb_rows(a, f, weights), _limb_rows(b, f, weights), pairs))
 
     if len(short) <= m and len(long) <= n:
         return part(short, long)
@@ -720,55 +742,30 @@ def _diagonals(a, b, pairs):
     return d.astype(np.uint64)
 
 
-def _rows(short, long, f):
-    # The defining sum for a short side below f.limbs_from against a long
-    # side of at least f.rows_ratio times it (see `schoolbook`), by Shoup's
-    # products of the short coefficients (quotients from `quotient`, once
-    # per product) and pieces of at most m = _CHUNK / 2 values of the
-    # longer operand. `_Wide` takes one row at a time: short[i] times the
-    # piece, a reduced product added into the outputs from i + k mod p.
-    # Below _WORD rows go in blocks of at most _CHUNK / 2 products: row j of
-    # a block is written width + 1 words after row j - 1 into a zeroed skew
-    # buffer; read as rows of width words, the buffer holds row j at offset
-    # j, so its column sums are the block's share of the outputs from i + k
-    # on. A row's products lie in [0, 2p), below 2**33, and an output sums
-    # fewer than 32 of them: the outputs are summed unreduced and reduced
-    # once at the end. Blocks of a whole chunk took 1.9-2.2x as long per
-    # product at 8 x 4096, 16 x 2048 and 31 x 1024 over 998244353; over
-    # 2305843009448574977, blocks of rows summed by `column_sum` took
-    # 1.06-1.75x as long as single rows wherever the rows run (2-core
-    # x86-64 host).
-    s, m = len(short), min(len(long), _CHUNK >> 1)
-    wq = f.quotient(short)
-    out = np.zeros(s + len(long) - 1, dtype=np.uint64)
-    if isinstance(f, _Wide):
-        t, tmp = np.empty(m, dtype=np.uint64), np.empty(m, dtype=np.uint64)
-        with _small_buffer():
-            for k in range(0, len(long), m):
-                piece = long[k : k + m]
-                n = len(piece)
-                for i in range(s):
-                    f.mul(piece, short[i], wq[:, i], t[:n], tmp[:n])
-                    outputs = out[i + k : i + k + n]
-                    f.add(outputs, t[:n], outputs, tmp[:n])
-        return out
-    rows = min(s, max(1, (_CHUNK >> 1) // m))
-    width = m + rows - 1
-    skew = np.zeros(rows * (width + 1), dtype=np.uint64)
-    tmp = np.empty((rows, width), dtype=np.uint64)
+def _rows(a, b, wq, f):
+    # The defining sum of residue arrays a and b as a new array of
+    # residues, by rows of Shoup's products a[j] * b mod p (`mul`, with
+    # a's quotients wq), in blocks of at most _CHUNK / 2 products. Each row
+    # is added into its outputs, from j on, unreduced, and the outputs are
+    # taken mod p before every f.terms - 1 rows and at the end, unless one
+    # row is all: after a remainder an output is below p, so it stays below
+    # terms * (p - 1) < 2**64. A block's products run under the small ufunc
+    # buffer: with the default one, `mul` took 1.4-1.6x as long on blocks
+    # of 16 x 1024 and 8 x 1024 (2-core x86-64 host).
+    s, n = len(a), len(b)
+    rows = min(s, max(1, (_CHUNK >> 1) // n))
+    products, tmp = np.empty((rows, n), dtype=np.uint64), np.empty((rows, n), dtype=np.uint64)
+    out, spare = np.zeros(s + n - 1, dtype=np.uint64), np.empty(s + n - 1, dtype=np.uint64)
     with _small_buffer():
-        # The shortest piece goes first: a row's words past its piece are
-        # never written, so they stay zero for every longer piece after it.
-        for k in reversed(range(0, len(long), m)):
-            piece = long[k : k + m]
-            for i in range(0, s, rows):
-                b = min(rows, s - i)
-                n = len(piece) + b - 1
-                products = skew[: b * (width + 1)].reshape(b, width + 1)[:, : len(piece)]
-                sums = skew[: b * width].reshape(b, width)[:, :n]
-                f.shoup(piece, short[i : i + b, None], wq[i : i + b, None], products, tmp[:b, : len(piece)])
-                out[i + k : i + k + n] += sums.sum(axis=0)
-    out %= f.p
+        for i in range(0, s, rows):
+            k = min(rows, s - i)
+            f.mul(b, a[i : i + k, None], wq[..., i : i + k, None], products[:k], tmp[:k])
+            for j, row in enumerate(products[:k], i):
+                if j and j % (f.terms - 1) == 0:
+                    f.remainder(out, spare)
+                out[j : j + n] += row
+    if s > 1:
+        f.remainder(out, spare)
     return out
 
 

@@ -281,10 +281,11 @@ def _suite_numpy_backend(rng, cap, fields):
         # from the rows, against a longer side of 256 or, if longer, of
         # `rows_ratio` times the shorter one, the shortest the rows take,
         # and one value short of it; where the cap reaches them, one value
-        # past a piece of the longer side (`_PIECE`) and, with `_Wide`, at
-        # the exact-sum bound `piece` (512) and one past it, where the
-        # shorter side goes in two pieces. On random residues, all p - 1
-        # and the widest limbs.
+        # past a piece of the longer side (`_PIECE` for the limbs, _CHUNK /
+        # 2 for the rows) and, with `_Wide`, at the exact-sum bound `piece`
+        # (512) and one past it, where the shorter side goes in two pieces.
+        # On random residues, all p - 1 (whose rows, over 62-bit primes,
+        # cross remainders every `terms` - 1 rows) and the widest limbs.
         f = _ntt_numpy._arith(p)
         widest = f.widest()
         edge, rows = f.limbs_from, max(256, f.rows_ratio * (f.limbs_from - 1))
@@ -293,6 +294,8 @@ def _suite_numpy_backend(rng, cap, fields):
             shapes.append((edge - 1, rows - 1))
         if _ntt_numpy._PIECE < cap:
             shapes.append((edge, _ntt_numpy._PIECE + 1))
+        if _ntt_numpy._CHUNK >> 1 < cap:
+            shapes.append((edge - 1, (_ntt_numpy._CHUNK >> 1) + 1))
         if f.piece < cap:
             shapes += [(f.piece, f.piece + 3), (f.piece + 1, f.piece + 1)]
         for short, long in shapes:

@@ -942,6 +942,31 @@ def test_definition_in_numpy_adds_up_pieces_of_both_sides(p):
 
 
 @pytest.mark.skipif(importlib.util.find_spec("numpy") is None, reason="numpy not installed")
+@pytest.mark.parametrize("p", [2305843009448574977, 4611686018405367809])
+def test_definition_in_numpy_rows_reduce_before_a_sum_wraps(p):
+    # The rows add reduced products into their outputs unreduced and take
+    # them mod p before every terms - 1 rows, terms = (2**64 - 1) // (p -
+    # 1): 7 and 4 here, the fewest of any arithmetic. Products of p - 1 by
+    # 1 are the largest a row adds, p - 1 by p - 1 give 1s; short sides of
+    # terms - 1, terms, terms + 1 and 31 (where a cadence of terms rows
+    # wraps) on the rows, against a longer side in one piece and, with
+    # _CHUNK at 128, in pieces of 64 values and blocks of one row.
+    from modconv import _ntt_numpy
+
+    f = _ntt_numpy._arith(p)
+    assert f.terms == ((1 << 64) - 1) // (p - 1)
+    for chunk in (_ntt_numpy._CHUNK, 128):
+        for s in (f.terms - 1, f.terms, f.terms + 1, 31):
+            z = f.rows_ratio * s + 3
+            for u, v in (([p - 1] * s, [1] * z), ([1] * s, [p - 1] * z), ([p - 1] * s, [p - 1] * z)):
+                with mock.patch.object(_ntt_numpy, "_CHUNK", chunk), \
+                        mock.patch.object(_ntt_numpy, "_rows", wraps=_ntt_numpy._rows) as rows:
+                    got = _ntt_numpy.schoolbook(_ntt_numpy.residues(u, p), _ntt_numpy.residues(v, p), p)
+                assert rows.call_count == -(-z // (chunk >> 1)), (chunk, s)
+                assert got.tolist() == schoolbook_raw(u, v, p), (chunk, s)
+
+
+@pytest.mark.skipif(importlib.util.find_spec("numpy") is None, reason="numpy not installed")
 def test_limb_convolutions_stay_below_2_53():
     # Every float64 value the defining sum's convolutions make must be an
     # integer below 2**53, so that it is exact in any summation order. The
@@ -1031,7 +1056,8 @@ def test_definition_in_numpy_runs_no_transform(fp998):
 def test_definition_in_numpy_allocates_blocks_not_the_matrix(p, z1, z2):
     # The kernel works in pieces: a product's peak allocation through
     # lin_conv_def, numpy's buffers and the lists included, stays far below
-    # the z1 * z2 words of a whole skew matrix (256 MB at 2**12 x 2**12).
+    # the z1 * z2 words of all the products u[i] * v[k] at once (128 MB at
+    # 2**12 x 2**12).
     import tracemalloc
 
     import numpy  # noqa: F401  loaded, so lin_conv_def runs in numpy

@@ -100,7 +100,7 @@ def test_kernel_times_times_products_on_both_backends():
     assert all(row[10:] == [f"{row[8]}-{row[8]}", f"{row[9]}-{row[9]}"] for row in rows), lines
 
 
-DEFINITION_SHAPES = ["1/1", "1/7", "1/50", "1xn", "4xn"]
+DEFINITION_SHAPES = ["1/1", "1/7", "1/50", "1xn", "4xn", "8xn", "16xn", "31xn"]
 
 
 def test_kernel_times_times_the_defining_sum_on_both_backends():
@@ -113,7 +113,7 @@ def test_kernel_times_times_the_defining_sum_on_both_backends():
     assert lines[0].startswith("| shape | L | z1 x z2 | old python | old numpy |")
     rows = table_rows(lines)
     assert [row[:2] for row in rows] == [[shape, f"2^{k}"] for k in (5, 6) for shape in DEFINITION_SHAPES]
-    assert [row[2] for row in rows[:5]] == ["16x17", "4x29", "1x32", "1x32", "4x29"]
+    assert [row[2] for row in rows[:8]] == ["16x17", "4x29", "1x32", "1x32", "4x29", "8x25", "16x17", "16x17"]
     times = [[float(cell) for cell in row[3:10]] for row in rows]
     assert all(t > 0 for row in times for t in row), lines
     assert all(abs(row[4] - round(row[3] / row[2], 2)) <= 0.011 for row in times), lines

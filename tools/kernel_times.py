@@ -53,10 +53,12 @@ loops make large L slow.
 loaded, on the Python sum and on the numpy kernel (`_ntt_numpy.schoolbook`,
 the switch `convolve._SCHOOLBOOK_NUMPY` set past every shape, then to 1),
 at n = L outputs split 1:1, 1:7 and 1:50 (small_many's range of splits),
-1 x n and 4 x n; a tree without the switch runs the Python sum on both. It
-prints the products table, the shape column as z1 x z2. Try --lo 4 --hi 10:
-the balanced shapes at 2**5 and 2**6 and the 4 x n ones at 2**7 and 2**8
-lie on both sides of the switch.
+and s x n for s = 1, 4, 8, 16 and 31 (capped at half of n), short sides
+on both sides of the kernel's rows/limbs rule (`limbs_from`: 16 below
+2**32, 32 over 62-bit primes); a tree without the switch runs the Python
+sum on both. It prints the products table, the shape column as z1 x z2.
+Try --lo 4 --hi 10: the balanced shapes at 2**5 and 2**6 and the 4 x n
+ones at 2**7 and 2**8 lie on both sides of the switch.
 
 `loops` times the pure-Python loops on lists, in us: `transform._moddft`
 (forward and inverse), `_tft_loops` at z = n = L (`tft_n=L`), at z = L/4 +
@@ -207,7 +209,7 @@ def definition(L):
     # switch set past every shape) and the numpy kernel (the switch set to
     # 1), with numpy loaded; a tree without the switch runs the Python sum
     # on both. Shapes of n = L outputs: 1:1, 1:7 and 1:50, as small_many
-    # splits its products, and the lopsided 1 x n and 4 x n.
+    # splits its products, and the lopsided s x n (`DEFINITION_SHAPES`).
     from modconv import convolve
 
     def timed(u, v):
@@ -236,6 +238,9 @@ DEFINITION_SHAPES = {
     "1/50": lambda z: max(1, z // 51),
     "1xn": lambda z: 1,
     "4xn": lambda z: min(4, z // 2),
+    "8xn": lambda z: min(8, z // 2),
+    "16xn": lambda z: min(16, z // 2),
+    "31xn": lambda z: min(31, z // 2),
 }
 
 
