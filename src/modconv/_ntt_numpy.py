@@ -5,8 +5,9 @@ accepts only p < 2**62, and the kernels take every such p. Besides the
 transforms it holds the named primitives the other modules run on arrays,
 each beside its list branch there: `residues` (the one crossing into numpy,
 and the array check), `pointwise`, `scale` (Shoup's product by one int
-constant), `pair` (the split's residue pair), `pad`, `mulmod` and
-`schoolbook` (the defining sum of a linear product, beside
+constant), `pair` (the split's residue pair), `pad`, `twist` (the
+negacyclic twist, by the last stage of the 2L table) and `schoolbook`
+(the defining sum of a linear product, beside
 `poly.schoolbook_raw`, the pure-Python oracle it is checked against). They
 reach this module through `transform._array_kernels` (on an ndarray),
 `transform._numpy_kernels` (on the size rule) or, for `schoolbook`,
@@ -80,7 +81,9 @@ integer below 2**53 and so exact (`_exact_piece`), and sums the limbs'
 diagonals mod p (`from_limbs`). Short sides against long ones run on
 rows of Shoup products (`_rows`), added up unreduced between remainders,
 in the same loop over pieces. Its docstring has the exactness argument,
-the rule between the two and the timings.
+the rule between the two and the timings; the arithmetic's `edges`
+states the shapes on both sides of each of its switches, which `verify`
+and the tests read.
 
 Layout: each numpy operation runs over stretches of at least _ROW/2
 residues, not over the h residues of a short stage's half-blocks. One
@@ -248,6 +251,27 @@ class _Word:
         self.terms = ((1 << 64) - 1) // (p - 1)
         self.shifts = (np.arange(self.limbs, dtype=np.uint64) * _u64(self.limb))[:, None]
         self.mask = _u64((1 << self.limb) - 1)
+
+    def edges(self):
+        """The (short, long) shapes on both sides of each switch of `schoolbook`, as two lists of pairs, (rules, pieces).
+
+        Each rule pair holds a shape the rows take (`_rows`) and one value
+        away a shape the limb convolutions take: short sides of limbs_from -
+        1 and limbs_from against the shortest longer side the rows take
+        there, and where rows_ratio > 1, at short sides of 1 and limbs_from
+        - 1, longer sides of rows_ratio times them and one less. Each piece
+        pair holds a shape whose side fits one piece and one value past it,
+        in two: a longer side of _PIECE on the limbs and of _CHUNK / 2 on
+        the rows, and where the exact-sum bound `piece` is below _PIECE, so
+        that it cuts the shorter side, a shorter side of piece.
+        """
+        edge, ratio, rows, piece = self.limbs_from, self.rows_ratio, _CHUNK >> 1, self.piece
+        long = max(edge, ratio * (edge - 1))
+        rules = [((edge - 1, long), (edge, long))]
+        rules += [((s, ratio * s), (s, ratio * s - 1)) for s in (1, edge - 1) if ratio > 1]
+        pieces = [((edge, _PIECE), (edge, _PIECE + 1)), ((edge - 1, rows), (edge - 1, rows + 1)),
+                  ((piece, piece + 1), (piece + 1, piece + 1))]
+        return rules, pieces if piece < _PIECE else pieces[:2]
 
     def widest(self) -> int:
         """The largest residue whose limbs below the top one are all 2**limb - 1: the widest limb sums p allows."""
@@ -522,6 +546,11 @@ def mulmod(x, w, wq, p: int):
     out = np.empty_like(x)
     _arith(p).mul(x, w, wq, out, np.empty_like(x))
     return out
+
+
+def twist(x, table, direction: str):
+    """x times psi**j ("fwd") or psi**-j ("inv") for j < len(x), as a new array: the last stage of table, the 2L table, where psi**2 == w_L."""
+    return mulmod(x, *stage_arrays(table)[direction == "inv"][-1], table.field.p)
 
 
 def scale(x, w: int, p: int):

@@ -61,7 +61,7 @@ only cores. On uint64 arrays every step stays in arrays (transforms, pointwise
 product, 1/L scale, twist, residues, padding); on lists every step runs the
 Python loops. Every step keeps its list branch here and runs on arrays
 through the primitives of `_ntt_numpy`, which holds all uint64 arithmetic
-(`pointwise`, `scale`, `pair`, `pad`, `mulmod`), looked up by
+(`pointwise`, `scale`, `pair`, `pad`, `twist`), looked up by
 `transform._array_kernels`; this module does not import numpy. Both paths
 return the same values and count the same operations. `poly_mul` hands its
 trimmed operands, ints that `DensePoly` has checked, to the same step, and
@@ -243,7 +243,10 @@ def _cyclic(table, rows, req: ConvRequest, twist=None):
     has read them and of the forward spectra before the inverse call: fewer
     arrays live at once. How many heap pages that spares from being trimmed
     and faulted back in depends on the process's allocation history, and a
-    caller's own names still hold what they hold.
+    caller's own names still hold what they hold: `fft_pad`'s two padded
+    inputs stay alive through the inverse call, held by `_zero_padded`'s
+    call of its core and by `_circ_conv_fft`'s parameters, so for it this
+    frees nothing of the inputs.
     """
     p = req.field.p
     if twist is not None:
@@ -273,9 +276,7 @@ def _twisted(twist, x, direction: str, p: int):
     """x times psi**j ("fwd") or psi**-j ("inv") for j < len(x): the last stage of twist, the 2L table, where psi**2 == w_L."""
     kernels = _array_kernels(x)
     if kernels:
-        # Each stage is (twiddles, their Shoup quotients).
-        fwd, inv = kernels.stage_arrays(twist)
-        return kernels.mulmod(x, *(fwd if direction == "fwd" else inv)[-1], p)
+        return kernels.twist(x, twist, direction)
     return [a * b % p for a, b in zip(x, (twist.fwd_stages if direction == "fwd" else twist.inv_stages)[-1])]
 
 

@@ -64,7 +64,7 @@ count the same butterflies.
 One arithmetic layer for arrays. `_ntt_numpy` holds all uint64 arithmetic:
 the stage loops and a few named primitives (`residues`, the one crossing
 into numpy, which reduces a list's ints outside [0, p); `pointwise`;
-`scale`; `pair`; `pad`; `mulmod`). This module, `convolve` and `poly` keep
+`scale`; `pair`; `pad`; `twist`). This module, `convolve` and `poly` keep
 their list branches and reach the primitives on arrays through one lookup,
 `_array_kernels`, and no module but `_ntt_numpy` imports numpy. numpy is
 imported on first use, never by this module or by building a table.
@@ -259,7 +259,7 @@ def _array_kernels(*xs):
     Only a process that has loaded numpy holds an ndarray, so this never
     imports numpy. The list branches stay with the callers; on arrays they
     call the kernels' primitives (`residues`, `pointwise`, `scale`, `pair`,
-    `pad`, `mulmod`), which hold all uint64 arithmetic.
+    `pad`, `twist`), which hold all uint64 arithmetic.
     """
     np = sys.modules.get("numpy")
     if np is not None:

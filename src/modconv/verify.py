@@ -275,32 +275,17 @@ def _suite_numpy_backend(rng, cap, fields):
                 tables = {"twist": get_table(fp, 2 * L)} if twists else {}
                 if _div_size(core(table, ua, va, req, **tables), table).tolist() != out:
                     return False, f"{core.__name__}{' twisted' * twists} on uint64 arrays != oracle at p={p}, n={size}"
-        # The defining sum's kernel against the Python sum at its edges
-        # (`_ntt_numpy.schoolbook`): short sides on both sides of the
-        # arithmetic's `limbs_from`, where the limb convolutions take over
-        # from the rows, against a longer side of 256 or, if longer, of
-        # `rows_ratio` times the shorter one, the shortest the rows take,
-        # and one value short of it; where the cap reaches them, one value
-        # past a piece of the longer side (`_PIECE` for the limbs, _CHUNK /
-        # 2 for the rows) and, with `_Wide`, at the exact-sum bound `piece`
-        # (512) and one past it, where the shorter side goes in two pieces.
-        # On random residues, all p - 1 (whose rows, over 62-bit primes,
-        # cross remainders every `terms` - 1 rows) and the widest limbs.
+        # The defining sum's kernel against the Python sum on both sides of
+        # each of its switches (`_Word.edges`): the rows/limbs rule at any
+        # cap, a piece's edge where the cap reaches one value past it. On
+        # random residues, all p - 1 (whose rows, over 62-bit primes, cross
+        # remainders every `terms` - 1 rows) and the widest limbs.
         f = _ntt_numpy._arith(p)
-        widest = f.widest()
-        edge, rows = f.limbs_from, max(256, f.rows_ratio * (f.limbs_from - 1))
-        shapes = [(edge - 1, rows), (edge, rows)]
-        if rows > 256:
-            shapes.append((edge - 1, rows - 1))
-        if _ntt_numpy._PIECE < cap:
-            shapes.append((edge, _ntt_numpy._PIECE + 1))
-        if _ntt_numpy._CHUNK >> 1 < cap:
-            shapes.append((edge - 1, (_ntt_numpy._CHUNK >> 1) + 1))
-        if f.piece < cap:
-            shapes += [(f.piece, f.piece + 3), (f.piece + 1, f.piece + 1)]
-        for short, long in shapes:
+        rules, pieces = f.edges()
+        shapes = [s for pair in rules + [pair for pair in pieces if max(pair[1]) <= cap] for s in pair]
+        for short, long in dict.fromkeys(shapes):
             for u, v in (([rng.randrange(p) for _ in range(short)], [rng.randrange(p) for _ in range(long)]),
-                         ([p - 1] * short, [p - 1] * long), ([widest] * short, [widest] * long)):
+                         *(([x] * short, [x] * long) for x in (p - 1, f.widest()))):
                 got = _ntt_numpy.schoolbook(_ntt_numpy.residues(u, p), _ntt_numpy.residues(v, p), p)
                 if got.tolist() != schoolbook_raw(u, v, p):
                     return False, f"numpy schoolbook != Python sum at p={p}, {short}x{long}"

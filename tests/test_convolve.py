@@ -856,28 +856,19 @@ SCHOOLBOOK_PRIMES = [17, 257, 998244353, 3221225473, 4293918721, 230584300944857
 
 def _schoolbook_shapes(p):
     # 1 x 1, 1 x n and n x 1, lopsided and balanced shapes just below, at
-    # and past the switch, a longer side of several pieces of rows, and the
-    # kernel's edges over p's arithmetic: short sides on both sides of
-    # `limbs_from`, where the limb convolutions take over from the rows,
-    # against longer sides of `rows_ratio` times them, the shortest the
-    # rows take, and one value short of it; a longer side one value past a
-    # piece (`_PIECE`); and, where it is in reach (512 with `_Wide`), the
-    # exact-sum bound `piece` and one past it, where the shorter side goes
-    # in two pieces.
+    # and past the switch, a longer side of several pieces of rows, and, in
+    # both orders, the shapes on both sides of each of the kernel's switches
+    # over p's arithmetic (`edges`): the rows/limbs rule, a piece of each
+    # body and, where it binds (512 with `_Wide`), the exact-sum bound.
     from modconv import _ntt_numpy, convolve
 
-    f = _ntt_numpy._arith(p)
-    switch, chunk, piece = convolve._SCHOOLBOOK_NUMPY, _ntt_numpy._CHUNK, _ntt_numpy._PIECE
+    switch, chunk = convolve._SCHOOLBOOK_NUMPY, _ntt_numpy._CHUNK
     root = math.isqrt(switch)
-    edge, rows = f.limbs_from, max(f.rows_ratio * (f.limbs_from - 1), 300)
     shapes = [(1, 1), (1, 40), (40, 1), (1, switch), (switch, 1), (3, switch // 3), (4, switch // 4),
-              (root - 1, root + 1), (root, root), (root + 1, root + 1), (9, 300), (300, 9),
-              (edge - 1, rows), (rows, edge - 1), (edge, rows + 1), (edge, edge), (edge + 1, 400),
-              (edge, piece + 1), (2, chunk + 3)]
-    if f.rows_ratio > 1:
-        shapes += [(edge - 1, rows - 1), (1, f.rows_ratio), (f.rows_ratio - 1, 1)]
-    if f.piece <= 1024:
-        shapes += [(f.piece, f.piece + 3), (f.piece + 1, f.piece + 1), (700, f.piece + 1)]
+              (root - 1, root + 1), (root, root), (root + 1, root + 1), (9, 300), (300, 9), (2, chunk + 3)]
+    rules, pieces = _ntt_numpy._arith(p).edges()
+    for short, long in (shape for pair in rules + pieces for shape in pair):
+        shapes += [(short, long), (long, short)]
     return shapes
 
 
@@ -918,6 +909,37 @@ def test_definition_in_numpy_is_the_python_sum(p):
                 assert lin_conv_def(u, v, fp) == want, (z1, z2)
                 assert ran == ([(z1, z2)] if z1 * z2 >= convolve._SCHOOLBOOK_NUMPY else []), (z1, z2)
                 assert real(_ntt_numpy.residues(u, p), _ntt_numpy.residues(v, p), p).tolist() == want
+
+
+@pytest.mark.skipif(importlib.util.find_spec("numpy") is None, reason="numpy not installed")
+@pytest.mark.parametrize("p", SCHOOLBOOK_PRIMES)
+def test_definition_in_numpy_runs_each_side_of_its_edges(p):
+    # The kernel's switches lie where `edges` states them: each rule pair's
+    # first shape runs the rows (`_rows`) and its second the limb
+    # convolutions (`_diagonals`); each piece pair's first shape runs one
+    # piece and its second more, on the same body. A change to
+    # `limbs_from`, `rows_ratio`, `_PIECE` or `piece` that leaves an edge
+    # on one side of its switch fails here. No timing, and no oracle.
+    from modconv import _ntt_numpy
+
+    def bodies(short, long):
+        # The calls of each body one product of that shape makes: (rows, limbs).
+        u, v = (_ntt_numpy.residues([1] * k, p) for k in (short, long))
+        with mock.patch.object(_ntt_numpy, "_rows", wraps=_ntt_numpy._rows) as rows, \
+                mock.patch.object(_ntt_numpy, "_diagonals", wraps=_ntt_numpy._diagonals) as limbs:
+            _ntt_numpy.schoolbook(u, v, p)
+        return rows.call_count, limbs.call_count
+
+    rules, pieces = _ntt_numpy._arith(p).edges()
+    for on_rows, on_limbs in rules:
+        assert bodies(*on_rows) == (1, 0), on_rows
+        assert bodies(*on_limbs) == (0, 1), on_limbs
+    for one, more in pieces:
+        calls = bodies(*one)
+        assert sorted(calls) == [0, 1], one
+        body = calls.index(1)
+        past = bodies(*more)
+        assert past[body] > 1 and past[1 - body] == 0, more
 
 
 @pytest.mark.skipif(importlib.util.find_spec("numpy") is None, reason="numpy not installed")

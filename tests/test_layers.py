@@ -1,9 +1,11 @@
-"""The module layering of src/modconv, read from its syntax trees: one module holds the uint64 arithmetic."""
+"""The module layering of src/modconv, read from its syntax trees and its text: one module holds the uint64 arithmetic and its insides."""
 
 import ast
+import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "modconv"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "modconv"
 
 
 def trees():
@@ -48,3 +50,15 @@ def test_the_word_bound_is_defined_once():
     assert name == "transform.py"
     source = (SRC / name).read_text().splitlines()[line - 1]
     assert source.replace(" ", "") == "_WORD=1<<32", source
+
+
+def test_only_the_kernels_name_their_insides():
+    # The stage arrays, the Shoup product on quotients and the stage
+    # functions stay behind the kernels' primitives: no other file under
+    # src/modconv or tools/ names them. tools/kernel_times.py runs its child
+    # from a string, so this searches the text, not the syntax trees.
+    insides = re.compile(r"\b(stage_arrays|mulmod|_pass|_butterflies|_dif)\b")
+    found = [f"{path.relative_to(ROOT)}:{number}: {line.strip()}"
+             for path in sorted([*SRC.rglob("*.py"), *(ROOT / "tools").rglob("*.py")]) if path.name != "_ntt_numpy.py"
+             for number, line in enumerate(path.read_text().splitlines(), 1) if insides.search(line)]
+    assert not found, found

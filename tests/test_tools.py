@@ -41,7 +41,6 @@ KERNEL_CALLS = ["moddft", "moddft_inv", "tft", "itft", "itft_n=L", "itft_7L/8", 
     "group, calls",
     [
         ("kernels", KERNEL_CALLS),
-        ("stages", ["moddft", "moddft", "tft", "tft", "itft", "itft"]),
         ("boundary", ["to_array", "to_poly"]),
         ("loops", LOOP_CALLS),
     ],
@@ -53,14 +52,9 @@ def test_kernel_times_runs_each_group(group, calls):
     rows = table_rows(lines)
     assert [row[0] for row in rows] == calls
     assert all(row[1] == "2^9" for row in rows)
-    if group == "stages":
-        # The stage hook finds the kernels' stage functions by name: a
-        # rename would leave every call with no stages.
-        assert all(int(row[4]) > 0 for row in rows), lines
-    else:
-        assert all(float(row[2]) > 0 and float(row[3]) > 0 for row in rows), lines
-        # One round: the pair's ratio is its own median and quartiles.
-        assert all(row[5] == f"{row[4]}-{row[4]}" for row in rows), lines
+    assert all(float(row[2]) > 0 and float(row[3]) > 0 for row in rows), lines
+    # One round: the pair's ratio is its own median and quartiles.
+    assert all(row[5] == f"{row[4]}-{row[4]}" for row in rows), lines
 
 
 def test_kernel_times_runs_over_a_given_prime():

@@ -1,6 +1,6 @@
-"""Time the numpy kernels, their stages, the list/array crossing, products, the defining sum, or the Python loops, of two modconv trees.
+"""Time the numpy kernels, the list/array crossing, products, the defining sum, or the Python loops, of two modconv trees.
 
-    python3 tools/kernel_times.py OLD_TREE NEW_TREE [--group kernels|stages|boundary|products|definition|loops]
+    python3 tools/kernel_times.py OLD_TREE NEW_TREE [--group kernels|boundary|products|definition|loops]
                                   [--rounds 5] [--lo 9] [--hi 18] [--prime 998244353]
 
 Each round runs, at every size L = 2**lo .. 2**hi over the prime P
@@ -23,16 +23,6 @@ one input, as a door runs them, and `moddft_pair` and `tft_pair` (inputs
 of L/4 + 1), forward calls on a stack of two, as a product runs them. The
 pair rows meet both sides of the kernels' group rule (`_ntt_numpy._group`):
 a pair runs together up to L = 2**13 and input by input from 2**14.
-
-`stages` times the stages of `moddft`, `tft` and `itft` (the shapes above,
-n = L/2 + 1) in us, beside one butterfly over two contiguous L/2 halves
-(`butterfly`), the floor a stage's layout can reach. A stage is one call of
-the kernel module's `_pass`, `_butterflies` or `_dif` (a Stockham pass, an
-in-place or transposed stage), timed by a profile hook, which also fires
-on each numpy call inside a stage and so inflates the smallest stages; the
-table gives their count, median and largest, and the whole kernel (`total`,
-timed without the hook), which also holds the gathers, transposes and steps
-that are no stage. Try --lo 10 --hi 16.
 
 `boundary` times the crossing a product makes in `poly_mul`, in ns per
 coefficient, over L random residues: `to_array`, a list into uint64
@@ -69,7 +59,7 @@ numpy crossover, and the numpy kernels are checked against. Below 2**12
 points each timing runs 2**12 / L calls and reports one call's share. Try
 --lo 2 --hi 14.
 
-Every group but `stages` times a call as the best of up to 25 runs (fewer
+Every group times a call as the best of up to 25 runs (fewer
 from L = 2**16 up) and stops after 3 once that best passes BUDGET
 (`best_time`), as perfbench's `time_engine` stops at 0.1 s. A Python-loop
 product at 2**14..2**16 takes 50-290 ms: timed 16-25 times each, they
@@ -106,7 +96,7 @@ def best_time(call, tries: int, batch: int = 1) -> float:
 
 
 CHILD = r"""
-import json, sys, time
+import json, sys
 import numpy as np
 sys.path.insert(0, sys.argv[4])
 from kernel_times import best_time
@@ -120,57 +110,6 @@ CROSSOVER = transform._NUMPY_CROSSOVER
 
 fp = FourierPrime.from_modulus(int(sys.argv[3]))
 rng = np.random.default_rng(1)
-
-STAGES = ("_pass", "_butterflies", "_dif")
-
-
-def stage_times(call):
-    # The durations, in us, of the stage calls one run of call makes.
-    spans, starts = [], []
-
-    def hook(frame, event, arg):
-        if frame.f_code.co_name in STAGES and frame.f_globals is vars(K):
-            if event == "call":
-                starts.append(time.perf_counter())
-            elif event == "return":
-                spans.append((time.perf_counter() - starts.pop()) * 1e6)
-
-    sys.setprofile(hook)
-    try:
-        call()
-    finally:
-        sys.setprofile(None)
-    return spans
-
-
-def stages(L, x):
-    # Per kernel: the whole call, and each stage, as the best of a few runs.
-    out = {}
-    for name, call in calls("kernels", L, x).items():
-        if name not in ("moddft", "tft", "itft"):
-            continue
-        runs = [stage_times(call) for _ in range(5)]
-        total = float("inf")
-        for _ in range(5):
-            t0 = time.perf_counter()
-            call()
-            total = min(total, time.perf_counter() - t0)
-        per = [min(r[i] for r in runs) for i in range(len(runs[0]))]
-        out[f"{name} {L.bit_length() - 1}"] = {"total": total * 1e6, "stages": per}
-    lo, hi = x[: L // 2].copy(), x[L // 2 :].copy()
-    w = x[: L // 2]
-    # The stage loops take the arithmetic mod p, chosen from p.
-    p = K._arith(fp.p)
-    wq = p.quotient(w)
-    scratch = [np.empty(L // 2, dtype=np.uint64) for _ in range(2)]
-    best = float("inf")
-    for _ in range(max(3, min(25, (1 << 20) // L))):
-        t0 = time.perf_counter()
-        K._butterflies(lo, hi, w, wq, p, *scratch)
-        best = min(best, time.perf_counter() - t0)
-    out[f"butterfly {L.bit_length() - 1}"] = {"total": best * 1e6, "stages": []}
-    return out
-
 
 def products(L):
     # poly_mul's products of length n = L/2 + 1, 7L/8 and L (split 1:1) on
@@ -294,20 +233,17 @@ k, group = int(sys.argv[1]), sys.argv[2]
 L = 1 << k
 x = rng.integers(0, fp.p, L, dtype=np.uint64)
 out = {}
-if group == "stages":
-    out = stages(L, x)
-else:
-    # The loops take microseconds at small L: time a batch of calls there.
-    batch = max(1, (1 << 12) // L) if group in ("loops", "definition") else 1
-    for name, call in calls(group, L, x).items():
-        call()
-        best = best_time(call, max(3, min(25, (1 << 20) // L)), batch)
-        scale = 1e9 / L if group == "boundary" else 1e6 if group in ("loops", "definition") else 1e3
-        out[f"{name} {k}"] = best * scale
+# The loops take microseconds at small L: time a batch of calls there.
+batch = max(1, (1 << 12) // L) if group in ("loops", "definition") else 1
+for name, call in calls(group, L, x).items():
+    call()
+    best = best_time(call, max(3, min(25, (1 << 20) // L)), batch)
+    scale = 1e9 / L if group == "boundary" else 1e6 if group in ("loops", "definition") else 1e3
+    out[f"{name} {k}"] = best * scale
 print(json.dumps(out))
 """
 
-UNITS = {"kernels": "ms", "stages": "us", "boundary": "ns/coef", "products": "ms", "loops": "us", "definition": "us"}
+UNITS = {"kernels": "ms", "boundary": "ns/coef", "products": "ms", "loops": "us", "definition": "us"}
 
 
 def run(tree: str, k: int, group: str, prime: int) -> dict:
@@ -326,23 +262,6 @@ def paired(old: list, new: list, key: str) -> tuple[float, float, float]:
         return ratios[0], ratios[0], ratios[0]
     low, mid, high = statistics.quantiles(ratios, n=4, method="inclusive")
     return mid, low, high
-
-
-def print_stages(old: list, new: list) -> None:
-    # Medians over rounds of each tree's totals and stage statistics, in us.
-    print("| call | L | tree | total | stages | median stage | largest stage | butterfly |")
-    print("| --- | --- | --- | --- | --- | --- | --- | --- |")
-    for key in old[0]:
-        name, k = key.split()
-        if name == "butterfly":
-            continue
-        for label, times in (("old", old), ("new", new)):
-            med = lambda f: statistics.median(f(t[key]) for t in times)
-            count = len(times[0][key]["stages"])
-            mid = med(lambda r: statistics.median(r["stages"]) if r["stages"] else 0.0)
-            top = med(lambda r: max(r["stages"], default=0.0))
-            fly = statistics.median(t[f"butterfly {k}"]["total"] for t in times)
-            print(f"| {name} | 2^{k} | {label} | {med(lambda r: r['total']):.0f} | {count} | {mid:.0f} | {top:.0f} | {fly:.0f} |")
 
 
 def print_products(old: list, new: list, first: str = "engine", shape: str = "n") -> None:
@@ -387,9 +306,6 @@ def main() -> None:
         old.append(rounds[0])
         new.append(rounds[1])
     unit = UNITS[args.group]
-    if args.group == "stages":
-        print_stages(old, new)
-        return
     if args.group == "products":
         print_products(old, new)
         return
